@@ -21,7 +21,7 @@ use crate::lit::{LBool, Lit, Var};
 use crate::proof::Proof;
 use crate::share::{MemberEndpoint, ShareClass, ShareSpec, SharedClause};
 use crate::stats::{Budget, ExhaustionReason, Stats};
-use crate::theory::{NoTheory, Theory, TheoryOut};
+use crate::theory::{NoTheory, Theory, TheoryConflict, TheoryOut};
 
 /// Final verdict of a [`Solver::solve`] run.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -141,10 +141,18 @@ pub struct Solver<T: Theory = NoTheory, G: DecisionGuide = NoGuide> {
     ok: bool,
     model: Vec<LBool>,
 
-    // analyze scratch
+    // analyze scratch: every buffer below keeps its capacity across
+    // conflicts, so conflict analysis allocates nothing once warm.
     seen: Vec<u8>,
     analyze_toclear: Vec<Lit>,
     analyze_stack: Vec<Lit>,
+    /// Reason literals of the literal being resolved or minimized.
+    reason_buf: Vec<Lit>,
+    /// Holds the next conflict clause; trades places with `reason_buf`
+    /// while `analyze` resolves.
+    conflict_buf: Vec<Lit>,
+    /// The clause `analyze` learns.
+    learnt: Vec<Lit>,
     lbd_stamp: Vec<u32>,
     lbd_counter: u32,
 
@@ -220,6 +228,9 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
             analyze_stack: Vec::new(),
+            reason_buf: Vec::new(),
+            conflict_buf: Vec::new(),
+            learnt: Vec::new(),
             lbd_stamp: Vec::new(),
             lbd_counter: 0,
             max_learnts: 0.0,
@@ -638,9 +649,10 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
     }
 
     /// O(1) estimate of the solver's resident footprint in bytes: the clause
-    /// arena (problem + learnt clauses, u32 words), the trail, and the
+    /// arena (problem + learnt clauses, u32 words), the trail, the
     /// per-variable bookkeeping (assignment, level, reason, phase, activity,
-    /// watch lists, heap slot — ~64 bytes amortized per variable). This is
+    /// watch lists, heap slot — ~64 bytes amortized per variable), and the
+    /// theory's own estimate ([`Theory::memory_bytes`]). This is
     /// deliberately an estimate, not an allocator query: it is cheap enough
     /// to consult on the periodic budget stride and deterministic across
     /// platforms, which keeps memory-cap exhaustion reproducible.
@@ -657,7 +669,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         // ring (imported clauses themselves live in the arena, counted
         // above) — keeps the batch harness's memory cap honest.
         let share = self.share.as_ref().map_or(0, |ep| ep.memory_bytes() as u64);
-        arena + trail + per_var + watchers + share
+        arena + trail + per_var + watchers + share + self.theory.memory_bytes()
     }
 
     /// Current value of a literal.
@@ -858,8 +870,11 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                 if self.db.is_imported(cr) {
                     self.stats.sh_import_hits += 1;
                 }
+                let mut lits = std::mem::take(&mut self.conflict_buf);
+                lits.clear();
+                lits.extend_from_slice(self.db.lits(cr));
                 conflict = Some(Conflict {
-                    lits: self.db.lits(cr).to_vec(),
+                    lits,
                     from_theory: false,
                 });
                 break;
@@ -883,15 +898,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         out.clear();
         let result = self.theory.assert_lit(p, &mut out);
         let confl = match result {
-            Err(tc) => {
-                self.stats.theory_conflicts += 1;
-                let lits: Vec<Lit> = tc.lits.iter().map(|&l| !l).collect();
-                self.proof_lemma(&lits);
-                Some(Conflict {
-                    lits,
-                    from_theory: true,
-                })
-            }
+            Err(tc) => Some(self.theory_conflict(tc)),
             Ok(()) => {
                 let mut found = None;
                 for &q in &out.propagations {
@@ -916,8 +923,10 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                             // Propagation of a false literal: the explanation
                             // clause (q ∨ ¬a₁ ∨ … ∨ ¬aₖ) is falsified.
                             self.stats.theory_conflicts += 1;
+                            let mut lits = std::mem::take(&mut self.conflict_buf);
+                            lits.clear();
+                            lits.push(q);
                             let ants = self.theory.explain(q);
-                            let mut lits = vec![q];
                             lits.extend(ants.iter().map(|&a| !a));
                             self.proof_lemma(&lits);
                             found = Some(Conflict {
@@ -933,6 +942,20 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         };
         self.theory_out = out;
         confl
+    }
+
+    /// Turns a theory conflict (true literals) into the falsified clause of
+    /// their negations, built in the reusable conflict buffer.
+    fn theory_conflict(&mut self, tc: TheoryConflict) -> Conflict {
+        self.stats.theory_conflicts += 1;
+        let mut lits = std::mem::take(&mut self.conflict_buf);
+        lits.clear();
+        lits.extend(tc.lits.iter().map(|&l| !l));
+        self.proof_lemma(&lits);
+        Conflict {
+            lits,
+            from_theory: true,
+        }
     }
 
     fn new_decision_level(&mut self) {
@@ -1016,15 +1039,18 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first), the backjump level, and the clause LBD.
-    fn analyze(&mut self, conflict: Conflict) -> (Vec<Lit>, u32, u32) {
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in `self.learnt` and returns the backjump level and
+    /// the clause LBD.
+    fn analyze(&mut self, conflict: Conflict) -> (u32, u32) {
         let current = self.decision_level();
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // slot 0 = UIP
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::from_code(0)); // slot 0 = UIP
         let mut counter = 0u32;
         let mut index = self.trail.len();
         let mut clause: Vec<Lit> = conflict.lits;
-        let mut reason_buf: Vec<Lit> = Vec::new();
+        let mut reason_buf = std::mem::take(&mut self.reason_buf);
         let uip;
 
         loop {
@@ -1065,6 +1091,8 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             std::mem::swap(&mut clause, &mut reason_buf);
         }
         learnt[0] = !uip;
+        self.conflict_buf = clause;
+        self.reason_buf = reason_buf;
 
         // Recursive minimization of the non-asserting literals.
         let abstract_levels = learnt[1..].iter().fold(0u32, |acc, l| {
@@ -1100,8 +1128,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         }
 
         // LBD: number of distinct decision levels in the learnt clause.
-        self.lbd_counter += 1;
-        let stamp = self.lbd_counter;
+        let stamp = self.next_lbd_stamp();
         let mut lbd = 0u32;
         for &l in &learnt {
             let lv = self.level[l.var().index()] as usize;
@@ -1120,7 +1147,25 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         }
         self.analyze_toclear.clear();
 
-        (learnt, back_level, lbd)
+        self.learnt = learnt;
+        (back_level, lbd)
+    }
+
+    /// Parks the LBD stamp counter at `c` (wrap-around tests).
+    #[cfg(test)]
+    fn set_lbd_counter(&mut self, c: u32) {
+        self.lbd_counter = c;
+    }
+
+    /// Advances the LBD stamp. On wrap-around every level stamp is cleared
+    /// first: a stale stamp equal to the new value would read as counted.
+    fn next_lbd_stamp(&mut self) -> u32 {
+        self.lbd_counter = self.lbd_counter.wrapping_add(1);
+        if self.lbd_counter == 0 {
+            self.lbd_stamp.fill(0);
+            self.lbd_counter = 1;
+        }
+        self.lbd_counter
     }
 
     #[inline]
@@ -1134,15 +1179,15 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         self.analyze_stack.clear();
         self.analyze_stack.push(l);
         let top = self.analyze_toclear.len();
-        let mut reason_buf: Vec<Lit> = Vec::new();
-        while let Some(q) = self.analyze_stack.pop() {
+        let mut reason_buf = std::mem::take(&mut self.reason_buf);
+        let mut redundant = true;
+        'stack: while let Some(q) = self.analyze_stack.pop() {
             // Stack literals come from clause bodies, so they are false; the
             // reason of the variable implies the *true* literal ¬q.
             debug_assert!(self.value(q).is_false());
             debug_assert!(!matches!(self.reason[q.var().index()], Reason::None));
             self.reason_lits(!q, &mut reason_buf);
-            let antecedents = reason_buf.clone();
-            for a in antecedents {
+            for &a in &reason_buf {
                 let v = a.var();
                 if self.seen[v.index()] == 0 && self.level[v.index()] > 0 {
                     let has_reason = !matches!(self.reason[v.index()], Reason::None);
@@ -1157,17 +1202,19 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                             self.seen[x.var().index()] = 0;
                         }
                         self.analyze_toclear.truncate(top);
-                        return false;
+                        redundant = false;
+                        break 'stack;
                     }
                 }
             }
         }
-        true
+        self.reason_buf = reason_buf;
+        redundant
     }
 
     /// Installs a learnt clause and asserts its UIP literal.
-    fn record_learnt(&mut self, learnt: Vec<Lit>, lbd: u32) {
-        self.proof_add(&learnt);
+    fn record_learnt(&mut self, learnt: &[Lit], lbd: u32) {
+        self.proof_add(learnt);
         self.stats.learnt_clauses += 1;
         self.stats.learnt_literals += learnt.len() as u64;
         if learnt.len() == 1 {
@@ -1175,7 +1222,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             let ok = self.enqueue(learnt[0], Reason::None);
             debug_assert!(ok);
         } else {
-            let cr = self.db.add(&learnt, true);
+            let cr = self.db.add(learnt, true);
             self.db.set_lbd(cr, lbd);
             self.db.set_activity(cr, self.cla_inc);
             self.attach(cr);
@@ -1245,18 +1292,25 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
     }
 
     fn garbage_collect(&mut self) {
-        let mut relocs: std::collections::HashMap<CRef, CRef> = std::collections::HashMap::new();
-        self.db.collect(|old, new| {
-            relocs.insert(old, new);
-        });
+        // `collect` walks the arena front to back, so the move list comes
+        // out sorted by old reference and relocation is a binary search.
+        let mut moves: Vec<(CRef, CRef)> =
+            Vec::with_capacity(self.db.num_problem() + self.db.num_learnt());
+        self.db.collect(|old, new| moves.push((old, new)));
+        let reloc = |cr: CRef| {
+            moves
+                .binary_search_by_key(&cr, |&(old, _)| old)
+                .ok()
+                .map(|i| moves[i].1)
+        };
         for list in &mut self.watches {
             for w in list.iter_mut() {
-                w.cref = relocs[&w.cref];
+                w.cref = reloc(w.cref).expect("watched clause survives collection");
             }
         }
         for r in &mut self.reason {
             if let Reason::Clause(cr) = r {
-                if let Some(&n) = relocs.get(cr) {
+                if let Some(n) = reloc(*cr) {
                     *cr = n;
                 } else {
                     // The clause was deleted; this can only happen for
@@ -1343,7 +1397,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             return;
         }
         self.seen[p.var().index()] = 1;
-        let mut reason_buf = Vec::new();
+        let mut reason_buf = std::mem::take(&mut self.reason_buf);
         let start = self.trail_lim[0] as usize;
         for i in (start..self.trail.len()).rev() {
             let q = self.trail[i];
@@ -1358,7 +1412,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                 self.assumption_core.push(q);
             } else {
                 self.reason_lits(q, &mut reason_buf);
-                for l in reason_buf.clone() {
+                for &l in &reason_buf {
                     if self.level[l.var().index()] > 0 {
                         self.seen[l.var().index()] = 1;
                     }
@@ -1367,6 +1421,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             self.seen[x.index()] = 0;
         }
         self.seen[p.var().index()] = 0;
+        self.reason_buf = reason_buf;
     }
 
     fn luby(mut x: u64) -> u64 {
@@ -1489,15 +1544,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                                     self.cancel_until(0);
                                     return SolveResult::Sat;
                                 }
-                                Err(tc) => {
-                                    self.stats.theory_conflicts += 1;
-                                    let lits: Vec<Lit> = tc.lits.iter().map(|&l| !l).collect();
-                                    self.proof_lemma(&lits);
-                                    Some(Conflict {
-                                        lits,
-                                        from_theory: true,
-                                    })
-                                }
+                                Err(tc) => Some(self.theory_conflict(tc)),
                             }
                         }
                     }
@@ -1516,16 +1563,18 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                         return SolveResult::Unsat;
                     }
                     let from_theory = confl.from_theory;
-                    let (learnt, back_level, lbd) = self.analyze(confl);
+                    let (back_level, lbd) = self.analyze(confl);
                     self.emit(Event::Conflict {
                         level: conflict_level,
                         lbd,
                     });
                     self.cancel_until(back_level);
+                    let learnt = std::mem::take(&mut self.learnt);
                     if self.share.is_some() {
                         self.share_export(&learnt, lbd, from_theory);
                     }
-                    self.record_learnt(learnt, lbd);
+                    self.record_learnt(&learnt, lbd);
+                    self.learnt = learnt;
                     self.decay_var_activity();
                     self.decay_clause_activity();
                     if let Some(reason) = self
@@ -2246,6 +2295,37 @@ mod config_tests {
             s.stats().learnt_clauses,
             s.stats().reductions
         );
+    }
+
+    #[test]
+    fn lbd_stamp_survives_wrap_around() {
+        // A counter parked at u32::MAX wraps on the first conflict. Levels
+        // never stamped carry 0, so a wrap to 0 would count no level at all;
+        // the solver must instead compute every LBD exactly as a fresh one.
+        use zpre_obs::{EventKind, Recorder};
+        let run = |park: bool| {
+            let rec = Recorder::default();
+            let mut s = Solver::new();
+            s.set_event_sink(Some(Arc::new(rec.clone())));
+            hard_instance(&mut s);
+            if park {
+                s.set_lbd_counter(u32::MAX);
+            }
+            assert_eq!(s.solve(), SolveResult::Unsat);
+            let lbds: Vec<u32> = rec
+                .snapshot()
+                .events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::Conflict { lbd, .. } => Some(lbd),
+                    _ => None,
+                })
+                .collect();
+            (lbds, *s.stats())
+        };
+        let fresh = run(false);
+        assert!(fresh.0.iter().skip(1).any(|&l| l > 0));
+        assert_eq!(run(true), fresh);
     }
 
     #[test]

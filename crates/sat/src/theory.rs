@@ -58,8 +58,17 @@ pub trait Theory {
 
     /// Explains a literal previously pushed into [`TheoryOut::propagations`]:
     /// returns the antecedent literals (all true, asserted strictly before
-    /// `lit`) whose conjunction implies `lit`.
-    fn explain(&mut self, lit: Lit) -> Vec<Lit>;
+    /// `lit`) whose conjunction implies `lit`. The slice borrows the
+    /// theory's own storage, so conflict analysis copies nothing it does not
+    /// keep.
+    fn explain(&mut self, lit: Lit) -> &[Lit];
+
+    /// O(1) estimate of the theory's heap footprint in bytes, added to
+    /// [`crate::Solver::memory_bytes`] so a memory cap sees theory state.
+    /// Stateless theories keep the default of 0.
+    fn memory_bytes(&self) -> u64 {
+        0
+    }
 
     /// Called when the Boolean assignment is complete and no conflict was
     /// found; the theory gets a last chance to object. Eager theories that
@@ -98,7 +107,7 @@ impl Theory for NoTheory {
     }
     fn new_level(&mut self) {}
     fn backtrack_to(&mut self, _level: u32) {}
-    fn explain(&mut self, _lit: Lit) -> Vec<Lit> {
+    fn explain(&mut self, _lit: Lit) -> &[Lit] {
         unreachable!("NoTheory never propagates, so it is never asked to explain")
     }
 }

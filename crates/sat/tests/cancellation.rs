@@ -22,7 +22,7 @@ impl Theory for SleepyTheory {
     }
     fn new_level(&mut self) {}
     fn backtrack_to(&mut self, _level: u32) {}
-    fn explain(&mut self, _lit: Lit) -> Vec<Lit> {
+    fn explain(&mut self, _lit: Lit) -> &[Lit] {
         unreachable!("SleepyTheory never propagates")
     }
 }

@@ -31,13 +31,18 @@
 //! rejected, from the parent pointers the two searches already left behind —
 //! the accept path allocates nothing.
 //!
+//! Node pairs that ordering atoms range over are *interned* once
+//! ([`OrderGraph::add_pair`]) into dense [`PairId`]s. The multiplicity of
+//! each interned pair's edge lives in a table indexed by that id, so the
+//! parallel-duplicate test on insertion and its undo are array accesses: no
+//! hashing on assert or backtrack.
+//!
 //! Under `debug_assertions` every insertion is double-checked against the
 //! retained full-DFS oracle ([`OrderGraph::dfs_path`]), which is also the
 //! reference implementation the microbenchmarks and the ablation strategy
 //! (`force_full_dfs`) measure against.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use zpre_sat::Lit;
 
@@ -60,6 +65,13 @@ pub struct InEdge {
     /// The literal whose truth asserts the edge; `None` for fixed edges.
     pub tag: Option<Lit>,
 }
+
+/// Dense id of an interned ordered node pair `(a, b)`. Pairs are interned
+/// in both directions at once: `p ^ 1` is the id of `(b, a)`.
+pub type PairId = u32;
+
+/// Marks the absence of an interned pair.
+pub(crate) const NO_PAIR: PairId = PairId::MAX;
 
 /// Work counters for cycle checking. `accepted_o1 + searched == checks`
 /// always holds (in forced-full-DFS mode every check counts as searched).
@@ -90,8 +102,13 @@ pub enum Inserted {
 
 /// Undoable graph operations.
 enum GraphOp {
-    /// An edge was appended to `out[from]` and `inn[to]`.
-    Edge { from: NodeId, to: NodeId },
+    /// An edge was appended to `out[from]` and `inn[to]`; `pair` is its
+    /// interned pair, or [`NO_PAIR`].
+    Edge {
+        from: NodeId,
+        to: NodeId,
+        pair: PairId,
+    },
     /// `level[node]` was raised from `old`.
     Level { node: NodeId, old: u32 },
 }
@@ -129,10 +146,12 @@ pub struct OrderGraph {
     fparent: Vec<(NodeId, Option<Lit>)>,
     /// Shared explicit stack for both passes.
     stack: Vec<NodeId>,
-    /// Multiplicity of each directed edge currently present; parallel
-    /// duplicates are accepted in O(1) since they cannot change
-    /// reachability.
-    edge_count: HashMap<(u32, u32), u32>,
+    /// Endpoints of every interned pair, indexed by [`PairId`].
+    pairs: Vec<(NodeId, NodeId)>,
+    /// Multiplicity of each interned pair's edge currently present, indexed
+    /// by [`PairId`]; parallel duplicates are accepted in O(1) since they
+    /// cannot change reachability.
+    pair_count: Vec<u32>,
     /// Backward-visited set of the last searched insertion (tail included).
     /// Every member reaches the tail within its level; the theory uses this
     /// to drive implied-atom propagation without extra traversals.
@@ -166,7 +185,8 @@ impl OrderGraph {
             bparent: Vec::new(),
             fparent: Vec::new(),
             stack: Vec::new(),
-            edge_count: HashMap::new(),
+            pairs: Vec::new(),
+            pair_count: Vec::new(),
             frontier: Vec::new(),
             query: RefCell::new(QueryScratch::default()),
             force_full_dfs: false,
@@ -206,6 +226,53 @@ impl OrderGraph {
         &self.out[n.index()]
     }
 
+    /// Interns the ordered pair `(a, b)` together with its reverse and
+    /// returns the id of `(a, b)`; the reverse is the returned id `^ 1`. The
+    /// caller interns each pair once (the graph keeps no lookup from nodes
+    /// to ids). Edges already present between the two nodes are counted, so
+    /// a later insertion over the pair sees them as parallel duplicates.
+    pub fn add_pair(&mut self, a: NodeId, b: NodeId) -> PairId {
+        let id = self.pairs.len() as PairId;
+        assert!(id < NO_PAIR - 1, "pair id space exhausted");
+        for (p, (x, y)) in [(id, (a, b)), (id + 1, (b, a))] {
+            let present = self.out[x.index()].iter().filter(|e| e.to == y).count();
+            self.pairs.push((x, y));
+            self.pair_count.push(present as u32);
+            // Counted edges inserted at an open level sit on the undo trail
+            // without a pair id; give them this one so their undo decrements
+            // the count. (At the root the trail is empty.)
+            for op in &mut self.trail {
+                if let GraphOp::Edge { from, to, pair } = op {
+                    if *pair == NO_PAIR && (*from, *to) == (x, y) {
+                        *pair = p;
+                    }
+                }
+            }
+        }
+        id
+    }
+
+    /// The endpoints `(from, to)` of an interned pair.
+    #[inline]
+    pub fn pair_nodes(&self, pair: PairId) -> (NodeId, NodeId) {
+        self.pairs[pair as usize]
+    }
+
+    /// O(1) estimate of the engine's heap footprint in bytes: adjacency
+    /// (each edge sits in one out- and one in-list), per-node levels,
+    /// stamps and parent pointers, the undo trail and the pair tables.
+    pub fn memory_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let edges = self.num_edges * (size_of::<OutEdge>() + size_of::<InEdge>());
+        let per_node = 2 * size_of::<Vec<OutEdge>>()
+            + 2 * size_of::<u32>()
+            + 2 * size_of::<(NodeId, Option<Lit>)>();
+        let nodes = self.out.len() * per_node;
+        let trail = self.trail.capacity() * size_of::<GraphOp>();
+        let pairs = self.pairs.len() * (size_of::<(NodeId, NodeId)>() + size_of::<u32>());
+        (edges + nodes + trail + pairs) as u64
+    }
+
     /// Forces every insertion through the retained full-DFS check instead of
     /// the incremental two-way search (ablation / before-after benchmarks).
     pub fn set_force_full_dfs(&mut self, on: bool) {
@@ -237,18 +304,60 @@ impl OrderGraph {
         path
     }
 
+    /// Appends to `tags` the asserting literals along the within-level path
+    /// `u ⇝ root` recorded by the last backward pass (the tags of
+    /// [`Self::backward_path`], without building the path) and returns the
+    /// number of edges on it, fixed ones included.
+    pub fn backward_tags(&self, u: NodeId, root: NodeId, tags: &mut Vec<Lit>) -> u32 {
+        let mut len = 0;
+        let mut cur = u;
+        while cur != root {
+            let (succ, tag) = self.bparent[cur.index()];
+            tags.extend(tag);
+            len += 1;
+            cur = succ;
+        }
+        len
+    }
+
     /// Inserts `from→to` if it keeps the graph acyclic. On rejection returns
     /// the pre-existing path `to ⇝ from` (the witness cycle minus the new
     /// edge) and leaves the graph exactly as it was.
+    ///
+    /// For an edge between the two nodes of an interned pair use
+    /// [`Self::insert_pair_edge`], which keeps the pair's multiplicity
+    /// current; here a parallel duplicate is found by scanning the out-list
+    /// of `from`, and only when the level comparison did not already accept.
     pub fn insert_edge(
         &mut self,
         from: NodeId,
         to: NodeId,
         tag: Option<Lit>,
     ) -> Result<Inserted, Vec<CycleEdge>> {
+        self.insert_checked(from, to, tag, NO_PAIR)
+    }
+
+    /// [`Self::insert_edge`] for the edge of an interned pair: the
+    /// parallel-duplicate test and its undo are lookups by pair id.
+    pub fn insert_pair_edge(
+        &mut self,
+        pair: PairId,
+        tag: Option<Lit>,
+    ) -> Result<Inserted, Vec<CycleEdge>> {
+        let (from, to) = self.pairs[pair as usize];
+        self.insert_checked(from, to, tag, pair)
+    }
+
+    fn insert_checked(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        tag: Option<Lit>,
+        pair: PairId,
+    ) -> Result<Inserted, Vec<CycleEdge>> {
         #[cfg(debug_assertions)]
         let oracle_cyclic = from == to || self.dfs_path(to, from).is_some();
-        let res = self.insert_edge_inner(from, to, tag);
+        let res = self.insert_edge_inner(from, to, tag, pair);
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             res.is_err(),
@@ -263,6 +372,7 @@ impl OrderGraph {
         from: NodeId,
         to: NodeId,
         tag: Option<Lit>,
+        pair: PairId,
     ) -> Result<Inserted, Vec<CycleEdge>> {
         self.stats.checks += 1;
         if from == to {
@@ -279,7 +389,7 @@ impl OrderGraph {
             if let Some(path) = path {
                 return Err(path);
             }
-            self.push_edge(from, to, tag);
+            self.push_edge(from, to, tag, pair);
             self.compact_root_trail();
             return Ok(Inserted::Searched);
         }
@@ -289,18 +399,17 @@ impl OrderGraph {
             // pair, or an atom duplicating a fixed program-order edge)
             // cannot change reachability: the graph was acyclic with the
             // first copy, so it stays acyclic with this one.
-            || self.edge_count.contains_key(&(from.0, to.0))
+            || self.has_parallel(from, to, pair)
         {
             self.stats.accepted_o1 += 1;
-            self.push_edge(from, to, tag);
+            self.push_edge(from, to, tag, pair);
             self.compact_root_trail();
             return Ok(Inserted::AcceptedO1);
         }
         self.stats.searched += 1;
 
         let la = self.level[from.index()];
-        self.bgen += 1;
-        let bgen = self.bgen;
+        let bgen = self.next_bgen();
         self.frontier.clear();
         let target;
         if tag.is_none() {
@@ -352,7 +461,7 @@ impl OrderGraph {
                 // Complete backward pass and k(to) == k(from): the invariant
                 // already holds, and completeness rules out any path
                 // to ⇝ from.
-                self.push_edge(from, to, tag);
+                self.push_edge(from, to, tag, pair);
                 self.compact_root_trail();
                 return Ok(Inserted::Searched);
             }
@@ -384,9 +493,31 @@ impl OrderGraph {
                 }
             }
         }
-        self.push_edge(from, to, tag);
+        self.push_edge(from, to, tag, pair);
         self.compact_root_trail();
         Ok(Inserted::Searched)
+    }
+
+    /// `true` if an edge `from→to` is already present.
+    #[inline]
+    fn has_parallel(&self, from: NodeId, to: NodeId, pair: PairId) -> bool {
+        if pair == NO_PAIR {
+            self.out[from.index()].iter().any(|e| e.to == to)
+        } else {
+            self.pair_count[pair as usize] > 0
+        }
+    }
+
+    /// Advances the backward-visit generation. On wrap-around every stamp is
+    /// cleared first: a stale stamp equal to the new generation would read
+    /// as visited.
+    fn next_bgen(&mut self) -> u32 {
+        self.bgen = self.bgen.wrapping_add(1);
+        if self.bgen == 0 {
+            self.bstamp.fill(0);
+            self.bgen = 1;
+        }
+        self.bgen
     }
 
     /// Witness for a cycle found by the forward pass while scanning `x→y`:
@@ -423,12 +554,14 @@ impl OrderGraph {
         path
     }
 
-    fn push_edge(&mut self, from: NodeId, to: NodeId, tag: Option<Lit>) {
+    fn push_edge(&mut self, from: NodeId, to: NodeId, tag: Option<Lit>, pair: PairId) {
         self.out[from.index()].push(OutEdge { to, tag });
         self.inn[to.index()].push(InEdge { from, tag });
         self.num_edges += 1;
-        *self.edge_count.entry((from.0, to.0)).or_insert(0) += 1;
-        self.trail.push(GraphOp::Edge { from, to });
+        if pair != NO_PAIR {
+            self.pair_count[pair as usize] += 1;
+        }
+        self.trail.push(GraphOp::Edge { from, to, pair });
     }
 
     fn promote(&mut self, node: NodeId, to_level: u32) {
@@ -451,17 +584,12 @@ impl OrderGraph {
     fn unwind_to(&mut self, mark: usize) {
         while self.trail.len() > mark {
             match self.trail.pop().expect("trail length checked") {
-                GraphOp::Edge { from, to } => {
+                GraphOp::Edge { from, to, pair } => {
                     self.out[from.index()].pop();
                     self.inn[to.index()].pop();
                     self.num_edges -= 1;
-                    let count = self
-                        .edge_count
-                        .get_mut(&(from.0, to.0))
-                        .expect("undone edge was counted");
-                    *count -= 1;
-                    if *count == 0 {
-                        self.edge_count.remove(&(from.0, to.0));
+                    if pair != NO_PAIR {
+                        self.pair_count[pair as usize] -= 1;
                     }
                 }
                 GraphOp::Level { node, old } => {
@@ -507,7 +635,12 @@ impl OrderGraph {
             q.stamp.resize(n, 0);
             q.parent.resize(n, (NodeId(0), None));
         }
-        q.gen += 1;
+        q.gen = q.gen.wrapping_add(1);
+        if q.gen == 0 {
+            // Wrapped: clear the stamps so none reads as visited.
+            q.stamp.fill(0);
+            q.gen = 1;
+        }
         let gen = q.gen;
         q.stack.clear();
         q.stack.push(from);
@@ -540,6 +673,13 @@ impl OrderGraph {
             }
         }
         (None, visited)
+    }
+
+    /// Parks both visit generations at `gen` (wrap-around tests).
+    #[cfg(test)]
+    fn set_generations(&mut self, gen: u32) {
+        self.bgen = gen;
+        self.query.get_mut().gen = gen;
     }
 
     /// Checks the level invariant `k(u) ≤ k(v)` over every edge. Test/debug
@@ -750,6 +890,55 @@ mod tests {
         let _ = g.insert_edge(n[20], n[5], None);
         let _ = g.insert_edge(n[3], n[25], None);
         assert_eq!(g.stats.accepted_o1 + g.stats.searched, g.stats.checks);
+    }
+
+    #[test]
+    fn visit_generations_survive_wrap_around() {
+        // Generations parked at u32::MAX wrap on the first search and on
+        // the first query. Never-visited nodes carry stamp 0, so a wrap to 0
+        // would make every node read as visited; the graph must instead
+        // behave exactly like a fresh one.
+        let run = |park: bool| {
+            let tag = |i: u32| Some(zpre_sat::Var::new(i).positive());
+            let (mut g, n) = graph(6);
+            if park {
+                g.set_generations(u32::MAX);
+            }
+            g.new_level();
+            let edges = [(0, 4), (1, 4), (2, 4), (4, 5), (5, 0), (3, 1), (5, 3)];
+            let inserted: Vec<bool> = edges
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b))| g.insert_edge(n[a], n[b], tag(i as u32)).is_ok())
+                .collect();
+            let reach: Vec<bool> = (0..36).map(|k| g.reaches(n[k / 6], n[k % 6])).collect();
+            (inserted, reach, g.stats)
+        };
+        let fresh = run(false);
+        assert!(fresh.0.contains(&false), "the sequence must close a cycle");
+        assert_eq!(run(true), fresh);
+    }
+
+    #[test]
+    fn pair_edges_count_parallel_duplicates() {
+        let tag = |i: u32| Some(zpre_sat::Var::new(i).positive());
+        let (mut g, n) = graph(3);
+        // A root-level edge present before the pair is interned is counted.
+        // Both endpoints stay at level 0, so only the parallel-duplicate
+        // test can accept the second copy in O(1).
+        assert_eq!(g.insert_edge(n[1], n[2], tag(0)), Ok(Inserted::Searched));
+        assert_eq!(g.level_of(n[1]), g.level_of(n[2]));
+        let p = g.add_pair(n[1], n[2]);
+        assert_eq!(g.pair_nodes(p), (n[1], n[2]));
+        assert_eq!(g.pair_nodes(p ^ 1), (n[2], n[1]));
+        g.new_level();
+        assert_eq!(g.insert_pair_edge(p, tag(1)), Ok(Inserted::AcceptedO1));
+        // The reverse direction closes a cycle; undo restores the counts.
+        assert!(g.insert_pair_edge(p ^ 1, tag(2)).is_err());
+        g.backtrack_to(0);
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.pair_count[p as usize], 1);
+        assert_eq!(g.pair_count[(p ^ 1) as usize], 0);
     }
 
     #[test]

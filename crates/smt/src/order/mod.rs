@@ -29,14 +29,13 @@
 
 pub mod graph;
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use zpre_obs::{Event, EventSink};
 use zpre_sat::share::NO_TAG;
 use zpre_sat::{CycleEdgeRaw, Lit, Theory, TheoryConflict, TheoryOut, Var};
 
-use graph::{CycleStats, Inserted, OrderGraph};
+use graph::{CycleStats, Inserted, OrderGraph, PairId, NO_PAIR};
 
 /// Cap on lemmas buffered for sharing between solver drains. Conflicts can
 /// outpace the drain cadence (the solver drains on learn, not per-assert),
@@ -107,13 +106,33 @@ pub struct TheoryLemma {
 pub struct OrderTheory {
     /// The incremental cycle-detection engine (adjacency + levels + trail).
     graph: OrderGraph,
-    /// Atom registry: solver var → (a, b), true ⇒ a→b, false ⇒ b→a.
-    atoms: HashMap<u32, (NodeId, NodeId)>,
-    /// For an ordered pair (a, b), every literal that means "edge a→b".
-    /// (Usually one, but duplicate atoms over the same pair stay linked.)
-    edge_atoms: HashMap<(NodeId, NodeId), Vec<Lit>>,
-    /// Eager explanations for literals we propagated.
-    expl: HashMap<u32, Vec<Lit>>,
+    /// Atom registry, indexed by `Var::index()`: the interned pair `(a, b)`
+    /// of the atom (true ⇒ a→b, false ⇒ the reverse pair `id ^ 1`), or
+    /// [`NO_PAIR`] for a variable that is not an ordering atom.
+    atom_pair: Vec<PairId>,
+    /// For each interned pair, indexed by [`PairId`], every literal that
+    /// means that pair's edge. (Usually one, but duplicate atoms over the
+    /// same pair stay linked.)
+    pair_lits: Vec<Vec<Lit>>,
+    /// Per node `a`: `(b, id of (a, b))` for every interned pair with `a`
+    /// as an endpoint. Interning scans it once per atom; the frontier pass
+    /// reads it once per searched check.
+    pair_adj: Vec<Vec<(NodeId, PairId)>>,
+    /// Per node scratch of the frontier pass: the pair id of `(to, u)` for
+    /// every atom partner `u` of the edge head `to`, [`NO_PAIR`] otherwise.
+    /// Marking the partners once beats scanning `pair_adj[to]` per frontier
+    /// node on `solver-tail`.
+    partner: Vec<PairId>,
+    /// Explanation slot per literal, indexed by `Lit::code()`: the range
+    /// `(start, len)` of its antecedents in `expl_lits`; `len == 0` means the
+    /// literal was not propagated (an explanation is never empty).
+    expl_at: Vec<(u32, u32)>,
+    /// Antecedents of every live propagation, stacked in `prop_trail`
+    /// order, so backtracking truncates it and keeps its capacity.
+    expl_lits: Vec<Lit>,
+    /// Scratch for the explanation shared by one frontier node's implied
+    /// literals.
+    expl_buf: Vec<Lit>,
     /// Undo trail of propagated literals (edge undo lives in the engine).
     prop_trail: Vec<Lit>,
     /// `prop_trail` length at each open decision level.
@@ -154,9 +173,13 @@ impl OrderTheory {
     pub fn new() -> OrderTheory {
         OrderTheory {
             graph: OrderGraph::new(),
-            atoms: HashMap::new(),
-            edge_atoms: HashMap::new(),
-            expl: HashMap::new(),
+            atom_pair: Vec::new(),
+            pair_lits: Vec::new(),
+            pair_adj: Vec::new(),
+            partner: Vec::new(),
+            expl_at: Vec::new(),
+            expl_lits: Vec::new(),
+            expl_buf: Vec::new(),
             prop_trail: Vec::new(),
             levels: Vec::new(),
             fixed_cycle: false,
@@ -220,6 +243,8 @@ impl OrderTheory {
 
     /// Allocates a fresh EOG node.
     pub fn add_node(&mut self) -> NodeId {
+        self.pair_adj.push(Vec::new());
+        self.partner.push(NO_PAIR);
         self.graph.add_node()
     }
 
@@ -239,7 +264,13 @@ impl OrderTheory {
         if a != b && self.is_fixed_edge(a, b) {
             return true;
         }
-        match self.graph.insert_edge(a, b, None) {
+        // An edge over an atom's pair goes through its pair id, so a later
+        // assertion of that atom sees the fixed copy as a parallel duplicate.
+        let res = match self.pair_of(a, b) {
+            Some(p) => self.graph.insert_pair_edge(p, None),
+            None => self.graph.insert_edge(a, b, None),
+        };
+        match res {
             Ok(_) => {
                 self.cycle_checks += 1;
                 true
@@ -259,20 +290,40 @@ impl OrderTheory {
     /// [`zpre_sat::Solver::mark_theory_var`].
     pub fn register_atom(&mut self, var: Var, a: NodeId, b: NodeId) {
         debug_assert_ne!(a, b, "ordering atom over a single event");
-        self.atoms.insert(var.index() as u32, (a, b));
-        self.edge_atoms
-            .entry((a, b))
-            .or_default()
-            .push(var.positive());
-        self.edge_atoms
-            .entry((b, a))
-            .or_default()
-            .push(var.negative());
+        let p = match self.pair_of(a, b) {
+            Some(p) => p,
+            None => {
+                let p = self.graph.add_pair(a, b);
+                self.pair_adj[a.index()].push((b, p));
+                self.pair_adj[b.index()].push((a, p ^ 1));
+                self.pair_lits.extend([Vec::new(), Vec::new()]);
+                p
+            }
+        };
+        let v = var.index();
+        if self.atom_pair.len() <= v {
+            self.atom_pair.resize(v + 1, NO_PAIR);
+            self.expl_at.resize(2 * (v + 1), (0, 0));
+        }
+        self.atom_pair[v] = p;
+        self.pair_lits[p as usize].push(var.positive());
+        self.pair_lits[(p ^ 1) as usize].push(var.negative());
+    }
+
+    /// The interned pair `(a, b)`, if an atom ranges over it.
+    fn pair_of(&self, a: NodeId, b: NodeId) -> Option<PairId> {
+        self.pair_adj[a.index()]
+            .iter()
+            .find(|&&(u, _)| u == b)
+            .map(|&(_, p)| p)
     }
 
     /// The pair registered for `var`, if any.
     pub fn atom_nodes(&self, var: Var) -> Option<(NodeId, NodeId)> {
-        self.atoms.get(&(var.index() as u32)).copied()
+        match self.atom_pair.get(var.index()) {
+            Some(&p) if p != NO_PAIR => Some(self.graph.pair_nodes(p)),
+            _ => None,
+        }
     }
 
     /// `true` if the fixed edges alone are cyclic.
@@ -339,38 +390,107 @@ impl OrderTheory {
 
     /// Records the implication `expl ⊨ q` if `q` has no explanation yet:
     /// stores the explanation, journals the lemma (clause `q ∨ ¬expl`
-    /// justified by `cycle`), and queues the propagation.
+    /// justified by `cycle`, built from the graph only when journaling), and
+    /// queues the propagation.
     fn push_propagation(
         &mut self,
         q: Lit,
         expl: &[Lit],
-        cycle: impl FnOnce() -> Vec<CycleEdge>,
+        cycle: impl FnOnce(&OrderGraph) -> Vec<CycleEdge>,
         cycle_len: u32,
         out: &mut TheoryOut,
     ) {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.expl.entry(q.code() as u32) {
-            e.insert(expl.to_vec());
-            self.prop_trail.push(q);
-            self.emit_lemma(cycle_len);
-            if self.journal_on {
-                let mut clause = vec![q];
-                clause.extend(expl.iter().map(|&l| !l));
-                self.journal.push(TheoryLemma {
-                    clause,
-                    cycle: cycle(),
-                });
+        let slot = &mut self.expl_at[q.code()];
+        if slot.1 != 0 {
+            return;
+        }
+        *slot = (self.expl_lits.len() as u32, expl.len() as u32);
+        self.expl_lits.extend_from_slice(expl);
+        self.prop_trail.push(q);
+        self.emit_lemma(cycle_len);
+        if self.journal_on {
+            let mut clause = vec![q];
+            clause.extend(expl.iter().map(|&l| !l));
+            self.journal.push(TheoryLemma {
+                clause,
+                cycle: cycle(&self.graph),
+            });
+        }
+        out.propagations.push(q);
+    }
+
+    /// The frontier half of reverse propagation after a searched insertion
+    /// of `from→to` asserted by `lit`: for each backward-frontier node `u`
+    /// in visit order, negates every atom over `(to, u)`, explained by the
+    /// tags of the recorded path `u ⇝ from` plus `lit`.
+    fn propagate_frontier(&mut self, lit: Lit, from: NodeId, to: NodeId, out: &mut TheoryOut) {
+        // Mark the atom partners of `to` with their pair ids, so the lookup
+        // per frontier node is one array read.
+        for &(u, p) in &self.pair_adj[to.index()] {
+            self.partner[u.index()] = p;
+        }
+        let mut expl = std::mem::take(&mut self.expl_buf);
+        for i in 0..self.graph.frontier().len() {
+            let u = self.graph.frontier()[i];
+            if u == from {
+                continue; // handled by the one-step case
             }
-            out.propagations.push(q);
+            let tp = self.partner[u.index()];
+            if tp == NO_PAIR {
+                continue;
+            }
+            let lits = &self.pair_lits[tp as usize];
+            if !lits.iter().any(|&l| l != lit && l != !lit) {
+                continue;
+            }
+            expl.clear();
+            let path_len = self.graph.backward_tags(u, from, &mut expl);
+            expl.push(lit);
+            for k in 0..self.pair_lits[tp as usize].len() {
+                let q = !self.pair_lits[tp as usize][k];
+                if q == lit || q == !lit {
+                    continue;
+                }
+                self.push_propagation(
+                    q,
+                    &expl,
+                    |g| {
+                        // Closed cycle to→u ⇝ from→to, justifying clause
+                        // q ∨ ¬expl.
+                        let mut cycle = vec![CycleEdge {
+                            from: to,
+                            to: u,
+                            tag: Some(!q),
+                        }];
+                        cycle.extend(g.backward_path(u, from));
+                        cycle.push(CycleEdge {
+                            from,
+                            to,
+                            tag: Some(lit),
+                        });
+                        cycle
+                    },
+                    path_len + 2,
+                    out,
+                );
+            }
+        }
+        self.expl_buf = expl;
+        for &(u, _) in &self.pair_adj[to.index()] {
+            self.partner[u.index()] = NO_PAIR;
         }
     }
 }
 
 impl Theory for OrderTheory {
     fn assert_lit(&mut self, lit: Lit, out: &mut TheoryOut) -> Result<(), TheoryConflict> {
-        let Some(&(a, b)) = self.atoms.get(&(lit.var().index() as u32)) else {
-            return Ok(()); // not an ordering atom
+        let p = match self.atom_pair.get(lit.var().index()) {
+            Some(&p) if p != NO_PAIR => p,
+            _ => return Ok(()), // not an ordering atom
         };
-        let (from, to) = if lit.sign() { (a, b) } else { (b, a) };
+        // The asserted edge's pair: the atom's own, or its reverse.
+        let ep = if lit.sign() { p } else { p ^ 1 };
+        let (from, to) = self.graph.pair_nodes(ep);
 
         // Would the new edge close a cycle? A path to→…→from plus the new
         // edge from→to is a cycle. The engine answers via the level
@@ -378,7 +498,7 @@ impl Theory for OrderTheory {
         // only materialized on rejection.
         self.cycle_checks += 1;
         let pre = self.graph.stats;
-        let res = self.graph.insert_edge(from, to, Some(lit));
+        let res = self.graph.insert_pair_edge(ep, Some(lit));
         if let Some(s) = &self.sink {
             let d = self.graph.stats;
             s.emit(Event::CycleCheck {
@@ -418,90 +538,46 @@ impl Theory for OrderTheory {
         };
 
         if self.propagate_reverse {
-            // One-step: other atoms over the same pair are implied true...
-            let mut implied: Vec<Lit> = Vec::new();
-            if let Some(same) = self.edge_atoms.get(&(from, to)) {
-                implied.extend(same.iter().copied().filter(|&l| l != lit));
+            // One-step: other atoms over the same pair are implied true, and
+            // the reverse edge is now impossible (one-step transitivity;
+            // longer cycles are left to the cycle check). The explanation
+            // clause q ∨ ¬lit is justified by the 2-cycle its negation
+            // (¬q ∧ lit) would create.
+            let two_cycle = move |q: Lit| {
+                move |_: &OrderGraph| {
+                    vec![
+                        CycleEdge {
+                            from,
+                            to,
+                            tag: Some(lit),
+                        },
+                        CycleEdge {
+                            from: to,
+                            to: from,
+                            tag: Some(!q),
+                        },
+                    ]
+                }
+            };
+            for i in 0..self.pair_lits[ep as usize].len() {
+                let q = self.pair_lits[ep as usize][i];
+                if q != lit {
+                    self.push_propagation(q, &[lit], two_cycle(q), 2, out);
+                }
             }
-            // ...and the reverse edge is now impossible (one-step
-            // transitivity; longer cycles are left to the cycle check).
-            if let Some(rev) = self.edge_atoms.get(&(to, from)) {
-                implied.extend(rev.iter().map(|&l| !l).filter(|&l| l != lit));
-            }
-            for q in implied {
-                // The explanation clause q ∨ ¬lit is justified by the
-                // 2-cycle its negation (¬q ∧ lit) would create.
-                self.push_propagation(
-                    q,
-                    &[lit],
-                    || {
-                        vec![
-                            CycleEdge {
-                                from,
-                                to,
-                                tag: Some(lit),
-                            },
-                            CycleEdge {
-                                from: to,
-                                to: from,
-                                tag: Some(!q),
-                            },
-                        ]
-                    },
-                    2,
-                    out,
-                );
+            let rp = (ep ^ 1) as usize;
+            for i in 0..self.pair_lits[rp].len() {
+                let q = !self.pair_lits[rp][i];
+                if q != lit {
+                    self.push_propagation(q, &[lit], two_cycle(q), 2, out);
+                }
             }
 
             // Frontier-driven: the backward pass already proved u ⇝ from for
             // every frontier node u, so an edge to→u would close the cycle
             // to→u ⇝ from→to. Negate any atom that would assert one.
-            if ins == Inserted::Searched {
-                let frontier: Vec<NodeId> = self.graph.frontier().to_vec();
-                for u in frontier {
-                    if u == from {
-                        continue; // handled by the one-step case above
-                    }
-                    let Some(list) = self.edge_atoms.get(&(to, u)) else {
-                        continue;
-                    };
-                    let implied: Vec<Lit> = list
-                        .iter()
-                        .map(|&l| !l)
-                        .filter(|&q| q != lit && q != !lit)
-                        .collect();
-                    if implied.is_empty() {
-                        continue;
-                    }
-                    let path = self.graph.backward_path(u, from);
-                    let mut expl: Vec<Lit> = path.iter().filter_map(|e| e.tag).collect();
-                    expl.push(lit);
-                    let cycle_len = path.len() as u32 + 2;
-                    for q in implied {
-                        self.push_propagation(
-                            q,
-                            &expl,
-                            || {
-                                // Closed cycle to→u ⇝ from→to, justifying
-                                // clause q ∨ ¬expl.
-                                let mut cycle = vec![CycleEdge {
-                                    from: to,
-                                    to: u,
-                                    tag: Some(!q),
-                                }];
-                                cycle.extend(path.iter().copied());
-                                cycle.push(CycleEdge {
-                                    from,
-                                    to,
-                                    tag: Some(lit),
-                                });
-                                cycle
-                            },
-                            cycle_len,
-                            out,
-                        );
-                    }
-                }
+            if ins == Inserted::Searched && !self.pair_adj[to.index()].is_empty() {
+                self.propagate_frontier(lit, from, to, out);
             }
         }
         Ok(())
@@ -520,17 +596,41 @@ impl Theory for OrderTheory {
         }
         let keep = self.levels[target];
         self.levels.truncate(target);
-        while self.prop_trail.len() > keep {
-            let lit = self.prop_trail.pop().expect("trail length checked");
-            self.expl.remove(&(lit.code() as u32));
+        if let Some(&first) = self.prop_trail.get(keep) {
+            // Explanations stack in trail order: the first undone one starts
+            // where the survivors end.
+            self.expl_lits
+                .truncate(self.expl_at[first.code()].0 as usize);
+            for lit in self.prop_trail.drain(keep..) {
+                self.expl_at[lit.code()] = (0, 0);
+            }
         }
     }
 
-    fn explain(&mut self, lit: Lit) -> Vec<Lit> {
-        self.expl
-            .get(&(lit.code() as u32))
-            .cloned()
-            .expect("explanation requested for a literal the theory did not propagate")
+    fn explain(&mut self, lit: Lit) -> &[Lit] {
+        let (start, len) = self.expl_at.get(lit.code()).copied().unwrap_or((0, 0));
+        assert!(
+            len != 0,
+            "explanation requested for a literal the theory did not propagate"
+        );
+        &self.expl_lits[start as usize..(start + len) as usize]
+    }
+
+    fn memory_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let per_var = self.atom_pair.capacity() * size_of::<PairId>()
+            + self.expl_at.capacity() * size_of::<(u32, u32)>();
+        let stacks =
+            (self.expl_lits.capacity() + self.expl_buf.capacity() + self.prop_trail.capacity())
+                * size_of::<Lit>()
+                + self.levels.capacity() * size_of::<usize>();
+        // Each pair id holds a literal list (usually one literal) and one
+        // adjacency entry; each node an adjacency list and a partner slot.
+        let per_pair = size_of::<Vec<Lit>>() + size_of::<Lit>() + size_of::<(NodeId, PairId)>();
+        let per_node = size_of::<Vec<(NodeId, PairId)>>() + size_of::<PairId>();
+        self.graph.memory_bytes()
+            + (per_var + stacks + self.pair_lits.len() * per_pair + self.pair_adj.len() * per_node)
+                as u64
     }
 
     fn enable_share_capture(&mut self) {
@@ -869,6 +969,185 @@ mod tests {
         let s = t.cycle_stats();
         assert_eq!(s.accepted_o1 + s.searched, s.checks);
         assert_eq!(s.checks, t.cycle_checks);
+    }
+
+    #[test]
+    fn atoms_registered_out_of_variable_order() {
+        let mut t = OrderTheory::new();
+        let n: Vec<NodeId> = (0..3).map(|_| t.add_node()).collect();
+        let (v9, v4, v1) = (Var::new(9), Var::new(4), Var::new(1));
+        t.register_atom(v9, n[0], n[1]);
+        t.register_atom(v4, n[1], n[2]);
+        t.register_atom(v1, n[2], n[0]);
+        assert_eq!(t.atom_nodes(v9), Some((n[0], n[1])));
+        assert_eq!(t.atom_nodes(v4), Some((n[1], n[2])));
+        assert_eq!(t.atom_nodes(v1), Some((n[2], n[0])));
+        // Gaps and variables past the table are not atoms.
+        assert_eq!(t.atom_nodes(Var::new(0)), None);
+        assert_eq!(t.atom_nodes(Var::new(5)), None);
+        assert_eq!(t.atom_nodes(Var::new(50)), None);
+        let mut out = TheoryOut::default();
+        t.new_level();
+        assert!(t.assert_lit(Var::new(5).positive(), &mut out).is_ok());
+        assert_eq!(t.cycle_checks, 0, "a non-atom asserts nothing");
+        assert!(t.assert_lit(v9.positive(), &mut out).is_ok());
+        assert!(t.assert_lit(v4.positive(), &mut out).is_ok());
+        let err = t.assert_lit(v1.positive(), &mut out).unwrap_err();
+        let mut lits = err.lits;
+        lits.sort();
+        assert_eq!(lits, vec![v1.positive(), v4.positive(), v9.positive()]);
+    }
+
+    #[test]
+    fn atoms_added_after_a_solve_reuse_pairs() {
+        // Sweep frames register atoms between solves: a new atom over an
+        // existing pair (in either direction) joins that pair's literal
+        // list, and a fixed edge added later counts as its parallel copy.
+        let mut t = OrderTheory::new();
+        let a = t.add_node();
+        let b = t.add_node();
+        let mut s: Solver<OrderTheory> = Solver::with_parts(t, zpre_sat::NoGuide);
+        let vab = s.new_var();
+        s.theory.register_atom(vab, a, b);
+        s.mark_theory_var(vab);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        let vba = s.new_var();
+        s.theory.register_atom(vba, b, a);
+        s.mark_theory_var(vba);
+        // vab and vba name opposite edges of one pair: exactly one holds.
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_ne!(s.model_var_value(vab), s.model_var_value(vba));
+        assert!(s.theory.add_fixed_edge(a, b));
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert!(s.model_var_value(vab).is_true());
+        assert!(s.model_var_value(vba).is_false());
+        s.add_clause(&[vba.positive()]);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn parallel_atoms_and_fixed_duplicates_accept_in_o1() {
+        // Raise `a` to the level of `b` so the level comparison alone
+        // cannot accept a→b: only the parallel-duplicate test can.
+        let setup = |fixed_first: bool| {
+            let mut t = OrderTheory::new();
+            let n: Vec<NodeId> = (0..4).map(|_| t.add_node()).collect();
+            let (a, b, c0, c1) = (n[0], n[1], n[2], n[3]);
+            let (v0, v1, lift) = (Var::new(0), Var::new(1), Var::new(2));
+            if fixed_first {
+                assert!(t.add_fixed_edge(a, b));
+            }
+            t.register_atom(v0, a, b);
+            t.register_atom(v1, a, b);
+            if !fixed_first {
+                assert!(t.add_fixed_edge(a, b));
+            }
+            assert!(t.add_fixed_edge(c0, c1));
+            t.register_atom(lift, c1, a);
+            let mut out = TheoryOut::default();
+            t.new_level();
+            assert!(t.assert_lit(lift.positive(), &mut out).is_ok());
+            assert_eq!(t.graph.level_of(a), t.graph.level_of(b));
+            (t, v0, v1)
+        };
+        for fixed_first in [true, false] {
+            let (mut t, v0, v1) = setup(fixed_first);
+            let mut out = TheoryOut::default();
+            let before = t.cycle_stats();
+            // v0 duplicates the fixed edge; v1 (over the same pair) is
+            // implied by it and duplicates both.
+            assert!(t.assert_lit(v0.positive(), &mut out).is_ok());
+            assert_eq!(out.propagations, vec![v1.positive()]);
+            assert!(t.assert_lit(v1.positive(), &mut out).is_ok());
+            let after = t.cycle_stats();
+            assert_eq!(
+                after.accepted_o1 - before.accepted_o1,
+                2,
+                "fixed first: {fixed_first}"
+            );
+            assert_eq!(
+                after.searched, before.searched,
+                "fixed first: {fixed_first}"
+            );
+        }
+    }
+
+    #[test]
+    fn explanation_slot_is_reused_after_backtracking() {
+        let mut t = OrderTheory::new();
+        let a = t.add_node();
+        let b = t.add_node();
+        let c = t.add_node();
+        let (v0, v1, v2, v3) = (Var::new(0), Var::new(1), Var::new(2), Var::new(3));
+        t.register_atom(v0, a, b);
+        t.register_atom(v1, a, b);
+        t.register_atom(v2, b, a);
+        t.register_atom(v3, b, c);
+        let q = v2.negative();
+        let mut out = TheoryOut::default();
+        t.new_level();
+        t.assert_lit(v0.positive(), &mut out).unwrap();
+        assert_eq!(t.explain(q), vec![v0.positive()]);
+        // A deeper level's explanations stack above and vanish with it.
+        t.new_level();
+        t.assert_lit(v3.positive(), &mut out).unwrap();
+        t.backtrack_to(1);
+        assert_eq!(t.explain(q), vec![v0.positive()]);
+        t.backtrack_to(0);
+        // Propagated again, now because of v1: the slot holds the new one.
+        out.clear();
+        t.new_level();
+        t.assert_lit(v1.positive(), &mut out).unwrap();
+        assert_eq!(out.propagations, vec![v0.positive(), q]);
+        assert_eq!(t.explain(q), vec![v1.positive()]);
+        assert_eq!(t.explain(v0.positive()), vec![v1.positive()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "did not propagate")]
+    fn explain_panics_on_a_literal_never_propagated() {
+        let mut t = OrderTheory::new();
+        let a = t.add_node();
+        let b = t.add_node();
+        let v0 = Var::new(0);
+        t.register_atom(v0, a, b);
+        let mut out = TheoryOut::default();
+        t.new_level();
+        t.assert_lit(v0.positive(), &mut out).unwrap();
+        // v0 was asserted, not propagated.
+        t.explain(v0.positive());
+    }
+
+    #[test]
+    #[should_panic(expected = "did not propagate")]
+    fn explain_panics_on_a_literal_past_the_table() {
+        let mut t = OrderTheory::new();
+        t.explain(Var::new(7).negative());
+    }
+
+    #[test]
+    fn memory_estimate_counts_theory_state() {
+        let mut s: Solver<OrderTheory> = Solver::with_parts(OrderTheory::new(), zpre_sat::NoGuide);
+        let (solver_empty, theory_empty) = (s.memory_bytes(), s.theory.memory_bytes());
+        let n: Vec<NodeId> = (0..16).map(|_| s.theory.add_node()).collect();
+        for (i, w) in n.windows(2).enumerate() {
+            s.theory.register_atom(Var::new(i as u32), w[0], w[1]);
+        }
+        let registered = s.theory.memory_bytes();
+        assert!(registered > theory_empty);
+        // The solver's estimate moves with the theory's alone.
+        assert_eq!(s.memory_bytes() - solver_empty, registered - theory_empty);
+        let mut out = TheoryOut::default();
+        s.theory.new_level();
+        for i in 0..15 {
+            s.theory
+                .assert_lit(Var::new(i).positive(), &mut out)
+                .unwrap();
+        }
+        assert!(
+            s.theory.memory_bytes() > registered,
+            "edges and trail count"
+        );
     }
 
     /// End-to-end: the order theory inside the CDCL(T) loop.
