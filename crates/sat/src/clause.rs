@@ -23,6 +23,22 @@ impl CRef {
     /// A sentinel that never refers to a real clause.
     pub const UNDEF: CRef = CRef(u32::MAX);
 
+    /// Arena offsets stay below this bit, which leaves it free in every
+    /// real reference: the solver's watchers use it as a flag.
+    pub(crate) const SPARE_BIT: u32 = 1 << 31;
+
+    /// The raw offset bits (below [`CRef::SPARE_BIT`] for real clauses).
+    #[inline]
+    pub(crate) const fn bits(self) -> u32 {
+        self.0
+    }
+
+    /// Rebuilds a reference from [`CRef::bits`].
+    #[inline]
+    pub(crate) const fn from_bits(bits: u32) -> CRef {
+        CRef(bits)
+    }
+
     #[inline]
     fn offset(self) -> usize {
         self.0 as usize
@@ -64,6 +80,10 @@ impl ClauseDb {
     pub fn add(&mut self, lits: &[Lit], learnt: bool) -> CRef {
         debug_assert!(lits.len() >= 2, "arena clauses must have >= 2 literals");
         debug_assert!((lits.len() as u32) <= LEN_MASK);
+        assert!(
+            self.arena.len() < CRef::SPARE_BIT as usize,
+            "clause arena exceeds 2^31 words"
+        );
         let at = self.arena.len() as u32;
         let mut header = lits.len() as u32;
         if learnt {
@@ -208,6 +228,20 @@ impl ClauseDb {
         self.arena.len()
     }
 
+    /// Multiplies the activity of every live learnt clause by `factor`, in
+    /// place (the learnt-activity rescale).
+    pub fn scale_learnt_activities(&mut self, factor: f32) {
+        let mut off = 0usize;
+        while off < self.arena.len() {
+            let header = self.arena[off];
+            if header & (FLAG_LEARNT | FLAG_DELETED) == FLAG_LEARNT {
+                let a = f32::from_bits(self.arena[off + 1]) * factor;
+                self.arena[off + 1] = a.to_bits();
+            }
+            off += HEADER_WORDS + (header & LEN_MASK) as usize;
+        }
+    }
+
     /// Iterates over the references of all live clauses.
     pub fn iter(&self) -> impl Iterator<Item = CRef> + '_ {
         let mut off = 0usize;
@@ -334,6 +368,22 @@ mod tests {
         db.delete(relocated);
         assert_eq!(db.num_imported(), 0);
         assert_eq!(db.num_learnt(), 0);
+    }
+
+    #[test]
+    fn scale_learnt_activities_skips_problem_and_deleted_clauses() {
+        let mut db = ClauseDb::new();
+        let problem = db.add(&lits(&[0, 2]), false);
+        let kept = db.add(&lits(&[4, 6, 8]), true);
+        let gone = db.add(&lits(&[10, 12]), true);
+        for c in [problem, kept, gone] {
+            db.set_activity(c, 4.0);
+        }
+        db.delete(gone);
+        db.scale_learnt_activities(0.25);
+        assert_eq!(db.activity(problem), 4.0);
+        assert_eq!(db.activity(kept), 1.0);
+        assert_eq!(db.activity(gone), 4.0);
     }
 
     #[test]

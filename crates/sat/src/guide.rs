@@ -8,35 +8,36 @@
 //! interference variables are assigned it answers `None` and the default
 //! heuristics take over — exactly the paper's enhanced DPLL(T) loop.
 
-use crate::lit::{LBool, Lit};
+use crate::lit::{LBool, Lit, Var};
 
 /// A read-only view of the current variable assignment.
 #[derive(Copy, Clone)]
 pub struct AssignView<'a> {
-    assigns: &'a [LBool],
+    /// The value of every literal, indexed by [`Lit::code`].
+    lit_values: &'a [LBool],
 }
 
 impl<'a> AssignView<'a> {
-    pub(crate) fn new(assigns: &'a [LBool]) -> AssignView<'a> {
-        AssignView { assigns }
+    pub(crate) fn new(lit_values: &'a [LBool]) -> AssignView<'a> {
+        AssignView { lit_values }
     }
 
     /// Value of variable with dense index `var_index`.
     #[inline]
     pub fn var_value(&self, var_index: usize) -> LBool {
-        self.assigns[var_index]
+        self.lit_values[Var::new(var_index as u32).positive().code()]
     }
 
     /// Value of a literal.
     #[inline]
     pub fn lit_value(&self, lit: Lit) -> LBool {
-        self.assigns[lit.var().index()].xor_sign(!lit.sign())
+        self.lit_values[lit.code()]
     }
 
     /// Number of variables in the solver.
     #[inline]
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.lit_values.len() / 2
     }
 }
 
@@ -179,16 +180,20 @@ impl DecisionGuide for PriorityListGuide {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lit::Var;
 
-    fn view(assigns: &[LBool]) -> AssignView<'_> {
-        AssignView::new(assigns)
+    /// The literal-indexed table a view reads, from per-variable values.
+    fn lit_table(assigns: &[LBool]) -> Vec<LBool> {
+        assigns.iter().flat_map(|&a| [a.negate(), a]).collect()
+    }
+
+    fn view(lit_values: &[LBool]) -> AssignView<'_> {
+        AssignView::new(lit_values)
     }
 
     #[test]
     fn no_guide_defers() {
         let assigns = vec![LBool::Undef; 4];
-        assert!(NoGuide.next_decision(view(&assigns)).is_none());
+        assert!(NoGuide.next_decision(view(&lit_table(&assigns))).is_none());
     }
 
     #[test]
@@ -196,17 +201,17 @@ mod tests {
         let mut assigns = vec![LBool::Undef; 4];
         let mut g = PriorityListGuide::new(vec![2, 0, 3], 7).with_fixed_polarity(true);
         assert_eq!(
-            g.next_decision(view(&assigns)),
+            g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(2).positive())
         );
         assigns[2] = LBool::True;
         assert_eq!(
-            g.next_decision(view(&assigns)),
+            g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(0).positive())
         );
         assigns[0] = LBool::False;
         assigns[3] = LBool::True;
-        assert_eq!(g.next_decision(view(&assigns)), None);
+        assert_eq!(g.next_decision(view(&lit_table(&assigns))), None);
     }
 
     #[test]
@@ -215,19 +220,19 @@ mod tests {
         let mut g = PriorityListGuide::new(vec![0, 1, 2], 7).with_fixed_polarity(false);
         // level 0 decision: var 0
         assert_eq!(
-            g.next_decision(view(&assigns)),
+            g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(0).negative())
         );
         assigns[0] = LBool::False;
         g.on_new_level();
         assert_eq!(
-            g.next_decision(view(&assigns)),
+            g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(1).negative())
         );
         assigns[1] = LBool::False;
         g.on_new_level();
         assert_eq!(
-            g.next_decision(view(&assigns)),
+            g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(2).negative())
         );
         // Backtrack to level 1: vars 1,2 unassigned again.
@@ -235,7 +240,7 @@ mod tests {
         assigns[2] = LBool::Undef;
         g.on_backtrack(1);
         assert_eq!(
-            g.next_decision(view(&assigns)),
+            g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(1).negative())
         );
     }
@@ -246,13 +251,13 @@ mod tests {
         let mut g = PriorityListGuide::new(vec![0, 1], 7).with_fixed_polarity(true);
         assigns[0] = LBool::True;
         assert_eq!(
-            g.next_decision(view(&assigns)),
+            g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(1).positive())
         );
         assigns[0] = LBool::Undef;
         g.on_restart();
         assert_eq!(
-            g.next_decision(view(&assigns)),
+            g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(0).positive())
         );
     }
@@ -262,19 +267,19 @@ mod tests {
         let mut assigns = vec![LBool::Undef; 4];
         let mut g = PriorityListGuide::new(vec![1], 7).with_fixed_polarity(true);
         assigns[1] = LBool::True;
-        assert_eq!(g.next_decision(view(&assigns)), None);
+        assert_eq!(g.next_decision(view(&lit_table(&assigns))), None);
         // New frame registers vars 3 and 0 behind the existing order.
         g.extend_order([3, 0]);
         assert_eq!(g.order(), &[1, 3, 0]);
         assert_eq!(
-            g.next_decision(view(&assigns)),
+            g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(3).positive())
         );
         // Earlier-frame vars regain priority once unassigned again.
         assigns[1] = LBool::Undef;
         g.extend_order([2]);
         assert_eq!(
-            g.next_decision(view(&assigns)),
+            g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(1).positive())
         );
     }
@@ -288,7 +293,7 @@ mod tests {
         assigns[0] = LBool::True; // assumption at level 1
         g.on_new_level();
         assert_eq!(
-            g.next_decision(view(&assigns)),
+            g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(1).positive())
         );
         assigns[1] = LBool::True;
@@ -300,7 +305,7 @@ mod tests {
         g.on_backtrack(1);
         g.on_restart();
         assert_eq!(
-            g.next_decision(view(&assigns)),
+            g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(1).positive())
         );
         // A later backtrack to level 1 must restore a valid cursor.
@@ -311,7 +316,7 @@ mod tests {
         assigns[2] = LBool::Undef;
         g.on_backtrack(1);
         assert_eq!(
-            g.next_decision(view(&assigns)),
+            g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(1).positive())
         );
     }
@@ -322,8 +327,8 @@ mod tests {
         let mut g1 = PriorityListGuide::new(vec![0], 42);
         let mut g2 = PriorityListGuide::new(vec![0], 42);
         assert_eq!(
-            g1.next_decision(view(&assigns)),
-            g2.next_decision(view(&assigns))
+            g1.next_decision(view(&lit_table(&assigns))),
+            g2.next_decision(view(&lit_table(&assigns)))
         );
     }
 
@@ -403,7 +408,7 @@ mod tests {
                         // opens (on_new_level), then the enqueue — the
                         // solver's decide() ordering.
                         0 => {
-                            let got = g.next_decision(view(&sim.assigns));
+                            let got = g.next_decision(view(&lit_table(&sim.assigns)));
                             let expect = naive_scan(&order, &sim.assigns);
                             prop_assert_eq!(
                                 got.map(|l| l.var().index()),
@@ -465,7 +470,7 @@ mod tests {
                     // Invariant after every op, probed on a clone so the
                     // check itself cannot mask cursor corruption.
                     let mut probe = g.clone();
-                    let got = probe.next_decision(view(&sim.assigns));
+                    let got = probe.next_decision(view(&lit_table(&sim.assigns)));
                     let expect = naive_scan(&order, &sim.assigns);
                     prop_assert_eq!(got.map(|l| l.var().index()), expect);
                     if let Some(lit) = got {

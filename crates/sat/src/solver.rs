@@ -2,9 +2,11 @@
 //!
 //! A MiniSat-lineage conflict-driven clause-learning solver with:
 //!
-//! - two-watched-literal propagation with blocker literals;
+//! - two-watched-literal propagation with blocker literals, binary clauses
+//!   resolved inside the watcher, and a literal-indexed value table;
 //! - first-UIP conflict analysis with recursive clause minimization;
-//! - VSIDS variable activities with phase saving;
+//! - VSIDS variable activities with phase saving (order heap repaired
+//!   lazily, see [`crate::heap`]);
 //! - LBD-aware learnt-clause database reduction and arena compaction;
 //! - Luby restarts;
 //! - a background [`Theory`] (DPLL(T)) asserted eagerly in trail order; and
@@ -39,17 +41,48 @@ pub enum SolveResult {
 enum Reason {
     /// Not assigned, or a decision.
     None,
-    /// Implied by a clause (the implied literal is at position 0).
+    /// Implied by a clause. The implied literal is at position 0, except in
+    /// a binary clause, where it may sit in either slot.
     Clause(CRef),
     /// Implied by the theory; explanation fetched lazily via
     /// [`Theory::explain`].
     Theory,
 }
 
+/// A watch-list entry: a clause reference and a blocker literal whose
+/// truth satisfies the clause. The top bit of `cref` ([`CRef::SPARE_BIT`])
+/// flags a binary clause, whose blocker is always its other literal:
+/// propagation then resolves the clause from the watcher alone and never
+/// touches the arena.
 #[derive(Copy, Clone)]
 struct Watcher {
-    cref: CRef,
+    cref: u32,
     blocker: Lit,
+}
+
+// Watch lists dominate propagation's memory traffic, and `memory_bytes`
+// prices two watchers per clause at this size.
+const _: () = assert!(std::mem::size_of::<Watcher>() == 8);
+
+impl Watcher {
+    #[inline]
+    fn new(cref: CRef, blocker: Lit, binary: bool) -> Watcher {
+        let flag = if binary { CRef::SPARE_BIT } else { 0 };
+        Watcher {
+            cref: cref.bits() | flag,
+            blocker,
+        }
+    }
+
+    #[inline]
+    fn cref(self) -> CRef {
+        CRef::from_bits(self.cref & !CRef::SPARE_BIT)
+    }
+
+    #[inline]
+    fn is_binary(self) -> bool {
+        self.cref & CRef::SPARE_BIT != 0
+    }
 }
 
 /// A conflict found during propagation, as a clause of false literals.
@@ -123,7 +156,9 @@ pub struct Solver<T: Theory = NoTheory, G: DecisionGuide = NoGuide> {
     db: ClauseDb,
     watches: Vec<Vec<Watcher>>,
 
-    assigns: Vec<LBool>,
+    /// The value of each literal, by literal code (both literals of a
+    /// variable are written together), so a literal's value is one load.
+    lit_values: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<Reason>,
     phase: Vec<bool>,
@@ -211,7 +246,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             guide,
             db: ClauseDb::new(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            lit_values: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             phase: Vec::new(),
@@ -255,8 +290,8 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::new(self.assigns.len() as u32);
-        self.assigns.push(LBool::Undef);
+        let v = Var::new(self.level.len() as u32);
+        self.lit_values.extend([LBool::Undef; 2]);
         self.level.push(0);
         self.reason.push(Reason::None);
         self.phase.push(false);
@@ -272,7 +307,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
 
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Marks `v` so its assignments are forwarded to the theory.
@@ -618,12 +653,6 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         }
     }
 
-    fn proof_delete(&mut self, lits: &[Lit]) {
-        if let Some(p) = &mut self.proof {
-            p.delete(lits);
-        }
-    }
-
     fn proof_lemma(&mut self, lits: &[Lit]) {
         if let Some(p) = &mut self.proof {
             p.lemma(lits);
@@ -659,7 +688,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
     pub fn memory_bytes(&self) -> u64 {
         let arena = self.db.arena_len() as u64 * 4;
         let trail = self.trail.capacity() as u64 * 4;
-        let per_var = self.assigns.len() as u64 * 64;
+        let per_var = self.num_vars() as u64 * 64;
         // Each clause holds two watchers; approximate their storage without
         // walking the watch lists (which would make the stride poll O(vars)).
         let watchers = (self.db.num_problem() + self.db.num_learnt()) as u64
@@ -675,13 +704,13 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
     /// Current value of a literal.
     #[inline]
     pub fn value(&self, lit: Lit) -> LBool {
-        self.assigns[lit.var().index()].xor_sign(!lit.sign())
+        self.lit_values[lit.code()]
     }
 
     /// Current value of a variable.
     #[inline]
     pub fn var_value(&self, v: Var) -> LBool {
-        self.assigns[v.index()]
+        self.lit_values[v.positive().code()]
     }
 
     /// Value of a literal in the model of the last `Sat` answer.
@@ -761,15 +790,9 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
 
     fn attach(&mut self, cr: CRef) {
         let lits = self.db.lits(cr);
-        let (w0, w1) = (lits[0], lits[1]);
-        self.watches[(!w0).code()].push(Watcher {
-            cref: cr,
-            blocker: w1,
-        });
-        self.watches[(!w1).code()].push(Watcher {
-            cref: cr,
-            blocker: w0,
-        });
+        let (w0, w1, binary) = (lits[0], lits[1], lits.len() == 2);
+        self.watches[(!w0).code()].push(Watcher::new(cr, w1, binary));
+        self.watches[(!w1).code()].push(Watcher::new(cr, w0, binary));
     }
 
     /// Assigns `lit` true. Returns `false` if it is already false.
@@ -779,7 +802,8 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             LBool::False => false,
             LBool::Undef => {
                 let v = lit.var().index();
-                self.assigns[v] = LBool::from_bool(lit.sign());
+                self.lit_values[lit.code()] = LBool::True;
+                self.lit_values[(!lit).code()] = LBool::False;
                 self.level[v] = self.decision_level();
                 self.reason[v] = reason;
                 self.phase[v] = lit.sign();
@@ -815,6 +839,10 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
     /// Processes the Boolean watch list of the newly-true literal `p`.
     fn propagate_bool(&mut self, p: Lit) -> Option<Conflict> {
         let mut ws = std::mem::take(&mut self.watches[p.code()]);
+        let false_lit = !p;
+        // Only a share endpoint imports clauses, so without one no clause
+        // carries the imported flag and the header read is skipped.
+        let count_hits = self.share.is_some();
         let mut kept = 0usize;
         let mut conflict = None;
         let mut i = 0usize;
@@ -822,65 +850,65 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             let w = ws[i];
             i += 1;
             // Fast path: blocker already true.
-            if self.value(w.blocker).is_true() {
+            let blocker_value = self.lit_values[w.blocker.code()];
+            if blocker_value.is_true() {
                 ws[kept] = w;
                 kept += 1;
                 continue;
             }
-            let cr = w.cref;
-            // Make sure the false watched literal (!p) is at position 1.
-            {
+            let cr = w.cref();
+            let (first, first_value) = if w.is_binary() {
+                // The blocker is the other literal: the clause is unit or
+                // conflicting without a look at the arena.
+                ws[kept] = w;
+                kept += 1;
+                (w.blocker, blocker_value)
+            } else {
                 let lits = self.db.lits_mut(cr);
-                if lits[0] == !p {
+                // Make sure the false watched literal (!p) is at position 1.
+                if lits[0] == false_lit {
                     lits.swap(0, 1);
                 }
-                debug_assert_eq!(lits[1], !p);
-            }
-            let first = self.db.lits(cr)[0];
-            if first != w.blocker && self.value(first).is_true() {
-                // Satisfied; re-watch with the true literal as blocker.
-                ws[kept] = Watcher {
-                    cref: cr,
-                    blocker: first,
-                };
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                let first_value = self.lit_values[first.code()];
+                if first != w.blocker && first_value.is_true() {
+                    // Satisfied; re-watch with the true literal as blocker.
+                    ws[kept] = Watcher::new(cr, first, false);
+                    kept += 1;
+                    continue;
+                }
+                // Look for a replacement watch among lits[2..].
+                for k in 2..lits.len() {
+                    let lk = lits[k];
+                    if !self.lit_values[lk.code()].is_false() {
+                        lits.swap(1, k);
+                        self.watches[(!lk).code()].push(Watcher::new(cr, first, false));
+                        continue 'watchers;
+                    }
+                }
+                // No replacement: clause is unit or conflicting.
+                ws[kept] = Watcher::new(cr, first, false);
                 kept += 1;
-                continue;
-            }
-            // Look for a replacement watch among lits[2..].
-            let len = self.db.len(cr);
-            for k in 2..len {
-                let lk = self.db.lits(cr)[k];
-                if !self.value(lk).is_false() {
-                    self.db.lits_mut(cr).swap(1, k);
-                    self.watches[(!lk).code()].push(Watcher {
-                        cref: cr,
-                        blocker: first,
-                    });
-                    continue 'watchers;
-                }
-            }
-            // No replacement: clause is unit or conflicting.
-            ws[kept] = Watcher {
-                cref: cr,
-                blocker: first,
+                (first, first_value)
             };
-            kept += 1;
-            if self.value(first).is_false() {
+            if count_hits && self.db.is_imported(cr) {
+                self.stats.sh_import_hits += 1;
+            }
+            if first_value.is_false() {
                 // Conflict: copy remaining watchers back before reporting.
-                if self.db.is_imported(cr) {
-                    self.stats.sh_import_hits += 1;
-                }
                 let mut lits = std::mem::take(&mut self.conflict_buf);
                 lits.clear();
-                lits.extend_from_slice(self.db.lits(cr));
+                if w.is_binary() {
+                    lits.extend_from_slice(&[first, false_lit]);
+                } else {
+                    lits.extend_from_slice(self.db.lits(cr));
+                }
                 conflict = Some(Conflict {
                     lits,
                     from_theory: false,
                 });
                 break;
-            }
-            if self.db.is_imported(cr) {
-                self.stats.sh_import_hits += 1;
             }
             let ok = self.enqueue(first, Reason::Clause(cr));
             debug_assert!(ok);
@@ -972,10 +1000,15 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         for i in (lim..self.trail.len()).rev() {
             let lit = self.trail[i];
             let v = lit.var();
-            self.assigns[v.index()] = LBool::Undef;
+            self.lit_values[lit.code()] = LBool::Undef;
+            self.lit_values[(!lit).code()] = LBool::Undef;
             self.reason[v.index()] = Reason::None;
             // phase[] keeps the last assigned polarity (phase saving).
-            self.order.insert(v, &self.activity);
+            // Under a guide most variables are never popped, so most are
+            // still enqueued: test membership before the call.
+            if !self.order.contains(v) {
+                self.order.insert(v, &self.activity);
+            }
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(target as usize);
@@ -991,8 +1024,11 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Rounding can merge two activities into a tie that reverses
+            // the heap's order on some pair; repair before the next pop.
+            self.order.rebuild(&self.activity);
         }
-        self.order.bumped(v, &self.activity);
+        self.order.bumped(v);
     }
 
     fn decay_var_activity(&mut self) {
@@ -1003,12 +1039,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         let a = self.db.activity(cr) + self.cla_inc;
         self.db.set_activity(cr, a);
         if a > CLA_RESCALE_LIMIT {
-            for c in self.db.iter().collect::<Vec<_>>() {
-                if self.db.is_learnt(c) {
-                    let ca = self.db.activity(c);
-                    self.db.set_activity(c, ca * 1e-20);
-                }
-            }
+            self.db.scale_learnt_activities(1e-20);
             self.cla_inc *= 1e-20;
         }
     }
@@ -1029,8 +1060,14 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                     self.bump_clause(cr);
                 }
                 let lits = self.db.lits(cr);
-                debug_assert_eq!(lits[0], p, "implied literal must sit at position 0");
-                buf.extend_from_slice(&lits[1..]);
+                if lits.len() == 2 && lits[1] == p {
+                    // Binary watchers never reorder the arena, so a binary
+                    // reason may hold its implied literal in either slot.
+                    buf.push(lits[0]);
+                } else {
+                    debug_assert_eq!(lits[0], p, "implied literal must sit at position 0");
+                    buf.extend_from_slice(&lits[1..]);
+                }
             }
             Reason::Theory => {
                 let ants = self.theory.explain(p);
@@ -1258,8 +1295,9 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             if self.db.lbd(c) <= 2 {
                 continue; // glue clauses are kept forever
             }
-            let lits = self.db.lits(c).to_vec();
-            self.proof_delete(&lits);
+            if let Some(p) = &mut self.proof {
+                p.delete(self.db.lits(c));
+            }
             self.detach(c);
             self.db.delete(c);
             removed += 1;
@@ -1274,8 +1312,12 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
     }
 
     fn locked(&self, cr: CRef) -> bool {
-        let first = self.db.lits(cr)[0];
-        self.value(first).is_true() && self.reason[first.var().index()] == Reason::Clause(cr)
+        let lits = self.db.lits(cr);
+        // A binary clause's implied literal may sit in either slot.
+        let slots = if lits.len() == 2 { 2 } else { 1 };
+        lits[..slots]
+            .iter()
+            .any(|&l| self.value(l).is_true() && self.reason[l.var().index()] == Reason::Clause(cr))
     }
 
     fn detach(&mut self, cr: CRef) {
@@ -1285,7 +1327,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             let list = &mut self.watches[(!w).code()];
             let pos = list
                 .iter()
-                .position(|x| x.cref == cr)
+                .position(|x| x.cref() == cr)
                 .expect("watched clause present in watch list");
             list.swap_remove(pos);
         }
@@ -1305,7 +1347,8 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         };
         for list in &mut self.watches {
             for w in list.iter_mut() {
-                w.cref = reloc(w.cref).expect("watched clause survives collection");
+                let cr = reloc(w.cref()).expect("watched clause survives collection");
+                *w = Watcher::new(cr, w.blocker, w.is_binary());
             }
         }
         for r in &mut self.reason {
@@ -1354,7 +1397,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             }
         }
         // 1. The guide (the paper's enhanced decide()).
-        let guided = self.guide.next_decision(AssignView::new(&self.assigns));
+        let guided = self.guide.next_decision(AssignView::new(&self.lit_values));
         if let Some(lit) = guided {
             debug_assert!(self.value(lit).is_undef(), "guide returned an assigned var");
             self.stats.decisions += 1;
@@ -1540,7 +1583,10 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                             self.theory_out = out;
                             match r {
                                 Ok(()) => {
-                                    self.model = self.assigns.clone();
+                                    // Each variable's value is that of its
+                                    // positive literal (the odd codes).
+                                    self.model.clear();
+                                    self.model.extend(self.lit_values.iter().skip(1).step_by(2));
                                     self.cancel_until(0);
                                     return SolveResult::Sat;
                                 }
@@ -1978,12 +2024,19 @@ mod share_tests {
         for code in 0..s.watches.len() {
             let watched = !Lit::from_code(code as u32);
             for w in &s.watches[code] {
-                assert!(!s.db.is_deleted(w.cref), "watcher on deleted clause");
-                let lits = s.db.lits(w.cref);
+                assert!(!s.db.is_deleted(w.cref()), "watcher on deleted clause");
+                let lits = s.db.lits(w.cref());
                 assert!(
                     lits[0] == watched || lits[1] == watched,
                     "clause does not watch the literal whose list holds it"
                 );
+                assert_eq!(w.is_binary(), lits.len() == 2, "binary flag mismatch");
+                if w.is_binary() {
+                    assert!(
+                        lits.contains(&w.blocker) && w.blocker != watched,
+                        "binary blocker is not the clause's other literal"
+                    );
+                }
             }
         }
     }

@@ -1,5 +1,12 @@
 //! Pins the CDCL(T) search: the exact work counters of a few small
-//! Full-suite rows under the default ZPRE strategy.
+//! Full-suite rows under the default ZPRE strategy, under the VSIDS-only
+//! baseline, and through the incremental bound sweep.
+//!
+//! ZPRE's guide makes almost every single-bound decision, so the first
+//! table barely exercises the VSIDS order heap. The baseline rows hand
+//! every decision to VSIDS, and the sweep row (a loop task, as in the
+//! `sweep-deep` benchmark workload) leaves about a third of its decisions
+//! to it, with learnt clauses and activities carried across frames.
 //!
 //! Hot-path rewrites of the solver or the order theory (data-structure
 //! swaps, buffer reuse) must leave the search itself untouched: every
@@ -9,8 +16,9 @@
 //! propagation order) re-records the table and says so.
 
 use zpre::prelude::*;
+use zpre::try_verify_sweep_full;
 use zpre_sat::Stats;
-use zpre_workloads::{suite, Scale};
+use zpre_workloads::{suite, Scale, Task};
 
 /// Counter names, in the order of the pinned arrays.
 const NAMES: [&str; 10] = [
@@ -66,6 +74,34 @@ const PINNED: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[
     ),
 ];
 
+/// Rows under [`Strategy::Baseline`], where VSIDS makes every decision.
+const PINNED_BASELINE: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[
+    (
+        "driver-races/openclose-3-locked",
+        MemoryModel::Pso,
+        Verdict::Safe,
+        [1253, 58848, 620, 182, 138, 619, 13346, 9921, 13465, 6033],
+    ),
+    (
+        "divine/ring-broken-4",
+        MemoryModel::Sc,
+        Verdict::Unsafe,
+        [6971, 49421, 308, 162, 333, 308, 3892, 2531, 4905, 2347],
+    ),
+];
+
+/// Horizon of the pinned sweep row (the `sweep-deep` workload's).
+const SWEEP_HORIZON: u32 = 8;
+
+/// A [`try_verify_sweep_full`] row under ZPRE over bounds
+/// `1..=SWEEP_HORIZON`; its counters are cumulative over every frame.
+const PINNED_SWEEP: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[(
+    "lit/peterson-w3",
+    MemoryModel::Tso,
+    Verdict::Unsafe,
+    [4780, 48450, 211, 194, 7, 211, 5030, 3367, 5679, 3555],
+)];
+
 fn counters(s: &Stats) -> [u64; 10] {
     [
         s.decisions,
@@ -81,27 +117,71 @@ fn counters(s: &Stats) -> [u64; 10] {
     ]
 }
 
-#[test]
-fn search_counters_are_pinned() {
+fn task<'a>(tasks: &'a [Task], name: &str) -> &'a Task {
+    tasks
+        .iter()
+        .find(|t| t.name == name)
+        .unwrap_or_else(|| panic!("{name} is not in the Full suite"))
+}
+
+/// Asserts that the row's verdict and every counter match the pin.
+fn assert_pinned(
+    name: &str,
+    mm: MemoryModel,
+    verdict: Verdict,
+    pinned: [u64; 10],
+    got: Verdict,
+    stats: &Stats,
+) {
+    assert_eq!(got, verdict, "{name} {mm}");
+    let got = counters(stats);
+    let drift: Vec<String> = NAMES
+        .iter()
+        .zip(pinned.iter().zip(got.iter()))
+        .filter(|(_, (p, g))| p != g)
+        .map(|(n, (p, g))| format!("{n}: pinned {p}, got {g}"))
+        .collect();
+    assert!(
+        drift.is_empty(),
+        "{name} {mm}: {} (all: {got:?})",
+        drift.join("; ")
+    );
+}
+
+fn check_verify_rows(strategy: Strategy, rows: &[(&str, MemoryModel, Verdict, [u64; 10])]) {
     let tasks = suite(Scale::Full);
-    for &(name, mm, verdict, pinned) in PINNED {
-        let task = tasks
-            .iter()
-            .find(|t| t.name == name)
-            .unwrap_or_else(|| panic!("{name} is not in the Full suite"));
+    for &(name, mm, verdict, pinned) in rows {
+        let task = task(&tasks, name);
         let opts = VerifyOptions {
             unroll_bound: task.unroll_bound,
-            ..VerifyOptions::new(mm, Strategy::Zpre)
+            ..VerifyOptions::new(mm, strategy)
         };
         let out = verify(&task.program, &opts);
-        assert_eq!(out.verdict, verdict, "{name} {mm}");
-        let got = counters(&out.stats);
-        let drift: Vec<String> = NAMES
-            .iter()
-            .zip(pinned.iter().zip(got.iter()))
-            .filter(|(_, (p, g))| p != g)
-            .map(|(n, (p, g))| format!("{n}: pinned {p}, got {g}"))
-            .collect();
-        assert!(drift.is_empty(), "{name} {mm}: {}", drift.join("; "));
+        assert_pinned(name, mm, verdict, pinned, out.verdict, &out.stats);
+    }
+}
+
+#[test]
+fn search_counters_are_pinned() {
+    check_verify_rows(Strategy::Zpre, PINNED);
+}
+
+#[test]
+fn vsids_search_counters_are_pinned() {
+    check_verify_rows(Strategy::Baseline, PINNED_BASELINE);
+}
+
+#[test]
+fn sweep_search_counters_are_pinned() {
+    let tasks = suite(Scale::Full);
+    for &(name, mm, verdict, pinned) in PINNED_SWEEP {
+        let task = task(&tasks, name);
+        let opts = VerifyOptions {
+            unroll_bound: task.unroll_bound,
+            max_bound: SWEEP_HORIZON,
+            ..VerifyOptions::new(mm, Strategy::Zpre)
+        };
+        let out = try_verify_sweep_full(&task.program, &opts).expect("sweep runs");
+        assert_pinned(name, mm, verdict, pinned, out.verdict, &out.stats);
     }
 }
