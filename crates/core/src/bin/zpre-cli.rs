@@ -112,6 +112,7 @@ use zpre_prog::wmm::check_wmm;
 use zpre_prog::{flatten, parse_program_traced, pretty, unroll_program, MemoryModel, Program};
 
 fn usage() -> ExitCode {
+    let strategies: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
     eprintln!(
         "usage:\n  zpre-cli verify FILE [--mm sc|tso|pso|all] [--strategy NAME] [--portfolio] \
          [--share] [--share-lbd-max N] \
@@ -132,8 +133,8 @@ corrupt-journal] [--kill-after N] [--heartbeat SECS] [--metrics-out FILE] [--no-
          zpre-cli trace stats FILE [--json]\n  \
          zpre-cli trace flame FILE [--out FILE]\n  \
          zpre-cli trace diff BASE NEW [--gate-tolerance PCT] [--gate-time] [--all] \
-         [--json]\n\nstrategies: baseline zpre- zpre zpre-h2 zpre-h3 \
-         zpre-fixed-true zpre-no-revprop zpre-dfs-check zpre-noprune branch-cond"
+         [--json]\n\nstrategies: {}",
+        strategies.join(" ")
     );
     ExitCode::from(2)
 }

@@ -12,17 +12,15 @@
 //! Loop-free programs collapse to a single frame — every bound yields the
 //! same instance, the same deduplication [`crate::verify_bmc`] applies.
 
-use crate::decision_order::decision_order;
 use crate::errors::VerifyError;
-use crate::strategy::Strategy;
-use crate::verifier::{validate_model, Verdict, VerifyOptions};
-use std::sync::Arc;
+use crate::session::Session;
+use crate::verifier::{Verdict, VerifyOptions};
 use std::time::{Duration, Instant};
-use zpre_encoder::{encode_sweep_opts, estimate_cnf, EncodeError};
-use zpre_obs::{Phase, VarClass};
+use zpre_encoder::SweepFrames;
+use zpre_obs::Phase;
 use zpre_prog::{to_ssa_traced, unroll_program_sweep, Program};
-use zpre_sat::{Budget, ExhaustionReason, PriorityListGuide, SolveResult, Solver, Stats};
-use zpre_smt::{ClassCounts, OrderTheory, VarKind};
+use zpre_sat::{ExhaustionReason, Stats};
+use zpre_smt::ClassCounts;
 
 /// One frame (= one bound) of an incremental sweep.
 #[derive(Clone, Debug)]
@@ -101,7 +99,9 @@ pub fn verify_sweep(prog: &Program, opts: &VerifyOptions) -> SweepOutcome {
 /// failures as typed errors.
 ///
 /// Certification is not supported on sweeps (the proof log would span
-/// several assumption solves); `opts.certify` is ignored here.
+/// several assumption solves): with `opts.certify` set this fails closed
+/// with [`VerifyError::Certification`] (stage `"sweep"`) before encoding,
+/// as do the other sweep entry points.
 pub fn try_verify_sweep(prog: &Program, opts: &VerifyOptions) -> Result<SweepOutcome, VerifyError> {
     sweep_impl(prog, opts, true, 1, &mut |_| {})
 }
@@ -157,6 +157,14 @@ fn sweep_impl(
     start_bound: u32,
     on_frame: &mut dyn FnMut(&FrameOutcome),
 ) -> Result<SweepOutcome, VerifyError> {
+    if opts.certify {
+        return Err(VerifyError::Certification {
+            stage: "sweep",
+            reason: "sweep verdicts cannot be certified (the proof log would span \
+                     several assumption solves)"
+                .to_string(),
+        });
+    }
     let t0 = Instant::now();
     let rec = opts.recorder.as_ref();
     let max_bound = opts.max_bound.max(1);
@@ -167,102 +175,16 @@ fn sweep_impl(
         unroll_program_sweep(prog, max_bound)
     };
     let ssa = to_ssa_traced(&sw.program, rec);
-
-    let mut theory = OrderTheory::new();
-    if opts.strategy == Strategy::ZpreNoReverseProp {
-        theory.set_propagate_reverse(false);
-    }
-    if opts.strategy == Strategy::ZpreDfsCheck {
-        theory.set_full_dfs_check(true);
-    }
-    let guide = PriorityListGuide::new(Vec::new(), opts.seed);
-    let mut solver: Solver<OrderTheory, PriorityListGuide> = Solver::with_parts(theory, guide);
-    // Pre-blast guard: refuse a horizon encoding whose estimated footprint
-    // already exceeds the memory budget, before allocating any of it.
-    if let Some(cap) = opts.max_memory {
-        let est = estimate_cnf(&ssa, opts.mm).map_err(VerifyError::Encode)?;
-        if est.bytes() > cap {
-            return Err(VerifyError::Encode(EncodeError::EncodingTooLarge {
-                estimated_bytes: est.bytes(),
-                cap_bytes: cap,
-            }));
-        }
-    }
-    // Static interference pruning on the horizon encoding: the report's
+    // One session at the horizon serves every bound: static pruning's
     // justifications rest on fixed program-order edges and guard
-    // implications, which frames never weaken, so one analysis at the
-    // horizon serves every bound (see `encode_sweep_opts`).
-    let prune_on = opts.prune && opts.strategy != Strategy::ZpreNoPrune;
-    let report = if prune_on {
-        let rep = zpre_analysis::analyze(&ssa, opts.mm);
-        if let Some(r) = rec {
-            let c = &rep.counters;
-            r.record_prune(
-                c.rf_pruned,
-                c.rf_kept,
-                c.ws_pruned,
-                c.ws_serialized,
-                c.reads_resolved,
-                c.local_vars,
-            );
-        }
-        if opts.certify {
-            zpre_analysis::check_report(&ssa, &rep).map_err(|reason| {
-                VerifyError::Certification {
-                    stage: "prune",
-                    reason,
-                }
-            })?;
-        }
-        Some(rep)
-    } else {
-        None
-    };
-    let mut enc = encode_sweep_opts(&ssa, opts.mm, max_bound, &mut solver, rec, report.as_ref())?;
-
-    if let Some(r) = rec {
-        let mut classes = vec![VarClass::Other; solver.num_vars()];
-        for (v, info) in enc.base.registry.iter() {
-            classes[v.index()] = match info.kind {
-                VarKind::Rf { external: true, .. } => VarClass::ExternalRf,
-                VarKind::Rf {
-                    external: false, ..
-                } => VarClass::InternalRf,
-                VarKind::Ws => VarClass::Ws,
-                _ => VarClass::Other,
-            };
-        }
-        r.set_var_classes(classes);
-        let sink: Arc<dyn zpre_obs::EventSink> = Arc::new(r.clone());
-        solver.set_event_sink(Some(sink.clone()));
-        solver.theory.set_event_sink(Some(sink));
-    }
-
-    // The H1–H4 interference order is horizon-wide: every frame's
-    // interference variables exist after the single base encoding, so the
-    // priority list is installed once and serves all bounds.
-    let order: Vec<u32> = if opts.strategy.uses_interference_order() {
-        decision_order(&enc.base.registry, opts.strategy.refinements())
-    } else if opts.strategy == Strategy::BranchCond {
-        let mut seen = std::collections::HashSet::new();
-        enc.base
-            .guard_lits
-            .iter()
-            .map(|l| l.var().index() as u32)
-            .filter(|v| seen.insert(*v))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let mut guide = PriorityListGuide::new(order, opts.seed);
-    if opts.strategy == Strategy::ZpreFixedTrue {
-        guide = guide.with_fixed_polarity(true);
-    }
-    solver.guide = guide;
+    // implications, which frames never weaken, and the H1–H4 order covers
+    // every frame's interference variables (DESIGN.md §6d).
+    let mut session = Session::new(&ssa, opts)?;
+    let mut sweep = SweepFrames::new(&session.enc, max_bound);
 
     let encode_time = t0.elapsed();
     let num_events = ssa.events.len();
-    let class_counts = enc.base.registry.class_counts();
+    let class_counts = session.enc.registry.class_counts();
 
     // Loop-free programs have no markers: frame 1 already is the full
     // instance, and every other bound would re-solve it verbatim.
@@ -275,50 +197,22 @@ fn sweep_impl(
 
     // Frames must exist in order 1..=K for the assumption prefixes; on a
     // resume, the already-decided bounds are encoded without being solved.
-    for k in 1..start {
-        enc.encode_frame(k, &mut solver);
-    }
-    for k in start..=last_bound {
-        enc.encode_frame(k, &mut solver);
-        // Budgets are per frame: the per-call conflict accounting and the
-        // one-shot deadline arming both reset with a fresh Budget.
-        let mut budget = Budget::with_limits(opts.max_conflicts, opts.timeout);
-        if let Some(token) = &opts.cancel {
-            budget = budget.with_cancel(token.clone());
+    for k in 1..=last_bound {
+        sweep.encode_frame(k, &mut session.enc, &mut session.solver);
+        if k < start {
+            continue;
         }
-        if let Some(cap) = opts.max_memory {
-            budget = budget.with_max_memory(cap);
-        }
-        solver.set_budget(budget);
-
-        let before = *solver.stats();
+        let before = *session.solver.stats();
         if let Some(r) = rec {
             r.record_frame(before.learnt_clauses, before.conflicts);
         }
         let label = format!("k={k}");
-        let span = rec.map(|r| r.span_labeled(Phase::Solve, Some(&label)));
-        let t1 = Instant::now();
-        let result = solver.solve_with_assumptions(&enc.assumptions(k));
-        if let Some(s) = span {
-            s.close();
-        }
-        let frame_time = t1.elapsed();
+        let (frame_verdict, frame_time) = session.solve(&sweep.assumptions(k), Some(&label))?;
         solve_time += frame_time;
         if let Some(r) = rec {
             r.record_frame_solved(frame_time.as_micros() as u64);
         }
-        let after = *solver.stats();
-
-        let frame_verdict = match result {
-            SolveResult::Sat => Verdict::Unsafe,
-            SolveResult::Unsat => Verdict::Safe,
-            SolveResult::Unknown => Verdict::Unknown,
-        };
-        if frame_verdict == Verdict::Unsafe && opts.validate_models {
-            let _validate_span = rec.map(|r| r.span(Phase::Validate));
-            validate_model(&ssa, &enc.base, &solver, opts.mm)
-                .map_err(VerifyError::ModelValidation)?;
-        }
+        let after = *session.solver.stats();
         frames.push(FrameOutcome {
             bound: k,
             verdict: frame_verdict,
@@ -328,7 +222,7 @@ fn sweep_impl(
             propagations: after.propagations - before.propagations,
             reused_learnts: before.learnt_clauses,
             reused_conflicts: before.conflicts,
-            exhaustion: solver.exhaustion(),
+            exhaustion: session.solver.exhaustion(),
         });
         on_frame(frames.last().expect("frame just pushed"));
         // The overall verdict is the first non-Safe frame's; a full sweep
@@ -345,25 +239,18 @@ fn sweep_impl(
     // reported bound stays 1, matching `verify_bmc`'s deduplicated loop.
 
     let trace = (verdict == Verdict::Unsafe && opts.want_trace)
-        .then(|| crate::trace::extract_trace(&ssa, &enc.base, &solver, opts.mm));
-
-    let mut stats = *solver.stats();
-    let cs = solver.theory.cycle_stats();
-    stats.eog_checks = cs.checks;
-    stats.eog_accepted_o1 = cs.accepted_o1;
-    stats.eog_visited = cs.visited;
-    stats.eog_promoted = cs.promoted;
+        .then(|| crate::trace::extract_trace(&ssa, &session.enc, &session.solver, opts.mm));
 
     Ok(SweepOutcome {
         verdict,
         bound: decided,
         frames,
-        stats,
+        stats: session.stats(),
         encode_time,
         solve_time,
         num_events,
         class_counts,
-        num_solver_vars: solver.num_vars(),
+        num_solver_vars: session.solver.num_vars(),
         loop_free,
         trace,
     })
@@ -373,6 +260,7 @@ fn sweep_impl(
 mod tests {
     use super::*;
     use crate::bmc::verify_bmc;
+    use crate::strategy::Strategy;
     use zpre_prog::build::*;
     use zpre_prog::MemoryModel;
 
@@ -541,6 +429,23 @@ mod tests {
         let last = sweep.frames.last().unwrap();
         assert_eq!(last.verdict, Verdict::Unknown);
         assert_eq!(last.exhaustion, Some(ExhaustionReason::Conflicts));
+    }
+
+    #[test]
+    fn certified_sweep_fails_closed() {
+        let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
+        opts.max_bound = 3;
+        opts.certify = true;
+        let full = try_verify_sweep_full(&kstar3(), &opts);
+        let resumed = try_verify_sweep_resumed(&kstar3(), &opts, 2, &mut |_| {
+            panic!("no frame may be solved")
+        });
+        for result in [try_verify_sweep(&kstar3(), &opts), full, resumed] {
+            match result {
+                Err(VerifyError::Certification { stage: "sweep", .. }) => {}
+                other => panic!("expected a sweep certification error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

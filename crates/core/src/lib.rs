@@ -16,7 +16,11 @@
 //! - [`strategy`] — baseline / `ZPRE⁻` / `ZPRE` / ablation strategies;
 //! - [`verifier`] — the end-to-end pipeline with the enhanced `decide()`
 //!   installed into the CDCL(T) loop (Fig. 5), plus deep validation of
-//!   extracted counterexample executions.
+//!   extracted counterexample executions;
+//! - `session` (crate-private) — the one solver set-up (theory, encoding,
+//!   observers, share endpoint, decision order and guide) and the one
+//!   solve step over an assumption frame, shared by [`verifier`],
+//!   [`incremental`] and every [`portfolio`] member.
 //!
 //! ## Quickstart
 //!
@@ -50,6 +54,7 @@ pub mod faults;
 pub mod harness;
 pub mod incremental;
 pub mod portfolio;
+mod session;
 pub mod strategy;
 pub mod trace;
 pub mod verifier;

@@ -29,12 +29,12 @@
 
 use crate::errors::VerifyError;
 use crate::strategy::Strategy;
-use crate::verifier::{verify_ssa_inner, Verdict, VerifyOptions, VerifyOutcome};
+use crate::verifier::{front_end, verify_ssa_inner, Verdict, VerifyOptions, VerifyOutcome};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
-use zpre_obs::MemberRecord;
-use zpre_prog::{flatten, to_ssa_traced, unroll_program_traced, FlatProgram, Program, SsaProgram};
+use zpre_obs::{MemberRecord, Recorder};
+use zpre_prog::{FlatProgram, Program, SsaProgram};
 use zpre_sat::{CancelToken, ExhaustionReason, ShareConfig, ShareSpec, SharedPool};
 
 /// One racing configuration.
@@ -167,10 +167,7 @@ impl PortfolioOutcome {
 /// When `base.certify` is set, the flat lowering is shared with every
 /// member so certified `Unsafe` verdicts can replay their witness.
 pub fn verify_portfolio(prog: &Program, opts: &PortfolioOptions) -> PortfolioOutcome {
-    let rec = opts.base.recorder.as_ref();
-    let unrolled = unroll_program_traced(prog, opts.base.unroll_bound, rec);
-    let ssa = to_ssa_traced(&unrolled, rec);
-    let flat = opts.base.certify.then(|| flatten(&unrolled));
+    let (ssa, flat) = front_end(prog, &opts.base);
     portfolio_inner(&ssa, opts, flat.as_ref())
 }
 
@@ -206,6 +203,53 @@ fn run_member(
             .to_string())
         }
     }
+}
+
+/// Reports one finished member: its [`MemberResult`] and, with a recorder
+/// installed, its per-strategy telemetry record (who won, who was
+/// cancelled at what depth, who was quarantined and why).
+fn report_member(
+    rec: Option<&Recorder>,
+    name: &str,
+    strategy: Strategy,
+    report: &Result<VerifyOutcome, String>,
+    time: Duration,
+    cancelled: bool,
+    winner: bool,
+) -> MemberResult {
+    let m = MemberResult {
+        name: name.to_string(),
+        strategy,
+        verdict: report
+            .as_ref()
+            .map(|o| o.verdict)
+            .unwrap_or(Verdict::Unknown),
+        time,
+        cancelled,
+        error: report.as_ref().err().cloned(),
+        exhaustion: match report {
+            Ok(o) => o.exhaustion,
+            Err(_) => Some(ExhaustionReason::Quarantined),
+        },
+    };
+    if let Some(r) = rec {
+        let (decisions, conflicts) = report
+            .as_ref()
+            .map(|o| (o.stats.decisions, o.stats.conflicts))
+            .unwrap_or((0, 0));
+        r.record_member(MemberRecord {
+            name: m.name.clone(),
+            strategy: m.strategy.name().to_string(),
+            verdict: m.verdict.to_string(),
+            winner,
+            cancelled: m.cancelled,
+            decisions,
+            conflicts,
+            time_us: m.time.as_micros() as u64,
+            error: m.error.clone(),
+        });
+    }
+    m
 }
 
 /// A synthesized `Unknown` outcome for races without a definitive member.
@@ -340,49 +384,27 @@ fn portfolio_inner(
         }
     }
 
+    let rec = opts.base.recorder.as_ref();
     let mut members: Vec<MemberResult> = opts
         .members
         .iter()
         .zip(&results)
-        .map(|(member, (report, elapsed))| MemberResult {
-            name: member.name.clone(),
-            strategy: member.strategy,
-            verdict: report
-                .as_ref()
-                .map(|o| o.verdict)
-                .unwrap_or(Verdict::Unknown),
-            time: *elapsed,
-            cancelled: matches!(report, Ok(o) if o.verdict == Verdict::Unknown)
-                && first_definitive.is_some(),
-            error: report.as_ref().err().cloned(),
-            exhaustion: match report {
-                Ok(o) => o.exhaustion,
-                Err(_) => Some(ExhaustionReason::Quarantined),
-            },
+        .enumerate()
+        .map(|(i, (member, (report, elapsed)))| {
+            let cancelled = matches!(report, Ok(o) if o.verdict == Verdict::Unknown)
+                && first_definitive.is_some();
+            let winner = first_definitive == Some(i);
+            report_member(
+                rec,
+                &member.name,
+                member.strategy,
+                report,
+                *elapsed,
+                cancelled,
+                winner,
+            )
         })
         .collect();
-
-    // Per-strategy telemetry: who won, who was cancelled at what depth
-    // (decision count), who was quarantined and why.
-    if let Some(r) = &opts.base.recorder {
-        for (i, (m, (report, _))) in members.iter().zip(&results).enumerate() {
-            let (decisions, conflicts) = report
-                .as_ref()
-                .map(|o| (o.stats.decisions, o.stats.conflicts))
-                .unwrap_or((0, 0));
-            r.record_member(MemberRecord {
-                name: m.name.clone(),
-                strategy: m.strategy.name().to_string(),
-                verdict: m.verdict.to_string(),
-                winner: first_definitive == Some(i),
-                cancelled: m.cancelled,
-                decisions,
-                conflicts,
-                time_us: m.time.as_micros() as u64,
-                error: m.error.clone(),
-            });
-        }
-    }
 
     if let Some(win) = first_definitive {
         let outcome = results
@@ -417,41 +439,17 @@ fn portfolio_inner(
             .map(|r| r.member_labeled("retry:baseline"));
         let t0 = Instant::now();
         let report = run_member(ssa, &retry_opts, flat);
-        let elapsed = t0.elapsed();
         let retry_name = "retry:baseline".to_string();
-        members.push(MemberResult {
-            name: retry_name.clone(),
-            strategy: Strategy::Baseline,
-            verdict: report
-                .as_ref()
-                .map(|o| o.verdict)
-                .unwrap_or(Verdict::Unknown),
-            time: elapsed,
-            cancelled: false,
-            error: report.as_ref().err().cloned(),
-            exhaustion: match &report {
-                Ok(o) => o.exhaustion,
-                Err(_) => Some(ExhaustionReason::Quarantined),
-            },
-        });
-        if let Some(r) = &opts.base.recorder {
-            let m = members.last().expect("retry member just pushed");
-            let (decisions, conflicts) = report
-                .as_ref()
-                .map(|o| (o.stats.decisions, o.stats.conflicts))
-                .unwrap_or((0, 0));
-            r.record_member(MemberRecord {
-                name: m.name.clone(),
-                strategy: m.strategy.name().to_string(),
-                verdict: m.verdict.to_string(),
-                winner: matches!(&report, Ok(o) if o.verdict != Verdict::Unknown),
-                cancelled: false,
-                decisions,
-                conflicts,
-                time_us: elapsed.as_micros() as u64,
-                error: m.error.clone(),
-            });
-        }
+        let winner = matches!(&report, Ok(o) if o.verdict != Verdict::Unknown);
+        members.push(report_member(
+            rec,
+            &retry_name,
+            Strategy::Baseline,
+            &report,
+            t0.elapsed(),
+            false,
+            winner,
+        ));
         match report {
             Ok(outcome) if outcome.verdict != Verdict::Unknown => {
                 return PortfolioOutcome {

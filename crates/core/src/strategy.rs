@@ -27,10 +27,6 @@ pub enum Strategy {
     /// detection replaced by the old per-assertion full DFS (the
     /// before/after reference for the EOG engine's telemetry counters).
     ZpreDfsCheck,
-    /// Ablation: full ZPRE with the static interference-pruning pass
-    /// disabled (the historic unpruned encoding). The oracle for the
-    /// pruned/unpruned equivalence comparisons.
-    ZpreNoPrune,
     /// The control-flow ("branching") heuristic of §5.2's *Other Attempts*:
     /// prioritize event-guard variables instead of interference variables.
     BranchCond,
@@ -41,7 +37,7 @@ impl Strategy {
     pub const MAIN: [Strategy; 3] = [Strategy::Baseline, Strategy::ZpreMinus, Strategy::Zpre];
 
     /// All strategies, including ablations.
-    pub const ALL: [Strategy; 10] = [
+    pub const ALL: [Strategy; 9] = [
         Strategy::Baseline,
         Strategy::ZpreMinus,
         Strategy::Zpre,
@@ -50,7 +46,6 @@ impl Strategy {
         Strategy::ZpreFixedTrue,
         Strategy::ZpreNoReverseProp,
         Strategy::ZpreDfsCheck,
-        Strategy::ZpreNoPrune,
         Strategy::BranchCond,
     ];
 
@@ -65,7 +60,6 @@ impl Strategy {
             Strategy::ZpreFixedTrue => "zpre-fixed-true",
             Strategy::ZpreNoReverseProp => "zpre-no-revprop",
             Strategy::ZpreDfsCheck => "zpre-dfs-check",
-            Strategy::ZpreNoPrune => "zpre-noprune",
             Strategy::BranchCond => "branch-cond",
         }
     }
@@ -92,8 +86,7 @@ impl Strategy {
             Strategy::Zpre
             | Strategy::ZpreFixedTrue
             | Strategy::ZpreNoReverseProp
-            | Strategy::ZpreDfsCheck
-            | Strategy::ZpreNoPrune => Refinements::all(),
+            | Strategy::ZpreDfsCheck => Refinements::all(),
             Strategy::Baseline | Strategy::BranchCond => Refinements::none(),
         }
     }

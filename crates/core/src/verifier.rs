@@ -9,23 +9,19 @@
 //! check that the solver, theory, blaster, and encoder agree.
 
 use crate::certify::{certify_safe, certify_unsafe, Certificate};
-use crate::decision_order::decision_order;
 use crate::errors::VerifyError;
 use crate::faults::Fault;
+use crate::session::Session;
 use crate::strategy::Strategy;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zpre_bv::{lits_to_u64, TermKind};
-use zpre_encoder::{estimate_cnf, po_pairs, try_encode_opts, EncodeError, Encoded};
-use zpre_obs::{Phase, Recorder, VarClass};
+use zpre_encoder::{po_pairs, Encoded};
+use zpre_obs::Recorder;
 use zpre_prog::ssa::EventKind;
 use zpre_prog::{
     flatten, to_ssa_traced, unroll_program_traced, FlatProgram, MemoryModel, Program, SsaProgram,
 };
-use zpre_sat::{
-    Budget, CancelToken, ExhaustionReason, PriorityListGuide, ShareSpec, SolveResult, Solver,
-    Stats, Var,
-};
+use zpre_sat::{CancelToken, ExhaustionReason, PriorityListGuide, ShareSpec, Solver, Stats};
 use zpre_smt::{ClassCounts, OrderTheory, VarKind};
 
 /// Verification verdict.
@@ -80,8 +76,8 @@ pub struct VerifyOptions {
     /// Run the static interference-pruning pass (`zpre-analysis`) before
     /// encoding: must-happen-before, lockset and thread-locality analyses
     /// shrink `V_rf`/`V_ws` and refine the `#write` counts H4 sees.
-    /// Default on; `--no-prune` (or [`Strategy::ZpreNoPrune`]) reproduces
-    /// the historic unpruned encoding.
+    /// Default on; `false` (`--no-prune`) reproduces the historic unpruned
+    /// encoding.
     pub prune: bool,
     /// Re-validate extracted executions on `Unsafe` answers.
     pub validate_models: bool,
@@ -192,14 +188,19 @@ pub fn verify(prog: &Program, opts: &VerifyOptions) -> VerifyOutcome {
 /// Verifies `prog` under `opts`, reporting failures as typed errors.
 pub fn try_verify(prog: &Program, opts: &VerifyOptions) -> Result<VerifyOutcome, VerifyError> {
     let t0 = Instant::now();
+    let (ssa, flat) = front_end(prog, opts);
+    verify_ssa_inner(&ssa, opts, t0, flat.as_ref())
+}
+
+/// Unrolls `prog` to `opts.unroll_bound` and converts it to SSA. Under
+/// `certify` it also lowers the same unrolled program to the flat form a
+/// certified `Unsafe` verdict replays its witness through.
+pub(crate) fn front_end(prog: &Program, opts: &VerifyOptions) -> (SsaProgram, Option<FlatProgram>) {
     let rec = opts.recorder.as_ref();
     let unrolled = unroll_program_traced(prog, opts.unroll_bound, rec);
     let ssa = to_ssa_traced(&unrolled, rec);
-    // Certified Unsafe verdicts replay the witness through the flat
-    // interpreter, so the flat lowering must come from the same unrolled
-    // program the SSA conversion saw.
     let flat = opts.certify.then(|| flatten(&unrolled));
-    verify_ssa_inner(&ssa, opts, t0, flat.as_ref())
+    (ssa, flat)
 }
 
 /// Verifies an already-converted SSA program.
@@ -228,161 +229,24 @@ pub fn try_verify_ssa(
     verify_ssa_inner(ssa, opts, Instant::now(), None)
 }
 
+/// One session solving the empty frame, then trace extraction and
+/// certification of its verdict.
 pub(crate) fn verify_ssa_inner(
     ssa: &SsaProgram,
     opts: &VerifyOptions,
     t0: Instant,
     flat: Option<&FlatProgram>,
 ) -> Result<VerifyOutcome, VerifyError> {
-    let mut theory = OrderTheory::new();
-    if opts.strategy == Strategy::ZpreNoReverseProp {
-        theory.set_propagate_reverse(false);
-    }
-    if opts.strategy == Strategy::ZpreDfsCheck {
-        theory.set_full_dfs_check(true);
-    }
-    if opts.certify {
-        theory.enable_lemma_journal();
-    }
-    let guide = PriorityListGuide::new(Vec::new(), opts.seed);
-    let mut solver: Solver<OrderTheory, PriorityListGuide> = Solver::with_parts(theory, guide);
-    if opts.certify {
-        solver.enable_proof_logging();
-    }
-    let rec = opts.recorder.as_ref();
-    // Pre-blast guard: refuse an encoding whose estimated footprint already
-    // exceeds the memory budget, before allocating any of it.
-    if let Some(cap) = opts.max_memory {
-        let est = estimate_cnf(ssa, opts.mm)?;
-        if est.bytes() > cap {
-            return Err(VerifyError::Encode(EncodeError::EncodingTooLarge {
-                estimated_bytes: est.bytes(),
-                cap_bytes: cap,
-            }));
-        }
-    }
-    // Static interference pruning: run the analysis pass, surface its
-    // counters, and — under `--certify` — re-verify every justification
-    // with the independent checker before trusting the smaller encoding.
-    let prune_on = opts.prune && opts.strategy != Strategy::ZpreNoPrune;
-    let report = if prune_on {
-        let rep = zpre_analysis::analyze(ssa, opts.mm);
-        if let Some(r) = rec {
-            let c = &rep.counters;
-            r.record_prune(
-                c.rf_pruned,
-                c.rf_kept,
-                c.ws_pruned,
-                c.ws_serialized,
-                c.reads_resolved,
-                c.local_vars,
-            );
-        }
-        if opts.certify {
-            zpre_analysis::check_report(ssa, &rep).map_err(|reason| {
-                VerifyError::Certification {
-                    stage: "prune",
-                    reason,
-                }
-            })?;
-        }
-        Some(rep)
-    } else {
-        None
-    };
-    let enc = try_encode_opts(ssa, opts.mm, &mut solver, rec, report.as_ref())?;
-
-    // With a recorder installed, resolve solver vars to interference classes
-    // and stream solver/theory events into it.
-    if let Some(r) = rec {
-        let mut classes = vec![VarClass::Other; solver.num_vars()];
-        for (v, info) in enc.registry.iter() {
-            classes[v.index()] = match info.kind {
-                VarKind::Rf { external: true, .. } => VarClass::ExternalRf,
-                VarKind::Rf {
-                    external: false, ..
-                } => VarClass::InternalRf,
-                VarKind::Ws => VarClass::Ws,
-                _ => VarClass::Other,
-            };
-        }
-        r.set_var_classes(classes);
-        let sink: Arc<dyn zpre_obs::EventSink> = Arc::new(r.clone());
-        solver.set_event_sink(Some(sink.clone()));
-        solver.theory.set_event_sink(Some(sink));
-    }
-
-    // Hook this member into the portfolio share pool. The hot-var table
-    // (external-RF interference variables get the relaxed LBD export cap)
-    // comes straight from the encoder registry, independent of any recorder.
-    if let Some(spec) = &opts.share {
-        solver.set_share(spec);
-        let hot: Vec<Var> = enc
-            .registry
-            .iter()
-            .filter(|(_, info)| matches!(info.kind, VarKind::Rf { external: true, .. }))
-            .map(|(v, _)| v)
-            .collect();
-        solver.set_share_hot_vars(&hot);
-    }
-
-    // Install the decision order for the chosen strategy.
-    let mut order: Vec<u32> = if opts.strategy.uses_interference_order() {
-        decision_order(&enc.registry, opts.strategy.refinements())
-    } else if opts.strategy == Strategy::BranchCond {
-        // Guard variables in event order, deduplicated.
-        let mut seen = std::collections::HashSet::new();
-        enc.guard_lits
-            .iter()
-            .map(|l| l.var().index() as u32)
-            .filter(|v| seen.insert(*v))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    if opts.fault == Some(Fault::ShuffleGuideOrder) {
-        // Benign control fault: the heuristic order is scrambled, but the
-        // verdict and its certificate must come out unchanged.
-        order.reverse();
-    }
-    let mut guide = PriorityListGuide::new(order, opts.seed);
-    if opts.strategy == Strategy::ZpreFixedTrue {
-        guide = guide.with_fixed_polarity(true);
-    }
-    solver.guide = guide;
-    let mut budget = Budget::with_limits(opts.max_conflicts, opts.timeout);
-    if let Some(token) = &opts.cancel {
-        budget = budget.with_cancel(token.clone());
-    }
-    if let Some(cap) = opts.max_memory {
-        budget = budget.with_max_memory(cap);
-    }
-    solver.set_budget(budget);
-
+    let mut session = Session::new(ssa, opts)?;
     let encode_time = t0.elapsed();
-    let t1 = Instant::now();
-    let solve_span = rec.map(|r| r.span(Phase::Solve));
-    let result = solver.solve();
-    if let Some(s) = solve_span {
-        s.close();
-    }
-    let solve_time = t1.elapsed();
-
-    let verdict = match result {
-        SolveResult::Sat => Verdict::Unsafe,
-        SolveResult::Unsat => Verdict::Safe,
-        SolveResult::Unknown => Verdict::Unknown,
-    };
-    if verdict == Verdict::Unsafe && opts.validate_models {
-        let _validate_span = rec.map(|r| r.span(Phase::Validate));
-        validate_model(ssa, &enc, &solver, opts.mm).map_err(VerifyError::ModelValidation)?;
-    }
+    let (verdict, solve_time) = session.solve(&[], None)?;
+    let rec = opts.recorder.as_ref();
     let trace = (verdict == Verdict::Unsafe && (opts.want_trace || opts.certify))
-        .then(|| crate::trace::extract_trace(ssa, &enc, &solver, opts.mm));
+        .then(|| crate::trace::extract_trace(ssa, &session.enc, &session.solver, opts.mm));
 
     let certificate = if opts.certify {
         match verdict {
-            Verdict::Safe => Some(certify_safe(&mut solver, opts.fault, rec)?),
+            Verdict::Safe => Some(certify_safe(&mut session.solver, opts.fault, rec)?),
             Verdict::Unsafe => {
                 let Some(flat) = flat else {
                     return Err(VerifyError::Certification {
@@ -394,7 +258,14 @@ pub(crate) fn verify_ssa_inner(
                 };
                 let trace = trace.as_ref().expect("trace extracted for certification");
                 Some(certify_unsafe(
-                    ssa, &enc, &solver, opts.mm, flat, trace, opts.fault, rec,
+                    ssa,
+                    &session.enc,
+                    &session.solver,
+                    opts.mm,
+                    flat,
+                    trace,
+                    opts.fault,
+                    rec,
                 )?)
             }
             Verdict::Unknown => None,
@@ -409,7 +280,7 @@ pub(crate) fn verify_ssa_inner(
     // equivalence suite. Gated off for fault-injection, portfolio members
     // (share/cancel), and inconclusive verdicts.
     #[cfg(debug_assertions)]
-    if prune_on
+    if opts.prune
         && opts.fault.is_none()
         && opts.share.is_none()
         && opts.cancel.is_none()
@@ -431,26 +302,17 @@ pub(crate) fn verify_ssa_inner(
         }
     }
 
-    // Copy the order theory's cycle-check work counters into the outcome
-    // stats (the solver itself doesn't know about the theory's engine).
-    let mut stats = *solver.stats();
-    let cs = solver.theory.cycle_stats();
-    stats.eog_checks = cs.checks;
-    stats.eog_accepted_o1 = cs.accepted_o1;
-    stats.eog_visited = cs.visited;
-    stats.eog_promoted = cs.promoted;
-
     Ok(VerifyOutcome {
         verdict,
-        stats,
+        stats: session.stats(),
         solve_time,
         encode_time,
         num_events: ssa.events.len(),
-        class_counts: enc.registry.class_counts(),
-        num_solver_vars: solver.num_vars(),
+        class_counts: session.enc.registry.class_counts(),
+        num_solver_vars: session.solver.num_vars(),
         trace: trace.filter(|_| opts.want_trace),
         certificate,
-        exhaustion: solver.exhaustion(),
+        exhaustion: session.solver.exhaustion(),
     })
 }
 
@@ -652,6 +514,7 @@ fn kahn_clocks(n: usize, edges: &[(usize, usize)]) -> Option<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zpre_encoder::EncodeError;
     use zpre_prog::build::*;
 
     fn racy() -> Program {

@@ -29,5 +29,5 @@ pub use encode::{
 // analysis, not an encoding concern); re-exported here so downstream
 // `zpre_encoder::po_pairs` call sites keep compiling.
 pub use smtlib::dump_smtlib;
-pub use sweep::{encode_sweep, encode_sweep_opts, SweepEncoded};
+pub use sweep::SweepFrames;
 pub use zpre_analysis::{po_pairs, preserved, PoClosure};

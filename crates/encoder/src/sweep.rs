@@ -36,83 +36,61 @@
 //!   describes an execution whose loop exits early, which the scratch
 //!   encoding admits too.
 
-use crate::encode::{try_encode_opts, EncodeError, Encoded};
-use zpre_analysis::prune::PruneReport;
-use zpre_obs::Recorder;
-use zpre_prog::ssa::SsaProgram;
-use zpre_prog::{sweep_marker_remaining, MemoryModel};
+use crate::encode::Encoded;
+use zpre_prog::sweep_marker_remaining;
 use zpre_sat::{DecisionGuide, Lit, Solver};
 use zpre_smt::{OrderTheory, VarKind};
 
-/// A base encoding at the sweep horizon plus the per-bound frame state.
-pub struct SweepEncoded {
-    /// The horizon-`K` base encoding (shared by every frame).
-    pub base: Encoded,
+/// The per-bound frame state of a sweep over a horizon-`K` base encoding.
+/// The base itself comes from the ordinary encoder ([`crate::try_encode_opts`]
+/// on the marker-instrumented unrolling); this only adds the frames.
+pub struct SweepFrames {
     /// The sweep horizon `K`.
-    pub max_bound: u32,
+    max_bound: u32,
     /// `(remaining count, literal)` of every unwinding marker found in the
     /// blasted instance, i.e. every boolean input named `ndb!zpre!uw!…`.
-    pub markers: Vec<(u32, Lit)>,
+    markers: Vec<(u32, Lit)>,
     /// Activation literal `g_k` of each encoded frame (`frames[k-1]`).
     frames: Vec<Lit>,
 }
 
-/// Encodes `ssa` (the horizon-`K` sweep unrolling) once and collects its
-/// unwinding markers. The solver must be fresh, exactly as for
-/// [`crate::try_encode`].
-pub fn encode_sweep<G: DecisionGuide>(
-    ssa: &SsaProgram,
-    mm: MemoryModel,
-    max_bound: u32,
-    solver: &mut Solver<OrderTheory, G>,
-    rec: Option<&Recorder>,
-) -> Result<SweepEncoded, EncodeError> {
-    encode_sweep_opts(ssa, mm, max_bound, solver, rec, None)
-}
+impl SweepFrames {
+    /// Collects the unwinding markers of `base`, the horizon-`K` encoding.
+    ///
+    /// Static pruning of the base is frame-sound for the same reason the
+    /// base instance is (DESIGN.md §6d): every pruning justification rests
+    /// on fixed program-order edges and guard implications, neither of
+    /// which a frame's `g_k → ¬m` clauses weaken — frames only remove
+    /// models, which preserves both directions of the pruned/unpruned
+    /// equisatisfiability argument.
+    pub fn new(base: &Encoded, max_bound: u32) -> SweepFrames {
+        let mut markers: Vec<(u32, Lit)> = base
+            .blaster
+            .bool_inputs
+            .iter()
+            .filter_map(|(name, &lit)| sweep_marker_remaining(name).map(|r| (r, lit)))
+            .collect();
+        // Deterministic clause emission order regardless of hash-map iteration.
+        markers.sort_by_key(|&(r, l)| (r, l.var().index()));
+        SweepFrames {
+            max_bound,
+            markers,
+            frames: Vec::new(),
+        }
+    }
 
-/// [`encode_sweep`] with an optional static-pruning report for the base
-/// encoding. Pruning is frame-sound for the same reason the base instance
-/// is (DESIGN.md §6d): every pruning justification rests on fixed
-/// program-order edges and guard implications, neither of which a frame's
-/// `g_k → ¬m` clauses weaken — frames only remove models, which preserves
-/// both directions of the pruned/unpruned equisatisfiability argument.
-pub fn encode_sweep_opts<G: DecisionGuide>(
-    ssa: &SsaProgram,
-    mm: MemoryModel,
-    max_bound: u32,
-    solver: &mut Solver<OrderTheory, G>,
-    rec: Option<&Recorder>,
-    prune: Option<&PruneReport>,
-) -> Result<SweepEncoded, EncodeError> {
-    let base = try_encode_opts(ssa, mm, solver, rec, prune)?;
-    let mut markers: Vec<(u32, Lit)> = base
-        .blaster
-        .bool_inputs
-        .iter()
-        .filter_map(|(name, &lit)| sweep_marker_remaining(name).map(|r| (r, lit)))
-        .collect();
-    // Deterministic clause emission order regardless of hash-map iteration.
-    markers.sort_by_key(|&(r, l)| (r, l.var().index()));
-    Ok(SweepEncoded {
-        base,
-        max_bound,
-        markers,
-        frames: Vec::new(),
-    })
-}
-
-impl SweepEncoded {
     /// Encodes frame `k` (bounds must be encoded in order `1..=K`): creates
-    /// the activation variable `g_k` and asserts `g_k → ¬m` for every
-    /// marker with remaining count `≤ K − k`. Returns `g_k`.
+    /// the activation variable `g_k`, registers it in `base`, and asserts
+    /// `g_k → ¬m` for every marker with remaining count `≤ K − k`.
     ///
     /// The clauses are permanent, but inactive frames cost nothing: solved
     /// under `¬g_j` their guarded clauses are satisfied outright.
     pub fn encode_frame<G: DecisionGuide>(
         &mut self,
         k: u32,
+        base: &mut Encoded,
         solver: &mut Solver<OrderTheory, G>,
-    ) -> Lit {
+    ) {
         assert!(
             k >= 1 && k <= self.max_bound,
             "frame {k} outside the sweep horizon {}",
@@ -124,8 +102,7 @@ impl SweepEncoded {
             "frames must be encoded in order"
         );
         let v = solver.new_var();
-        self.base
-            .registry
+        base.registry
             .register(v, VarKind::Ssa, format!("frame!g{k}"));
         let g = v.positive();
         let cutoff = self.max_bound - k;
@@ -135,7 +112,6 @@ impl SweepEncoded {
             }
         }
         self.frames.push(g);
-        g
     }
 
     /// The assumption set for frame `k`: `[g_k, ¬g_1, …, ¬g_{k−1}]`. The
@@ -147,24 +123,13 @@ impl SweepEncoded {
         asm.extend(self.frames[..idx].iter().map(|&f| !f));
         asm
     }
-
-    /// Activation literals of the frames encoded so far.
-    pub fn frame_lits(&self) -> &[Lit] {
-        &self.frames
-    }
-
-    /// Number of markers a frame at bound `k` would force off.
-    pub fn disabled_markers(&self, k: u32) -> usize {
-        let cutoff = self.max_bound - k.min(self.max_bound);
-        self.markers.iter().filter(|&&(r, _)| r <= cutoff).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use zpre_prog::build::*;
-    use zpre_prog::{to_ssa, unroll_program, unroll_program_sweep, Program};
+    use zpre_prog::{to_ssa, unroll_program, unroll_program_sweep, MemoryModel, Program};
     use zpre_sat::{NoGuide, SolveResult};
 
     /// `x` starts at 0 and is incremented while `x < 3`; the assertion
@@ -180,6 +145,16 @@ mod tests {
             .build()
     }
 
+    /// Encodes `p`'s horizon-`k_max` sweep unrolling into a fresh solver.
+    fn horizon(p: &Program, k_max: u32) -> (Encoded, SweepFrames, Solver<OrderTheory, NoGuide>) {
+        let ssa = to_ssa(&unroll_program_sweep(p, k_max).program);
+        let mut solver: Solver<OrderTheory, NoGuide> =
+            Solver::with_parts(OrderTheory::new(), NoGuide);
+        let base = crate::encode(&ssa, MemoryModel::Sc, &mut solver);
+        let frames = SweepFrames::new(&base, k_max);
+        (base, frames, solver)
+    }
+
     fn scratch_verdict(p: &Program, k: u32) -> SolveResult {
         let ssa = to_ssa(&unroll_program(p, k));
         let mut solver: Solver<OrderTheory, NoGuide> =
@@ -192,15 +167,11 @@ mod tests {
     fn frames_match_scratch_bounds() {
         const K: u32 = 5;
         let p = kstar3();
-        let sw = unroll_program_sweep(&p, K);
-        let ssa = to_ssa(&sw.program);
-        let mut solver: Solver<OrderTheory, NoGuide> =
-            Solver::with_parts(OrderTheory::new(), NoGuide);
-        let mut enc = encode_sweep(&ssa, MemoryModel::Sc, K, &mut solver, None).unwrap();
-        assert_eq!(enc.markers.len(), K as usize, "one marker per iteration");
+        let (mut base, mut frames, mut solver) = horizon(&p, K);
+        assert_eq!(frames.markers.len(), K as usize, "one marker per iteration");
         for k in 1..=K {
-            let _g = enc.encode_frame(k, &mut solver);
-            let got = solver.solve_with_assumptions(&enc.assumptions(k));
+            frames.encode_frame(k, &mut base, &mut solver);
+            let got = solver.solve_with_assumptions(&frames.assumptions(k));
             let want = scratch_verdict(&p, k);
             assert_eq!(got, want, "bound {k}");
             // k* = 3: the violation needs exactly three iterations.
@@ -218,25 +189,20 @@ mod tests {
         // Assumption literals are per-call, so bounds can be re-solved in
         // any order once their frames exist.
         const K: u32 = 4;
-        let p = kstar3();
-        let sw = unroll_program_sweep(&p, K);
-        let ssa = to_ssa(&sw.program);
-        let mut solver: Solver<OrderTheory, NoGuide> =
-            Solver::with_parts(OrderTheory::new(), NoGuide);
-        let mut enc = encode_sweep(&ssa, MemoryModel::Sc, K, &mut solver, None).unwrap();
+        let (mut base, mut frames, mut solver) = horizon(&kstar3(), K);
         for k in 1..=K {
-            enc.encode_frame(k, &mut solver);
+            frames.encode_frame(k, &mut base, &mut solver);
         }
         assert_eq!(
-            solver.solve_with_assumptions(&enc.assumptions(4)),
+            solver.solve_with_assumptions(&frames.assumptions(4)),
             SolveResult::Sat
         );
         assert_eq!(
-            solver.solve_with_assumptions(&enc.assumptions(2)),
+            solver.solve_with_assumptions(&frames.assumptions(2)),
             SolveResult::Unsat
         );
         assert_eq!(
-            solver.solve_with_assumptions(&enc.assumptions(3)),
+            solver.solve_with_assumptions(&frames.assumptions(3)),
             SolveResult::Sat
         );
     }
@@ -247,17 +213,12 @@ mod tests {
             .shared("x", 0)
             .main(vec![assign("x", c(1)), assert_(eq(v("x"), c(1)))])
             .build();
-        let sw = unroll_program_sweep(&p, 3);
-        let ssa = to_ssa(&sw.program);
-        let mut solver: Solver<OrderTheory, NoGuide> =
-            Solver::with_parts(OrderTheory::new(), NoGuide);
-        let mut enc = encode_sweep(&ssa, MemoryModel::Sc, 3, &mut solver, None).unwrap();
-        assert!(enc.markers.is_empty());
+        let (mut base, mut frames, mut solver) = horizon(&p, 3);
+        assert!(frames.markers.is_empty());
         for k in 1..=3 {
-            enc.encode_frame(k, &mut solver);
-            assert_eq!(enc.disabled_markers(k), 0);
+            frames.encode_frame(k, &mut base, &mut solver);
             assert_eq!(
-                solver.solve_with_assumptions(&enc.assumptions(k)),
+                solver.solve_with_assumptions(&frames.assumptions(k)),
                 SolveResult::Unsat,
                 "bound {k}"
             );

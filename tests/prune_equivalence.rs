@@ -86,32 +86,3 @@ fn pruned_matches_unpruned_on_every_family() {
         "the independent checker re-verified no justification anywhere in the suite"
     );
 }
-
-/// The `zpre-noprune` strategy ablation is the same oracle as
-/// `prune: false`: both must agree with the pruned default.
-#[test]
-fn noprune_strategy_is_equivalent_oracle() {
-    let tasks = suite(Scale::Quick);
-    for task in tasks.iter().take(4) {
-        for mm in MemoryModel::ALL {
-            let base = VerifyOptions {
-                unroll_bound: task.unroll_bound,
-                max_bound: task.unroll_bound,
-                ..VerifyOptions::new(mm, Strategy::Zpre)
-            };
-            let via_strategy = VerifyOptions {
-                strategy: Strategy::ZpreNoPrune,
-                ..base.clone()
-            };
-            let pruned = try_verify(&task.program, &base)
-                .unwrap_or_else(|e| panic!("{} {mm}: {e}", task.name));
-            let ablated = try_verify(&task.program, &via_strategy)
-                .unwrap_or_else(|e| panic!("{} {mm}: {e}", task.name));
-            assert_eq!(
-                pruned.verdict, ablated.verdict,
-                "{} {mm}: zpre-noprune ablation diverges from the pruned default",
-                task.name
-            );
-        }
-    }
-}

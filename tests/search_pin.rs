@@ -1,6 +1,7 @@
 //! Pins the CDCL(T) search: the exact work counters of a few small
 //! Full-suite rows under the default ZPRE strategy, under the VSIDS-only
-//! baseline, and through the incremental bound sweep.
+//! baseline, under the guard-order and fixed-polarity guides, and through
+//! the incremental bound sweep.
 //!
 //! ZPRE's guide makes almost every single-bound decision, so the first
 //! table barely exercises the VSIDS order heap. The baseline rows hand
@@ -90,6 +91,26 @@ const PINNED_BASELINE: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[
     ),
 ];
 
+/// Rows under [`Strategy::BranchCond`], whose guide ranks event-guard
+/// variables instead of interference variables.
+const PINNED_BRANCH_COND: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[(
+    "pthread/twolocks-3x2",
+    MemoryModel::Sc,
+    Verdict::Safe,
+    [
+        3902, 113004, 1056, 327, 223, 1055, 21418, 16268, 22828, 12174,
+    ],
+)];
+
+/// Rows under [`Strategy::ZpreFixedTrue`], whose guide decides every
+/// interference variable true instead of with a seeded random polarity.
+const PINNED_FIXED_TRUE: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[(
+    "divine/ring-broken-4",
+    MemoryModel::Pso,
+    Verdict::Unsafe,
+    [166, 3736, 48, 14, 2, 48, 622, 346, 398, 301],
+)];
+
 /// Horizon of the pinned sweep row (the `sweep-deep` workload's).
 const SWEEP_HORIZON: u32 = 8;
 
@@ -100,6 +121,15 @@ const PINNED_SWEEP: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[(
     MemoryModel::Tso,
     Verdict::Unsafe,
     [4780, 48450, 211, 194, 7, 211, 5030, 3367, 5679, 3555],
+)];
+
+/// A [`try_verify_sweep_full`] row under [`Strategy::BranchCond`], with the
+/// guard order installed once for every frame.
+const PINNED_SWEEP_BRANCH_COND: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[(
+    "lit/peterson-w3",
+    MemoryModel::Tso,
+    Verdict::Unsafe,
+    [17398, 41103, 192, 128, 11, 192, 4769, 3274, 5444, 3233],
 )];
 
 fn counters(s: &Stats) -> [u64; 10] {
@@ -172,16 +202,35 @@ fn vsids_search_counters_are_pinned() {
 }
 
 #[test]
-fn sweep_search_counters_are_pinned() {
+fn branch_cond_search_counters_are_pinned() {
+    check_verify_rows(Strategy::BranchCond, PINNED_BRANCH_COND);
+}
+
+#[test]
+fn fixed_polarity_search_counters_are_pinned() {
+    check_verify_rows(Strategy::ZpreFixedTrue, PINNED_FIXED_TRUE);
+}
+
+fn check_sweep_rows(strategy: Strategy, rows: &[(&str, MemoryModel, Verdict, [u64; 10])]) {
     let tasks = suite(Scale::Full);
-    for &(name, mm, verdict, pinned) in PINNED_SWEEP {
+    for &(name, mm, verdict, pinned) in rows {
         let task = task(&tasks, name);
         let opts = VerifyOptions {
             unroll_bound: task.unroll_bound,
             max_bound: SWEEP_HORIZON,
-            ..VerifyOptions::new(mm, Strategy::Zpre)
+            ..VerifyOptions::new(mm, strategy)
         };
         let out = try_verify_sweep_full(&task.program, &opts).expect("sweep runs");
         assert_pinned(name, mm, verdict, pinned, out.verdict, &out.stats);
     }
+}
+
+#[test]
+fn sweep_search_counters_are_pinned() {
+    check_sweep_rows(Strategy::Zpre, PINNED_SWEEP);
+}
+
+#[test]
+fn branch_cond_sweep_search_counters_are_pinned() {
+    check_sweep_rows(Strategy::BranchCond, PINNED_SWEEP_BRANCH_COND);
 }
