@@ -3,7 +3,7 @@
 //! The paper's experimental setup generates one SMT instance per loop
 //! unrolling bound `k = 1..=K` and solves each from scratch — every bound
 //! pays its own unroll/SSA/encode/bit-blast and starts its solver cold.
-//! The incremental driver ([`zpre::verify_sweep`]) encodes the horizon `K`
+//! The incremental sweep ([`zpre::try_verify_sweep`]) encodes the horizon `K`
 //! once and walks the bounds inside a single solver via assumption frames,
 //! inheriting learnt clauses, phase saving, activity, and the order
 //! theory's fixed program-order state from earlier bounds.

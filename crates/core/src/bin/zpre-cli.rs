@@ -13,8 +13,8 @@
 //!                      [--max-bound K] [--budget CONFLICTS] [--timeout-ms N]
 //!                      [--max-memory-mib N] [--journal FILE] [--resume]
 //!                      [--retries N] [--backoff-ms N] [--fault NAME]
-//!                      [--kill-after N] [--no-prune] [--json] [--profile]
-//!                      [--trace-out FILE]
+//!                      [--kill-after N] [--heartbeat SECS] [--metrics-out FILE]
+//!                      [--no-prune] [--json] [--profile] [--trace-out FILE]
 //! zpre-cli oracle FILE [--mm sc|tso|pso] [--unroll N]
 //! zpre-cli dump   FILE [--mm sc|tso|pso] [--unroll N]
 //! zpre-cli pretty FILE
@@ -48,13 +48,19 @@
 //! | 7    | certification failed                            |
 //! | 8    | portfolio member panicked                       |
 //!
-//! `verify` runs the interference-guided SMT pipeline (`--portfolio` races
-//! the main strategies plus a polarity-varied ZPRE, first verdict wins;
-//! `--incremental` sweeps bounds `1..=K` in one solver via assumption
-//! frames instead of re-encoding per bound — compare `--bmc K`);
-//! `oracle` runs the explicit-state reference checker (exhaustive, for
-//! small programs); `dump` emits the verification condition as SMT-LIB 2;
-//! `pretty` parses and re-prints the program.
+//! `verify` runs the interference-guided SMT pipeline, and its modes
+//! compose. The bounds are one `--unroll N`, the per-bound `--bmc K` loop
+//! (a fresh instance per bound), or `--incremental`: bounds `1..=K` (`K`
+//! from `--bmc`, else `--max-bound`) as assumption frames of one solver.
+//! Each bound, or the whole sweep, is solved by one strategy or, with
+//! `--portfolio`, raced by the main strategies plus a polarity-varied ZPRE
+//! (first verdict wins; `--share` lets single-bound members exchange
+//! clauses, and has no effect on a race of sweeps).
+//! `--certify` certifies every verdict; a sweep cannot certify yet and
+//! fails closed (exit 7). The one usage error left is `--share` without
+//! `--portfolio`. `oracle` runs the explicit-state reference checker
+//! (exhaustive, for small programs); `dump` emits the verification
+//! condition as SMT-LIB 2; `pretty` parses and re-prints the program.
 //!
 //! Observability: `--profile` prints a hierarchical per-phase timing report
 //! (parse → unroll → SSA → encode per memory model → bit-blast → solve →
@@ -102,14 +108,16 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 use zpre::{
-    run_batch, try_verify, try_verify_sweep, verify_bmc, verify_portfolio, BatchFault,
-    BatchOptions, BatchTask, Certificate, PortfolioOptions, ShareConfig, Strategy, Verdict,
-    VerifyError, VerifyOptions,
+    run_batch, try_verify, try_verify_portfolio_sweep, try_verify_sweep, verify_bmc_with,
+    verify_portfolio, BatchFault, BatchOptions, BatchTask, BmcOutcome, Certificate,
+    ExhaustionReason, FrameOutcome, PortfolioOptions, PortfolioOutcome, RunOutcome, ShareConfig,
+    Strategy, SweepOutcome, Verdict, VerifyError, VerifyOptions, VerifyOutcome,
 };
 use zpre_obs::{profile_report, Recorder, TraceConfig};
 use zpre_prog::interp::{check_sc, Limits, Outcome};
 use zpre_prog::wmm::check_wmm;
 use zpre_prog::{flatten, parse_program_traced, pretty, unroll_program, MemoryModel, Program};
+use zpre_sat::Stats;
 
 fn usage() -> ExitCode {
     let strategies: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
@@ -186,6 +194,13 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// A JSON string (escaped), or `null`.
+fn json_opt(s: Option<impl std::fmt::Display>) -> String {
+    s.map_or("null".to_string(), |s| {
+        format!("\"{}\"", json_escape(&s.to_string()))
+    })
 }
 
 /// JSON fragment describing a certificate (or its absence).
@@ -898,6 +913,304 @@ fn cmd_oracle(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Which bounds `verify` solves: the one `--unroll` bound, the per-bound
+/// `--bmc` loop, or the `--incremental` sweep in one solver.
+#[derive(Clone, Copy)]
+enum Bounds {
+    Single,
+    Bmc(u32),
+    Sweep,
+}
+
+/// One memory model's result in the one shape every mode prints: the
+/// outcome that decided it, the deciding bound and the frames when the run
+/// has bounds, and the race footer under `--portfolio`.
+struct Report {
+    outcome: VerifyOutcome,
+    frames: Option<(u32, Vec<FrameOutcome>)>,
+    race: Option<PortfolioOutcome<()>>,
+}
+
+impl RunOutcome for Report {
+    fn verdict(&self) -> Verdict {
+        self.outcome.verdict
+    }
+    fn exhaustion(&self) -> Option<ExhaustionReason> {
+        self.outcome.exhaustion
+    }
+    fn stats(&self) -> &Stats {
+        &self.outcome.stats
+    }
+}
+
+/// Runs what the flags select: the bound loop (or the sweep) around
+/// a single-bound step, which is a plain verify or, with `race` set (to its
+/// share configuration), one portfolio race.
+fn run_verify(
+    program: &Program,
+    opts: &VerifyOptions,
+    bounds: Bounds,
+    race: Option<Option<ShareConfig>>,
+) -> Result<Report, VerifyError> {
+    let folio = |o: &VerifyOptions| PortfolioOptions {
+        share: race.flatten(),
+        ..PortfolioOptions::new(o.clone())
+    };
+    let step = |o: &VerifyOptions| match race {
+        Some(_) => Ok(Report::raced(
+            verify_portfolio(program, &folio(o)),
+            Report::plain,
+        )),
+        None => try_verify(program, o).map(Report::plain),
+    };
+    match (bounds, race) {
+        (Bounds::Single, _) => step(opts),
+        (Bounds::Bmc(k), _) => verify_bmc_with(program, k, opts, step).map(Report::bmc),
+        (Bounds::Sweep, Some(_)) => try_verify_portfolio_sweep(program, &folio(opts))
+            .map(|f| Report::raced(f, Report::sweep)),
+        (Bounds::Sweep, None) => try_verify_sweep(program, opts).map(Report::sweep),
+    }
+}
+
+impl Report {
+    fn plain(outcome: VerifyOutcome) -> Report {
+        Report {
+            outcome,
+            frames: None,
+            race: None,
+        }
+    }
+
+    fn sweep(s: SweepOutcome) -> Report {
+        let exhaustion = s.exhaustion();
+        Report {
+            outcome: VerifyOutcome {
+                verdict: s.verdict,
+                stats: s.stats,
+                solve_time: s.solve_time,
+                encode_time: s.encode_time,
+                num_events: s.num_events,
+                class_counts: s.class_counts,
+                num_solver_vars: s.num_solver_vars,
+                trace: s.trace,
+                certificate: None,
+                exhaustion,
+            },
+            frames: Some((s.bound, s.frames)),
+            race: None,
+        }
+    }
+
+    /// The deciding bound's report, with one frame per solved bound (each
+    /// bound had a fresh solver, so nothing was reused).
+    fn bmc(b: BmcOutcome<Report>) -> Report {
+        let frames = b
+            .per_bound
+            .iter()
+            .map(|(bound, r)| FrameOutcome {
+                bound: *bound,
+                verdict: r.outcome.verdict,
+                solve_time: r.outcome.solve_time,
+                conflicts: r.outcome.stats.conflicts,
+                decisions: r.outcome.stats.decisions,
+                propagations: r.outcome.stats.propagations,
+                reused_learnts: 0,
+                reused_conflicts: 0,
+                exhaustion: r.outcome.exhaustion,
+            })
+            .collect();
+        let (_, last) = b.per_bound.into_iter().last().expect("at least one bound");
+        Report {
+            frames: Some((b.bound, frames)),
+            ..last
+        }
+    }
+
+    /// The winning (or fallback) member's report with the race footer.
+    fn raced<O>(folio: PortfolioOutcome<O>, report: impl FnOnce(O) -> Report) -> Report {
+        let PortfolioOutcome {
+            outcome,
+            winner,
+            members,
+            quarantined,
+            unknown_reason,
+            cancel_latency,
+        } = folio;
+        Report {
+            race: Some(PortfolioOutcome {
+                outcome: (),
+                winner,
+                members,
+                quarantined,
+                unknown_reason,
+                cancel_latency,
+            }),
+            ..report(outcome)
+        }
+    }
+
+    /// One JSON object. The overall `"verdict"` comes before any frame's,
+    /// and every mode's keys keep their historical names and order.
+    fn json(&self, program: &str, opts: &VerifyOptions, bounds: Bounds) -> String {
+        let o = &self.outcome;
+        let mut out = format!(
+            "{{\"program\":\"{}\",\"mm\":\"{}\"",
+            json_escape(program),
+            opts.mm.name()
+        );
+        if self.race.is_none() {
+            out += &format!(",\"strategy\":\"{}\"", opts.strategy);
+        }
+        let mode: Vec<&str> = [
+            match bounds {
+                Bounds::Single => None,
+                Bounds::Bmc(_) => Some("bmc"),
+                Bounds::Sweep => Some("incremental"),
+            },
+            self.race.as_ref().map(|_| "portfolio"),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        if !mode.is_empty() {
+            out += &format!(",\"mode\":\"{}\"", mode.join("+"));
+        }
+        out += &format!(",\"verdict\":\"{}\"", o.verdict);
+        if let Some((bound, _)) = &self.frames {
+            out += &format!(",\"bound\":{bound}");
+        }
+        if let Some(race) = &self.race {
+            let quarantined: Vec<String> =
+                race.quarantined.iter().map(|q| json_opt(Some(q))).collect();
+            out += &format!(
+                ",\"winner\":{},\"quarantined\":[{}],\"unknown_reason\":{}",
+                json_opt(race.winner.as_deref()),
+                quarantined.join(","),
+                json_opt(race.unknown_reason.as_deref()),
+            );
+        }
+        out += &format!(
+            ",\"certificate\":{},\"events\":{},\"vars\":{},\"decisions\":{},\
+             \"conflicts\":{},\"solve_time_ms\":{:.3}",
+            certificate_json(o.certificate.as_ref()),
+            o.num_events,
+            o.num_solver_vars,
+            o.stats.decisions,
+            o.stats.conflicts,
+            o.solve_time.as_secs_f64() * 1e3,
+        );
+        if let Some((_, frames)) = &self.frames {
+            let frames: Vec<String> = frames
+                .iter()
+                .map(|f| {
+                    format!(
+                        "{{\"bound\":{},\"verdict\":\"{}\",\"conflicts\":{},\
+                         \"decisions\":{},\"reused_learnts\":{},\"reused_conflicts\":{},\
+                         \"solve_time_ms\":{:.3}}}",
+                        f.bound,
+                        f.verdict,
+                        f.conflicts,
+                        f.decisions,
+                        f.reused_learnts,
+                        f.reused_conflicts,
+                        f.solve_time.as_secs_f64() * 1e3,
+                    )
+                })
+                .collect();
+            out += &format!(",\"frames\":[{}]", frames.join(","));
+        }
+        out + "}"
+    }
+
+    /// The human-readable report: the verdict line, then (with `--stats`
+    /// for the details) the frames, the race footer and the statistics.
+    fn print(&self, program: &str, opts: &VerifyOptions, bounds: Bounds, show_stats: bool) {
+        let o = &self.outcome;
+        if let Some(trace) = &o.trace {
+            print!("{trace}");
+        }
+        let who = match &self.race {
+            Some(race) => format!(
+                "portfolio (winner {})",
+                race.winner.as_deref().unwrap_or("none")
+            ),
+            None => opts.strategy.to_string(),
+        };
+        let at = match (bounds, &self.frames) {
+            (Bounds::Sweep, Some((b, _))) => format!(" incremental sweep to bound {b}"),
+            (_, Some((b, _))) => format!(" at bound {b}"),
+            _ => String::new(),
+        };
+        println!(
+            "{program}: {} under {} with {who}{at} [{:.2?}]",
+            o.verdict, opts.mm, o.solve_time
+        );
+        if let Some(cert) = &o.certificate {
+            println!("  certificate: {}", cert.summary());
+        }
+        if show_stats {
+            for f in self.frames.iter().flat_map(|(_, frames)| frames) {
+                println!(
+                    "  frame k={:<2} {:<8} conflicts {:<8} decisions {:<8} \
+                     reused learnts {:<6} reused conflicts {:<8} [{:.2?}]",
+                    f.bound,
+                    f.verdict.to_string(),
+                    f.conflicts,
+                    f.decisions,
+                    f.reused_learnts,
+                    f.reused_conflicts,
+                    f.solve_time
+                );
+            }
+        }
+        if let Some(race) = &self.race {
+            if !race.quarantined.is_empty() {
+                println!("  quarantined: {}", race.quarantined.join(", "));
+            }
+            if let Some(reason) = &race.unknown_reason {
+                println!("  unknown reason: {reason}");
+            }
+            if show_stats {
+                for m in &race.members {
+                    println!(
+                        "  {:<16} {:<8} [{:.2?}]{}{}",
+                        m.name,
+                        m.verdict.to_string(),
+                        m.time,
+                        if m.cancelled { " (cancelled)" } else { "" },
+                        m.error
+                            .as_deref()
+                            .map(|e| format!(" (quarantined: {e})"))
+                            .unwrap_or_default()
+                    );
+                }
+                if let Some(latency) = race.cancel_latency {
+                    println!("  cancellation latency {latency:.2?}");
+                }
+            }
+        }
+        if show_stats {
+            println!(
+                "  events {}  vars {}  (ssa {}, ord {}, rf {}, ws {})",
+                o.num_events,
+                o.num_solver_vars,
+                o.class_counts.ssa,
+                o.class_counts.ord,
+                o.class_counts.rf,
+                o.class_counts.ws
+            );
+            println!(
+                "  decisions {} (guided {})  propagations {}  conflicts {}  restarts {}",
+                o.stats.decisions,
+                o.stats.guided_decisions,
+                o.stats.propagations,
+                o.stats.conflicts,
+                o.stats.restarts
+            );
+        }
+    }
+}
+
 fn cmd_verify(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         return usage();
@@ -990,22 +1303,28 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         }
         i += 1;
     }
-    if portfolio && bmc.is_some() {
-        eprintln!("--portfolio cannot be combined with --bmc");
-        return usage();
-    }
+    // Every mode composes; sharing alone needs something to share with.
     if (share || share_lbd_max.is_some()) && !portfolio {
         eprintln!("--share/--share-lbd-max require --portfolio (sharing needs members)");
         return usage();
     }
-    if certify && bmc.is_some() {
-        eprintln!("--certify cannot be combined with --bmc");
-        return usage();
-    }
-    if incremental && (portfolio || certify || bmc.is_some()) {
-        eprintln!("--incremental cannot be combined with --portfolio, --certify, or --bmc");
-        return usage();
-    }
+    let race = portfolio.then(|| {
+        (share || share_lbd_max.is_some()).then(|| {
+            share_lbd_max
+                .map(ShareConfig::with_lbd_max)
+                .unwrap_or_default()
+        })
+    });
+    // `--incremental` solves the bound loop in one solver: over `--bmc K`'s
+    // bounds when given, else over `--max-bound`'s.
+    let bounds = match (incremental, bmc) {
+        (true, k) => {
+            max_bound = k.unwrap_or(max_bound);
+            Bounds::Sweep
+        }
+        (false, Some(k)) => Bounds::Bmc(k),
+        (false, None) => Bounds::Single,
+    };
     // One recorder spans the whole invocation (even `--mm all`): encode
     // spans are labeled per memory model, so a single NDJSON block carries
     // the full run. Event storage is only paid for when a trace file is
@@ -1045,235 +1364,20 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             recorder: recorder.clone(),
             share: None,
         };
-        if portfolio {
-            let mut folio_opts = PortfolioOptions::new(opts);
-            if share || share_lbd_max.is_some() {
-                let cfg = share_lbd_max
-                    .map(ShareConfig::with_lbd_max)
-                    .unwrap_or_default();
-                folio_opts = folio_opts.with_share(cfg);
-            }
-            let folio = verify_portfolio(&program, &folio_opts);
-            let verdict = folio.verdict();
-            if json {
-                let winner = folio
-                    .winner
-                    .as_deref()
-                    .map(|w| format!("\"{}\"", json_escape(w)))
-                    .unwrap_or_else(|| "null".to_string());
-                let quarantined: Vec<String> = folio
-                    .quarantined
-                    .iter()
-                    .map(|q| format!("\"{}\"", json_escape(q)))
-                    .collect();
-                let reason = folio
-                    .unknown_reason
-                    .as_deref()
-                    .map(|r| format!("\"{}\"", json_escape(r)))
-                    .unwrap_or_else(|| "null".to_string());
-                println!(
-                    "{{\"program\":\"{}\",\"mm\":\"{}\",\"mode\":\"portfolio\",\
-                     \"verdict\":\"{}\",\"winner\":{},\"quarantined\":[{}],\
-                     \"unknown_reason\":{},\"certificate\":{},\"solve_time_ms\":{:.3}}}",
-                    json_escape(&program.name),
-                    mm.name(),
-                    verdict,
-                    winner,
-                    quarantined.join(","),
-                    reason,
-                    certificate_json(folio.outcome.certificate.as_ref()),
-                    folio.outcome.solve_time.as_secs_f64() * 1e3,
-                );
-            } else {
-                if let Some(trace) = &folio.outcome.trace {
-                    print!("{trace}");
-                }
-                let winner = folio.winner.as_deref().unwrap_or("none");
-                println!(
-                    "{}: {} under {} with portfolio (winner {}) [{:.2?}]",
-                    program.name, verdict, mm, winner, folio.outcome.solve_time
-                );
-                if let Some(cert) = &folio.outcome.certificate {
-                    println!("  certificate: {}", cert.summary());
-                }
-                if !folio.quarantined.is_empty() {
-                    println!("  quarantined: {}", folio.quarantined.join(", "));
-                }
-                if let Some(reason) = &folio.unknown_reason {
-                    println!("  unknown reason: {reason}");
-                }
-                if show_stats {
-                    for m in &folio.members {
-                        println!(
-                            "  {:<16} {:<8} [{:.2?}]{}{}",
-                            m.name,
-                            m.verdict.to_string(),
-                            m.time,
-                            if m.cancelled { " (cancelled)" } else { "" },
-                            m.error
-                                .as_deref()
-                                .map(|e| format!(" (quarantined: {e})"))
-                                .unwrap_or_default()
-                        );
-                    }
-                    if let Some(latency) = folio.cancel_latency {
-                        println!("  cancellation latency {latency:.2?}");
-                    }
-                }
-            }
-            any_unsafe |= verdict == Verdict::Unsafe;
-            any_unknown |= verdict == Verdict::Unknown;
-            continue;
-        }
-        if incremental {
-            let sweep = match try_verify_sweep(&program, &opts) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{}: verdict rejected under {}: {e}", program.name, mm);
-                    return exit_for_error(&e);
-                }
-            };
-            if json {
-                let frames: Vec<String> = sweep
-                    .frames
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "{{\"bound\":{},\"verdict\":\"{}\",\"conflicts\":{},\
-                             \"decisions\":{},\"reused_learnts\":{},\"reused_conflicts\":{},\
-                             \"solve_time_ms\":{:.3}}}",
-                            f.bound,
-                            f.verdict,
-                            f.conflicts,
-                            f.decisions,
-                            f.reused_learnts,
-                            f.reused_conflicts,
-                            f.solve_time.as_secs_f64() * 1e3,
-                        )
-                    })
-                    .collect();
-                println!(
-                    "{{\"program\":\"{}\",\"mm\":\"{}\",\"strategy\":\"{}\",\
-                     \"mode\":\"incremental\",\"verdict\":\"{}\",\"bound\":{},\
-                     \"events\":{},\"vars\":{},\"decisions\":{},\"conflicts\":{},\
-                     \"solve_time_ms\":{:.3},\"frames\":[{}]}}",
-                    json_escape(&program.name),
-                    mm.name(),
-                    strategy,
-                    sweep.verdict,
-                    sweep.bound,
-                    sweep.num_events,
-                    sweep.num_solver_vars,
-                    sweep.stats.decisions,
-                    sweep.stats.conflicts,
-                    sweep.solve_time.as_secs_f64() * 1e3,
-                    frames.join(","),
-                );
-            } else {
-                if let Some(trace) = &sweep.trace {
-                    print!("{trace}");
-                }
-                println!(
-                    "{}: {} under {} with {} incremental sweep to bound {} [{:.2?}]",
-                    program.name, sweep.verdict, mm, strategy, sweep.bound, sweep.solve_time
-                );
-                if show_stats {
-                    println!(
-                        "  events {}  vars {}  (ssa {}, ord {}, rf {}, ws {})",
-                        sweep.num_events,
-                        sweep.num_solver_vars,
-                        sweep.class_counts.ssa,
-                        sweep.class_counts.ord,
-                        sweep.class_counts.rf,
-                        sweep.class_counts.ws
-                    );
-                    for f in &sweep.frames {
-                        println!(
-                            "  frame k={:<2} {:<8} conflicts {:<8} decisions {:<8} \
-                             reused learnts {:<6} reused conflicts {:<8} [{:.2?}]",
-                            f.bound,
-                            f.verdict.to_string(),
-                            f.conflicts,
-                            f.decisions,
-                            f.reused_learnts,
-                            f.reused_conflicts,
-                            f.solve_time
-                        );
-                    }
-                }
-            }
-            any_unsafe |= sweep.verdict == Verdict::Unsafe;
-            any_unknown |= sweep.verdict == Verdict::Unknown;
-            continue;
-        }
-        let (verdict, outcome, bound) = if let Some(max_bound) = bmc {
-            let sweep = verify_bmc(&program, max_bound, &opts);
-            let bound = sweep.bound;
-            let (_, last) = sweep
-                .per_bound
-                .into_iter()
-                .last()
-                .expect("at least one bound");
-            (sweep.verdict, last, Some(bound))
-        } else {
-            match try_verify(&program, &opts) {
-                Ok(out) => (out.verdict, out, None),
-                Err(e) => {
-                    eprintln!("{}: verdict rejected under {}: {e}", program.name, mm);
-                    return exit_for_error(&e);
-                }
+        let report = match run_verify(&program, &opts, bounds, race) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("{}: verdict rejected under {}: {e}", program.name, mm);
+                return exit_for_error(&e);
             }
         };
         if json {
-            println!(
-                "{{\"program\":\"{}\",\"mm\":\"{}\",\"strategy\":\"{}\",\"verdict\":\"{}\",\
-                 \"certificate\":{},\"events\":{},\"vars\":{},\"decisions\":{},\
-                 \"conflicts\":{},\"solve_time_ms\":{:.3}}}",
-                json_escape(&program.name),
-                mm.name(),
-                strategy,
-                verdict,
-                certificate_json(outcome.certificate.as_ref()),
-                outcome.num_events,
-                outcome.num_solver_vars,
-                outcome.stats.decisions,
-                outcome.stats.conflicts,
-                outcome.solve_time.as_secs_f64() * 1e3,
-            );
+            println!("{}", report.json(&program.name, &opts, bounds));
         } else {
-            if let Some(trace) = &outcome.trace {
-                print!("{trace}");
-            }
-            let bound_note = bound.map_or(String::new(), |b| format!(" at bound {b}"));
-            println!(
-                "{}: {} under {} with {}{} [{:.2?}]",
-                program.name, verdict, mm, strategy, bound_note, outcome.solve_time
-            );
-            if let Some(cert) = &outcome.certificate {
-                println!("  certificate: {}", cert.summary());
-            }
-            if show_stats {
-                println!(
-                    "  events {}  vars {}  (ssa {}, ord {}, rf {}, ws {})",
-                    outcome.num_events,
-                    outcome.num_solver_vars,
-                    outcome.class_counts.ssa,
-                    outcome.class_counts.ord,
-                    outcome.class_counts.rf,
-                    outcome.class_counts.ws
-                );
-                println!(
-                    "  decisions {} (guided {})  propagations {}  conflicts {}  restarts {}",
-                    outcome.stats.decisions,
-                    outcome.stats.guided_decisions,
-                    outcome.stats.propagations,
-                    outcome.stats.conflicts,
-                    outcome.stats.restarts
-                );
-            }
+            report.print(&program.name, &opts, bounds, show_stats);
         }
-        any_unsafe |= verdict == Verdict::Unsafe;
-        any_unknown |= verdict == Verdict::Unknown;
+        any_unsafe |= report.outcome.verdict == Verdict::Unsafe;
+        any_unknown |= report.outcome.verdict == Verdict::Unknown;
     }
     if let Some(rec) = &recorder {
         let snapshot = rec.snapshot();

@@ -5,14 +5,18 @@
 //! minimal violating depth `k*` the instance is unsatisfiable, at or above
 //! it the instance is satisfiable. This module packages that loop: iterate
 //! bounds upward until a violation is found or the bound budget is
-//! exhausted.
+//! exhausted. The loop wraps any single-bound step — a plain
+//! [`try_verify`] ([`verify_bmc`]) or one portfolio race per bound
+//! ([`verify_bmc_with`]). Each step builds its own instance, so nothing,
+//! shared clauses included, crosses from one bound to the next.
 
-use crate::verifier::{verify, Verdict, VerifyOptions, VerifyOutcome};
+use crate::errors::VerifyError;
+use crate::verifier::{try_verify, RunOutcome, Verdict, VerifyOptions, VerifyOutcome};
 use zpre_prog::Program;
 
 /// Result of a BMC sweep.
 #[derive(Debug)]
-pub struct BmcOutcome {
+pub struct BmcOutcome<O = VerifyOutcome> {
     /// Overall verdict: `Unsafe` as soon as some bound is satisfiable,
     /// `Safe` if every bound up to the maximum is unsatisfiable
     /// (i.e. *safe up to the bound*), `Unknown` if a bound's budget ran out.
@@ -21,51 +25,56 @@ pub struct BmcOutcome {
     /// for `Unsafe`; the maximal bound for `Safe`).
     pub bound: u32,
     /// Per-bound outcomes, in increasing bound order.
-    pub per_bound: Vec<(u32, VerifyOutcome)>,
+    pub per_bound: Vec<(u32, O)>,
 }
 
-/// Runs BMC with bounds `1..=max_bound` (skipping redundant re-encodings
-/// for loop-free programs, where every bound yields the same instance —
-/// the deduplication the paper applies to its SMT files).
-pub fn verify_bmc(prog: &Program, max_bound: u32, opts: &VerifyOptions) -> BmcOutcome {
+/// Runs BMC with bounds `1..=max_bound`, one [`try_verify`] per bound
+/// (skipping redundant re-encodings for loop-free programs, where every
+/// bound yields the same instance — the deduplication the paper applies to
+/// its SMT files). A bound that fails (model validation, certification)
+/// ends the loop with its typed error.
+pub fn verify_bmc(
+    prog: &Program,
+    max_bound: u32,
+    opts: &VerifyOptions,
+) -> Result<BmcOutcome, VerifyError> {
+    verify_bmc_with(prog, max_bound, opts, |o| try_verify(prog, o))
+}
+
+/// The bound loop of [`verify_bmc`] around any single-bound `step`, called
+/// with `opts` at `unroll_bound = 1, 2, …` until a bound is not `Safe`.
+pub fn verify_bmc_with<O: RunOutcome>(
+    prog: &Program,
+    max_bound: u32,
+    opts: &VerifyOptions,
+    mut step: impl FnMut(&VerifyOptions) -> Result<O, VerifyError>,
+) -> Result<BmcOutcome<O>, VerifyError> {
+    let last = if prog.has_loops() {
+        max_bound.max(1)
+    } else {
+        1
+    };
     let mut per_bound = Vec::new();
-    let loop_free = !prog.has_loops();
-    let mut bound = 1;
-    loop {
-        let o = VerifyOptions {
+    for bound in 1..=last {
+        let out = step(&VerifyOptions {
             unroll_bound: bound,
             ..opts.clone()
-        };
-        let out = verify(prog, &o);
-        let verdict = out.verdict;
+        })?;
+        let verdict = out.verdict();
         per_bound.push((bound, out));
-        match verdict {
-            Verdict::Unsafe => {
-                return BmcOutcome {
-                    verdict: Verdict::Unsafe,
-                    bound,
-                    per_bound,
-                };
-            }
-            Verdict::Unknown => {
-                return BmcOutcome {
-                    verdict: Verdict::Unknown,
-                    bound,
-                    per_bound,
-                };
-            }
-            Verdict::Safe => {
-                if loop_free || bound >= max_bound {
-                    return BmcOutcome {
-                        verdict: Verdict::Safe,
-                        bound,
-                        per_bound,
-                    };
-                }
-                bound += 1;
-            }
+        if verdict != Verdict::Safe {
+            return Ok(BmcOutcome {
+                verdict,
+                bound,
+                per_bound,
+            });
         }
     }
+    Ok(BmcOutcome {
+        verdict: Verdict::Safe,
+        bound: last,
+        per_bound,
+    })
 }
 
 #[cfg(test)]
@@ -90,7 +99,7 @@ mod tests {
     #[test]
     fn finds_minimal_violating_bound() {
         let opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
-        let out = verify_bmc(&needs_three_iterations(), 6, &opts);
+        let out = verify_bmc(&needs_three_iterations(), 6, &opts).unwrap();
         assert_eq!(out.verdict, Verdict::Unsafe);
         assert_eq!(out.bound, 3, "k* should be 3");
         // Bounds 1 and 2 were unsat.
@@ -102,7 +111,7 @@ mod tests {
     #[test]
     fn safe_up_to_bound() {
         let opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
-        let out = verify_bmc(&needs_three_iterations(), 2, &opts);
+        let out = verify_bmc(&needs_three_iterations(), 2, &opts).unwrap();
         assert_eq!(out.verdict, Verdict::Safe);
         assert_eq!(out.bound, 2);
     }
@@ -114,7 +123,7 @@ mod tests {
             .main(vec![assign("x", c(1)), assert_(eq(v("x"), c(1)))])
             .build();
         let opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
-        let out = verify_bmc(&p, 6, &opts);
+        let out = verify_bmc(&p, 6, &opts).unwrap();
         assert_eq!(out.verdict, Verdict::Safe);
         assert_eq!(
             out.per_bound.len(),
@@ -151,7 +160,7 @@ mod tests {
             max_conflicts: Some(1),
             ..VerifyOptions::new(MemoryModel::Sc, Strategy::Baseline)
         };
-        let out = verify_bmc(&p, 6, &opts);
+        let out = verify_bmc(&p, 6, &opts).unwrap();
         assert_eq!(out.verdict, Verdict::Unknown);
     }
 }

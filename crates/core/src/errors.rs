@@ -2,7 +2,7 @@
 //! to be a panic, as a value the caller can match on.
 //!
 //! The `try_*` entry points of [`crate::verifier`] return these; the
-//! panicking wrappers (`verify`, `verify_ssa`) preserve the historical
+//! panicking wrapper `verify` preserves the historical
 //! behaviour by unwrapping. The portfolio layer additionally converts a
 //! member that panics despite all of this into [`VerifyError::MemberPanic`]
 //! via `catch_unwind`, so one bad member degrades the race instead of

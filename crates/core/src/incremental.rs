@@ -14,7 +14,7 @@
 
 use crate::errors::VerifyError;
 use crate::session::Session;
-use crate::verifier::{Verdict, VerifyOptions};
+use crate::verifier::{RunOutcome, Verdict, VerifyOptions};
 use std::time::{Duration, Instant};
 use zpre_encoder::SweepFrames;
 use zpre_obs::Phase;
@@ -23,7 +23,7 @@ use zpre_sat::{ExhaustionReason, Stats};
 use zpre_smt::ClassCounts;
 
 /// One frame (= one bound) of an incremental sweep.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FrameOutcome {
     /// The unroll bound this frame restricted the instance to.
     pub bound: u32,
@@ -48,7 +48,7 @@ pub struct FrameOutcome {
 }
 
 /// Result of an incremental bound sweep.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SweepOutcome {
     /// Overall verdict: `Unsafe` as soon as some bound is satisfiable,
     /// `Safe` if every bound up to the horizon is unsatisfiable, `Unknown`
@@ -82,16 +82,20 @@ pub struct SweepOutcome {
     pub trace: Option<crate::trace::Trace>,
 }
 
-/// Runs an incremental bound sweep over `1..=opts.max_bound`.
-///
-/// # Panics
-///
-/// Panics on any [`VerifyError`] — use [`try_verify_sweep`] for a typed
-/// result.
-pub fn verify_sweep(prog: &Program, opts: &VerifyOptions) -> SweepOutcome {
-    match try_verify_sweep(prog, opts) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
+impl RunOutcome for SweepOutcome {
+    fn verdict(&self) -> Verdict {
+        self.verdict
+    }
+    /// The last solved frame's reason: only an `Unknown` frame ends a
+    /// sweep early.
+    fn exhaustion(&self) -> Option<ExhaustionReason> {
+        self.frames.last().and_then(|f| f.exhaustion)
+    }
+    fn stats(&self) -> &Stats {
+        &self.stats
+    }
+    fn bound(&self) -> Option<u32> {
+        Some(self.bound)
     }
 }
 
@@ -150,13 +154,9 @@ pub fn try_verify_sweep_resumed(
     sweep_impl(prog, opts, true, start_bound.max(1), on_frame)
 }
 
-fn sweep_impl(
-    prog: &Program,
-    opts: &VerifyOptions,
-    stop_early: bool,
-    start_bound: u32,
-    on_frame: &mut dyn FnMut(&FrameOutcome),
-) -> Result<SweepOutcome, VerifyError> {
+/// The one fail-closed check for certified sweeps, shared by every sweep
+/// entry point and the portfolio race over sweeps.
+pub(crate) fn refuse_certified(opts: &VerifyOptions) -> Result<(), VerifyError> {
     if opts.certify {
         return Err(VerifyError::Certification {
             stage: "sweep",
@@ -165,6 +165,17 @@ fn sweep_impl(
                 .to_string(),
         });
     }
+    Ok(())
+}
+
+fn sweep_impl(
+    prog: &Program,
+    opts: &VerifyOptions,
+    stop_early: bool,
+    start_bound: u32,
+    on_frame: &mut dyn FnMut(&FrameOutcome),
+) -> Result<SweepOutcome, VerifyError> {
+    refuse_certified(opts)?;
     let t0 = Instant::now();
     let rec = opts.recorder.as_ref();
     let max_bound = opts.max_bound.max(1);
@@ -296,12 +307,12 @@ mod tests {
     fn sweep_finds_kstar_and_matches_scratch() {
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 6;
-        let sweep = verify_sweep(&kstar3(), &opts);
+        let sweep = try_verify_sweep(&kstar3(), &opts).unwrap();
         assert_eq!(sweep.verdict, Verdict::Unsafe);
         assert_eq!(sweep.bound, 3, "k* = 3");
         assert_eq!(sweep.frames.len(), 3);
 
-        let scratch = verify_bmc(&kstar3(), 6, &opts);
+        let scratch = verify_bmc(&kstar3(), 6, &opts).unwrap();
         assert_eq!(scratch.verdict, Verdict::Unsafe);
         assert_eq!(scratch.bound, sweep.bound);
         for (f, (b, o)) in sweep.frames.iter().zip(&scratch.per_bound) {
@@ -336,7 +347,7 @@ mod tests {
     fn later_frames_inherit_solver_state() {
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 4;
-        let sweep = verify_sweep(&kstar3(), &opts);
+        let sweep = try_verify_sweep(&kstar3(), &opts).unwrap();
         assert!(sweep.frames.len() >= 2);
         assert_eq!(sweep.frames[0].reused_learnts, 0);
         assert_eq!(sweep.frames[0].reused_conflicts, 0);
@@ -354,7 +365,7 @@ mod tests {
     fn loop_free_sweep_solves_one_frame() {
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 6;
-        let sweep = verify_sweep(&racy(), &opts);
+        let sweep = try_verify_sweep(&racy(), &opts).unwrap();
         assert!(sweep.loop_free);
         assert_eq!(sweep.frames.len(), 1);
         assert_eq!(sweep.verdict, Verdict::Unsafe);
@@ -372,7 +383,7 @@ mod tests {
             .build();
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 5;
-        let sweep = verify_sweep(&p, &opts);
+        let sweep = try_verify_sweep(&p, &opts).unwrap();
         assert_eq!(sweep.verdict, Verdict::Safe);
         assert_eq!(sweep.bound, 5);
         assert_eq!(sweep.frames.len(), 5);
@@ -384,7 +395,7 @@ mod tests {
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 4;
         opts.want_trace = true;
-        let sweep = verify_sweep(&kstar3(), &opts);
+        let sweep = try_verify_sweep(&kstar3(), &opts).unwrap();
         assert_eq!(sweep.verdict, Verdict::Unsafe);
         let trace = sweep.trace.expect("trace requested");
         assert!(!trace.steps.is_empty());
@@ -394,7 +405,7 @@ mod tests {
     fn resumed_sweep_matches_uninterrupted_tail() {
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 6;
-        let full = verify_sweep(&kstar3(), &opts);
+        let full = try_verify_sweep(&kstar3(), &opts).unwrap();
         assert_eq!(full.frames.len(), 3, "k*=3 under stop-early");
 
         // Resume from bound 3 as if frames 1–2 came from a journal: the
@@ -424,7 +435,7 @@ mod tests {
         // The pruned encoding of kstar3 solves within zero conflicts; this
         // test is about exhaustion reporting, so keep the instance hard.
         opts.prune = false;
-        let sweep = verify_sweep(&kstar3(), &opts);
+        let sweep = try_verify_sweep(&kstar3(), &opts).unwrap();
         assert_eq!(sweep.verdict, Verdict::Unknown);
         let last = sweep.frames.last().unwrap();
         assert_eq!(last.verdict, Verdict::Unknown);
@@ -455,12 +466,12 @@ mod tests {
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 6;
         opts.max_conflicts = None;
-        let free = verify_sweep(&kstar3(), &opts);
+        let free = try_verify_sweep(&kstar3(), &opts).unwrap();
         let worst = free.frames.iter().map(|f| f.conflicts).max().unwrap();
         let total: u64 = free.frames.iter().map(|f| f.conflicts).sum();
         if total > worst {
             opts.max_conflicts = Some(worst + 1);
-            let capped = verify_sweep(&kstar3(), &opts);
+            let capped = try_verify_sweep(&kstar3(), &opts).unwrap();
             assert_eq!(capped.verdict, free.verdict);
             assert_eq!(capped.bound, free.bound);
         }

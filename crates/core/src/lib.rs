@@ -20,7 +20,10 @@
 //! - `session` (crate-private) — the one solver set-up (theory, encoding,
 //!   observers, share endpoint, decision order and guide) and the one
 //!   solve step over an assumption frame, shared by [`verifier`],
-//!   [`incremental`] and every [`portfolio`] member.
+//!   [`incremental`] and every [`portfolio`] member;
+//! - [`portfolio`] — one race whose members run single-bound verifies or
+//!   whole sweeps, and [`bmc`] — one bound loop around any
+//!   single-bound step, so every mode composes with every other.
 //!
 //! ## Quickstart
 //!
@@ -59,7 +62,7 @@ pub mod strategy;
 pub mod trace;
 pub mod verifier;
 
-pub use bmc::{verify_bmc, BmcOutcome};
+pub use bmc::{verify_bmc, verify_bmc_with, BmcOutcome};
 pub use certify::Certificate;
 pub use decision_order::{decision_order, prior_to, Refinements};
 pub use errors::VerifyError;
@@ -68,17 +71,16 @@ pub use harness::{
     run_batch, BatchOptions, BatchOutcome, BatchTask, LadderRung, RungRecord, TaskReport,
 };
 pub use incremental::{
-    try_verify_sweep, try_verify_sweep_full, try_verify_sweep_resumed, verify_sweep, FrameOutcome,
-    SweepOutcome,
+    try_verify_sweep, try_verify_sweep_full, try_verify_sweep_resumed, FrameOutcome, SweepOutcome,
 };
 pub use portfolio::{
-    verify_portfolio, verify_ssa_portfolio, MemberResult, PortfolioMember, PortfolioOptions,
+    try_verify_portfolio_sweep, verify_portfolio, MemberResult, PortfolioMember, PortfolioOptions,
     PortfolioOutcome,
 };
 pub use strategy::Strategy;
 pub use trace::{Trace, TraceStep};
 pub use verifier::{
-    try_verify, try_verify_ssa, verify, verify_ssa, Verdict, VerifyOptions, VerifyOutcome,
+    try_verify, try_verify_ssa, verify, RunOutcome, Verdict, VerifyOptions, VerifyOutcome,
 };
 pub use zpre_sat::{ExhaustionReason, ShareConfig, ShareSpec};
 

@@ -3,8 +3,10 @@
 //! Table 3 of the paper (and `experiments_output.txt`) shows the three main
 //! strategies routinely differing by 3x on the same task, and single
 //! heuristics can be exponentially unlucky on adversarial instances. A
-//! portfolio hedges both: every member solves the *same* [`SsaProgram`]
-//! under its own strategy/seed on its own scoped thread, the first
+//! portfolio hedges both: every member runs the same body — one bound's
+//! verify over the *same* SSA program ([`verify_portfolio`]) or a whole
+//! bound sweep ([`try_verify_portfolio_sweep`]) — under its own
+//! strategy/seed on its own scoped thread, the first
 //! definitive ([`Verdict::Safe`] / [`Verdict::Unsafe`]) answer wins, and a
 //! shared [`CancelToken`] stops the losers within a bounded work stride
 //! (see `zpre_sat::Budget`).
@@ -28,13 +30,16 @@
 //! single-strategy run.
 
 use crate::errors::VerifyError;
+use crate::incremental::{refuse_certified, try_verify_sweep, FrameOutcome, SweepOutcome};
 use crate::strategy::Strategy;
-use crate::verifier::{front_end, verify_ssa_inner, Verdict, VerifyOptions, VerifyOutcome};
+use crate::verifier::{
+    front_end, verify_ssa_inner, RunOutcome, Verdict, VerifyOptions, VerifyOutcome,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use zpre_obs::{MemberRecord, Recorder};
-use zpre_prog::{FlatProgram, Program, SsaProgram};
+use zpre_prog::Program;
 use zpre_sat::{CancelToken, ExhaustionReason, ShareConfig, ShareSpec, SharedPool};
 
 /// One racing configuration.
@@ -73,7 +78,8 @@ pub struct PortfolioOptions {
     /// [`SharedPool`] and hands every member an interference-aware export/
     /// import endpoint. Sound because every member solves the identical
     /// CNF+theory instance. The bounded retry never shares — it exists to
-    /// re-check a suspect race from a clean slate.
+    /// re-check a suspect race from a clean slate — and neither does
+    /// [`try_verify_portfolio_sweep`].
     pub share: Option<ShareConfig>,
 }
 
@@ -133,12 +139,14 @@ pub struct MemberResult {
     pub exhaustion: Option<ExhaustionReason>,
 }
 
-/// Result of a portfolio run.
+/// Result of a portfolio run. `O` is what one member's body returns: a
+/// single-bound [`VerifyOutcome`] for [`verify_portfolio`], a whole
+/// [`SweepOutcome`] for [`try_verify_portfolio_sweep`].
 #[derive(Clone, Debug)]
-pub struct PortfolioOutcome {
+pub struct PortfolioOutcome<O = VerifyOutcome> {
     /// The winning member's full outcome (or a synthesized `Unknown`
     /// outcome when no member was definitive).
-    pub outcome: VerifyOutcome,
+    pub outcome: O,
     /// Winning member's name; `None` when every member returned `Unknown`
     /// or was quarantined.
     pub winner: Option<String>,
@@ -155,39 +163,75 @@ pub struct PortfolioOutcome {
     pub cancel_latency: Option<Duration>,
 }
 
-impl PortfolioOutcome {
+impl<O: RunOutcome> PortfolioOutcome<O> {
     /// The verdict of the race.
     pub fn verdict(&self) -> Verdict {
-        self.outcome.verdict
+        self.outcome.verdict()
     }
 }
 
-/// Unrolls + SSA-converts `prog` once, then races the portfolio over it.
+/// Unrolls + SSA-converts `prog` once, then races the members' single-bound
+/// verifies over it.
 ///
 /// When `base.certify` is set, the flat lowering is shared with every
 /// member so certified `Unsafe` verdicts can replay their witness.
 pub fn verify_portfolio(prog: &Program, opts: &PortfolioOptions) -> PortfolioOutcome {
     let (ssa, flat) = front_end(prog, &opts.base);
-    portfolio_inner(&ssa, opts, flat.as_ref())
+    let body = |o: &VerifyOptions| verify_ssa_inner(&ssa, o, Instant::now(), flat.as_ref());
+    race(opts, &body, || VerifyOutcome {
+        num_events: ssa.events.len(),
+        exhaustion: Some(ExhaustionReason::Quarantined),
+        ..Default::default()
+    })
 }
 
-/// Races all members over the same SSA program on scoped threads.
+/// Races the members' whole bound sweeps over `1..=base.max_bound`: each
+/// member runs [`try_verify_sweep`] under its own strategy and seed.
 ///
-/// Certified `Unsafe` verdicts fail closed here (no flat program to replay
-/// against); use [`verify_portfolio`] for certified runs.
-pub fn verify_ssa_portfolio(ssa: &SsaProgram, opts: &PortfolioOptions) -> PortfolioOutcome {
-    portfolio_inner(ssa, opts, None)
+/// `share` is ignored: a sweep solves every frame under a non-empty
+/// assumption prefix, and the solver exchanges clauses only at the root
+/// (DESIGN.md §6g), so a pool would collect exports nobody imports. Fails
+/// closed, before racing, on what a single sweep cannot do
+/// (certification).
+pub fn try_verify_portfolio_sweep(
+    prog: &Program,
+    opts: &PortfolioOptions,
+) -> Result<PortfolioOutcome<SweepOutcome>, VerifyError> {
+    refuse_certified(&opts.base)?;
+    let opts = PortfolioOptions {
+        share: None,
+        ..opts.clone()
+    };
+    Ok(race_sweeps(prog, &opts, &|o| try_verify_sweep(prog, o)))
+}
+
+/// [`race`] over sweep bodies. When every member failed, the outcome is
+/// one `Unknown` frame at bound 1 with [`ExhaustionReason::Quarantined`],
+/// as [`verify_portfolio`] reports it for a single bound.
+fn race_sweeps(
+    prog: &Program,
+    opts: &PortfolioOptions,
+    body: &(dyn Fn(&VerifyOptions) -> Result<SweepOutcome, VerifyError> + Sync),
+) -> PortfolioOutcome<SweepOutcome> {
+    race(opts, body, || SweepOutcome {
+        bound: 1,
+        frames: vec![FrameOutcome {
+            bound: 1,
+            exhaustion: Some(ExhaustionReason::Quarantined),
+            ..Default::default()
+        }],
+        loop_free: !prog.has_loops(),
+        ..Default::default()
+    })
 }
 
 /// One member's run, quarantined: a panic becomes an `Err(String)`, as
 /// does a typed [`VerifyError`].
-fn run_member(
-    ssa: &SsaProgram,
+fn run_member<O>(
+    body: &(dyn Fn(&VerifyOptions) -> Result<O, VerifyError> + Sync),
     opts: &VerifyOptions,
-    flat: Option<&FlatProgram>,
-) -> Result<VerifyOutcome, String> {
-    let run = || verify_ssa_inner(ssa, opts, Instant::now(), flat);
-    match catch_unwind(AssertUnwindSafe(run)) {
+) -> Result<O, String> {
+    match catch_unwind(AssertUnwindSafe(|| body(opts))) {
         Ok(Ok(outcome)) => Ok(outcome),
         Ok(Err(e)) => Err(e.to_string()),
         Err(payload) => {
@@ -208,11 +252,11 @@ fn run_member(
 /// Reports one finished member: its [`MemberResult`] and, with a recorder
 /// installed, its per-strategy telemetry record (who won, who was
 /// cancelled at what depth, who was quarantined and why).
-fn report_member(
+fn report_member<O: RunOutcome>(
     rec: Option<&Recorder>,
     name: &str,
     strategy: Strategy,
-    report: &Result<VerifyOutcome, String>,
+    report: &Result<O, String>,
     time: Duration,
     cancelled: bool,
     winner: bool,
@@ -222,20 +266,20 @@ fn report_member(
         strategy,
         verdict: report
             .as_ref()
-            .map(|o| o.verdict)
+            .map(|o| o.verdict())
             .unwrap_or(Verdict::Unknown),
         time,
         cancelled,
         error: report.as_ref().err().cloned(),
         exhaustion: match report {
-            Ok(o) => o.exhaustion,
+            Ok(o) => o.exhaustion(),
             Err(_) => Some(ExhaustionReason::Quarantined),
         },
     };
     if let Some(r) = rec {
         let (decisions, conflicts) = report
             .as_ref()
-            .map(|o| (o.stats.decisions, o.stats.conflicts))
+            .map(|o| (o.stats().decisions, o.stats().conflicts))
             .unwrap_or((0, 0));
         r.record_member(MemberRecord {
             name: m.name.clone(),
@@ -252,27 +296,16 @@ fn report_member(
     m
 }
 
-/// A synthesized `Unknown` outcome for races without a definitive member.
-fn unknown_outcome(ssa: &SsaProgram, exhaustion: Option<ExhaustionReason>) -> VerifyOutcome {
-    VerifyOutcome {
-        verdict: Verdict::Unknown,
-        stats: Default::default(),
-        solve_time: Duration::ZERO,
-        encode_time: Duration::ZERO,
-        num_events: ssa.events.len(),
-        class_counts: Default::default(),
-        num_solver_vars: 0,
-        trace: None,
-        certificate: None,
-        exhaustion,
-    }
-}
-
-fn portfolio_inner(
-    ssa: &SsaProgram,
+/// Races `body` — one member's whole run under its own options — for every
+/// member on scoped threads: first definitive verdict wins, losers are
+/// cancelled, failures are quarantined, dissent is surfaced and a race
+/// without a definitive member makes one bounded retry. `unknown` builds
+/// the outcome reported when every member failed.
+fn race<O: RunOutcome + Send>(
     opts: &PortfolioOptions,
-    flat: Option<&FlatProgram>,
-) -> PortfolioOutcome {
+    body: &(dyn Fn(&VerifyOptions) -> Result<O, VerifyError> + Sync),
+    unknown: impl FnOnce() -> O,
+) -> PortfolioOutcome<O> {
     assert!(
         !opts.members.is_empty(),
         "portfolio needs at least one member"
@@ -283,11 +316,11 @@ fn portfolio_inner(
     // the race drops the pool — shared clauses never outlive the instance
     // they are consequences of.
     let share_pool = opts.share.map(|cfg| (SharedPool::new(cfg.pool_cap), cfg));
-    type Report = (usize, Result<VerifyOutcome, String>, Duration);
-    let (tx, rx) = mpsc::channel::<Report>();
+    type Report<O> = (usize, Result<O, String>, Duration);
+    let (tx, rx) = mpsc::channel::<Report<O>>();
 
-    let mut slots: Vec<Option<(Result<VerifyOutcome, String>, Duration)>> =
-        vec![None; opts.members.len()];
+    let mut slots: Vec<Option<(Result<O, String>, Duration)>> =
+        (0..opts.members.len()).map(|_| None).collect();
     let mut first_definitive: Option<usize> = None;
     let mut cancelled_at: Option<Instant> = None;
     let mut cancel_latency: Option<Duration> = None;
@@ -314,7 +347,7 @@ fn portfolio_inner(
             });
             scope.spawn(move || {
                 let t0 = Instant::now();
-                let report = run_member(ssa, &member_opts, flat);
+                let report = run_member(body, &member_opts);
                 // The receiver hangs up after processing every member, so a
                 // send can only fail if the scope is already unwinding.
                 let _ = tx.send((i, report, t0.elapsed()));
@@ -336,7 +369,7 @@ fn portfolio_inner(
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             };
-            let definitive = matches!(&report, Ok(o) if o.verdict != Verdict::Unknown);
+            let definitive = matches!(&report, Ok(o) if o.verdict() != Verdict::Unknown);
             if definitive && first_definitive.is_none() {
                 first_definitive = Some(i);
                 token.cancel();
@@ -349,7 +382,7 @@ fn portfolio_inner(
         cancel_latency = cancelled_at.map(|t| t.elapsed());
     });
 
-    let results: Vec<(Result<VerifyOutcome, String>, Duration)> = slots
+    let results: Vec<(Result<O, String>, Duration)> = slots
         .into_iter()
         .map(|s| s.unwrap_or_else(|| (Err("member never reported".to_string()), Duration::ZERO)))
         .collect();
@@ -363,21 +396,27 @@ fn portfolio_inner(
         .collect();
     let mut unknown_reason: Option<String> = None;
 
-    // Cross-check: every definitive verdict must agree with the winner's.
+    // Cross-check: every definitive verdict must agree with the winner's,
+    // and so must the bound that decided it when the body sweeps bounds.
     // Disagreement is a solver bug; surface it as an untrusted race rather
     // than crashing the caller.
     if let Some(win) = first_definitive {
-        let winner_verdict = results[win].0.as_ref().expect("winner is Ok").verdict;
+        let decided = |o: &O| (o.verdict(), o.bound());
+        let says = |o: &O| match o.bound() {
+            Some(k) => format!("{} at bound {k}", o.verdict()),
+            None => o.verdict().to_string(),
+        };
+        let winner = results[win].0.as_ref().expect("winner is Ok");
         let dissent = opts.members.iter().zip(&results).find(|(_, (r, _))| {
-            matches!(r, Ok(o) if o.verdict != Verdict::Unknown && o.verdict != winner_verdict)
+            matches!(r, Ok(o) if o.verdict() != Verdict::Unknown && decided(o) != decided(winner))
         });
         if let Some((member, (r, _))) = dissent {
             unknown_reason = Some(format!(
                 "portfolio members disagree: {} says {}, {} says {} — discarding both verdicts",
                 opts.members[win].name,
-                winner_verdict,
+                says(winner),
                 member.name,
-                r.as_ref().expect("dissenting member is Ok").verdict,
+                says(r.as_ref().expect("dissenting member is Ok")),
             ));
             first_definitive = None;
             cancel_latency = None;
@@ -391,7 +430,7 @@ fn portfolio_inner(
         .zip(&results)
         .enumerate()
         .map(|(i, (member, (report, elapsed)))| {
-            let cancelled = matches!(report, Ok(o) if o.verdict == Verdict::Unknown)
+            let cancelled = matches!(report, Ok(o) if o.verdict() == Verdict::Unknown)
                 && first_definitive.is_some();
             let winner = first_definitive == Some(i);
             report_member(
@@ -438,9 +477,9 @@ fn portfolio_inner(
             .as_ref()
             .map(|r| r.member_labeled("retry:baseline"));
         let t0 = Instant::now();
-        let report = run_member(ssa, &retry_opts, flat);
+        let report = run_member(body, &retry_opts);
         let retry_name = "retry:baseline".to_string();
-        let winner = matches!(&report, Ok(o) if o.verdict != Verdict::Unknown);
+        let winner = matches!(&report, Ok(o) if o.verdict() != Verdict::Unknown);
         members.push(report_member(
             rec,
             &retry_name,
@@ -451,7 +490,7 @@ fn portfolio_inner(
             winner,
         ));
         match report {
-            Ok(outcome) if outcome.verdict != Verdict::Unknown => {
+            Ok(outcome) if outcome.verdict() != Verdict::Unknown => {
                 return PortfolioOutcome {
                     outcome,
                     winner: Some(retry_name),
@@ -483,8 +522,8 @@ fn portfolio_inner(
     // synthesize one only when every member failed.
     let outcome = results
         .into_iter()
-        .find_map(|(r, _)| r.ok().filter(|o| o.verdict == Verdict::Unknown))
-        .unwrap_or_else(|| unknown_outcome(ssa, Some(ExhaustionReason::Quarantined)));
+        .find_map(|(r, _)| r.ok().filter(|o| o.verdict() == Verdict::Unknown))
+        .unwrap_or_else(unknown);
 
     PortfolioOutcome {
         outcome,
@@ -674,5 +713,40 @@ mod tests {
         assert_eq!(folio.quarantined.len(), 5, "{:?}", folio.quarantined);
         assert!(folio.unknown_reason.is_some());
         assert!(folio.members.iter().all(|m| m.error.is_some()));
+    }
+    #[test]
+    fn sweep_members_deciding_at_different_bounds_dissent() {
+        // Every member says Unsafe, but one at bound 2 and the rest at
+        // bound 3: the race must not trust either bound.
+        let opts = PortfolioOptions::new(VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre));
+        let folio = race_sweeps(&racy(), &opts, &|o| {
+            Ok(SweepOutcome {
+                verdict: Verdict::Unsafe,
+                bound: if o.strategy == Strategy::ZpreMinus {
+                    2
+                } else {
+                    3
+                },
+                ..Default::default()
+            })
+        });
+        assert!(folio.winner.is_none());
+        let reason = folio.unknown_reason.expect("dissent is reported");
+        assert!(reason.contains("at bound 2"), "{reason}");
+    }
+
+    #[test]
+    fn quarantined_sweep_race_reports_why_it_is_unknown() {
+        let opts = PortfolioOptions::new(VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre));
+        let folio = race_sweeps(&racy(), &opts, &|_| {
+            Err(VerifyError::ModelValidation("injected".to_string()))
+        });
+        assert_eq!(folio.verdict(), Verdict::Unknown);
+        assert_eq!(folio.quarantined.len(), 5, "{:?}", folio.quarantined);
+        assert_eq!(folio.outcome.bound, 1);
+        assert_eq!(
+            folio.outcome.exhaustion(),
+            Some(ExhaustionReason::Quarantined)
+        );
     }
 }

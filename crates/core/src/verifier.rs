@@ -25,14 +25,15 @@ use zpre_sat::{CancelToken, ExhaustionReason, PriorityListGuide, ShareSpec, Solv
 use zpre_smt::{ClassCounts, OrderTheory, VarKind};
 
 /// Verification verdict.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum Verdict {
     /// The property holds for all executions within the unroll bound
     /// (the SMT instance is unsatisfiable) — SV-COMP "true".
     Safe,
     /// A violating execution exists (satisfiable) — SV-COMP "false".
     Unsafe,
-    /// Budget exhausted.
+    /// Budget exhausted (or no verdict reached yet).
+    #[default]
     Unknown,
 }
 
@@ -56,7 +57,7 @@ pub struct VerifyOptions {
     pub strategy: Strategy,
     /// BMC loop unroll bound.
     pub unroll_bound: u32,
-    /// Sweep horizon for [`crate::verify_sweep`]: bounds `1..=max_bound`
+    /// Sweep horizon for [`crate::try_verify_sweep`]: bounds `1..=max_bound`
     /// are checked incrementally in one solver. Ignored by [`verify`],
     /// which solves the single bound `unroll_bound`.
     pub max_bound: u32,
@@ -148,7 +149,7 @@ impl VerifyOptions {
 
 /// Result of a verification run, with the search statistics the paper's
 /// Table 2 reports.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct VerifyOutcome {
     /// The verdict.
     pub verdict: Verdict,
@@ -171,6 +172,34 @@ pub struct VerifyOutcome {
     /// Which budget was exhausted when the verdict is `Unknown`; `None` on
     /// definitive answers.
     pub exhaustion: Option<ExhaustionReason>,
+}
+
+/// What the portfolio race and the `--bmc` bound loop read from a run's
+/// result, whichever entry point produced it.
+pub trait RunOutcome {
+    /// The run's verdict.
+    fn verdict(&self) -> Verdict;
+    /// Which budget ended an `Unknown` run; `None` on definitive verdicts.
+    fn exhaustion(&self) -> Option<ExhaustionReason>;
+    /// Cumulative solver statistics.
+    fn stats(&self) -> &Stats;
+    /// The bound that decided a run over several bounds; `None` for a
+    /// single-bound run.
+    fn bound(&self) -> Option<u32> {
+        None
+    }
+}
+
+impl RunOutcome for VerifyOutcome {
+    fn verdict(&self) -> Verdict {
+        self.verdict
+    }
+    fn exhaustion(&self) -> Option<ExhaustionReason> {
+        self.exhaustion
+    }
+    fn stats(&self) -> &Stats {
+        &self.stats
+    }
 }
 
 /// Verifies `prog` under `opts`.
@@ -201,19 +230,6 @@ pub(crate) fn front_end(prog: &Program, opts: &VerifyOptions) -> (SsaProgram, Op
     let ssa = to_ssa_traced(&unrolled, rec);
     let flat = opts.certify.then(|| flatten(&unrolled));
     (ssa, flat)
-}
-
-/// Verifies an already-converted SSA program.
-///
-/// # Panics
-///
-/// Panics on any [`VerifyError`] — use [`try_verify_ssa`] for a typed
-/// result.
-pub fn verify_ssa(ssa: &SsaProgram, opts: &VerifyOptions) -> VerifyOutcome {
-    match try_verify_ssa(ssa, opts) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 /// Verifies an already-converted SSA program, reporting failures as typed

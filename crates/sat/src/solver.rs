@@ -424,7 +424,10 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         let mut result = None;
         for c in incoming {
             // All members blast one SSA instance, so variable numberings
-            // agree; the guard is defensive against misconfigured pools.
+            // agree on every variable both have created; a clause over a
+            // variable this solver has not created cannot be attached.
+            // Sweeps never get here: they solve under assumptions, which
+            // skip the exchange (DESIGN.md §6g).
             if c.lits.iter().any(|l| l.var().index() >= self.num_vars()) {
                 self.stats.sh_dropped += 1;
                 continue;
@@ -2143,6 +2146,31 @@ mod share_tests {
         let mut b = build(spec(&pool, 1));
         assert_eq!(b.solve(), SolveResult::Unsat);
         assert!(b.stats().sh_imported > 0, "no clauses imported");
+    }
+
+    #[test]
+    fn import_drops_clauses_over_variables_not_yet_created() {
+        // A sweep member two frames ahead exports a clause over its frame
+        // activation variable; a member that has not created that variable
+        // yet must drop the clause, not index past its own tables.
+        let pool = SharedPool::new(16);
+        let mut ahead = Solver::new();
+        let w = vars(&mut ahead, 4);
+        let mut exporter = spec(&pool, 0).endpoint();
+        assert!(exporter.offer(
+            ShareClass::Generic,
+            1,
+            &[w[0].positive(), w[3].negative()],
+            None,
+        ));
+        exporter.flush();
+        let mut s = Solver::new();
+        let v = vars(&mut s, 2);
+        assert!(s.add_clause(&[v[0].negative(), v[1].positive()]));
+        s.set_share(&spec(&pool, 1));
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.stats().sh_imported, 0);
+        assert_eq!(s.stats().sh_dropped, 1);
     }
 
     #[test]

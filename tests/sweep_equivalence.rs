@@ -4,7 +4,10 @@
 //! verdict, at the same bound, with the same per-bound verdict sequence,
 //! as re-encoding and solving each bound from scratch.
 
-use zpre::{try_verify_sweep, verify_bmc, Strategy, VerifyOptions};
+use zpre::{
+    try_verify_portfolio_sweep, try_verify_sweep, verify_bmc, PortfolioOptions, ShareConfig,
+    Strategy, VerifyOptions,
+};
 use zpre_prog::build::*;
 use zpre_prog::MemoryModel;
 use zpre_workloads::{suite, Scale, Subcat};
@@ -23,7 +26,8 @@ fn assert_sweep_matches_scratch(
         max_bound: HORIZON,
         ..VerifyOptions::new(mm, Strategy::Zpre)
     };
-    let scratch = verify_bmc(program, HORIZON, &opts);
+    let scratch =
+        verify_bmc(program, HORIZON, &opts).unwrap_or_else(|e| panic!("{name} {mm}: {e}"));
     let sweep = try_verify_sweep(program, &opts).unwrap_or_else(|e| panic!("{name} {mm}: {e}"));
     assert_eq!(
         sweep.verdict, scratch.verdict,
@@ -110,6 +114,40 @@ fn sweep_matches_scratch_on_loopy_programs() {
     ] {
         for mm in MemoryModel::ALL {
             assert_sweep_matches_scratch(name, p, HORIZON, mm);
+        }
+    }
+}
+
+/// A race of whole sweeps, asked to share, decides like one sweep on every
+/// family of the quick suite under every memory model: same verdict, same
+/// deciding bound, and no finished member dissents on either. Sweep members
+/// get no share endpoint (DESIGN.md §6g), so nothing is exported.
+#[test]
+fn sharing_sweep_race_matches_single_sweep_on_every_family() {
+    for task in &suite(Scale::Quick) {
+        for mm in MemoryModel::ALL {
+            let opts = VerifyOptions {
+                unroll_bound: task.unroll_bound,
+                max_bound: HORIZON,
+                ..VerifyOptions::new(mm, Strategy::Zpre)
+            };
+            let name = &task.name;
+            let single = try_verify_sweep(&task.program, &opts)
+                .unwrap_or_else(|e| panic!("{name} {mm}: {e}"));
+            let race = PortfolioOptions::new(opts).with_share(ShareConfig::default());
+            let raced = try_verify_portfolio_sweep(&task.program, &race)
+                .unwrap_or_else(|e| panic!("{name} {mm}: {e}"));
+            assert_eq!(raced.verdict(), single.verdict, "{name} {mm}: verdict");
+            assert_eq!(raced.outcome.bound, single.bound, "{name} {mm}: bound");
+            // The race cross-checks every finished definitive member's
+            // (verdict, bound) against the winner's and reports dissent.
+            assert_eq!(raced.unknown_reason, None, "{name} {mm}: members disagree");
+            assert!(
+                raced.quarantined.is_empty(),
+                "{name} {mm}: {:?}",
+                raced.quarantined
+            );
+            assert_eq!(raced.outcome.stats.sh_exported, 0, "{name} {mm}: exports");
         }
     }
 }
