@@ -5,7 +5,7 @@ use std::time::Duration;
 use zpre::{
     try_verify, verify_portfolio, PortfolioOptions, ShareConfig, Strategy, Verdict, VerifyOptions,
 };
-use zpre_obs::{Phase, Recorder, TraceConfig, VarClass};
+use zpre_obs::{ndjson, Phase, Recorder, TraceConfig, VarClass};
 use zpre_prog::MemoryModel;
 use zpre_workloads::{Scale, Subcat, Task};
 
@@ -304,7 +304,7 @@ pub fn run_one(task: &Task, mm: MemoryModel, strategy: Strategy, cfg: &RunConfig
             subcat: task.subcat.name().to_string(),
             mm: mm.name().to_string(),
             strategy: strategy.name().to_string(),
-            verdict: verdict_str(out.verdict).to_string(),
+            verdict: out.verdict.to_string(),
             solve_ms: out.solve_time.as_secs_f64() * 1e3,
             encode_ms: out.encode_time.as_secs_f64() * 1e3,
             decisions: out.stats.decisions,
@@ -342,14 +342,6 @@ pub fn run_one(task: &Task, mm: MemoryModel, strategy: Strategy, cfg: &RunConfig
     }
 }
 
-fn verdict_str(v: Verdict) -> &'static str {
-    match v {
-        Verdict::Safe => "safe",
-        Verdict::Unsafe => "unsafe",
-        Verdict::Unknown => "unknown",
-    }
-}
-
 /// Runs a single (task, memory model) measurement with the default
 /// portfolio racing the main strategies. The row's `strategy` column is
 /// `"portfolio"`; solver statistics come from the winning member.
@@ -384,7 +376,7 @@ pub fn run_one_portfolio(task: &Task, mm: MemoryModel, cfg: &RunConfig) -> TaskR
         subcat: task.subcat.name().to_string(),
         mm: mm.name().to_string(),
         strategy: "portfolio".to_string(),
-        verdict: verdict_str(out.verdict).to_string(),
+        verdict: out.verdict.to_string(),
         solve_ms: out.solve_time.as_secs_f64() * 1e3,
         encode_ms: out.encode_time.as_secs_f64() * 1e3,
         decisions: out.stats.decisions,
@@ -506,20 +498,17 @@ pub fn csv_row(r: &TaskResult) -> String {
 /// NDJSON streaming: the harness appends one per completed measurement so
 /// an interrupted run leaves a parseable prefix behind.
 pub fn json_row(r: &TaskResult) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
     format!(
-        "{{\"task\":\"{}\",\"subcat\":\"{}\",\"mm\":\"{}\",\"strategy\":\"{}\",\
-         \"verdict\":\"{}\",\"solve_ms\":{:.3},\"encode_ms\":{:.3},\"decisions\":{},\
+        "{{\"task\":{},\"subcat\":{},\"mm\":{},\"strategy\":{},\
+         \"verdict\":{},\"solve_ms\":{:.3},\"encode_ms\":{:.3},\"decisions\":{},\
          \"propagations\":{},\"conflicts\":{},\"guided_decisions\":{},\"expected_ok\":{},\
          \"winner\":{},\"cancel_latency_ms\":{},\"certified\":{},\"quarantined\":{},\
          \"telemetry\":{}}}",
-        esc(&r.task),
-        esc(&r.subcat),
-        esc(&r.mm),
-        esc(&r.strategy),
-        esc(&r.verdict),
+        ndjson::quoted(&r.task),
+        ndjson::quoted(&r.subcat),
+        ndjson::quoted(&r.mm),
+        ndjson::quoted(&r.strategy),
+        ndjson::quoted(&r.verdict),
         r.solve_ms,
         r.encode_ms,
         r.decisions,
@@ -527,17 +516,13 @@ pub fn json_row(r: &TaskResult) -> String {
         r.conflicts,
         r.guided_decisions,
         r.expected_ok,
-        r.winner
-            .as_deref()
-            .map_or("null".to_string(), |w| format!("\"{}\"", esc(w))),
+        r.winner.as_deref().map_or("null".into(), ndjson::quoted),
         r.cancel_latency_ms
             .map_or("null".to_string(), |l| format!("{l:.3}")),
-        r.certified
-            .as_deref()
-            .map_or("null".to_string(), |c| format!("\"{}\"", esc(c))),
+        r.certified.as_deref().map_or("null".into(), ndjson::quoted),
         r.quarantined
             .as_deref()
-            .map_or("null".to_string(), |q| format!("\"{}\"", esc(q))),
+            .map_or("null".into(), ndjson::quoted),
         telemetry_json(r.telemetry.as_ref()),
     )
 }
@@ -556,18 +541,15 @@ pub fn to_csv(results: &[TaskResult]) -> String {
 /// Serializes results as pretty-printed JSON (hand-rolled: the build
 /// environment has no registry access, so serde is not available).
 pub fn to_json(results: &[TaskResult]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
     let mut out = String::from("[\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "  {{\n    \"task\": \"{}\",\n    \"subcat\": \"{}\",\n    \"mm\": \"{}\",\n    \"strategy\": \"{}\",\n    \"verdict\": \"{}\",\n    \"solve_ms\": {:.3},\n    \"encode_ms\": {:.3},\n    \"decisions\": {},\n    \"propagations\": {},\n    \"conflicts\": {},\n    \"guided_decisions\": {},\n    \"expected_ok\": {},\n    \"winner\": {},\n    \"cancel_latency_ms\": {},\n    \"certified\": {},\n    \"quarantined\": {},\n    \"telemetry\": {}\n  }}{}\n",
-            esc(&r.task),
-            esc(&r.subcat),
-            esc(&r.mm),
-            esc(&r.strategy),
-            esc(&r.verdict),
+            "  {{\n    \"task\": {},\n    \"subcat\": {},\n    \"mm\": {},\n    \"strategy\": {},\n    \"verdict\": {},\n    \"solve_ms\": {:.3},\n    \"encode_ms\": {:.3},\n    \"decisions\": {},\n    \"propagations\": {},\n    \"conflicts\": {},\n    \"guided_decisions\": {},\n    \"expected_ok\": {},\n    \"winner\": {},\n    \"cancel_latency_ms\": {},\n    \"certified\": {},\n    \"quarantined\": {},\n    \"telemetry\": {}\n  }}{}\n",
+            ndjson::quoted(&r.task),
+            ndjson::quoted(&r.subcat),
+            ndjson::quoted(&r.mm),
+            ndjson::quoted(&r.strategy),
+            ndjson::quoted(&r.verdict),
             r.solve_ms,
             r.encode_ms,
             r.decisions,
@@ -575,10 +557,10 @@ pub fn to_json(results: &[TaskResult]) -> String {
             r.conflicts,
             r.guided_decisions,
             r.expected_ok,
-            r.winner.as_deref().map_or("null".to_string(), |w| format!("\"{}\"", esc(w))),
+            r.winner.as_deref().map_or("null".into(), ndjson::quoted),
             r.cancel_latency_ms.map_or("null".to_string(), |l| format!("{l:.3}")),
-            r.certified.as_deref().map_or("null".to_string(), |c| format!("\"{}\"", esc(c))),
-            r.quarantined.as_deref().map_or("null".to_string(), |q| format!("\"{}\"", esc(q))),
+            r.certified.as_deref().map_or("null".into(), ndjson::quoted),
+            r.quarantined.as_deref().map_or("null".into(), ndjson::quoted),
             telemetry_json(r.telemetry.as_ref()),
             if i + 1 == results.len() { "" } else { "," }
         ));
@@ -678,6 +660,21 @@ mod tests {
         let row = csv.lines().nth(1).unwrap();
         assert!(row.ends_with(",,,,,,,,,,,,,"));
         assert_eq!(row.split(',').count(), CSV_HEADER.split(',').count());
+    }
+
+    /// A free-text column with a newline or another control character must
+    /// not split the NDJSON line `BENCH_ROWS.json` streams.
+    #[test]
+    fn json_row_escapes_control_characters() {
+        let tasks: Vec<Task> = suite(Scale::Quick).into_iter().take(1).collect();
+        let cfg = RunConfig::default();
+        let mut row = run_suite(&tasks, &[MemoryModel::Sc], &[Strategy::Zpre], &cfg).remove(0);
+        row.certified = Some("a\nb\u{1}".to_string());
+        row.quarantined = Some("x\ty\r".to_string());
+        let line = json_row(&row);
+        assert!(!line.chars().any(char::is_control), "{line}");
+        assert!(line.contains(r#""certified":"a\nb\u0001""#), "{line}");
+        assert!(line.contains(r#""quarantined":"x\ty\r""#), "{line}");
     }
 
     /// Table 2's decision and conflict columns must be reproducible from

@@ -99,14 +99,6 @@ impl SweepComparison {
     }
 }
 
-fn verdict_str(v: Verdict) -> &'static str {
-    match v {
-        Verdict::Safe => "safe",
-        Verdict::Unsafe => "unsafe",
-        Verdict::Unknown => "unknown",
-    }
-}
-
 /// Races the per-bound scratch protocol against the incremental sweep on
 /// one (task, memory model) pair and asserts the verdicts agree at every
 /// bound.
@@ -179,9 +171,10 @@ pub fn compare_one(
         .unwrap_or_else(|e| panic!("{} {mm}: sweep: {e}", task.name));
     let sweep_ms = t1.elapsed().as_secs_f64() * 1e3;
 
+    let loop_free = !task.program.has_loops();
     for (i, &scratch_v) in scratch_verdicts.iter().enumerate() {
         // A loop-free sweep's single frame answers for every bound.
-        let frame = if sweep.loop_free {
+        let frame = if loop_free {
             &sweep.frames[0]
         } else {
             &sweep.frames[i]
@@ -209,7 +202,7 @@ pub fn compare_one(
         task: task.name.clone(),
         subcat: task.subcat.name().to_string(),
         mm: mm.name().to_string(),
-        verdict: verdict_str(sweep.verdict).to_string(),
+        verdict: sweep.verdict.to_string(),
         scratch_bound,
         sweep_bound: sweep.bound,
         scratch_ms,
@@ -220,7 +213,7 @@ pub fn compare_one(
         sweep_conflicts: sweep.stats.conflicts,
         frames: sweep.frames.len() as u32,
         reused_learnts: sweep.frames.iter().map(|f| f.reused_learnts).sum(),
-        loop_free: sweep.loop_free,
+        loop_free,
     }
 }
 

@@ -109,15 +109,14 @@ use std::process::ExitCode;
 use std::time::Duration;
 use zpre::{
     run_batch, try_verify, try_verify_portfolio_sweep, try_verify_sweep, verify_bmc_with,
-    verify_portfolio, BatchFault, BatchOptions, BatchTask, BmcOutcome, Certificate,
-    ExhaustionReason, FrameOutcome, PortfolioOptions, PortfolioOutcome, RunOutcome, ShareConfig,
-    Strategy, SweepOutcome, Verdict, VerifyError, VerifyOptions, VerifyOutcome,
+    verify_portfolio, BatchFault, BatchOptions, BatchTask, Certificate, PortfolioOptions,
+    PortfolioOutcome, ShareConfig, Strategy, Verdict, VerifyError, VerifyOptions, VerifyOutcome,
 };
+use zpre_obs::ndjson::quoted;
 use zpre_obs::{profile_report, Recorder, TraceConfig};
 use zpre_prog::interp::{check_sc, Limits, Outcome};
 use zpre_prog::wmm::check_wmm;
 use zpre_prog::{flatten, parse_program_traced, pretty, unroll_program, MemoryModel, Program};
-use zpre_sat::Stats;
 
 fn usage() -> ExitCode {
     let strategies: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
@@ -182,25 +181,9 @@ fn flag_parse<T: std::str::FromStr>(
         .map_err(|_| format!("{flag}: invalid value {raw:?}"))
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A JSON string (escaped), or `null`.
-fn json_opt(s: Option<impl std::fmt::Display>) -> String {
-    s.map_or("null".to_string(), |s| {
-        format!("\"{}\"", json_escape(&s.to_string()))
-    })
+fn json_opt(s: Option<&str>) -> String {
+    s.map_or("null".to_string(), quoted)
 }
 
 /// JSON fragment describing a certificate (or its absence).
@@ -437,11 +420,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
                         .exhaustion
                         .map(|x| format!("\"{x}\""))
                         .unwrap_or_else(|| "null".to_string());
-                    let error = rec
-                        .error
-                        .as_deref()
-                        .map(|e| format!("\"{}\"", json_escape(e)))
-                        .unwrap_or_else(|| "null".to_string());
+                    let error = json_opt(rec.error.as_deref());
                     format!(
                         "{{\"rung\":\"{}\",\"strategy\":\"{}\",\"bound\":{},\
                          \"attempt\":{},\"verdict\":{},\"exhaustion\":{},\"error\":{}}}",
@@ -464,9 +443,9 @@ fn cmd_batch(args: &[String]) -> ExitCode {
                 .map(|b| b.to_string())
                 .unwrap_or_else(|| "null".to_string());
             println!(
-                "{{\"task\":\"{}\",\"verdict\":\"{}\",\"bound\":{},\
+                "{{\"task\":{},\"verdict\":\"{}\",\"bound\":{},\
                  \"from_journal\":{},\"resumed_at\":{},\"exhaustion\":{},\"ladder\":[{}]}}",
-                json_escape(&r.key),
+                quoted(&r.key),
                 r.verdict,
                 r.bound,
                 r.from_journal,
@@ -922,292 +901,209 @@ enum Bounds {
     Sweep,
 }
 
-/// One memory model's result in the one shape every mode prints: the
-/// outcome that decided it, the deciding bound and the frames when the run
-/// has bounds, and the race footer under `--portfolio`.
-struct Report {
-    outcome: VerifyOutcome,
-    frames: Option<(u32, Vec<FrameOutcome>)>,
-    race: Option<PortfolioOutcome<()>>,
-}
-
-impl RunOutcome for Report {
-    fn verdict(&self) -> Verdict {
-        self.outcome.verdict
-    }
-    fn exhaustion(&self) -> Option<ExhaustionReason> {
-        self.outcome.exhaustion
-    }
-    fn stats(&self) -> &Stats {
-        &self.outcome.stats
-    }
-}
-
-/// Runs what the flags select: the bound loop (or the sweep) around
-/// a single-bound step, which is a plain verify or, with `race` set (to its
-/// share configuration), one portfolio race.
+/// Runs what the flags select: the bound loop (or the sweep) around a
+/// single-bound step, which is a plain verify or, with `race` set (to its
+/// share configuration), one portfolio race. Returns the outcome and, for a
+/// race, the last race's footer (a `--bmc` loop races once per bound).
 fn run_verify(
     program: &Program,
     opts: &VerifyOptions,
     bounds: Bounds,
     race: Option<Option<ShareConfig>>,
-) -> Result<Report, VerifyError> {
+) -> Result<(VerifyOutcome, Option<PortfolioOutcome>), VerifyError> {
     let folio = |o: &VerifyOptions| PortfolioOptions {
         share: race.flatten(),
         ..PortfolioOptions::new(o.clone())
     };
-    let step = |o: &VerifyOptions| match race {
-        Some(_) => Ok(Report::raced(
-            verify_portfolio(program, &folio(o)),
-            Report::plain,
-        )),
-        None => try_verify(program, o).map(Report::plain),
+    let mut footer = None;
+    let mut raced = |mut f: PortfolioOutcome| {
+        let outcome = std::mem::take(&mut f.outcome);
+        footer = Some(f);
+        outcome
     };
-    match (bounds, race) {
+    let mut step = |o: &VerifyOptions| match race {
+        Some(_) => Ok(raced(verify_portfolio(program, &folio(o)))),
+        None => try_verify(program, o),
+    };
+    let outcome = match (bounds, race) {
         (Bounds::Single, _) => step(opts),
-        (Bounds::Bmc(k), _) => verify_bmc_with(program, k, opts, step).map(Report::bmc),
-        (Bounds::Sweep, Some(_)) => try_verify_portfolio_sweep(program, &folio(opts))
-            .map(|f| Report::raced(f, Report::sweep)),
-        (Bounds::Sweep, None) => try_verify_sweep(program, opts).map(Report::sweep),
-    }
+        (Bounds::Bmc(k), _) => verify_bmc_with(program, k, opts, step),
+        (Bounds::Sweep, Some(_)) => try_verify_portfolio_sweep(program, &folio(opts)).map(raced),
+        (Bounds::Sweep, None) => try_verify_sweep(program, opts),
+    }?;
+    Ok((outcome, footer))
 }
 
-impl Report {
-    fn plain(outcome: VerifyOutcome) -> Report {
-        Report {
-            outcome,
-            frames: None,
-            race: None,
-        }
+/// One JSON object. The overall `"verdict"` comes before any frame's, and
+/// every mode's keys keep their historical names and order.
+fn report_json(
+    program: &str,
+    opts: &VerifyOptions,
+    bounds: Bounds,
+    o: &VerifyOutcome,
+    race: Option<&PortfolioOutcome>,
+) -> String {
+    let mut out = format!(
+        "{{\"program\":{},\"mm\":\"{}\"",
+        quoted(program),
+        opts.mm.name()
+    );
+    if race.is_none() {
+        out += &format!(",\"strategy\":\"{}\"", opts.strategy);
     }
-
-    fn sweep(s: SweepOutcome) -> Report {
-        let exhaustion = s.exhaustion();
-        Report {
-            outcome: VerifyOutcome {
-                verdict: s.verdict,
-                stats: s.stats,
-                solve_time: s.solve_time,
-                encode_time: s.encode_time,
-                num_events: s.num_events,
-                class_counts: s.class_counts,
-                num_solver_vars: s.num_solver_vars,
-                trace: s.trace,
-                certificate: None,
-                exhaustion,
-            },
-            frames: Some((s.bound, s.frames)),
-            race: None,
-        }
+    let mode: Vec<&str> = [
+        match bounds {
+            Bounds::Single => None,
+            Bounds::Bmc(_) => Some("bmc"),
+            Bounds::Sweep => Some("incremental"),
+        },
+        race.map(|_| "portfolio"),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    if !mode.is_empty() {
+        out += &format!(",\"mode\":\"{}\"", mode.join("+"));
     }
-
-    /// The deciding bound's report, with one frame per solved bound (each
-    /// bound had a fresh solver, so nothing was reused).
-    fn bmc(b: BmcOutcome<Report>) -> Report {
-        let frames = b
-            .per_bound
-            .iter()
-            .map(|(bound, r)| FrameOutcome {
-                bound: *bound,
-                verdict: r.outcome.verdict,
-                solve_time: r.outcome.solve_time,
-                conflicts: r.outcome.stats.conflicts,
-                decisions: r.outcome.stats.decisions,
-                propagations: r.outcome.stats.propagations,
-                reused_learnts: 0,
-                reused_conflicts: 0,
-                exhaustion: r.outcome.exhaustion,
-            })
-            .collect();
-        let (_, last) = b.per_bound.into_iter().last().expect("at least one bound");
-        Report {
-            frames: Some((b.bound, frames)),
-            ..last
-        }
+    out += &format!(",\"verdict\":\"{}\"", o.verdict);
+    let has_bounds = !matches!(bounds, Bounds::Single);
+    if has_bounds {
+        out += &format!(",\"bound\":{}", o.bound);
     }
-
-    /// The winning (or fallback) member's report with the race footer.
-    fn raced<O>(folio: PortfolioOutcome<O>, report: impl FnOnce(O) -> Report) -> Report {
-        let PortfolioOutcome {
-            outcome,
-            winner,
-            members,
-            quarantined,
-            unknown_reason,
-            cancel_latency,
-        } = folio;
-        Report {
-            race: Some(PortfolioOutcome {
-                outcome: (),
-                winner,
-                members,
-                quarantined,
-                unknown_reason,
-                cancel_latency,
-            }),
-            ..report(outcome)
-        }
-    }
-
-    /// One JSON object. The overall `"verdict"` comes before any frame's,
-    /// and every mode's keys keep their historical names and order.
-    fn json(&self, program: &str, opts: &VerifyOptions, bounds: Bounds) -> String {
-        let o = &self.outcome;
-        let mut out = format!(
-            "{{\"program\":\"{}\",\"mm\":\"{}\"",
-            json_escape(program),
-            opts.mm.name()
-        );
-        if self.race.is_none() {
-            out += &format!(",\"strategy\":\"{}\"", opts.strategy);
-        }
-        let mode: Vec<&str> = [
-            match bounds {
-                Bounds::Single => None,
-                Bounds::Bmc(_) => Some("bmc"),
-                Bounds::Sweep => Some("incremental"),
-            },
-            self.race.as_ref().map(|_| "portfolio"),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
-        if !mode.is_empty() {
-            out += &format!(",\"mode\":\"{}\"", mode.join("+"));
-        }
-        out += &format!(",\"verdict\":\"{}\"", o.verdict);
-        if let Some((bound, _)) = &self.frames {
-            out += &format!(",\"bound\":{bound}");
-        }
-        if let Some(race) = &self.race {
-            let quarantined: Vec<String> =
-                race.quarantined.iter().map(|q| json_opt(Some(q))).collect();
-            out += &format!(
-                ",\"winner\":{},\"quarantined\":[{}],\"unknown_reason\":{}",
-                json_opt(race.winner.as_deref()),
-                quarantined.join(","),
-                json_opt(race.unknown_reason.as_deref()),
-            );
-        }
+    if let Some(race) = race {
+        let quarantined: Vec<String> = race.quarantined.iter().map(|q| quoted(q)).collect();
         out += &format!(
-            ",\"certificate\":{},\"events\":{},\"vars\":{},\"decisions\":{},\
-             \"conflicts\":{},\"solve_time_ms\":{:.3}",
-            certificate_json(o.certificate.as_ref()),
-            o.num_events,
-            o.num_solver_vars,
-            o.stats.decisions,
-            o.stats.conflicts,
-            o.solve_time.as_secs_f64() * 1e3,
+            ",\"winner\":{},\"quarantined\":[{}],\"unknown_reason\":{}",
+            json_opt(race.winner.as_deref()),
+            quarantined.join(","),
+            json_opt(race.unknown_reason.as_deref()),
         );
-        if let Some((_, frames)) = &self.frames {
-            let frames: Vec<String> = frames
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{{\"bound\":{},\"verdict\":\"{}\",\"conflicts\":{},\
-                         \"decisions\":{},\"reused_learnts\":{},\"reused_conflicts\":{},\
-                         \"solve_time_ms\":{:.3}}}",
-                        f.bound,
-                        f.verdict,
-                        f.conflicts,
-                        f.decisions,
-                        f.reused_learnts,
-                        f.reused_conflicts,
-                        f.solve_time.as_secs_f64() * 1e3,
-                    )
-                })
-                .collect();
-            out += &format!(",\"frames\":[{}]", frames.join(","));
-        }
-        out + "}"
     }
-
-    /// The human-readable report: the verdict line, then (with `--stats`
-    /// for the details) the frames, the race footer and the statistics.
-    fn print(&self, program: &str, opts: &VerifyOptions, bounds: Bounds, show_stats: bool) {
-        let o = &self.outcome;
-        if let Some(trace) = &o.trace {
-            print!("{trace}");
-        }
-        let who = match &self.race {
-            Some(race) => format!(
-                "portfolio (winner {})",
-                race.winner.as_deref().unwrap_or("none")
-            ),
-            None => opts.strategy.to_string(),
-        };
-        let at = match (bounds, &self.frames) {
-            (Bounds::Sweep, Some((b, _))) => format!(" incremental sweep to bound {b}"),
-            (_, Some((b, _))) => format!(" at bound {b}"),
-            _ => String::new(),
-        };
-        println!(
-            "{program}: {} under {} with {who}{at} [{:.2?}]",
-            o.verdict, opts.mm, o.solve_time
-        );
-        if let Some(cert) = &o.certificate {
-            println!("  certificate: {}", cert.summary());
-        }
-        if show_stats {
-            for f in self.frames.iter().flat_map(|(_, frames)| frames) {
-                println!(
-                    "  frame k={:<2} {:<8} conflicts {:<8} decisions {:<8} \
-                     reused learnts {:<6} reused conflicts {:<8} [{:.2?}]",
+    out += &format!(
+        ",\"certificate\":{},\"events\":{},\"vars\":{},\"decisions\":{},\
+         \"conflicts\":{},\"solve_time_ms\":{:.3}",
+        certificate_json(o.certificate.as_ref()),
+        o.num_events,
+        o.num_solver_vars,
+        o.stats.decisions,
+        o.stats.conflicts,
+        o.solve_time.as_secs_f64() * 1e3,
+    );
+    if has_bounds {
+        let frames: Vec<String> = o
+            .frames
+            .iter()
+            .map(|f| {
+                format!(
+                    "{{\"bound\":{},\"verdict\":\"{}\",\"conflicts\":{},\
+                     \"decisions\":{},\"reused_learnts\":{},\"reused_conflicts\":{},\
+                     \"solve_time_ms\":{:.3}}}",
                     f.bound,
-                    f.verdict.to_string(),
+                    f.verdict,
                     f.conflicts,
                     f.decisions,
                     f.reused_learnts,
                     f.reused_conflicts,
-                    f.solve_time
-                );
-            }
+                    f.solve_time.as_secs_f64() * 1e3,
+                )
+            })
+            .collect();
+        out += &format!(",\"frames\":[{}]", frames.join(","));
+    }
+    out + "}"
+}
+
+/// The human-readable report: the verdict line, then (with `--stats` for
+/// the details) the frames, the race footer and the statistics.
+fn print_report(
+    program: &str,
+    opts: &VerifyOptions,
+    bounds: Bounds,
+    o: &VerifyOutcome,
+    race: Option<&PortfolioOutcome>,
+    show_stats: bool,
+) {
+    if let Some(trace) = &o.trace {
+        print!("{trace}");
+    }
+    let who = match race {
+        Some(race) => format!(
+            "portfolio (winner {})",
+            race.winner.as_deref().unwrap_or("none")
+        ),
+        None => opts.strategy.to_string(),
+    };
+    let at = match bounds {
+        Bounds::Single => String::new(),
+        Bounds::Bmc(_) => format!(" at bound {}", o.bound),
+        Bounds::Sweep => format!(" incremental sweep to bound {}", o.bound),
+    };
+    println!(
+        "{program}: {} under {} with {who}{at} [{:.2?}]",
+        o.verdict, opts.mm, o.solve_time
+    );
+    if let Some(cert) = &o.certificate {
+        println!("  certificate: {}", cert.summary());
+    }
+    if show_stats && !matches!(bounds, Bounds::Single) {
+        for f in &o.frames {
+            println!(
+                "  frame k={:<2} {:<8} conflicts {:<8} decisions {:<8} \
+                 reused learnts {:<6} reused conflicts {:<8} [{:.2?}]",
+                f.bound,
+                f.verdict.to_string(),
+                f.conflicts,
+                f.decisions,
+                f.reused_learnts,
+                f.reused_conflicts,
+                f.solve_time
+            );
         }
-        if let Some(race) = &self.race {
-            if !race.quarantined.is_empty() {
-                println!("  quarantined: {}", race.quarantined.join(", "));
-            }
-            if let Some(reason) = &race.unknown_reason {
-                println!("  unknown reason: {reason}");
-            }
-            if show_stats {
-                for m in &race.members {
-                    println!(
-                        "  {:<16} {:<8} [{:.2?}]{}{}",
-                        m.name,
-                        m.verdict.to_string(),
-                        m.time,
-                        if m.cancelled { " (cancelled)" } else { "" },
-                        m.error
-                            .as_deref()
-                            .map(|e| format!(" (quarantined: {e})"))
-                            .unwrap_or_default()
-                    );
-                }
-                if let Some(latency) = race.cancel_latency {
-                    println!("  cancellation latency {latency:.2?}");
-                }
-            }
+    }
+    if let Some(race) = race {
+        if !race.quarantined.is_empty() {
+            println!("  quarantined: {}", race.quarantined.join(", "));
+        }
+        if let Some(reason) = &race.unknown_reason {
+            println!("  unknown reason: {reason}");
         }
         if show_stats {
-            println!(
-                "  events {}  vars {}  (ssa {}, ord {}, rf {}, ws {})",
-                o.num_events,
-                o.num_solver_vars,
-                o.class_counts.ssa,
-                o.class_counts.ord,
-                o.class_counts.rf,
-                o.class_counts.ws
-            );
-            println!(
-                "  decisions {} (guided {})  propagations {}  conflicts {}  restarts {}",
-                o.stats.decisions,
-                o.stats.guided_decisions,
-                o.stats.propagations,
-                o.stats.conflicts,
-                o.stats.restarts
-            );
+            for m in &race.members {
+                println!(
+                    "  {:<16} {:<8} [{:.2?}]{}{}",
+                    m.name,
+                    m.verdict.to_string(),
+                    m.time,
+                    if m.cancelled { " (cancelled)" } else { "" },
+                    m.error
+                        .as_deref()
+                        .map(|e| format!(" (quarantined: {e})"))
+                        .unwrap_or_default()
+                );
+            }
+            if let Some(latency) = race.cancel_latency {
+                println!("  cancellation latency {latency:.2?}");
+            }
         }
+    }
+    if show_stats {
+        println!(
+            "  events {}  vars {}  (ssa {}, ord {}, rf {}, ws {})",
+            o.num_events,
+            o.num_solver_vars,
+            o.class_counts.ssa,
+            o.class_counts.ord,
+            o.class_counts.rf,
+            o.class_counts.ws
+        );
+        println!(
+            "  decisions {} (guided {})  propagations {}  conflicts {}  restarts {}",
+            o.stats.decisions,
+            o.stats.guided_decisions,
+            o.stats.propagations,
+            o.stats.conflicts,
+            o.stats.restarts
+        );
     }
 }
 
@@ -1364,20 +1260,24 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             recorder: recorder.clone(),
             share: None,
         };
-        let report = match run_verify(&program, &opts, bounds, race) {
+        let (outcome, footer) = match run_verify(&program, &opts, bounds, race) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("{}: verdict rejected under {}: {e}", program.name, mm);
                 return exit_for_error(&e);
             }
         };
+        let footer = footer.as_ref();
         if json {
-            println!("{}", report.json(&program.name, &opts, bounds));
+            println!(
+                "{}",
+                report_json(&program.name, &opts, bounds, &outcome, footer)
+            );
         } else {
-            report.print(&program.name, &opts, bounds, show_stats);
+            print_report(&program.name, &opts, bounds, &outcome, footer, show_stats);
         }
-        any_unsafe |= report.outcome.verdict == Verdict::Unsafe;
-        any_unknown |= report.outcome.verdict == Verdict::Unknown;
+        any_unsafe |= outcome.verdict == Verdict::Unsafe;
+        any_unknown |= outcome.verdict == Verdict::Unknown;
     }
     if let Some(rec) = &recorder {
         let snapshot = rec.snapshot();

@@ -11,22 +11,8 @@
 //! shared clauses included, crosses from one bound to the next.
 
 use crate::errors::VerifyError;
-use crate::verifier::{try_verify, RunOutcome, Verdict, VerifyOptions, VerifyOutcome};
+use crate::verifier::{try_verify, Verdict, VerifyOptions, VerifyOutcome};
 use zpre_prog::Program;
-
-/// Result of a BMC sweep.
-#[derive(Debug)]
-pub struct BmcOutcome<O = VerifyOutcome> {
-    /// Overall verdict: `Unsafe` as soon as some bound is satisfiable,
-    /// `Safe` if every bound up to the maximum is unsatisfiable
-    /// (i.e. *safe up to the bound*), `Unknown` if a bound's budget ran out.
-    pub verdict: Verdict,
-    /// The bound at which the verdict was established (the paper's `k*`
-    /// for `Unsafe`; the maximal bound for `Safe`).
-    pub bound: u32,
-    /// Per-bound outcomes, in increasing bound order.
-    pub per_bound: Vec<(u32, O)>,
-}
 
 /// Runs BMC with bounds `1..=max_bound`, one [`try_verify`] per bound
 /// (skipping redundant re-encodings for loop-free programs, where every
@@ -37,44 +23,44 @@ pub fn verify_bmc(
     prog: &Program,
     max_bound: u32,
     opts: &VerifyOptions,
-) -> Result<BmcOutcome, VerifyError> {
+) -> Result<VerifyOutcome, VerifyError> {
     verify_bmc_with(prog, max_bound, opts, |o| try_verify(prog, o))
 }
 
 /// The bound loop of [`verify_bmc`] around any single-bound `step`, called
 /// with `opts` at `unroll_bound = 1, 2, …` until a bound is not `Safe`.
-pub fn verify_bmc_with<O: RunOutcome>(
+///
+/// Returns the deciding bound's outcome (its verdict, statistics and
+/// certificate: the paper's `k*` for `Unsafe`, the last bound for `Safe`)
+/// with every solved bound's frames in `frames`.
+pub fn verify_bmc_with(
     prog: &Program,
     max_bound: u32,
     opts: &VerifyOptions,
-    mut step: impl FnMut(&VerifyOptions) -> Result<O, VerifyError>,
-) -> Result<BmcOutcome<O>, VerifyError> {
+    mut step: impl FnMut(&VerifyOptions) -> Result<VerifyOutcome, VerifyError>,
+) -> Result<VerifyOutcome, VerifyError> {
     let last = if prog.has_loops() {
         max_bound.max(1)
     } else {
         1
     };
-    let mut per_bound = Vec::new();
-    for bound in 1..=last {
-        let out = step(&VerifyOptions {
+    let mut frames = Vec::new();
+    let mut bound = 1;
+    loop {
+        let mut out = step(&VerifyOptions {
             unroll_bound: bound,
             ..opts.clone()
         })?;
-        let verdict = out.verdict();
-        per_bound.push((bound, out));
-        if verdict != Verdict::Safe {
-            return Ok(BmcOutcome {
-                verdict,
+        frames.append(&mut out.frames);
+        if out.verdict != Verdict::Safe || bound == last {
+            return Ok(VerifyOutcome {
                 bound,
-                per_bound,
+                frames,
+                ..out
             });
         }
+        bound += 1;
     }
-    Ok(BmcOutcome {
-        verdict: Verdict::Safe,
-        bound: last,
-        per_bound,
-    })
 }
 
 #[cfg(test)]
@@ -103,9 +89,9 @@ mod tests {
         assert_eq!(out.verdict, Verdict::Unsafe);
         assert_eq!(out.bound, 3, "k* should be 3");
         // Bounds 1 and 2 were unsat.
-        assert_eq!(out.per_bound.len(), 3);
-        assert_eq!(out.per_bound[0].1.verdict, Verdict::Safe);
-        assert_eq!(out.per_bound[1].1.verdict, Verdict::Safe);
+        assert_eq!(out.frames.len(), 3);
+        assert_eq!(out.frames[0].verdict, Verdict::Safe);
+        assert_eq!(out.frames[1].verdict, Verdict::Safe);
     }
 
     #[test]
@@ -126,7 +112,7 @@ mod tests {
         let out = verify_bmc(&p, 6, &opts).unwrap();
         assert_eq!(out.verdict, Verdict::Safe);
         assert_eq!(
-            out.per_bound.len(),
+            out.frames.len(),
             1,
             "no duplicate instances for loop-free programs"
         );

@@ -79,3 +79,13 @@ impl From<EncodeError> for VerifyError {
         VerifyError::Encode(e)
     }
 }
+
+/// The message of a panic caught by `catch_unwind`, when its payload is a
+/// string.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "panic with non-string payload".to_string())
+}

@@ -37,7 +37,7 @@
 //! skew, a deterministic mid-batch kill, and journal corruption. The chaos
 //! matrix in `tests/` asserts each one degrades fail-closed.
 
-use crate::errors::VerifyError;
+use crate::errors::{panic_message, VerifyError};
 use crate::faults::BatchFault;
 use crate::incremental::try_verify_sweep_resumed;
 use crate::strategy::Strategy;
@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use zpre_obs::metrics::{rss_bytes, MetricsRegistry};
-use zpre_obs::ndjson::{parse_line, JsonVal};
+use zpre_obs::ndjson::{parse_line, quoted, JsonVal};
 use zpre_obs::{Phase, Recorder};
 use zpre_prog::{MemoryModel, Program};
 use zpre_sat::{CancelToken, ExhaustionReason};
@@ -267,43 +267,10 @@ impl BatchOutcome {
 // Journal
 // ---------------------------------------------------------------------------
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn verdict_name(v: Verdict) -> &'static str {
-    match v {
-        Verdict::Safe => "safe",
-        Verdict::Unsafe => "unsafe",
-        Verdict::Unknown => "unknown",
-    }
-}
-
-fn verdict_from_name(s: &str) -> Option<Verdict> {
-    match s {
-        "safe" => Some(Verdict::Safe),
-        "unsafe" => Some(Verdict::Unsafe),
-        "unknown" => Some(Verdict::Unknown),
-        _ => None,
-    }
-}
-
 fn frame_line(key: &str, bound: u32, verdict: Verdict) -> String {
     format!(
-        "{{\"t\":\"frame\",\"task\":\"{}\",\"bound\":{},\"verdict\":\"{}\"}}",
-        esc(key),
-        bound,
-        verdict_name(verdict)
+        "{{\"t\":\"frame\",\"task\":{},\"bound\":{bound},\"verdict\":\"{verdict}\"}}",
+        quoted(key),
     )
 }
 
@@ -312,11 +279,8 @@ fn task_line(key: &str, verdict: Verdict, bound: u32, exh: Option<ExhaustionReas
         .map(|r| format!(",\"exhaustion\":\"{}\"", r.name()))
         .unwrap_or_default();
     format!(
-        "{{\"t\":\"task\",\"task\":\"{}\",\"verdict\":\"{}\",\"bound\":{}{}}}",
-        esc(key),
-        verdict_name(verdict),
-        bound,
-        reason
+        "{{\"t\":\"task\",\"task\":{},\"verdict\":\"{verdict}\",\"bound\":{bound}{reason}}}",
+        quoted(key),
     )
 }
 
@@ -430,7 +394,7 @@ fn scan_journal(text: &str) -> JournalState {
         let verdict = map
             .get("verdict")
             .and_then(JsonVal::as_str)
-            .and_then(verdict_from_name);
+            .and_then(Verdict::from_name);
         match (tag, task, bound, verdict) {
             (Some("frame"), Some(task), Some(bound), Some(verdict)) => {
                 state
@@ -996,12 +960,7 @@ fn run_rung(
     match result {
         Ok(Ok(sweep)) => match sweep.verdict {
             Verdict::Unknown => {
-                let reason = sweep
-                    .frames
-                    .last()
-                    .and_then(|f| f.exhaustion)
-                    .unwrap_or(ExhaustionReason::Time);
-                RungOutcome::Exhausted(reason)
+                RungOutcome::Exhausted(sweep.exhaustion.unwrap_or(ExhaustionReason::Time))
             }
             verdict => RungOutcome::Done(verdict, sweep.bound),
         },
@@ -1009,14 +968,10 @@ fn run_rung(
             RungOutcome::Failed(Some(ExhaustionReason::Memory), e.to_string())
         }
         Ok(Err(e)) => RungOutcome::Failed(None, e.to_string()),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string());
-            RungOutcome::Failed(Some(ExhaustionReason::Quarantined), msg)
-        }
+        Err(payload) => RungOutcome::Failed(
+            Some(ExhaustionReason::Quarantined),
+            panic_message(&*payload),
+        ),
     }
 }
 
@@ -1264,7 +1219,7 @@ mod tests {
     #[test]
     fn journal_verdict_round_trip() {
         for v in [Verdict::Safe, Verdict::Unsafe, Verdict::Unknown] {
-            assert_eq!(verdict_from_name(verdict_name(v)), Some(v));
+            assert_eq!(Verdict::from_name(&v.to_string()), Some(v));
         }
         let line = task_line("a\"b", Verdict::Unknown, 4, Some(ExhaustionReason::Memory));
         let map = parse_line(&line).unwrap();

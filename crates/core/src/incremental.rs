@@ -14,90 +14,11 @@
 
 use crate::errors::VerifyError;
 use crate::session::Session;
-use crate::verifier::{RunOutcome, Verdict, VerifyOptions};
+use crate::verifier::{FrameOutcome, Verdict, VerifyOptions, VerifyOutcome};
 use std::time::{Duration, Instant};
 use zpre_encoder::SweepFrames;
 use zpre_obs::Phase;
 use zpre_prog::{to_ssa_traced, unroll_program_sweep, Program};
-use zpre_sat::{ExhaustionReason, Stats};
-use zpre_smt::ClassCounts;
-
-/// One frame (= one bound) of an incremental sweep.
-#[derive(Clone, Debug, Default)]
-pub struct FrameOutcome {
-    /// The unroll bound this frame restricted the instance to.
-    pub bound: u32,
-    /// Frame verdict: `Safe` = unsatisfiable at this bound.
-    pub verdict: Verdict,
-    /// Time spent in this frame's solve call.
-    pub solve_time: Duration,
-    /// Conflicts spent by this frame alone.
-    pub conflicts: u64,
-    /// Decisions spent by this frame alone.
-    pub decisions: u64,
-    /// Propagations spent by this frame alone.
-    pub propagations: u64,
-    /// Learnt clauses already in the database when this frame's solve
-    /// started — the state inherited from earlier frames.
-    pub reused_learnts: u64,
-    /// Conflicts spent by earlier frames when this frame's solve started.
-    pub reused_conflicts: u64,
-    /// Which budget ran out when the frame verdict is `Unknown`; `None` on
-    /// definitive frames.
-    pub exhaustion: Option<ExhaustionReason>,
-}
-
-/// Result of an incremental bound sweep.
-#[derive(Clone, Debug, Default)]
-pub struct SweepOutcome {
-    /// Overall verdict: `Unsafe` as soon as some bound is satisfiable,
-    /// `Safe` if every bound up to the horizon is unsatisfiable, `Unknown`
-    /// if a frame's budget ran out.
-    pub verdict: Verdict,
-    /// The bound at which the verdict was established (`k*` for `Unsafe`;
-    /// the horizon for `Safe` — or 1 for loop-free programs, whose single
-    /// frame answers for every bound, matching [`verify_bmc`]'s
-    /// deduplicated loop).
-    ///
-    /// [`verify_bmc`]: crate::bmc::verify_bmc
-    pub bound: u32,
-    /// Per-frame outcomes, in increasing bound order.
-    pub frames: Vec<FrameOutcome>,
-    /// Final cumulative solver statistics (all frames).
-    pub stats: Stats,
-    /// Time spent unrolling + SSA + encoding the horizon instance.
-    pub encode_time: Duration,
-    /// Total time across all frame solves.
-    pub solve_time: Duration,
-    /// Number of global events in the horizon instance.
-    pub num_events: usize,
-    /// Variable counts per class in the horizon instance.
-    pub class_counts: ClassCounts,
-    /// Total solver variables (including frame activation vars).
-    pub num_solver_vars: usize,
-    /// `true` when the program is loop-free and one frame covered every
-    /// bound of the sweep.
-    pub loop_free: bool,
-    /// Counterexample trace (on `Unsafe`, when requested).
-    pub trace: Option<crate::trace::Trace>,
-}
-
-impl RunOutcome for SweepOutcome {
-    fn verdict(&self) -> Verdict {
-        self.verdict
-    }
-    /// The last solved frame's reason: only an `Unknown` frame ends a
-    /// sweep early.
-    fn exhaustion(&self) -> Option<ExhaustionReason> {
-        self.frames.last().and_then(|f| f.exhaustion)
-    }
-    fn stats(&self) -> &Stats {
-        &self.stats
-    }
-    fn bound(&self) -> Option<u32> {
-        Some(self.bound)
-    }
-}
 
 /// Runs an incremental bound sweep over `1..=opts.max_bound`, reporting
 /// failures as typed errors.
@@ -106,7 +27,10 @@ impl RunOutcome for SweepOutcome {
 /// several assumption solves): with `opts.certify` set this fails closed
 /// with [`VerifyError::Certification`] (stage `"sweep"`) before encoding,
 /// as do the other sweep entry points.
-pub fn try_verify_sweep(prog: &Program, opts: &VerifyOptions) -> Result<SweepOutcome, VerifyError> {
+pub fn try_verify_sweep(
+    prog: &Program,
+    opts: &VerifyOptions,
+) -> Result<VerifyOutcome, VerifyError> {
     sweep_impl(prog, opts, true, 1, &mut |_| {})
 }
 
@@ -125,7 +49,7 @@ pub fn try_verify_sweep(prog: &Program, opts: &VerifyOptions) -> Result<SweepOut
 pub fn try_verify_sweep_full(
     prog: &Program,
     opts: &VerifyOptions,
-) -> Result<SweepOutcome, VerifyError> {
+) -> Result<VerifyOutcome, VerifyError> {
     sweep_impl(prog, opts, false, 1, &mut |_| {})
 }
 
@@ -150,7 +74,7 @@ pub fn try_verify_sweep_resumed(
     opts: &VerifyOptions,
     start_bound: u32,
     on_frame: &mut dyn FnMut(&FrameOutcome),
-) -> Result<SweepOutcome, VerifyError> {
+) -> Result<VerifyOutcome, VerifyError> {
     sweep_impl(prog, opts, true, start_bound.max(1), on_frame)
 }
 
@@ -174,12 +98,11 @@ fn sweep_impl(
     stop_early: bool,
     start_bound: u32,
     on_frame: &mut dyn FnMut(&FrameOutcome),
-) -> Result<SweepOutcome, VerifyError> {
+) -> Result<VerifyOutcome, VerifyError> {
     refuse_certified(opts)?;
     let t0 = Instant::now();
     let rec = opts.recorder.as_ref();
     let max_bound = opts.max_bound.max(1);
-    let loop_free = !prog.has_loops();
 
     let sw = {
         let _span = rec.map(|r| r.span_labeled(Phase::Unroll, Some("sweep")));
@@ -199,7 +122,7 @@ fn sweep_impl(
 
     // Loop-free programs have no markers: frame 1 already is the full
     // instance, and every other bound would re-solve it verbatim.
-    let last_bound = if loop_free { 1 } else { max_bound };
+    let last_bound = if prog.has_loops() { max_bound } else { 1 };
     let start = start_bound.min(last_bound);
     let mut frames: Vec<FrameOutcome> = Vec::new();
     let mut verdict = Verdict::Safe;
@@ -252,9 +175,10 @@ fn sweep_impl(
     let trace = (verdict == Verdict::Unsafe && opts.want_trace)
         .then(|| crate::trace::extract_trace(&ssa, &session.enc, &session.solver, opts.mm));
 
-    Ok(SweepOutcome {
+    Ok(VerifyOutcome {
         verdict,
         bound: decided,
+        exhaustion: frames.last().and_then(|f| f.exhaustion),
         frames,
         stats: session.stats(),
         encode_time,
@@ -262,8 +186,8 @@ fn sweep_impl(
         num_events,
         class_counts,
         num_solver_vars: session.solver.num_vars(),
-        loop_free,
         trace,
+        certificate: None,
     })
 }
 
@@ -274,6 +198,7 @@ mod tests {
     use crate::strategy::Strategy;
     use zpre_prog::build::*;
     use zpre_prog::MemoryModel;
+    use zpre_sat::ExhaustionReason;
 
     /// `k* = 3`: the loop must run three times before the bug is reachable.
     fn kstar3() -> Program {
@@ -315,9 +240,9 @@ mod tests {
         let scratch = verify_bmc(&kstar3(), 6, &opts).unwrap();
         assert_eq!(scratch.verdict, Verdict::Unsafe);
         assert_eq!(scratch.bound, sweep.bound);
-        for (f, (b, o)) in sweep.frames.iter().zip(&scratch.per_bound) {
-            assert_eq!(f.bound, *b);
-            assert_eq!(f.verdict, o.verdict, "bound {b}");
+        for (f, s) in sweep.frames.iter().zip(&scratch.frames) {
+            assert_eq!(f.bound, s.bound);
+            assert_eq!(f.verdict, s.verdict, "bound {}", f.bound);
         }
     }
 
@@ -366,7 +291,7 @@ mod tests {
         let mut opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
         opts.max_bound = 6;
         let sweep = try_verify_sweep(&racy(), &opts).unwrap();
-        assert!(sweep.loop_free);
+        assert!(!racy().has_loops());
         assert_eq!(sweep.frames.len(), 1);
         assert_eq!(sweep.verdict, Verdict::Unsafe);
     }
@@ -440,6 +365,7 @@ mod tests {
         let last = sweep.frames.last().unwrap();
         assert_eq!(last.verdict, Verdict::Unknown);
         assert_eq!(last.exhaustion, Some(ExhaustionReason::Conflicts));
+        assert_eq!(sweep.exhaustion, last.exhaustion);
     }
 
     #[test]

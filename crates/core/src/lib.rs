@@ -11,7 +11,7 @@
 //!
 //! This crate is the paper's contribution proper:
 //!
-//! - [`decision_order`] — the H1–H4 heuristics producing the interference
+//! - [`decision_order`](mod@decision_order) — the H1–H4 heuristics producing the interference
 //!   decision order (`prior_to` of §4.1);
 //! - [`strategy`] — baseline / `ZPRE⁻` / `ZPRE` / ablation strategies;
 //! - [`verifier`] — the end-to-end pipeline with the enhanced `decide()`
@@ -23,7 +23,8 @@
 //!   [`incremental`] and every [`portfolio`] member;
 //! - [`portfolio`] — one race whose members run single-bound verifies or
 //!   whole sweeps, and [`bmc`] — one bound loop around any
-//!   single-bound step, so every mode composes with every other.
+//!   single-bound step, so every mode composes with every other. Every
+//!   one of them returns a [`VerifyOutcome`] with one frame per bound.
 //!
 //! ## Quickstart
 //!
@@ -62,7 +63,7 @@ pub mod strategy;
 pub mod trace;
 pub mod verifier;
 
-pub use bmc::{verify_bmc, verify_bmc_with, BmcOutcome};
+pub use bmc::{verify_bmc, verify_bmc_with};
 pub use certify::Certificate;
 pub use decision_order::{decision_order, prior_to, Refinements};
 pub use errors::VerifyError;
@@ -70,9 +71,7 @@ pub use faults::{BatchFault, Fault};
 pub use harness::{
     run_batch, BatchOptions, BatchOutcome, BatchTask, LadderRung, RungRecord, TaskReport,
 };
-pub use incremental::{
-    try_verify_sweep, try_verify_sweep_full, try_verify_sweep_resumed, FrameOutcome, SweepOutcome,
-};
+pub use incremental::{try_verify_sweep, try_verify_sweep_full, try_verify_sweep_resumed};
 pub use portfolio::{
     try_verify_portfolio_sweep, verify_portfolio, MemberResult, PortfolioMember, PortfolioOptions,
     PortfolioOutcome,
@@ -80,7 +79,7 @@ pub use portfolio::{
 pub use strategy::Strategy;
 pub use trace::{Trace, TraceStep};
 pub use verifier::{
-    try_verify, try_verify_ssa, verify, RunOutcome, Verdict, VerifyOptions, VerifyOutcome,
+    try_verify, try_verify_ssa, verify, FrameOutcome, Verdict, VerifyOptions, VerifyOutcome,
 };
 pub use zpre_sat::{ExhaustionReason, ShareConfig, ShareSpec};
 

@@ -29,11 +29,11 @@
 //! member that exhausts `max_conflicts` reports `Unknown` exactly as in a
 //! single-strategy run.
 
-use crate::errors::VerifyError;
-use crate::incremental::{refuse_certified, try_verify_sweep, FrameOutcome, SweepOutcome};
+use crate::errors::{panic_message, VerifyError};
+use crate::incremental::{refuse_certified, try_verify_sweep};
 use crate::strategy::Strategy;
 use crate::verifier::{
-    front_end, verify_ssa_inner, RunOutcome, Verdict, VerifyOptions, VerifyOutcome,
+    front_end, verify_ssa_inner, FrameOutcome, Verdict, VerifyOptions, VerifyOutcome,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -139,14 +139,14 @@ pub struct MemberResult {
     pub exhaustion: Option<ExhaustionReason>,
 }
 
-/// Result of a portfolio run. `O` is what one member's body returns: a
-/// single-bound [`VerifyOutcome`] for [`verify_portfolio`], a whole
-/// [`SweepOutcome`] for [`try_verify_portfolio_sweep`].
+/// Result of a portfolio run.
 #[derive(Clone, Debug)]
-pub struct PortfolioOutcome<O = VerifyOutcome> {
-    /// The winning member's full outcome (or a synthesized `Unknown`
-    /// outcome when no member was definitive).
-    pub outcome: O,
+pub struct PortfolioOutcome {
+    /// The winning member's full outcome: one bound's for
+    /// [`verify_portfolio`], a whole sweep's for
+    /// [`try_verify_portfolio_sweep`] (or a synthesized `Unknown` outcome
+    /// when no member was definitive).
+    pub outcome: VerifyOutcome,
     /// Winning member's name; `None` when every member returned `Unknown`
     /// or was quarantined.
     pub winner: Option<String>,
@@ -163,12 +163,15 @@ pub struct PortfolioOutcome<O = VerifyOutcome> {
     pub cancel_latency: Option<Duration>,
 }
 
-impl<O: RunOutcome> PortfolioOutcome<O> {
+impl PortfolioOutcome {
     /// The verdict of the race.
     pub fn verdict(&self) -> Verdict {
-        self.outcome.verdict()
+        self.outcome.verdict
     }
 }
+
+/// One member's whole run under its own options.
+type Body<'a> = dyn Fn(&VerifyOptions) -> Result<VerifyOutcome, VerifyError> + Sync + 'a;
 
 /// Unrolls + SSA-converts `prog` once, then races the members' single-bound
 /// verifies over it.
@@ -178,11 +181,11 @@ impl<O: RunOutcome> PortfolioOutcome<O> {
 pub fn verify_portfolio(prog: &Program, opts: &PortfolioOptions) -> PortfolioOutcome {
     let (ssa, flat) = front_end(prog, &opts.base);
     let body = |o: &VerifyOptions| verify_ssa_inner(&ssa, o, Instant::now(), flat.as_ref());
-    race(opts, &body, || VerifyOutcome {
-        num_events: ssa.events.len(),
-        exhaustion: Some(ExhaustionReason::Quarantined),
-        ..Default::default()
-    })
+    race(
+        opts,
+        &body,
+        quarantined(opts.base.unroll_bound, ssa.events.len()),
+    )
 }
 
 /// Races the members' whole bound sweeps over `1..=base.max_bound`: each
@@ -196,67 +199,58 @@ pub fn verify_portfolio(prog: &Program, opts: &PortfolioOptions) -> PortfolioOut
 pub fn try_verify_portfolio_sweep(
     prog: &Program,
     opts: &PortfolioOptions,
-) -> Result<PortfolioOutcome<SweepOutcome>, VerifyError> {
+) -> Result<PortfolioOutcome, VerifyError> {
     refuse_certified(&opts.base)?;
     let opts = PortfolioOptions {
         share: None,
         ..opts.clone()
     };
-    Ok(race_sweeps(prog, &opts, &|o| try_verify_sweep(prog, o)))
+    Ok(race(
+        &opts,
+        &|o| try_verify_sweep(prog, o),
+        quarantined(1, 0),
+    ))
 }
 
-/// [`race`] over sweep bodies. When every member failed, the outcome is
-/// one `Unknown` frame at bound 1 with [`ExhaustionReason::Quarantined`],
-/// as [`verify_portfolio`] reports it for a single bound.
-fn race_sweeps(
-    prog: &Program,
-    opts: &PortfolioOptions,
-    body: &(dyn Fn(&VerifyOptions) -> Result<SweepOutcome, VerifyError> + Sync),
-) -> PortfolioOutcome<SweepOutcome> {
-    race(opts, body, || SweepOutcome {
-        bound: 1,
+/// The outcome of a race whose every member failed: one `Unknown` frame at
+/// `bound` with [`ExhaustionReason::Quarantined`].
+fn quarantined(bound: u32, num_events: usize) -> VerifyOutcome {
+    let exhaustion = Some(ExhaustionReason::Quarantined);
+    VerifyOutcome {
+        bound,
         frames: vec![FrameOutcome {
-            bound: 1,
-            exhaustion: Some(ExhaustionReason::Quarantined),
-            ..Default::default()
+            bound,
+            exhaustion,
+            ..FrameOutcome::default()
         }],
-        loop_free: !prog.has_loops(),
-        ..Default::default()
-    })
+        num_events,
+        exhaustion,
+        ..VerifyOutcome::default()
+    }
 }
 
 /// One member's run, quarantined: a panic becomes an `Err(String)`, as
 /// does a typed [`VerifyError`].
-fn run_member<O>(
-    body: &(dyn Fn(&VerifyOptions) -> Result<O, VerifyError> + Sync),
-    opts: &VerifyOptions,
-) -> Result<O, String> {
+fn run_member(body: &Body, opts: &VerifyOptions) -> Result<VerifyOutcome, String> {
     match catch_unwind(AssertUnwindSafe(|| body(opts))) {
         Ok(Ok(outcome)) => Ok(outcome),
         Ok(Err(e)) => Err(e.to_string()),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic with non-string payload".to_string());
-            Err(VerifyError::MemberPanic {
-                member: opts.strategy.name().to_string(),
-                message: msg,
-            }
-            .to_string())
+        Err(payload) => Err(VerifyError::MemberPanic {
+            member: opts.strategy.name().to_string(),
+            message: panic_message(&*payload),
         }
+        .to_string()),
     }
 }
 
 /// Reports one finished member: its [`MemberResult`] and, with a recorder
 /// installed, its per-strategy telemetry record (who won, who was
 /// cancelled at what depth, who was quarantined and why).
-fn report_member<O: RunOutcome>(
+fn report_member(
     rec: Option<&Recorder>,
     name: &str,
     strategy: Strategy,
-    report: &Result<O, String>,
+    report: &Result<VerifyOutcome, String>,
     time: Duration,
     cancelled: bool,
     winner: bool,
@@ -264,23 +258,19 @@ fn report_member<O: RunOutcome>(
     let m = MemberResult {
         name: name.to_string(),
         strategy,
-        verdict: report
-            .as_ref()
-            .map(|o| o.verdict())
-            .unwrap_or(Verdict::Unknown),
+        verdict: report.as_ref().map_or(Verdict::Unknown, |o| o.verdict),
         time,
         cancelled,
         error: report.as_ref().err().cloned(),
         exhaustion: match report {
-            Ok(o) => o.exhaustion(),
+            Ok(o) => o.exhaustion,
             Err(_) => Some(ExhaustionReason::Quarantined),
         },
     };
     if let Some(r) = rec {
         let (decisions, conflicts) = report
             .as_ref()
-            .map(|o| (o.stats().decisions, o.stats().conflicts))
-            .unwrap_or((0, 0));
+            .map_or((0, 0), |o| (o.stats.decisions, o.stats.conflicts));
         r.record_member(MemberRecord {
             name: m.name.clone(),
             strategy: m.strategy.name().to_string(),
@@ -299,13 +289,9 @@ fn report_member<O: RunOutcome>(
 /// Races `body` — one member's whole run under its own options — for every
 /// member on scoped threads: first definitive verdict wins, losers are
 /// cancelled, failures are quarantined, dissent is surfaced and a race
-/// without a definitive member makes one bounded retry. `unknown` builds
-/// the outcome reported when every member failed.
-fn race<O: RunOutcome + Send>(
-    opts: &PortfolioOptions,
-    body: &(dyn Fn(&VerifyOptions) -> Result<O, VerifyError> + Sync),
-    unknown: impl FnOnce() -> O,
-) -> PortfolioOutcome<O> {
+/// without a definitive member makes one bounded retry. `unknown` is the
+/// outcome reported when every member failed.
+fn race(opts: &PortfolioOptions, body: &Body, unknown: VerifyOutcome) -> PortfolioOutcome {
     assert!(
         !opts.members.is_empty(),
         "portfolio needs at least one member"
@@ -316,10 +302,10 @@ fn race<O: RunOutcome + Send>(
     // the race drops the pool — shared clauses never outlive the instance
     // they are consequences of.
     let share_pool = opts.share.map(|cfg| (SharedPool::new(cfg.pool_cap), cfg));
-    type Report<O> = (usize, Result<O, String>, Duration);
-    let (tx, rx) = mpsc::channel::<Report<O>>();
+    type Report = (usize, Result<VerifyOutcome, String>, Duration);
+    let (tx, rx) = mpsc::channel::<Report>();
 
-    let mut slots: Vec<Option<(Result<O, String>, Duration)>> =
+    let mut slots: Vec<Option<(Result<VerifyOutcome, String>, Duration)>> =
         (0..opts.members.len()).map(|_| None).collect();
     let mut first_definitive: Option<usize> = None;
     let mut cancelled_at: Option<Instant> = None;
@@ -369,7 +355,7 @@ fn race<O: RunOutcome + Send>(
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => break,
             };
-            let definitive = matches!(&report, Ok(o) if o.verdict() != Verdict::Unknown);
+            let definitive = matches!(&report, Ok(o) if o.verdict != Verdict::Unknown);
             if definitive && first_definitive.is_none() {
                 first_definitive = Some(i);
                 token.cancel();
@@ -382,7 +368,7 @@ fn race<O: RunOutcome + Send>(
         cancel_latency = cancelled_at.map(|t| t.elapsed());
     });
 
-    let results: Vec<(Result<O, String>, Duration)> = slots
+    let results: Vec<(Result<VerifyOutcome, String>, Duration)> = slots
         .into_iter()
         .map(|s| s.unwrap_or_else(|| (Err("member never reported".to_string()), Duration::ZERO)))
         .collect();
@@ -397,18 +383,14 @@ fn race<O: RunOutcome + Send>(
     let mut unknown_reason: Option<String> = None;
 
     // Cross-check: every definitive verdict must agree with the winner's,
-    // and so must the bound that decided it when the body sweeps bounds.
-    // Disagreement is a solver bug; surface it as an untrusted race rather
-    // than crashing the caller.
+    // and so must the bound that decided it. Disagreement is a solver bug;
+    // surface it as an untrusted race rather than crashing the caller.
     if let Some(win) = first_definitive {
-        let decided = |o: &O| (o.verdict(), o.bound());
-        let says = |o: &O| match o.bound() {
-            Some(k) => format!("{} at bound {k}", o.verdict()),
-            None => o.verdict().to_string(),
-        };
+        let decided = |o: &VerifyOutcome| (o.verdict, o.bound);
+        let says = |o: &VerifyOutcome| format!("{} at bound {}", o.verdict, o.bound);
         let winner = results[win].0.as_ref().expect("winner is Ok");
         let dissent = opts.members.iter().zip(&results).find(|(_, (r, _))| {
-            matches!(r, Ok(o) if o.verdict() != Verdict::Unknown && decided(o) != decided(winner))
+            matches!(r, Ok(o) if o.verdict != Verdict::Unknown && decided(o) != decided(winner))
         });
         if let Some((member, (r, _))) = dissent {
             unknown_reason = Some(format!(
@@ -430,7 +412,7 @@ fn race<O: RunOutcome + Send>(
         .zip(&results)
         .enumerate()
         .map(|(i, (member, (report, elapsed)))| {
-            let cancelled = matches!(report, Ok(o) if o.verdict() == Verdict::Unknown)
+            let cancelled = matches!(report, Ok(o) if o.verdict == Verdict::Unknown)
                 && first_definitive.is_some();
             let winner = first_definitive == Some(i);
             report_member(
@@ -479,7 +461,7 @@ fn race<O: RunOutcome + Send>(
         let t0 = Instant::now();
         let report = run_member(body, &retry_opts);
         let retry_name = "retry:baseline".to_string();
-        let winner = matches!(&report, Ok(o) if o.verdict() != Verdict::Unknown);
+        let winner = matches!(&report, Ok(o) if o.verdict != Verdict::Unknown);
         members.push(report_member(
             rec,
             &retry_name,
@@ -490,7 +472,7 @@ fn race<O: RunOutcome + Send>(
             winner,
         ));
         match report {
-            Ok(outcome) if outcome.verdict() != Verdict::Unknown => {
+            Ok(outcome) if outcome.verdict != Verdict::Unknown => {
                 return PortfolioOutcome {
                     outcome,
                     winner: Some(retry_name),
@@ -522,8 +504,8 @@ fn race<O: RunOutcome + Send>(
     // synthesize one only when every member failed.
     let outcome = results
         .into_iter()
-        .find_map(|(r, _)| r.ok().filter(|o| o.verdict() == Verdict::Unknown))
-        .unwrap_or_else(unknown);
+        .find_map(|(r, _)| r.ok().filter(|o| o.verdict == Verdict::Unknown))
+        .unwrap_or(unknown);
 
     PortfolioOutcome {
         outcome,
@@ -719,8 +701,8 @@ mod tests {
         // Every member says Unsafe, but one at bound 2 and the rest at
         // bound 3: the race must not trust either bound.
         let opts = PortfolioOptions::new(VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre));
-        let folio = race_sweeps(&racy(), &opts, &|o| {
-            Ok(SweepOutcome {
+        let body = |o: &VerifyOptions| {
+            Ok(VerifyOutcome {
                 verdict: Verdict::Unsafe,
                 bound: if o.strategy == Strategy::ZpreMinus {
                     2
@@ -729,7 +711,8 @@ mod tests {
                 },
                 ..Default::default()
             })
-        });
+        };
+        let folio = race(&opts, &body, quarantined(1, 0));
         assert!(folio.winner.is_none());
         let reason = folio.unknown_reason.expect("dissent is reported");
         assert!(reason.contains("at bound 2"), "{reason}");
@@ -738,14 +721,14 @@ mod tests {
     #[test]
     fn quarantined_sweep_race_reports_why_it_is_unknown() {
         let opts = PortfolioOptions::new(VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre));
-        let folio = race_sweeps(&racy(), &opts, &|_| {
-            Err(VerifyError::ModelValidation("injected".to_string()))
-        });
+        let body = |_: &VerifyOptions| Err(VerifyError::ModelValidation("injected".to_string()));
+        let folio = race(&opts, &body, quarantined(1, 0));
         assert_eq!(folio.verdict(), Verdict::Unknown);
         assert_eq!(folio.quarantined.len(), 5, "{:?}", folio.quarantined);
         assert_eq!(folio.outcome.bound, 1);
+        assert_eq!(folio.outcome.frames.len(), 1);
         assert_eq!(
-            folio.outcome.exhaustion(),
+            folio.outcome.exhaustion,
             Some(ExhaustionReason::Quarantined)
         );
     }

@@ -147,15 +147,40 @@ impl VerifyOptions {
     }
 }
 
-/// Result of a verification run, with the search statistics the paper's
-/// Table 2 reports.
+impl Verdict {
+    /// Inverse of the `Display` rendering, for journal parsing.
+    pub fn from_name(s: &str) -> Option<Verdict> {
+        Some(match s {
+            "safe" => Verdict::Safe,
+            "unsafe" => Verdict::Unsafe,
+            "unknown" => Verdict::Unknown,
+            _ => return None,
+        })
+    }
+}
+
+/// Result of a verification run over one bound or several, with the
+/// search statistics the paper's Table 2 reports. Every bound driver
+/// returns it: a single bound ([`try_verify`]), the incremental sweep
+/// ([`crate::try_verify_sweep`]), the per-bound `--bmc` loop
+/// ([`crate::verify_bmc`]) and a portfolio race of any of them.
 #[derive(Clone, Debug, Default)]
 pub struct VerifyOutcome {
-    /// The verdict.
+    /// The verdict: `Unsafe` as soon as some bound is satisfiable, `Safe`
+    /// if every bound is unsatisfiable, `Unknown` if a bound's budget ran
+    /// out.
     pub verdict: Verdict,
-    /// Solver search statistics.
+    /// The bound that decided the verdict: the paper's `k*` for `Unsafe`,
+    /// the last bound for `Safe` (1 for a loop-free sweep, whose single
+    /// frame answers for every bound), `unroll_bound` for a single bound.
+    pub bound: u32,
+    /// One frame per solved bound, in increasing bound order.
+    pub frames: Vec<FrameOutcome>,
+    /// Solver search statistics: cumulative over a sweep's frames; the
+    /// deciding bound's alone under the `--bmc` loop, which builds a fresh
+    /// solver per bound.
     pub stats: Stats,
-    /// Time spent in `solve()`.
+    /// Time spent in `solve()` (every frame of a sweep).
     pub solve_time: Duration,
     /// Time spent unrolling + SSA + encoding.
     pub encode_time: Duration,
@@ -163,43 +188,43 @@ pub struct VerifyOutcome {
     pub num_events: usize,
     /// Variable counts per class.
     pub class_counts: ClassCounts,
-    /// Total solver variables.
+    /// Total solver variables (including a sweep's frame activation vars).
     pub num_solver_vars: usize,
     /// Counterexample trace (on `Unsafe`, when requested).
     pub trace: Option<crate::trace::Trace>,
     /// Certification evidence (on definitive verdicts, when requested).
     pub certificate: Option<Certificate>,
-    /// Which budget was exhausted when the verdict is `Unknown`; `None` on
+    /// Which budget was exhausted when the verdict is `Unknown` (the last
+    /// frame's reason: only an `Unknown` frame ends a run early); `None` on
     /// definitive answers.
     pub exhaustion: Option<ExhaustionReason>,
 }
 
-/// What the portfolio race and the `--bmc` bound loop read from a run's
-/// result, whichever entry point produced it.
-pub trait RunOutcome {
-    /// The run's verdict.
-    fn verdict(&self) -> Verdict;
-    /// Which budget ended an `Unknown` run; `None` on definitive verdicts.
-    fn exhaustion(&self) -> Option<ExhaustionReason>;
-    /// Cumulative solver statistics.
-    fn stats(&self) -> &Stats;
-    /// The bound that decided a run over several bounds; `None` for a
-    /// single-bound run.
-    fn bound(&self) -> Option<u32> {
-        None
-    }
-}
-
-impl RunOutcome for VerifyOutcome {
-    fn verdict(&self) -> Verdict {
-        self.verdict
-    }
-    fn exhaustion(&self) -> Option<ExhaustionReason> {
-        self.exhaustion
-    }
-    fn stats(&self) -> &Stats {
-        &self.stats
-    }
+/// One frame (= one bound) of a run: a sweep's assumption frame or one
+/// bound of the `--bmc` loop.
+#[derive(Clone, Debug, Default)]
+pub struct FrameOutcome {
+    /// The unroll bound this frame restricted the instance to.
+    pub bound: u32,
+    /// Frame verdict: `Safe` = unsatisfiable at this bound.
+    pub verdict: Verdict,
+    /// Time spent in this frame's solve call.
+    pub solve_time: Duration,
+    /// Conflicts spent by this frame alone.
+    pub conflicts: u64,
+    /// Decisions spent by this frame alone.
+    pub decisions: u64,
+    /// Propagations spent by this frame alone.
+    pub propagations: u64,
+    /// Learnt clauses already in the database when this frame's solve
+    /// started — the state inherited from earlier frames (0 for a fresh
+    /// solver).
+    pub reused_learnts: u64,
+    /// Conflicts spent by earlier frames when this frame's solve started.
+    pub reused_conflicts: u64,
+    /// Which budget ran out when the frame verdict is `Unknown`; `None` on
+    /// definitive frames.
+    pub exhaustion: Option<ExhaustionReason>,
 }
 
 /// Verifies `prog` under `opts`.
@@ -318,9 +343,22 @@ pub(crate) fn verify_ssa_inner(
         }
     }
 
+    let stats = session.stats();
+    let exhaustion = session.solver.exhaustion();
     Ok(VerifyOutcome {
         verdict,
-        stats: session.stats(),
+        bound: opts.unroll_bound,
+        frames: vec![FrameOutcome {
+            bound: opts.unroll_bound,
+            verdict,
+            solve_time,
+            conflicts: stats.conflicts,
+            decisions: stats.decisions,
+            propagations: stats.propagations,
+            exhaustion,
+            ..FrameOutcome::default()
+        }],
+        stats,
         solve_time,
         encode_time,
         num_events: ssa.events.len(),
@@ -328,7 +366,7 @@ pub(crate) fn verify_ssa_inner(
         num_solver_vars: session.solver.num_vars(),
         trace: trace.filter(|_| opts.want_trace),
         certificate,
-        exhaustion: session.solver.exhaustion(),
+        exhaustion,
     })
 }
 

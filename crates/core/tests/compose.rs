@@ -32,8 +32,9 @@ fn bound_loop_races_every_bound() {
     .unwrap();
     assert_eq!((raced.verdict, raced.bound), (Verdict::Unsafe, 3));
     assert_eq!((plain.verdict, plain.bound), (raced.verdict, raced.bound));
-    for ((k, p), (_, r)) in plain.per_bound.iter().zip(&raced.per_bound) {
-        assert_eq!(p.verdict, r.verdict, "bound {k}");
+    assert_eq!(raced.frames.len(), 3);
+    for (p, r) in plain.frames.iter().zip(&raced.frames) {
+        assert_eq!((p.bound, p.verdict), (r.bound, r.verdict));
     }
 }
 

@@ -6,7 +6,7 @@
 //!
 //! The histogram is HDR-style log-linear: values `0..LINEAR_MAX` get one
 //! bucket each (exact), larger values share an octave split into
-//! [`SUBBUCKETS`] linear sub-buckets, bounding the relative quantile error
+//! `SUBBUCKETS` linear sub-buckets, bounding the relative quantile error
 //! at `1/SUBBUCKETS` (6.25%). Buckets are stored sparsely, so an empty or
 //! narrow distribution costs a handful of map entries, never a dense array.
 
@@ -28,7 +28,7 @@ const SUB_BITS: u32 = 4;
 ///
 /// Tracks exact `count`, `sum`, `min`, and `max`; quantiles are answered
 /// from the bucket layout with ≤ 1/16 relative error (exact below
-/// [`LINEAR_MAX`]). Reported percentiles use each bucket's *upper* bound,
+/// `LINEAR_MAX`). Reported percentiles use each bucket's *upper* bound,
 /// so `percentile(p)` never under-reports the true rank-`p` value.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {

@@ -59,6 +59,14 @@ impl JsonVal {
     }
 }
 
+/// `s` as a JSON string literal, quotes included: every control character
+/// is escaped, so the result never breaks an NDJSON line.
+pub fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    esc(&mut out, s);
+    out
+}
+
 fn esc(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

@@ -15,7 +15,7 @@
 //!   *oracle* the SMT pipeline is cross-validated against;
 //! - [`wmm`] — operational TSO/PSO store-buffer checkers for litmus-level
 //!   cross-validation of the weak-memory encodings;
-//! - [`replay`] — schedule-driven witness replay on a buffered store
+//! - [`replay`](mod@replay) — schedule-driven witness replay on a buffered store
 //!   machine, the independent oracle behind certified `Unsafe` verdicts;
 //! - [`pretty`] — C-like pretty-printing.
 

@@ -31,7 +31,7 @@
 //! rescale, which multiplies every activity by one factor: that keeps
 //! their order, except that rounding can merge two different activities
 //! into a tie, and the index then decides the tie, which can reverse a
-//! parent–child pair. The solver calls [`ActivityHeap::rebuild`] after
+//! parent–child pair. The solver calls `ActivityHeap::rebuild` after
 //! each rescale, so the heap is valid at every flush point.
 //!
 //! An eagerly repaired heap (one sift per bump) pops the same variables as

@@ -42,14 +42,15 @@ fn assert_sweep_matches_scratch(
     // stop at the same bound, so the sequences have equal length.
     assert_eq!(
         sweep.frames.len(),
-        scratch.per_bound.len(),
+        scratch.frames.len(),
         "{name} {mm}: sweep solved a different number of bounds"
     );
-    for (f, (b, out)) in sweep.frames.iter().zip(&scratch.per_bound) {
-        assert_eq!(f.bound, *b, "{name} {mm}: bound order diverged");
+    for (f, s) in sweep.frames.iter().zip(&scratch.frames) {
+        assert_eq!(f.bound, s.bound, "{name} {mm}: bound order diverged");
         assert_eq!(
-            f.verdict, out.verdict,
-            "{name} {mm}: bound {b} verdict diverges from scratch"
+            f.verdict, s.verdict,
+            "{name} {mm}: bound {} verdict diverges from scratch",
+            s.bound
         );
     }
 }
