@@ -10,11 +10,12 @@
 //!                      [--certify] [--replay-witness] [--prune] [--no-prune]
 //!                      [--json]
 //! zpre-cli batch  FILE... [--mm sc|tso|pso|all] [--strategy NAME]
-//!                      [--max-bound K] [--budget CONFLICTS] [--timeout-ms N]
-//!                      [--max-memory-mib N] [--journal FILE] [--resume]
-//!                      [--retries N] [--backoff-ms N] [--fault NAME]
+//!                      [--max-bound K] [--budget CONFLICTS] [--seed N]
+//!                      [--timeout-ms N] [--max-memory-mib N] [--journal FILE]
+//!                      [--resume] [--retries N] [--backoff-ms N] [--fault NAME]
 //!                      [--kill-after N] [--heartbeat SECS] [--metrics-out FILE]
-//!                      [--no-prune] [--json] [--profile] [--trace-out FILE]
+//!                      [--prune] [--no-prune] [--json] [--profile]
+//!                      [--trace-out FILE]
 //! zpre-cli oracle FILE [--mm sc|tso|pso] [--unroll N]
 //! zpre-cli dump   FILE [--mm sc|tso|pso] [--unroll N]
 //! zpre-cli pretty FILE
@@ -32,7 +33,10 @@
 //! ladder, and `--journal` checkpoints every solved frame so `--resume`
 //! continues an interrupted batch at its first unsolved frame. `--fault`
 //! (member-oom, deadline-skew, corrupt-journal) and `--kill-after N` are
-//! the chaos-testing injections of the harness.
+//! the chaos-testing injections of the harness. The flags `batch` shares
+//! with `verify` (`--mm --strategy --max-bound --budget --seed --prune
+//! --no-prune --json --profile --trace-out`) mean the same in both and are
+//! parsed by one parser into the `VerifyOptions` every rung starts from.
 //!
 //! Exit codes (the most severe outcome wins):
 //!
@@ -128,9 +132,10 @@ fn usage() -> ExitCode {
          [--profile] [--trace-out FILE] [--trace-sample N] \
          [--certify] [--replay-witness] [--prune] [--no-prune] [--json]\n  \
          zpre-cli batch FILE... [--mm sc|tso|pso|all] [--strategy NAME] [--max-bound K] \
-         [--budget CONFLICTS] [--timeout-ms N] [--max-memory-mib N] [--journal FILE] \
-         [--resume] [--retries N] [--backoff-ms N] [--fault member-oom|deadline-skew|\
-corrupt-journal] [--kill-after N] [--heartbeat SECS] [--metrics-out FILE] [--no-prune] \
+         [--budget CONFLICTS] [--seed N] [--timeout-ms N] [--max-memory-mib N] \
+         [--journal FILE] [--resume] [--retries N] [--backoff-ms N] \
+         [--fault member-oom|deadline-skew|corrupt-journal] [--kill-after N] \
+         [--heartbeat SECS] [--metrics-out FILE] [--prune] [--no-prune] \
          [--json] [--profile] [--trace-out FILE]\n  \
          zpre-cli oracle FILE [--mm sc|tso|pso] [--unroll N]\n  \
          zpre-cli dump FILE [--mm sc|tso|pso] [--unroll N]\n  \
@@ -169,16 +174,124 @@ fn flag_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a s
         .ok_or_else(|| format!("{flag} requires a value"))
 }
 
-/// Parses a flag's value, rejecting (instead of silently defaulting on)
-/// malformed input.
+/// Fetches flag `flag`'s value and converts it with `f`, rejecting
+/// (instead of silently defaulting on) a value `f` refuses.
+fn flag_map<T>(
+    args: &[String],
+    i: &mut usize,
+    flag: &str,
+    f: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    let raw = flag_value(args, i, flag)?;
+    f(raw).ok_or_else(|| format!("{flag}: invalid value {raw:?}"))
+}
+
+/// Parses a flag's value, rejecting malformed input.
 fn flag_parse<T: std::str::FromStr>(
     args: &[String],
     i: &mut usize,
     flag: &str,
 ) -> Result<T, String> {
-    let raw = flag_value(args, i, flag)?;
-    raw.parse()
-        .map_err(|_| format!("{flag}: invalid value {raw:?}"))
+    flag_map(args, i, flag, |raw| raw.parse().ok())
+}
+
+/// Parses a flag's positive integer value.
+fn flag_positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    args: &[String],
+    i: &mut usize,
+    flag: &str,
+) -> Result<T, String> {
+    flag_map(args, i, flag, |raw| {
+        raw.parse().ok().filter(|n: &T| *n >= T::from(1))
+    })
+}
+
+/// The flags `verify` and `batch` share, parsed into one [`VerifyOptions`]
+/// (`--mm all` runs once per model, so the models are kept aside).
+struct SharedFlags {
+    mms: Vec<MemoryModel>,
+    opts: VerifyOptions,
+    json: bool,
+    profile: bool,
+    trace_out: Option<String>,
+}
+
+impl SharedFlags {
+    /// Parses `args`: the shared flags into the result, any other flag
+    /// through `own`, which returns `Ok(false)` for a flag it does not know
+    /// either. Returns the flags and the positional arguments.
+    fn parse(
+        args: &[String],
+        mut own: impl FnMut(&mut VerifyOptions, &[String], &mut usize) -> Result<bool, String>,
+    ) -> Result<(SharedFlags, Vec<&str>), String> {
+        let mut f = SharedFlags {
+            mms: vec![MemoryModel::Sc],
+            opts: VerifyOptions::default(),
+            json: false,
+            profile: false,
+            trace_out: None,
+        };
+        let mut positional = Vec::new();
+        let mut i = 0;
+        while i < args.len() {
+            let arg = args[i].as_str();
+            match arg {
+                "--mm" => f.mms = flag_map(args, &mut i, arg, parse_mm)?,
+                "--strategy" => f.opts.strategy = flag_map(args, &mut i, arg, parse_strategy)?,
+                "--max-bound" => f.opts.max_bound = flag_positive(args, &mut i, arg)?,
+                "--budget" => f.opts.max_conflicts = Some(flag_parse(args, &mut i, arg)?),
+                "--seed" => f.opts.seed = flag_parse(args, &mut i, arg)?,
+                "--prune" => f.opts.prune = true,
+                "--no-prune" => f.opts.prune = false,
+                "--json" => f.json = true,
+                "--profile" => f.profile = true,
+                "--trace-out" => f.trace_out = Some(flag_value(args, &mut i, arg)?.to_owned()),
+                _ if own(&mut f.opts, args, &mut i)? => {}
+                _ if arg.starts_with("--") => return Err(format!("unknown flag {arg}")),
+                _ => positional.push(arg),
+            }
+            i += 1;
+        }
+        Ok((f, positional))
+    }
+
+    /// Installs the one recorder a run records into when `--profile` or
+    /// `--trace-out` asks for one. It spans the whole invocation (even
+    /// `--mm all`, whose encode spans are labeled per memory model), and
+    /// event storage is only paid for when a trace file is requested.
+    fn install_recorder(&mut self, decision_sample: u32) {
+        self.opts.recorder = (self.profile || self.trace_out.is_some()).then(|| {
+            Recorder::new(TraceConfig {
+                events: self.trace_out.is_some(),
+                decision_sample,
+            })
+        });
+    }
+
+    /// Writes the `--trace-out` file and prints the `--profile` report.
+    /// A failed write is reported and exits 4.
+    fn finish_trace(&self) -> Result<(), ExitCode> {
+        let Some(rec) = &self.opts.recorder else {
+            return Ok(());
+        };
+        let snapshot = rec.snapshot();
+        if let Some(file) = &self.trace_out {
+            let ndjson = zpre_obs::ndjson::to_ndjson(&snapshot);
+            if let Err(e) = std::fs::write(file, ndjson) {
+                eprintln!("cannot write trace to {file}: {e}");
+                return Err(ExitCode::from(4));
+            }
+            eprintln!(
+                "trace: {} spans, {} events -> {file}",
+                snapshot.spans.len(),
+                snapshot.events.len()
+            );
+        }
+        if self.profile {
+            print!("{}", profile_report(&snapshot));
+        }
+        Ok(())
+    }
 }
 
 /// A JSON string (escaped), or `null`.
@@ -271,128 +384,60 @@ fn cmd_trace(args: &[String]) -> ExitCode {
 /// are reported and skipped — a bad input degrades the batch, it does not
 /// stop it.
 fn cmd_batch(args: &[String]) -> ExitCode {
-    let mut files: Vec<String> = Vec::new();
-    let mut mms = vec![MemoryModel::Sc];
-    let mut strategy = Strategy::Zpre;
-    let mut max_bound = 6u32;
     let mut opts = BatchOptions::default();
-    let mut json = false;
-    let mut profile = false;
-    let mut trace_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--mm" => match flag_value(args, &mut i, "--mm").map(parse_mm) {
-                Ok(Some(m)) => mms = m,
-                _ => return usage(),
-            },
-            "--strategy" => match flag_value(args, &mut i, "--strategy").map(parse_strategy) {
-                Ok(Some(s)) => strategy = s,
-                _ => return usage(),
-            },
-            "--max-bound" => match flag_parse(args, &mut i, "--max-bound") {
-                Ok(k) if k >= 1 => max_bound = k,
-                _ => return usage(),
-            },
-            "--budget" => match flag_parse(args, &mut i, "--budget") {
-                Ok(n) => opts.max_conflicts = Some(n),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--timeout-ms" => match flag_parse(args, &mut i, "--timeout-ms") {
-                Ok(ms) => opts.timeout = Some(Duration::from_millis(ms)),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--max-memory-mib" => match flag_parse::<u64>(args, &mut i, "--max-memory-mib") {
-                Ok(mib) => opts.max_memory = Some(mib.saturating_mul(1 << 20)),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--seed" => match flag_parse(args, &mut i, "--seed") {
-                Ok(n) => opts.seed = n,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--journal" => match flag_value(args, &mut i, "--journal") {
-                Ok(f) => opts.journal = Some(PathBuf::from(f)),
-                Err(_) => return usage(),
-            },
+    let parsed = SharedFlags::parse(args, |vo, args, i| {
+        let flag = args[*i].as_str();
+        match flag {
+            "--timeout-ms" => vo.timeout = Some(Duration::from_millis(flag_parse(args, i, flag)?)),
+            "--max-memory-mib" => {
+                let mib: u64 = flag_parse(args, i, flag)?;
+                vo.max_memory = Some(mib.saturating_mul(1 << 20));
+            }
+            "--journal" => opts.journal = Some(PathBuf::from(flag_value(args, i, flag)?)),
             "--resume" => opts.resume = true,
-            "--retries" => match flag_parse(args, &mut i, "--retries") {
-                Ok(n) => opts.max_retries = n,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--backoff-ms" => match flag_parse(args, &mut i, "--backoff-ms") {
-                Ok(ms) => opts.backoff = Duration::from_millis(ms),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--fault" => match flag_value(args, &mut i, "--fault") {
-                Ok("member-oom") => opts.fault = Some(BatchFault::MemberOom),
-                Ok("deadline-skew") => opts.fault = Some(BatchFault::DeadlineSkew),
-                Ok("corrupt-journal") => opts.fault = Some(BatchFault::CorruptJournal),
-                _ => return usage(),
-            },
-            "--kill-after" => match flag_parse(args, &mut i, "--kill-after") {
-                Ok(n) => opts.fault = Some(BatchFault::MidBatchKill(n)),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--heartbeat" => match flag_parse::<u64>(args, &mut i, "--heartbeat") {
-                Ok(secs) if secs >= 1 => opts.heartbeat = Some(Duration::from_secs(secs)),
-                _ => return usage(),
-            },
-            "--metrics-out" => match flag_value(args, &mut i, "--metrics-out") {
-                Ok(f) => opts.metrics_out = Some(PathBuf::from(f)),
-                Err(_) => return usage(),
-            },
-            "--prune" => opts.prune = true,
-            "--no-prune" => opts.prune = false,
-            "--json" => json = true,
-            "--profile" => profile = true,
-            "--trace-out" => match flag_value(args, &mut i, "--trace-out") {
-                Ok(f) => trace_out = Some(f.to_owned()),
-                Err(_) => return usage(),
-            },
-            flag if flag.starts_with("--") => return usage(),
-            file => files.push(file.to_owned()),
+            "--retries" => opts.max_retries = flag_parse(args, i, flag)?,
+            "--backoff-ms" => opts.backoff = Duration::from_millis(flag_parse(args, i, flag)?),
+            "--fault" => {
+                opts.fault = Some(flag_map(args, i, flag, |name| match name {
+                    "member-oom" => Some(BatchFault::MemberOom),
+                    "deadline-skew" => Some(BatchFault::DeadlineSkew),
+                    "corrupt-journal" => Some(BatchFault::CorruptJournal),
+                    _ => None,
+                })?)
+            }
+            "--kill-after" => {
+                opts.fault = Some(BatchFault::MidBatchKill(flag_parse(args, i, flag)?))
+            }
+            "--heartbeat" => {
+                opts.heartbeat = Some(Duration::from_secs(flag_positive(args, i, flag)?))
+            }
+            "--metrics-out" => opts.metrics_out = Some(PathBuf::from(flag_value(args, i, flag)?)),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
-    if files.is_empty() {
-        return usage();
-    }
-    let recorder = (profile || trace_out.is_some()).then(|| {
-        Recorder::new(TraceConfig {
-            events: trace_out.is_some(),
-            decision_sample: 1,
-        })
+        Ok(true)
     });
-    opts.recorder = recorder.clone();
+    let (mut shared, files) = match parsed {
+        Ok((shared, files)) if !files.is_empty() => (shared, files),
+        Ok(_) => return usage(),
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
+        }
+    };
+    shared.install_recorder(1);
+    let opts = BatchOptions {
+        base: shared.opts.clone(),
+        ..opts
+    };
 
     let mut tasks: Vec<BatchTask> = Vec::new();
     let mut load_errors = 0usize;
     for file in &files {
         match load(file) {
             Ok(p) => {
-                for mm in &mms {
-                    tasks.push(BatchTask::new(p.clone(), *mm, strategy, max_bound));
+                for &mm in &shared.mms {
+                    let (strategy, max_bound) = (opts.base.strategy, opts.base.max_bound);
+                    tasks.push(BatchTask::new(p.clone(), mm, strategy, max_bound));
                 }
             }
             Err(e) => {
@@ -407,7 +452,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
 
     let out = run_batch(&tasks, &opts);
     for r in &out.reports {
-        if json {
+        if shared.json {
             let ladder: Vec<String> = r
                 .ladder
                 .iter()
@@ -489,7 +534,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
             }
         }
     }
-    if !json {
+    if !shared.json {
         println!(
             "batch: {} tasks ({} solved, {} from journal), {} retries, {} degradations{}",
             out.reports.len(),
@@ -507,18 +552,8 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     if let Some(e) = &out.journal_error {
         eprintln!("warning: {e}");
     }
-    if let Some(rec) = &recorder {
-        let snapshot = rec.snapshot();
-        if let Some(file) = &trace_out {
-            let ndjson = zpre_obs::ndjson::to_ndjson(&snapshot);
-            if let Err(e) = std::fs::write(file, ndjson) {
-                eprintln!("cannot write trace to {file}: {e}");
-                return ExitCode::from(4);
-            }
-        }
-        if profile {
-            print!("{}", profile_report(&snapshot));
-        }
+    if let Err(code) = shared.finish_trace() {
+        return code;
     }
 
     let any_unsafe = out.reports.iter().any(|r| r.verdict == Verdict::Unsafe);
@@ -1111,94 +1146,38 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         return usage();
     };
-    let mut mms = vec![MemoryModel::Sc];
-    let mut strategy = Strategy::Zpre;
-    let mut unroll = 2u32;
     let mut bmc: Option<u32> = None;
     let mut incremental = false;
-    let mut max_bound = 6u32;
-    let mut budget: Option<u64> = None;
-    let mut seed = 0xC0FFEEu64;
     let mut show_stats = false;
-    let mut want_trace = false;
     let mut portfolio = false;
     let mut share = false;
     let mut share_lbd_max: Option<u32> = None;
-    let mut certify = false;
-    let mut json = false;
-    let mut profile = false;
-    let mut prune = true;
-    let mut trace_out: Option<String> = None;
     let mut trace_sample = 1u32;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--mm" => match flag_value(args, &mut i, "--mm").map(parse_mm) {
-                Ok(Some(m)) => mms = m,
-                _ => return usage(),
-            },
-            "--strategy" => match flag_value(args, &mut i, "--strategy").map(parse_strategy) {
-                Ok(Some(s)) => strategy = s,
-                _ => return usage(),
-            },
-            "--unroll" => match flag_parse(args, &mut i, "--unroll") {
-                Ok(n) => unroll = n,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--bmc" => match flag_parse(args, &mut i, "--bmc") {
-                Ok(n) => bmc = Some(n),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
+    let parsed = SharedFlags::parse(&args[1..], |vo, args, i| {
+        let flag = args[*i].as_str();
+        match flag {
+            "--unroll" => vo.unroll_bound = flag_parse(args, i, flag)?,
+            "--bmc" => bmc = Some(flag_parse(args, i, flag)?),
             "--incremental" => incremental = true,
-            "--max-bound" => match flag_parse(args, &mut i, "--max-bound") {
-                Ok(k) if k >= 1 => max_bound = k,
-                _ => return usage(),
-            },
-            "--budget" => match flag_parse(args, &mut i, "--budget") {
-                Ok(n) => budget = Some(n),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
-            "--seed" => match flag_parse(args, &mut i, "--seed") {
-                Ok(n) => seed = n,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return usage();
-                }
-            },
             "--stats" => show_stats = true,
-            "--trace" => want_trace = true,
-            "--profile" => profile = true,
-            "--trace-out" => match flag_value(args, &mut i, "--trace-out") {
-                Ok(f) => trace_out = Some(f.to_owned()),
-                Err(_) => return usage(),
-            },
-            "--trace-sample" => match flag_parse(args, &mut i, "--trace-sample") {
-                Ok(n) if n >= 1 => trace_sample = n,
-                _ => return usage(),
-            },
+            "--trace" => vo.want_trace = true,
+            "--trace-sample" => trace_sample = flag_positive(args, i, flag)?,
             "--portfolio" => portfolio = true,
             "--share" => share = true,
-            "--share-lbd-max" => match flag_parse(args, &mut i, "--share-lbd-max") {
-                Ok(n) if n >= 1 => share_lbd_max = Some(n),
-                _ => return usage(),
-            },
-            "--certify" | "--replay-witness" => certify = true,
-            "--prune" => prune = true,
-            "--no-prune" => prune = false,
-            "--json" => json = true,
-            _ => return usage(),
+            "--share-lbd-max" => share_lbd_max = Some(flag_positive(args, i, flag)?),
+            "--certify" | "--replay-witness" => vo.certify = true,
+            _ => return Ok(false),
         }
-        i += 1;
-    }
+        Ok(true)
+    });
+    let mut shared = match parsed {
+        Ok((shared, positional)) if positional.is_empty() => shared,
+        Ok(_) => return usage(),
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
+        }
+    };
     // Every mode composes; sharing alone needs something to share with.
     if (share || share_lbd_max.is_some()) && !portfolio {
         eprintln!("--share/--share-lbd-max require --portfolio (sharing needs members)");
@@ -1215,23 +1194,14 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     // bounds when given, else over `--max-bound`'s.
     let bounds = match (incremental, bmc) {
         (true, k) => {
-            max_bound = k.unwrap_or(max_bound);
+            shared.opts.max_bound = k.unwrap_or(shared.opts.max_bound);
             Bounds::Sweep
         }
         (false, Some(k)) => Bounds::Bmc(k),
         (false, None) => Bounds::Single,
     };
-    // One recorder spans the whole invocation (even `--mm all`): encode
-    // spans are labeled per memory model, so a single NDJSON block carries
-    // the full run. Event storage is only paid for when a trace file is
-    // requested; `--profile` alone needs just spans and counters.
-    let recorder = (profile || trace_out.is_some()).then(|| {
-        Recorder::new(TraceConfig {
-            events: trace_out.is_some(),
-            decision_sample: trace_sample,
-        })
-    });
-    let program = match load_traced(path, recorder.as_ref()) {
+    shared.install_recorder(trace_sample);
+    let program = match load_traced(path, shared.opts.recorder.as_ref()) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}");
@@ -1241,24 +1211,10 @@ fn cmd_verify(args: &[String]) -> ExitCode {
 
     let mut any_unsafe = false;
     let mut any_unknown = false;
-    for mm in mms {
+    for &mm in &shared.mms {
         let opts = VerifyOptions {
             mm,
-            strategy,
-            unroll_bound: unroll,
-            max_bound,
-            max_conflicts: budget,
-            timeout: None,
-            max_memory: None,
-            seed,
-            prune,
-            validate_models: true,
-            want_trace,
-            cancel: None,
-            certify,
-            fault: None,
-            recorder: recorder.clone(),
-            share: None,
+            ..shared.opts.clone()
         };
         let (outcome, footer) = match run_verify(&program, &opts, bounds, race) {
             Ok(r) => r,
@@ -1268,7 +1224,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             }
         };
         let footer = footer.as_ref();
-        if json {
+        if shared.json {
             println!(
                 "{}",
                 report_json(&program.name, &opts, bounds, &outcome, footer)
@@ -1279,23 +1235,8 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         any_unsafe |= outcome.verdict == Verdict::Unsafe;
         any_unknown |= outcome.verdict == Verdict::Unknown;
     }
-    if let Some(rec) = &recorder {
-        let snapshot = rec.snapshot();
-        if let Some(file) = &trace_out {
-            let ndjson = zpre_obs::ndjson::to_ndjson(&snapshot);
-            if let Err(e) = std::fs::write(file, ndjson) {
-                eprintln!("cannot write trace to {file}: {e}");
-                return ExitCode::from(4);
-            }
-            eprintln!(
-                "trace: {} spans, {} events -> {file}",
-                snapshot.spans.len(),
-                snapshot.events.len()
-            );
-        }
-        if profile {
-            print!("{}", profile_report(&snapshot));
-        }
+    if let Err(code) = shared.finish_trace() {
+        return code;
     }
     if any_unsafe {
         ExitCode::from(1)

@@ -3,10 +3,11 @@
 //!
 //! The `try_*` entry points of [`crate::verifier`] return these; the
 //! panicking wrapper `verify` preserves the historical
-//! behaviour by unwrapping. The portfolio layer additionally converts a
-//! member that panics despite all of this into [`VerifyError::MemberPanic`]
-//! via `catch_unwind`, so one bad member degrades the race instead of
-//! crashing it.
+//! behaviour by unwrapping. The quarantined step that every portfolio
+//! member and batch-ladder rung runs through additionally converts a run
+//! that panics despite all of this into [`VerifyError::MemberPanic`] via
+//! `catch_unwind`, so one bad member degrades the race (or one bad rung
+//! its task) instead of crashing it.
 
 use std::fmt;
 use zpre_encoder::EncodeError;
@@ -31,9 +32,10 @@ pub enum VerifyError {
         /// Human-readable rejection reason.
         reason: String,
     },
-    /// A portfolio member panicked and was quarantined.
+    /// A portfolio member or batch-ladder rung panicked and was
+    /// quarantined.
     MemberPanic {
-        /// The member's display name.
+        /// The member's display name (the rung's strategy name).
         member: String,
         /// The panic payload, when it was a string.
         message: String,
@@ -78,14 +80,4 @@ impl From<EncodeError> for VerifyError {
     fn from(e: EncodeError) -> VerifyError {
         VerifyError::Encode(e)
     }
-}
-
-/// The message of a panic caught by `catch_unwind`, when its payload is a
-/// string.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "panic with non-string payload".to_string())
 }

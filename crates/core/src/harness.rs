@@ -4,12 +4,13 @@
 //!
 //! Three layers keep a batch alive:
 //!
-//! 1. **Resource sandboxing** — every task runs under the caller's budgets
-//!    ([`BatchOptions::max_conflicts`] / `timeout` / `max_memory`); the
-//!    memory cap engages both the pre-blast CNF estimator
-//!    ([`zpre_encoder::estimate_cnf`]) and the solver's stride-polled
-//!    footprint check, so an oversized task aborts with a structured
-//!    reason instead of taking the process down.
+//! 1. **Resource sandboxing** — every rung runs under the budgets of
+//!    [`BatchOptions::base`] (`max_conflicts` / `timeout` / `max_memory`)
+//!    and through the portfolio's quarantined step, so a panic comes back
+//!    as [`VerifyError::MemberPanic`]; the memory cap engages both the
+//!    pre-blast CNF estimator ([`zpre_encoder::estimate_cnf`]) and the
+//!    solver's stride-polled footprint check, so an oversized task aborts
+//!    with a structured reason instead of taking the process down.
 //! 2. **Retry/degradation ladder** — a task whose rung exhausts or panics
 //!    is retried with exponential backoff (transient reasons only), then
 //!    degraded down a fixed ladder: primary strategy → `ZPRE⁻` → plain
@@ -29,24 +30,25 @@
 //! horizon can therefore change *whether* an answer is reached, never
 //! *which* answer; the reduced-bound rung additionally narrows the claim
 //! (its `Safe` covers a shorter sweep, which the harness reports via the
-//! rung trail). Journaled frame verdicts are reusable across runs and
-//! rungs for the same reason.
+//! rung trail). Journaled frame verdicts are reusable across runs, rungs
+//! and horizons for the same reason; a journaled *task* verdict is reused
+//! only under the horizon it was reached at.
 //!
 //! Fault injection ([`BatchFault`]) extends the certification-layer
 //! [`crate::faults::Fault`] machinery to this layer: member OOM, deadline
 //! skew, a deterministic mid-batch kill, and journal corruption. The chaos
 //! matrix in `tests/` asserts each one degrades fail-closed.
 
-use crate::errors::{panic_message, VerifyError};
+use crate::errors::VerifyError;
 use crate::faults::BatchFault;
 use crate::incremental::try_verify_sweep_resumed;
+use crate::portfolio::run_member;
 use crate::strategy::Strategy;
-use crate::verifier::{Verdict, VerifyOptions};
+use crate::verifier::{Verdict, VerifyOptions, VerifyOutcome};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -92,14 +94,13 @@ impl BatchTask {
 /// Batch-wide options.
 #[derive(Clone, Debug)]
 pub struct BatchOptions {
-    /// Per-frame conflict budget for every rung (`None` = unlimited).
-    pub max_conflicts: Option<u64>,
-    /// Per-frame wall-clock budget for every rung.
-    pub timeout: Option<Duration>,
-    /// Byte-accounted memory cap for every rung (estimator + solver poll).
-    pub max_memory: Option<u64>,
-    /// Decision-polarity seed passed to every rung.
-    pub seed: u64,
+    /// The options every rung starts from: per-frame budgets
+    /// (`max_conflicts`, `timeout`, `max_memory`), `seed`, `prune`, the
+    /// trace `recorder` (batch task/retry/degradation/checkpoint counters
+    /// and one `batch` phase span per task flow into it too). Each rung
+    /// overrides `mm`, `strategy`, `unroll_bound`/`max_bound` and `cancel`,
+    /// as a portfolio overrides its `base` per member.
+    pub base: VerifyOptions,
     /// Extra attempts per rung for *transient* exhaustion (time, panic)
     /// before degrading. Deterministic exhaustion (conflicts, memory)
     /// degrades immediately — re-running the same deterministic solve
@@ -116,9 +117,6 @@ pub struct BatchOptions {
     pub resume: bool,
     /// Injected batch fault, for the chaos harness. `None` in production.
     pub fault: Option<BatchFault>,
-    /// Trace recorder: batch task/retry/degradation/checkpoint counters
-    /// and one `batch` phase span per task flow into it.
-    pub recorder: Option<Recorder>,
     /// Emit a one-line progress heartbeat (and, with
     /// [`BatchOptions::metrics_out`], one NDJSON metrics snapshot) at this
     /// interval while the batch runs. `None` disables the heartbeat thread
@@ -129,27 +127,19 @@ pub struct BatchOptions {
     /// batch leaves an inspectable trail. Appended to (with continuing
     /// sequence numbers) when [`BatchOptions::resume`] is set.
     pub metrics_out: Option<PathBuf>,
-    /// Run the static interference-pruning pass before encoding on every
-    /// rung (default). `false` reproduces the historic unpruned encoding.
-    pub prune: bool,
 }
 
 impl Default for BatchOptions {
     fn default() -> BatchOptions {
         BatchOptions {
-            max_conflicts: None,
-            timeout: None,
-            max_memory: None,
-            seed: 0xC0FFEE,
+            base: VerifyOptions::default(),
             max_retries: 1,
             backoff: Duration::from_millis(50),
             journal: None,
             resume: false,
             fault: None,
-            recorder: None,
             heartbeat: None,
             metrics_out: None,
-            prune: true,
         }
     }
 }
@@ -274,13 +264,18 @@ fn frame_line(key: &str, bound: u32, verdict: Verdict) -> String {
     )
 }
 
-fn task_line(key: &str, verdict: Verdict, bound: u32, exh: Option<ExhaustionReason>) -> String {
-    let reason = exh
+/// A finished task's line. `max_bound` is the horizon the verdict was
+/// reached under: a resume reuses the line only under that same horizon.
+fn task_line(report: &TaskReport, max_bound: u32) -> String {
+    let reason = report
+        .exhaustion
         .map(|r| format!(",\"exhaustion\":\"{}\"", r.name()))
         .unwrap_or_default();
     format!(
-        "{{\"t\":\"task\",\"task\":{},\"verdict\":\"{verdict}\",\"bound\":{bound}{reason}}}",
-        quoted(key),
+        "{{\"t\":\"task\",\"task\":{},\"verdict\":\"{}\",\"bound\":{},\"max_bound\":{max_bound}{reason}}}",
+        quoted(&report.key),
+        report.verdict,
+        report.bound,
     )
 }
 
@@ -370,8 +365,9 @@ impl Journal {
 /// What a journal scan recovered.
 #[derive(Debug, Default)]
 struct JournalState {
-    /// Finished tasks: key → (verdict, bound, exhaustion).
-    done: HashMap<String, (Verdict, u32, Option<ExhaustionReason>)>,
+    /// Finished tasks: key → (horizon, verdict, bound, exhaustion). The
+    /// horizon is `None` on a line that does not record it.
+    done: HashMap<String, (Option<u32>, Verdict, u32, Option<ExhaustionReason>)>,
     /// Per-task solved frames: key → bound → verdict.
     frames: HashMap<String, BTreeMap<u32, Verdict>>,
 }
@@ -404,13 +400,15 @@ fn scan_journal(text: &str) -> JournalState {
                     .insert(bound as u32, verdict);
             }
             (Some("task"), Some(task), Some(bound), Some(verdict)) => {
+                let horizon = map.get("max_bound").and_then(JsonVal::as_u64);
                 let exh = map
                     .get("exhaustion")
                     .and_then(JsonVal::as_str)
                     .and_then(ExhaustionReason::from_name);
-                state
-                    .done
-                    .insert(task.to_owned(), (verdict, bound as u32, exh));
+                state.done.insert(
+                    task.to_owned(),
+                    (horizon.map(|h| h as u32), verdict, bound as u32, exh),
+                );
             }
             _ => break,
         }
@@ -463,16 +461,17 @@ fn retryable(reason: ExhaustionReason) -> bool {
     )
 }
 
-enum RungOutcome {
-    /// Definitive verdict at this bound.
-    Done(Verdict, u32),
-    /// Budget ran out.
-    Exhausted(ExhaustionReason),
-    /// The rung failed for a structural reason (encoding refusal maps to
-    /// `Memory`, carried separately so the record keeps the message).
-    Failed(Option<ExhaustionReason>, String),
-    /// The injected kill fired mid-rung.
-    Killed,
+/// How a failed rung is recorded: the exhaustion reason its error stands
+/// for (a refused encoding ran out of memory, a panic was quarantined;
+/// any other error is no exhaustion) and the error's text.
+fn failure(e: VerifyError) -> (Option<ExhaustionReason>, String) {
+    match e {
+        VerifyError::Encode(e @ zpre_encoder::EncodeError::EncodingTooLarge { .. }) => {
+            (Some(ExhaustionReason::Memory), e.to_string())
+        }
+        e @ VerifyError::MemberPanic { .. } => (Some(ExhaustionReason::Quarantined), e.to_string()),
+        e => (None, e.to_string()),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -633,7 +632,7 @@ pub fn run_batch(tasks: &[BatchTask], opts: &BatchOptions) -> BatchOutcome {
         }
     }
     let journal = RefCell::new(match &opts.journal {
-        Some(path) => Journal::open(path, kill_after, opts.recorder.clone()),
+        Some(path) => Journal::open(path, kill_after, opts.base.recorder.clone()),
         None => Journal {
             kill_after,
             ..Journal::disabled()
@@ -653,108 +652,63 @@ pub fn run_batch(tasks: &[BatchTask], opts: &BatchOptions) -> BatchOutcome {
     let mut out = BatchOutcome::default();
     for task in tasks {
         let _span = opts
+            .base
             .recorder
             .as_ref()
             .map(|r| r.span_labeled(Phase::Batch, Some(&task.key)));
 
-        // Layer 3: finished tasks are answered straight from the journal.
-        if let Some((verdict, bound, exh)) = state.done.get(&task.key) {
-            out.tasks_skipped += 1;
-            progress.tasks_done.fetch_add(1, Ordering::Relaxed);
-            out.reports.push(TaskReport {
-                key: task.key.clone(),
-                verdict: *verdict,
-                bound: *bound,
-                exhaustion: *exh,
-                ladder: Vec::new(),
-                from_journal: true,
-                resumed_at: None,
-            });
-            continue;
-        }
-        // A journaled frame prefix completes or restarts the sweep.
+        // Layer 3: a task finished under this horizon is answered straight
+        // from the journal; so is one whose journaled frames decide it.
         let frames = state.frames.get(&task.key);
+        let frame = |k: u32| frames.and_then(|f| f.get(&k)).copied();
         let mut safe_prefix = 0u32;
-        while frames
-            .and_then(|f| f.get(&(safe_prefix + 1)))
-            .is_some_and(|v| *v == Verdict::Safe)
-        {
+        while frame(safe_prefix + 1) == Some(Verdict::Safe) {
             safe_prefix += 1;
         }
-        if safe_prefix >= task.max_bound {
-            // Every frame of the horizon is journaled safe; only the task
-            // line was lost. Reconstitute it without solving.
-            let report = TaskReport {
-                key: task.key.clone(),
-                verdict: Verdict::Safe,
-                bound: task.max_bound,
-                exhaustion: None,
-                ladder: Vec::new(),
-                from_journal: true,
-                resumed_at: None,
-            };
-            out.tasks_skipped += 1;
-            progress.tasks_done.fetch_add(1, Ordering::Relaxed);
-            let alive = journal.borrow_mut().append(&task_line(
-                &task.key,
-                report.verdict,
-                report.bound,
-                None,
-            ));
-            out.reports.push(report);
-            if !alive {
-                out.interrupted = true;
-                break;
+        let journaled = |verdict, bound, exhaustion| TaskReport {
+            key: task.key.clone(),
+            verdict,
+            bound,
+            exhaustion,
+            ladder: Vec::new(),
+            from_journal: true,
+            resumed_at: None,
+        };
+        // `new_line`: the report's task line is not journaled yet.
+        let (report, new_line) = match state.done.get(&task.key) {
+            Some(&(horizon, verdict, bound, exh)) if horizon == Some(task.max_bound) => {
+                (Some(journaled(verdict, bound, exh)), false)
             }
-            continue;
-        }
-        if let Some(v) = frames.and_then(|f| f.get(&(safe_prefix + 1))) {
-            if *v == Verdict::Unsafe {
-                // The violating frame itself is journaled; the verdict is
-                // complete even though the task line was lost.
-                let report = TaskReport {
-                    key: task.key.clone(),
-                    verdict: Verdict::Unsafe,
-                    bound: safe_prefix + 1,
-                    exhaustion: None,
-                    ladder: Vec::new(),
-                    from_journal: true,
-                    resumed_at: None,
-                };
-                out.tasks_skipped += 1;
-                progress.tasks_done.fetch_add(1, Ordering::Relaxed);
-                let alive = journal.borrow_mut().append(&task_line(
-                    &task.key,
-                    report.verdict,
-                    report.bound,
-                    None,
-                ));
-                out.reports.push(report);
-                if !alive {
-                    out.interrupted = true;
-                    break;
+            // Every frame of the horizon is journaled safe, or the first
+            // unsafe frame is: only the task line was lost (or it was
+            // reached under another horizon), so reconstitute it.
+            _ if safe_prefix >= task.max_bound => {
+                (Some(journaled(Verdict::Safe, task.max_bound, None)), true)
+            }
+            _ if frame(safe_prefix + 1) == Some(Verdict::Unsafe) => (
+                Some(journaled(Verdict::Unsafe, safe_prefix + 1, None)),
+                true,
+            ),
+            _ => {
+                if let Some(r) = &opts.base.recorder {
+                    r.record_batch_task();
                 }
-                continue;
+                out.tasks_run += 1;
+                progress.set_current(&task.key, "primary");
+                let report = run_task(task, opts, safe_prefix, &journal, &mut out, &progress);
+                (report, true)
             }
+        };
+        if report.as_ref().is_some_and(|r| r.from_journal) {
+            out.tasks_skipped += 1;
         }
-
-        if let Some(r) = &opts.recorder {
-            r.record_batch_task();
-        }
-        out.tasks_run += 1;
-        progress.set_current(&task.key, "primary");
-        let (report, killed) = run_task(task, opts, safe_prefix, &journal, &mut out, &progress);
         progress.tasks_done.fetch_add(1, Ordering::Relaxed);
-        let mut alive = !killed;
-        if alive {
-            alive = journal.borrow_mut().append(&task_line(
-                &report.key,
-                report.verdict,
-                report.bound,
-                report.exhaustion,
-            ));
-            out.reports.push(report);
-        }
+        // A task killed mid-run has no report; any other report is kept
+        // even when the injected kill refuses its task line.
+        let alive = report.as_ref().is_some_and(|r| {
+            !new_line || journal.borrow_mut().append(&task_line(r, task.max_bound))
+        });
+        out.reports.extend(report);
         if !alive {
             out.interrupted = true;
             break;
@@ -768,7 +722,7 @@ pub fn run_batch(tasks: &[BatchTask], opts: &BatchOptions) -> BatchOutcome {
     out
 }
 
-/// Runs one task down its ladder. Returns the report and whether the
+/// Runs one task down its ladder. Returns its report, or `None` when the
 /// injected kill fired mid-task.
 fn run_task(
     task: &BatchTask,
@@ -777,14 +731,22 @@ fn run_task(
     journal: &RefCell<Journal>,
     out: &mut BatchOutcome,
     hb: &BatchProgress,
-) -> (TaskReport, bool) {
+) -> Option<TaskReport> {
     let rungs = build_ladder(task.strategy, task.max_bound);
     let mut ladder: Vec<RungRecord> = Vec::new();
     let mut last_exhaustion: Option<ExhaustionReason> = None;
     // Contiguous safe frames known so far (journal prefix + frames solved
     // by earlier attempts of this very task): later rungs resume past them.
     let progress = Cell::new(safe_prefix);
-    let resumed_at = (safe_prefix > 0).then_some(safe_prefix + 1);
+    let report = |verdict, bound, exhaustion, ladder| TaskReport {
+        key: task.key.clone(),
+        verdict,
+        bound,
+        exhaustion,
+        ladder,
+        from_journal: false,
+        resumed_at: (safe_prefix > 0).then_some(safe_prefix + 1),
+    };
     let mut failures = 0u32;
 
     for (idx, (rung, strategy, bound)) in rungs.iter().enumerate() {
@@ -801,22 +763,11 @@ fn run_task(
             }
             let start = progress.get() + 1;
             let killed = Cell::new(false);
-            let outcome = run_rung(
+            let result = run_rung(
                 task, opts, *strategy, *bound, start, journal, &progress, &killed,
             );
-            if killed.get() || matches!(outcome, RungOutcome::Killed) {
-                return (
-                    TaskReport {
-                        key: task.key.clone(),
-                        verdict: Verdict::Unknown,
-                        bound: progress.get(),
-                        exhaustion: Some(ExhaustionReason::Cancelled),
-                        ladder,
-                        from_journal: false,
-                        resumed_at,
-                    },
-                    true,
-                );
+            if killed.get() {
+                return None;
             }
             let mut record = RungRecord {
                 rung: *rung,
@@ -827,84 +778,54 @@ fn run_task(
                 exhaustion: None,
                 error: None,
             };
-            match outcome {
-                RungOutcome::Done(verdict, decided) => {
-                    record.verdict = Some(verdict);
+            let reason = match result {
+                Ok(sweep) if sweep.verdict != Verdict::Unknown => {
+                    record.verdict = Some(sweep.verdict);
                     ladder.push(record);
-                    return (
-                        TaskReport {
-                            key: task.key.clone(),
-                            verdict,
-                            bound: decided,
-                            exhaustion: None,
-                            ladder,
-                            from_journal: false,
-                            resumed_at,
-                        },
-                        false,
-                    );
+                    return Some(report(sweep.verdict, sweep.bound, None, ladder));
                 }
-                RungOutcome::Exhausted(reason) => {
+                Ok(sweep) => {
                     record.verdict = Some(Verdict::Unknown);
-                    record.exhaustion = Some(reason);
-                    ladder.push(record);
-                    last_exhaustion = Some(reason);
-                    failures += 1;
-                    if retryable(reason) && attempt < opts.max_retries {
-                        attempt += 1;
-                        out.retries += 1;
-                        hb.retries.fetch_add(1, Ordering::Relaxed);
-                        if let Some(r) = &opts.recorder {
-                            r.record_batch_retry();
-                        }
-                        continue;
-                    }
+                    Some(sweep.exhaustion.unwrap_or(ExhaustionReason::Time))
                 }
-                RungOutcome::Failed(reason, message) => {
-                    record.exhaustion = reason;
+                Err(e) => {
+                    let (reason, message) = failure(e);
                     record.error = Some(message);
-                    ladder.push(record);
-                    if let Some(r) = reason {
-                        last_exhaustion = Some(r);
-                    }
-                    failures += 1;
-                    if reason.is_some_and(retryable) && attempt < opts.max_retries {
-                        attempt += 1;
-                        out.retries += 1;
-                        hb.retries.fetch_add(1, Ordering::Relaxed);
-                        if let Some(r) = &opts.recorder {
-                            r.record_batch_retry();
-                        }
-                        continue;
-                    }
+                    reason
                 }
-                RungOutcome::Killed => unreachable!("handled above"),
+            };
+            record.exhaustion = reason;
+            ladder.push(record);
+            last_exhaustion = reason.or(last_exhaustion);
+            failures += 1;
+            if reason.is_some_and(retryable) && attempt < opts.max_retries {
+                attempt += 1;
+                out.retries += 1;
+                hb.retries.fetch_add(1, Ordering::Relaxed);
+                if let Some(r) = &opts.base.recorder {
+                    r.record_batch_retry();
+                }
+                continue;
             }
             // Degrade to the next rung (if any).
             if idx + 1 < rungs.len() {
                 out.degradations += 1;
                 hb.degraded.fetch_add(1, Ordering::Relaxed);
-                if let Some(r) = &opts.recorder {
+                if let Some(r) = &opts.base.recorder {
                     r.record_batch_degraded();
                 }
             }
             break;
         }
     }
-    (
-        TaskReport {
-            key: task.key.clone(),
-            verdict: Verdict::Unknown,
-            bound: progress.get(),
-            exhaustion: last_exhaustion.or(Some(ExhaustionReason::Time)),
-            ladder,
-            from_journal: false,
-            resumed_at,
-        },
-        false,
-    )
+    let exhaustion = last_exhaustion.or(Some(ExhaustionReason::Time));
+    Some(report(Verdict::Unknown, progress.get(), exhaustion, ladder))
 }
 
+/// One rung: the task's sweep from frame `start` under `opts.base` with the
+/// rung's strategy and horizon, through the quarantined step. Every
+/// definitive frame is journaled; a refused append sets `killed` and
+/// cancels the sweep.
 #[allow(clippy::too_many_arguments)]
 fn run_rung(
     task: &BatchTask,
@@ -915,18 +836,16 @@ fn run_rung(
     journal: &RefCell<Journal>,
     progress: &Cell<u32>,
     killed: &Cell<bool>,
-) -> RungOutcome {
+) -> Result<VerifyOutcome, VerifyError> {
     let cancel = CancelToken::new();
-    let mut vo = VerifyOptions::new(task.mm, strategy);
-    vo.unroll_bound = bound;
-    vo.max_bound = bound;
-    vo.max_conflicts = opts.max_conflicts;
-    vo.timeout = opts.timeout;
-    vo.max_memory = opts.max_memory;
-    vo.seed = opts.seed;
-    vo.cancel = Some(cancel.clone());
-    vo.recorder = opts.recorder.clone();
-    vo.prune = opts.prune;
+    let mut vo = VerifyOptions {
+        mm: task.mm,
+        strategy,
+        unroll_bound: bound,
+        max_bound: bound,
+        cancel: Some(cancel.clone()),
+        ..opts.base.clone()
+    };
     // Layer 1 fault injections: squeeze or skew every rung uniformly, so
     // the ladder cannot quietly rescue the fault out of observation.
     match opts.fault {
@@ -934,16 +853,14 @@ fn run_rung(
         Some(BatchFault::DeadlineSkew) => vo.timeout = Some(Duration::ZERO),
         _ => {}
     }
-
-    let key = task.key.clone();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        try_verify_sweep_resumed(&task.program, &vo, start, &mut |f| {
+    let sweep = |o: &VerifyOptions| {
+        try_verify_sweep_resumed(&task.program, o, start, &mut |f| {
             if f.verdict == Verdict::Unknown {
                 return;
             }
             if !journal
                 .borrow_mut()
-                .append(&frame_line(&key, f.bound, f.verdict))
+                .append(&frame_line(&task.key, f.bound, f.verdict))
             {
                 killed.set(true);
                 cancel.cancel();
@@ -953,26 +870,8 @@ fn run_rung(
                 progress.set(f.bound);
             }
         })
-    }));
-    if killed.get() {
-        return RungOutcome::Killed;
-    }
-    match result {
-        Ok(Ok(sweep)) => match sweep.verdict {
-            Verdict::Unknown => {
-                RungOutcome::Exhausted(sweep.exhaustion.unwrap_or(ExhaustionReason::Time))
-            }
-            verdict => RungOutcome::Done(verdict, sweep.bound),
-        },
-        Ok(Err(VerifyError::Encode(e @ zpre_encoder::EncodeError::EncodingTooLarge { .. }))) => {
-            RungOutcome::Failed(Some(ExhaustionReason::Memory), e.to_string())
-        }
-        Ok(Err(e)) => RungOutcome::Failed(None, e.to_string()),
-        Err(payload) => RungOutcome::Failed(
-            Some(ExhaustionReason::Quarantined),
-            panic_message(&*payload),
-        ),
-    }
+    };
+    run_member(sweep, &vo)
 }
 
 #[cfg(test)]
@@ -1073,7 +972,10 @@ mod tests {
     #[test]
     fn memory_capped_task_degrades_to_unknown_with_ladder() {
         let opts = BatchOptions {
-            max_memory: Some(1024),
+            base: VerifyOptions {
+                max_memory: Some(1024),
+                ..VerifyOptions::default()
+            },
             ..fast_opts()
         };
         let task = vec![BatchTask::new(kstar3(), MemoryModel::Sc, Strategy::Zpre, 6)];
@@ -1221,10 +1123,24 @@ mod tests {
         for v in [Verdict::Safe, Verdict::Unsafe, Verdict::Unknown] {
             assert_eq!(Verdict::from_name(&v.to_string()), Some(v));
         }
-        let line = task_line("a\"b", Verdict::Unknown, 4, Some(ExhaustionReason::Memory));
+        let report = TaskReport {
+            key: "a\"b".to_string(),
+            verdict: Verdict::Unknown,
+            bound: 2,
+            exhaustion: Some(ExhaustionReason::Memory),
+            ladder: Vec::new(),
+            from_journal: false,
+            resumed_at: None,
+        };
+        let line = task_line(&report, 4);
         let map = parse_line(&line).unwrap();
         assert_eq!(map.get("task").unwrap().as_str().unwrap(), "a\"b");
         assert_eq!(map.get("exhaustion").unwrap().as_str().unwrap(), "memory");
+        let state = scan_journal(&line);
+        assert_eq!(
+            state.done["a\"b"],
+            (Some(4), Verdict::Unknown, 2, Some(ExhaustionReason::Memory))
+        );
     }
 
     #[test]
@@ -1368,7 +1284,10 @@ mod tests {
             &tasks(),
             &BatchOptions {
                 journal: Some(path.clone()),
-                recorder: Some(rec.clone()),
+                base: VerifyOptions {
+                    recorder: Some(rec.clone()),
+                    ..VerifyOptions::default()
+                },
                 ..fast_opts()
             },
         );

@@ -29,7 +29,7 @@
 //! member that exhausts `max_conflicts` reports `Unknown` exactly as in a
 //! single-strategy run.
 
-use crate::errors::{panic_message, VerifyError};
+use crate::errors::VerifyError;
 use crate::incremental::{refuse_certified, try_verify_sweep};
 use crate::strategy::Strategy;
 use crate::verifier::{
@@ -229,18 +229,24 @@ fn quarantined(bound: u32, num_events: usize) -> VerifyOutcome {
     }
 }
 
-/// One member's run, quarantined: a panic becomes an `Err(String)`, as
-/// does a typed [`VerifyError`].
-fn run_member(body: &Body, opts: &VerifyOptions) -> Result<VerifyOutcome, String> {
-    match catch_unwind(AssertUnwindSafe(|| body(opts))) {
-        Ok(Ok(outcome)) => Ok(outcome),
-        Ok(Err(e)) => Err(e.to_string()),
-        Err(payload) => Err(VerifyError::MemberPanic {
+/// One run under `opts`, quarantined: a panic becomes
+/// [`VerifyError::MemberPanic`] instead of unwinding into the caller. Every
+/// portfolio member and every batch-ladder rung runs through here.
+pub(crate) fn run_member(
+    body: impl FnOnce(&VerifyOptions) -> Result<VerifyOutcome, VerifyError>,
+    opts: &VerifyOptions,
+) -> Result<VerifyOutcome, VerifyError> {
+    catch_unwind(AssertUnwindSafe(|| body(opts))).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "panic with non-string payload".to_string());
+        Err(VerifyError::MemberPanic {
             member: opts.strategy.name().to_string(),
-            message: panic_message(&*payload),
-        }
-        .to_string()),
-    }
+            message,
+        })
+    })
 }
 
 /// Reports one finished member: its [`MemberResult`] and, with a recorder
@@ -333,7 +339,7 @@ fn race(opts: &PortfolioOptions, body: &Body, unknown: VerifyOutcome) -> Portfol
             });
             scope.spawn(move || {
                 let t0 = Instant::now();
-                let report = run_member(body, &member_opts);
+                let report = run_member(body, &member_opts).map_err(|e| e.to_string());
                 // The receiver hangs up after processing every member, so a
                 // send can only fail if the scope is already unwinding.
                 let _ = tx.send((i, report, t0.elapsed()));
@@ -459,7 +465,7 @@ fn race(opts: &PortfolioOptions, body: &Body, unknown: VerifyOutcome) -> Portfol
             .as_ref()
             .map(|r| r.member_labeled("retry:baseline"));
         let t0 = Instant::now();
-        let report = run_member(body, &retry_opts);
+        let report = run_member(body, &retry_opts).map_err(|e| e.to_string());
         let retry_name = "retry:baseline".to_string();
         let winner = matches!(&report, Ok(o) if o.verdict != Verdict::Unknown);
         members.push(report_member(

@@ -9,6 +9,8 @@
 //! `sweep` stage) until sweeps can certify. The one usage error left is
 //! `--share` without `--portfolio`. The `--json` key sequence of every mode
 //! is pinned, so a rewrite of the report cannot rename or reorder a key.
+//! So are `zpre-cli batch`'s `--json` keys and its exit codes over the
+//! examples, for a clean run and for a killed run resumed from its journal.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -175,4 +177,54 @@ fn share_without_portfolio_is_the_only_usage_error() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("require --portfolio"), "{args:?}: {stderr}");
     }
+}
+
+fn batch(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_zpre-cli"))
+        .arg("batch")
+        .args(examples())
+        .args(["--mm", "all", "--json"])
+        .args(args)
+        .output()
+        .expect("zpre-cli runs")
+}
+
+/// The key sequences `batch --json` printed before its flags were parsed
+/// into `VerifyOptions`: a solved task carries its ladder of rung records,
+/// a task answered from the journal an empty one.
+const BATCH_SOLVED_KEYS: &str = "task verdict bound from_journal resumed_at exhaustion ladder \
+     rung strategy bound attempt verdict exhaustion error";
+const BATCH_JOURNALED_KEYS: &str = "task verdict bound from_journal resumed_at exhaustion ladder";
+
+#[test]
+fn batch_json_keys_and_exit_codes_are_pinned() {
+    let clean = batch(&[]);
+    assert_eq!(clean.status.code(), Some(1), "an example is unsafe");
+    let stdout = String::from_utf8_lossy(&clean.stdout);
+    assert_eq!(stdout.lines().count(), 3 * examples().len());
+    for line in stdout.lines() {
+        assert_eq!(keys(line), BATCH_SOLVED_KEYS, "{line}");
+    }
+
+    let journal =
+        std::env::temp_dir().join(format!("zpre-cli-batch-{}.ndjson", std::process::id()));
+    let journal = journal.to_str().expect("utf-8 temp path");
+    let killed = batch(&["--journal", journal, "--kill-after", "5"]);
+    assert_eq!(
+        killed.status.code(),
+        Some(1),
+        "the kill lands after an unsafe task"
+    );
+    let resumed = batch(&["--journal", journal, "--resume"]);
+    let _ = std::fs::remove_file(journal);
+    assert_eq!(resumed.status.code(), Some(1));
+    for line in String::from_utf8_lossy(&resumed.stdout).lines() {
+        let pin = if line.contains("\"from_journal\":true") {
+            BATCH_JOURNALED_KEYS
+        } else {
+            BATCH_SOLVED_KEYS
+        };
+        assert_eq!(keys(line), pin, "{line}");
+    }
+    assert_eq!(verdicts(&resumed), verdicts(&clean));
 }

@@ -2131,9 +2131,10 @@ mod share_tests {
                 assert!(s.add_clause(&c));
             }
             for h in 0..n_h {
-                for p1 in 0..n_p {
-                    for p2 in p1 + 1..n_p {
-                        assert!(s.add_clause(&[x[p1][h].negative(), x[p2][h].negative()]));
+                let hole: Vec<Lit> = x.iter().map(|p| p[h].negative()).collect();
+                for (i, &a) in hole.iter().enumerate() {
+                    for &b in &hole[i + 1..] {
+                        assert!(s.add_clause(&[a, b]));
                     }
                 }
             }

@@ -24,15 +24,16 @@ fn vars(s: &mut Solver, n: usize) -> Vec<Var> {
 /// after the Unsat answer.
 fn add_guarded_php(s: &mut Solver, g: Lit, pigeons: usize, holes: usize) {
     let x: Vec<Vec<Var>> = (0..pigeons).map(|_| vars(s, holes)).collect();
-    for p in 0..pigeons {
+    for p in &x {
         let mut clause: Vec<Lit> = vec![!g];
-        clause.extend((0..holes).map(|h| x[p][h].positive()));
+        clause.extend(p.iter().map(|v| v.positive()));
         assert!(s.add_clause(&clause));
     }
     for h in 0..holes {
-        for p1 in 0..pigeons {
-            for p2 in p1 + 1..pigeons {
-                assert!(s.add_clause(&[!g, x[p1][h].negative(), x[p2][h].negative()]));
+        let hole: Vec<Lit> = x.iter().map(|p| p[h].negative()).collect();
+        for (i, &a) in hole.iter().enumerate() {
+            for &b in &hole[i + 1..] {
+                assert!(s.add_clause(&[!g, a, b]));
             }
         }
     }

@@ -795,8 +795,8 @@ mod tests {
         assert!(g.reaches(n[0], n[7]));
         g.backtrack_to(0);
         assert_eq!(g.num_edges(), 0);
-        for i in 0..8 {
-            assert_eq!(g.level_of(n[i]), 0, "level of node {i} restored");
+        for (i, &node) in n.iter().enumerate() {
+            assert_eq!(g.level_of(node), 0, "level of node {i} restored");
         }
         assert!(!g.reaches(n[0], n[7]));
         // The reverse orientation is now acceptable.

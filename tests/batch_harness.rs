@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use zpre::{
     run_batch, BatchFault, BatchOptions, BatchTask, ExhaustionReason, LadderRung, Strategy,
-    Verdict, VerifyError,
+    Verdict, VerifyError, VerifyOptions,
 };
 use zpre_prog::build::*;
 use zpre_prog::{MemoryModel, Program};
@@ -130,7 +130,10 @@ fn batch_covers_all_memory_models_with_expected_verdicts() {
 #[test]
 fn memory_capped_task_is_unknown_memory_with_full_ladder() {
     let opts = BatchOptions {
-        max_memory: Some(1024),
+        base: VerifyOptions {
+            max_memory: Some(1024),
+            ..VerifyOptions::default()
+        },
         ..fast_opts()
     };
     let out = run_batch(&batch(), &opts);
@@ -244,6 +247,31 @@ fn torn_final_journal_line_resumes_soundly() {
     assert!(!resumed.interrupted);
     assert_eq!(resumed.verdicts(), clean);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A task line answers a resume only under the horizon it was reached
+/// at: `kstar3` is safe through bound 2, and resuming its journal under
+/// horizon 6 must still find the violation at bound 3, reusing the two
+/// journaled safe frames instead of the horizon-2 verdict.
+#[test]
+fn resume_under_a_larger_horizon_does_not_reuse_the_smaller_verdict() {
+    let path = tmp_journal("horizon");
+    let run = |max_bound, resume| {
+        let task = BatchTask::new(kstar3(), MemoryModel::Sc, Strategy::Zpre, max_bound);
+        let opts = BatchOptions {
+            journal: Some(path.clone()),
+            resume,
+            ..fast_opts()
+        };
+        run_batch(&[task], &opts).reports.remove(0)
+    };
+    let short = run(2, false);
+    assert_eq!((short.verdict, short.bound), (Verdict::Safe, 2));
+    let long = run(6, true);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!((long.verdict, long.bound), (Verdict::Unsafe, 3));
+    assert!(!long.from_journal, "frame 3 was solved");
+    assert_eq!(long.resumed_at, Some(3), "frames 1-2 came from the journal");
 }
 
 proptest! {
