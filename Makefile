@@ -6,56 +6,59 @@ build:
 test:
 	cargo test -q
 
-# Full EOG microbenchmark sweep (all shapes at 10^2..10^4) plus the
-# end-to-end stress/wmm suite comparison under zpre vs zpre-dfs-check.
-# Appends NDJSON measurements to BENCH_EOG.json so the perf trajectory
-# accumulates across commits.
+# Full EOG microbenchmark sweep (all shapes at 10^2..10^4), appended to
+# BENCH_EOG.json, plus the end-to-end stress/wmm comparison under
+# zpre-dfs-check vs zpre (ab-bench eog).
 bench-eog: build
-	./target/release/eog-bench --suite --tag "$${TAG:-local}"
+	./target/release/eog-bench --tag "$${TAG:-local}"
+	./target/release/ab-bench eog --tag "$${TAG:-local}" --out target/ab/eog.ndjson
 
 # Quick smoke variant for CI: small sizes, quick-scale suite, results to
-# a scratch file instead of the tracked BENCH_EOG.json.
+# scratch files instead of the tracked BENCH_EOG.json.
 bench-eog-quick: build
-	./target/release/eog-bench --quick --suite --tag ci-smoke --out /tmp/eog-smoke.json
+	./target/release/eog-bench --quick --tag ci-smoke --out /tmp/eog-smoke.json
+	./target/release/ab-bench eog --quick --tag ci-smoke --out /tmp/ab-eog-smoke.ndjson
 
-# Scratch vs incremental bound-sweep comparison on the stress + wmm
-# families (plus loopy marker-frame tasks). Asserts identical verdicts
-# pair by pair, appends per-task rows and family aggregates to
-# BENCH_SWEEP.json, and fails unless the stress+wmm aggregate sweep is
-# >= 1.5x faster than per-bound scratch.
+# The A/B pairs below run through one loop (ab-bench): every row is
+# solved --reps times per side, alternating which side goes first, both
+# sides must agree on every verdict, and rows unknown on both sides are
+# left out of the gated time (the paper's both-solved convention). Full
+# runs append NDJSON to target/ab/PAIR.ndjson; BENCH_{SWEEP,SHARE,PRUNE,
+# EOG}.json are frozen history of the single-run drivers.
+
+# Scratch at every bound vs the incremental sweep on the stress + wmm
+# families (plus loopy marker-frame tasks); fails unless the stress+wmm
+# sweep is >= 1.5x faster than per-bound scratch.
 bench-sweep: build
-	./target/release/sweep-bench --tag "$${TAG:-local}"
+	./target/release/ab-bench sweep --tag "$${TAG:-local}" --out target/ab/sweep.ndjson
 
 # Quick smoke variant for CI: quick-scale families, scratch output file.
 bench-sweep-quick: build
-	./target/release/sweep-bench --quick --tag ci-smoke --out /tmp/sweep-smoke.json
+	./target/release/ab-bench sweep --quick --tag ci-smoke --out /tmp/sweep-smoke.ndjson
 
-# Shared vs isolated portfolio comparison on the stress + wmm families
-# (plus a contended family generating heavy lemma traffic). Asserts
-# identical verdicts pair by pair, appends per-task rows and family
-# aggregates to BENCH_SHARE.json, and fails unless the shared aggregate
-# wall clock stays within tolerance of isolated with non-zero import hits.
+# Shared vs isolated portfolio on the stress + wmm families (plus a
+# contended family generating heavy lemma traffic); fails unless the
+# shared wall clock stays within tolerance of isolated with non-zero
+# import hits.
 bench-share: build
-	./target/release/share-bench --tag "$${TAG:-local}"
+	./target/release/ab-bench share --tag "$${TAG:-local}" --out target/ab/share.ndjson
 
 # Quick smoke variant for CI: quick-scale families, scratch output file,
 # looser timing bar (tiny tasks make portfolio timing noisy).
 bench-share-quick: build
-	./target/release/share-bench --quick --tag ci-smoke --tolerance 50 --out /tmp/share-smoke.json
+	./target/release/ab-bench share --quick --tag ci-smoke --tolerance 50 --out /tmp/share-smoke.ndjson
 
-# Pruned vs unpruned encoding comparison on the stress + wmm families plus
-# the lock-heavy pthread and join-heavy contended families. Asserts
-# identical verdicts pair by pair, appends per-task rows and family
-# aggregates to BENCH_PRUNE.json, and fails unless the lock/join-heavy
-# families show a positive interference-variable reduction with the pruned
-# aggregate wall clock within tolerance of unpruned.
+# Pruned vs unpruned encoding on the stress + wmm families plus the
+# lock-heavy pthread and join-heavy contended families; fails unless the
+# lock/join-heavy families show a positive interference-variable
+# reduction with the pruned wall clock within tolerance of unpruned.
 bench-prune: build
-	./target/release/prune-bench --tag "$${TAG:-local}"
+	./target/release/ab-bench prune --tag "$${TAG:-local}" --out target/ab/prune.ndjson
 
 # Quick smoke variant for CI: quick-scale families, scratch output file,
 # looser timing bar (tiny tasks make encode-time jitter dominate).
 bench-prune-quick: build
-	./target/release/prune-bench --quick --tag ci-smoke --tolerance 50 --out /tmp/prune-smoke.json
+	./target/release/ab-bench prune --quick --tag ci-smoke --tolerance 50 --out /tmp/prune-smoke.ndjson
 
 # --- Trace analytics & the telemetry regression gate -------------------
 #

@@ -10,7 +10,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use zpre::{verify, Strategy, VerifyOptions};
+use zpre::{verify, Strategy};
+use zpre_bench::bench_options;
 use zpre_prog::MemoryModel;
 use zpre_workloads::{suite, Scale, Task};
 
@@ -35,11 +36,7 @@ fn bench_ablation(c: &mut Criterion) {
         Strategy::ZpreFixedTrue,
         Strategy::ZpreNoReverseProp,
     ] {
-        let opts = VerifyOptions {
-            unroll_bound: task.unroll_bound,
-            validate_models: false,
-            ..VerifyOptions::new(MemoryModel::Sc, strategy)
-        };
+        let opts = bench_options(&task, MemoryModel::Sc, strategy);
         group.bench_function(strategy.name(), |b| {
             b.iter(|| black_box(verify(&task.program, &opts).verdict))
         });

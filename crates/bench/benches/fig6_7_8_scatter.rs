@@ -6,7 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use zpre::{verify, Strategy, VerifyOptions};
+use zpre::{verify, Strategy};
+use zpre_bench::bench_options;
 use zpre_prog::MemoryModel;
 use zpre_workloads::{suite, Scale, Task};
 
@@ -31,11 +32,7 @@ fn bench_scatter(c: &mut Criterion) {
         group.sample_size(10);
         for task in representative_tasks() {
             for strategy in [Strategy::Baseline, Strategy::Zpre] {
-                let opts = VerifyOptions {
-                    unroll_bound: task.unroll_bound,
-                    validate_models: false,
-                    ..VerifyOptions::new(mm, strategy)
-                };
+                let opts = bench_options(&task, mm, strategy);
                 group.bench_function(
                     format!("{}/{}", task.name.replace('/', "_"), strategy.name()),
                     |b| b.iter(|| black_box(verify(&task.program, &opts).verdict)),

@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use zpre::{verify, Strategy, Verdict, VerifyOptions};
+use zpre_bench::bench_options;
 use zpre_prog::MemoryModel;
 use zpre_workloads::{suite, Scale, Task};
 
@@ -14,10 +15,8 @@ fn solve_suite(tasks: &[Task], mm: MemoryModel, strategy: Strategy) -> usize {
     let mut solved = 0;
     for task in tasks {
         let opts = VerifyOptions {
-            unroll_bound: task.unroll_bound,
-            validate_models: false,
             max_conflicts: Some(200_000),
-            ..VerifyOptions::new(mm, strategy)
+            ..bench_options(task, mm, strategy)
         };
         if verify(&task.program, &opts).verdict != Verdict::Unknown {
             solved += 1;

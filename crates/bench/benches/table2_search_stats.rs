@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use zpre::{verify, Strategy, VerifyOptions};
+use zpre::{verify, Strategy};
+use zpre_bench::bench_options;
 use zpre_prog::MemoryModel;
 use zpre_workloads::{suite, Scale, Task};
 
@@ -27,11 +28,7 @@ fn bench_table2(c: &mut Criterion) {
     );
     for mm in MemoryModel::ALL {
         let stats = |strategy| {
-            let opts = VerifyOptions {
-                unroll_bound: task.unroll_bound,
-                validate_models: false,
-                ..VerifyOptions::new(mm, strategy)
-            };
+            let opts = bench_options(&task, mm, strategy);
             verify(&task.program, &opts).stats
         };
         let b = stats(Strategy::Baseline);
@@ -52,11 +49,7 @@ fn bench_table2(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("table2/{}", mm.name()));
         group.sample_size(10);
         for strategy in [Strategy::Baseline, Strategy::Zpre] {
-            let opts = VerifyOptions {
-                unroll_bound: task.unroll_bound,
-                validate_models: false,
-                ..VerifyOptions::new(mm, strategy)
-            };
+            let opts = bench_options(&task, mm, strategy);
             group.bench_function(strategy.name(), |b| {
                 b.iter(|| black_box(verify(&task.program, &opts).stats.conflicts))
             });

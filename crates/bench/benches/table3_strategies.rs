@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use zpre::{verify, Strategy, VerifyOptions};
+use zpre::{verify, Strategy};
+use zpre_bench::bench_options;
 use zpre_prog::MemoryModel;
 use zpre_workloads::{suite, Scale, Task};
 
@@ -29,11 +30,7 @@ fn bench_table3(c: &mut Criterion) {
             group.bench_function(strategy.name(), |b| {
                 b.iter(|| {
                     for task in &set {
-                        let opts = VerifyOptions {
-                            unroll_bound: task.unroll_bound,
-                            validate_models: false,
-                            ..VerifyOptions::new(mm, strategy)
-                        };
+                        let opts = bench_options(task, mm, strategy);
                         black_box(verify(&task.program, &opts).verdict);
                     }
                 })

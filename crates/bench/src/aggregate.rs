@@ -5,7 +5,7 @@
 //! strategy); `sat` corresponds to property violations ("false" tasks),
 //! `unsat` to proofs ("true" tasks); a `TO` is a budget exhaustion.
 
-use crate::runner::TaskResult;
+use crate::runner::{RowTelemetry, TaskResult};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-(memory model, strategy) telemetry aggregate: accumulated phase
@@ -19,55 +19,22 @@ pub struct TelemetrySummaryRow {
     pub strategy: String,
     /// Rows aggregated.
     pub rows: usize,
-    /// Accumulated unroll milliseconds.
-    pub unroll_ms: f64,
-    /// Accumulated SSA milliseconds.
-    pub ssa_ms: f64,
-    /// Accumulated encode milliseconds (contains blast).
-    pub encode_ms: f64,
-    /// Accumulated bit-blast milliseconds.
-    pub blast_ms: f64,
-    /// Accumulated solve milliseconds.
-    pub solve_ms: f64,
-    /// Decision histogram: external read-from selectors.
-    pub dec_rf_ext: u64,
-    /// Decision histogram: internal read-from selectors.
-    pub dec_rf_int: u64,
-    /// Decision histogram: write-serialization selectors.
-    pub dec_ws: u64,
-    /// Decision histogram: every other class.
-    pub dec_other: u64,
-    /// Conflicts counted from the event stream.
-    pub obs_conflicts: u64,
-    /// EOG cycle checks run by the order theory.
-    pub cc_checks: u64,
-    /// Cycle checks accepted in O(1) by the topological-level test.
-    pub cc_accepted_o1: u64,
-    /// Nodes visited across all bounded two-way searches.
-    pub cc_visited: u64,
-    /// Topological-level promotions performed by forward passes.
-    pub cc_promoted: u64,
-    /// Clauses exported to the portfolio share pool (0 without sharing).
-    pub sh_exported: u64,
-    /// Foreign clauses imported from the pool.
-    pub sh_imported: u64,
-    /// Propagations/conflicts driven by imported clauses.
-    pub sh_import_hits: u64,
+    /// Accumulated phase times and counters ([`RowTelemetry::accumulate`]).
+    pub total: RowTelemetry,
 }
 
 impl TelemetrySummaryRow {
     /// Interference share of all decisions, in percent (NaN when no
     /// decisions were recorded).
     pub fn interference_pct(&self) -> f64 {
-        let interference = (self.dec_rf_ext + self.dec_rf_int + self.dec_ws) as f64;
-        let total = interference + self.dec_other as f64;
-        100.0 * interference / total
+        let t = &self.total;
+        100.0 * t.interference_decisions() as f64 / t.total_decisions() as f64
     }
 
     /// Share of cycle checks accepted in O(1), in percent (NaN when no
     /// checks were recorded).
     pub fn cc_o1_pct(&self) -> f64 {
-        100.0 * self.cc_accepted_o1 as f64 / self.cc_checks as f64
+        100.0 * self.total.cc_accepted_o1 as f64 / self.total.cc_checks as f64
     }
 }
 
@@ -85,23 +52,7 @@ pub fn telemetry_summary(results: &[TaskResult]) -> Vec<TelemetrySummaryRow> {
                 ..TelemetrySummaryRow::default()
             });
         row.rows += 1;
-        row.unroll_ms += t.unroll_ms;
-        row.ssa_ms += t.ssa_ms;
-        row.encode_ms += t.encode_ms;
-        row.blast_ms += t.blast_ms;
-        row.solve_ms += t.solve_ms;
-        row.dec_rf_ext += t.dec_rf_ext;
-        row.dec_rf_int += t.dec_rf_int;
-        row.dec_ws += t.dec_ws;
-        row.dec_other += t.dec_other;
-        row.obs_conflicts += t.obs_conflicts;
-        row.cc_checks += t.cc_checks;
-        row.cc_accepted_o1 += t.cc_accepted_o1;
-        row.cc_visited += t.cc_visited;
-        row.cc_promoted += t.cc_promoted;
-        row.sh_exported += t.sh_exported;
-        row.sh_imported += t.sh_imported;
-        row.sh_import_hits += t.sh_import_hits;
+        row.total.accumulate(t);
     }
     per.into_values().collect()
 }
@@ -138,7 +89,7 @@ pub fn both_solved<'a>(
 }
 
 /// One row of Table 1: accumulated both-solved CPU time split by verdict.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Table1Row {
     /// Memory model.
     pub mm: String,
@@ -184,12 +135,7 @@ pub fn table1(results: &[TaskResult], mms: &[&str]) -> Vec<Table1Row> {
             let zpre = by_strategy(results, mm, "zpre");
             let mut row = Table1Row {
                 mm: mm.to_string(),
-                sat_base_s: 0.0,
-                sat_zpre_s: 0.0,
-                unsat_base_s: 0.0,
-                unsat_zpre_s: 0.0,
-                all_base_s: 0.0,
-                all_zpre_s: 0.0,
+                ..Table1Row::default()
             };
             for t in solved {
                 let (b, z) = (base[t], zpre[t]);
@@ -210,7 +156,7 @@ pub fn table1(results: &[TaskResult], mms: &[&str]) -> Vec<Table1Row> {
 }
 
 /// One row of Table 2: search-procedure statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Table2Row {
     /// Memory model.
     pub mm: String,
@@ -248,12 +194,7 @@ pub fn table2(results: &[TaskResult], mms: &[&str]) -> Vec<Table2Row> {
             let zpre = by_strategy(results, mm, "zpre");
             let mut row = Table2Row {
                 mm: mm.to_string(),
-                decisions_base: 0,
-                decisions_zpre: 0,
-                propagations_base: 0,
-                propagations_zpre: 0,
-                conflicts_base: 0,
-                conflicts_zpre: 0,
+                ..Table2Row::default()
             };
             for t in solved {
                 row.decisions_base += base[t].decisions;
@@ -566,7 +507,6 @@ mod tests {
 
     #[test]
     fn telemetry_summary_accumulates_per_mm_strategy() {
-        use crate::runner::RowTelemetry;
         let mut a = mk("a", "sc", "zpre", "safe", 1.0);
         a.telemetry = Some(RowTelemetry {
             solve_ms: 2.0,
@@ -601,22 +541,22 @@ mod tests {
         let no_tele = mk("c", "sc", "baseline", "safe", 1.0);
         let rows = telemetry_summary(&[a, b, no_tele]);
         assert_eq!(rows.len(), 1, "rows without telemetry are skipped");
-        let r = &rows[0];
+        let (r, t) = (&rows[0], &rows[0].total);
         assert_eq!((r.mm.as_str(), r.strategy.as_str()), ("sc", "zpre"));
         assert_eq!(r.rows, 2);
-        assert!((r.solve_ms - 5.0).abs() < 1e-9);
+        assert!((t.solve_ms - 5.0).abs() < 1e-9);
         assert_eq!(
-            (r.dec_rf_ext, r.dec_rf_int, r.dec_ws, r.dec_other),
+            (t.dec_rf_ext, t.dec_rf_int, t.dec_ws, t.dec_other),
             (15, 5, 4, 6)
         );
-        assert_eq!(r.obs_conflicts, 4);
+        assert_eq!(t.obs_conflicts, 4);
         assert!((r.interference_pct() - 80.0).abs() < 1e-9);
         assert_eq!(
-            (r.cc_checks, r.cc_accepted_o1, r.cc_visited, r.cc_promoted),
+            (t.cc_checks, t.cc_accepted_o1, t.cc_visited, t.cc_promoted),
             (10, 8, 12, 2)
         );
         assert!((r.cc_o1_pct() - 80.0).abs() < 1e-9);
-        assert_eq!((r.sh_exported, r.sh_imported, r.sh_import_hits), (8, 5, 3));
+        assert_eq!((t.sh_exported, t.sh_imported, t.sh_import_hits), (8, 5, 3));
     }
 
     #[test]

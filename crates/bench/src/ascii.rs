@@ -85,80 +85,6 @@ pub fn subcat_bars(rows: &[(String, f64, f64, f64)], title: &str) -> String {
     out
 }
 
-/// One family row of the clause-sharing report: `(family, rows, iso_ms,
-/// shared_ms, sh_exported, sh_imported, sh_import_hits)`.
-pub type ShareRow = (String, usize, f64, f64, u64, u64, u64);
-
-/// Renders the shared-vs-isolated portfolio comparison with sharing
-/// counters and a speedup bar, the terminal face of `BENCH_SHARE.json`.
-pub fn share_table(rows: &[ShareRow], title: &str) -> String {
-    let mut out = format!("{title}\n");
-    out.push_str(&format!(
-        "{:<12} {:>5} {:>12} {:>12} {:>8} {:>10} {:>10} {:>9}  speedup\n",
-        "family", "rows", "iso(ms)", "shared(ms)", "speedup", "sh_exp", "sh_imp", "sh_hits"
-    ));
-    for (family, n, iso, shared, exp, imp, hits) in rows {
-        let speedup = if *shared > 0.0 {
-            iso / shared
-        } else {
-            f64::INFINITY
-        };
-        let bar_len = (speedup * 10.0).round().clamp(0.0, 60.0) as usize;
-        out.push_str(&format!(
-            "{:<12} {:>5} {:>12.1} {:>12.1} {:>7.2}x {:>10} {:>10} {:>9}  {}\n",
-            family,
-            n,
-            iso,
-            shared,
-            speedup,
-            exp,
-            imp,
-            hits,
-            "#".repeat(bar_len)
-        ));
-    }
-    out
-}
-
-/// One family row of the static-pruning report: `(family, rows,
-/// unpruned_ms, pruned_ms, vars_unpruned, vars_pruned)`.
-pub type PruneRow = (String, usize, f64, f64, u64, u64);
-
-/// Renders the pruned-vs-unpruned comparison with the interference-variable
-/// reduction per family, the terminal face of `BENCH_PRUNE.json`.
-pub fn prune_table(rows: &[PruneRow], title: &str) -> String {
-    let mut out = format!("{title}\n");
-    out.push_str(&format!(
-        "{:<12} {:>5} {:>13} {:>12} {:>10} {:>10} {:>8}  speedup\n",
-        "family", "rows", "unpruned(ms)", "pruned(ms)", "vars_full", "vars_left", "shrink"
-    ));
-    for (family, n, unpruned, pruned, full, left) in rows {
-        let speedup = if *pruned > 0.0 {
-            unpruned / pruned
-        } else {
-            f64::INFINITY
-        };
-        let shrink = if *full > 0 {
-            100.0 * (full.saturating_sub(*left)) as f64 / *full as f64
-        } else {
-            0.0
-        };
-        let bar_len = (speedup * 10.0).round().clamp(0.0, 60.0) as usize;
-        out.push_str(&format!(
-            "{:<12} {:>5} {:>13.1} {:>12.1} {:>10} {:>10} {:>7.1}%  {}\n",
-            family,
-            n,
-            unpruned,
-            pruned,
-            full,
-            left,
-            shrink,
-            "#".repeat(bar_len)
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,19 +106,6 @@ mod tests {
     #[test]
     fn scatter_handles_empty() {
         assert!(scatter(&[], "t").contains("no points"));
-    }
-
-    #[test]
-    fn share_table_renders_counters_and_speedup() {
-        let rows = vec![("stress".to_string(), 12, 100.0, 50.0, 40, 20, 7)];
-        let s = share_table(&rows, "share");
-        assert!(s.contains("share"));
-        assert!(s.contains("stress"));
-        assert!(s.contains("2.00x"));
-        for col in ["sh_exp", "sh_imp", "sh_hits"] {
-            assert!(s.contains(col), "missing column {col}");
-        }
-        assert!(s.contains("####"));
     }
 
     #[test]

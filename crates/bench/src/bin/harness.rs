@@ -111,10 +111,8 @@ fn parse_num(args: &[String], i: &mut usize, flag: &str) -> u64 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Full;
-    let mut budget: u64 = 200_000;
-    let mut seed: u64 = 0xC0FFEE;
+    let mut cfg = RunConfig::default();
     let mut out_dir = PathBuf::from("target/experiments");
-    let mut telemetry = false;
     let mut experiments: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -130,8 +128,8 @@ fn main() {
                     }
                 };
             }
-            "--budget" => budget = parse_num(&args, &mut i, "--budget"),
-            "--seed" => seed = parse_num(&args, &mut i, "--seed"),
+            "--budget" => cfg.base.max_conflicts = Some(parse_num(&args, &mut i, "--budget")),
+            "--seed" => cfg.base.seed = parse_num(&args, &mut i, "--seed"),
             "--out" => {
                 i += 1;
                 match args.get(i) {
@@ -142,7 +140,7 @@ fn main() {
                     }
                 }
             }
-            "--telemetry" => telemetry = true,
+            "--telemetry" => cfg.telemetry = true,
             exp => experiments.push(exp.to_string()),
         }
         i += 1;
@@ -172,13 +170,6 @@ fn main() {
         .collect();
     }
 
-    let cfg = RunConfig {
-        scale,
-        max_conflicts: budget,
-        seed,
-        telemetry,
-        ..RunConfig::default()
-    };
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         eprintln!("cannot create output dir {}: {e}", out_dir.display());
         std::process::exit(2);
@@ -207,7 +198,7 @@ fn main() {
         "running {} tasks x 3 memory models x {} strategies (budget {} conflicts)...",
         tasks.len(),
         strategies.len(),
-        budget
+        cfg.base.max_conflicts.unwrap_or_default()
     );
     let t0 = std::time::Instant::now();
     let sink = Mutex::new(RowSink::open(&out_dir));
@@ -239,7 +230,7 @@ fn main() {
     if let Err(e) = std::fs::write(out_dir.join("raw.json"), to_json(&results)) {
         eprintln!("warning: cannot write raw.json: {e}");
     }
-    if telemetry {
+    if cfg.telemetry {
         let path = out_dir.join("BENCH_TELEMETRY.json");
         if let Err(e) = std::fs::write(&path, telemetry_json_doc(&results)) {
             eprintln!("warning: cannot write {}: {e}", path.display());
@@ -288,35 +279,17 @@ fn telemetry_json_doc(results: &[TaskResult]) -> String {
     let rows = telemetry_summary(results);
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
+        // Distribution percentiles do not sum, so the aggregate omits them.
+        let sums = r.total.columns().into_iter();
+        let sums = sums.filter(|(k, _)| !k.starts_with("lbd_") && *k != "cycle_len_p90");
+        let sums: Vec<String> = sums.map(|(k, v)| format!(", \"{k}\": {v}")).collect();
+        let sep = if i + 1 == rows.len() { "" } else { "," };
         out.push_str(&format!(
-            "  {{\"mm\": \"{}\", \"strategy\": \"{}\", \"rows\": {}, \
-             \"unroll_ms\": {:.3}, \"ssa_ms\": {:.3}, \"encode_ms\": {:.3}, \
-             \"blast_ms\": {:.3}, \"solve_ms\": {:.3}, \"dec_rf_ext\": {}, \
-             \"dec_rf_int\": {}, \"dec_ws\": {}, \"dec_other\": {}, \
-             \"obs_conflicts\": {}, \"cc_checks\": {}, \"cc_accepted_o1\": {}, \
-             \"cc_visited\": {}, \"cc_promoted\": {}, \"sh_exported\": {}, \
-             \"sh_imported\": {}, \"sh_import_hits\": {}}}{}\n",
+            "  {{\"mm\": \"{}\", \"strategy\": \"{}\", \"rows\": {}{}}}{sep}\n",
             r.mm,
             r.strategy,
             r.rows,
-            r.unroll_ms,
-            r.ssa_ms,
-            r.encode_ms,
-            r.blast_ms,
-            r.solve_ms,
-            r.dec_rf_ext,
-            r.dec_rf_int,
-            r.dec_ws,
-            r.dec_other,
-            r.obs_conflicts,
-            r.cc_checks,
-            r.cc_accepted_o1,
-            r.cc_visited,
-            r.cc_promoted,
-            r.sh_exported,
-            r.sh_imported,
-            r.sh_import_hits,
-            if i + 1 == rows.len() { "" } else { "," }
+            sums.concat()
         ));
     }
     out.push(']');
@@ -349,21 +322,21 @@ fn print_telemetry(results: &[TaskResult]) {
             "{:<5} {:<15} {:>10.1} {:>10.1} {:>10.1} {:>9} {:>9} {:>7} {:>9} {:>6.1}% {:>10} {:>6.1}% {:>10} {:>9} {:>8} {:>8} {:>8}",
             r.mm.to_uppercase(),
             r.strategy,
-            r.encode_ms,
-            r.blast_ms,
-            r.solve_ms,
-            r.dec_rf_ext,
-            r.dec_rf_int,
-            r.dec_ws,
-            r.dec_other,
+            r.total.encode_ms,
+            r.total.blast_ms,
+            r.total.solve_ms,
+            r.total.dec_rf_ext,
+            r.total.dec_rf_int,
+            r.total.dec_ws,
+            r.total.dec_other,
             r.interference_pct(),
-            r.cc_checks,
+            r.total.cc_checks,
             r.cc_o1_pct(),
-            r.cc_visited,
-            r.cc_promoted,
-            r.sh_exported,
-            r.sh_imported,
-            r.sh_import_hits
+            r.total.cc_visited,
+            r.total.cc_promoted,
+            r.total.sh_exported,
+            r.total.sh_imported,
+            r.total.sh_import_hits
         );
     }
 }

@@ -1,5 +1,5 @@
-//! Synthetic workload families shared by the comparison harnesses
-//! (`share-bench`, `prune-bench`) beyond the paper suite proper.
+//! Synthetic workload families the A/B pairs (`ab-bench`) and `perfbench`
+//! use beyond the paper suite proper.
 
 use zpre_prog::build::*;
 use zpre_prog::{Program, Stmt};
@@ -61,5 +61,64 @@ pub fn contended_family(width: usize) -> Vec<Task> {
             Expected::unsafe_all(),
         ));
     }
+    tasks
+}
+
+/// Loopy tasks exercising a sweep's marker frames proper (the stress and
+/// wmm families are loop-free and collapse to a single frame): counting
+/// loops with the bug at depth `k*`, a loop safe at every bound, and a
+/// threaded producer racing a loop.
+pub fn loopy_family() -> Vec<Task> {
+    let mut tasks = Vec::new();
+    for kstar in [2u64, 3, 4, 5] {
+        let name = format!("kstar{kstar}");
+        let p = ProgramBuilder::new(&name)
+            .shared("x", 0)
+            .main(vec![
+                while_(lt(v("x"), c(kstar)), vec![assign("x", add(v("x"), c(1)))]),
+                assert_(ne(v("x"), c(kstar))),
+            ])
+            .build();
+        tasks.push(Task::new(
+            format!("loopy/kstar{kstar}"),
+            Subcat::Ext,
+            p,
+            6,
+            Expected::unsafe_all(),
+        ));
+    }
+    let safe = ProgramBuilder::new("safe-loop")
+        .width(8)
+        .shared("x", 0)
+        .main(vec![
+            while_(lt(v("x"), c(10)), vec![assign("x", add(v("x"), c(1)))]),
+            assert_(le(v("x"), c(10))),
+        ])
+        .build();
+    tasks.push(Task::new(
+        "loopy/safe-loop",
+        Subcat::Ext,
+        safe,
+        6,
+        Expected::safe_all(),
+    ));
+    let threaded = ProgramBuilder::new("threaded-loop")
+        .shared("cnt", 0)
+        .thread(
+            "w",
+            vec![while_(
+                lt(v("cnt"), c(2)),
+                vec![assign("cnt", add(v("cnt"), c(1)))],
+            )],
+        )
+        .main(vec![spawn(1), join(1), assert_(ne(v("cnt"), c(2)))])
+        .build();
+    tasks.push(Task::new(
+        "loopy/threaded-loop",
+        Subcat::Ext,
+        threaded,
+        6,
+        Expected::unsafe_all(),
+    ));
     tasks
 }

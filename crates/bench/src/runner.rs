@@ -1,32 +1,25 @@
 //! Parallel execution of the benchmark suite.
 
 use rayon::prelude::*;
-use std::time::Duration;
 use zpre::{
-    try_verify, verify_portfolio, PortfolioOptions, ShareConfig, Strategy, Verdict, VerifyOptions,
+    try_verify, verify_portfolio, PortfolioOptions, ShareConfig, Strategy, VerifyError,
+    VerifyOptions, VerifyOutcome,
 };
 use zpre_obs::{ndjson, Phase, Recorder, TraceConfig, VarClass};
 use zpre_prog::MemoryModel;
-use zpre_workloads::{Scale, Subcat, Task};
+use zpre_workloads::{Subcat, Task};
 
 /// Configuration of one experiment run.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
-    /// Suite scale.
-    pub scale: Scale,
-    /// Deterministic conflict cap standing in for the paper's 1800 s
-    /// per-task timeout (reported as `TO`).
-    pub max_conflicts: u64,
-    /// Optional wall-clock cap per task.
-    pub timeout: Option<Duration>,
-    /// Seed for random decision polarities.
-    pub seed: u64,
-    /// Validate extracted counterexample executions.
-    pub validate: bool,
-    /// Certify every verdict (RUP-checked proofs for Safe, replayed
-    /// witnesses for Unsafe); rejected verdicts are reported as
-    /// `"rejected"` instead of crashing the suite.
-    pub certify: bool,
+    /// Options every row starts from: the conflict budget (standing in for
+    /// the paper's 1800 s per-task timeout, reported as `TO`), wall-clock
+    /// cap, seed, model validation, certification and pruning. A row sets
+    /// its own memory model, strategy, unroll bound and recorder. With
+    /// `certify`, rejected verdicts are reported as `"rejected"` instead of
+    /// crashing the suite; `prune: false` measures the historic unpruned
+    /// encoding.
+    pub base: VerifyOptions,
     /// Attach a `zpre-obs` recorder to every measurement: per-phase
     /// timings and per-class decision histograms land in the extra
     /// `TaskResult` columns (and in `BENCH_TELEMETRY.json` via the
@@ -34,27 +27,20 @@ pub struct RunConfig {
     /// event-buffer overhead.
     pub telemetry: bool,
     /// Cross-member clause sharing for portfolio measurements
-    /// ([`run_one_portfolio`] / [`run_suite_portfolio`]); single-strategy
-    /// rows ignore it (there is nobody to share with).
+    /// ([`run_one_portfolio`]); single-strategy rows ignore it (there is
+    /// nobody to share with).
     pub share: Option<ShareConfig>,
-    /// Run the static interference-pruning pass before encoding (the
-    /// verifier's default). `false` measures the historic unpruned
-    /// encoding — the ablation side of `make bench-prune`.
-    pub prune: bool,
 }
 
 impl Default for RunConfig {
     fn default() -> RunConfig {
         RunConfig {
-            scale: Scale::Full,
-            max_conflicts: 200_000,
-            timeout: None,
-            seed: 0xC0FFEE,
-            validate: true,
-            certify: false,
+            base: VerifyOptions {
+                max_conflicts: Some(200_000),
+                ..VerifyOptions::default()
+            },
             telemetry: false,
             share: None,
-            prune: true,
         }
     }
 }
@@ -167,6 +153,69 @@ impl RowTelemetry {
         self.dec_rf_ext + self.dec_rf_int + self.dec_ws
     }
 
+    /// Adds `o`'s phase times and counters to these. The distribution
+    /// percentiles (`lbd_*`, `cycle_len_p90`) do not sum and stay as they
+    /// are.
+    pub fn accumulate(&mut self, o: &RowTelemetry) {
+        let times = [
+            (&mut self.unroll_ms, o.unroll_ms),
+            (&mut self.ssa_ms, o.ssa_ms),
+            (&mut self.encode_ms, o.encode_ms),
+            (&mut self.blast_ms, o.blast_ms),
+            (&mut self.solve_ms, o.solve_ms),
+        ];
+        for (total, v) in times {
+            *total += v;
+        }
+        let counts = [
+            (&mut self.dec_rf_ext, o.dec_rf_ext),
+            (&mut self.dec_rf_int, o.dec_rf_int),
+            (&mut self.dec_ws, o.dec_ws),
+            (&mut self.dec_other, o.dec_other),
+            (&mut self.obs_conflicts, o.obs_conflicts),
+            (&mut self.cc_checks, o.cc_checks),
+            (&mut self.cc_accepted_o1, o.cc_accepted_o1),
+            (&mut self.cc_visited, o.cc_visited),
+            (&mut self.cc_promoted, o.cc_promoted),
+            (&mut self.sh_exported, o.sh_exported),
+            (&mut self.sh_imported, o.sh_imported),
+            (&mut self.sh_import_hits, o.sh_import_hits),
+        ];
+        for (total, v) in counts {
+            *total += v;
+        }
+    }
+
+    /// Every column as `(JSON key, rendered value)`, in [`CSV_HEADER`]
+    /// order: times in milliseconds to three decimals, then counts.
+    pub fn columns(&self) -> [(&'static str, String); TELEMETRY_COLUMNS] {
+        let ms = |v: f64| format!("{v:.3}");
+        let n = |v: u64| v.to_string();
+        [
+            ("unroll_ms", ms(self.unroll_ms)),
+            ("ssa_ms", ms(self.ssa_ms)),
+            ("encode_ms", ms(self.encode_ms)),
+            ("blast_ms", ms(self.blast_ms)),
+            ("solve_ms", ms(self.solve_ms)),
+            ("dec_rf_ext", n(self.dec_rf_ext)),
+            ("dec_rf_int", n(self.dec_rf_int)),
+            ("dec_ws", n(self.dec_ws)),
+            ("dec_other", n(self.dec_other)),
+            ("obs_conflicts", n(self.obs_conflicts)),
+            ("cc_checks", n(self.cc_checks)),
+            ("cc_accepted_o1", n(self.cc_accepted_o1)),
+            ("cc_visited", n(self.cc_visited)),
+            ("cc_promoted", n(self.cc_promoted)),
+            ("lbd_p50", n(self.lbd_p50)),
+            ("lbd_p90", n(self.lbd_p90)),
+            ("lbd_p99", n(self.lbd_p99)),
+            ("cycle_len_p90", n(self.cycle_len_p90)),
+            ("sh_exported", n(self.sh_exported)),
+            ("sh_imported", n(self.sh_imported)),
+            ("sh_import_hits", n(self.sh_import_hits)),
+        ]
+    }
+
     /// Reads phase timings and counters off a recorder snapshot.
     pub fn from_recorder(rec: &Recorder) -> RowTelemetry {
         let snap = rec.snapshot();
@@ -204,41 +253,24 @@ impl RowTelemetry {
     }
 }
 
-fn mk_recorder(cfg: &RunConfig) -> Option<Recorder> {
-    cfg.telemetry.then(|| {
-        Recorder::new(TraceConfig {
-            // Counters and spans are all the bench columns need; skipping
-            // event storage keeps memory flat across a full suite.
-            events: false,
-            decision_sample: 1,
-        })
+/// A recorder keeping counters and spans, all a bench row needs: skipping
+/// event storage keeps memory flat across a full suite.
+pub fn counters_recorder() -> Recorder {
+    Recorder::new(TraceConfig {
+        events: false,
+        decision_sample: 1,
     })
 }
 
-impl TaskResult {
-    /// Parsed verdict.
-    pub fn verdict_enum(&self) -> Verdict {
-        match self.verdict.as_str() {
-            "safe" => Verdict::Safe,
-            "unsafe" => Verdict::Unsafe,
-            _ => Verdict::Unknown,
-        }
-    }
+fn mk_recorder(cfg: &RunConfig) -> Option<Recorder> {
+    cfg.telemetry.then(counters_recorder)
+}
 
+impl TaskResult {
     /// `true` when the task was solved within budget.
     pub fn solved(&self) -> bool {
         self.verdict != "unknown"
     }
-}
-
-/// Runs `tasks × mms × strategies` in parallel and returns all results.
-pub fn run_suite(
-    tasks: &[Task],
-    mms: &[MemoryModel],
-    strategies: &[Strategy],
-    cfg: &RunConfig,
-) -> Vec<TaskResult> {
-    run_suite_streaming(tasks, mms, strategies, cfg, |_| {})
 }
 
 /// Runs `tasks × mms × strategies` in parallel, invoking `on_row` as each
@@ -279,67 +311,9 @@ where
 /// Runs a single (task, memory model, strategy) measurement.
 pub fn run_one(task: &Task, mm: MemoryModel, strategy: Strategy, cfg: &RunConfig) -> TaskResult {
     let recorder = mk_recorder(cfg);
-    let opts = VerifyOptions {
-        mm,
-        strategy,
-        unroll_bound: task.unroll_bound,
-        max_bound: task.unroll_bound,
-        max_conflicts: Some(cfg.max_conflicts),
-        timeout: cfg.timeout,
-        max_memory: None,
-        seed: cfg.seed,
-        validate_models: cfg.validate,
-        want_trace: false,
-        cancel: None,
-        certify: cfg.certify,
-        fault: None,
-        recorder: recorder.clone(),
-        share: None,
-        prune: cfg.prune,
-    };
-    let telemetry = |rec: &Option<Recorder>| rec.as_ref().map(RowTelemetry::from_recorder);
-    match try_verify(&task.program, &opts) {
-        Ok(out) => TaskResult {
-            task: task.name.clone(),
-            subcat: task.subcat.name().to_string(),
-            mm: mm.name().to_string(),
-            strategy: strategy.name().to_string(),
-            verdict: out.verdict.to_string(),
-            solve_ms: out.solve_time.as_secs_f64() * 1e3,
-            encode_ms: out.encode_time.as_secs_f64() * 1e3,
-            decisions: out.stats.decisions,
-            propagations: out.stats.propagations,
-            conflicts: out.stats.conflicts,
-            guided_decisions: out.stats.guided_decisions,
-            expected_ok: task.expected.matches(mm, out.verdict),
-            winner: None,
-            cancel_latency_ms: None,
-            certified: out.certificate.as_ref().map(|c| c.summary()),
-            quarantined: None,
-            telemetry: telemetry(&recorder),
-        },
-        // A rejected verdict (certification failure) is recorded, not
-        // propagated as a panic: one bad row must not sink the suite.
-        Err(e) => TaskResult {
-            task: task.name.clone(),
-            subcat: task.subcat.name().to_string(),
-            mm: mm.name().to_string(),
-            strategy: strategy.name().to_string(),
-            verdict: "rejected".to_string(),
-            solve_ms: 0.0,
-            encode_ms: 0.0,
-            decisions: 0,
-            propagations: 0,
-            conflicts: 0,
-            guided_decisions: 0,
-            expected_ok: false,
-            winner: None,
-            cancel_latency_ms: None,
-            certified: Some(format!("rejected: {e}")),
-            quarantined: None,
-            telemetry: telemetry(&recorder),
-        },
-    }
+    let opts = row_options(task, mm, strategy, &recorder, cfg);
+    let out = try_verify(&task.program, &opts);
+    task_result(task, mm, strategy.name(), out, &recorder)
 }
 
 /// Runs a single (task, memory model) measurement with the default
@@ -347,69 +321,97 @@ pub fn run_one(task: &Task, mm: MemoryModel, strategy: Strategy, cfg: &RunConfig
 /// `"portfolio"`; solver statistics come from the winning member.
 pub fn run_one_portfolio(task: &Task, mm: MemoryModel, cfg: &RunConfig) -> TaskResult {
     let recorder = mk_recorder(cfg);
-    let base = VerifyOptions {
-        mm,
-        strategy: Strategy::Zpre,
-        unroll_bound: task.unroll_bound,
-        max_bound: task.unroll_bound,
-        max_conflicts: Some(cfg.max_conflicts),
-        timeout: cfg.timeout,
-        max_memory: None,
-        seed: cfg.seed,
-        validate_models: cfg.validate,
-        want_trace: false,
-        cancel: None,
-        certify: cfg.certify,
-        fault: None,
-        recorder: recorder.clone(),
-        share: None,
-        prune: cfg.prune,
-    };
+    let base = row_options(task, mm, Strategy::Zpre, &recorder, cfg);
     let mut folio_opts = PortfolioOptions::new(base);
     if let Some(share_cfg) = cfg.share {
         folio_opts = folio_opts.with_share(share_cfg);
     }
     let folio = verify_portfolio(&task.program, &folio_opts);
-    let out = &folio.outcome;
+    TaskResult {
+        winner: folio.winner,
+        cancel_latency_ms: folio.cancel_latency.map(|d| d.as_secs_f64() * 1e3),
+        quarantined: (!folio.quarantined.is_empty()).then(|| folio.quarantined.join(";")),
+        ..task_result(task, mm, "portfolio", Ok(folio.outcome), &recorder)
+    }
+}
+
+/// The options a Criterion bench solves `task` under: its unroll bound,
+/// no model re-validation, no conflict budget.
+pub fn bench_options(task: &Task, mm: MemoryModel, strategy: Strategy) -> VerifyOptions {
+    let mut opts = VerifyOptions::new(mm, strategy);
+    opts.unroll_bound = task.unroll_bound;
+    opts.validate_models = false;
+    opts
+}
+
+/// A row's options: `cfg.base` at the task's bound, under `mm` and
+/// `strategy`, with the row's recorder.
+fn row_options(
+    task: &Task,
+    mm: MemoryModel,
+    strategy: Strategy,
+    recorder: &Option<Recorder>,
+    cfg: &RunConfig,
+) -> VerifyOptions {
+    VerifyOptions {
+        mm,
+        strategy,
+        unroll_bound: task.unroll_bound,
+        max_bound: task.unroll_bound,
+        recorder: recorder.clone(),
+        ..cfg.base.clone()
+    }
+}
+
+/// The row of one outcome. A rejected verdict (certification failure) is
+/// recorded as `"rejected"`, not propagated as a panic: one bad row must
+/// not sink the suite.
+fn task_result(
+    task: &Task,
+    mm: MemoryModel,
+    strategy: &str,
+    out: Result<VerifyOutcome, VerifyError>,
+    recorder: &Option<Recorder>,
+) -> TaskResult {
+    let (verdict, certified, expected_ok, out) = match out {
+        Ok(out) => (
+            out.verdict.to_string(),
+            out.certificate.as_ref().map(|c| c.summary()),
+            task.expected.matches(mm, out.verdict),
+            out,
+        ),
+        Err(e) => (
+            "rejected".to_string(),
+            Some(format!("rejected: {e}")),
+            false,
+            VerifyOutcome::default(),
+        ),
+    };
     TaskResult {
         task: task.name.clone(),
         subcat: task.subcat.name().to_string(),
         mm: mm.name().to_string(),
-        strategy: "portfolio".to_string(),
-        verdict: out.verdict.to_string(),
+        strategy: strategy.to_string(),
+        verdict,
         solve_ms: out.solve_time.as_secs_f64() * 1e3,
         encode_ms: out.encode_time.as_secs_f64() * 1e3,
         decisions: out.stats.decisions,
         propagations: out.stats.propagations,
         conflicts: out.stats.conflicts,
         guided_decisions: out.stats.guided_decisions,
-        expected_ok: task.expected.matches(mm, out.verdict),
-        winner: folio.winner.clone(),
-        cancel_latency_ms: folio.cancel_latency.map(|d| d.as_secs_f64() * 1e3),
-        certified: out.certificate.as_ref().map(|c| c.summary()),
-        quarantined: if folio.quarantined.is_empty() {
-            None
-        } else {
-            Some(folio.quarantined.join(";"))
-        },
+        expected_ok,
+        winner: None,
+        cancel_latency_ms: None,
+        certified,
+        quarantined: None,
         telemetry: recorder.as_ref().map(RowTelemetry::from_recorder),
     }
 }
 
-/// Runs `tasks × mms` through the portfolio engine in parallel. Each job
+/// Runs `tasks × mms` through the portfolio engine, handing each finished
+/// race to `on_row` immediately so callers can flush it to disk. Each job
 /// already saturates several cores with its member threads, so jobs run
-/// sequentially within rayon's outer parallelism.
-pub fn run_suite_portfolio(
-    tasks: &[Task],
-    mms: &[MemoryModel],
-    cfg: &RunConfig,
-) -> Vec<TaskResult> {
-    run_suite_portfolio_streaming(tasks, mms, cfg, |_| {})
-}
-
-/// [`run_suite_portfolio`] with a per-row completion callback, mirroring
-/// [`run_suite_streaming`]: each finished portfolio race is handed to
-/// `on_row` immediately so callers can flush it to disk.
+/// sequentially.
 pub fn run_suite_portfolio_streaming<F>(
     tasks: &[Task],
     mms: &[MemoryModel],
@@ -430,6 +432,9 @@ where
     results
 }
 
+/// Telemetry columns at the end of every CSV row.
+const TELEMETRY_COLUMNS: usize = 21;
+
 /// The CSV header line (no trailing newline) matching [`csv_row`].
 pub const CSV_HEADER: &str = "task,subcat,mm,strategy,verdict,solve_ms,encode_ms,decisions,propagations,conflicts,guided_decisions,expected_ok,winner,cancel_latency_ms,certified,quarantined,unroll_ms,ssa_ms,tele_encode_ms,blast_ms,tele_solve_ms,dec_rf_ext,dec_rf_int,dec_ws,dec_other,obs_conflicts,cc_checks,cc_accepted_o1,cc_visited,cc_promoted,lbd_p50,lbd_p90,lbd_p99,cycle_len_p90,sh_exported,sh_imported,sh_import_hits";
 
@@ -443,33 +448,8 @@ pub fn csv_row(r: &TaskResult) -> String {
     // Telemetry columns stay empty (not zero) when telemetry was off,
     // so downstream tooling can tell "unmeasured" from "measured zero".
     let tele = r.telemetry.as_ref().map_or_else(
-        || ",,,,,,,,,,,,,,,,,,,,".to_string(),
-        |t| {
-            format!(
-                "{:.3},{:.3},{:.3},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                t.unroll_ms,
-                t.ssa_ms,
-                t.encode_ms,
-                t.blast_ms,
-                t.solve_ms,
-                t.dec_rf_ext,
-                t.dec_rf_int,
-                t.dec_ws,
-                t.dec_other,
-                t.obs_conflicts,
-                t.cc_checks,
-                t.cc_accepted_o1,
-                t.cc_visited,
-                t.cc_promoted,
-                t.lbd_p50,
-                t.lbd_p90,
-                t.lbd_p99,
-                t.cycle_len_p90,
-                t.sh_exported,
-                t.sh_imported,
-                t.sh_import_hits
-            )
-        },
+        || ",".repeat(TELEMETRY_COLUMNS - 1),
+        |t| t.columns().map(|(_, v)| v).join(","),
     );
     format!(
         "{},{},{},{},{},{:.3},{:.3},{},{},{},{},{},{},{},{},{},{}",
@@ -538,71 +518,20 @@ pub fn to_csv(results: &[TaskResult]) -> String {
     out
 }
 
-/// Serializes results as pretty-printed JSON (hand-rolled: the build
-/// environment has no registry access, so serde is not available).
+/// Serializes results as one JSON array, one [`json_row`] object per line
+/// (hand-rolled: the build environment has no registry access, so serde
+/// is not available).
 pub fn to_json(results: &[TaskResult]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\n    \"task\": {},\n    \"subcat\": {},\n    \"mm\": {},\n    \"strategy\": {},\n    \"verdict\": {},\n    \"solve_ms\": {:.3},\n    \"encode_ms\": {:.3},\n    \"decisions\": {},\n    \"propagations\": {},\n    \"conflicts\": {},\n    \"guided_decisions\": {},\n    \"expected_ok\": {},\n    \"winner\": {},\n    \"cancel_latency_ms\": {},\n    \"certified\": {},\n    \"quarantined\": {},\n    \"telemetry\": {}\n  }}{}\n",
-            ndjson::quoted(&r.task),
-            ndjson::quoted(&r.subcat),
-            ndjson::quoted(&r.mm),
-            ndjson::quoted(&r.strategy),
-            ndjson::quoted(&r.verdict),
-            r.solve_ms,
-            r.encode_ms,
-            r.decisions,
-            r.propagations,
-            r.conflicts,
-            r.guided_decisions,
-            r.expected_ok,
-            r.winner.as_deref().map_or("null".into(), ndjson::quoted),
-            r.cancel_latency_ms.map_or("null".to_string(), |l| format!("{l:.3}")),
-            r.certified.as_deref().map_or("null".into(), ndjson::quoted),
-            r.quarantined.as_deref().map_or("null".into(), ndjson::quoted),
-            telemetry_json(r.telemetry.as_ref()),
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push(']');
-    out
+    let rows: Vec<String> = results.iter().map(json_row).collect();
+    format!("[\n{}\n]", rows.join(",\n"))
 }
 
 /// JSON fragment for a row's telemetry (or `null` when telemetry was off).
 pub fn telemetry_json(t: Option<&RowTelemetry>) -> String {
-    match t {
-        None => "null".to_string(),
-        Some(t) => format!(
-            "{{\"unroll_ms\": {:.3}, \"ssa_ms\": {:.3}, \"encode_ms\": {:.3}, \
-             \"blast_ms\": {:.3}, \"solve_ms\": {:.3}, \"dec_rf_ext\": {}, \
-             \"dec_rf_int\": {}, \"dec_ws\": {}, \"dec_other\": {}, \"obs_conflicts\": {}, \
-             \"cc_checks\": {}, \"cc_accepted_o1\": {}, \"cc_visited\": {}, \"cc_promoted\": {}, \
-             \"lbd_p50\": {}, \"lbd_p90\": {}, \"lbd_p99\": {}, \"cycle_len_p90\": {}, \
-             \"sh_exported\": {}, \"sh_imported\": {}, \"sh_import_hits\": {}}}",
-            t.unroll_ms,
-            t.ssa_ms,
-            t.encode_ms,
-            t.blast_ms,
-            t.solve_ms,
-            t.dec_rf_ext,
-            t.dec_rf_int,
-            t.dec_ws,
-            t.dec_other,
-            t.obs_conflicts,
-            t.cc_checks,
-            t.cc_accepted_o1,
-            t.cc_visited,
-            t.cc_promoted,
-            t.lbd_p50,
-            t.lbd_p90,
-            t.lbd_p99,
-            t.cycle_len_p90,
-            t.sh_exported,
-            t.sh_imported,
-            t.sh_import_hits
-        ),
-    }
+    t.map_or("null".to_string(), |t| {
+        let fields = t.columns().map(|(k, v)| format!("\"{k}\": {v}"));
+        format!("{{{}}}", fields.join(", "))
+    })
 }
 
 /// Helper: the subcategory display order used by the figures.
@@ -613,20 +542,18 @@ pub fn subcat_order() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zpre_workloads::suite;
+    use zpre_workloads::{suite, Scale};
 
     #[test]
     fn quick_run_produces_consistent_results() {
         let tasks: Vec<Task> = suite(Scale::Quick).into_iter().take(4).collect();
-        let cfg = RunConfig {
-            scale: Scale::Quick,
-            ..RunConfig::default()
-        };
-        let results = run_suite(
+        let cfg = RunConfig::default();
+        let results = run_suite_streaming(
             &tasks,
             &[MemoryModel::Sc],
             &[Strategy::Baseline, Strategy::Zpre],
             &cfg,
+            |_| {},
         );
         assert_eq!(results.len(), tasks.len() * 2);
         for r in &results {
@@ -651,7 +578,8 @@ mod tests {
     fn csv_roundtrip_shape() {
         let tasks: Vec<Task> = suite(Scale::Quick).into_iter().take(1).collect();
         let cfg = RunConfig::default();
-        let results = run_suite(&tasks, &[MemoryModel::Sc], &[Strategy::Zpre], &cfg);
+        let results =
+            run_suite_streaming(&tasks, &[MemoryModel::Sc], &[Strategy::Zpre], &cfg, |_| {});
         let csv = to_csv(&results);
         assert_eq!(csv.lines().count(), results.len() + 1);
         assert!(csv.starts_with("task,"));
@@ -668,7 +596,9 @@ mod tests {
     fn json_row_escapes_control_characters() {
         let tasks: Vec<Task> = suite(Scale::Quick).into_iter().take(1).collect();
         let cfg = RunConfig::default();
-        let mut row = run_suite(&tasks, &[MemoryModel::Sc], &[Strategy::Zpre], &cfg).remove(0);
+        let mut row =
+            run_suite_streaming(&tasks, &[MemoryModel::Sc], &[Strategy::Zpre], &cfg, |_| {})
+                .remove(0);
         row.certified = Some("a\nb\u{1}".to_string());
         row.quarantined = Some("x\ty\r".to_string());
         let line = json_row(&row);
@@ -685,15 +615,15 @@ mod tests {
     fn table2_columns_reproduce_from_event_stream() {
         let tasks: Vec<Task> = suite(Scale::Quick).into_iter().take(3).collect();
         let cfg = RunConfig {
-            scale: Scale::Quick,
             telemetry: true,
             ..RunConfig::default()
         };
-        let results = run_suite(
+        let results = run_suite_streaming(
             &tasks,
             &[MemoryModel::Sc, MemoryModel::Tso],
             &[Strategy::Baseline, Strategy::Zpre],
             &cfg,
+            |_| {},
         );
         for r in &results {
             let t = r

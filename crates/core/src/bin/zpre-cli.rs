@@ -433,7 +433,7 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     let mut tasks: Vec<BatchTask> = Vec::new();
     let mut load_errors = 0usize;
     for file in &files {
-        match load(file) {
+        match load_traced(file, opts.base.recorder.as_ref()) {
             Ok(p) => {
                 for &mm in &shared.mms {
                     let (strategy, max_bound) = (opts.base.strategy, opts.base.max_bound);

@@ -199,7 +199,9 @@ pub struct TaskReport {
     pub verdict: Verdict,
     /// Bound at which the verdict was established.
     pub bound: u32,
-    /// Exhaustion reason when `verdict` is `Unknown`.
+    /// Exhaustion reason when `verdict` is `Unknown` because a budget ran
+    /// out; `None` when every rung failed with an error instead (the rung
+    /// records carry it).
     pub exhaustion: Option<ExhaustionReason>,
     /// The recorded ladder descent (empty for journal-loaded reports).
     pub ladder: Vec<RungRecord>,
@@ -818,8 +820,14 @@ fn run_task(
             break;
         }
     }
-    let exhaustion = last_exhaustion.or(Some(ExhaustionReason::Time));
-    Some(report(Verdict::Unknown, progress.get(), exhaustion, ladder))
+    // No reason when no rung exhausted a budget: the rung records' errors
+    // say why the task is unknown.
+    Some(report(
+        Verdict::Unknown,
+        progress.get(),
+        last_exhaustion,
+        ladder,
+    ))
 }
 
 /// One rung: the task's sweep from frame `start` under `opts.base` with the
@@ -994,6 +1002,30 @@ mod tests {
             .iter()
             .all(|rec| rec.exhaustion == Some(ExhaustionReason::Memory)));
         assert_eq!(out.degradations, 3);
+    }
+
+    /// A task whose every rung errored without exhausting a budget reports
+    /// no exhaustion reason; the rung records carry the errors.
+    #[test]
+    fn task_whose_every_rung_errored_reports_no_exhaustion() {
+        let opts = BatchOptions {
+            base: VerifyOptions {
+                certify: true,
+                ..VerifyOptions::default()
+            },
+            ..fast_opts()
+        };
+        let task = vec![BatchTask::new(kstar3(), MemoryModel::Sc, Strategy::Zpre, 6)];
+        let r = &run_batch(&task, &opts).reports[0];
+        assert_eq!(r.verdict, Verdict::Unknown);
+        assert_eq!(r.exhaustion, None);
+        assert_eq!(r.as_error(), None);
+        assert_eq!(r.ladder.len(), 4, "primary, zpre-, baseline, reduced-bound");
+        for rec in &r.ladder {
+            assert_eq!(rec.exhaustion, None);
+            let error = rec.error.as_deref().expect("every rung errored");
+            assert!(error.contains("sweep"), "{error}");
+        }
     }
 
     #[test]

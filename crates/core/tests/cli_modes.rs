@@ -10,7 +10,8 @@
 //! `--share` without `--portfolio`. The `--json` key sequence of every mode
 //! is pinned, so a rewrite of the report cannot rename or reorder a key.
 //! So are `zpre-cli batch`'s `--json` keys and its exit codes over the
-//! examples, for a clean run and for a killed run resumed from its journal.
+//! examples, for a clean run and for a killed run resumed from its journal,
+//! and a batch trace records the parse phase as a verify trace does.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -227,4 +228,33 @@ fn batch_json_keys_and_exit_codes_are_pinned() {
         assert_eq!(keys(line), pin, "{line}");
     }
     assert_eq!(verdicts(&resumed), verdicts(&clean));
+}
+
+/// `batch --trace-out` records the parse phase, as `verify --trace-out`
+/// does for the same file.
+#[test]
+fn batch_trace_records_the_parse_phase() {
+    let file =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/programs/racy_counter.zc");
+    let parse_spans = |command: &str| {
+        let trace = std::env::temp_dir().join(format!(
+            "zpre-cli-{command}-parse-{}.ndjson",
+            std::process::id()
+        ));
+        let out = Command::new(env!("CARGO_BIN_EXE_zpre-cli"))
+            .arg(command)
+            .arg(&file)
+            .args(["--mm", "sc", "--trace-out"])
+            .arg(&trace)
+            .output()
+            .expect("zpre-cli runs");
+        assert_eq!(out.status.code(), Some(1), "racy_counter is unsafe");
+        let text = std::fs::read_to_string(&trace).expect("trace written");
+        let _ = std::fs::remove_file(&trace);
+        text.lines()
+            .filter(|l| l.contains("\"t\":\"span\"") && l.contains("\"phase\":\"parse\""))
+            .count()
+    };
+    assert_eq!(parse_spans("verify"), 1);
+    assert_eq!(parse_spans("batch"), 1);
 }

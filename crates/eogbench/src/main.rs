@@ -1,39 +1,29 @@
 //! `eog-bench` — command-line driver for the EOG engine microbenchmarks.
 //!
 //! ```text
-//! eog-bench [--quick] [--tag NAME] [--out PATH] [--suite]
+//! eog-bench [--quick] [--tag NAME] [--out PATH]
 //! ```
 //!
-//! Default mode plays every synthetic shape (chain / grid / random-DAG /
-//! near-cycle) at 10²–10⁴ nodes through the engine in both modes
-//! (incremental vs forced full DFS), prints a comparison table, and
-//! appends one NDJSON line per measurement to `BENCH_EOG.json` so the
-//! perf trajectory accumulates across commits.
+//! Plays every synthetic shape (chain / grid / random-DAG / near-cycle) at
+//! 10²–10⁴ nodes through the engine in both modes (incremental vs forced
+//! full DFS), prints a comparison table, and appends one NDJSON line per
+//! measurement to `BENCH_EOG.json` so the perf trajectory accumulates
+//! across commits.
 //!
-//! `--suite` additionally runs the stress and wmm workload families
-//! end-to-end under `zpre` vs the `zpre-dfs-check` ablation and reports
-//! the total-nodes-visited ratio — the acceptance number for the
-//! incremental engine (≥ 5× fewer visited nodes than the DFS reference).
+//! The end-to-end counterpart, the stress and wmm families solved under
+//! `zpre` vs the `zpre-dfs-check` ablation with their visited-nodes ratio,
+//! is `ab-bench eog`.
 
-use std::fmt::Write as _;
 use std::fs::OpenOptions;
 use std::io::Write as _;
 
 use zpre_eog_bench::{run_scenario, sizes, Shape};
-use zpre_obs::{Recorder, TraceConfig};
-use zpre_workloads::{subcategory, Scale, Subcat};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let suite_mode = args.iter().any(|a| a == "--suite");
-    let tag = flag_value(&args, "--tag").unwrap_or_else(|| {
-        if quick {
-            "quick".to_string()
-        } else {
-            "full".to_string()
-        }
-    });
+    let tag = flag_value(&args, "--tag")
+        .unwrap_or_else(|| if quick { "quick" } else { "full" }.to_string());
     let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_EOG.json".to_string());
 
     let mut lines = Vec::new();
@@ -67,10 +57,6 @@ fn main() {
         }
     }
 
-    if suite_mode {
-        lines.extend(run_suite_comparison(quick));
-    }
-
     let mut f = OpenOptions::new()
         .create(true)
         .append(true)
@@ -86,90 +72,4 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Runs the stress + wmm families under `zpre` and `zpre-dfs-check`,
-/// accumulating the cycle-check telemetry of each; returns NDJSON lines
-/// and prints the visited-nodes ratio.
-fn run_suite_comparison(quick: bool) -> Vec<String> {
-    use zpre::{try_verify, Strategy, VerifyOptions};
-    use zpre_prog::MemoryModel;
-
-    let scale = if quick { Scale::Quick } else { Scale::Full };
-    let mut lines = Vec::new();
-    let mut report = String::new();
-    // The third "family" isolates the tail of the stress ladder (seeds
-    // 200+), where cycle-check cost is the largest share of the solve —
-    // the wall-clock acceptance case for the incremental engine.
-    let stress_large: Vec<_> = subcategory(scale, Subcat::Stress)
-        .into_iter()
-        .filter(|t| t.name.starts_with("stress/s2"))
-        .collect();
-    let families = [
-        ("stress", subcategory(scale, Subcat::Stress)),
-        ("wmm", subcategory(scale, Subcat::Wmm)),
-        ("stress-large", stress_large),
-    ];
-    for (family, tasks) in families {
-        if tasks.is_empty() {
-            continue;
-        }
-        let mut totals = Vec::new();
-        for (strategy, label) in [
-            (Strategy::Zpre, "zpre"),
-            (Strategy::ZpreDfsCheck, "zpre-dfs-check"),
-        ] {
-            let rec = Recorder::new(TraceConfig {
-                events: false,
-                decision_sample: 1,
-            });
-            let t0 = std::time::Instant::now();
-            let mut solved = 0usize;
-            for task in &tasks {
-                for mm in MemoryModel::ALL {
-                    let opts = VerifyOptions {
-                        unroll_bound: task.unroll_bound,
-                        validate_models: false,
-                        max_conflicts: Some(200_000),
-                        recorder: Some(rec.clone()),
-                        ..VerifyOptions::new(mm, strategy)
-                    };
-                    if try_verify(&task.program, &opts).is_ok() {
-                        solved += 1;
-                    }
-                }
-            }
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let c = rec.snapshot().counters;
-            let _ = writeln!(
-                report,
-                "{family:<8} {label:<15} {} tasks ({solved} ok) wall {wall_ms:.1} ms  checks {}  visited {}  promoted {}  o1 {}",
-                tasks.len(),
-                c.cycle_checks,
-                c.cycle_visited,
-                c.cycle_promoted,
-                c.cycle_accepted_o1
-            );
-            totals.push(c.cycle_visited.max(1));
-            lines.push(format!(
-                "{{\"tag\": \"suite\", \"shape\": \"{family}\", \"nodes\": {}, \"mode\": \"{label}\", \
-                 \"wall_ms\": {wall_ms:.3}, \"edges_tried\": {}, \"rejected\": 0, \
-                 \"checks\": {}, \"accepted_o1\": {}, \"searched\": {}, \"visited\": {}, \"promoted\": {}}}",
-                tasks.len(),
-                c.cycle_checks,
-                c.cycle_checks,
-                c.cycle_accepted_o1,
-                c.cycle_searched,
-                c.cycle_visited,
-                c.cycle_promoted
-            ));
-        }
-        let _ = writeln!(
-            report,
-            "{family:<8} visited-nodes ratio (full-dfs / incremental): {:.1}x",
-            totals[1] as f64 / totals[0] as f64
-        );
-    }
-    println!("\nsuite comparison (all memory models):\n{report}");
-    lines
 }
