@@ -95,12 +95,12 @@ impl Default for AbOptions {
 /// exports, imports and import hits.
 pub const WORK: [(&str, Counter); 7] = [
     ("decisions", Counters::total_decisions),
-    ("conflicts", |c| c.conflicts),
-    ("visited", |c| c.cycle_visited),
-    ("reused", |c| c.frame_reused_learnts),
-    ("sh_exported", |c| c.sh_exported),
-    ("sh_imported", |c| c.sh_imported),
-    ("sh_import_hits", |c| c.sh_import_hits),
+    ("conflicts", |c| c[zpre_obs::Counter::Conflicts]),
+    ("visited", |c| c[zpre_obs::Counter::CycleVisited]),
+    ("reused", |c| c[zpre_obs::Counter::FrameReusedLearnts]),
+    ("sh_exported", |c| c[zpre_obs::Counter::ShExported]),
+    ("sh_imported", |c| c[zpre_obs::Counter::ShImported]),
+    ("sh_import_hits", |c| c[zpre_obs::Counter::ShImportHits]),
 ];
 
 /// Reads one counter off a recorder's counters.

@@ -5,7 +5,7 @@ use zpre::{
     try_verify, verify_portfolio, PortfolioOptions, ShareConfig, Strategy, VerifyError,
     VerifyOptions, VerifyOutcome,
 };
-use zpre_obs::{ndjson, Phase, Recorder, TraceConfig, VarClass};
+use zpre_obs::{ndjson, Counter, Hist, Phase, Recorder, TraceConfig, VarClass};
 use zpre_prog::MemoryModel;
 use zpre_workloads::{Subcat, Task};
 
@@ -237,18 +237,18 @@ impl RowTelemetry {
             dec_rf_int: c.decisions[VarClass::InternalRf.index()],
             dec_ws: c.decisions[VarClass::Ws.index()],
             dec_other: c.decisions[VarClass::Other.index()],
-            obs_conflicts: c.conflicts,
-            cc_checks: c.cycle_checks,
-            cc_accepted_o1: c.cycle_accepted_o1,
-            cc_visited: c.cycle_visited,
-            cc_promoted: c.cycle_promoted,
-            lbd_p50: snap.hists.conflict_lbd.percentile(0.50),
-            lbd_p90: snap.hists.conflict_lbd.percentile(0.90),
-            lbd_p99: snap.hists.conflict_lbd.percentile(0.99),
-            cycle_len_p90: snap.hists.lemma_cycle_len.percentile(0.90),
-            sh_exported: c.sh_exported,
-            sh_imported: c.sh_imported,
-            sh_import_hits: c.sh_import_hits,
+            obs_conflicts: c[Counter::Conflicts],
+            cc_checks: c[Counter::CycleChecks],
+            cc_accepted_o1: c[Counter::CycleAcceptedO1],
+            cc_visited: c[Counter::CycleVisited],
+            cc_promoted: c[Counter::CyclePromoted],
+            lbd_p50: snap.hists[Hist::ConflictLbd].percentile(0.50),
+            lbd_p90: snap.hists[Hist::ConflictLbd].percentile(0.90),
+            lbd_p99: snap.hists[Hist::ConflictLbd].percentile(0.99),
+            cycle_len_p90: snap.hists[Hist::LemmaCycleLen].percentile(0.90),
+            sh_exported: c[Counter::ShExported],
+            sh_imported: c[Counter::ShImported],
+            sh_import_hits: c[Counter::ShImportHits],
         }
     }
 }

@@ -67,15 +67,15 @@
 //! condition as SMT-LIB 2; `pretty` parses and re-prints the program.
 //!
 //! Observability: `--profile` prints a hierarchical per-phase timing report
-//! (parse → unroll → SSA → encode per memory model → bit-blast → solve →
-//! certify/replay) plus decision histograms by variable class; `--trace-out
+//! (parse → unroll → SSA → analysis → encode per memory model → bit-blast →
+//! solve → certify/replay) plus decision histograms by variable class; `--trace-out
 //! FILE` additionally streams every solver event (decisions tagged
 //! external-RF/internal-RF/WS/other, conflicts, theory lemmas with
 //! event-order-graph cycle length, restarts, learnt-DB reductions) as
 //! NDJSON; `--trace-sample N` keeps only every Nth decision event (counters
-//! stay exact). `trace check` (spelled `trace-check` historically; both
-//! work) validates an NDJSON trace file's schema and internal invariants —
-//! the CI telemetry smoke job runs it on every example program.
+//! stay exact). `trace check` validates an NDJSON trace file's schema and
+//! internal invariants — the CI telemetry smoke job runs it on every
+//! example program.
 //!
 //! The rest of the `trace` family analyzes what `--trace-out` wrote:
 //! `trace top` ranks phases by self time, `trace stats` flattens a trace
@@ -117,7 +117,7 @@ use zpre::{
     PortfolioOutcome, ShareConfig, Strategy, Verdict, VerifyError, VerifyOptions, VerifyOutcome,
 };
 use zpre_obs::ndjson::quoted;
-use zpre_obs::{profile_report, Recorder, TraceConfig};
+use zpre_obs::{profile_report, Counter, Recorder, TraceConfig};
 use zpre_prog::interp::{check_sc, Limits, Outcome};
 use zpre_prog::wmm::check_wmm;
 use zpre_prog::{flatten, parse_program_traced, pretty, unroll_program, MemoryModel, Program};
@@ -357,8 +357,6 @@ fn main() -> ExitCode {
         "dump" => cmd_dump(&args[1..]),
         "pretty" => cmd_pretty(&args[1..]),
         "trace" => cmd_trace(&args[1..]),
-        // Historical spelling, kept because CI scripts use it.
-        "trace-check" => cmd_trace_check(&args[1..]),
         _ => usage(),
     }
 }
@@ -594,10 +592,16 @@ fn cmd_trace_check(args: &[String]) -> ExitCode {
                 report.members,
             );
             println!("  phases: {}", report.phases_seen.join(" "));
-            let d = &report.decisions_by_class;
+            let c = &report.counters;
+            let d = &c.decisions;
             println!(
                 "  decisions: rf_ext {} rf_int {} ws {} other {}  conflicts {}  lemmas {}",
-                d[0], d[1], d[2], d[3], report.conflicts, report.lemmas
+                d[0],
+                d[1],
+                d[2],
+                d[3],
+                c[Counter::Conflicts],
+                c[Counter::TheoryLemmas]
             );
             ExitCode::SUCCESS
         }

@@ -53,9 +53,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use zpre_obs::metrics::{rss_bytes, MetricsRegistry};
+use zpre_obs::analyze::TraceStats;
+use zpre_obs::metrics::rss_bytes;
 use zpre_obs::ndjson::{parse_line, quoted, JsonVal};
-use zpre_obs::{Phase, Recorder};
+use zpre_obs::{Counter, Phase, Recorder};
 use zpre_prog::{MemoryModel, Program};
 use zpre_sat::{CancelToken, ExhaustionReason};
 
@@ -344,7 +345,7 @@ impl Journal {
                 Ok(()) => {
                     self.writes += 1;
                     if let Some(r) = &self.recorder {
-                        r.record_batch_checkpoint();
+                        r.add(Counter::BatchCheckpoints, 1);
                     }
                 }
                 Err(e) => {
@@ -507,15 +508,23 @@ impl BatchProgress {
         *self.current.lock().unwrap() = format!("{key} [{rung}]");
     }
 
-    /// Snapshot the counters into a fresh registry for one metrics line.
-    fn registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        reg.add("tasks_total", self.tasks_total);
-        reg.add("tasks_done", self.tasks_done.load(Ordering::Relaxed));
-        reg.add("batch_retries", self.retries.load(Ordering::Relaxed));
-        reg.add("batch_degraded", self.degraded.load(Ordering::Relaxed));
-        reg.set_gauge("rss_bytes", rss_bytes());
-        reg
+    /// One heartbeat tick as a metrics map: the progress counters, the
+    /// resident set size, and the tick's sequence number and time stamp.
+    fn stats(&self, seq: u64, elapsed_ms: u64) -> TraceStats {
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        let metrics = [
+            ("seq", seq),
+            ("elapsed_ms", elapsed_ms),
+            ("tasks_total", self.tasks_total),
+            ("tasks_done", load(&self.tasks_done)),
+            (Counter::BatchRetries.name(), load(&self.retries)),
+            (Counter::BatchDegraded.name(), load(&self.degraded)),
+            ("rss_bytes", rss_bytes()),
+        ];
+        let metrics = metrics.into_iter().map(|(k, v)| (k.to_owned(), v));
+        TraceStats {
+            metrics: metrics.collect(),
+        }
     }
 }
 
@@ -559,22 +568,21 @@ impl Heartbeat {
                 }
             });
             loop {
-                let reg = progress.registry();
-                let elapsed_ms = epoch.elapsed().as_millis() as u64;
+                let tick = progress.stats(seq, epoch.elapsed().as_millis() as u64);
                 if let Some(f) = &mut file {
-                    if writeln!(f, "{}", reg.snapshot_line(seq, elapsed_ms)).is_err() {
+                    if writeln!(f, "{}", tick.to_metrics_line()).is_err() {
                         file = None;
                     }
                 }
                 let current = progress.current.lock().unwrap().clone();
                 eprintln!(
                     "[heartbeat {:>6.1}s] {}/{} done, {} retried, {} degraded, rss {} MiB, running {}",
-                    elapsed_ms as f64 / 1000.0,
-                    reg.counter("tasks_done"),
-                    reg.counter("tasks_total"),
-                    reg.counter("batch_retries"),
-                    reg.counter("batch_degraded"),
-                    reg.gauge("rss_bytes").unwrap_or(0) >> 20,
+                    tick.get("elapsed_ms") as f64 / 1000.0,
+                    tick.get("tasks_done"),
+                    tick.get("tasks_total"),
+                    tick.get(Counter::BatchRetries.name()),
+                    tick.get(Counter::BatchDegraded.name()),
+                    tick.get("rss_bytes") >> 20,
                     current
                 );
                 seq += 1;
@@ -693,7 +701,7 @@ pub fn run_batch(tasks: &[BatchTask], opts: &BatchOptions) -> BatchOutcome {
             ),
             _ => {
                 if let Some(r) = &opts.base.recorder {
-                    r.record_batch_task();
+                    r.add(Counter::BatchTasks, 1);
                 }
                 out.tasks_run += 1;
                 progress.set_current(&task.key, "primary");
@@ -805,7 +813,7 @@ fn run_task(
                 out.retries += 1;
                 hb.retries.fetch_add(1, Ordering::Relaxed);
                 if let Some(r) = &opts.base.recorder {
-                    r.record_batch_retry();
+                    r.add(Counter::BatchRetries, 1);
                 }
                 continue;
             }
@@ -814,7 +822,7 @@ fn run_task(
                 out.degradations += 1;
                 hb.degraded.fetch_add(1, Ordering::Relaxed);
                 if let Some(r) = &opts.base.recorder {
-                    r.record_batch_degraded();
+                    r.add(Counter::BatchDegraded, 1);
                 }
             }
             break;
@@ -1306,6 +1314,39 @@ mod tests {
     }
 
     #[test]
+    fn heartbeat_line_is_a_trace_metrics_line() {
+        let progress = BatchProgress::new(3);
+        progress.tasks_done.fetch_add(2, Ordering::Relaxed);
+        progress.retries.fetch_add(1, Ordering::Relaxed);
+        let line = progress.stats(5, 1500).to_metrics_line();
+        let keys: Vec<&str> = line
+            .split(",\"")
+            .skip(1)
+            .map(|kv| kv.split_once('"').unwrap().0)
+            .collect();
+        let sorted = [
+            "batch_degraded",
+            "batch_retries",
+            "elapsed_ms",
+            "rss_bytes",
+            "seq",
+            "tasks_done",
+            "tasks_total",
+        ];
+        assert_eq!(keys, sorted, "{line}");
+        let map = parse_line(&line).expect("flat JSON");
+        assert_eq!(map.get("t").and_then(JsonVal::as_str), Some("metrics"));
+        assert_eq!(map.get("seq").and_then(JsonVal::as_u64), Some(5));
+        // The trace layer loads it like any metrics line, `seq` aside.
+        let stats = zpre_obs::analyze::load_stats(&line).expect("metrics line");
+        assert_eq!(stats.get("tasks_done"), 2);
+        assert_eq!(stats.get("tasks_total"), 3);
+        assert_eq!(stats.get("batch_retries"), 1);
+        assert_eq!(stats.get("elapsed_ms"), 1500);
+        assert!(!stats.metrics.contains_key("seq"));
+    }
+
+    #[test]
     fn batch_telemetry_flows_into_recorder() {
         let rec = Recorder::new(zpre_obs::TraceConfig {
             events: false,
@@ -1325,10 +1366,10 @@ mod tests {
         );
         assert!(!out.interrupted);
         let c = rec.counters();
-        assert_eq!(c.batch_tasks, 4);
-        assert_eq!(c.batch_retries, 0);
-        assert_eq!(c.batch_degraded, 0);
-        assert!(c.batch_checkpoints >= 8);
+        assert_eq!(c[Counter::BatchTasks], 4);
+        assert_eq!(c[Counter::BatchRetries], 0);
+        assert_eq!(c[Counter::BatchDegraded], 0);
+        assert!(c[Counter::BatchCheckpoints] >= 8);
         let snap = rec.snapshot();
         assert_eq!(
             snap.spans

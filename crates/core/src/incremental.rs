@@ -17,7 +17,7 @@ use crate::session::Session;
 use crate::verifier::{FrameOutcome, Verdict, VerifyOptions, VerifyOutcome};
 use std::time::{Duration, Instant};
 use zpre_encoder::SweepFrames;
-use zpre_obs::Phase;
+use zpre_obs::{Counter, Hist, Phase};
 use zpre_prog::{to_ssa_traced, unroll_program_sweep, Program};
 
 /// Runs an incremental bound sweep over `1..=opts.max_bound`, reporting
@@ -138,13 +138,15 @@ fn sweep_impl(
         }
         let before = *session.solver.stats();
         if let Some(r) = rec {
-            r.record_frame(before.learnt_clauses, before.conflicts);
+            r.add(Counter::Frames, 1);
+            r.add(Counter::FrameReusedLearnts, before.learnt_clauses);
+            r.add(Counter::FrameReusedConflicts, before.conflicts);
         }
         let label = format!("k={k}");
         let (frame_verdict, frame_time) = session.solve(&sweep.assumptions(k), Some(&label))?;
         solve_time += frame_time;
         if let Some(r) = rec {
-            r.record_frame_solved(frame_time.as_micros() as u64);
+            r.observe(Hist::FrameSolveUs, frame_time.as_micros() as u64);
         }
         let after = *session.solver.stats();
         frames.push(FrameOutcome {

@@ -19,7 +19,7 @@ use crate::verifier::{validate_model, Verdict, VerifyOptions};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zpre_encoder::{estimate_cnf, try_encode_opts, EncodeError, Encoded};
-use zpre_obs::{Phase, VarClass};
+use zpre_obs::{Counter, Phase, VarClass};
 use zpre_prog::SsaProgram;
 use zpre_sat::{Budget, Lit, PriorityListGuide, SolveResult, Solver, Stats, Var};
 use zpre_smt::{OrderTheory, VarKind};
@@ -68,17 +68,21 @@ impl<'a> Session<'a> {
         // counters, and — under `--certify` — re-verify every justification
         // with the independent checker before trusting the smaller encoding.
         let report = if opts.prune {
+            let span = rec.map(|r| r.span(Phase::Analysis));
             let rep = zpre_analysis::analyze(ssa, opts.mm);
+            drop(span);
             if let Some(r) = rec {
                 let c = &rep.counters;
-                r.record_prune(
-                    c.rf_pruned,
-                    c.rf_kept,
-                    c.ws_pruned,
-                    c.ws_serialized,
-                    c.reads_resolved,
-                    c.local_vars,
-                );
+                for (counter, n) in [
+                    (Counter::PrRfPruned, c.rf_pruned),
+                    (Counter::PrRfKept, c.rf_kept),
+                    (Counter::PrWsPruned, c.ws_pruned),
+                    (Counter::PrWsSerialized, c.ws_serialized),
+                    (Counter::PrReadsResolved, c.reads_resolved),
+                    (Counter::PrLocalVars, c.local_vars),
+                ] {
+                    r.add(counter, n);
+                }
             }
             if opts.certify {
                 zpre_analysis::check_report(ssa, &rep).map_err(|reason| {

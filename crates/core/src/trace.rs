@@ -7,6 +7,8 @@
 //! with concrete data — for diagnostics, the CLI's `--trace` output, and
 //! the deep validation pass.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use zpre_bv::{lits_to_u64, TermKind};
 use zpre_encoder::{po_pairs, Encoded};
@@ -60,6 +62,112 @@ impl fmt::Display for Trace {
     }
 }
 
+/// The model of the last `Sat` answer read as a concrete execution: input
+/// and event values, event guards, and the clocks of the event order graph
+/// the model fixes. Trace extraction and model validation both read the
+/// model through it.
+pub(crate) struct ModelView<'a> {
+    ssa: &'a SsaProgram,
+    enc: &'a Encoded,
+    solver: &'a Solver<OrderTheory, PriorityListGuide>,
+}
+
+impl<'a> ModelView<'a> {
+    /// Must only be built right after a `Sat` result, before further solving.
+    pub fn new(
+        ssa: &'a SsaProgram,
+        enc: &'a Encoded,
+        solver: &'a Solver<OrderTheory, PriorityListGuide>,
+    ) -> ModelView<'a> {
+        ModelView { ssa, enc, solver }
+    }
+
+    /// Concrete value of a bit-vector input variable by name.
+    pub fn bv_val(&self, name: &str) -> u64 {
+        self.enc
+            .blaster
+            .bv_inputs
+            .get(name)
+            .map(|bits| lits_to_u64(bits, |l| self.solver.model_value(l).is_true()))
+            .unwrap_or(0)
+    }
+
+    /// Concrete value of a Boolean input variable by name.
+    pub fn bool_val(&self, name: &str) -> bool {
+        self.enc
+            .blaster
+            .bool_inputs
+            .get(name)
+            .is_some_and(|&l| self.solver.model_value(l).is_true())
+    }
+
+    /// The value a read or write event carries; `None` for any other event
+    /// or a value that is not an SSA variable.
+    pub fn event_value(&self, eid: usize) -> Option<u64> {
+        match self.ssa.events[eid].kind {
+            EventKind::Read { value, .. } | EventKind::Write { value, .. } => {
+                match self.ssa.store.kind(value) {
+                    TermKind::BvVar { name, .. } => Some(self.bv_val(name)),
+                    _ => None,
+                }
+            }
+            _ => None,
+        }
+    }
+
+    /// Whether event `eid` executes in the model.
+    pub fn guard(&self, eid: usize) -> bool {
+        self.solver.model_value(self.enc.guard_lits[eid]).is_true()
+    }
+
+    /// A clock per event: its position in a topological order of the
+    /// model's event order graph (program order under `mm` plus every
+    /// ordering and ws atom as the model sets it), taking the smallest
+    /// ready event id first. `None` when the graph is cyclic.
+    pub fn clocks(&self, mm: MemoryModel) -> Option<Vec<u32>> {
+        let n = self.ssa.events.len();
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut indeg = vec![0usize; n];
+        let mut add = |a: usize, b: usize| {
+            adj[a].push(b);
+            indeg[b] += 1;
+        };
+        for (a, b) in po_pairs(self.ssa, mm) {
+            add(a, b);
+        }
+        for (v, info) in self.enc.registry.iter() {
+            if !matches!(info.kind, VarKind::Ord | VarKind::Ws) {
+                continue;
+            }
+            // cs/atomic selectors are not atoms themselves.
+            let Some((a, b)) = self.solver.theory.atom_nodes(v) else {
+                continue;
+            };
+            let (a, b) = (a.0 as usize, b.0 as usize);
+            if self.solver.model_var_value(v).is_true() {
+                add(a, b);
+            } else {
+                add(b, a);
+            }
+        }
+        let mut ready: BinaryHeap<Reverse<usize>> =
+            (0..n).filter(|&i| indeg[i] == 0).map(Reverse).collect();
+        let mut clocks = vec![0u32; n];
+        let mut tick = 0u32;
+        while let Some(Reverse(x)) = ready.pop() {
+            clocks[x] = tick;
+            tick += 1;
+            for &y in &adj[x] {
+                indeg[y] -= 1;
+                if indeg[y] == 0 {
+                    ready.push(Reverse(y));
+                }
+            }
+        }
+        (tick as usize == n).then_some(clocks)
+    }
+}
+
 /// Extracts the concrete execution from the model of the last `Sat` answer.
 ///
 /// Must only be called right after a `Sat` result, before further solving.
@@ -69,44 +177,11 @@ pub(crate) fn extract_trace(
     solver: &Solver<OrderTheory, PriorityListGuide>,
     mm: MemoryModel,
 ) -> Trace {
-    let ts = &ssa.store;
-    let bv_val = |name: &str| -> u64 {
-        enc.blaster
-            .bv_inputs
-            .get(name)
-            .map(|bits| lits_to_u64(bits, |l| solver.model_value(l).is_true()))
-            .unwrap_or(0)
-    };
-    let event_value = |eid: usize| -> u64 {
-        match ssa.events[eid].kind {
-            EventKind::Read { value, .. } | EventKind::Write { value, .. } => {
-                match ts.kind(value) {
-                    TermKind::BvVar { name, .. } => bv_val(name),
-                    _ => 0,
-                }
-            }
-            _ => 0,
-        }
-    };
-    let guard_of = |eid: usize| solver.model_value(enc.guard_lits[eid]).is_true();
-
-    // Rebuild the model's event order and derive clocks.
+    let model = ModelView::new(ssa, enc, solver);
+    let event_value = |eid: usize| model.event_value(eid).unwrap_or(0);
+    let guard_of = |eid: usize| model.guard(eid);
     let n = ssa.events.len();
-    let mut edges = po_pairs(ssa, mm);
-    for (v, info) in enc.registry.iter() {
-        if !matches!(info.kind, VarKind::Ord | VarKind::Ws) {
-            continue;
-        }
-        let Some((a, b)) = solver.theory.atom_nodes(v) else {
-            continue;
-        };
-        if solver.model_var_value(v).is_true() {
-            edges.push((a.0 as usize, b.0 as usize));
-        } else {
-            edges.push((b.0 as usize, a.0 as usize));
-        }
-    }
-    let clocks = kahn_clocks_stable(n, &edges).unwrap_or_else(|| (0..n as u32).collect());
+    let clocks = model.clocks(mm).unwrap_or_else(|| (0..n as u32).collect());
 
     let mut steps: Vec<TraceStep> = ssa
         .events
@@ -179,33 +254,6 @@ pub(crate) fn extract_trace(
         .collect();
     steps.sort_by_key(|s| s.clock);
     Trace { steps }
-}
-
-/// Kahn's algorithm with deterministic (smallest-id-first) tie-breaking.
-fn kahn_clocks_stable(n: usize, edges: &[(usize, usize)]) -> Option<Vec<u32>> {
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg = vec![0usize; n];
-    for &(a, b) in edges {
-        adj[a].push(b);
-        indeg[b] += 1;
-    }
-    let mut ready: std::collections::BTreeSet<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut clocks = vec![0u32; n];
-    let mut tick = 0u32;
-    let mut seen = 0usize;
-    while let Some(&x) = ready.iter().next() {
-        ready.remove(&x);
-        clocks[x] = tick;
-        tick += 1;
-        seen += 1;
-        for &y in &adj[x] {
-            indeg[y] -= 1;
-            if indeg[y] == 0 {
-                ready.insert(y);
-            }
-        }
-    }
-    (seen == n).then_some(clocks)
 }
 
 #[cfg(test)]

@@ -13,16 +13,15 @@ use crate::errors::VerifyError;
 use crate::faults::Fault;
 use crate::session::Session;
 use crate::strategy::Strategy;
+use crate::trace::ModelView;
 use std::time::{Duration, Instant};
-use zpre_bv::{lits_to_u64, TermKind};
-use zpre_encoder::{po_pairs, Encoded};
+use zpre_encoder::Encoded;
 use zpre_obs::Recorder;
-use zpre_prog::ssa::EventKind;
 use zpre_prog::{
     flatten, to_ssa_traced, unroll_program_traced, FlatProgram, MemoryModel, Program, SsaProgram,
 };
 use zpre_sat::{CancelToken, ExhaustionReason, PriorityListGuide, ShareSpec, Solver, Stats};
-use zpre_smt::{ClassCounts, OrderTheory, VarKind};
+use zpre_smt::{ClassCounts, OrderTheory};
 
 /// Verification verdict.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -377,52 +376,17 @@ pub(crate) fn validate_model(
     solver: &Solver<OrderTheory, PriorityListGuide>,
     mm: MemoryModel,
 ) -> Result<(), String> {
-    let ts = &ssa.store;
-    // Concrete value of a bit-vector input variable by name.
-    let bv_val = |name: &str| -> u64 {
-        enc.blaster
-            .bv_inputs
-            .get(name)
-            .map(|bits| lits_to_u64(bits, |l| solver.model_value(l).is_true()))
-            .unwrap_or(0)
-    };
-    let bool_val = |name: &str| -> bool {
-        enc.blaster
-            .bool_inputs
-            .get(name)
-            .map(|&l| solver.model_value(l).is_true())
-            .unwrap_or(false)
-    };
+    let model = ModelView::new(ssa, enc, solver);
     let event_value = |eid: usize| -> u64 {
-        match ssa.events[eid].kind {
-            EventKind::Read { value, .. } | EventKind::Write { value, .. } => {
-                match ts.kind(value) {
-                    TermKind::BvVar { name, .. } => bv_val(name),
-                    k => panic!("event value is not a variable: {k:?}"),
-                }
-            }
-            _ => panic!("value of a non-access event"),
-        }
+        model
+            .event_value(eid)
+            .unwrap_or_else(|| panic!("event {eid} carries no value variable"))
     };
-    let guard_of = |eid: usize| solver.model_value(enc.guard_lits[eid]).is_true();
+    let guard_of = |eid: usize| model.guard(eid);
 
     // 1. Rebuild the event order graph from the model and compute clocks.
-    let n = ssa.events.len();
-    let mut edges = po_pairs(ssa, mm);
-    for (v, info) in enc.registry.iter() {
-        if !matches!(info.kind, VarKind::Ord | VarKind::Ws) {
-            continue;
-        }
-        let Some((a, b)) = solver.theory.atom_nodes(v) else {
-            continue; // cs/atomic selectors are not atoms themselves
-        };
-        if solver.model_var_value(v).is_true() {
-            edges.push((a.0 as usize, b.0 as usize));
-        } else {
-            edges.push((b.0 as usize, a.0 as usize));
-        }
-    }
-    let clocks = kahn_clocks(n, &edges)
+    let clocks = model
+        .clocks(mm)
         .ok_or_else(|| "event order graph of the model is cyclic".to_string())?;
 
     // 2. Read-from consistency.
@@ -530,6 +494,9 @@ pub(crate) fn validate_model(
 
     // 5. The error condition really fires: some assertion has a true guard
     //    and a false condition under the extracted values.
+    let ts = &ssa.store;
+    let bv_val = |name: &str| model.bv_val(name);
+    let bool_val = |name: &str| model.bool_val(name);
     let violated = ssa.assertions.iter().any(|&(g, cond)| {
         ts.eval(g, &bv_val, &bool_val).as_bool() && !ts.eval(cond, &bv_val, &bool_val).as_bool()
     });
@@ -537,32 +504,6 @@ pub(crate) fn validate_model(
         return Err("model does not violate any assertion".to_string());
     }
     Ok(())
-}
-
-/// Kahn's algorithm: returns a clock value per node, or `None` on a cycle.
-fn kahn_clocks(n: usize, edges: &[(usize, usize)]) -> Option<Vec<u32>> {
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg = vec![0usize; n];
-    for &(a, b) in edges {
-        adj[a].push(b);
-        indeg[b] += 1;
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut clocks = vec![0u32; n];
-    let mut seen = 0usize;
-    let mut tick = 0u32;
-    while let Some(x) = queue.pop() {
-        clocks[x] = tick;
-        tick += 1;
-        seen += 1;
-        for &y in &adj[x] {
-            indeg[y] -= 1;
-            if indeg[y] == 0 {
-                queue.push(y);
-            }
-        }
-    }
-    (seen == n).then_some(clocks)
 }
 
 #[cfg(test)]

@@ -258,3 +258,46 @@ fn batch_trace_records_the_parse_phase() {
     assert_eq!(parse_spans("verify"), 1);
     assert_eq!(parse_spans("batch"), 1);
 }
+
+/// `trace stats` reports every summary counter: a batch trace's
+/// `batch_checkpoints` equals the number of journal lines the batch
+/// appended.
+#[test]
+fn batch_trace_stats_count_journal_checkpoints() {
+    let tmp = |what: &str| {
+        std::env::temp_dir().join(format!(
+            "zpre-cli-checkpoints-{what}-{}",
+            std::process::id()
+        ))
+    };
+    let (journal, trace) = (tmp("journal"), tmp("trace"));
+    let out = Command::new(env!("CARGO_BIN_EXE_zpre-cli"))
+        .arg("batch")
+        .args(examples())
+        .args(["--mm", "all", "--max-bound", "3", "--journal"])
+        .arg(&journal)
+        .arg("--trace-out")
+        .arg(&trace)
+        .output()
+        .expect("zpre-cli runs");
+    assert_eq!(out.status.code(), Some(1), "an example is unsafe");
+    let appended = std::fs::read_to_string(&journal)
+        .expect("journal written")
+        .lines()
+        .count();
+    let stats = Command::new(env!("CARGO_BIN_EXE_zpre-cli"))
+        .args(["trace", "stats"])
+        .arg(&trace)
+        .arg("--json")
+        .output()
+        .expect("zpre-cli runs");
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&trace);
+    assert_eq!(stats.status.code(), Some(0));
+    let line = String::from_utf8_lossy(&stats.stdout);
+    assert!(appended > 0, "the batch journaled its tasks");
+    assert!(
+        line.contains(&format!("\"batch_checkpoints\":{appended},")),
+        "{appended} journal lines, stats: {line}"
+    );
+}

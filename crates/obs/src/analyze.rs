@@ -9,16 +9,18 @@
 //!   concatenated blocks), aggregated by summing counters, merging
 //!   histograms, and summing top-level phase durations;
 //! * a metrics stream (`{"t":"metrics",…}` lines from `trace stats --json`
-//!   or the batch heartbeat), where the *last* line is the freshest
-//!   snapshot and is taken verbatim.
+//!   or the batch heartbeat, both written by [`TraceStats::to_metrics_line`]),
+//!   where the *last* line is the freshest snapshot and is taken verbatim.
 //!
 //! The metric names produced here are the stable vocabulary the diff gate
 //! is configured over; see [`crate::diff::direction_of`].
 
 use std::collections::BTreeMap;
 
-use crate::ndjson::{from_ndjson_at, parse_line, JsonVal};
-use crate::recorder::TraceSnapshot;
+use crate::metrics::Hists;
+use crate::ndjson::{for_each_block, parse_line, quoted, JsonVal};
+use crate::recorder::{Counters, TraceSnapshot};
+use crate::vocab::{Counter, VarClass};
 
 /// A flat named metric map distilled from one or more trace blocks.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -38,47 +40,12 @@ impl TraceStats {
     /// Flatten snapshots into one metric map: counters summed, histograms
     /// merged, per-phase top-level durations summed across blocks.
     pub fn from_snapshots(snaps: &[TraceSnapshot]) -> TraceStats {
-        let mut counters = crate::recorder::Counters::default();
-        let mut hists = crate::metrics::Hists::default();
+        let mut counters = Counters::default();
+        let mut hists = Hists::default();
         let mut phase_us: BTreeMap<String, u64> = BTreeMap::new();
         let mut wall_us = 0u64;
         for snap in snaps {
-            let c = &snap.counters;
-            for i in 0..crate::VarClass::COUNT {
-                counters.decisions[i] += c.decisions[i];
-                counters.guided[i] += c.guided[i];
-            }
-            counters.conflicts += c.conflicts;
-            counters.theory_lemmas += c.theory_lemmas;
-            counters.lemma_cycle_edges += c.lemma_cycle_edges;
-            counters.restarts += c.restarts;
-            counters.reductions += c.reductions;
-            counters.clauses_removed += c.clauses_removed;
-            counters.cycle_checks += c.cycle_checks;
-            counters.cycle_accepted_o1 += c.cycle_accepted_o1;
-            counters.cycle_searched += c.cycle_searched;
-            counters.cycle_visited += c.cycle_visited;
-            counters.cycle_promoted += c.cycle_promoted;
-            counters.dropped_events += c.dropped_events;
-            counters.frames += c.frames;
-            counters.frame_reused_learnts += c.frame_reused_learnts;
-            counters.frame_reused_conflicts += c.frame_reused_conflicts;
-            counters.batch_tasks += c.batch_tasks;
-            counters.batch_retries += c.batch_retries;
-            counters.batch_degraded += c.batch_degraded;
-            counters.batch_checkpoints += c.batch_checkpoints;
-            counters.sh_exported += c.sh_exported;
-            counters.sh_exported_theory += c.sh_exported_theory;
-            counters.sh_exported_rf += c.sh_exported_rf;
-            counters.sh_imported += c.sh_imported;
-            counters.sh_dropped += c.sh_dropped;
-            counters.sh_import_hits += c.sh_import_hits;
-            counters.pr_rf_pruned += c.pr_rf_pruned;
-            counters.pr_rf_kept += c.pr_rf_kept;
-            counters.pr_ws_pruned += c.pr_ws_pruned;
-            counters.pr_ws_serialized += c.pr_ws_serialized;
-            counters.pr_reads_resolved += c.pr_reads_resolved;
-            counters.pr_local_vars += c.pr_local_vars;
+            counters.accumulate(&snap.counters);
             hists.merge(&snap.hists);
             for s in snap.spans.iter().filter(|s| s.depth == 0 && s.closed) {
                 *phase_us
@@ -90,7 +57,7 @@ impl TraceStats {
 
         let mut m = BTreeMap::new();
         let c = &counters;
-        for cls in crate::VarClass::all() {
+        for cls in VarClass::ALL {
             m.insert(format!("dec_{}", cls.name()), c.decisions[cls.index()]);
             m.insert(format!("gd_{}", cls.name()), c.guided[cls.index()]);
         }
@@ -102,35 +69,9 @@ impl TraceStats {
             .checked_div(total)
             .unwrap_or(0);
         m.insert("h1_share_pm".into(), h1_pm);
-        m.insert("conflicts".into(), c.conflicts);
-        m.insert("lemmas".into(), c.theory_lemmas);
-        m.insert("lemma_cycle_edges".into(), c.lemma_cycle_edges);
-        m.insert("restarts".into(), c.restarts);
-        m.insert("reductions".into(), c.reductions);
-        m.insert("clauses_removed".into(), c.clauses_removed);
-        m.insert("cc_total".into(), c.cycle_checks);
-        m.insert("cc_o1".into(), c.cycle_accepted_o1);
-        m.insert("cc_searched".into(), c.cycle_searched);
-        m.insert("cc_visited".into(), c.cycle_visited);
-        m.insert("cc_promoted".into(), c.cycle_promoted);
-        m.insert("frames".into(), c.frames);
-        m.insert("fr_learnts".into(), c.frame_reused_learnts);
-        m.insert("fr_conflicts".into(), c.frame_reused_conflicts);
-        m.insert("batch_tasks".into(), c.batch_tasks);
-        m.insert("batch_retries".into(), c.batch_retries);
-        m.insert("batch_degraded".into(), c.batch_degraded);
-        m.insert("sh_exported".into(), c.sh_exported);
-        m.insert("sh_exported_theory".into(), c.sh_exported_theory);
-        m.insert("sh_exported_rf".into(), c.sh_exported_rf);
-        m.insert("sh_imported".into(), c.sh_imported);
-        m.insert("sh_dropped".into(), c.sh_dropped);
-        m.insert("sh_import_hits".into(), c.sh_import_hits);
-        m.insert("pr_rf_pruned".into(), c.pr_rf_pruned);
-        m.insert("pr_rf_kept".into(), c.pr_rf_kept);
-        m.insert("pr_ws_pruned".into(), c.pr_ws_pruned);
-        m.insert("pr_ws_serialized".into(), c.pr_ws_serialized);
-        m.insert("pr_reads_resolved".into(), c.pr_reads_resolved);
-        m.insert("pr_local_vars".into(), c.pr_local_vars);
+        for counter in Counter::ALL {
+            m.insert(counter.name().into(), c[counter]);
+        }
         for (name, h) in hists.named() {
             if h.count() == 0 {
                 continue;
@@ -154,7 +95,7 @@ impl TraceStats {
         use std::fmt::Write as _;
         let mut out = String::from("{\"t\":\"metrics\"");
         for (k, v) in &self.metrics {
-            let _ = write!(out, ",\"{k}\":{v}");
+            let _ = write!(out, ",{}:{v}", quoted(k));
         }
         out.push('}');
         out
@@ -165,30 +106,10 @@ impl TraceStats {
 /// Errors carry absolute file line numbers.
 pub fn load_blocks(text: &str) -> Result<Vec<TraceSnapshot>, String> {
     let mut blocks = Vec::new();
-    let mut block = String::new();
-    let mut block_start = 1usize;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            block.push('\n');
-            continue;
-        }
-        block.push_str(line);
-        block.push('\n');
-        let map = parse_line(line.trim()).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        if map.get("t").and_then(JsonVal::as_str) == Some("summary") {
-            blocks.push(from_ndjson_at(&block, block_start)?);
-            block.clear();
-            block_start = lineno + 2;
-        }
-    }
-    if !block.trim().is_empty() {
-        return Err(format!(
-            "trailing lines from line {block_start} not terminated by a summary"
-        ));
-    }
-    if blocks.is_empty() {
-        return Err("no trace blocks found".into());
-    }
+    for_each_block(text, |_, snap| {
+        blocks.push(snap);
+        Ok(())
+    })?;
     Ok(blocks)
 }
 
@@ -236,7 +157,8 @@ mod tests {
     use super::*;
     use crate::event::Event;
     use crate::ndjson::to_ndjson;
-    use crate::recorder::{Phase, Recorder};
+    use crate::recorder::Recorder;
+    use crate::vocab::Phase;
     use crate::EventSink;
 
     fn snapshot_with_activity() -> TraceSnapshot {

@@ -12,6 +12,7 @@
 use std::fmt::Write as _;
 
 use crate::analyze::TraceStats;
+use crate::vocab::{Counter, Hist};
 
 /// Which way a metric is allowed to move without regressing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,33 +72,31 @@ impl Default for DiffOptions {
 }
 
 /// Direction of a metric by its stable name (the [`TraceStats`] vocabulary).
-/// Time metrics return [`Direction::Info`] here; [`diff`] upgrades them to
+/// Counters and histogram percentiles/maxima take the direction their
+/// [`Counter`]/[`Hist`] row declares; time metrics return
+/// [`Direction::Info`] here, and [`diff`] upgrades them to
 /// [`Direction::LowerBetter`] under [`DiffOptions::gate_time`].
 pub fn direction_of(name: &str) -> Direction {
-    if name.ends_with("_us") || name.ends_with("_ms") || name == "elapsed_ms" {
+    if name.ends_with("_us") || name.ends_with("_ms") {
         return Direction::Info;
     }
+    if let Some(counter) = Counter::from_name(name) {
+        return counter.direction();
+    }
     match name {
-        // Work the solver/theory had to do: less is better.
-        "decisions" | "conflicts" | "lemmas" | "restarts" | "reductions" | "cc_searched"
-        | "cc_visited" | "cc_promoted" => Direction::LowerBetter,
-        // Quality shares: more is better.
-        "h1_share_pm" | "cc_o1" => Direction::HigherBetter,
-        _ => {
-            // Distribution shape: smaller LBDs, shorter cycles, fewer
-            // visited nodes, shorter conflict windows — percentiles and
-            // maxima gate downward; raw observation counts follow their
-            // counter and are informational here (the counter gates).
-            let gated_hist = ["conflict_lbd", "lemma_cycle_len", "cycle_visited"];
-            for base in gated_hist {
-                for suffix in ["_p50", "_p90", "_p99", "_max"] {
-                    if name == format!("{base}{suffix}") {
-                        return Direction::LowerBetter;
-                    }
-                }
+        // Work the solver had to do: less is better.
+        "decisions" => Direction::LowerBetter,
+        // The paper's H1 quality share: more is better.
+        "h1_share_pm" => Direction::HigherBetter,
+        // Distribution shape: percentiles and maxima gate with their
+        // histogram; raw observation counts follow their counter and are
+        // informational here (the counter gates).
+        _ => match name.rsplit_once('_') {
+            Some((base, "p50" | "p90" | "p99" | "max")) => {
+                Hist::from_name(base).map_or(Direction::Info, Hist::direction)
             }
-            Direction::Info
-        }
+            _ => Direction::Info,
+        },
     }
 }
 

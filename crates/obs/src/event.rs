@@ -6,69 +6,6 @@
 //! the [`Recorder`](crate::Recorder) resolves the class at record time from a
 //! table installed by the verifier after encoding.
 
-/// Interference-oriented classification of a solver variable, mirroring the
-/// paper's taxonomy: read-from choices crossing threads (`V_rf` external),
-/// read-from choices within a thread, write-serialization order (`V_ws`), and
-/// everything else (SSA values, guards, ordering atoms, auxiliaries).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum VarClass {
-    ExternalRf,
-    InternalRf,
-    Ws,
-    Other,
-}
-
-impl VarClass {
-    /// Number of distinct classes; used to size per-class counter arrays.
-    pub const COUNT: usize = 4;
-
-    /// Stable index into per-class counter arrays.
-    pub fn index(self) -> usize {
-        match self {
-            VarClass::ExternalRf => 0,
-            VarClass::InternalRf => 1,
-            VarClass::Ws => 2,
-            VarClass::Other => 3,
-        }
-    }
-
-    /// Short stable name used in NDJSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            VarClass::ExternalRf => "rf_ext",
-            VarClass::InternalRf => "rf_int",
-            VarClass::Ws => "ws",
-            VarClass::Other => "other",
-        }
-    }
-
-    /// Inverse of [`VarClass::name`].
-    pub fn from_name(s: &str) -> Option<VarClass> {
-        match s {
-            "rf_ext" => Some(VarClass::ExternalRf),
-            "rf_int" => Some(VarClass::InternalRf),
-            "ws" => Some(VarClass::Ws),
-            "other" => Some(VarClass::Other),
-            _ => None,
-        }
-    }
-
-    /// True for the interference classes the paper's H1 heuristic front-loads.
-    pub fn is_interference(self) -> bool {
-        !matches!(self, VarClass::Other)
-    }
-
-    /// All classes in counter-array order.
-    pub fn all() -> [VarClass; Self::COUNT] {
-        [
-            VarClass::ExternalRf,
-            VarClass::InternalRf,
-            VarClass::Ws,
-            VarClass::Other,
-        ]
-    }
-}
-
 /// A structured event emitted by the SAT solver or the order theory.
 ///
 /// Variables are raw solver indices; class resolution happens in the sink.

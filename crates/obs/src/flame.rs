@@ -83,7 +83,8 @@ pub fn collapsed(snap: &TraceSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Phase, SpanRecord};
+    use crate::recorder::SpanRecord;
+    use crate::vocab::Phase;
 
     fn span(
         phase: Phase,

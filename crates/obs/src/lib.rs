@@ -1,9 +1,10 @@
 //! `zpre-obs` — zero-dependency observability for the ZPRE pipeline.
 //!
-//! Three layers:
+//! Five layers:
 //!
 //! 1. **Phase spans** ([`Recorder::span`], [`Span`]): hierarchical wall-clock
-//!    profile over parse → unroll → SSA → encode (per memory model) →
+//!    profile over parse → unroll → SSA → analysis → encode (per memory
+//!    model) →
 //!    bit-blast → solve → validate → certify → replay.
 //! 2. **Solver/theory events** ([`EventSink`], [`Event`]): decisions tagged by
 //!    interference class (external-RF / internal-RF / WS / other), conflicts
@@ -15,7 +16,9 @@
 //! 3. **Export**: NDJSON traces ([`ndjson::to_ndjson`], validated by
 //!    [`ndjson::validate`]) and a human ASCII profile
 //!    ([`report::profile_report`]).
-//! 4. **Analysis**: distribution metrics ([`metrics::Histogram`], fed by the
+//! 4. **Vocabulary** ([`vocab`]): the one declaration of every phase,
+//!    counter and histogram name, which every other layer loops over.
+//! 5. **Analysis**: distribution metrics ([`metrics::Histogram`], fed by the
 //!    recorder alongside the exact counters), trace loading/aggregation
 //!    ([`analyze`]), collapsed-stack flamegraph export ([`flame`]), and
 //!    trace comparison with a regression gate ([`diff`]).
@@ -32,12 +35,14 @@ pub mod metrics;
 pub mod ndjson;
 pub mod recorder;
 pub mod report;
+pub mod vocab;
 
 pub use diff::{DiffOptions, DiffReport, Verdict};
-pub use event::{Event, EventSink, VarClass};
-pub use metrics::{Histogram, Hists, MetricsRegistry};
+pub use event::{Event, EventSink};
+pub use metrics::{Histogram, Hists};
 pub use recorder::{
-    Counters, EventKind, EventRecord, MemberRecord, Phase, Recorder, Span, SpanRecord, TraceConfig,
+    Counters, EventKind, EventRecord, MemberRecord, Recorder, Span, SpanRecord, TraceConfig,
     TraceSnapshot,
 };
 pub use report::profile_report;
+pub use vocab::{Counter, Hist, Phase, Presence, VarClass};

@@ -1,8 +1,6 @@
 //! Zero-dependency metrics primitives: log-linear [`Histogram`]s with
-//! percentile queries, the fixed set of pipeline distributions ([`Hists`])
-//! fed by the [`Recorder`](crate::Recorder) event path, and a named
-//! [`MetricsRegistry`] of counters/gauges/histograms used by long-running
-//! harnesses (the batch heartbeat) to stream periodic snapshots.
+//! percentile queries, and the fixed set of pipeline distributions
+//! ([`Hists`]) fed by the [`Recorder`](crate::Recorder) event path.
 //!
 //! The histogram is HDR-style log-linear: values `0..LINEAR_MAX` get one
 //! bucket each (exact), larger values share an octave split into
@@ -12,8 +10,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::{Index, IndexMut};
 
-use crate::event::VarClass;
+use crate::vocab::{Hist, VarClass};
 
 /// Values below this threshold get exact single-value buckets.
 const LINEAR_MAX: u64 = 32;
@@ -215,25 +214,12 @@ impl Histogram {
 }
 
 /// The fixed set of pipeline distributions, histogram-izing what the
-/// [`Counters`](crate::Counters) track only as totals. Every field is fed
-/// by the recorder's event path; adding a field here forces updates to the
-/// NDJSON round-trip (compile-guard tested, like `Counters`).
+/// [`Counters`](crate::Counters) track only as totals: one per [`Hist`]
+/// (read and written as `hists[Hist::ConflictLbd]`) plus the per-class
+/// decision-to-conflict windows.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Hists {
-    /// LBD of each learnt conflict clause.
-    pub conflict_lbd: Histogram,
-    /// Edge count of each EOG cycle blocked by a theory lemma.
-    pub lemma_cycle_len: Histogram,
-    /// Nodes visited by each cycle check that ran the bounded search
-    /// (O(1)-accepted checks are not observed — they visit nothing).
-    pub cycle_visited: Histogram,
-    /// Restart interval: conflicts between consecutive restarts.
-    pub restart_interval: Histogram,
-    /// Wall-clock microseconds of each incremental-sweep frame solve.
-    pub frame_solve_us: Histogram,
-    /// Imported-clause hits (propagations/conflicts on foreign clauses)
-    /// per share exchange, observed once per exchange that had any.
-    pub sh_import_hits: Histogram,
+    by_hist: [Histogram; Hist::COUNT],
     /// Decisions of each class inside one conflict-to-conflict window,
     /// indexed by `VarClass::index()`: at every conflict, each class's
     /// decision count since the previous conflict is observed (zero counts
@@ -241,148 +227,50 @@ pub struct Hists {
     pub dec_to_conflict: [Histogram; VarClass::COUNT],
 }
 
+/// Name prefix of the per-class [`Hists::dec_to_conflict`] distributions.
+const DEC_TO_CONFLICT: &str = "d2c_";
+
+impl Index<Hist> for Hists {
+    type Output = Histogram;
+
+    fn index(&self, h: Hist) -> &Histogram {
+        &self.by_hist[h.index()]
+    }
+}
+
+impl IndexMut<Hist> for Hists {
+    fn index_mut(&mut self, h: Hist) -> &mut Histogram {
+        &mut self.by_hist[h.index()]
+    }
+}
+
 impl Hists {
     /// `(name, histogram)` pairs for every distribution, in stable order.
     /// Names are the NDJSON `hist` line keys.
     pub fn named(&self) -> Vec<(String, &Histogram)> {
-        let mut out: Vec<(String, &Histogram)> = vec![
-            ("conflict_lbd".into(), &self.conflict_lbd),
-            ("lemma_cycle_len".into(), &self.lemma_cycle_len),
-            ("cycle_visited".into(), &self.cycle_visited),
-            ("restart_interval".into(), &self.restart_interval),
-            ("frame_solve_us".into(), &self.frame_solve_us),
-            ("sh_import_hits".into(), &self.sh_import_hits),
-        ];
-        for cls in VarClass::all() {
-            out.push((
-                format!("d2c_{}", cls.name()),
-                &self.dec_to_conflict[cls.index()],
-            ));
-        }
-        out
+        let scalar = Hist::ALL.map(|h| (h.name().to_owned(), &self[h]));
+        let by_class = VarClass::ALL.map(|c| {
+            let name = format!("{DEC_TO_CONFLICT}{}", c.name());
+            (name, &self.dec_to_conflict[c.index()])
+        });
+        scalar.into_iter().chain(by_class).collect()
     }
 
     /// Mutable lookup by NDJSON name (inverse of [`Hists::named`]).
     pub fn by_name_mut(&mut self, name: &str) -> Option<&mut Histogram> {
-        match name {
-            "conflict_lbd" => Some(&mut self.conflict_lbd),
-            "lemma_cycle_len" => Some(&mut self.lemma_cycle_len),
-            "cycle_visited" => Some(&mut self.cycle_visited),
-            "restart_interval" => Some(&mut self.restart_interval),
-            "frame_solve_us" => Some(&mut self.frame_solve_us),
-            "sh_import_hits" => Some(&mut self.sh_import_hits),
-            _ => {
-                let cls = VarClass::all()
-                    .into_iter()
-                    .find(|c| name == format!("d2c_{}", c.name()))?;
-                Some(&mut self.dec_to_conflict[cls.index()])
-            }
+        if let Some(h) = Hist::from_name(name) {
+            return Some(&mut self[h]);
         }
+        let cls = VarClass::from_name(name.strip_prefix(DEC_TO_CONFLICT)?)?;
+        Some(&mut self.dec_to_conflict[cls.index()])
     }
 
     /// Folds another set of distributions into this one.
     pub fn merge(&mut self, other: &Hists) {
-        // Exhaustive destructuring: adding a field without merging it here
-        // fails the build.
-        let Hists {
-            conflict_lbd,
-            lemma_cycle_len,
-            cycle_visited,
-            restart_interval,
-            frame_solve_us,
-            sh_import_hits,
-            dec_to_conflict,
-        } = other;
-        self.conflict_lbd.merge(conflict_lbd);
-        self.lemma_cycle_len.merge(lemma_cycle_len);
-        self.cycle_visited.merge(cycle_visited);
-        self.restart_interval.merge(restart_interval);
-        self.frame_solve_us.merge(frame_solve_us);
-        self.sh_import_hits.merge(sh_import_hits);
-        for (mine, theirs) in self.dec_to_conflict.iter_mut().zip(dec_to_conflict) {
-            mine.merge(theirs);
+        let mine = self.by_hist.iter_mut().chain(&mut self.dec_to_conflict);
+        for (a, b) in mine.zip(other.by_hist.iter().chain(&other.dec_to_conflict)) {
+            a.merge(b);
         }
-    }
-}
-
-/// A named registry of counters, gauges, and histograms for long-running
-/// harnesses. Unlike the [`Recorder`](crate::Recorder)'s fixed counter
-/// struct, keys here are free-form strings, so a harness can publish
-/// whatever its heartbeat needs without schema changes.
-///
-/// All values are `u64` — the NDJSON trace grammar is integer-only, and
-/// every batch metric (task counts, bytes, microseconds) fits.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-    hists: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `delta` to counter `name` (creating it at zero).
-    pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
-    }
-
-    /// Sets gauge `name` to `value`.
-    pub fn set_gauge(&mut self, name: &str, value: u64) {
-        self.gauges.insert(name.to_owned(), value);
-    }
-
-    /// Observes `value` into histogram `name` (creating it empty).
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.hists
-            .entry(name.to_owned())
-            .or_default()
-            .observe(value);
-    }
-
-    /// Counter value (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Gauge value, if set.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Histogram by name, if any observation was recorded.
-    pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// One flat NDJSON `metrics` line: every counter and gauge verbatim,
-    /// every histogram as `<name>_p50/p90/p99/max/count`. `seq` and
-    /// `elapsed_ms` order and time-stamp the snapshot stream.
-    pub fn snapshot_line(&self, seq: u64, elapsed_ms: u64) -> String {
-        let mut out = String::from("{\"t\":\"metrics\"");
-        let _ = write!(out, ",\"seq\":{seq},\"elapsed_ms\":{elapsed_ms}");
-        for (k, v) in &self.counters {
-            let _ = write!(out, ",\"{k}\":{v}");
-        }
-        for (k, v) in &self.gauges {
-            let _ = write!(out, ",\"{k}\":{v}");
-        }
-        for (k, h) in &self.hists {
-            let _ = write!(
-                out,
-                ",\"{k}_p50\":{},\"{k}_p90\":{},\"{k}_p99\":{},\"{k}_max\":{},\"{k}_count\":{}",
-                h.percentile(0.50),
-                h.percentile(0.90),
-                h.percentile(0.99),
-                h.max(),
-                h.count()
-            );
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -520,26 +408,5 @@ mod tests {
             assert_eq!(h.count(), 1, "{name} not fed through by_name_mut");
         }
         assert!(hists.by_name_mut("no_such_hist").is_none());
-    }
-
-    #[test]
-    fn registry_snapshot_line_is_flat_json() {
-        let mut reg = MetricsRegistry::new();
-        reg.add("tasks_done", 3);
-        reg.add("tasks_done", 1);
-        reg.set_gauge("rss_bytes", 1 << 20);
-        for v in [10u64, 20, 30] {
-            reg.observe("frame_us", v);
-        }
-        assert_eq!(reg.counter("tasks_done"), 4);
-        assert_eq!(reg.gauge("rss_bytes"), Some(1 << 20));
-        assert_eq!(reg.hist("frame_us").unwrap().count(), 3);
-        let line = reg.snapshot_line(2, 1500);
-        let map = crate::ndjson::parse_line(&line).expect("flat JSON");
-        assert_eq!(map.get("t").unwrap().as_str(), Some("metrics"));
-        assert_eq!(map.get("seq").unwrap().as_u64(), Some(2));
-        assert_eq!(map.get("tasks_done").unwrap().as_u64(), Some(4));
-        assert_eq!(map.get("frame_us_count").unwrap().as_u64(), Some(3));
-        assert!(map.get("frame_us_p50").unwrap().as_u64().unwrap() >= 20);
     }
 }

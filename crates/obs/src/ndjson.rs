@@ -1,5 +1,5 @@
 //! NDJSON trace export, a dependency-free line parser for it, and a schema
-//! validator used by `zpre-cli trace-check` and CI.
+//! validator used by `zpre-cli trace check` and CI.
 //!
 //! Every line is one flat JSON object with a `"t"` tag:
 //!
@@ -15,17 +15,18 @@
 //! | `hist`      | one distribution (name, count/sum/min/max, sparse buckets) |
 //! | `summary`   | exact counters; terminates a trace block     |
 //!
+//! The `summary` keys and `hist` names come from the [`Counter`] and
+//! [`Hist`] tables, span phases from [`Phase`].
+//!
 //! A file may hold several concatenated blocks (one per memory model when the
 //! CLI iterates `--mm all`); each block ends with its own `summary` line.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::event::VarClass;
 use crate::metrics::Histogram;
-use crate::recorder::{
-    Counters, EventKind, EventRecord, MemberRecord, Phase, SpanRecord, TraceSnapshot,
-};
+use crate::recorder::{Counters, EventKind, EventRecord, MemberRecord, SpanRecord, TraceSnapshot};
+use crate::vocab::{Counter, Hist, Phase, Presence, VarClass};
 
 /// Minimal JSON scalar for flat trace objects.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,41 +228,13 @@ fn summary_line(snap: &TraceSnapshot) -> String {
     let c = &snap.counters;
     let mut o = Obj::new("summary");
     o.num("sample", snap.decision_sample as u64);
-    for cls in VarClass::all() {
+    for cls in VarClass::ALL {
         o.num(&format!("dec_{}", cls.name()), c.decisions[cls.index()]);
         o.num(&format!("gd_{}", cls.name()), c.guided[cls.index()]);
     }
-    o.num("conflicts", c.conflicts)
-        .num("lemmas", c.theory_lemmas)
-        .num("lemma_cycle_edges", c.lemma_cycle_edges)
-        .num("restarts", c.restarts)
-        .num("reductions", c.reductions)
-        .num("clauses_removed", c.clauses_removed)
-        .num("cc_total", c.cycle_checks)
-        .num("cc_o1", c.cycle_accepted_o1)
-        .num("cc_searched", c.cycle_searched)
-        .num("cc_visited", c.cycle_visited)
-        .num("cc_promoted", c.cycle_promoted)
-        .num("dropped", c.dropped_events)
-        .num("frames", c.frames)
-        .num("fr_learnts", c.frame_reused_learnts)
-        .num("fr_conflicts", c.frame_reused_conflicts)
-        .num("batch_tasks", c.batch_tasks)
-        .num("batch_retries", c.batch_retries)
-        .num("batch_degraded", c.batch_degraded)
-        .num("batch_checkpoints", c.batch_checkpoints)
-        .num("sh_exported", c.sh_exported)
-        .num("sh_exported_theory", c.sh_exported_theory)
-        .num("sh_exported_rf", c.sh_exported_rf)
-        .num("sh_imported", c.sh_imported)
-        .num("sh_dropped", c.sh_dropped)
-        .num("sh_import_hits", c.sh_import_hits)
-        .num("pr_rf_pruned", c.pr_rf_pruned)
-        .num("pr_rf_kept", c.pr_rf_kept)
-        .num("pr_ws_pruned", c.pr_ws_pruned)
-        .num("pr_ws_serialized", c.pr_ws_serialized)
-        .num("pr_reads_resolved", c.pr_reads_resolved)
-        .num("pr_local_vars", c.pr_local_vars);
+    for counter in Counter::ALL {
+        o.num(counter.name(), c[counter]);
+    }
     o.finish()
 }
 
@@ -569,47 +542,17 @@ pub fn from_ndjson_at(text: &str, first_line: usize) -> Result<TraceSnapshot, St
                 "summary" => {
                     snap.decision_sample = get_num(&map, "sample")? as u32;
                     let mut c = Counters::default();
-                    for cls in VarClass::all() {
+                    for cls in VarClass::ALL {
                         c.decisions[cls.index()] = get_num(&map, &format!("dec_{}", cls.name()))?;
                         c.guided[cls.index()] = get_num(&map, &format!("gd_{}", cls.name()))?;
                     }
-                    c.conflicts = get_num(&map, "conflicts")?;
-                    c.theory_lemmas = get_num(&map, "lemmas")?;
-                    c.lemma_cycle_edges = get_num(&map, "lemma_cycle_edges")?;
-                    c.restarts = get_num(&map, "restarts")?;
-                    c.reductions = get_num(&map, "reductions")?;
-                    c.clauses_removed = get_num(&map, "clauses_removed")?;
-                    c.cycle_checks = get_num(&map, "cc_total")?;
-                    c.cycle_accepted_o1 = get_num(&map, "cc_o1")?;
-                    c.cycle_searched = get_num(&map, "cc_searched")?;
-                    c.cycle_visited = get_num(&map, "cc_visited")?;
-                    c.cycle_promoted = get_num(&map, "cc_promoted")?;
-                    c.dropped_events = get_num(&map, "dropped")?;
-                    // Sweep-frame counters arrived later; absent in old
-                    // traces, so they parse leniently.
-                    c.frames = get_num(&map, "frames").unwrap_or(0);
-                    c.frame_reused_learnts = get_num(&map, "fr_learnts").unwrap_or(0);
-                    c.frame_reused_conflicts = get_num(&map, "fr_conflicts").unwrap_or(0);
-                    // Batch-harness counters arrived later still; same
-                    // leniency for traces that predate them.
-                    c.batch_tasks = get_num(&map, "batch_tasks").unwrap_or(0);
-                    c.batch_retries = get_num(&map, "batch_retries").unwrap_or(0);
-                    c.batch_degraded = get_num(&map, "batch_degraded").unwrap_or(0);
-                    c.batch_checkpoints = get_num(&map, "batch_checkpoints").unwrap_or(0);
-                    // Clause-sharing counters are newer again; lenient too.
-                    c.sh_exported = get_num(&map, "sh_exported").unwrap_or(0);
-                    c.sh_exported_theory = get_num(&map, "sh_exported_theory").unwrap_or(0);
-                    c.sh_exported_rf = get_num(&map, "sh_exported_rf").unwrap_or(0);
-                    c.sh_imported = get_num(&map, "sh_imported").unwrap_or(0);
-                    c.sh_dropped = get_num(&map, "sh_dropped").unwrap_or(0);
-                    c.sh_import_hits = get_num(&map, "sh_import_hits").unwrap_or(0);
-                    // Prune counters are newer still; lenient as well.
-                    c.pr_rf_pruned = get_num(&map, "pr_rf_pruned").unwrap_or(0);
-                    c.pr_rf_kept = get_num(&map, "pr_rf_kept").unwrap_or(0);
-                    c.pr_ws_pruned = get_num(&map, "pr_ws_pruned").unwrap_or(0);
-                    c.pr_ws_serialized = get_num(&map, "pr_ws_serialized").unwrap_or(0);
-                    c.pr_reads_resolved = get_num(&map, "pr_reads_resolved").unwrap_or(0);
-                    c.pr_local_vars = get_num(&map, "pr_local_vars").unwrap_or(0);
+                    for counter in Counter::ALL {
+                        c[counter] = match get_num(&map, counter.name()) {
+                            Ok(n) => n,
+                            Err(_) if counter.presence() == Presence::Lenient => 0,
+                            Err(e) => return Err(e),
+                        };
+                    }
                     snap.counters = c;
                     saw_summary = true;
                 }
@@ -634,32 +577,32 @@ pub struct TraceReport {
     pub members: usize,
     /// Distinct phase names seen across all blocks, in first-seen order.
     pub phases_seen: Vec<String>,
-    /// Total decisions per class summed over block summaries.
-    pub decisions_by_class: [u64; VarClass::COUNT],
-    pub conflicts: u64,
-    pub lemmas: u64,
+    /// Block summaries' counters, summed.
+    pub counters: Counters,
 }
 
-/// Validate a trace file: split into `summary`-terminated blocks, parse every
-/// line, and check schema + internal consistency (monotone event sequence
-/// numbers per block, recorded events consistent with summary counters).
-pub fn validate(text: &str) -> Result<TraceReport, String> {
-    let mut report = TraceReport::default();
+/// Splits a trace file into its `summary`-terminated blocks and parses
+/// each, handing `f` the block's first line number and snapshot in file
+/// order. Blank lines stay in their block, so parse errors carry absolute
+/// file line numbers. Returns the number of blocks; a file without one,
+/// or with lines after its last summary, is an error.
+pub fn for_each_block(
+    text: &str,
+    mut f: impl FnMut(usize, TraceSnapshot) -> Result<(), String>,
+) -> Result<usize, String> {
+    let mut blocks = 0;
     let mut block = String::new();
     let mut block_start = 1usize;
     for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            // Keep blank lines in the block so its line numbering stays
-            // aligned with the file's (errors report absolute lines).
-            block.push('\n');
-            continue;
-        }
         block.push_str(line);
         block.push('\n');
+        if line.trim().is_empty() {
+            continue;
+        }
         let map = parse_line(line.trim()).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         if map.get("t").and_then(JsonVal::as_str) == Some("summary") {
-            validate_block(&block, block_start, &mut report)?;
-            report.blocks += 1;
+            f(block_start, from_ndjson_at(&block, block_start)?)?;
+            blocks += 1;
             block.clear();
             block_start = lineno + 2;
         }
@@ -669,14 +612,28 @@ pub fn validate(text: &str) -> Result<TraceReport, String> {
             "trailing lines from line {block_start} not terminated by a summary"
         ));
     }
-    if report.blocks == 0 {
+    if blocks == 0 {
         return Err("no trace blocks found".into());
     }
+    Ok(blocks)
+}
+
+/// Validate a trace file: split into `summary`-terminated blocks, parse every
+/// line, and check schema + internal consistency (monotone event sequence
+/// numbers per block, recorded events consistent with summary counters).
+pub fn validate(text: &str) -> Result<TraceReport, String> {
+    let mut report = TraceReport::default();
+    report.blocks = for_each_block(text, |start, snap| {
+        validate_block(&snap, start, &mut report)
+    })?;
     Ok(report)
 }
 
-fn validate_block(block: &str, start_line: usize, report: &mut TraceReport) -> Result<(), String> {
-    let snap = from_ndjson_at(block, start_line)?;
+fn validate_block(
+    snap: &TraceSnapshot,
+    start_line: usize,
+    report: &mut TraceReport,
+) -> Result<(), String> {
     let mut last_seq: Option<u64> = None;
     let mut recorded_decisions = 0u64;
     let mut recorded_conflicts = 0u64;
@@ -698,62 +655,47 @@ fn validate_block(block: &str, start_line: usize, report: &mut TraceReport) -> R
     }
     let c = &snap.counters;
     let total = c.total_decisions();
+    let dropped = c[Counter::DroppedEvents];
     if recorded_decisions > total {
         return Err(format!(
             "block at line {start_line}: {recorded_decisions} decision events exceed summary total {total}"
         ));
     }
-    if recorded_decisions > 0 && recorded_decisions + c.dropped_events != total {
+    if recorded_decisions > 0 && recorded_decisions + dropped != total {
         return Err(format!(
-            "block at line {start_line}: recorded ({recorded_decisions}) + dropped ({}) != total decisions ({total})",
-            c.dropped_events
+            "block at line {start_line}: recorded ({recorded_decisions}) + dropped ({dropped}) != total decisions ({total})"
         ));
     }
-    if recorded_conflicts > c.conflicts {
+    if recorded_conflicts > c[Counter::Conflicts] {
         return Err(format!(
             "block at line {start_line}: conflict events exceed summary counter"
         ));
     }
-    if c.cycle_accepted_o1 + c.cycle_searched != c.cycle_checks {
+    let (o1, searched, checks) = (
+        c[Counter::CycleAcceptedO1],
+        c[Counter::CycleSearched],
+        c[Counter::CycleChecks],
+    );
+    if o1 + searched != checks {
         return Err(format!(
-            "block at line {start_line}: cycle-check split broken: o1 ({}) + searched ({}) != total ({})",
-            c.cycle_accepted_o1, c.cycle_searched, c.cycle_checks
+            "block at line {start_line}: cycle-check split broken: o1 ({o1}) + searched ({searched}) != total ({checks})"
         ));
     }
     // Distribution/counter reconciliation: each histogram is fed on exactly
     // the event path its counter tracks, so a present histogram must agree
     // with the summary. Absent histograms (count 0) are fine — pre-histogram
     // traces carry none.
-    for (name, h, counter, counter_name) in [
-        (
-            "conflict_lbd",
-            &snap.hists.conflict_lbd,
-            c.conflicts,
-            "conflicts",
-        ),
-        (
-            "lemma_cycle_len",
-            &snap.hists.lemma_cycle_len,
-            c.theory_lemmas,
-            "lemmas",
-        ),
-        (
-            "restart_interval",
-            &snap.hists.restart_interval,
-            c.restarts,
-            "restarts",
-        ),
-        (
-            "cycle_visited",
-            &snap.hists.cycle_visited,
-            c.cycle_searched,
-            "cc_searched",
-        ),
-    ] {
-        if h.count() != 0 && h.count() != counter {
+    for hist in Hist::ALL {
+        let Some(counter) = hist.counter() else {
+            continue;
+        };
+        let n = snap.hists[hist].count();
+        if n != 0 && n != c[counter] {
             return Err(format!(
-                "block at line {start_line}: hist {name:?} has {} observations but summary key {counter_name:?} is {counter}",
-                h.count()
+                "block at line {start_line}: hist {:?} has {n} observations but summary key {:?} is {}",
+                hist.name(),
+                counter.name(),
+                c[counter]
             ));
         }
     }
@@ -772,11 +714,7 @@ fn validate_block(block: &str, start_line: usize, report: &mut TraceReport) -> R
     report.spans += snap.spans.len();
     report.events += snap.events.len();
     report.members += snap.members.len();
-    for cls in VarClass::all() {
-        report.decisions_by_class[cls.index()] += c.decisions[cls.index()];
-    }
-    report.conflicts += c.conflicts;
-    report.lemmas += c.theory_lemmas;
+    report.counters.accumulate(c);
     Ok(())
 }
 
@@ -784,7 +722,7 @@ fn validate_block(block: &str, start_line: usize, report: &mut TraceReport) -> R
 mod tests {
     use super::*;
     use crate::event::Event;
-    use crate::recorder::{Phase, Recorder, TraceConfig};
+    use crate::recorder::{Recorder, TraceConfig};
     use crate::EventSink;
 
     fn sample_snapshot() -> TraceSnapshot {
@@ -853,8 +791,8 @@ mod tests {
         assert_eq!(report.blocks, 1);
         assert_eq!(report.spans, 2);
         assert_eq!(report.members, 1);
-        assert_eq!(report.conflicts, 1);
-        assert_eq!(report.decisions_by_class.iter().sum::<u64>(), 4);
+        assert_eq!(report.counters[Counter::Conflicts], 1);
+        assert_eq!(report.counters.total_decisions(), 4);
         assert!(report.phases_seen.contains(&"encode".to_string()));
         assert!(report.phases_seen.contains(&"blast".to_string()));
     }
@@ -866,7 +804,7 @@ mod tests {
         text.push_str(&to_ndjson(&snap));
         let report = validate(&text).expect("two blocks valid");
         assert_eq!(report.blocks, 2);
-        assert_eq!(report.decisions_by_class.iter().sum::<u64>(), 8);
+        assert_eq!(report.counters.total_decisions(), 8);
     }
 
     #[test]
@@ -892,7 +830,7 @@ mod tests {
     fn validate_rejects_broken_cycle_check_split() {
         let snap = sample_snapshot();
         let text = to_ndjson(&snap);
-        assert_eq!(snap.counters.cycle_checks, 2);
+        assert_eq!(snap.counters[Counter::CycleChecks], 2);
         // o1 + searched must equal the total check count.
         let tampered = text.replace("\"cc_o1\":1", "\"cc_o1\":2");
         assert!(validate(&tampered)
@@ -955,47 +893,16 @@ mod tests {
         assert!(err.contains(&format!("line {bad_line}")), "got: {err}");
     }
 
-    /// Compile-guard: this exhaustive struct literal fails to build when a
-    /// field is added to `Counters`, forcing the author to extend it here —
-    /// and the round-trip assertion then fails until `summary_line` *and*
-    /// the `from_ndjson` summary parser both carry the new field.
+    /// Every counter of the table survives the summary line: values are
+    /// distinct, so a key written or parsed into the wrong slot shows.
     #[test]
     fn counters_round_trip_is_exhaustive() {
-        let counters = Counters {
-            decisions: [11, 12, 13, 14],
-            guided: [5, 6, 7, 8],
-            conflicts: 21,
-            theory_lemmas: 22,
-            lemma_cycle_edges: 23,
-            restarts: 24,
-            reductions: 25,
-            clauses_removed: 26,
-            cycle_checks: 60,
-            cycle_accepted_o1: 33,
-            cycle_searched: 27,
-            cycle_visited: 28,
-            cycle_promoted: 29,
-            dropped_events: 30,
-            frames: 31,
-            frame_reused_learnts: 32,
-            frame_reused_conflicts: 33,
-            batch_tasks: 34,
-            batch_retries: 35,
-            batch_degraded: 36,
-            batch_checkpoints: 37,
-            sh_exported: 38,
-            sh_exported_theory: 39,
-            sh_exported_rf: 40,
-            sh_imported: 41,
-            sh_dropped: 42,
-            sh_import_hits: 43,
-            pr_rf_pruned: 44,
-            pr_rf_kept: 45,
-            pr_ws_pruned: 46,
-            pr_ws_serialized: 47,
-            pr_reads_resolved: 48,
-            pr_local_vars: 49,
-        };
+        let mut counters = Counters::default();
+        counters.decisions = [11, 12, 13, 14];
+        counters.guided = [5, 6, 7, 8];
+        for counter in Counter::ALL {
+            counters[counter] = 100 + counter.index() as u64;
+        }
         let snap = TraceSnapshot {
             decision_sample: 3,
             counters: counters.clone(),
@@ -1004,6 +911,107 @@ mod tests {
         let back = from_ndjson(&to_ndjson(&snap)).expect("parse back");
         assert_eq!(back.counters, counters);
         assert_eq!(back.decision_sample, 3);
+    }
+
+    /// A summary line in the current format, written out literally so the
+    /// parser is pinned independently of the writer; every value is
+    /// nonzero and distinct.
+    const PINNED_SUMMARY: &str = "{\"t\":\"summary\",\"sample\":2,\"dec_rf_ext\":3,\
+        \"gd_rf_ext\":4,\"dec_rf_int\":5,\"gd_rf_int\":6,\"dec_ws\":7,\"gd_ws\":8,\
+        \"dec_other\":9,\"gd_other\":10,\"conflicts\":11,\"lemmas\":12,\
+        \"lemma_cycle_edges\":13,\"restarts\":14,\"reductions\":15,\
+        \"clauses_removed\":16,\"cc_total\":40,\"cc_o1\":18,\"cc_searched\":22,\
+        \"cc_visited\":20,\"cc_promoted\":21,\"dropped\":23,\"frames\":24,\
+        \"fr_learnts\":25,\"fr_conflicts\":26,\"batch_tasks\":27,\"batch_retries\":28,\
+        \"batch_degraded\":29,\"batch_checkpoints\":30,\"sh_exported\":31,\
+        \"sh_exported_theory\":32,\"sh_exported_rf\":33,\"sh_imported\":34,\
+        \"sh_dropped\":35,\"sh_import_hits\":36,\"pr_rf_pruned\":37,\"pr_rf_kept\":38,\
+        \"pr_ws_pruned\":39,\"pr_ws_serialized\":41,\"pr_reads_resolved\":42,\
+        \"pr_local_vars\":43}";
+
+    /// Keys every summary line has carried since the first trace format.
+    const REQUIRED_KEYS: [&str; 21] = [
+        "sample",
+        "dec_rf_ext",
+        "gd_rf_ext",
+        "dec_rf_int",
+        "gd_rf_int",
+        "dec_ws",
+        "gd_ws",
+        "dec_other",
+        "gd_other",
+        "conflicts",
+        "lemmas",
+        "lemma_cycle_edges",
+        "restarts",
+        "reductions",
+        "clauses_removed",
+        "cc_total",
+        "cc_o1",
+        "cc_searched",
+        "cc_visited",
+        "cc_promoted",
+        "dropped",
+    ];
+
+    /// Keys added with sweep frames and later: older traces omit them.
+    const LENIENT_KEYS: [&str; 19] = [
+        "frames",
+        "fr_learnts",
+        "fr_conflicts",
+        "batch_tasks",
+        "batch_retries",
+        "batch_degraded",
+        "batch_checkpoints",
+        "sh_exported",
+        "sh_exported_theory",
+        "sh_exported_rf",
+        "sh_imported",
+        "sh_dropped",
+        "sh_import_hits",
+        "pr_rf_pruned",
+        "pr_rf_kept",
+        "pr_ws_pruned",
+        "pr_ws_serialized",
+        "pr_reads_resolved",
+        "pr_local_vars",
+    ];
+
+    /// The summary line rewritten without `key`.
+    fn without(key: &str) -> String {
+        let field = format!(",\"{key}\":");
+        let at = PINNED_SUMMARY.find(&field).expect("key in the pinned line");
+        let rest = &PINNED_SUMMARY[at + 1..];
+        let end = rest.find([',', '}']).expect("field end");
+        format!("{}{}", &PINNED_SUMMARY[..at], &rest[end..])
+    }
+
+    /// The value of `key` in the summary line `to_ndjson` writes for `snap`.
+    fn summary_value(snap: &TraceSnapshot, key: &str) -> u64 {
+        let text = to_ndjson(snap);
+        let map = parse_line(text.lines().last().expect("summary line")).expect("flat");
+        map.get(key).and_then(JsonVal::as_u64).expect("numeric key")
+    }
+
+    #[test]
+    fn summary_parser_leniency_is_pinned() {
+        let full = from_ndjson(PINNED_SUMMARY).expect("pinned line parses");
+        let pinned = parse_line(PINNED_SUMMARY).expect("flat");
+        for key in REQUIRED_KEYS.iter().chain(&LENIENT_KEYS) {
+            let want = pinned.get(*key).and_then(JsonVal::as_u64);
+            assert_eq!(Some(summary_value(&full, key)), want, "{key}");
+        }
+        for key in REQUIRED_KEYS {
+            let err = from_ndjson(&without(key)).expect_err(key);
+            assert!(err.contains(&format!("\"{key}\"")), "{key}: {err}");
+        }
+        for key in LENIENT_KEYS {
+            let snap = from_ndjson(&without(key)).unwrap_or_else(|e| panic!("{key}: {e}"));
+            assert_eq!(summary_value(&snap, key), 0, "{key}");
+            for other in LENIENT_KEYS.iter().filter(|k| **k != key) {
+                assert_eq!(summary_value(&snap, other), summary_value(&full, other));
+            }
+        }
     }
 
     #[test]

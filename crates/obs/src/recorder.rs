@@ -7,74 +7,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
 
-use crate::event::{Event, EventSink, VarClass};
+use std::ops::{Index, IndexMut};
+
+use crate::event::{Event, EventSink};
 use crate::metrics::Hists;
-
-/// Pipeline phases tracked by the recorder. One variant per stage named in the
-/// observability plan; `Encode` spans carry the memory model in their label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Phase {
-    Parse,
-    Unroll,
-    Ssa,
-    Encode,
-    Blast,
-    Solve,
-    Validate,
-    Certify,
-    Replay,
-    /// One task of a resilient batch run (`zpre-cli batch`); the span label
-    /// carries the task key (program × memory model × mode).
-    Batch,
-}
-
-impl Phase {
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Parse => "parse",
-            Phase::Unroll => "unroll",
-            Phase::Ssa => "ssa",
-            Phase::Encode => "encode",
-            Phase::Blast => "blast",
-            Phase::Solve => "solve",
-            Phase::Validate => "validate",
-            Phase::Certify => "certify",
-            Phase::Replay => "replay",
-            Phase::Batch => "batch",
-        }
-    }
-
-    pub fn from_name(s: &str) -> Option<Phase> {
-        match s {
-            "parse" => Some(Phase::Parse),
-            "unroll" => Some(Phase::Unroll),
-            "ssa" => Some(Phase::Ssa),
-            "encode" => Some(Phase::Encode),
-            "blast" => Some(Phase::Blast),
-            "solve" => Some(Phase::Solve),
-            "validate" => Some(Phase::Validate),
-            "certify" => Some(Phase::Certify),
-            "replay" => Some(Phase::Replay),
-            "batch" => Some(Phase::Batch),
-            _ => None,
-        }
-    }
-
-    pub fn all() -> [Phase; 10] {
-        [
-            Phase::Parse,
-            Phase::Unroll,
-            Phase::Ssa,
-            Phase::Encode,
-            Phase::Blast,
-            Phase::Solve,
-            Phase::Validate,
-            Phase::Certify,
-            Phase::Replay,
-            Phase::Batch,
-        ]
-    }
-}
+use crate::vocab::{Counter, Hist, Phase, VarClass};
 
 /// Configuration for a [`Recorder`].
 #[derive(Debug, Clone)]
@@ -148,85 +85,63 @@ pub enum EventKind {
 }
 
 /// Exact counters, maintained for every event whether or not the event stream
-/// is enabled or sampled.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// is enabled or sampled: decisions per [`VarClass`], and one value per
+/// scalar [`Counter`], read and written as `counters[Counter::Conflicts]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Counters {
     /// Decisions per [`VarClass`], indexed by `VarClass::index()`.
     pub decisions: [u64; VarClass::COUNT],
     /// Guide-driven decisions per class.
     pub guided: [u64; VarClass::COUNT],
-    pub conflicts: u64,
-    pub theory_lemmas: u64,
-    /// Sum of EOG cycle lengths over all theory lemmas (for mean cycle length).
-    pub lemma_cycle_edges: u64,
-    pub restarts: u64,
-    pub reductions: u64,
-    pub clauses_removed: u64,
-    /// EOG cycle checks run by the order theory (one per asserted edge).
-    pub cycle_checks: u64,
-    /// Cycle checks accepted in O(1) by the topological-level invariant.
-    pub cycle_accepted_o1: u64,
-    /// Cycle checks that ran the bounded two-way search.
-    pub cycle_searched: u64,
-    /// Nodes visited across all cycle-check searches.
-    pub cycle_visited: u64,
-    /// Node-level promotions performed by cycle-check forward passes.
-    pub cycle_promoted: u64,
-    /// Decision events dropped by the sampling knob (still counted above).
-    pub dropped_events: u64,
-    /// Frame solves of an incremental bound sweep.
-    pub frames: u64,
-    /// Learnt clauses already in the database at frame-solve entry, summed
-    /// over frames — the state reuse an incremental sweep buys.
-    pub frame_reused_learnts: u64,
-    /// Conflicts spent by earlier frames at frame-solve entry, summed over
-    /// frames.
-    pub frame_reused_conflicts: u64,
-    /// Batch-harness tasks started.
-    pub batch_tasks: u64,
-    /// Batch-harness retries (re-runs of a rung after exhaustion, before
-    /// moving down the ladder).
-    pub batch_retries: u64,
-    /// Batch-harness degradations (moves to a lower rung of the ladder).
-    pub batch_degraded: u64,
-    /// Batch-harness checkpoint records appended to the journal.
-    pub batch_checkpoints: u64,
-    /// Clauses exported to the portfolio share pool (any class).
-    pub sh_exported: u64,
-    /// Subset of `sh_exported` that were order-theory cycle lemmas.
-    pub sh_exported_theory: u64,
-    /// Subset of `sh_exported` that touched external-RF variables.
-    pub sh_exported_rf: u64,
-    /// Foreign clauses imported and attached by portfolio members.
-    pub sh_imported: u64,
-    /// Foreign clauses rejected at export or import (duplicate, ring
-    /// overrun, root-satisfied, policy-filtered).
-    pub sh_dropped: u64,
-    /// Times an imported clause propagated or conflicted in its importer.
-    pub sh_import_hits: u64,
-    /// Interference pruning: rf pairs removed by the static pass (beyond
-    /// plain candidate filtering).
-    pub pr_rf_pruned: u64,
-    /// Interference pruning: rf selectors the encoder still emits.
-    pub pr_rf_kept: u64,
-    /// Interference pruning: ws pairs with a statically fixed polarity.
-    pub pr_ws_pruned: u64,
-    /// Interference pruning: ws pairs demoted to plain ordering atoms by
-    /// mutual exclusion.
-    pub pr_ws_serialized: u64,
-    /// Interference pruning: reads resolved directly in Φ_ssa.
-    pub pr_reads_resolved: u64,
-    /// Interference pruning: shared variables local to one thread.
-    pub pr_local_vars: u64,
+    values: [u64; Counter::COUNT],
+}
+
+// Written out: `Default` is derived only for arrays of up to 32 elements.
+impl Default for Counters {
+    fn default() -> Self {
+        Counters {
+            decisions: [0; VarClass::COUNT],
+            guided: [0; VarClass::COUNT],
+            values: [0; Counter::COUNT],
+        }
+    }
+}
+
+impl Index<Counter> for Counters {
+    type Output = u64;
+
+    fn index(&self, c: Counter) -> &u64 {
+        &self.values[c.index()]
+    }
+}
+
+impl IndexMut<Counter> for Counters {
+    fn index_mut(&mut self, c: Counter) -> &mut u64 {
+        &mut self.values[c.index()]
+    }
 }
 
 impl Counters {
+    /// Adds every counter of `other` into this one.
+    pub fn accumulate(&mut self, other: &Counters) {
+        let mine = self.decisions.iter_mut().chain(&mut self.guided);
+        for (a, b) in mine.chain(&mut self.values).zip(
+            other
+                .decisions
+                .iter()
+                .chain(&other.guided)
+                .chain(&other.values),
+        ) {
+            *a += b;
+        }
+    }
+
     pub fn total_decisions(&self) -> u64 {
         self.decisions.iter().sum()
     }
 
     pub fn interference_decisions(&self) -> u64 {
-        VarClass::all()
+        VarClass::ALL
             .iter()
             .filter(|c| c.is_interference())
             .map(|c| self.decisions[c.index()])
@@ -394,65 +309,14 @@ impl Recorder {
         }
     }
 
-    /// Record one frame solve of an incremental bound sweep together with
-    /// the solver state it found waiting: learnt clauses in the database and
-    /// conflicts spent by earlier frames.
-    pub fn record_frame(&self, reused_learnts: u64, reused_conflicts: u64) {
-        let mut inner = self.shared.inner.lock().unwrap();
-        inner.counters.frames += 1;
-        inner.counters.frame_reused_learnts += reused_learnts;
-        inner.counters.frame_reused_conflicts += reused_conflicts;
+    /// Adds `delta` to one scalar counter.
+    pub fn add(&self, counter: Counter, delta: u64) {
+        self.shared.inner.lock().unwrap().counters[counter] += delta;
     }
 
-    /// Record the wall-clock duration of one completed frame solve into the
-    /// per-frame solve-time histogram (the [`Recorder::record_frame`]
-    /// counterpart called once the solve returns).
-    pub fn record_frame_solved(&self, solve_us: u64) {
-        let mut inner = self.shared.inner.lock().unwrap();
-        inner.hists.frame_solve_us.observe(solve_us);
-    }
-
-    /// Record the start of one batch-harness task.
-    pub fn record_batch_task(&self) {
-        self.shared.inner.lock().unwrap().counters.batch_tasks += 1;
-    }
-
-    /// Record one batch-harness retry (same ladder rung, after backoff).
-    pub fn record_batch_retry(&self) {
-        self.shared.inner.lock().unwrap().counters.batch_retries += 1;
-    }
-
-    /// Record one batch-harness degradation (move to a lower ladder rung).
-    pub fn record_batch_degraded(&self) {
-        self.shared.inner.lock().unwrap().counters.batch_degraded += 1;
-    }
-
-    /// Record one checkpoint line appended to the batch journal.
-    pub fn record_batch_checkpoint(&self) {
-        self.shared.inner.lock().unwrap().counters.batch_checkpoints += 1;
-    }
-
-    /// Record the static interference-pruning pass's statistics for one
-    /// encoding: pairs pruned/kept, demoted ws pairs, resolved reads, and
-    /// thread-local variables. Accumulates across encodings (sweep frames,
-    /// portfolio members).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_prune(
-        &self,
-        rf_pruned: u64,
-        rf_kept: u64,
-        ws_pruned: u64,
-        ws_serialized: u64,
-        reads_resolved: u64,
-        local_vars: u64,
-    ) {
-        let mut inner = self.shared.inner.lock().unwrap();
-        inner.counters.pr_rf_pruned += rf_pruned;
-        inner.counters.pr_rf_kept += rf_kept;
-        inner.counters.pr_ws_pruned += ws_pruned;
-        inner.counters.pr_ws_serialized += ws_serialized;
-        inner.counters.pr_reads_resolved += reads_resolved;
-        inner.counters.pr_local_vars += local_vars;
+    /// Records one observation into one scalar distribution.
+    pub fn observe(&self, hist: Hist, value: u64) {
+        self.shared.inner.lock().unwrap().hists[hist].observe(value);
     }
 
     /// Record one portfolio member's telemetry.
@@ -508,7 +372,7 @@ impl EventSink for Recorder {
                     .entry(self.member_string())
                     .or_default()[class.index()] += 1;
                 if inner.cfg.events && !n.is_multiple_of(inner.cfg.decision_sample as u64) {
-                    inner.counters.dropped_events += 1;
+                    inner.counters[Counter::DroppedEvents] += 1;
                     return;
                 }
                 EventKind::Decision {
@@ -519,14 +383,14 @@ impl EventSink for Recorder {
                 }
             }
             Event::Conflict { level, lbd } => {
-                inner.counters.conflicts += 1;
-                inner.hists.conflict_lbd.observe(lbd as u64);
+                inner.counters[Counter::Conflicts] += 1;
+                inner.hists[Hist::ConflictLbd].observe(lbd as u64);
                 // Close this member's conflict window: observe each class's
                 // decision count since the previous conflict. Classes that
                 // made no decisions in the window are skipped — absence is
                 // not a distance of zero.
                 if let Some(window) = inner.conflict_window.remove(&self.member_string()) {
-                    for cls in VarClass::all() {
+                    for cls in VarClass::ALL {
                         let n = window[cls.index()];
                         if n > 0 {
                             inner.hists.dec_to_conflict[cls.index()].observe(n);
@@ -536,19 +400,19 @@ impl EventSink for Recorder {
                 EventKind::Conflict { level, lbd }
             }
             Event::TheoryLemma { cycle_len } => {
-                inner.counters.theory_lemmas += 1;
-                inner.counters.lemma_cycle_edges += cycle_len as u64;
-                inner.hists.lemma_cycle_len.observe(cycle_len as u64);
+                inner.counters[Counter::TheoryLemmas] += 1;
+                inner.counters[Counter::LemmaCycleEdges] += cycle_len as u64;
+                inner.hists[Hist::LemmaCycleLen].observe(cycle_len as u64);
                 EventKind::TheoryLemma { cycle_len }
             }
             Event::Restart { conflicts } => {
-                inner.counters.restarts += 1;
-                inner.hists.restart_interval.observe(conflicts);
+                inner.counters[Counter::Restarts] += 1;
+                inner.hists[Hist::RestartInterval].observe(conflicts);
                 EventKind::Restart { conflicts }
             }
             Event::Reduction { removed } => {
-                inner.counters.reductions += 1;
-                inner.counters.clauses_removed += removed;
+                inner.counters[Counter::Reductions] += 1;
+                inner.counters[Counter::ClausesRemoved] += removed;
                 EventKind::Reduction { removed }
             }
             Event::CycleCheck {
@@ -558,15 +422,15 @@ impl EventSink for Recorder {
             } => {
                 // Counter-only: fires once per asserted ordering atom, so it
                 // is never pushed onto the event stream.
-                inner.counters.cycle_checks += 1;
+                inner.counters[Counter::CycleChecks] += 1;
                 if accepted_o1 {
-                    inner.counters.cycle_accepted_o1 += 1;
+                    inner.counters[Counter::CycleAcceptedO1] += 1;
                 } else {
-                    inner.counters.cycle_searched += 1;
-                    inner.hists.cycle_visited.observe(visited as u64);
+                    inner.counters[Counter::CycleSearched] += 1;
+                    inner.hists[Hist::CycleVisited].observe(visited as u64);
                 }
-                inner.counters.cycle_visited += visited as u64;
-                inner.counters.cycle_promoted += promoted as u64;
+                inner.counters[Counter::CycleVisited] += visited as u64;
+                inner.counters[Counter::CyclePromoted] += promoted as u64;
                 return;
             }
             Event::Share {
@@ -580,14 +444,14 @@ impl EventSink for Recorder {
                 // Counter-only deltas batched per exchange point; the
                 // import-hit histogram observes the batch size so the
                 // distribution of hits-per-exchange survives aggregation.
-                inner.counters.sh_exported += exported;
-                inner.counters.sh_exported_theory += exported_theory;
-                inner.counters.sh_exported_rf += exported_rf;
-                inner.counters.sh_imported += imported;
-                inner.counters.sh_dropped += dropped;
-                inner.counters.sh_import_hits += import_hits;
+                inner.counters[Counter::ShExported] += exported;
+                inner.counters[Counter::ShExportedTheory] += exported_theory;
+                inner.counters[Counter::ShExportedRf] += exported_rf;
+                inner.counters[Counter::ShImported] += imported;
+                inner.counters[Counter::ShDropped] += dropped;
+                inner.counters[Counter::ShImportHits] += import_hits;
                 if import_hits > 0 {
-                    inner.hists.sh_import_hits.observe(import_hits);
+                    inner.hists[Hist::ShImportHits].observe(import_hits);
                 }
                 return;
             }
@@ -728,7 +592,7 @@ mod tests {
         rec.emit(Event::Conflict { level: 3, lbd: 2 });
         let snap = rec.snapshot();
         assert_eq!(snap.counters.total_decisions(), 100);
-        assert_eq!(snap.counters.dropped_events, 90);
+        assert_eq!(snap.counters[Counter::DroppedEvents], 90);
         let decisions = snap
             .events
             .iter()
@@ -736,7 +600,7 @@ mod tests {
             .count();
         assert_eq!(decisions, 10);
         // Non-decision events are never sampled out.
-        assert_eq!(snap.counters.conflicts, 1);
+        assert_eq!(snap.counters[Counter::Conflicts], 1);
         assert!(snap
             .events
             .iter()
@@ -754,14 +618,14 @@ mod tests {
         rec.emit(Event::TheoryLemma { cycle_len: 4 });
         let snap = rec.snapshot();
         assert!(snap.events.is_empty());
-        assert_eq!(snap.counters.restarts, 1);
-        assert_eq!(snap.counters.clauses_removed, 42);
-        assert_eq!(snap.counters.theory_lemmas, 1);
-        assert_eq!(snap.counters.lemma_cycle_edges, 4);
+        assert_eq!(snap.counters[Counter::Restarts], 1);
+        assert_eq!(snap.counters[Counter::ClausesRemoved], 42);
+        assert_eq!(snap.counters[Counter::TheoryLemmas], 1);
+        assert_eq!(snap.counters[Counter::LemmaCycleEdges], 4);
         // Histograms are fed even when event storage is off.
-        assert_eq!(snap.hists.restart_interval.count(), 1);
-        assert_eq!(snap.hists.restart_interval.max(), 17);
-        assert_eq!(snap.hists.lemma_cycle_len.count(), 1);
+        assert_eq!(snap.hists[Hist::RestartInterval].count(), 1);
+        assert_eq!(snap.hists[Hist::RestartInterval].max(), 17);
+        assert_eq!(snap.hists[Hist::LemmaCycleLen].count(), 1);
     }
 
     #[test]
@@ -797,7 +661,7 @@ mod tests {
             snap.hists.dec_to_conflict[VarClass::Other.index()].count(),
             0
         );
-        assert_eq!(snap.hists.conflict_lbd.count(), 1);
+        assert_eq!(snap.hists[Hist::ConflictLbd].count(), 1);
     }
 
     #[test]
@@ -873,15 +737,15 @@ mod tests {
         let snap = rec.snapshot();
         // Counter-only: never in the event stream.
         assert!(snap.events.is_empty());
-        assert_eq!(snap.counters.cycle_checks, 3);
-        assert_eq!(snap.counters.cycle_accepted_o1, 1);
-        assert_eq!(snap.counters.cycle_searched, 2);
+        assert_eq!(snap.counters[Counter::CycleChecks], 3);
+        assert_eq!(snap.counters[Counter::CycleAcceptedO1], 1);
+        assert_eq!(snap.counters[Counter::CycleSearched], 2);
         assert_eq!(
-            snap.counters.cycle_accepted_o1 + snap.counters.cycle_searched,
-            snap.counters.cycle_checks
+            snap.counters[Counter::CycleAcceptedO1] + snap.counters[Counter::CycleSearched],
+            snap.counters[Counter::CycleChecks]
         );
-        assert_eq!(snap.counters.cycle_visited, 9);
-        assert_eq!(snap.counters.cycle_promoted, 3);
+        assert_eq!(snap.counters[Counter::CycleVisited], 9);
+        assert_eq!(snap.counters[Counter::CyclePromoted], 3);
     }
 
     #[test]
@@ -905,15 +769,15 @@ mod tests {
         });
         let snap = rec.snapshot();
         assert!(snap.events.is_empty());
-        assert_eq!(snap.counters.sh_exported, 6);
-        assert_eq!(snap.counters.sh_exported_theory, 2);
-        assert_eq!(snap.counters.sh_exported_rf, 1);
-        assert_eq!(snap.counters.sh_imported, 5);
-        assert_eq!(snap.counters.sh_dropped, 4);
-        assert_eq!(snap.counters.sh_import_hits, 7);
+        assert_eq!(snap.counters[Counter::ShExported], 6);
+        assert_eq!(snap.counters[Counter::ShExportedTheory], 2);
+        assert_eq!(snap.counters[Counter::ShExportedRf], 1);
+        assert_eq!(snap.counters[Counter::ShImported], 5);
+        assert_eq!(snap.counters[Counter::ShDropped], 4);
+        assert_eq!(snap.counters[Counter::ShImportHits], 7);
         // Zero-hit exchanges don't observe; the one hit batch does.
-        assert_eq!(snap.hists.sh_import_hits.count(), 1);
-        assert_eq!(snap.hists.sh_import_hits.max(), 7);
+        assert_eq!(snap.hists[Hist::ShImportHits].count(), 1);
+        assert_eq!(snap.hists[Hist::ShImportHits].max(), 7);
     }
 
     #[test]

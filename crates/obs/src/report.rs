@@ -3,8 +3,8 @@
 
 use std::fmt::Write as _;
 
-use crate::event::VarClass;
-use crate::recorder::{Phase, TraceSnapshot};
+use crate::recorder::TraceSnapshot;
+use crate::vocab::{Counter, Phase, VarClass};
 
 fn ms(us: u64) -> f64 {
     us as f64 / 1000.0
@@ -62,7 +62,7 @@ pub fn profile_report(snap: &TraceSnapshot) -> String {
         .filter(|s| s.depth == 0 && s.closed)
         .map(|s| s.dur_us)
         .sum();
-    for phase in Phase::all() {
+    for phase in Phase::ALL {
         // Aggregate per (phase, label) so e.g. encode spans per memory model
         // get their own rows.
         let mut rows: Vec<(Option<&str>, u32, usize, u64)> = Vec::new();
@@ -114,7 +114,7 @@ pub fn profile_report(snap: &TraceSnapshot) -> String {
         "{:<14} {:>12} {:>12} {:>7}  share",
         "class", "decisions", "guided", "%"
     );
-    for cls in VarClass::all() {
+    for cls in VarClass::ALL {
         let n = c.decisions[cls.index()];
         let pct = pct_of(n, total);
         let _ = writeln!(
@@ -139,46 +139,56 @@ pub fn profile_report(snap: &TraceSnapshot) -> String {
 
     // ---- solver events ---------------------------------------------------
     out.push_str("\nsolver events\n");
-    let mean_cycle = if c.theory_lemmas > 0 {
-        c.lemma_cycle_edges as f64 / c.theory_lemmas as f64
+    let lemmas = c[Counter::TheoryLemmas];
+    let mean_cycle = if lemmas > 0 {
+        c[Counter::LemmaCycleEdges] as f64 / lemmas as f64
     } else {
         0.0
     };
     let _ = writeln!(
         out,
-        "conflicts {}  theory-lemmas {} (mean EOG cycle {:.1})  restarts {}  reductions {} ({} clauses)",
-        c.conflicts, c.theory_lemmas, mean_cycle, c.restarts, c.reductions, c.clauses_removed
+        "conflicts {}  theory-lemmas {lemmas} (mean EOG cycle {mean_cycle:.1})  restarts {}  reductions {} ({} clauses)",
+        c[Counter::Conflicts],
+        c[Counter::Restarts],
+        c[Counter::Reductions],
+        c[Counter::ClausesRemoved]
     );
-    if c.cycle_checks > 0 {
+    if c[Counter::CycleChecks] > 0 {
         let _ = writeln!(
             out,
             "cycle-checks {} ({} O(1)-accepted, {} searched; {} nodes visited, {} levels promoted)",
-            c.cycle_checks,
-            c.cycle_accepted_o1,
-            c.cycle_searched,
-            c.cycle_visited,
-            c.cycle_promoted
+            c[Counter::CycleChecks],
+            c[Counter::CycleAcceptedO1],
+            c[Counter::CycleSearched],
+            c[Counter::CycleVisited],
+            c[Counter::CyclePromoted]
         );
     }
-    if c.frames > 0 {
+    if c[Counter::Frames] > 0 {
         let _ = writeln!(
             out,
             "sweep frames {} (reused at entry: {} learnt clauses, {} conflicts of prior frames)",
-            c.frames, c.frame_reused_learnts, c.frame_reused_conflicts
+            c[Counter::Frames],
+            c[Counter::FrameReusedLearnts],
+            c[Counter::FrameReusedConflicts]
         );
     }
-    if c.batch_tasks > 0 {
+    if c[Counter::BatchTasks] > 0 {
         let _ = writeln!(
             out,
             "batch tasks {} (retries {}, degradations {}, checkpoints {})",
-            c.batch_tasks, c.batch_retries, c.batch_degraded, c.batch_checkpoints
+            c[Counter::BatchTasks],
+            c[Counter::BatchRetries],
+            c[Counter::BatchDegraded],
+            c[Counter::BatchCheckpoints]
         );
     }
     if snap.decision_sample > 1 {
         let _ = writeln!(
             out,
             "decision events sampled 1/{} ({} dropped from the stream; counters exact)",
-            snap.decision_sample, c.dropped_events
+            snap.decision_sample,
+            c[Counter::DroppedEvents]
         );
     }
 
@@ -247,7 +257,7 @@ pub fn profile_report(snap: &TraceSnapshot) -> String {
 mod tests {
     use super::*;
     use crate::event::Event;
-    use crate::recorder::{MemberRecord, Phase, Recorder};
+    use crate::recorder::{MemberRecord, Recorder};
     use crate::EventSink;
 
     #[test]

@@ -1714,9 +1714,12 @@ mod tests {
         let snap = rec.snapshot();
         let stats = s.stats();
         assert_eq!(snap.counters.total_decisions(), stats.decisions);
-        assert_eq!(snap.counters.conflicts, stats.conflicts);
-        assert_eq!(snap.counters.restarts, stats.restarts);
-        assert_eq!(snap.counters.reductions, stats.reductions);
+        assert_eq!(snap.counters[zpre_obs::Counter::Conflicts], stats.conflicts);
+        assert_eq!(snap.counters[zpre_obs::Counter::Restarts], stats.restarts);
+        assert_eq!(
+            snap.counters[zpre_obs::Counter::Reductions],
+            stats.reductions
+        );
         assert!(snap
             .events
             .iter()

@@ -128,6 +128,27 @@ fn ndjson_export_carries_all_pipeline_phases() {
         .any(|s| s.phase == Phase::Encode && s.label.as_deref() == Some("tso")));
 }
 
+/// The static pruning pass runs inside one `analysis` span per encoding,
+/// and an unpruned run opens none.
+#[test]
+fn pruning_runs_inside_one_analysis_span_per_encoding() {
+    let program = racy_counter(2);
+    for prune in [true, false] {
+        let rec = Recorder::default();
+        for mm in MemoryModel::ALL {
+            let mut opts = VerifyOptions::new(mm, Strategy::Zpre);
+            opts.prune = prune;
+            opts.recorder = Some(rec.clone());
+            verify(&program, &opts);
+        }
+        let spans = rec.snapshot().spans;
+        let count = |phase| spans.iter().filter(|s| s.phase == phase).count();
+        assert_eq!(count(Phase::Encode), MemoryModel::ALL.len());
+        let analysis = if prune { MemoryModel::ALL.len() } else { 0 };
+        assert_eq!(count(Phase::Analysis), analysis, "prune {prune}");
+    }
+}
+
 /// A portfolio run attributes spans and events to members and records the
 /// race outcome (winner flag, per-member decision counts) in one buffer.
 #[test]
