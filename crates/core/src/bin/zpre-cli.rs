@@ -16,7 +16,7 @@
 //!                      [--kill-after N] [--heartbeat SECS] [--metrics-out FILE]
 //!                      [--prune] [--no-prune] [--json] [--profile]
 //!                      [--trace-out FILE]
-//! zpre-cli oracle FILE [--mm sc|tso|pso] [--unroll N]
+//! zpre-cli oracle FILE [--mm sc|tso|pso|all] [--unroll N]
 //! zpre-cli dump   FILE [--mm sc|tso|pso] [--unroll N]
 //! zpre-cli pretty FILE
 //! zpre-cli trace check FILE
@@ -62,9 +62,11 @@
 //! clauses, and has no effect on a race of sweeps).
 //! `--certify` certifies every verdict; a sweep cannot certify yet and
 //! fails closed (exit 7). The one usage error left is `--share` without
-//! `--portfolio`. `oracle` runs the explicit-state reference checker
-//! (exhaustive, for small programs); `dump` emits the verification
-//! condition as SMT-LIB 2; `pretty` parses and re-prints the program.
+//! `--portfolio`. `oracle` runs the explicit-state store-buffer machine's
+//! exhaustive check (for small programs) and exits by the same table, a
+//! hit state or havoc limit counting as unknown; `dump` emits the
+//! verification condition as SMT-LIB 2; `pretty` parses and re-prints the
+//! program.
 //!
 //! Observability: `--profile` prints a hierarchical per-phase timing report
 //! (parse → unroll → SSA → analysis → encode per memory model → bit-blast →
@@ -118,8 +120,7 @@ use zpre::{
 };
 use zpre_obs::ndjson::quoted;
 use zpre_obs::{profile_report, Counter, Recorder, TraceConfig};
-use zpre_prog::interp::{check_sc, Limits, Outcome};
-use zpre_prog::wmm::check_wmm;
+use zpre_prog::{check, Limits, Outcome};
 use zpre_prog::{flatten, parse_program_traced, pretty, unroll_program, MemoryModel, Program};
 
 fn usage() -> ExitCode {
@@ -137,7 +138,7 @@ fn usage() -> ExitCode {
          [--fault member-oom|deadline-skew|corrupt-journal] [--kill-after N] \
          [--heartbeat SECS] [--metrics-out FILE] [--prune] [--no-prune] \
          [--json] [--profile] [--trace-out FILE]\n  \
-         zpre-cli oracle FILE [--mm sc|tso|pso] [--unroll N]\n  \
+         zpre-cli oracle FILE [--mm sc|tso|pso|all] [--unroll N]\n  \
          zpre-cli dump FILE [--mm sc|tso|pso] [--unroll N]\n  \
          zpre-cli pretty FILE\n  \
          zpre-cli trace check FILE\n  \
@@ -910,11 +911,9 @@ fn cmd_oracle(args: &[String]) -> ExitCode {
         }
     };
     let fp = flatten(&unroll_program(&program, unroll));
+    let mut outcomes = Vec::new();
     for mm in mms {
-        let outcome = match mm {
-            MemoryModel::Sc => check_sc(&fp, Limits::default()),
-            _ => check_wmm(&fp, mm, Limits::default()),
-        };
+        let outcome = check(&fp, mm, Limits::default());
         let text = match outcome {
             Outcome::Safe => "safe",
             Outcome::Unsafe => "unsafe",
@@ -927,8 +926,17 @@ fn cmd_oracle(args: &[String]) -> ExitCode {
             mm.name(),
             unroll
         );
+        outcomes.push(outcome);
     }
-    ExitCode::SUCCESS
+    // The exit-code table's aggregation: unsafe beats a hit limit (which
+    // decides nothing, like `unknown`), which beats safe.
+    if outcomes.contains(&Outcome::Unsafe) {
+        ExitCode::from(1)
+    } else if outcomes.contains(&Outcome::ResourceLimit) {
+        ExitCode::from(3)
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 /// Which bounds `verify` solves: the one `--unroll` bound, the per-bound

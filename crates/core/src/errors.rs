@@ -11,6 +11,7 @@
 
 use std::fmt;
 use zpre_encoder::EncodeError;
+use zpre_prog::ast::ValidationError;
 use zpre_sat::ExhaustionReason;
 
 /// Why a verification run could not produce a trustworthy verdict.
@@ -79,5 +80,11 @@ impl std::error::Error for VerifyError {
 impl From<EncodeError> for VerifyError {
     fn from(e: EncodeError) -> VerifyError {
         VerifyError::Encode(e)
+    }
+}
+
+impl From<ValidationError> for VerifyError {
+    fn from(e: ValidationError) -> VerifyError {
+        VerifyError::InvalidProgram(e.to_string())
     }
 }

@@ -108,7 +108,7 @@ fn sweep_impl(
         let _span = rec.map(|r| r.span_labeled(Phase::Unroll, Some("sweep")));
         unroll_program_sweep(prog, max_bound)
     };
-    let ssa = to_ssa_traced(&sw.program, rec);
+    let ssa = to_ssa_traced(&sw.program, rec)?;
     // One session at the horizon serves every bound: static pruning's
     // justifications rest on fixed program-order edges and guard
     // implications, which frames never weaken, and the H1–H4 order covers

@@ -178,8 +178,12 @@ type Body<'a> = dyn Fn(&VerifyOptions) -> Result<VerifyOutcome, VerifyError> + S
 ///
 /// When `base.certify` is set, the flat lowering is shared with every
 /// member so certified `Unsafe` verdicts can replay their witness.
+///
+/// # Panics
+///
+/// Panics on a program that fails [`Program::validate`].
 pub fn verify_portfolio(prog: &Program, opts: &PortfolioOptions) -> PortfolioOutcome {
-    let (ssa, flat) = front_end(prog, &opts.base);
+    let (ssa, flat) = front_end(prog, &opts.base).unwrap_or_else(|e| panic!("{e}"));
     let body = |o: &VerifyOptions| verify_ssa_inner(&ssa, o, Instant::now(), flat.as_ref());
     race(
         opts,

@@ -241,19 +241,23 @@ pub fn verify(prog: &Program, opts: &VerifyOptions) -> VerifyOutcome {
 /// Verifies `prog` under `opts`, reporting failures as typed errors.
 pub fn try_verify(prog: &Program, opts: &VerifyOptions) -> Result<VerifyOutcome, VerifyError> {
     let t0 = Instant::now();
-    let (ssa, flat) = front_end(prog, opts);
+    let (ssa, flat) = front_end(prog, opts)?;
     verify_ssa_inner(&ssa, opts, t0, flat.as_ref())
 }
 
 /// Unrolls `prog` to `opts.unroll_bound` and converts it to SSA. Under
 /// `certify` it also lowers the same unrolled program to the flat form a
-/// certified `Unsafe` verdict replays its witness through.
-pub(crate) fn front_end(prog: &Program, opts: &VerifyOptions) -> (SsaProgram, Option<FlatProgram>) {
+/// certified `Unsafe` verdict replays its witness through. A program that
+/// fails validation is [`VerifyError::InvalidProgram`].
+pub(crate) fn front_end(
+    prog: &Program,
+    opts: &VerifyOptions,
+) -> Result<(SsaProgram, Option<FlatProgram>), VerifyError> {
     let rec = opts.recorder.as_ref();
     let unrolled = unroll_program_traced(prog, opts.unroll_bound, rec);
-    let ssa = to_ssa_traced(&unrolled, rec);
+    let ssa = to_ssa_traced(&unrolled, rec)?;
     let flat = opts.certify.then(|| flatten(&unrolled));
-    (ssa, flat)
+    Ok((ssa, flat))
 }
 
 /// Verifies an already-converted SSA program, reporting failures as typed
@@ -526,6 +530,28 @@ mod tests {
                 assert_(eq(v("cnt"), c(2))),
             ])
             .build()
+    }
+
+    /// A builder-made program that fails `Program::validate` is a typed
+    /// error on the single-bound and the sweep entry points, not a panic.
+    #[test]
+    fn invalid_program_is_a_typed_error() {
+        let p = ProgramBuilder::new("bad")
+            .shared("x", 0)
+            .mutex("m")
+            .main(vec![unlock("m"), assert_(eq(v("x"), c(0)))])
+            .build();
+        let opts = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
+        let sweeps = [
+            crate::incremental::try_verify_sweep,
+            crate::incremental::try_verify_sweep_full,
+        ];
+        for got in std::iter::once(try_verify(&p, &opts)).chain(sweeps.map(|f| f(&p, &opts))) {
+            assert!(
+                matches!(&got, Err(VerifyError::InvalidProgram(m)) if m.contains("unlock")),
+                "{got:?}"
+            );
+        }
     }
 
     fn locked() -> Program {

@@ -180,6 +180,47 @@ fn share_without_portfolio_is_the_only_usage_error() {
     }
 }
 
+fn oracle(file: &std::path::Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_zpre-cli"))
+        .arg("oracle")
+        .arg(file)
+        .args(["--mm", "all", "--unroll", "2"])
+        .output()
+        .expect("zpre-cli runs")
+}
+
+/// `oracle` exits by the same table as `verify`: 1 when some model is
+/// unsafe, else 3 when some model hit the state or havoc limit, else 0.
+#[test]
+fn oracle_exit_codes_match_verify() {
+    let mut unsafe_examples = Vec::new();
+    for file in examples() {
+        let code = oracle(&file).status.code();
+        assert_eq!(
+            code,
+            verify(&file, &["--unroll", "2"]).status.code(),
+            "{file:?}"
+        );
+        if code == Some(1) {
+            unsafe_examples.push(file.file_stem().unwrap().to_string_lossy().into_owned());
+        }
+    }
+    assert_eq!(
+        unsafe_examples,
+        ["peterson", "racy_counter", "store_buffering"]
+    );
+    // A width-8 havoc is wider than the oracle enumerates.
+    let wide = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("wide_havoc.zc");
+    std::fs::write(
+        &wide,
+        "shared int x = 0;\nthread main { x = nondet(n); assert(x != 3); }\n",
+    )
+    .expect("write program");
+    let out = oracle(&wide);
+    assert_eq!(out.status.code(), Some(3));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("resource-limit"));
+}
+
 fn batch(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_zpre-cli"))
         .arg("batch")

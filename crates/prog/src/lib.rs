@@ -10,12 +10,11 @@
 //!   BMC step of §5);
 //! - [`ssa`] — SSA conversion by symbolic execution: global events with
 //!   guards and SSA value variables, the input to the partial-order encoder;
-//! - [`flat`] + [`interp`] — lowering to shared-access-granular
-//!   micro-instructions and an exhaustive explicit-state SC checker, the
-//!   *oracle* the SMT pipeline is cross-validated against;
-//! - [`wmm`] — operational TSO/PSO store-buffer checkers for litmus-level
-//!   cross-validation of the weak-memory encodings;
-//! - [`replay`](mod@replay) — schedule-driven witness replay on a buffered store
+//! - [`flat`] — lowering to shared-access-granular micro-instructions;
+//! - [`machine`] — one operational store-buffer machine for SC, TSO and
+//!   PSO, and [`check`], the exhaustive explicit-state *oracle* the SMT
+//!   pipeline is cross-validated against under all three models;
+//! - [`replay`](mod@replay) — schedule-driven witness replay on the same
 //!   machine, the independent oracle behind certified `Unsafe` verdicts;
 //! - [`pretty`] — C-like pretty-printing.
 
@@ -23,18 +22,26 @@
 
 pub mod ast;
 pub mod flat;
-pub mod interp;
+pub mod machine;
 pub mod parse;
 pub mod pretty;
 pub mod replay;
 pub mod ssa;
 pub mod trace;
 pub mod unroll;
-pub mod wmm;
+
+// Tests of `check`: `interp` for SC interleavings, `wmm` for the TSO/PSO
+// store buffers (module names kept so test ids stay stable).
+#[cfg(test)]
+#[path = "oracle_tests/sc.rs"]
+mod interp;
+#[cfg(test)]
+#[path = "oracle_tests/wmm.rs"]
+mod wmm;
 
 pub use ast::{build, BoolExpr, IntExpr, Program, Stmt, Thread};
 pub use flat::{flatten, FlatProgram, Instr};
-pub use interp::{check_sc, Limits, Outcome};
+pub use machine::{check, Limits, MemoryModel, Outcome};
 pub use parse::{parse_program, ParseError};
 pub use replay::{replay, ReplayError, ReplayOp, ReplayViolation, ScheduleStep};
 pub use ssa::{to_ssa, AtomicBlock, Event, EventKind, SsaProgram};
@@ -43,4 +50,3 @@ pub use unroll::{
     sweep_marker_remaining, unroll_program, unroll_program_sweep, SweepUnrolled,
     SWEEP_MARKER_PREFIX,
 };
-pub use wmm::{check_wmm, MemoryModel};

@@ -1,4 +1,4 @@
-//! Schedule-driven witness replay on a buffered store machine.
+//! Schedule-driven witness replay on the store-buffer machine.
 //!
 //! The certification layer turns an `Unsafe` model into a *schedule* — the
 //! model's global events (writes, reads, lock operations, fences, spawns,
@@ -11,20 +11,19 @@
 //! evaluates to false; any divergence is a typed [`ReplayError`], never a
 //! panic.
 //!
-//! Memory-model fidelity: under SC every store commits at its program
-//! point, so crossing an unscheduled store is a mismatch. Under TSO the
-//! machine keeps one FIFO store buffer per thread — a store crossed while
-//! advancing is buffered, commits only when its `Write` event arrives, and
-//! must then be the buffer head (TSO preserves W→W order). Under PSO only
-//! the per-variable order is enforced: a buffered store may commit when it
-//! is the oldest buffered store *to its variable*. Loads forward from the
-//! newest same-variable buffered store, as real store buffers do.
-//! Fence-like events (lock/unlock/fence/atomic boundaries/spawn/join)
-//! preserve order with everything in all three models, so the replaying
-//! thread's buffer must be fully drained when one occurs. Atomic-section
-//! boundaries are replayed as ordering events only — the encoder serializes
-//! conflicting accesses around them, and replay checks exactly what the
-//! model claims, not a stronger global-exclusivity property.
+//! Memory-model fidelity comes from [`crate::machine`], the machine the
+//! oracle explores. Under SC every store commits at its program point, so
+//! crossing an unscheduled store is a mismatch. Under TSO/PSO a store
+//! crossed while advancing enters the buffer, and a scheduled `Write`
+//! advances to its store if it is not buffered yet, then flushes it — which
+//! must be the buffer head under TSO (W→W order) and the oldest store to
+//! its variable under PSO. Loads forward from the newest same-variable
+//! buffered store. A step the machine reports blocked is a mismatch, except
+//! for another thread's atomic section: atomic boundaries are replayed as
+//! ordering events only — the encoder serializes conflicting accesses
+//! around them, and replay checks exactly what the model claims, not a
+//! stronger global-exclusivity property. A false assumption or an unlock by
+//! a non-holder, which the oracle silently discards, is a mismatch here.
 //!
 //! Initializer writes are *not* part of the schedule: the flat program has
 //! no initializer instructions (`shared_init` supplies initial values), and
@@ -33,9 +32,8 @@
 //! reads-from for main).
 
 use crate::flat::{FlatProgram, Instr};
-use crate::interp::{eval_bool, eval_int};
-use crate::wmm::MemoryModel;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use crate::machine::{truncate, Blocked, Effect, Machine, MemoryModel, State};
+use std::collections::HashMap;
 
 /// One global event of the schedule, as the model ordered it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -148,15 +146,8 @@ enum Stop {
 }
 
 struct Replayer<'a> {
-    fp: &'a FlatProgram,
-    mm: MemoryModel,
-    pcs: Vec<usize>,
-    locals: Vec<BTreeMap<String, u64>>,
-    shared: Vec<u64>,
-    mutex: Vec<Option<usize>>,
-    started: Vec<bool>,
-    /// Per-thread store buffer, oldest first (empty under SC).
-    buffers: Vec<VecDeque<(usize, u64)>>,
+    m: Machine<'a>,
+    st: State,
     nondet_ints: &'a HashMap<String, u64>,
     nondet_bools: &'a HashMap<String, bool>,
     /// Backstop against malformed jump targets: total instructions the
@@ -175,285 +166,158 @@ impl<'a> Replayer<'a> {
         })
     }
 
-    /// Executes local instructions of thread `t` until a global instruction,
-    /// the end of the code, or a concrete assertion violation.
-    ///
-    /// When `stop_at_store` is `Some(v)`, a `StoreShared` to `v` is treated
-    /// as the stopping global instruction; any *other* store crossed on the
-    /// way is buffered under TSO/PSO and a mismatch under SC (where every
-    /// store is a scheduled event). With `None`, all stores are crossed
-    /// (buffered) under TSO/PSO and mismatches under SC.
+    /// Runs thread `t`'s local steps until a global instruction, the end of
+    /// the code, or a concrete assertion violation. Havocs take the model's
+    /// values. A store is a local step under TSO/PSO (it enters the buffer)
+    /// unless it is the store to `stop_at_store`; under SC every store is a
+    /// scheduled event, so crossing one is a mismatch.
     fn advance(&mut self, t: usize, stop_at_store: Option<usize>) -> Result<Stop, ReplayError> {
-        let w = self.fp.word_width;
-        let code = &self.fp.threads[t].code;
+        let fp = self.m.fp;
         loop {
             if self.fuel == 0 {
                 return self.mismatch(t, "replay fuel exhausted (malformed control flow)");
             }
             self.fuel -= 1;
-            let pc = self.pcs[t];
-            if pc >= code.len() {
+            let pc = self.st.pcs[t];
+            let Some(instr) = fp.threads[t].code.get(pc) else {
                 return Ok(Stop::End);
-            }
-            match &code[pc] {
-                Instr::AssignLocal { dst, val } => {
-                    let v = eval_int(val, &self.locals[t], w);
-                    self.locals[t].insert(dst.clone(), v);
-                    self.pcs[t] += 1;
-                }
-                Instr::HavocInt { dst } => {
-                    let raw = self.nondet_ints.get(dst).copied().unwrap_or(0);
-                    let v = if w == 64 { raw } else { raw & ((1 << w) - 1) };
-                    self.locals[t].insert(dst.clone(), v);
-                    self.pcs[t] += 1;
-                }
+            };
+            let havoc = match instr {
+                Instr::HavocInt { dst } => truncate(
+                    self.nondet_ints.get(dst).copied().unwrap_or(0),
+                    fp.word_width,
+                ),
                 Instr::HavocBool { dst } => {
-                    let v = self.nondet_bools.get(dst).copied().unwrap_or(false);
-                    self.locals[t].insert(dst.clone(), v as u64);
-                    self.pcs[t] += 1;
+                    self.nondet_bools.get(dst).copied().unwrap_or(false) as u64
                 }
-                Instr::Jmp { target } => {
-                    self.pcs[t] = *target;
-                }
-                Instr::JmpIfFalse { cond, target } => {
-                    if eval_bool(cond, &self.locals[t], w) {
-                        self.pcs[t] += 1;
-                    } else {
-                        self.pcs[t] = *target;
+                Instr::StoreShared { var, .. } if stop_at_store != Some(*var) => {
+                    if self.m.mm == MemoryModel::Sc {
+                        let name = &fp.shared_names[*var];
+                        return self.mismatch(t, format!("unscheduled store to {name} under SC"));
                     }
+                    0
                 }
-                Instr::Assert(cond) => {
-                    if eval_bool(cond, &self.locals[t], w) {
-                        self.pcs[t] += 1;
-                    } else {
-                        return Ok(Stop::Violation(pc));
-                    }
-                }
-                Instr::Assume(cond) => {
-                    if eval_bool(cond, &self.locals[t], w) {
-                        self.pcs[t] += 1;
-                    } else {
-                        return self
-                            .mismatch(t, "assumption evaluated false along the replayed path");
-                    }
-                }
-                Instr::StoreShared { var, val } => {
-                    if stop_at_store == Some(*var) {
-                        return Ok(Stop::Global);
-                    }
-                    if self.mm == MemoryModel::Sc {
-                        return self.mismatch(
-                            t,
-                            format!(
-                                "unscheduled store to {} under SC",
-                                self.fp.shared_names[*var]
-                            ),
-                        );
-                    }
-                    let v = eval_int(val, &self.locals[t], w);
-                    self.buffers[t].push_back((*var, v));
-                    self.pcs[t] += 1;
-                }
-                // Every other instruction is a scheduled global event.
+                Instr::AssignLocal { .. }
+                | Instr::Jmp { .. }
+                | Instr::JmpIfFalse { .. }
+                | Instr::Assert(_)
+                | Instr::Assume(_) => 0,
                 _ => return Ok(Stop::Global),
+            };
+            match self.m.step(&mut self.st, t, havoc) {
+                Effect::Done => {}
+                Effect::Violation => return Ok(Stop::Violation(pc)),
+                Effect::Infeasible => {
+                    return self.mismatch(t, "assumption evaluated false along the replayed path")
+                }
             }
         }
-    }
-
-    /// The value a load of `var` by thread `t` observes: the newest buffered
-    /// same-variable store (forwarding), else shared memory.
-    fn load_value(&self, t: usize, var: usize) -> u64 {
-        self.buffers[t]
-            .iter()
-            .rev()
-            .find(|&&(v, _)| v == var)
-            .map(|&(_, val)| val)
-            .unwrap_or(self.shared[var])
-    }
-
-    fn require_drained(&self, t: usize, what: &str) -> Result<(), ReplayError> {
-        if self.buffers[t].is_empty() {
-            Ok(())
-        } else {
-            self.mismatch(t, format!("{what} ordered before earlier stores committed"))
-        }
-    }
-
-    fn do_write(&mut self, t: usize, var: usize, value: u64) -> Result<Option<Stop>, ReplayError> {
-        // A previously buffered store to `var` commits now.
-        if let Some(pos) = self.buffers[t].iter().position(|&(v, _)| v == var) {
-            if self.mm == MemoryModel::Tso && pos != 0 {
-                return self.mismatch(t, "store commit out of FIFO order under TSO");
-            }
-            let (_, buffered) = self.buffers[t].remove(pos).expect("position checked");
-            if buffered != value {
-                return self.mismatch(
-                    t,
-                    format!(
-                        "store to {} computes {buffered} but the model committed {value}",
-                        self.fp.shared_names[var]
-                    ),
-                );
-            }
-            self.shared[var] = value;
-            return Ok(None);
-        }
-        // Otherwise advance to the store instruction and commit in place.
-        match self.advance(t, Some(var))? {
-            Stop::Violation(pc) => return Ok(Some(Stop::Violation(pc))),
-            Stop::End => {
-                return self.mismatch(
-                    t,
-                    format!(
-                        "scheduled store to {} but the thread has finished",
-                        self.fp.shared_names[var]
-                    ),
-                )
-            }
-            Stop::Global => {}
-        }
-        let pc = self.pcs[t];
-        let Instr::StoreShared { var: v, val } = &self.fp.threads[t].code[pc] else {
-            return self.mismatch(
-                t,
-                format!(
-                    "scheduled store to {} but the next global instruction differs",
-                    self.fp.shared_names[var]
-                ),
-            );
-        };
-        debug_assert_eq!(*v, var);
-        // Committing in place means every earlier buffered store would be
-        // overtaken: W→W order forbids that under TSO (FIFO) and the
-        // same-variable case was handled above for PSO.
-        if self.mm == MemoryModel::Tso && !self.buffers[t].is_empty() {
-            return self.mismatch(t, "store commit overtakes buffered stores under TSO");
-        }
-        let computed = eval_int(val, &self.locals[t], self.fp.word_width);
-        if computed != value {
-            return self.mismatch(
-                t,
-                format!(
-                    "store to {} computes {computed} but the model committed {value}",
-                    self.fp.shared_names[var]
-                ),
-            );
-        }
-        self.shared[var] = value;
-        self.pcs[t] += 1;
-        Ok(None)
     }
 
     /// Handles one scheduled event. `Ok(Some(violation))` short-circuits the
     /// whole replay with success.
     fn do_step(&mut self, t: usize, op: &ReplayOp) -> Result<Option<ReplayViolation>, ReplayError> {
-        if !self.started[t] {
+        if !self.st.started[t] {
             return self.mismatch(t, "event scheduled on a thread that was never spawned");
         }
-        if let ReplayOp::Write { var, value } = *op {
-            return match self.do_write(t, var, value)? {
-                Some(Stop::Violation(pc)) => Ok(Some(ReplayViolation { thread: t, pc })),
-                _ => Ok(None),
+        let fp = self.m.fp;
+        let store = match *op {
+            ReplayOp::Write { var, .. } => Some(var),
+            _ => None,
+        };
+        let buffered = |st: &State, var| st.buffer(t).iter().position(|&(x, _)| x == var);
+        // A `Write` of a store already in the buffer only commits it.
+        if store.and_then(|var| buffered(&self.st, var)).is_none() {
+            match self.advance(t, store)? {
+                Stop::Violation(pc) => return Ok(Some(ReplayViolation { thread: t, pc })),
+                Stop::End => {
+                    return self.mismatch(t, format!("{op:?} scheduled after the thread finished"))
+                }
+                Stop::Global => {}
+            }
+            let instr = &fp.threads[t].code[self.st.pcs[t]];
+            let matches = match (op, instr) {
+                (ReplayOp::Write { var, .. }, Instr::StoreShared { var: v, .. })
+                | (ReplayOp::Read { var, .. }, Instr::LoadShared { var: v, .. }) => v == var,
+                (ReplayOp::Lock { mutex }, Instr::Lock(m))
+                | (ReplayOp::Unlock { mutex }, Instr::Unlock(m)) => m == mutex,
+                (ReplayOp::Spawn { child }, Instr::Spawn(c))
+                | (ReplayOp::Join { child }, Instr::Join(c)) => c == child,
+                (ReplayOp::Fence, Instr::Fence)
+                | (ReplayOp::AtomicBegin, Instr::AtomicBegin)
+                | (ReplayOp::AtomicEnd, Instr::AtomicEnd) => true,
+                _ => false,
             };
-        }
-        // Every remaining event sits at a dedicated global instruction.
-        match self.advance(t, None)? {
-            Stop::Violation(pc) => return Ok(Some(ReplayViolation { thread: t, pc })),
-            Stop::End => {
-                return self.mismatch(t, "event scheduled after the thread finished");
-            }
-            Stop::Global => {}
-        }
-        let pc = self.pcs[t];
-        let instr = &self.fp.threads[t].code[pc];
-        match (op, instr) {
-            (ReplayOp::Read { var, value }, Instr::LoadShared { dst, var: v }) => {
-                if v != var {
-                    return self.mismatch(
-                        t,
-                        format!(
-                            "scheduled read of {} but the program loads {}",
-                            self.fp.shared_names[*var], self.fp.shared_names[*v]
-                        ),
-                    );
-                }
-                let observed = self.load_value(t, *var);
-                if observed != *value {
-                    return self.mismatch(
-                        t,
-                        format!(
-                            "read of {} observes {observed} but the model claims {value}",
-                            self.fp.shared_names[*var]
-                        ),
-                    );
-                }
-                let dst = dst.clone();
-                self.locals[t].insert(dst, *value);
-            }
-            (ReplayOp::Lock { mutex }, Instr::Lock(m)) if m == mutex => {
-                self.require_drained(t, "lock")?;
-                if let Some(holder) = self.mutex[*mutex] {
-                    return self.mismatch(
-                        t,
-                        format!("lock of mutex {mutex} while thread {holder} holds it"),
-                    );
-                }
-                self.mutex[*mutex] = Some(t);
-            }
-            (ReplayOp::Unlock { mutex }, Instr::Unlock(m)) if m == mutex => {
-                self.require_drained(t, "unlock")?;
-                if self.mutex[*mutex] != Some(t) {
-                    return self.mismatch(
-                        t,
-                        format!("unlock of mutex {mutex} not held by this thread"),
-                    );
-                }
-                self.mutex[*mutex] = None;
-            }
-            (ReplayOp::Fence, Instr::Fence) => {
-                self.require_drained(t, "fence")?;
-            }
-            (ReplayOp::AtomicBegin, Instr::AtomicBegin) => {
-                self.require_drained(t, "atomic section entry")?;
-            }
-            (ReplayOp::AtomicEnd, Instr::AtomicEnd) => {
-                self.require_drained(t, "atomic section exit")?;
-            }
-            (ReplayOp::Spawn { child }, Instr::Spawn(i)) if i == child => {
-                self.require_drained(t, "spawn")?;
-                if *child >= self.started.len() {
-                    return self.mismatch(t, format!("spawn of unknown thread {child}"));
-                }
-                self.started[*child] = true;
-            }
-            (ReplayOp::Join { child }, Instr::Join(i)) if i == child => {
-                self.require_drained(t, "join")?;
-                let c = *child;
-                if c >= self.started.len() || !self.started[c] {
-                    return self.mismatch(t, format!("join of never-spawned thread {c}"));
-                }
-                // The child's trailing local code runs before the join
-                // observes it as finished.
-                match self.advance(c, None)? {
-                    Stop::Violation(cpc) => {
-                        return Ok(Some(ReplayViolation { thread: c, pc: cpc }))
-                    }
-                    Stop::Global => {
-                        return self
-                            .mismatch(c, "joined thread still has unexecuted global operations");
-                    }
-                    Stop::End => {}
-                }
-                self.require_drained(c, "join of a thread whose")?;
-            }
-            _ => {
+            if !matches {
                 return self.mismatch(
                     t,
                     format!("scheduled {op:?} but the next global instruction is {instr:?}"),
                 );
             }
+            let mut blocked = self.m.enabled(&self.st, t).err();
+            if let (Some(Blocked::JoinUnfinished), Instr::Join(c)) = (blocked, instr) {
+                // The child's trailing local code runs before the join
+                // observes it as finished.
+                if self.st.started[*c] {
+                    match self.advance(*c, None)? {
+                        Stop::Violation(pc) => return Ok(Some(ReplayViolation { thread: *c, pc })),
+                        Stop::Global => {
+                            return self.mismatch(
+                                *c,
+                                "joined thread still has unexecuted global operations",
+                            )
+                        }
+                        Stop::End => {}
+                    }
+                }
+                blocked = self.m.enabled(&self.st, t).err();
+            }
+            match blocked {
+                // Atomic boundaries are ordering events only (module doc).
+                None | Some(Blocked::AtomicHeld) => {}
+                Some(Blocked::Undrained) => {
+                    return self
+                        .mismatch(t, format!("{op:?} ordered before earlier stores committed"))
+                }
+                Some(Blocked::MutexHeld(holder)) => {
+                    return self
+                        .mismatch(t, format!("{op:?} while thread {holder} holds the mutex"))
+                }
+                Some(Blocked::JoinUnfinished) => {
+                    return self.mismatch(t, format!("{op:?} of a thread that has not finished"))
+                }
+            }
+            if let ReplayOp::Read { var, value } = *op {
+                let observed = self.m.load(&self.st, t, var);
+                if observed != value {
+                    let name = &fp.shared_names[var];
+                    return self.mismatch(
+                        t,
+                        format!("read of {name} observes {observed} but the model claims {value}"),
+                    );
+                }
+            }
+            if self.m.step(&mut self.st, t, 0) == Effect::Infeasible {
+                return self.mismatch(t, format!("{op:?} of a mutex this thread does not hold"));
+            }
         }
-        self.pcs[t] += 1;
+        if let ReplayOp::Write { var, value } = *op {
+            // Under TSO/PSO the store is buffered now; it commits here.
+            if let Some(i) = buffered(&self.st, var) {
+                if !self.m.may_flush(self.st.buffer(t), i) {
+                    return self.mismatch(t, "store commit out of FIFO order under TSO");
+                }
+                self.m.flush(&mut self.st, t, i);
+            }
+            let committed = self.st.shared[var];
+            if committed != value {
+                let name = &fp.shared_names[var];
+                return self.mismatch(
+                    t,
+                    format!("store to {name} computes {committed} but the model committed {value}"),
+                );
+            }
+        }
         Ok(None)
     }
 }
@@ -473,21 +337,10 @@ pub fn replay(
 ) -> Result<ReplayViolation, ReplayError> {
     let nt = fp.threads.len();
     let total_code: usize = fp.threads.iter().map(|t| t.code.len()).sum();
+    let m = Machine { fp, mm };
     let mut r = Replayer {
-        fp,
-        mm,
-        pcs: vec![0; nt],
-        locals: vec![BTreeMap::new(); nt],
-        shared: fp.shared_init.clone(),
-        mutex: vec![None; fp.num_mutexes],
-        started: {
-            let mut s = vec![false; nt];
-            if nt > 0 {
-                s[0] = true;
-            }
-            s
-        },
-        buffers: vec![VecDeque::new(); nt],
+        st: m.initial(),
+        m,
         nondet_ints,
         nondet_bools,
         fuel: total_code * 4 + schedule.len() * 4 + 1024,
@@ -506,7 +359,7 @@ pub fn replay(
     // leftover global instruction or uncommitted store is a divergence.
     r.step = None;
     for t in 0..nt {
-        if !r.started[t] {
+        if !r.st.started[t] {
             continue;
         }
         match r.advance(t, None)? {
@@ -516,7 +369,9 @@ pub fn replay(
             }
             Stop::End => {}
         }
-        r.require_drained(t, "schedule end")?;
+        if !r.st.buffer(t).is_empty() {
+            return r.mismatch(t, "schedule ended before earlier stores committed");
+        }
     }
     Err(ReplayError::NoViolation)
 }
@@ -755,5 +610,145 @@ mod tests {
             replay(&fp, MemoryModel::Sc, &sched, &ni, &nb),
             Err(ReplayError::Mismatch { .. })
         ));
+    }
+
+    fn run(
+        p: &crate::ast::Program,
+        mm: MemoryModel,
+        sched: &[(usize, ReplayOp)],
+    ) -> Result<ReplayViolation, ReplayError> {
+        let sched: Vec<ScheduleStep> = sched
+            .iter()
+            .map(|(thread, op)| ScheduleStep {
+                thread: *thread,
+                op: op.clone(),
+            })
+            .collect();
+        let (ni, nb) = no_nondet();
+        replay(&flat(p), mm, &sched, &ni, &nb)
+    }
+
+    fn mismatch_at(r: Result<ReplayViolation, ReplayError>, at: usize) {
+        assert!(
+            matches!(r, Err(ReplayError::Mismatch { step: Some(s), .. }) if s == at),
+            "{r:?}"
+        );
+    }
+
+    /// `x := 1; y := 1; r := z; assert r == 1` with the two stores
+    /// committed in reverse order: W→W reordering is TSO-illegal and
+    /// PSO-legal, both when the stores are already buffered (crossed by
+    /// the read) and when the second one commits in place.
+    #[test]
+    fn out_of_fifo_commit_is_rejected_under_tso_accepted_under_pso() {
+        let p = ProgramBuilder::new("ww")
+            .shared("x", 0)
+            .shared("y", 0)
+            .shared("z", 0)
+            .main(vec![
+                assign("x", c(1)),
+                assign("y", c(1)),
+                assert_(eq(v("z"), c(1))),
+            ])
+            .build();
+        let buffered = [
+            (0, ReplayOp::Read { var: 2, value: 0 }),
+            (0, ReplayOp::Write { var: 1, value: 1 }),
+            (0, ReplayOp::Write { var: 0, value: 1 }),
+        ];
+        mismatch_at(run(&p, MemoryModel::Tso, &buffered), 1);
+        assert!(run(&p, MemoryModel::Pso, &buffered).is_ok());
+        let in_place = [
+            (0, ReplayOp::Write { var: 1, value: 1 }),
+            (0, ReplayOp::Write { var: 0, value: 1 }),
+            (0, ReplayOp::Read { var: 2, value: 0 }),
+        ];
+        mismatch_at(run(&p, MemoryModel::Tso, &in_place), 0);
+        assert!(run(&p, MemoryModel::Pso, &in_place).is_ok());
+    }
+
+    fn two_lockers() -> crate::ast::Program {
+        ProgramBuilder::new("locks")
+            .shared("x", 0)
+            .mutex("m")
+            .thread("t1", vec![lock("m"), assign("x", c(1)), unlock("m")])
+            .thread("t2", vec![lock("m"), assign("x", c(2)), unlock("m")])
+            .main(vec![
+                spawn(1),
+                spawn(2),
+                join(1),
+                join(2),
+                assert_(eq(v("x"), c(0))),
+            ])
+            .build()
+    }
+
+    #[test]
+    fn lock_while_held_is_a_mismatch() {
+        let sched = [
+            (0, ReplayOp::Spawn { child: 1 }),
+            (0, ReplayOp::Spawn { child: 2 }),
+            (1, ReplayOp::Lock { mutex: 0 }),
+            (2, ReplayOp::Lock { mutex: 0 }),
+        ];
+        for mm in MemoryModel::ALL {
+            mismatch_at(run(&two_lockers(), mm, &sched), 3);
+        }
+    }
+
+    #[test]
+    fn unlock_not_held_is_a_mismatch() {
+        // Built unvalidated: main releases a mutex it never acquired.
+        let p = ProgramBuilder::new("unheld")
+            .shared("x", 0)
+            .mutex("m")
+            .main(vec![unlock("m"), assert_(eq(v("x"), c(1)))])
+            .build();
+        for mm in MemoryModel::ALL {
+            mismatch_at(run(&p, mm, &[(0, ReplayOp::Unlock { mutex: 0 })]), 0);
+        }
+    }
+
+    /// A fence or unlock scheduled while the thread's own store is still
+    /// buffered would let the store overtake a full barrier.
+    #[test]
+    fn fence_or_unlock_with_undrained_buffer_is_a_mismatch() {
+        let fenced = ProgramBuilder::new("fenced")
+            .shared("x", 0)
+            .main(vec![assign("x", c(1)), fence(), assert_(eq(v("x"), c(0)))])
+            .build();
+        let sched = [
+            (0, ReplayOp::Fence),
+            (0, ReplayOp::Write { var: 0, value: 1 }),
+        ];
+        for mm in [MemoryModel::Tso, MemoryModel::Pso] {
+            mismatch_at(run(&fenced, mm, &sched), 0);
+        }
+        let sched = [
+            (0, ReplayOp::Spawn { child: 1 }),
+            (0, ReplayOp::Spawn { child: 2 }),
+            (1, ReplayOp::Lock { mutex: 0 }),
+            (1, ReplayOp::Unlock { mutex: 0 }),
+        ];
+        for mm in [MemoryModel::Tso, MemoryModel::Pso] {
+            mismatch_at(run(&two_lockers(), mm, &sched), 3);
+        }
+    }
+
+    #[test]
+    fn join_of_thread_with_pending_global_op_is_a_mismatch() {
+        let p = ProgramBuilder::new("pending")
+            .shared("x", 0)
+            .shared("r", 0)
+            .thread("t", vec![assign("r", v("x"))])
+            .main(vec![spawn(1), join(1), assert_(eq(v("r"), c(1)))])
+            .build();
+        let sched = [
+            (0, ReplayOp::Spawn { child: 1 }),
+            (0, ReplayOp::Join { child: 1 }),
+        ];
+        for mm in MemoryModel::ALL {
+            mismatch_at(run(&p, mm, &sched), 1);
+        }
     }
 }

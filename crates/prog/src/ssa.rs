@@ -154,10 +154,17 @@ impl SsaProgram {
     }
 }
 
-/// Converts a loop-free program to SSA. Panics on loops.
+/// Converts a loop-free program to SSA. Panics on loops and on a program
+/// that fails [`Program::validate`]; [`crate::to_ssa_traced`] reports the
+/// latter as an error instead.
 pub fn to_ssa(prog: &Program) -> SsaProgram {
-    assert!(!prog.has_loops(), "to_ssa requires an unrolled program");
     prog.validate().expect("program must validate");
+    to_ssa_validated(prog)
+}
+
+/// [`to_ssa`] of a program that already passed [`Program::validate`].
+pub(crate) fn to_ssa_validated(prog: &Program) -> SsaProgram {
+    assert!(!prog.has_loops(), "to_ssa requires an unrolled program");
     let mut cx = Cx {
         prog,
         ts: TermStore::new(),

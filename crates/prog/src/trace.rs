@@ -7,9 +7,9 @@
 
 use zpre_obs::{Phase, Recorder};
 
-use crate::ast::Program;
+use crate::ast::{Program, ValidationError};
 use crate::parse::{parse_program, ParseError};
-use crate::ssa::{to_ssa, SsaProgram};
+use crate::ssa::{to_ssa_validated, SsaProgram};
 use crate::unroll::unroll_program;
 
 /// [`parse_program`] under a `parse` phase span.
@@ -24,10 +24,15 @@ pub fn unroll_program_traced(prog: &Program, bound: u32, rec: Option<&Recorder>)
     unroll_program(prog, bound)
 }
 
-/// [`to_ssa`] under an `ssa` phase span.
-pub fn to_ssa_traced(prog: &Program, rec: Option<&Recorder>) -> SsaProgram {
+/// [`to_ssa`](crate::to_ssa) under an `ssa` phase span, with a program
+/// that fails [`Program::validate`] as an error rather than a panic.
+pub fn to_ssa_traced(
+    prog: &Program,
+    rec: Option<&Recorder>,
+) -> Result<SsaProgram, ValidationError> {
     let _span = rec.map(|r| r.span(Phase::Ssa));
-    to_ssa(prog)
+    prog.validate()?;
+    Ok(to_ssa_validated(prog))
 }
 
 #[cfg(test)]
@@ -45,8 +50,8 @@ mod tests {
         let p2 = parse_program(SRC).expect("parse");
         let u1 = unroll_program_traced(&p1, 2, Some(&rec));
         let u2 = unroll_program(&p2, 2);
-        let s1 = to_ssa_traced(&u1, Some(&rec));
-        let s2 = to_ssa(&u2);
+        let s1 = to_ssa_traced(&u1, Some(&rec)).expect("valid");
+        let s2 = crate::to_ssa(&u2);
         assert_eq!(s1.events.len(), s2.events.len());
         let snap = rec.snapshot();
         let phases: Vec<Phase> = snap.spans.iter().map(|s| s.phase).collect();
@@ -58,6 +63,6 @@ mod tests {
     fn none_recorder_is_accepted() {
         let p = parse_program_traced(SRC, None).expect("parse");
         let u = unroll_program_traced(&p, 1, None);
-        let _ = to_ssa_traced(&u, None);
+        assert!(to_ssa_traced(&u, None).is_ok());
     }
 }

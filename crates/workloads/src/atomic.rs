@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn oracle_agrees_on_small_instances() {
-        use zpre_prog::interp::{check_sc, Limits, Outcome};
+        use zpre_prog::{check, Limits, MemoryModel, Outcome};
         for t in [
             counter(2, false),
             counter(2, true),
@@ -122,7 +122,7 @@ mod tests {
         ] {
             let u = zpre_prog::unroll_program(&t.program, t.unroll_bound);
             let fp = zpre_prog::flatten(&u);
-            let got = check_sc(&fp, Limits::default());
+            let got = check(&fp, MemoryModel::Sc, Limits::default());
             assert_eq!(got == Outcome::Safe, t.expected.sc.unwrap(), "{}", t.name);
         }
     }

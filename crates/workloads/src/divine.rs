@@ -104,11 +104,11 @@ mod tests {
 
     #[test]
     fn oracle_agrees() {
-        use zpre_prog::interp::{check_sc, Limits, Outcome};
+        use zpre_prog::{check, Limits, MemoryModel, Outcome};
         for t in [ring(2), ring_broken(2)] {
             let u = zpre_prog::unroll_program(&t.program, t.unroll_bound);
             let fp = zpre_prog::flatten(&u);
-            let got = check_sc(&fp, Limits::default());
+            let got = check(&fp, MemoryModel::Sc, Limits::default());
             assert_eq!(got == Outcome::Safe, t.expected.sc.unwrap(), "{}", t.name);
         }
     }

@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn oracle_agrees() {
-        use zpre_prog::interp::{check_sc, Limits, Outcome};
+        use zpre_prog::{check, Limits, MemoryModel, Outcome};
         for t in [
             irq(2, false),
             irq(2, true),
@@ -143,7 +143,7 @@ mod tests {
         ] {
             let u = zpre_prog::unroll_program(&t.program, t.unroll_bound);
             let fp = zpre_prog::flatten(&u);
-            let got = check_sc(&fp, Limits::default());
+            let got = check(&fp, MemoryModel::Sc, Limits::default());
             assert_eq!(got == Outcome::Safe, t.expected.sc.unwrap(), "{}", t.name);
         }
     }

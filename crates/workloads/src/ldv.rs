@@ -167,9 +167,7 @@ mod tests {
 
     #[test]
     fn oracle_agrees() {
-        use zpre_prog::interp::{check_sc, Limits, Outcome};
-        use zpre_prog::wmm::check_wmm;
-        use zpre_prog::MemoryModel;
+        use zpre_prog::{check, Limits, MemoryModel, Outcome};
         for t in [
             register(1, Sync::None),
             register(1, Sync::Fence),
@@ -177,14 +175,8 @@ mod tests {
         ] {
             let u = zpre_prog::unroll_program(&t.program, t.unroll_bound);
             let fp = zpre_prog::flatten(&u);
-            assert_eq!(
-                check_sc(&fp, Limits::default()) == Outcome::Safe,
-                t.expected.sc.unwrap(),
-                "{} SC",
-                t.name
-            );
-            for mm in [MemoryModel::Tso, MemoryModel::Pso] {
-                let got = check_wmm(&fp, mm, Limits::default());
+            for mm in MemoryModel::ALL {
+                let got = check(&fp, mm, Limits::default());
                 assert_eq!(
                     got == Outcome::Safe,
                     t.expected.get(mm).unwrap(),

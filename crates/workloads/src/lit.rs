@@ -170,12 +170,9 @@ mod tests {
     /// fences under TSO+PSO) — checked against the operational models.
     #[test]
     fn verdicts_match_operational_models() {
-        use zpre_prog::interp::{check_sc, Limits, Outcome};
-        use zpre_prog::wmm::check_wmm;
-        use zpre_prog::MemoryModel;
+        use zpre_prog::{check, Limits, MemoryModel, Outcome};
         let lim = Limits {
             max_states: 50_000_000,
-            ..Limits::default()
         };
         for t in [
             peterson(false, 1),
@@ -185,10 +182,8 @@ mod tests {
         ] {
             let u = zpre_prog::unroll_program(&t.program, t.unroll_bound);
             let fp = zpre_prog::flatten(&u);
-            let sc = check_sc(&fp, lim);
-            assert_eq!(sc == Outcome::Safe, t.expected.sc.unwrap(), "{} SC", t.name);
-            for mm in [MemoryModel::Tso, MemoryModel::Pso] {
-                let got = check_wmm(&fp, mm, lim);
+            for mm in MemoryModel::ALL {
+                let got = check(&fp, mm, lim);
                 assert_ne!(got, Outcome::ResourceLimit, "{} {mm}", t.name);
                 assert_eq!(
                     got == Outcome::Safe,

@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn oracle_agrees_on_narrow_instances() {
-        use zpre_prog::interp::{check_sc, Limits, Outcome};
+        use zpre_prog::{check, Limits, MemoryModel, Outcome};
         for t in [
             arith(4, 4, 12, false),
             arith(4, 3, 12, true),
@@ -135,7 +135,7 @@ mod tests {
         ] {
             let u = zpre_prog::unroll_program(&t.program, t.unroll_bound);
             let fp = zpre_prog::flatten(&u);
-            let got = check_sc(&fp, Limits::default());
+            let got = check(&fp, MemoryModel::Sc, Limits::default());
             assert_eq!(got == Outcome::Safe, t.expected.sc.unwrap(), "{}", t.name);
         }
     }

@@ -164,12 +164,12 @@ mod tests {
     /// stress instance (width 4 keeps the oracle tractable).
     #[test]
     fn smt_matches_oracle_on_small_instances() {
-        use zpre_prog::interp::{check_sc, Limits, Outcome};
+        use zpre_prog::{check, Limits, MemoryModel, Outcome};
         for seed in 0..8 {
             let t = stress(seed, 2, 3);
             let u = zpre_prog::unroll_program(&t.program, t.unroll_bound);
             let fp = zpre_prog::flatten(&u);
-            let oracle = check_sc(&fp, Limits::default());
+            let oracle = check(&fp, MemoryModel::Sc, Limits::default());
             if oracle == Outcome::ResourceLimit {
                 continue;
             }

@@ -407,20 +407,11 @@ mod tests {
     /// store-buffer models.
     #[test]
     fn verdicts_match_operational_models() {
-        use zpre_prog::interp::{check_sc, Limits, Outcome};
-        use zpre_prog::wmm::check_wmm;
-        use zpre_prog::MemoryModel;
+        use zpre_prog::{check, Limits, MemoryModel, Outcome};
         for t in oracle_tasks() {
             let fp = prog(&t);
-            let sc = check_sc(&fp, Limits::default());
-            assert_eq!(
-                sc == Outcome::Safe,
-                t.expected.sc.unwrap(),
-                "{} under SC",
-                t.name
-            );
-            for mm in [MemoryModel::Tso, MemoryModel::Pso] {
-                let got = check_wmm(&fp, mm, Limits::default());
+            for mm in MemoryModel::ALL {
+                let got = check(&fp, mm, Limits::default());
                 assert_ne!(got, Outcome::ResourceLimit, "{} under {mm}", t.name);
                 let expected_safe = t.expected.get(mm).unwrap();
                 assert_eq!(got == Outcome::Safe, expected_safe, "{} under {mm}", t.name);

@@ -9,8 +9,9 @@ use zpre::{
     VerifyError, VerifyOptions,
 };
 use zpre_prog::build::*;
-use zpre_prog::interp::{check_sc, Limits, Outcome};
-use zpre_prog::{flatten, to_ssa, unroll_program, MemoryModel, Program, Stmt};
+use zpre_prog::{
+    check, flatten, to_ssa, unroll_program, Limits, MemoryModel, Outcome, Program, Stmt,
+};
 
 fn racy() -> Program {
     let inc = vec![assign("r", v("cnt")), assign("cnt", add(v("r"), c(1)))];
@@ -271,33 +272,37 @@ fn arb_program() -> impl Strategy<Value = Program> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Certified verdicts agree with exhaustive interleaving enumeration,
-    /// and every definitive verdict carries the matching certificate kind.
+    /// Certified verdicts agree with exhaustive enumeration on the
+    /// store-buffer machine under every memory model, and every definitive
+    /// verdict carries the matching certificate kind.
     #[test]
     fn certified_verdicts_match_oracle(program in arb_program()) {
         let fp = flatten(&unroll_program(&program, 1));
-        let oracle = check_sc(&fp, Limits::default());
-        prop_assume!(oracle != Outcome::ResourceLimit);
-        let mut opts = certified_opts(MemoryModel::Sc, SolveStrategy::Zpre);
-        opts.unroll_bound = 1;
-        let out = try_verify(&program, &opts).map_err(|e| {
-            TestCaseError::Fail(format!(
-                "certification failed: {e}\n{}",
+        for mm in MemoryModel::ALL {
+            let oracle = check(&fp, mm, Limits::default());
+            prop_assume!(oracle != Outcome::ResourceLimit);
+            let mut opts = certified_opts(mm, SolveStrategy::Zpre);
+            opts.unroll_bound = 1;
+            let out = try_verify(&program, &opts).map_err(|e| {
+                TestCaseError::Fail(format!(
+                    "certification failed under {mm}: {e}\n{}",
+                    zpre_prog::pretty::pretty_program(&program)
+                ))
+            })?;
+            prop_assert_eq!(
+                out.verdict == Verdict::Safe,
+                oracle == Outcome::Safe,
+                "{}: smt {:?} vs oracle {:?}\n{}",
+                mm,
+                out.verdict,
+                oracle,
                 zpre_prog::pretty::pretty_program(&program)
-            ))
-        })?;
-        prop_assert_eq!(
-            out.verdict == Verdict::Safe,
-            oracle == Outcome::Safe,
-            "smt {:?} vs oracle {:?}\n{}",
-            out.verdict,
-            oracle,
-            zpre_prog::pretty::pretty_program(&program)
-        );
-        match (out.verdict, &out.certificate) {
-            (Verdict::Safe, Some(Certificate::Safe { .. })) => {}
-            (Verdict::Unsafe, Some(Certificate::Unsafe { .. })) => {}
-            (v, c) => prop_assert!(false, "verdict {v} with certificate {c:?}"),
+            );
+            match (out.verdict, &out.certificate) {
+                (Verdict::Safe, Some(Certificate::Safe { .. })) => {}
+                (Verdict::Unsafe, Some(Certificate::Unsafe { .. })) => {}
+                (v, c) => prop_assert!(false, "{mm}: verdict {v} with certificate {c:?}"),
+            }
         }
     }
 }

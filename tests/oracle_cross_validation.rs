@@ -3,22 +3,26 @@
 //! enumeration (SC) and with the operational store-buffer models (TSO/PSO).
 
 use zpre::{verify, Strategy, Verdict, VerifyOptions};
-use zpre_prog::interp::{check_sc, Limits, Outcome};
-use zpre_prog::wmm::check_wmm;
-use zpre_prog::{flatten, unroll_program, MemoryModel};
+use zpre_prog::{check, flatten, unroll_program, Limits, MemoryModel, Outcome};
 use zpre_workloads::{oracle_suite, Task};
 
 fn oracle_outcome(task: &Task, mm: MemoryModel) -> Outcome {
     let unrolled = unroll_program(&task.program, task.unroll_bound);
     let fp = flatten(&unrolled);
-    let limits = Limits {
-        max_states: 30_000_000,
-        ..Limits::default()
-    };
-    match mm {
-        MemoryModel::Sc => check_sc(&fp, limits),
-        _ => check_wmm(&fp, mm, limits),
-    }
+    let outcome = check(
+        &fp,
+        mm,
+        Limits {
+            max_states: 30_000_000,
+        },
+    );
+    assert_ne!(
+        outcome,
+        Outcome::ResourceLimit,
+        "{} under {mm}: the oracle hit its state limit",
+        task.name
+    );
+    outcome
 }
 
 fn smt_verdict(task: &Task, mm: MemoryModel) -> Verdict {
@@ -33,9 +37,6 @@ fn smt_verdict(task: &Task, mm: MemoryModel) -> Verdict {
 fn sc_verdicts_match_exhaustive_enumeration() {
     for task in oracle_suite() {
         let oracle = oracle_outcome(&task, MemoryModel::Sc);
-        if oracle == Outcome::ResourceLimit {
-            continue; // too big for the oracle; covered by ground truth
-        }
         let smt = smt_verdict(&task, MemoryModel::Sc);
         assert_eq!(
             smt == Verdict::Safe,
@@ -50,9 +51,6 @@ fn sc_verdicts_match_exhaustive_enumeration() {
 fn tso_verdicts_match_store_buffer_model() {
     for task in oracle_suite() {
         let oracle = oracle_outcome(&task, MemoryModel::Tso);
-        if oracle == Outcome::ResourceLimit {
-            continue;
-        }
         let smt = smt_verdict(&task, MemoryModel::Tso);
         assert_eq!(
             smt == Verdict::Safe,
@@ -67,9 +65,6 @@ fn tso_verdicts_match_store_buffer_model() {
 fn pso_verdicts_match_store_buffer_model() {
     for task in oracle_suite() {
         let oracle = oracle_outcome(&task, MemoryModel::Pso);
-        if oracle == Outcome::ResourceLimit {
-            continue;
-        }
         let smt = smt_verdict(&task, MemoryModel::Pso);
         assert_eq!(
             smt == Verdict::Safe,
@@ -90,9 +85,6 @@ fn generator_ground_truth_matches_oracles() {
                 continue;
             };
             let oracle = oracle_outcome(&task, mm);
-            if oracle == Outcome::ResourceLimit {
-                continue;
-            }
             assert_eq!(
                 oracle == Outcome::Safe,
                 expected_safe,

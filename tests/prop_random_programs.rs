@@ -1,12 +1,12 @@
 //! Property-based end-to-end validation: random small concurrent programs
 //! are verified by the SMT pipeline and cross-checked against exhaustive
-//! interleaving enumeration (SC) and across strategies.
+//! enumeration on the store-buffer machine (SC, TSO, PSO) and across
+//! strategies.
 
 use proptest::prelude::*;
 use zpre::{verify, Strategy as SolveStrategy, Verdict, VerifyOptions};
 use zpre_prog::build::*;
-use zpre_prog::interp::{check_sc, Limits, Outcome};
-use zpre_prog::{flatten, unroll_program, MemoryModel, Program, Stmt};
+use zpre_prog::{check, flatten, unroll_program, Limits, MemoryModel, Outcome, Program, Stmt};
 
 /// A tiny statement language over two shared variables and per-thread
 /// locals, rich enough to exercise rf/ws/fr, guards and the data path.
@@ -100,21 +100,25 @@ fn arb_program() -> impl Strategy<Value = Program> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The SMT verdict under SC equals exhaustive interleaving enumeration.
+    /// The SMT verdict under every memory model equals the store-buffer
+    /// machine's exhaustive enumeration.
     #[test]
-    fn smt_matches_oracle_under_sc(program in arb_program()) {
+    fn smt_matches_oracle_under_every_model(program in arb_program()) {
         let fp = flatten(&unroll_program(&program, 1));
-        let oracle = check_sc(&fp, Limits::default());
-        prop_assume!(oracle != Outcome::ResourceLimit);
-        let out = verify(&program, &VerifyOptions::new(MemoryModel::Sc, SolveStrategy::Zpre));
-        prop_assert_eq!(
-            out.verdict == Verdict::Safe,
-            oracle == Outcome::Safe,
-            "smt {:?} vs oracle {:?}\n{}",
-            out.verdict,
-            oracle,
-            zpre_prog::pretty::pretty_program(&program)
-        );
+        for mm in MemoryModel::ALL {
+            let oracle = check(&fp, mm, Limits::default());
+            prop_assume!(oracle != Outcome::ResourceLimit);
+            let out = verify(&program, &VerifyOptions::new(mm, SolveStrategy::Zpre));
+            prop_assert_eq!(
+                out.verdict == Verdict::Safe,
+                oracle == Outcome::Safe,
+                "{}: smt {:?} vs oracle {:?}\n{}",
+                mm,
+                out.verdict,
+                oracle,
+                zpre_prog::pretty::pretty_program(&program)
+            );
+        }
     }
 
     /// Baseline and guided strategies agree under every memory model
