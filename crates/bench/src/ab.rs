@@ -33,7 +33,7 @@ use zpre::{
     try_verify, try_verify_sweep, try_verify_sweep_full, verify_bmc, verify_portfolio,
     PortfolioOptions, ShareConfig, Strategy, Verdict, VerifyError, VerifyOptions, VerifyOutcome,
 };
-use zpre_obs::{ndjson, Counters};
+use zpre_obs::{ndjson, Counter, Counters};
 use zpre_prog::{to_ssa, unroll_program, MemoryModel};
 use zpre_workloads::{subcategory, suite, Scale, Subcat, Task};
 
@@ -89,31 +89,25 @@ impl Default for AbOptions {
     }
 }
 
-/// The recorder counters reported per side, by NDJSON key: decisions
-/// (every member of a race), conflicts, EOG cycle-check visited nodes,
-/// learnt clauses inherited across sweep frames, and the share pool's
-/// exports, imports and import hits.
-pub const WORK: [(&str, Counter); 7] = [
-    ("decisions", Counters::total_decisions),
-    ("conflicts", |c| c[zpre_obs::Counter::Conflicts]),
-    ("visited", |c| c[zpre_obs::Counter::CycleVisited]),
-    ("reused", |c| c[zpre_obs::Counter::FrameReusedLearnts]),
-    ("sh_exported", |c| c[zpre_obs::Counter::ShExported]),
-    ("sh_imported", |c| c[zpre_obs::Counter::ShImported]),
-    ("sh_import_hits", |c| c[zpre_obs::Counter::ShImportHits]),
+/// The recorder counters reported per side after its decision total (every
+/// member of a race): conflicts, EOG cycle-check visited nodes, learnt
+/// clauses inherited across sweep frames, and the share pool's exports,
+/// imports and import hits. A side's NDJSON keys are `decisions` and these
+/// counters' trace names, prefixed `a_`/`b_`.
+pub const COUNTERS: [Counter; 6] = [
+    Counter::Conflicts,
+    Counter::CycleVisited,
+    Counter::FrameReusedLearnts,
+    Counter::ShExported,
+    Counter::ShImported,
+    Counter::ShImportHits,
 ];
 
-/// Reads one counter off a recorder's counters.
-pub type Counter = fn(&Counters) -> u64;
-
-/// One side's [`WORK`] counters, in [`WORK`] order.
-pub type Work = [u64; WORK.len()];
-
-/// The `key` counter of `work`.
-pub fn counter(work: &Work, key: &str) -> u64 {
-    WORK.iter()
-        .position(|(k, _)| *k == key)
-        .map_or(0, |i| work[i])
+/// `(key, value)` of every counter reported for `work`: `decisions`, then
+/// [`COUNTERS`].
+fn columns(work: &Counters) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    let counters = COUNTERS.into_iter().map(|c| (c.name(), work[c]));
+    std::iter::once(("decisions", work.total_decisions())).chain(counters)
 }
 
 /// One side of one row: its times over the repetitions and its last
@@ -129,7 +123,7 @@ pub struct SideRun {
     /// Frames solved.
     pub frames: usize,
     /// Recorder counters.
-    pub work: Work,
+    pub work: Counters,
 }
 
 impl SideRun {
@@ -178,7 +172,7 @@ pub struct Sum {
     /// Per-side sum of row medians over the both-solved rows.
     pub ms: [f64; 2],
     /// Per-side counters over every row.
-    pub work: [Work; 2],
+    pub work: [Counters; 2],
 }
 
 impl Sum {
@@ -232,9 +226,7 @@ impl Report<'_> {
                 if !r.both_unknown() {
                     s.ms[i] += side.median_ms();
                 }
-                for (total, v) in s.work[i].iter_mut().zip(side.work) {
-                    *total += v;
-                }
+                s.work[i].accumulate(&side.work);
             }
         }
         s
@@ -328,9 +320,8 @@ impl Line {
         self.num(key, ndjson::quoted(v))
     }
 
-    fn work(self, prefix: &str, work: &Work) -> Line {
-        let keyed = WORK.iter().zip(work);
-        keyed.fold(self, |l, ((k, _), v)| l.num(&format!("{prefix}_{k}"), v))
+    fn work(self, prefix: &str, work: &Counters) -> Line {
+        columns(work).fold(self, |l, (k, v)| l.num(&format!("{prefix}_{k}"), v))
     }
 
     fn end(self) -> String {
@@ -394,7 +385,7 @@ pub fn run<'p>(pair: &'p Pair, opts: &AbOptions) -> Report<'p> {
                 let out = (pair.sides[i].1)(task, &o);
                 let side = &mut row.sides[i];
                 side.ms.push(t0.elapsed().as_secs_f64() * 1e3);
-                side.work = WORK.map(|(_, get)| get(&rec.counters()));
+                side.work = rec.counters();
                 (side.verdict, side.bound, side.frames) = match &out {
                     Ok(out) => (out.verdict, out.bound, out.frames.len()),
                     Err(_) => (Verdict::Unknown, 0, 0),
@@ -422,8 +413,8 @@ pub fn run<'p>(pair: &'p Pair, opts: &AbOptions) -> Report<'p> {
     }
 }
 
-/// Renders family sums: times, the speedup, every [`WORK`] counter as
-/// `a/b`, and a speedup bar.
+/// Renders family sums: times, the speedup, the decisions and every
+/// [`COUNTERS`] counter as `a/b`, and a speedup bar.
 pub fn table(title: &str, sides: [&str; 2], families: &[(&str, Sum)]) -> String {
     let [a, b] = sides.map(|s| format!("{s}(ms)"));
     let mut out = format!("{title}\n");
@@ -432,7 +423,7 @@ pub fn table(title: &str, sides: [&str; 2], families: &[(&str, Sum)]) -> String 
         "{:<13} {:>5} {:>5} {a:>14} {b:>14} {:>8}",
         "family", "rows", "excl", "speedup"
     );
-    for (k, _) in WORK {
+    for (k, _) in columns(&Counters::default()) {
         let _ = write!(out, " {k:>15}");
     }
     out.push_str("  speedup\n");
@@ -443,7 +434,7 @@ pub fn table(title: &str, sides: [&str; 2], families: &[(&str, Sum)]) -> String 
             out,
             "{family:<13} {rows:>5} {excl:>5} {ma:>14.1} {mb:>14.1} {x:>7.2}x"
         );
-        for (a, b) in s.work[0].iter().zip(&s.work[1]) {
+        for ((_, a), (_, b)) in columns(&s.work[0]).zip(columns(&s.work[1])) {
             let _ = write!(out, " {:>15}", format!("{a}/{b}"));
         }
         let bar = (x * 10.0).round().clamp(0.0, 60.0) as usize;
@@ -590,7 +581,7 @@ fn sweep_gate(r: &Report, _: &AbOptions) -> Vec<Check> {
 
 /// Shared within tolerance of isolated, with import hits.
 fn share_gate(r: &Report, opts: &AbOptions) -> Vec<Check> {
-    let hits = counter(&r.sum(|_| true).work[1], "sh_import_hits");
+    let hits = r.sum(|_| true).work[1][Counter::ShImportHits];
     let what = format!("import hits {hits} (bar > 0)");
     vec![within_tolerance(r, opts), Check::gate(what, hits > 0)]
 }
@@ -614,7 +605,7 @@ fn prune_gate(r: &Report, opts: &AbOptions) -> Vec<Check> {
 /// The visited-nodes ratio (full DFS over incremental) per family.
 fn eog_ratios(r: &Report, _: &AbOptions) -> Vec<Check> {
     let check = |(family, s): (&str, Sum)| {
-        let [a, b] = s.work.map(|w| counter(&w, "visited"));
+        let [a, b] = s.work.map(|w| w[Counter::CycleVisited]);
         let x = a.max(1) as f64 / b.max(1) as f64;
         let what = format!("{family}: visited nodes {a} vs {b}, full-dfs / incremental {x:.1}x");
         Check::info(what)
@@ -800,7 +791,7 @@ mod tests {
         }
         let s = report.sum(|f| f == "stress");
         assert_eq!(s.rows, 6);
-        let decisions = |i: usize| counter(&s.work[i], "decisions");
+        let decisions = |i: usize| s.work[i].total_decisions();
         assert!(
             decisions(0) >= decisions(1),
             "four scratch instances decide at least as often as one frame"
@@ -809,7 +800,38 @@ mod tests {
         assert!(lines
             .iter()
             .any(|l| l.contains("\"kind\":\"family\",") && l.contains("\"family\":\"stress\"")));
-        assert!(lines[0].contains("\"a_decisions\":") && lines[0].contains("\"b_reused\":"));
+        assert!(lines[0].contains("\"a_decisions\":") && lines[0].contains("\"b_fr_learnts\":"));
+    }
+
+    /// Every counter key of a row line, after its side prefix, is the
+    /// decision total or a trace counter name.
+    #[test]
+    fn row_counter_keys_are_trace_counter_names() {
+        let p = test_pair(vec![("one", quick_stress(1))], [solve, solve]);
+        let opts = reps(1);
+        let report = run(&p, &opts);
+        let lines = report.ndjson("test", &report.checks(&opts));
+        let side_fields = ["verdict", "bound", "frames", "ms"];
+        let rows: Vec<&String> = lines
+            .iter()
+            .filter(|l| l.contains("\"kind\":\"row\""))
+            .collect();
+        assert_eq!(rows.len(), 3, "one row per memory model");
+        for line in rows {
+            let keys = line
+                .split(",\"")
+                .skip(1)
+                .filter_map(|f| f.split('"').next());
+            let side_keys = keys.filter_map(|k| k.strip_prefix("a_").or(k.strip_prefix("b_")));
+            let counters: Vec<&str> = side_keys.filter(|k| !side_fields.contains(k)).collect();
+            assert_eq!(counters.len(), 2 * (1 + COUNTERS.len()), "{line}");
+            for k in counters {
+                assert!(
+                    k == "decisions" || Counter::from_name(k).is_some(),
+                    "{k} is not a trace counter name: {line}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -832,14 +854,17 @@ mod tests {
 
     #[test]
     fn share_table_renders_counters_and_speedup() {
-        let shared = [0, 0, 0, 0, 40, 20, 7]; // sh_exported, sh_imported, sh_import_hits
+        let mut shared = Counters::default();
+        shared[Counter::ShExported] = 40;
+        shared[Counter::ShImported] = 20;
+        shared[Counter::ShImportHits] = 7;
         let sum = Sum {
             rows: 12,
             excluded: 0,
             ms: [100.0, 50.0],
-            work: [[0; 7], shared],
+            work: [Counters::default(), shared],
         };
-        assert_eq!(counter(&sum.work[1], "sh_import_hits"), 7);
+        assert_eq!(sum.work[1][Counter::ShImportHits], 7);
         let s = table("share", ["isolated", "shared"], &[("stress", sum)]);
         assert!(s.contains("share"));
         assert!(s.contains("stress"));

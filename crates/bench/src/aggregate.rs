@@ -5,56 +5,27 @@
 //! strategy); `sat` corresponds to property violations ("false" tasks),
 //! `unsat` to proofs ("true" tasks); a `TO` is a budget exhaustion.
 
-use crate::runner::{RowTelemetry, TaskResult};
+use crate::runner::TaskResult;
 use std::collections::{BTreeMap, BTreeSet};
+use zpre_obs::analyze::TraceStats;
 
-/// Per-(memory model, strategy) telemetry aggregate: accumulated phase
-/// times and decision-class histogram over all rows that carried
-/// telemetry. This is the source of `BENCH_TELEMETRY.json`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TelemetrySummaryRow {
-    /// Memory model.
-    pub mm: String,
-    /// Strategy name.
-    pub strategy: String,
-    /// Rows aggregated.
-    pub rows: usize,
-    /// Accumulated phase times and counters ([`RowTelemetry::accumulate`]).
-    pub total: RowTelemetry,
-}
-
-impl TelemetrySummaryRow {
-    /// Interference share of all decisions, in percent (NaN when no
-    /// decisions were recorded).
-    pub fn interference_pct(&self) -> f64 {
-        let t = &self.total;
-        100.0 * t.interference_decisions() as f64 / t.total_decisions() as f64
-    }
-
-    /// Share of cycle checks accepted in O(1), in percent (NaN when no
-    /// checks were recorded).
-    pub fn cc_o1_pct(&self) -> f64 {
-        100.0 * self.total.cc_accepted_o1 as f64 / self.total.cc_checks as f64
-    }
-}
-
-/// Aggregates all telemetry-carrying rows per (memory model, strategy),
-/// ordered by memory model then strategy.
-pub fn telemetry_summary(results: &[TaskResult]) -> Vec<TelemetrySummaryRow> {
-    let mut per: BTreeMap<(String, String), TelemetrySummaryRow> = BTreeMap::new();
+/// Per-(memory model, strategy) telemetry over every row that carried a
+/// recorder snapshot: the row count and the snapshots flattened by
+/// [`TraceStats::from_snapshots`] (counters summed, histograms merged, so
+/// the group's percentiles are those of all its observations). This is the
+/// source of `BENCH_TELEMETRY.json`; keys order by memory model, then
+/// strategy.
+pub fn telemetry_summary(results: &[TaskResult]) -> BTreeMap<(&str, &str), (usize, TraceStats)> {
+    let mut groups: BTreeMap<(&str, &str), Vec<_>> = BTreeMap::new();
     for r in results {
-        let Some(t) = &r.telemetry else { continue };
-        let row = per
-            .entry((r.mm.clone(), r.strategy.clone()))
-            .or_insert_with(|| TelemetrySummaryRow {
-                mm: r.mm.clone(),
-                strategy: r.strategy.clone(),
-                ..TelemetrySummaryRow::default()
-            });
-        row.rows += 1;
-        row.total.accumulate(t);
+        if let Some(snap) = &r.telemetry {
+            let key = (r.mm.as_str(), r.strategy.as_str());
+            groups.entry(key).or_default().push(snap);
+        }
     }
-    per.into_values().collect()
+    let flatten =
+        |(key, snaps): (_, Vec<_>)| (key, (snaps.len(), TraceStats::from_snapshots(snaps)));
+    groups.into_iter().map(flatten).collect()
 }
 
 fn by_strategy<'a>(
@@ -394,6 +365,7 @@ pub fn portfolio_summary(results: &[TaskResult]) -> PortfolioSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zpre_obs::{Counter, Hist, Phase, SpanRecord, TraceSnapshot};
 
     fn mk(task: &str, mm: &str, strategy: &str, verdict: &str, ms: f64) -> TaskResult {
         TaskResult {
@@ -505,58 +477,87 @@ mod tests {
         assert!((s.max_cancel_latency_ms.unwrap() - 6.0).abs() < 1e-9);
     }
 
+    /// A snapshot with one top-level solve span, the given decisions per
+    /// class (`rf_ext`, `rf_int`, `ws`, `other`), counters and LBDs.
+    fn snapshot(
+        solve_us: u64,
+        decisions: [u64; 4],
+        counters: &[(Counter, u64)],
+        lbds: &[u64],
+    ) -> TraceSnapshot {
+        let mut snap = TraceSnapshot::default();
+        snap.spans.push(SpanRecord {
+            phase: Phase::Solve,
+            label: None,
+            member: None,
+            depth: 0,
+            start_us: 0,
+            dur_us: solve_us,
+            closed: true,
+        });
+        snap.counters.decisions = decisions;
+        for &(c, v) in counters {
+            snap.counters[c] = v;
+        }
+        for &lbd in lbds {
+            snap.hists[Hist::ConflictLbd].observe(lbd);
+        }
+        snap
+    }
+
     #[test]
     fn telemetry_summary_accumulates_per_mm_strategy() {
+        use Counter::*;
         let mut a = mk("a", "sc", "zpre", "safe", 1.0);
-        a.telemetry = Some(RowTelemetry {
-            solve_ms: 2.0,
-            dec_rf_ext: 10,
-            dec_ws: 4,
-            dec_other: 6,
-            obs_conflicts: 3,
-            cc_checks: 8,
-            cc_accepted_o1: 6,
-            cc_visited: 12,
-            cc_promoted: 2,
-            sh_exported: 7,
-            sh_imported: 3,
-            sh_import_hits: 2,
-            ..RowTelemetry::default()
-        });
+        a.telemetry = Some(snapshot(
+            2000,
+            [10, 0, 4, 6],
+            &[
+                (Conflicts, 3),
+                (CycleChecks, 8),
+                (CycleAcceptedO1, 6),
+                (CycleVisited, 12),
+                (CyclePromoted, 2),
+                (ShExported, 7),
+                (ShImported, 3),
+                (ShImportHits, 2),
+            ],
+            &[2, 3, 4],
+        ));
         let mut b = mk("b", "sc", "zpre", "safe", 1.0);
-        b.telemetry = Some(RowTelemetry {
-            solve_ms: 3.0,
-            dec_rf_ext: 5,
-            dec_rf_int: 5,
-            obs_conflicts: 1,
-            cc_checks: 2,
-            cc_accepted_o1: 2,
-            cc_visited: 0,
-            cc_promoted: 0,
-            sh_exported: 1,
-            sh_imported: 2,
-            sh_import_hits: 1,
-            ..RowTelemetry::default()
-        });
+        b.telemetry = Some(snapshot(
+            3000,
+            [5, 5, 0, 0],
+            &[
+                (Conflicts, 1),
+                (CycleChecks, 2),
+                (CycleAcceptedO1, 2),
+                (ShExported, 1),
+                (ShImported, 2),
+                (ShImportHits, 1),
+            ],
+            &[9],
+        ));
         let no_tele = mk("c", "sc", "baseline", "safe", 1.0);
-        let rows = telemetry_summary(&[a, b, no_tele]);
+        let results = [a, b, no_tele];
+        let rows = telemetry_summary(&results);
         assert_eq!(rows.len(), 1, "rows without telemetry are skipped");
-        let (r, t) = (&rows[0], &rows[0].total);
-        assert_eq!((r.mm.as_str(), r.strategy.as_str()), ("sc", "zpre"));
-        assert_eq!(r.rows, 2);
-        assert!((t.solve_ms - 5.0).abs() < 1e-9);
-        assert_eq!(
-            (t.dec_rf_ext, t.dec_rf_int, t.dec_ws, t.dec_other),
-            (15, 5, 4, 6)
-        );
-        assert_eq!(t.obs_conflicts, 4);
-        assert!((r.interference_pct() - 80.0).abs() < 1e-9);
-        assert_eq!(
-            (t.cc_checks, t.cc_accepted_o1, t.cc_visited, t.cc_promoted),
-            (10, 8, 12, 2)
-        );
-        assert!((r.cc_o1_pct() - 80.0).abs() < 1e-9);
-        assert_eq!((t.sh_exported, t.sh_imported, t.sh_import_hits), (8, 5, 3));
+        let (&(mm, strategy), (n, t)) = rows.iter().next().unwrap();
+        assert_eq!((mm, strategy), ("sc", "zpre"));
+        assert_eq!(*n, 2);
+        assert_eq!(t.get("phase_solve_us"), 5000);
+        let dec = ["rf_ext", "rf_int", "ws", "other"].map(|c| t.get(&format!("dec_{c}")));
+        assert_eq!(dec, [15, 5, 4, 6]);
+        assert_eq!(t.get("conflicts"), 4);
+        assert_eq!(t.get("h1_share_pm"), 800);
+        let cc = ["cc_total", "cc_o1", "cc_visited", "cc_promoted"].map(|k| t.get(k));
+        assert_eq!(cc, [10, 8, 12, 2]);
+        assert_eq!(t.get("cc_o1") * 1000 / t.get("cc_total"), 800);
+        let sh = ["sh_exported", "sh_imported", "sh_import_hits"].map(|k| t.get(k));
+        assert_eq!(sh, [8, 5, 3]);
+        // Percentiles come from the merged histogram of both rows.
+        assert_eq!(t.get("conflict_lbd_count"), 4);
+        assert_eq!(t.get("conflict_lbd_max"), 9);
     }
 
     #[test]

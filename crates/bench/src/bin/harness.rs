@@ -18,9 +18,10 @@
 //!
 //! Raw measurements are written as CSV/JSON under `--out`
 //! (default `target/experiments`). With `--telemetry`, every measurement
-//! carries a `zpre-obs` recorder: per-phase timings (unroll/SSA/encode/
-//! bit-blast/solve) and per-class decision histograms are appended to the
-//! raw rows and aggregated into `BENCH_TELEMETRY.json`.
+//! carries a `zpre-obs` recorder: its trace statistics (per-phase times,
+//! per-class decisions, counters, histogram percentiles, keyed as in
+//! `zpre-cli trace stats`) ride in each JSON row's `telemetry` object and
+//! are aggregated per (memory model, strategy) into `BENCH_TELEMETRY.json`.
 //!
 //! The runner is interrupt-safe: every finished measurement is appended to
 //! `raw.csv` and `BENCH_ROWS.json` (one JSON object per line) and flushed
@@ -38,6 +39,7 @@ use zpre_bench::{
     run_suite_portfolio_streaming, run_suite_streaming, table1, table2, table3, telemetry_summary,
     to_csv, to_json, RunConfig, TaskResult, CSV_HEADER,
 };
+use zpre_obs::{ndjson, Counter, Phase, VarClass};
 use zpre_prog::MemoryModel;
 use zpre_workloads::{suite, Scale};
 
@@ -273,71 +275,58 @@ fn main() {
     }
 }
 
-/// Per-(mm, strategy) phase-time and decision-histogram aggregate as a
-/// standalone JSON document.
+/// Per-(mm, strategy) trace statistics as a standalone JSON document, one
+/// object per group with the rows' shape: `{"mm", "strategy", "rows",
+/// "telemetry": {...}}`.
 fn telemetry_json_doc(results: &[TaskResult]) -> String {
-    let rows = telemetry_summary(results);
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        // Distribution percentiles do not sum, so the aggregate omits them.
-        let sums = r.total.columns().into_iter();
-        let sums = sums.filter(|(k, _)| !k.starts_with("lbd_") && *k != "cycle_len_p90");
-        let sums: Vec<String> = sums.map(|(k, v)| format!(", \"{k}\": {v}")).collect();
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "  {{\"mm\": \"{}\", \"strategy\": \"{}\", \"rows\": {}{}}}{sep}\n",
-            r.mm,
-            r.strategy,
-            r.rows,
-            sums.concat()
-        ));
-    }
-    out.push(']');
-    out
+    let groups = telemetry_summary(results)
+        .into_iter()
+        .map(|((mm, st), (rows, stats))| {
+            let (mm, st) = (ndjson::quoted(mm), ndjson::quoted(st));
+            let telemetry = stats.to_json();
+            format!("  {{\"mm\":{mm},\"strategy\":{st},\"rows\":{rows},\"telemetry\":{telemetry}}}")
+        });
+    format!("[\n{}\n]", groups.collect::<Vec<_>>().join(",\n"))
+}
+
+/// The telemetry table's columns: phase times, decisions per class, the
+/// interference share, then the EOG cycle-check and share-pool counters.
+fn telemetry_columns() -> Vec<String> {
+    let phases = [Phase::Encode, Phase::Blast, Phase::Solve];
+    let phases = phases.map(|p| format!("phase_{}_us", p.name()));
+    let classes = VarClass::ALL.map(|c| format!("dec_{}", c.name()));
+    let counters = [
+        Counter::CycleChecks,
+        Counter::CycleAcceptedO1,
+        Counter::CycleVisited,
+        Counter::CyclePromoted,
+        Counter::ShExported,
+        Counter::ShImported,
+        Counter::ShImportHits,
+    ];
+    let counters = counters.map(|c| c.name().to_string());
+    let share = ["h1_share_pm".to_string()];
+    phases
+        .into_iter()
+        .chain(classes)
+        .chain(share)
+        .chain(counters)
+        .collect()
 }
 
 fn print_telemetry(results: &[TaskResult]) {
-    println!(
-        "{:<5} {:<15} {:>10} {:>10} {:>10} {:>9} {:>9} {:>7} {:>9} {:>7} {:>10} {:>7} {:>10} {:>9} {:>8} {:>8} {:>8}",
-        "MM",
-        "strategy",
-        "encode(ms)",
-        "blast(ms)",
-        "solve(ms)",
-        "rf_ext",
-        "rf_int",
-        "ws",
-        "other",
-        "intf%",
-        "cc",
-        "o1%",
-        "visited",
-        "promoted",
-        "sh_exp",
-        "sh_imp",
-        "sh_hits"
-    );
-    for r in telemetry_summary(results) {
-        println!(
-            "{:<5} {:<15} {:>10.1} {:>10.1} {:>10.1} {:>9} {:>9} {:>7} {:>9} {:>6.1}% {:>10} {:>6.1}% {:>10} {:>9} {:>8} {:>8} {:>8}",
-            r.mm.to_uppercase(),
-            r.strategy,
-            r.total.encode_ms,
-            r.total.blast_ms,
-            r.total.solve_ms,
-            r.total.dec_rf_ext,
-            r.total.dec_rf_int,
-            r.total.dec_ws,
-            r.total.dec_other,
-            r.interference_pct(),
-            r.total.cc_checks,
-            r.cc_o1_pct(),
-            r.total.cc_visited,
-            r.total.cc_promoted,
-            r.total.sh_exported,
-            r.total.sh_imported,
-            r.total.sh_import_hits
-        );
+    let columns = telemetry_columns();
+    let mut header = format!("{:<5} {:<15}", "MM", "strategy");
+    for c in &columns {
+        header.push_str(&format!(" {c:>10}"));
+    }
+    println!("{header}");
+    for ((mm, strategy), (_, stats)) in telemetry_summary(results) {
+        let mut line = format!("{:<5} {strategy:<15}", mm.to_uppercase());
+        for c in &columns {
+            line.push_str(&format!(" {:>w$}", stats.get(c), w = c.len().max(10)));
+        }
+        println!("{line}");
     }
 }
 

@@ -4,9 +4,11 @@
 //! strategy) combination and aggregates the measurements into the paper's
 //! tables and figures. The `harness` binary (`src/bin/harness.rs`)
 //! regenerates each table/figure; the `ab-bench` binary (`src/bin/ab.rs`)
-//! runs one two-sided comparison through the [`ab`] loop; the Criterion
-//! benches under `benches/` provide statistically sampled timings on
-//! representative subsets.
+//! runs one two-sided comparison through the [`ab`] loop. Bench telemetry
+//! speaks the trace vocabulary of `zpre-obs`: a harness row's telemetry is
+//! its recorder snapshot, written as that snapshot's
+//! `zpre_obs::analyze::TraceStats`, and an A/B side's work is the
+//! recorder's `Counters`.
 
 #![warn(missing_docs)]
 
@@ -19,7 +21,6 @@ pub mod runner;
 pub use aggregate::*;
 pub use families::{contended_family, loopy_family};
 pub use runner::{
-    bench_options, csv_row, json_row, run_one, run_one_portfolio, run_suite_portfolio_streaming,
-    run_suite_streaming, telemetry_json, to_csv, to_json, RowTelemetry, RunConfig, TaskResult,
-    CSV_HEADER,
+    csv_row, json_row, run_one, run_one_portfolio, run_suite_portfolio_streaming,
+    run_suite_streaming, to_csv, to_json, RunConfig, TaskResult, CSV_HEADER,
 };

@@ -52,6 +52,6 @@ pub use proof::{Proof, ProofStep};
 pub use share::{
     CycleEdgeRaw, MemberEndpoint, ShareClass, ShareConfig, ShareSpec, SharedClause, SharedPool,
 };
-pub use solver::{RestartStrategy, SolveResult, Solver, SolverConfig};
+pub use solver::{SolveResult, Solver};
 pub use stats::{Budget, CancelToken, ExhaustionReason, Stats};
 pub use theory::{NoTheory, Theory, TheoryConflict, TheoryOut};

@@ -107,43 +107,12 @@ enum DecideOutcome {
 const RESCALE_LIMIT: f64 = 1e100;
 const CLA_RESCALE_LIMIT: f32 = 1e20;
 
-/// Restart scheduling policy.
-#[derive(Copy, Clone, PartialEq, Debug)]
-pub enum RestartStrategy {
-    /// Luby sequence times the base interval (the default).
-    Luby,
-    /// Geometric growth: interval multiplied by `factor` per restart.
-    Geometric {
-        /// Growth factor (> 1.0).
-        factor: f64,
-    },
-    /// Never restart.
-    Never,
-}
-
-/// Tunable solver parameters.
-#[derive(Copy, Clone, Debug)]
-pub struct SolverConfig {
-    /// VSIDS variable-activity decay (0 < d < 1); smaller = more aggressive.
-    pub var_decay: f64,
-    /// Learnt-clause activity decay.
-    pub clause_decay: f32,
-    /// Restart policy.
-    pub restart: RestartStrategy,
-    /// Conflicts before the first restart.
-    pub restart_base: u64,
-}
-
-impl Default for SolverConfig {
-    fn default() -> SolverConfig {
-        SolverConfig {
-            var_decay: 0.95,
-            clause_decay: 0.999,
-            restart: RestartStrategy::Luby,
-            restart_base: 100,
-        }
-    }
-}
+/// VSIDS variable-activity decay.
+const VAR_DECAY: f64 = 0.95;
+/// Learnt-clause activity decay.
+const CLAUSE_DECAY: f32 = 0.999;
+/// Conflicts per unit of the Luby restart sequence.
+const RESTART_BASE: u64 = 100;
 
 /// The CDCL(T) solver, parameterized by a background theory `T` and a
 /// decision guide `G`.
@@ -205,7 +174,6 @@ pub struct Solver<T: Theory = NoTheory, G: DecisionGuide = NoGuide> {
     logged_cnf: Vec<Vec<Lit>>,
     /// Subset of the last call's assumptions responsible for `Unsat`.
     assumption_core: Vec<Lit>,
-    config: SolverConfig,
     /// Structured-event receiver; `None` (the default) keeps every emission
     /// site down to a single branch.
     sink: Option<Arc<dyn EventSink>>,
@@ -277,7 +245,6 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             proof: None,
             logged_cnf: Vec::new(),
             assumption_core: Vec::new(),
-            config: SolverConfig::default(),
             sink: None,
             share: None,
             share_hot_var: Vec::new(),
@@ -602,30 +569,10 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         self.emit_share_deltas();
     }
 
-    /// Overrides the tunable parameters (decays, restart policy). Call
-    /// before `solve`.
-    pub fn set_config(&mut self, config: SolverConfig) {
-        assert!(config.var_decay > 0.0 && config.var_decay < 1.0);
-        assert!(config.clause_decay > 0.0 && config.clause_decay < 1.0);
-        if let RestartStrategy::Geometric { factor } = config.restart {
-            assert!(factor > 1.0, "geometric factor must exceed 1");
-        }
-        self.config = config;
-    }
-
-    /// The current configuration.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
-    }
-
+    /// Conflicts allowed before the next restart: the Luby sequence times
+    /// [`RESTART_BASE`].
     fn restart_limit(&self) -> u64 {
-        match self.config.restart {
-            RestartStrategy::Luby => Self::luby(self.restart_count) * self.config.restart_base,
-            RestartStrategy::Geometric { factor } => {
-                (self.config.restart_base as f64 * factor.powi(self.restart_count as i32)) as u64
-            }
-            RestartStrategy::Never => u64::MAX,
-        }
+        Self::luby(self.restart_count) * RESTART_BASE
     }
 
     /// Enables DRAT proof logging. Clauses learnt from theory conflicts are
@@ -1035,7 +982,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
     }
 
     fn decay_var_activity(&mut self) {
-        self.var_inc /= self.config.var_decay;
+        self.var_inc /= VAR_DECAY;
     }
 
     fn bump_clause(&mut self, cr: CRef) {
@@ -1048,7 +995,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
     }
 
     fn decay_clause_activity(&mut self) {
-        self.cla_inc /= self.config.clause_decay;
+        self.cla_inc /= CLAUSE_DECAY;
     }
 
     /// The literals of the reason for `p` being true, *excluding* `p`
@@ -2313,7 +2260,7 @@ mod config_tests {
     use super::*;
 
     fn hard_instance(s: &mut Solver) {
-        // PHP(7,6): forces many conflicts so restart policies diverge.
+        // PHP(7,6): forces many conflicts.
         let n_p = 7;
         let n_h = 6;
         let x: Vec<Vec<Var>> = (0..n_p)
@@ -2328,26 +2275,6 @@ mod config_tests {
                 for p2 in p1 + 1..n_p {
                     s.add_clause(&[x[p1][h].negative(), x[p2][h].negative()]);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn all_restart_policies_solve_correctly() {
-        for restart in [
-            RestartStrategy::Luby,
-            RestartStrategy::Geometric { factor: 1.5 },
-            RestartStrategy::Never,
-        ] {
-            let mut s = Solver::new();
-            s.set_config(SolverConfig {
-                restart,
-                ..SolverConfig::default()
-            });
-            hard_instance(&mut s);
-            assert_eq!(s.solve(), SolveResult::Unsat, "{restart:?}");
-            if restart == RestartStrategy::Never {
-                assert_eq!(s.stats().restarts, 0);
             }
         }
     }
@@ -2411,26 +2338,5 @@ mod config_tests {
         let fresh = run(false);
         assert!(fresh.0.iter().skip(1).any(|&l| l > 0));
         assert_eq!(run(true), fresh);
-    }
-
-    #[test]
-    fn decay_is_configurable() {
-        let mut s = Solver::new();
-        s.set_config(SolverConfig {
-            var_decay: 0.8,
-            ..SolverConfig::default()
-        });
-        hard_instance(&mut s);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    #[should_panic(expected = "geometric factor")]
-    fn bad_geometric_factor_rejected() {
-        let mut s = Solver::new();
-        s.set_config(SolverConfig {
-            restart: RestartStrategy::Geometric { factor: 0.5 },
-            ..SolverConfig::default()
-        });
     }
 }

@@ -115,7 +115,9 @@ fn restarts_keep_the_assumption_prefix_assigned() {
     let asm_vars = vars(&mut s, A);
     let assumptions: Vec<Lit> = asm_vars.iter().map(|v| v.positive()).collect();
     let g = s.new_var().positive();
-    add_guarded_php(&mut s, g, 7, 6);
+    // PHP(8,7) at the default restart base restarts a couple of dozen
+    // times, enough for prefix churn to dominate pre-fix.
+    add_guarded_php(&mut s, g, 8, 7);
 
     let counter = Arc::new(DecisionCounter {
         lo: 0,
@@ -124,11 +126,6 @@ fn restarts_keep_the_assumption_prefix_assigned() {
         restarts: AtomicU64::new(0),
     });
     s.set_event_sink(Some(counter.clone()));
-    // Restart as often as possible so prefix churn dominates pre-fix.
-    s.set_config(zpre_sat::SolverConfig {
-        restart_base: 1,
-        ..zpre_sat::SolverConfig::default()
-    });
 
     let mut all = assumptions.clone();
     all.push(g);
@@ -138,10 +135,7 @@ fn restarts_keep_the_assumption_prefix_assigned() {
 
     let restarts = counter.restarts.load(Ordering::Relaxed);
     assert_eq!(restarts, s.stats().restarts, "restart telemetry preserved");
-    assert!(
-        restarts >= 10,
-        "restart_base=1 must restart often: {restarts}"
-    );
+    assert!(restarts >= 10, "PHP(8,7) must restart often: {restarts}");
 
     // Pre-fix every restart re-decides all A assumptions, giving at least
     // A * restarts decisions on the prefix range; post-fix only the first
