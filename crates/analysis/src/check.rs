@@ -17,14 +17,21 @@
 //! is accounted for — either kept as a candidate or pruned with evidence —
 //! so a buggy pass cannot silently drop a feasible interference.
 //!
+//! Each symmetric thread pair is re-verified from its witness alone: the
+//! swap of the two threads' events and value terms must map every event,
+//! guard, Φ_ssa conjunct and assertion onto one of the program's own,
+//! compared term by term (see [`check_sym_pair`]).
+//!
 //! `--certify` runs this before solving; a failure is a certification
 //! error, never a wrong verdict.
 
 use crate::memory_model::po_pairs;
 use crate::prune::{guard_implies, Justification, PruneReport};
-use std::collections::HashSet;
-use zpre_bv::TermKind;
-use zpre_prog::ssa::{EventKind, SsaProgram};
+use crate::symmetry::SymPair;
+use std::collections::{HashMap, HashSet};
+use zpre_bv::{TermId, TermKind, TermStore};
+use zpre_prog::ssa::{Event, EventKind, SsaProgram};
+use zpre_prog::SWEEP_MARKER_PREFIX;
 
 /// Re-verifies every justification in `report` against `ssa`. Returns the
 /// number of justifications checked, or a description of the first piece
@@ -291,5 +298,246 @@ pub fn check_report(ssa: &SsaProgram, report: &PruneReport) -> Result<usize, Str
         checked += 1;
     }
 
+    for pair in &report.sym_pairs {
+        check_sym_pair(ssa, pair)
+            .map_err(|e| format!("symmetry pair ({}, {}): {e}", pair.first, pair.second))?;
+        checked += 1;
+    }
+
     Ok(checked)
+}
+
+/// The swap σ of a symmetry witness over terms: leaf `x` ↦ its partner,
+/// every other leaf fixed. `flags` memoizes, per term, whether it mentions
+/// a leaf of the first thread (bit 0), of the second (bit 1), or a sweep
+/// unwinding marker (bit 2).
+struct Swap<'a> {
+    ts: &'a TermStore,
+    partner: HashMap<TermId, TermId>,
+    side: HashMap<TermId, u8>,
+    flags: HashMap<TermId, u8>,
+    corr: HashMap<(TermId, TermId), bool>,
+}
+
+impl Swap<'_> {
+    fn flags(&mut self, t: TermId) -> u8 {
+        if let Some(&f) = self.flags.get(&t) {
+            return f;
+        }
+        let ts = self.ts;
+        let f = match ts.kind(t) {
+            TermKind::BoolVar(name) if name.contains(SWEEP_MARKER_PREFIX) => 4,
+            k if k.is_var() => self.side.get(&t).copied().unwrap_or(0),
+            k => k
+                .children()
+                .into_iter()
+                .fold(0, |acc, c| acc | self.flags(c)),
+        };
+        self.flags.insert(t, f);
+        f
+    }
+
+    /// `σ(x) = y`, up to the order of commutative operands.
+    fn maps(&mut self, x: TermId, y: TermId) -> bool {
+        if self.flags(x) & 3 == 0 {
+            return x == y;
+        }
+        if let Some(&r) = self.corr.get(&(x, y)) {
+            return r;
+        }
+        let ts = self.ts;
+        let (kx, ky) = (ts.kind(x), ts.kind(y));
+        let r = if kx.is_var() {
+            self.partner.get(&x) == Some(&y)
+        } else if kx.map_children(|_| TermId(0)) != ky.map_children(|_| TermId(0)) {
+            false
+        } else {
+            let (cx, cy) = (kx.children(), ky.children());
+            cx.iter().zip(&cy).all(|(&a, &b)| self.maps(a, b))
+                || (kx.is_commutative() && self.maps(cx[0], cy[1]) && self.maps(cx[1], cy[0]))
+        };
+        self.corr.insert((x, y), r);
+        r
+    }
+
+    /// Checks that σ maps the items touching the first thread's leaves
+    /// onto those touching the second's, in order, and fixes the rest.
+    fn maps_items<T: Copy>(
+        &mut self,
+        what: &str,
+        items: &[T],
+        terms: impl Fn(T) -> [TermId; 2],
+    ) -> Result<(), String> {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for &item in items {
+            let [x, y] = terms(item);
+            match self.flags(x) | self.flags(y) {
+                f if f & 3 == 3 => return Err(format!("a {what} mixes both threads")),
+                f if f & 4 != 0 && f & 3 != 0 => {
+                    return Err(format!("a {what} carries a sweep unwinding marker"))
+                }
+                f if f & 1 != 0 => a.push([x, y]),
+                f if f & 2 != 0 => b.push([x, y]),
+                _ => {}
+            }
+        }
+        if a.len() != b.len() {
+            return Err(format!("{} vs {} {what}s", a.len(), b.len()));
+        }
+        for (k, (p, q)) in a.iter().zip(&b).enumerate() {
+            if !(self.maps(p[0], q[0]) && self.maps(p[1], q[1])) {
+                return Err(format!("{what} {k} does not map onto its partner"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Re-verifies one [`SymPair`] against the raw SSA program, trusting
+/// nothing but its witness:
+///
+/// - the event bijection pairs the two worker threads' events in program
+///   order, kind by kind (same variable, mutex, atomic-section variables),
+///   and neither thread spawns or joins;
+/// - the leaf bijection is a matching of distinct free variables, and it
+///   pairs every read's and write's value term;
+/// - the swap σ maps each paired guard onto its partner, and maps the
+///   Φ_ssa conjuncts and assertions that mention one thread onto those
+///   that mention the other; no other event's guard or value mentions a
+///   swapped leaf, and no swapped term carries a sweep unwinding marker;
+/// - `locks` are the two threads' first `lock` events, both unconditional;
+/// - in `main`, each thread is spawned and joined exactly once,
+///   unconditionally and by nobody else, with only spawns between the two
+///   spawns and only joins between the two joins.
+pub fn check_sym_pair(ssa: &SsaProgram, pair: &SymPair) -> Result<(), String> {
+    let ts = &ssa.store;
+    let nt = ssa.num_threads();
+    let (ta, tb) = (pair.first, pair.second);
+    if ta == 0 || tb == 0 || ta >= nt || tb >= nt || ta == tb {
+        return Err("threads must be two distinct workers".into());
+    }
+    let ea: Vec<&Event> = ssa.thread_events(ta).collect();
+    let eb: Vec<&Event> = ssa.thread_events(tb).collect();
+    let expected: Vec<(usize, usize)> = ea.iter().zip(&eb).map(|(x, y)| (x.id, y.id)).collect();
+    if ea.len() != eb.len() || pair.events != expected {
+        return Err("event bijection does not pair the threads in program order".into());
+    }
+
+    // The leaf matching.
+    let mut sw = Swap {
+        ts,
+        partner: HashMap::new(),
+        side: HashMap::new(),
+        flags: HashMap::new(),
+        corr: HashMap::new(),
+    };
+    for &(x, y) in &pair.leaves {
+        if !ts.kind(x).is_var() || !ts.kind(y).is_var() || x == y {
+            return Err(format!(
+                "leaf pair ({x:?}, {y:?}) is not two distinct variables"
+            ));
+        }
+        for (leaf, side) in [(x, 1), (y, 2)] {
+            if sw.side.insert(leaf, side).is_some() {
+                return Err(format!("leaf {leaf:?} is paired twice"));
+            }
+        }
+        sw.partner.insert(x, y);
+        sw.partner.insert(y, x);
+    }
+
+    // Events, guards and value terms.
+    let block_vars = |b: usize| ssa.atomic_blocks.get(b).map(|blk| &blk.vars);
+    for (x, y) in ea.iter().zip(&eb) {
+        let same_kind = match (&x.kind, &y.kind) {
+            (EventKind::Read { var: a, value: va }, EventKind::Read { var: b, value: vb })
+            | (EventKind::Write { var: a, value: va }, EventKind::Write { var: b, value: vb }) => {
+                a == b && sw.partner.get(va) == Some(vb) && sw.side.get(va) == Some(&1)
+            }
+            (EventKind::Lock { mutex: a }, EventKind::Lock { mutex: b })
+            | (EventKind::Unlock { mutex: a }, EventKind::Unlock { mutex: b }) => a == b,
+            (EventKind::Fence, EventKind::Fence) => true,
+            (EventKind::AtomicBegin { block: a }, EventKind::AtomicBegin { block: b })
+            | (EventKind::AtomicEnd { block: a }, EventKind::AtomicEnd { block: b }) => {
+                block_vars(*a).is_some() && block_vars(*a) == block_vars(*b)
+            }
+            _ => false,
+        };
+        if !same_kind || x.pos != y.pos {
+            return Err(format!("events {} and {} differ in kind", x.id, y.id));
+        }
+        if !sw.maps(x.guard, y.guard) {
+            return Err(format!(
+                "guards of events {} and {} do not correspond",
+                x.id, y.id
+            ));
+        }
+        if sw.flags(x.guard) & 4 != 0 {
+            return Err(format!("event {} carries a sweep unwinding marker", x.id));
+        }
+    }
+    for e in &ssa.events {
+        if e.thread == ta || e.thread == tb {
+            continue;
+        }
+        let moved_value = e.kind.value().is_some_and(|v| sw.side.contains_key(&v));
+        if moved_value || sw.flags(e.guard) & 3 != 0 {
+            return Err(format!(
+                "event {} of thread {} mentions a swapped leaf",
+                e.id, e.thread
+            ));
+        }
+    }
+
+    // Φ_ssa and the assertions: σ permutes each set.
+    sw.maps_items("conjunct", &ssa.constraints, |c| [c, c])?;
+    sw.maps_items("assertion", &ssa.assertions, |(g, c)| [g, c])?;
+
+    // The first locks.
+    let unconditional = |e: &Event| matches!(ts.kind(e.guard), TermKind::BoolConst(true));
+    for (events, lock) in [(&ea, pair.locks.0), (&eb, pair.locks.1)] {
+        let first = events
+            .iter()
+            .find(|e| matches!(e.kind, EventKind::Lock { .. }));
+        if first.map(|e| e.id) != Some(lock) || !first.is_some_and(|e| unconditional(e)) {
+            return Err(format!("event {lock} is not an unconditional first lock"));
+        }
+    }
+
+    // `main`'s spawns and joins.
+    let main: Vec<&Event> = ssa.thread_events(0).collect();
+    let sync_of = |t: usize, spawn: bool| -> Result<usize, String> {
+        let hits: Vec<&Event> = ssa
+            .events
+            .iter()
+            .filter(|e| match e.kind {
+                EventKind::Spawn { child } => spawn && child == t,
+                EventKind::Join { child } => !spawn && child == t,
+                _ => false,
+            })
+            .collect();
+        match hits.as_slice() {
+            [e] if e.thread == 0 && unconditional(e) => Ok(e.pos),
+            _ => Err(format!(
+                "thread {t} is not {} exactly once, unconditionally, by main",
+                if spawn { "spawned" } else { "joined" }
+            )),
+        }
+    };
+    for spawn in [true, false] {
+        let (a, b) = (sync_of(ta, spawn)?, sync_of(tb, spawn)?);
+        let between = &main[a.min(b) + 1..a.max(b)];
+        let only_sync = between.iter().all(|e| match e.kind {
+            EventKind::Spawn { .. } => spawn,
+            EventKind::Join { .. } => !spawn,
+            _ => false,
+        });
+        if !only_sync {
+            return Err(format!(
+                "main runs other events between the two {}",
+                if spawn { "spawns" } else { "joins" }
+            ));
+        }
+    }
+    Ok(())
 }

@@ -12,6 +12,8 @@
 //!   lockset and thread-locality analyses cooperate to shrink the
 //!   `V_rf`/`V_ws` selector sets the encoder would otherwise emit, each
 //!   removal carrying a machine-checkable [`Justification`];
+//! - [`symmetry`] — adjacent threads identical up to a renaming of their
+//!   locals, each pair carrying its event and leaf bijection;
 //! - [`check`] — an independent re-checker for those justifications, used
 //!   by `--certify` and the debug oracle: every pruned pair's evidence is
 //!   re-walked against the raw SSA event stream without trusting the
@@ -26,7 +28,9 @@
 pub mod check;
 pub mod memory_model;
 pub mod prune;
+pub mod symmetry;
 
 pub use check::check_report;
 pub use memory_model::{po_pairs, preserved, PoClosure};
 pub use prune::{analyze, guard_implies, Justification, PruneCounters, PruneReport};
+pub use symmetry::{symmetric_pairs, SymPair};

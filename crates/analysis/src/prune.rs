@@ -24,11 +24,15 @@
 //!    value is the chain's last executed write, encodable in Φ_ssa with no
 //!    interference variables at all.
 //!
+//! The pass also records adjacent symmetric threads ([`crate::symmetry`]),
+//! whose first critical sections the encoder orders by thread index.
+//!
 //! Every removal carries a [`Justification`] that
 //! [`crate::check::check_report`] re-verifies independently; soundness of
 //! each rule is argued in DESIGN.md §6h.
 
 use crate::memory_model::{po_pairs, PoClosure};
+use crate::symmetry::{symmetric_pairs, SymPair};
 use std::collections::{HashMap, HashSet};
 use zpre_bv::{TermId, TermKind, TermStore};
 use zpre_prog::ssa::{EventKind, SsaProgram};
@@ -131,6 +135,8 @@ pub struct PruneCounters {
     pub reads_resolved: u64,
     /// Shared variables whose non-initializer accesses stay in one thread.
     pub local_vars: u64,
+    /// Adjacent symmetric thread pairs, each worth one lex-leader clause.
+    pub sym_pairs: u64,
 }
 
 /// Output of the pruning pass; the encoder consumes it verbatim.
@@ -158,6 +164,9 @@ pub struct PruneReport {
     pub local_vars: Vec<bool>,
     /// Same-variable write pairs that still need a real ws selector.
     pub ws_unsettled: u64,
+    /// Adjacent symmetric threads: the encoder orders each pair's first
+    /// critical sections by thread index.
+    pub sym_pairs: Vec<SymPair>,
     /// Aggregate statistics.
     pub counters: PruneCounters,
 }
@@ -305,7 +314,9 @@ pub fn analyze(ssa: &SsaProgram, mm: MemoryModel) -> PruneReport {
             ..PruneCounters::default()
         },
         ws_unsettled: 0,
+        sym_pairs: symmetric_pairs(ssa),
     };
+    report.counters.sym_pairs = report.sym_pairs.len() as u64;
 
     // --- rf pruning -------------------------------------------------------
     for (v, reads) in reads_of.iter().enumerate() {

@@ -19,40 +19,14 @@ pub fn free_vars(ts: &TermStore, roots: &[TermId]) -> BTreeMap<String, u32> {
         if !seen.insert(t) {
             continue;
         }
-        use TermKind::*;
         match ts.kind(t) {
-            BoolVar(name) => {
+            TermKind::BoolVar(name) => {
                 out.insert(name.clone(), 0);
             }
-            BvVar { name, width } => {
+            TermKind::BvVar { name, width } => {
                 out.insert(name.clone(), *width);
             }
-            BoolConst(_) | BvConst { .. } => {}
-            Not(a) | BvNeg(a) | BvNot(a) | BvShlConst(a, _) | BvLshrConst(a, _) => stack.push(*a),
-            And(a, b)
-            | Or(a, b)
-            | Xor(a, b)
-            | Implies(a, b)
-            | Iff(a, b)
-            | BvAdd(a, b)
-            | BvSub(a, b)
-            | BvMul(a, b)
-            | BvAnd(a, b)
-            | BvOr(a, b)
-            | BvXor(a, b)
-            | Eq(a, b)
-            | Ult(a, b)
-            | Ule(a, b)
-            | Slt(a, b)
-            | Sle(a, b) => {
-                stack.push(*a);
-                stack.push(*b);
-            }
-            BoolIte(c, a, b) | BvIte(c, a, b) => {
-                stack.push(*c);
-                stack.push(*a);
-                stack.push(*b);
-            }
+            kind => stack.extend(kind.children()),
         }
     }
     out

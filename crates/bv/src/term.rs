@@ -105,6 +105,78 @@ pub enum TermKind {
     Sle(TermId, TermId),
 }
 
+impl TermKind {
+    /// The operands, in constructor order (empty for constants and
+    /// variables).
+    pub fn children(&self) -> Vec<TermId> {
+        let mut out = Vec::new();
+        self.map_children(|c| {
+            out.push(c);
+            c
+        });
+        out
+    }
+
+    /// The same constructor with every operand replaced by `f` of it, in
+    /// constructor order. Two kinds have the same constructor and payload
+    /// (shift amount, constant, name) exactly when they are equal after
+    /// mapping all their operands to one id.
+    pub fn map_children(&self, mut f: impl FnMut(TermId) -> TermId) -> TermKind {
+        use TermKind::*;
+        match self {
+            BoolConst(_) | BoolVar(_) | BvConst { .. } | BvVar { .. } => self.clone(),
+            Not(a) => Not(f(*a)),
+            BvNeg(a) => BvNeg(f(*a)),
+            BvNot(a) => BvNot(f(*a)),
+            BvShlConst(a, by) => BvShlConst(f(*a), *by),
+            BvLshrConst(a, by) => BvLshrConst(f(*a), *by),
+            And(a, b) => And(f(*a), f(*b)),
+            Or(a, b) => Or(f(*a), f(*b)),
+            Xor(a, b) => Xor(f(*a), f(*b)),
+            Implies(a, b) => Implies(f(*a), f(*b)),
+            Iff(a, b) => Iff(f(*a), f(*b)),
+            BvAdd(a, b) => BvAdd(f(*a), f(*b)),
+            BvSub(a, b) => BvSub(f(*a), f(*b)),
+            BvMul(a, b) => BvMul(f(*a), f(*b)),
+            BvAnd(a, b) => BvAnd(f(*a), f(*b)),
+            BvOr(a, b) => BvOr(f(*a), f(*b)),
+            BvXor(a, b) => BvXor(f(*a), f(*b)),
+            Eq(a, b) => Eq(f(*a), f(*b)),
+            Ult(a, b) => Ult(f(*a), f(*b)),
+            Ule(a, b) => Ule(f(*a), f(*b)),
+            Slt(a, b) => Slt(f(*a), f(*b)),
+            Sle(a, b) => Sle(f(*a), f(*b)),
+            BoolIte(c, a, b) => BoolIte(f(*c), f(*a), f(*b)),
+            BvIte(c, a, b) => BvIte(f(*c), f(*a), f(*b)),
+        }
+    }
+
+    /// `true` for the binary constructors whose operands commute. The store
+    /// orders their operands by id, so two terms built the same way from
+    /// differently numbered operands may list them in either order.
+    pub fn is_commutative(&self) -> bool {
+        use TermKind::*;
+        matches!(
+            self,
+            And(..)
+                | Or(..)
+                | Xor(..)
+                | Iff(..)
+                | BvAdd(..)
+                | BvMul(..)
+                | BvAnd(..)
+                | BvOr(..)
+                | BvXor(..)
+                | Eq(..)
+        )
+    }
+
+    /// `true` for free variables ([`TermKind::BoolVar`], [`TermKind::BvVar`]).
+    pub fn is_var(&self) -> bool {
+        matches!(self, TermKind::BoolVar(_) | TermKind::BvVar { .. })
+    }
+}
+
 /// Hash-consing arena of terms.
 #[derive(Default, Clone)]
 pub struct TermStore {

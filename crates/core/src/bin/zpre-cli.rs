@@ -104,11 +104,13 @@
 //!
 //! Static interference pruning (`zpre-analysis`) runs before encoding by
 //! default: must-happen-before, lockset, and thread-locality analyses
-//! remove provably redundant `V_rf`/`V_ws` selectors. `--no-prune`
-//! reproduces the historic unpruned encoding (`--prune` restates the
-//! default); under `--certify`, every pruned pair's justification is
-//! re-verified by an independent checker before the smaller encoding is
-//! trusted.
+//! remove provably redundant `V_rf`/`V_ws` selectors, and adjacent threads
+//! identical up to a renaming of their locals get one clause each that
+//! orders their first critical sections (thread-symmetry breaking).
+//! `--no-prune` turns off both and reproduces the historic unpruned
+//! encoding (`--prune` restates the default); under `--certify`, every
+//! pruned pair's justification and every symmetry witness is re-verified
+//! by an independent checker before the smaller encoding is trusted.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -146,7 +148,8 @@ fn usage() -> ExitCode {
          zpre-cli trace stats FILE [--json]\n  \
          zpre-cli trace flame FILE [--out FILE]\n  \
          zpre-cli trace diff BASE NEW [--gate-tolerance PCT] [--gate-time] [--all] \
-         [--json]\n\nstrategies: {}",
+         [--json]\n\n--no-prune turns off interference pruning and thread-symmetry breaking\n\
+         strategies: {}",
         strategies.join(" ")
     );
     ExitCode::from(2)

@@ -11,8 +11,12 @@
 //! Faults are applied *inside* the pipeline, after solving but before
 //! certification (except [`Fault::ShuffleGuideOrder`], which perturbs the
 //! decision heuristic before solving — a benign control demonstrating the
-//! certificate does not depend on heuristic luck).
+//! certificate does not depend on heuristic luck — and
+//! [`Fault::ForgeSymmetry`], which corrupts the analysis report before it
+//! is checked).
 
+use zpre_analysis::{PruneReport, SymPair};
+use zpre_prog::ssa::{Event, SsaProgram};
 use zpre_sat::{Lit, Proof, ProofStep, Var};
 use zpre_smt::TheoryLemma;
 
@@ -33,16 +37,21 @@ pub enum Fault {
     /// Flip the low bit of the first scheduled access value of the
     /// witness, as if the model extraction misread the assignment.
     FlipModelBit,
+    /// Admit a symmetry pair between `main` and the last thread, which are
+    /// not identical, as if the detector had matched two different
+    /// threads. Applied to the analysis report before it is checked.
+    ForgeSymmetry,
 }
 
 impl Fault {
     /// Every fault kind, for test matrices.
-    pub const ALL: [Fault; 5] = [
+    pub const ALL: [Fault; 6] = [
         Fault::ShuffleGuideOrder,
         Fault::DropLemmas,
         Fault::ForgeLemma,
         Fault::TruncateProof(1),
         Fault::FlipModelBit,
+        Fault::ForgeSymmetry,
     ];
 
     /// Short display name.
@@ -53,6 +62,7 @@ impl Fault {
             Fault::ForgeLemma => "forge-lemma",
             Fault::TruncateProof(_) => "truncate-proof",
             Fault::FlipModelBit => "flip-model-bit",
+            Fault::ForgeSymmetry => "forge-symmetry",
         }
     }
 }
@@ -120,6 +130,24 @@ pub(crate) fn corrupt_proof(fault: Fault, proof: &mut Proof, journal: &mut Vec<T
             let keep = proof.steps.len().saturating_sub(n);
             proof.steps.truncate(keep);
         }
-        Fault::ShuffleGuideOrder | Fault::FlipModelBit => {}
+        Fault::ShuffleGuideOrder | Fault::FlipModelBit | Fault::ForgeSymmetry => {}
     }
+}
+
+/// [`Fault::ForgeSymmetry`]: pairs `main` with the last thread event by
+/// event, value term by value term, and their first events as the locks.
+pub(crate) fn forge_symmetry(ssa: &SsaProgram, report: &mut PruneReport) {
+    let last = ssa.num_threads().saturating_sub(1);
+    let events: Vec<(&Event, &Event)> = ssa.thread_events(0).zip(ssa.thread_events(last)).collect();
+    report.sym_pairs.push(SymPair {
+        first: 0,
+        second: last,
+        locks: events.first().map_or((0, 0), |(a, b)| (a.id, b.id)),
+        events: events.iter().map(|(a, b)| (a.id, b.id)).collect(),
+        leaves: events
+            .iter()
+            .filter_map(|(a, b)| Some((a.kind.value()?, b.kind.value()?)))
+            .collect(),
+    });
+    report.counters.sym_pairs += 1;
 }

@@ -4,7 +4,8 @@
 //! [`Session::new`] turns an SSA program and its [`VerifyOptions`] into a
 //! ready CDCL(T) instance: the order theory with the strategy's engine
 //! toggles, the solver (proof logging and the lemma journal under
-//! `certify`), the memory pre-check, static pruning, the encoding, the
+//! `certify`), the memory pre-check, static pruning and symmetry
+//! breaking, the encoding, the
 //! recorder's variable classes and event sinks, the portfolio share
 //! endpoint, and the strategy's decision order and polarity guide.
 //! [`Session::solve`] then answers one assumption frame: single-bound
@@ -64,13 +65,17 @@ impl<'a> Session<'a> {
                 }));
             }
         }
-        // Static interference pruning: run the analysis pass, surface its
-        // counters, and — under `--certify` — re-verify every justification
-        // with the independent checker before trusting the smaller encoding.
+        // Static interference pruning and symmetry detection: run the
+        // analysis pass, surface its counters, and — under `--certify` —
+        // re-verify every justification and symmetry witness with the
+        // independent checker before trusting the smaller encoding.
         let report = if opts.prune {
             let span = rec.map(|r| r.span(Phase::Analysis));
-            let rep = zpre_analysis::analyze(ssa, opts.mm);
+            let mut rep = zpre_analysis::analyze(ssa, opts.mm);
             drop(span);
+            if opts.fault == Some(Fault::ForgeSymmetry) {
+                crate::faults::forge_symmetry(ssa, &mut rep);
+            }
             if let Some(r) = rec {
                 let c = &rep.counters;
                 for (counter, n) in [
@@ -80,6 +85,7 @@ impl<'a> Session<'a> {
                     (Counter::PrWsSerialized, c.ws_serialized),
                     (Counter::PrReadsResolved, c.reads_resolved),
                     (Counter::PrLocalVars, c.local_vars),
+                    (Counter::PrSymPairs, c.sym_pairs),
                 ] {
                     r.add(counter, n);
                 }

@@ -207,7 +207,12 @@ fn oracle_exit_codes_match_verify() {
     }
     assert_eq!(
         unsafe_examples,
-        ["peterson", "racy_counter", "store_buffering"]
+        [
+            "peterson",
+            "racy_counter",
+            "read_then_lock",
+            "store_buffering"
+        ]
     );
     // A width-8 havoc is wider than the oracle enumerates.
     let wide = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("wide_havoc.zc");

@@ -227,9 +227,11 @@ pub fn try_encode_traced<G: DecisionGuide>(
 /// `zpre-analysis`. Without a report the encoding is exactly the historic
 /// one; with a report the Φ_rf candidate sets come from the report,
 /// resolved reads become if-then-else chains in Φ_ssa, statically fixed ws
-/// pairs get no selector, and mutex-serialized ws pairs ride on plain
-/// ordering atoms (`V_ord`) instead of interference variables. The report
-/// must have been computed for the same `ssa` and `mm`.
+/// pairs get no selector, mutex-serialized ws pairs ride on plain
+/// ordering atoms (`V_ord`) instead of interference variables, and each
+/// symmetric thread pair gets one lex-leader clause over the existing
+/// selector of its first critical sections. The report must have been
+/// computed for the same `ssa` and `mm`.
 pub fn try_encode_opts<G: DecisionGuide>(
     ssa: &SsaProgram,
     mm: MemoryModel,
@@ -316,14 +318,9 @@ pub fn try_encode_opts<G: DecisionGuide>(
     // --- Resolved reads (pruning pass) ---------------------------------------
     // A resolved read's value is the last executed write of its chain:
     // guard(r) → value(r) = ite(guard(wₙ), value(wₙ), … value(w₀) …).
+    let value_of = |eid: usize| ssa.events[eid].kind.value().expect("an access event");
     let mut resolved_reads: Vec<ResolvedRead> = Vec::new();
     if let Some(rep) = prune {
-        let value_of = |eid: usize| -> TermId {
-            match ssa.events[eid].kind {
-                EventKind::Read { value, .. } | EventKind::Write { value, .. } => value,
-                _ => unreachable!("value of a non-access event"),
-            }
-        };
         let ite = |ts2: &mut TermStore, c: TermId, t: TermId, e: TermId| match ts2.sort(t) {
             Sort::Bool => ts2.bool_ite(c, t, e),
             Sort::Bv(_) => ts2.bv_ite(c, t, e),
@@ -380,12 +377,6 @@ pub fn try_encode_opts<G: DecisionGuide>(
     let analysis = access_analysis(ssa, &closure);
     let num_vars = ssa.shared_names.len();
     let writes_of = &analysis.writes_of;
-    let value_of = |eid: usize| -> TermId {
-        match ssa.events[eid].kind {
-            EventKind::Read { value, .. } | EventKind::Write { value, .. } => value,
-            _ => unreachable!("value of a non-access event"),
-        }
-    };
 
     // --- Φ_rf and Φ_rf_some ---------------------------------------------------
     let mut rf_vars: Vec<RfVar> = Vec::new();
@@ -546,6 +537,8 @@ pub fn try_encode_opts<G: DecisionGuide>(
             unlock: usize,
         }
         let mut sections: Vec<Cs> = Vec::new();
+        // `(lock a, lock b) → s`: true ⇔ the section opened by `a` first.
+        let mut section_order: HashMap<(usize, usize), Lit> = HashMap::new();
         for t in 0..ssa.num_threads() {
             let mut stacks: HashMap<usize, Vec<usize>> = HashMap::new();
             for e in ssa.thread_events(t) {
@@ -584,12 +577,22 @@ pub fn try_encode_opts<G: DecisionGuide>(
                 );
                 sync_vars.push(var);
                 let s = var.positive();
+                section_order.insert((a.lock, b.lock), s);
+                section_order.insert((b.lock, a.lock), !s);
                 let (ga, gb) = (guard_lits[a.lock], guard_lits[b.lock]);
                 //  s → clk(unlock_a) < clk(lock_b) ; ¬s → clk(unlock_b) < clk(lock_a)
                 let o1 = get_ord(a.unlock, b.lock, solver, &mut registry);
                 let o2 = get_ord(b.unlock, a.lock, solver, &mut registry);
                 solver.add_clause(&[!ga, !gb, !s, o1]);
                 solver.add_clause(&[!ga, !gb, s, o2]);
+            }
+        }
+        // Symmetry breaking: of two symmetric threads, the lower-numbered
+        // one enters its first critical section first (DESIGN.md §6k).
+        for pair in prune.map_or(&[][..], |rep| &rep.sym_pairs) {
+            let (la, lb) = pair.locks;
+            if let Some(&first) = section_order.get(&(la, lb)) {
+                solver.add_clause(&[!guard_lits[la], !guard_lits[lb], first]);
             }
         }
     }

@@ -927,7 +927,7 @@ mod tests {
         \"sh_exported_theory\":32,\"sh_exported_rf\":33,\"sh_imported\":34,\
         \"sh_dropped\":35,\"sh_import_hits\":36,\"pr_rf_pruned\":37,\"pr_rf_kept\":38,\
         \"pr_ws_pruned\":39,\"pr_ws_serialized\":41,\"pr_reads_resolved\":42,\
-        \"pr_local_vars\":43}";
+        \"pr_local_vars\":43,\"pr_sym_pairs\":44}";
 
     /// Keys every summary line has carried since the first trace format.
     const REQUIRED_KEYS: [&str; 21] = [
@@ -955,7 +955,7 @@ mod tests {
     ];
 
     /// Keys added with sweep frames and later: older traces omit them.
-    const LENIENT_KEYS: [&str; 19] = [
+    const LENIENT_KEYS: [&str; 20] = [
         "frames",
         "fr_learnts",
         "fr_conflicts",
@@ -975,6 +975,7 @@ mod tests {
         "pr_ws_serialized",
         "pr_reads_resolved",
         "pr_local_vars",
+        "pr_sym_pairs",
     ];
 
     /// The summary line rewritten without `key`.

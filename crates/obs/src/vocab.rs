@@ -186,6 +186,9 @@ vocabulary! {
         PrReadsResolved = "pr_reads_resolved" => (Lenient, Info);
         /// Interference pruning: shared variables local to one thread.
         PrLocalVars = "pr_local_vars" => (Lenient, Info);
+        /// Symmetry breaking: adjacent symmetric thread pairs, each worth
+        /// one lex-leader clause.
+        PrSymPairs = "pr_sym_pairs" => (Lenient, Info);
     }
 }
 

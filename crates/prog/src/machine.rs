@@ -34,7 +34,7 @@
 
 use crate::ast::{BoolExpr, IntExpr};
 use crate::flat::{FlatProgram, Instr};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Memory model selector (shared with the encoder).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -106,12 +106,13 @@ pub(crate) fn truncate(v: u64, width: u32) -> u64 {
     }
 }
 
-/// Evaluates a local-only integer expression.
-fn eval_int(e: &IntExpr, locals: &BTreeMap<String, u64>, width: u32) -> u64 {
-    let int = |a: &IntExpr| eval_int(a, locals, width);
+/// Evaluates a local-only integer expression; `local` reads a local by
+/// name (0 when it was never assigned).
+fn eval_int(e: &IntExpr, local: &dyn Fn(&str) -> u64, width: u32) -> u64 {
+    let int = |a: &IntExpr| eval_int(a, local, width);
     match e {
         IntExpr::Const(v) => truncate(*v, width),
-        IntExpr::Var(x) => *locals.get(x).unwrap_or(&0),
+        IntExpr::Var(x) => local(x),
         IntExpr::Nondet(n) => panic!("nondet {n:?} survived lowering"),
         IntExpr::Add(a, b) => truncate(int(a).wrapping_add(int(b)), width),
         IntExpr::Sub(a, b) => truncate(int(a).wrapping_sub(int(b)), width),
@@ -122,7 +123,7 @@ fn eval_int(e: &IntExpr, locals: &BTreeMap<String, u64>, width: u32) -> u64 {
         IntExpr::Shl(a, by) => truncate(int(a) << by, width),
         IntExpr::Shr(a, by) => int(a) >> by,
         IntExpr::Ite(c, a, b) => {
-            if eval_bool(c, locals, width) {
+            if eval_bool(c, local, width) {
                 int(a)
             } else {
                 int(b)
@@ -132,9 +133,9 @@ fn eval_int(e: &IntExpr, locals: &BTreeMap<String, u64>, width: u32) -> u64 {
 }
 
 /// Evaluates a local-only Boolean expression.
-fn eval_bool(e: &BoolExpr, locals: &BTreeMap<String, u64>, width: u32) -> bool {
-    let int = |a: &IntExpr| eval_int(a, locals, width);
-    let bool_ = |a: &BoolExpr| eval_bool(a, locals, width);
+fn eval_bool(e: &BoolExpr, local: &dyn Fn(&str) -> u64, width: u32) -> bool {
+    let int = |a: &IntExpr| eval_int(a, local, width);
+    let bool_ = |a: &BoolExpr| eval_bool(a, local, width);
     match e {
         BoolExpr::Const(v) => *v,
         BoolExpr::Nondet(n) => panic!("nondet {n:?} survived lowering"),
@@ -154,7 +155,10 @@ fn eval_bool(e: &BoolExpr, locals: &BTreeMap<String, u64>, width: u32) -> bool {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct State {
     pub(crate) pcs: Vec<usize>,
-    pub(crate) locals: Vec<BTreeMap<String, u64>>,
+    /// Every thread's locals, one slot each ([`Machine::slot`]); `None`
+    /// until first assigned, so two states differ exactly when their
+    /// threads have assigned different locals or values.
+    locals: Vec<Option<u64>>,
     pub(crate) shared: Vec<u64>,
     /// Holder of each mutex.
     pub(crate) mutex: Vec<Option<usize>>,
@@ -205,9 +209,67 @@ pub(crate) enum Effect {
 pub(crate) struct Machine<'a> {
     pub(crate) fp: &'a FlatProgram,
     pub(crate) mm: MemoryModel,
+    /// Per thread: local name → its slot in [`State`]'s locals, for every
+    /// local the thread assigns. Resolved once per program.
+    slots: Vec<HashMap<&'a str, usize>>,
+    num_slots: usize,
 }
 
 impl<'a> Machine<'a> {
+    /// The machine for `fp` under `mm`.
+    pub(crate) fn new(fp: &'a FlatProgram, mm: MemoryModel) -> Machine<'a> {
+        let mut num_slots = 0;
+        let slots = fp
+            .threads
+            .iter()
+            .map(|th| {
+                let mut slots = HashMap::new();
+                for instr in &th.code {
+                    if let Instr::LoadShared { dst, .. }
+                    | Instr::AssignLocal { dst, .. }
+                    | Instr::HavocInt { dst }
+                    | Instr::HavocBool { dst } = instr
+                    {
+                        slots.entry(dst.as_str()).or_insert_with(|| {
+                            num_slots += 1;
+                            num_slots - 1
+                        });
+                    }
+                }
+                slots
+            })
+            .collect();
+        Machine {
+            fp,
+            mm,
+            slots,
+            num_slots,
+        }
+    }
+
+    /// The slot of thread `t`'s local `name`, if the thread ever assigns it.
+    fn slot(&self, t: usize, name: &str) -> Option<usize> {
+        self.slots[t].get(name).copied()
+    }
+
+    /// Thread `t`'s local `name` in `st` (0 until assigned).
+    fn local(&self, st: &State, t: usize, name: &str) -> u64 {
+        self.slot(t, name).and_then(|i| st.locals[i]).unwrap_or(0)
+    }
+
+    fn set_local(&self, st: &mut State, t: usize, name: &str, v: u64) {
+        let i = self.slot(t, name).expect("assigned locals have slots");
+        st.locals[i] = Some(v);
+    }
+
+    fn eval_int(&self, st: &State, t: usize, e: &IntExpr) -> u64 {
+        eval_int(e, &|x| self.local(st, t, x), self.fp.word_width)
+    }
+
+    fn eval_bool(&self, st: &State, t: usize, e: &BoolExpr) -> bool {
+        eval_bool(e, &|x| self.local(st, t, x), self.fp.word_width)
+    }
+
     /// The initial state: only main is started, memory holds the
     /// initializers.
     pub(crate) fn initial(&self) -> State {
@@ -218,7 +280,7 @@ impl<'a> Machine<'a> {
         }
         State {
             pcs: vec![0; nt],
-            locals: vec![BTreeMap::new(); nt],
+            locals: vec![None; self.num_slots],
             shared: self.fp.shared_init.clone(),
             mutex: vec![None; self.fp.num_mutexes],
             started,
@@ -268,17 +330,15 @@ impl<'a> Machine<'a> {
 
     /// Runs thread `t`'s next instruction; a havoc stores `havoc`.
     pub(crate) fn step(&self, st: &mut State, t: usize, havoc: u64) -> Effect {
-        let w = self.fp.word_width;
         let pc = st.pcs[t];
         st.pcs[t] += 1;
-        let holds = |st: &State, cond: &BoolExpr| eval_bool(cond, &st.locals[t], w);
         match &self.fp.threads[t].code[pc] {
             Instr::LoadShared { dst, var } => {
                 let v = self.load(st, t, *var);
-                st.locals[t].insert(dst.clone(), v);
+                self.set_local(st, t, dst, v);
             }
             Instr::StoreShared { var, val } => {
-                let v = eval_int(val, &st.locals[t], w);
+                let v = self.eval_int(st, t, val);
                 match self.mm {
                     MemoryModel::Sc => st.shared[*var] = v,
                     MemoryModel::Tso => st.buffers[t].push_back((*var, v)),
@@ -290,20 +350,20 @@ impl<'a> Machine<'a> {
                 }
             }
             Instr::AssignLocal { dst, val } => {
-                let v = eval_int(val, &st.locals[t], w);
-                st.locals[t].insert(dst.clone(), v);
+                let v = self.eval_int(st, t, val);
+                self.set_local(st, t, dst, v);
             }
             Instr::HavocInt { dst } | Instr::HavocBool { dst } => {
-                st.locals[t].insert(dst.clone(), havoc);
+                self.set_local(st, t, dst, havoc);
             }
             Instr::JmpIfFalse { cond, target } => {
-                if !holds(st, cond) {
+                if !self.eval_bool(st, t, cond) {
                     st.pcs[t] = *target;
                 }
             }
             Instr::Jmp { target } => st.pcs[t] = *target,
-            Instr::Assert(cond) if !holds(st, cond) => return Effect::Violation,
-            Instr::Assume(cond) if !holds(st, cond) => return Effect::Infeasible,
+            Instr::Assert(cond) if !self.eval_bool(st, t, cond) => return Effect::Violation,
+            Instr::Assume(cond) if !self.eval_bool(st, t, cond) => return Effect::Infeasible,
             Instr::Assert(_) | Instr::Assume(_) | Instr::Fence | Instr::Join(_) => {}
             Instr::Lock(m) => st.mutex[*m] = Some(t),
             Instr::Unlock(m) if st.mutex[*m] != Some(t) => return Effect::Infeasible,
@@ -353,7 +413,7 @@ impl<'a> Machine<'a> {
 /// ascending, so the depth-first order and the `max_states` at which a
 /// verdict first appears are stable.
 pub fn check(fp: &FlatProgram, mm: MemoryModel, limits: Limits) -> Outcome {
-    let m = Machine { fp, mm };
+    let m = Machine::new(fp, mm);
     let init = m.initial();
     let mut visited: HashSet<State> = HashSet::new();
     let mut stack = vec![init.clone()];

@@ -337,7 +337,7 @@ pub fn replay(
 ) -> Result<ReplayViolation, ReplayError> {
     let nt = fp.threads.len();
     let total_code: usize = fp.threads.iter().map(|t| t.code.len()).sum();
-    let m = Machine { fp, mm };
+    let m = Machine::new(fp, mm);
     let mut r = Replayer {
         st: m.initial(),
         m,

@@ -79,6 +79,14 @@ impl EventKind {
         }
     }
 
+    /// The SSA value term, for read/write events.
+    pub fn value(&self) -> Option<TermId> {
+        match self {
+            EventKind::Read { value, .. } | EventKind::Write { value, .. } => Some(*value),
+            _ => None,
+        }
+    }
+
     /// `true` for write events.
     pub fn is_write(&self) -> bool {
         matches!(self, EventKind::Write { .. })

@@ -130,10 +130,10 @@ fn fault_matrix_fails_closed() {
     let hits_safe = |f: Fault| {
         matches!(
             f,
-            Fault::DropLemmas | Fault::ForgeLemma | Fault::TruncateProof(_)
+            Fault::DropLemmas | Fault::ForgeLemma | Fault::TruncateProof(_) | Fault::ForgeSymmetry
         )
     };
-    let hits_unsafe = |f: Fault| matches!(f, Fault::FlipModelBit);
+    let hits_unsafe = |f: Fault| matches!(f, Fault::FlipModelBit | Fault::ForgeSymmetry);
 
     for fault in Fault::ALL {
         for (program, verdict) in [(locked(), Verdict::Safe), (racy(), Verdict::Unsafe)] {
@@ -153,6 +153,14 @@ fn fault_matrix_fails_closed() {
                     "{}: wrong error class: {err}",
                     fault.name()
                 );
+                // A forged symmetry pair is caught by the analysis checker,
+                // before any clause of it reaches the solver.
+                if fault == Fault::ForgeSymmetry {
+                    assert!(
+                        matches!(err, VerifyError::Certification { stage: "prune", .. }),
+                        "{err}"
+                    );
+                }
             } else {
                 let out = result.unwrap_or_else(|e| {
                     panic!("{} on {} must be harmless: {e}", fault.name(), verdict)

@@ -94,3 +94,66 @@ fn generator_ground_truth_matches_oracles() {
         }
     }
 }
+
+/// Full-suite rows whose worker threads are identical, small enough for
+/// the oracle: the symmetry-breaking clauses that pruning adds must keep
+/// every verdict the store-buffer machine gives.
+const SYMMETRIC_ROWS: [&str; 7] = [
+    "pthread/counter-2x2-locked",
+    "pthread/counter-3x1-locked",
+    "pthread/counter-3x2-locked",
+    "pthread/twolocks-2x1",
+    "pthread/twolocks-2x2",
+    "driver-races/openclose-2-locked",
+    "driver-races/openclose-3-locked",
+];
+
+#[test]
+fn symmetric_rows_match_the_oracles() {
+    let tasks = zpre_workloads::suite(zpre_workloads::Scale::Full);
+    for name in SYMMETRIC_ROWS {
+        let task = tasks
+            .iter()
+            .find(|t| t.name == name)
+            .unwrap_or_else(|| panic!("{name} is not in the Full suite"));
+        let ssa = zpre_prog::to_ssa(&unroll_program(&task.program, task.unroll_bound));
+        for mm in MemoryModel::ALL {
+            let pairs = zpre_analysis::analyze(&ssa, mm).counters.sym_pairs;
+            assert!(pairs > 0, "{name}: no symmetric pair admitted");
+            let oracle = oracle_outcome(task, mm);
+            let smt = smt_verdict(task, mm);
+            assert_eq!(
+                smt == Verdict::Safe,
+                oracle == Outcome::Safe,
+                "{name} under {mm}: smt={smt:?} oracle={oracle:?}"
+            );
+        }
+    }
+}
+
+/// The smallest `max_states` at which `check` returns a verdict on
+/// `counter-3x2-locked` is the number of states the oracle stores. A change
+/// to how the machine represents a state must leave it where it is; a
+/// reduction that drops it re-records it and names the drop.
+#[test]
+fn oracle_state_counts_are_pinned() {
+    let tasks = zpre_workloads::suite(zpre_workloads::Scale::Full);
+    let task = tasks
+        .iter()
+        .find(|t| t.name == "pthread/counter-3x2-locked")
+        .expect("suite row");
+    let fp = flatten(&unroll_program(&task.program, task.unroll_bound));
+    for (mm, states) in [
+        (MemoryModel::Sc, 2615),
+        (MemoryModel::Tso, 3051),
+        (MemoryModel::Pso, 3051),
+    ] {
+        let limits = |max_states| Limits { max_states };
+        assert_eq!(check(&fp, mm, limits(states)), Outcome::Safe, "{mm}");
+        assert_eq!(
+            check(&fp, mm, limits(states - 1)),
+            Outcome::ResourceLimit,
+            "{mm}"
+        );
+    }
+}

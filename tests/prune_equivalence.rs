@@ -40,12 +40,13 @@ fn assert_prune_agrees(name: &str, task: &zpre_workloads::Task, mm: MemoryModel)
     let report = zpre_analysis::analyze(&ssa, mm);
     let checked = zpre_analysis::check_report(&ssa, &report)
         .unwrap_or_else(|e| panic!("{name} {mm}: justification rejected by checker: {e}"));
-    // One check per individually justified pair plus one per resolved-read
-    // chain — nothing the analysis claimed goes unexamined.
+    // One check per individually justified pair, one per resolved-read
+    // chain and one per symmetric thread pair — nothing the analysis
+    // claimed goes unexamined.
     let resolved = report.resolved.iter().filter(|r| r.is_some()).count();
     assert_eq!(
         checked,
-        report.pruned_rf.len() + report.pruned_ws.len() + resolved,
+        report.pruned_rf.len() + report.pruned_ws.len() + resolved + report.sym_pairs.len(),
         "{name} {mm}: checker visited a different number of claims than the report holds"
     );
     let c = &report.counters;

@@ -15,6 +15,10 @@
 //! the same order, so every counter below stays equal to the last digit. A
 //! change that alters the search on purpose (a new heuristic, a different
 //! propagation order) re-records the table and says so.
+//!
+//! The rows whose worker threads are identical (`counter-3x3-locked`,
+//! `twolocks-3x2`, `openclose-3-locked`) run with the symmetry-breaking
+//! clauses that pruning adds; the other rows have no symmetric threads.
 
 use zpre::prelude::*;
 use zpre::try_verify_sweep_full;
@@ -41,23 +45,19 @@ const PINNED: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[
         "pthread/counter-3x3-locked",
         MemoryModel::Sc,
         Verdict::Safe,
-        [
-            2906, 307772, 1373, 308, 316, 1372, 54956, 46142, 36900, 18961,
-        ],
+        [1391, 71325, 504, 226, 101, 503, 11772, 9429, 10222, 5605],
     ),
     (
         "pthread/counter-3x3-locked",
         MemoryModel::Tso,
         Verdict::Safe,
-        [
-            3033, 307573, 1409, 337, 313, 1408, 55114, 45996, 39614, 20629,
-        ],
+        [1487, 72684, 533, 269, 90, 532, 12990, 10464, 11861, 6853],
     ),
     (
         "pthread/twolocks-3x2",
         MemoryModel::Sc,
         Verdict::Safe,
-        [1646, 72110, 501, 251, 145, 500, 11756, 9041, 12515, 6668],
+        [1220, 46254, 339, 184, 96, 338, 6326, 4633, 7825, 4425],
     ),
     (
         "stress/s203-4x14",
@@ -81,7 +81,7 @@ const PINNED_BASELINE: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[
         "driver-races/openclose-3-locked",
         MemoryModel::Pso,
         Verdict::Safe,
-        [1253, 58848, 620, 182, 138, 619, 13346, 9921, 13465, 6033],
+        [871, 12563, 146, 87, 13, 145, 1786, 1239, 2136, 1264],
     ),
     (
         "divine/ring-broken-4",
@@ -97,9 +97,7 @@ const PINNED_BRANCH_COND: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[(
     "pthread/twolocks-3x2",
     MemoryModel::Sc,
     Verdict::Safe,
-    [
-        3902, 113004, 1056, 327, 223, 1055, 21418, 16268, 22828, 12174,
-    ],
+    [2893, 86375, 710, 233, 61, 709, 16581, 13009, 15411, 8828],
 )];
 
 /// Rows under [`Strategy::ZpreFixedTrue`], whose guide decides every
