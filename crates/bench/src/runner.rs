@@ -452,9 +452,10 @@ mod tests {
     }
 
     /// Table 2's decision and conflict columns must be reproducible from
-    /// the observability event stream alone: the per-class histogram sums
-    /// to the solver's decision statistic and the event-counted conflicts
-    /// equal the solver's conflict statistic, for baseline and ZPRE alike.
+    /// the row's telemetry alone: the per-class decision split sums to the
+    /// solver's decision statistic, the trace's conflicts equal the
+    /// solver's, and the event-fed LBD histogram observed every conflict,
+    /// for baseline and ZPRE alike.
     #[test]
     fn table2_columns_reproduce_from_event_stream() {
         let tasks: Vec<Task> = suite(Scale::Quick).into_iter().take(3).collect();
@@ -486,7 +487,15 @@ mod tests {
             assert_eq!(
                 t.get("conflicts"),
                 r.conflicts,
-                "{} {} {}: event-stream conflicts must match stats",
+                "{} {} {}: trace conflicts must match stats",
+                r.task,
+                r.mm,
+                r.strategy
+            );
+            assert_eq!(
+                t.get("conflict_lbd_count"),
+                r.conflicts,
+                "{} {} {}: every conflict event must reach the LBD histogram",
                 r.task,
                 r.mm,
                 r.strategy

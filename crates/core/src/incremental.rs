@@ -136,28 +136,29 @@ fn sweep_impl(
         if k < start {
             continue;
         }
-        let before = *session.solver.stats();
+        // The state this frame inherits from earlier ones.
+        let reused = *session.solver.stats();
         if let Some(r) = rec {
             r.add(Counter::Frames, 1);
-            r.add(Counter::FrameReusedLearnts, before.learnt_clauses);
-            r.add(Counter::FrameReusedConflicts, before.conflicts);
+            r.add(Counter::FrameReusedLearnts, reused.learnt_clauses);
+            r.add(Counter::FrameReusedConflicts, reused.conflicts);
         }
         let label = format!("k={k}");
-        let (frame_verdict, frame_time) = session.solve(&sweep.assumptions(k), Some(&label))?;
+        let (frame_verdict, frame_time, delta) =
+            session.solve(&sweep.assumptions(k), Some(&label))?;
         solve_time += frame_time;
         if let Some(r) = rec {
             r.observe(Hist::FrameSolveUs, frame_time.as_micros() as u64);
         }
-        let after = *session.solver.stats();
         frames.push(FrameOutcome {
             bound: k,
             verdict: frame_verdict,
             solve_time: frame_time,
-            conflicts: after.conflicts - before.conflicts,
-            decisions: after.decisions - before.decisions,
-            propagations: after.propagations - before.propagations,
-            reused_learnts: before.learnt_clauses,
-            reused_conflicts: before.conflicts,
+            conflicts: delta.conflicts,
+            decisions: delta.decisions,
+            propagations: delta.propagations,
+            reused_learnts: reused.learnt_clauses,
+            reused_conflicts: reused.conflicts,
             exhaustion: session.solver.exhaustion(),
         });
         on_frame(frames.last().expect("frame just pushed"));

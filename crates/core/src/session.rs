@@ -6,24 +6,26 @@
 //! toggles, the solver (proof logging and the lemma journal under
 //! `certify`), the memory pre-check, static pruning and symmetry
 //! breaking, the encoding, the
-//! recorder's variable classes and event sinks, the portfolio share
-//! endpoint, and the strategy's decision order and polarity guide.
+//! solver's variable classes, the recorder's event sinks, the portfolio
+//! share endpoint, and the strategy's decision order and polarity guide.
 //! [`Session::solve`] then answers one assumption frame: single-bound
 //! verification solves the empty frame, the bound sweep one frame per
-//! bound (DESIGN.md §6j).
+//! bound (DESIGN.md §6j). It copies each solve call's search counters
+//! into the recorder, their one way in (DESIGN.md §6b).
 
 use crate::decision_order::decision_order;
 use crate::errors::VerifyError;
 use crate::faults::Fault;
 use crate::strategy::Strategy;
 use crate::verifier::{validate_model, Verdict, VerifyOptions};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zpre_encoder::{estimate_cnf, try_encode_opts, EncodeError, Encoded};
-use zpre_obs::{Counter, Phase, VarClass};
+use zpre_obs::{Counter, Phase, Recorder, VarClass};
 use zpre_prog::SsaProgram;
-use zpre_sat::{Budget, Lit, PriorityListGuide, SolveResult, Solver, Stats, Var};
-use zpre_smt::{OrderTheory, VarKind};
+use zpre_sat::{Budget, Lit, PriorityListGuide, SolveResult, Solver, Stats};
+use zpre_smt::OrderTheory;
 
 /// One encoded instance and the solver that answers its frames.
 pub(crate) struct Session<'a> {
@@ -104,38 +106,18 @@ impl<'a> Session<'a> {
         };
         let enc = try_encode_opts(ssa, opts.mm, &mut solver, rec, report.as_ref())?;
 
-        // With a recorder installed, resolve solver vars to interference classes
-        // and stream solver/theory events into it.
+        // The solver's class table splits its decision counts and gives
+        // external-RF clauses the relaxed share-export cap.
+        for (v, info) in enc.registry.iter() {
+            solver.set_var_class(v, info.kind.class());
+        }
         if let Some(r) = rec {
-            let mut classes = vec![VarClass::Other; solver.num_vars()];
-            for (v, info) in enc.registry.iter() {
-                classes[v.index()] = match info.kind {
-                    VarKind::Rf { external: true, .. } => VarClass::ExternalRf,
-                    VarKind::Rf {
-                        external: false, ..
-                    } => VarClass::InternalRf,
-                    VarKind::Ws => VarClass::Ws,
-                    _ => VarClass::Other,
-                };
-            }
-            r.set_var_classes(classes);
             let sink: Arc<dyn zpre_obs::EventSink> = Arc::new(r.clone());
             solver.set_event_sink(Some(sink.clone()));
             solver.theory.set_event_sink(Some(sink));
         }
-
-        // Hook this member into the portfolio share pool. The hot-var table
-        // (external-RF interference variables get the relaxed LBD export cap)
-        // comes straight from the encoder registry, independent of any recorder.
         if let Some(spec) = &opts.share {
             solver.set_share(spec);
-            let hot: Vec<Var> = enc
-                .registry
-                .iter()
-                .filter(|(_, info)| matches!(info.kind, VarKind::Rf { external: true, .. }))
-                .map(|(v, _)| v)
-                .collect();
-            solver.set_share_hot_vars(&hot);
         }
 
         // Install the decision order for the chosen strategy. It is
@@ -174,13 +156,14 @@ impl<'a> Session<'a> {
 
     /// Solves one frame under `assumptions` with a fresh budget (so the
     /// conflict cap and the deadline are per frame), inside a `Solve` span
-    /// labelled `label`. Re-validates an `Unsafe` model when the options
-    /// ask for it. Returns the verdict and the time spent in the solver.
+    /// labelled `label`, and copies the call's [`Stats`] delta into the
+    /// recorder. Re-validates an `Unsafe` model when the options ask for
+    /// it. Returns the verdict, the time spent in the solver and the delta.
     pub fn solve(
         &mut self,
         assumptions: &[Lit],
         label: Option<&str>,
-    ) -> Result<(Verdict, Duration), VerifyError> {
+    ) -> Result<(Verdict, Duration, Stats), VerifyError> {
         let opts = self.opts;
         let rec = opts.recorder.as_ref();
         let mut budget = Budget::with_limits(opts.max_conflicts, opts.timeout);
@@ -193,12 +176,22 @@ impl<'a> Session<'a> {
         self.solver.set_budget(budget);
 
         let span = rec.map(|r| r.span_labeled(Phase::Solve, label));
+        let before = self.stats();
         let t0 = Instant::now();
-        let result = self.solver.solve_with_assumptions(assumptions);
+        // A panicking solve still copies its counters, so the trace its
+        // events went into stays consistent with its summary.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            self.solver.solve_with_assumptions(assumptions)
+        }));
+        let solve_time = t0.elapsed();
         if let Some(s) = span {
             s.close();
         }
-        let solve_time = t0.elapsed();
+        let delta = self.stats().since(&before);
+        if let Some(r) = rec {
+            record_search(r, &delta);
+        }
+        let result = result.unwrap_or_else(|panic| resume_unwind(panic));
 
         let verdict = match result {
             SolveResult::Sat => Verdict::Unsafe,
@@ -210,7 +203,7 @@ impl<'a> Session<'a> {
             validate_model(self.ssa, &self.enc, &self.solver, opts.mm)
                 .map_err(VerifyError::ModelValidation)?;
         }
-        Ok((verdict, solve_time))
+        Ok((verdict, solve_time, delta))
     }
 
     /// The solver's cumulative statistics, with the order theory's
@@ -224,5 +217,31 @@ impl<'a> Session<'a> {
         stats.eog_visited = cs.visited;
         stats.eog_promoted = cs.promoted;
         stats
+    }
+}
+
+/// Copies one solve call's search counters into the recorder.
+fn record_search(r: &Recorder, d: &Stats) {
+    for class in VarClass::ALL {
+        let i = class.index();
+        r.add_decisions(class, d.class_decisions[i], d.class_guided[i]);
+    }
+    for (counter, n) in [
+        (Counter::Conflicts, d.conflicts),
+        (Counter::Restarts, d.restarts),
+        (Counter::Reductions, d.reductions),
+        (Counter::CycleChecks, d.eog_checks),
+        (Counter::CycleAcceptedO1, d.eog_accepted_o1),
+        (Counter::CycleSearched, d.eog_checks - d.eog_accepted_o1),
+        (Counter::CycleVisited, d.eog_visited),
+        (Counter::CyclePromoted, d.eog_promoted),
+        (Counter::ShExported, d.sh_exported),
+        (Counter::ShExportedTheory, d.sh_exported_theory),
+        (Counter::ShExportedRf, d.sh_exported_rf),
+        (Counter::ShImported, d.sh_imported),
+        (Counter::ShDropped, d.sh_dropped),
+        (Counter::ShImportHits, d.sh_import_hits),
+    ] {
+        r.add(counter, n);
     }
 }

@@ -283,7 +283,7 @@ pub(crate) fn verify_ssa_inner(
 ) -> Result<VerifyOutcome, VerifyError> {
     let mut session = Session::new(ssa, opts)?;
     let encode_time = t0.elapsed();
-    let (verdict, solve_time) = session.solve(&[], None)?;
+    let (verdict, solve_time, _) = session.solve(&[], None)?;
     let rec = opts.recorder.as_ref();
     let trace = (verdict == Verdict::Unsafe && (opts.want_trace || opts.certify))
         .then(|| crate::trace::extract_trace(ssa, &session.enc, &session.solver, opts.mm));

@@ -177,7 +177,6 @@ mod tests {
 
     fn snapshot_with_activity() -> TraceSnapshot {
         let rec = Recorder::default();
-        rec.set_var_classes(vec![crate::VarClass::ExternalRf, crate::VarClass::Other]);
         {
             let _solve = rec.span(Phase::Solve);
             let _nested = rec.span(Phase::Blast);
@@ -185,16 +184,25 @@ mod tests {
         for _ in 0..3 {
             rec.emit(Event::Decision {
                 var: 0,
+                class: VarClass::ExternalRf,
                 level: 1,
                 guided: true,
             });
         }
         rec.emit(Event::Decision {
             var: 1,
+            class: VarClass::Other,
             level: 1,
             guided: false,
         });
-        rec.emit(Event::Conflict { level: 1, lbd: 4 });
+        rec.emit(Event::Conflict {
+            level: 1,
+            lbd: 4,
+            window: [3, 0, 0, 1],
+        });
+        rec.add_decisions(VarClass::ExternalRf, 3, 3);
+        rec.add_decisions(VarClass::Other, 1, 0);
+        rec.add(Counter::Conflicts, 1);
         rec.snapshot()
     }
 

@@ -1,22 +1,35 @@
 //! Structured solver/theory event taxonomy and the `EventSink` trait.
 //!
-//! The solver and the order theory know nothing about variable *classes*
-//! (external-RF / internal-RF / WS / …): that mapping lives in the encoder's
-//! `VarRegistry`. They therefore emit events keyed by raw variable index, and
-//! the [`Recorder`](crate::Recorder) resolves the class at record time from a
-//! table installed by the verifier after encoding.
+//! Events carry only what the event stream or a histogram needs. Every
+//! search counter (decisions per class, conflicts, restarts, cycle checks,
+//! share traffic) lives in the solver's `Stats`, which the session copies
+//! into the [`Recorder`](crate::Recorder) once per solve call. The solver
+//! holds the variable-class table, so a `Decision` arrives already
+//! classified and a `Conflict` carries its closed decision window.
+
+use crate::vocab::VarClass;
 
 /// A structured event emitted by the SAT solver or the order theory.
-///
-/// Variables are raw solver indices; class resolution happens in the sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
-    /// A branching decision. `guided` is true when the decision came from the
-    /// installed `DecisionGuide` (the paper's priority list) rather than VSIDS.
-    Decision { var: u32, level: u32, guided: bool },
+    /// A branching decision on solver variable `var` of `class`. `guided`
+    /// is true when the decision came from the installed `DecisionGuide`
+    /// (the paper's priority list) rather than VSIDS.
+    Decision {
+        var: u32,
+        class: VarClass,
+        level: u32,
+        guided: bool,
+    },
     /// A conflict, reported after analysis so the learnt clause's LBD is known.
-    /// `level` is the decision level at which the conflict occurred.
-    Conflict { level: u32, lbd: u32 },
+    /// `level` is the decision level at which the conflict occurred; `window`
+    /// counts this solver's decisions per class (indexed by
+    /// `VarClass::index()`) since its previous conflict.
+    Conflict {
+        level: u32,
+        lbd: u32,
+        window: [u64; VarClass::COUNT],
+    },
     /// An order-theory lemma blocking an EOG cycle of `cycle_len` edges.
     TheoryLemma { cycle_len: u32 },
     /// A solver restart. `conflicts` is the restart interval: conflicts
@@ -25,35 +38,14 @@ pub enum Event {
     Restart { conflicts: u64 },
     /// A learnt-database reduction that removed `removed` clauses.
     Reduction { removed: u64 },
-    /// One EOG cycle check by the order theory. `accepted_o1` is true when
-    /// the topological-level invariant accepted the edge without any search;
-    /// otherwise `visited` nodes were touched by the bounded two-way search
-    /// and `promoted` nodes had their level raised. Folded into counters
-    /// only — never stored in the event stream (it fires per asserted atom).
-    CycleCheck {
-        visited: u32,
-        promoted: u32,
-        accepted_o1: bool,
-    },
-    /// Clause-sharing traffic deltas, emitted by a portfolio member at
-    /// exchange points (root-level imports) and once at solve exit. All
-    /// fields are increments since the member's previous `Share` event.
-    /// Folded into counters only — never stored in the event stream.
-    Share {
-        /// Clauses offered to the pool (any class).
-        exported: u64,
-        /// Subset of `exported` that were theory cycle lemmas.
-        exported_theory: u64,
-        /// Subset of `exported` that touched external-RF variables.
-        exported_rf: u64,
-        /// Foreign clauses attached by this member.
-        imported: u64,
-        /// Foreign clauses rejected (duplicate, ring overrun, root-satisfied,
-        /// or policy-filtered).
-        dropped: u64,
-        /// Times an imported clause propagated or conflicted here.
-        import_hits: u64,
-    },
+    /// One EOG cycle check that ran the bounded search (O(1)-accepted
+    /// checks emit nothing), touching `visited` nodes. Feeds the
+    /// `cycle_visited` histogram only; never stored in the event stream.
+    CycleCheck { visited: u32 },
+    /// Imported-clause hits since the member's previous share exchange,
+    /// emitted at an exchange point (or solve exit) when non-zero. Feeds the
+    /// `sh_import_hits` histogram only; never stored in the event stream.
+    Share { import_hits: u64 },
 }
 
 /// Receiver for solver/theory events. Implementations must be cheap: the

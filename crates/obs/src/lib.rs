@@ -11,8 +11,10 @@
 //!    with LBD, order-theory lemmas with EOG-cycle length, restarts, and
 //!    learnt-DB reductions. The producers hold an `Option<Arc<dyn
 //!    EventSink>>`; tracing disabled is a single branch on that `Option`.
-//!    A sampling knob ([`TraceConfig::decision_sample`]) bounds trace size
-//!    while per-class counters stay exact.
+//!    Search counters are not counted from events: the solver's `Stats`
+//!    hold them and reach the recorder once per solve call, so a sampling
+//!    knob ([`TraceConfig::decision_sample`]) bounds trace size without
+//!    touching them.
 //! 3. **Export**: NDJSON traces ([`ndjson::to_ndjson`], validated by
 //!    [`ndjson::validate`]) and a human ASCII profile
 //!    ([`report::profile_report`]).

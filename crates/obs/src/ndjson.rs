@@ -730,37 +730,51 @@ mod tests {
             events: true,
             decision_sample: 1,
         });
-        rec.set_var_classes(vec![
-            VarClass::ExternalRf,
-            VarClass::Ws,
-            VarClass::InternalRf,
-        ]);
         {
             let _encode = rec.span_labeled(Phase::Encode, Some("sc"));
             let _blast = rec.span(Phase::Blast);
         }
         let solver = rec.member_labeled("zpre");
-        for var in 0..4u32 {
+        let classes = [
+            VarClass::ExternalRf,
+            VarClass::Ws,
+            VarClass::InternalRf,
+            VarClass::Other,
+        ];
+        for (var, class) in (0u32..).zip(classes) {
             solver.emit(Event::Decision {
                 var,
+                class,
                 level: var,
                 guided: true,
             });
         }
-        solver.emit(Event::Conflict { level: 3, lbd: 2 });
+        solver.emit(Event::Conflict {
+            level: 3,
+            lbd: 2,
+            window: [1; VarClass::COUNT],
+        });
         solver.emit(Event::TheoryLemma { cycle_len: 5 });
         solver.emit(Event::Restart { conflicts: 1 });
         solver.emit(Event::Reduction { removed: 7 });
-        solver.emit(Event::CycleCheck {
-            visited: 0,
-            promoted: 0,
-            accepted_o1: true,
-        });
-        solver.emit(Event::CycleCheck {
-            visited: 6,
-            promoted: 2,
-            accepted_o1: false,
-        });
+        solver.emit(Event::CycleCheck { visited: 6 });
+        // The solve call's counters, as the session copies them: one O(1)
+        // and one searched cycle check.
+        for class in classes {
+            solver.add_decisions(class, 1, 1);
+        }
+        for (counter, n) in [
+            (Counter::Conflicts, 1),
+            (Counter::Restarts, 1),
+            (Counter::Reductions, 1),
+            (Counter::CycleChecks, 2),
+            (Counter::CycleAcceptedO1, 1),
+            (Counter::CycleSearched, 1),
+            (Counter::CycleVisited, 6),
+            (Counter::CyclePromoted, 2),
+        ] {
+            solver.add(counter, n);
+        }
         rec.record_member(crate::recorder::MemberRecord {
             name: "zpre".into(),
             strategy: "zpre".into(),

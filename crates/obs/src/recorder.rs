@@ -1,5 +1,10 @@
-//! Thread-safe trace recorder: hierarchical phase spans, exact per-class
-//! counters, sampled event stream, and per-member portfolio telemetry.
+//! Thread-safe trace recorder: hierarchical phase spans, exact counters,
+//! sampled event stream, and per-member portfolio telemetry.
+//!
+//! The recorder counts nothing the solver already counts: search counters
+//! arrive once per solve call as the solver's `Stats` delta (through
+//! [`Recorder::add`] and [`Recorder::add_decisions`]), and events feed only
+//! the stream, the histograms and the counters no `Stats` field holds.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -20,8 +25,8 @@ pub struct TraceConfig {
     /// export. Counters are maintained regardless.
     pub events: bool,
     /// Record every `decision_sample`-th decision event (1 = all). Sampled-out
-    /// decisions still hit the exact counters; the summary reports how many
-    /// event lines were dropped by sampling.
+    /// decisions still count in the solver's totals; the summary reports how
+    /// many event lines were dropped by sampling.
     pub decision_sample: u32,
 }
 
@@ -84,9 +89,9 @@ pub enum EventKind {
     },
 }
 
-/// Exact counters, maintained for every event whether or not the event stream
-/// is enabled or sampled: decisions per [`VarClass`], and one value per
-/// scalar [`Counter`], read and written as `counters[Counter::Conflicts]`.
+/// Exact counters, whether or not the event stream is enabled or sampled:
+/// decisions per [`VarClass`], and one value per scalar [`Counter`], read
+/// and written as `counters[Counter::Conflicts]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Counters {
     /// Decisions per [`VarClass`], indexed by `VarClass::index()`.
@@ -184,14 +189,11 @@ struct Inner {
     spans: Vec<SpanRecord>,
     events: Vec<EventRecord>,
     members: Vec<MemberRecord>,
-    /// Raw solver var index -> class, installed after encoding.
-    classes: Vec<VarClass>,
     counters: Counters,
     hists: Hists,
-    /// Per-member decisions-per-class since that member's last conflict —
-    /// the open conflict window behind the decision-to-conflict-distance
-    /// histograms. Keyed by member label (`None` = the unlabeled stream).
-    conflict_window: HashMap<Option<String>, [u64; VarClass::COUNT]>,
+    /// Decision events seen so far: the sampling cursor that picks which
+    /// ones become stream lines.
+    decisions_seen: u64,
     /// Global event sequence; monotone across all threads (one mutex).
     seq: u64,
     /// Per-thread span nesting depth.
@@ -241,10 +243,9 @@ impl Recorder {
                     spans: Vec::new(),
                     events: Vec::new(),
                     members: Vec::new(),
-                    classes: Vec::new(),
                     counters: Counters::default(),
                     hists: Hists::default(),
-                    conflict_window: HashMap::new(),
+                    decisions_seen: 0,
                     seq: 0,
                     depth: HashMap::new(),
                 }),
@@ -263,13 +264,6 @@ impl Recorder {
 
     fn member_string(&self) -> Option<String> {
         self.member.as_deref().map(str::to_owned)
-    }
-
-    /// Install the solver-variable class table (index = raw var). Overwrites
-    /// any previous table; unknown vars default to [`VarClass::Other`].
-    pub fn set_var_classes(&self, classes: Vec<VarClass>) {
-        let mut inner = self.shared.inner.lock().unwrap();
-        inner.classes = classes;
     }
 
     /// Open a phase span. The span closes (fills its duration) on drop or via
@@ -314,6 +308,14 @@ impl Recorder {
         self.shared.inner.lock().unwrap().counters[counter] += delta;
     }
 
+    /// Adds `decisions` decisions of `class`, `guided` of them taken from
+    /// the decision guide.
+    pub fn add_decisions(&self, class: VarClass, decisions: u64, guided: u64) {
+        let mut inner = self.shared.inner.lock().unwrap();
+        inner.counters.decisions[class.index()] += decisions;
+        inner.counters.guided[class.index()] += guided;
+    }
+
     /// Records one observation into one scalar distribution.
     pub fn observe(&self, hist: Hist, value: u64) {
         self.shared.inner.lock().unwrap().hists[hist].observe(value);
@@ -354,23 +356,14 @@ impl EventSink for Recorder {
         let mut inner = self.shared.inner.lock().unwrap();
         let inner = &mut *inner;
         let kind = match ev {
-            Event::Decision { var, level, guided } => {
-                let class = inner
-                    .classes
-                    .get(var as usize)
-                    .copied()
-                    .unwrap_or(VarClass::Other);
-                let n = inner.counters.total_decisions();
-                inner.counters.decisions[class.index()] += 1;
-                if guided {
-                    inner.counters.guided[class.index()] += 1;
-                }
-                // Open conflict window: this member made one more decision
-                // of `class` since its last conflict.
-                inner
-                    .conflict_window
-                    .entry(self.member_string())
-                    .or_default()[class.index()] += 1;
+            Event::Decision {
+                var,
+                class,
+                level,
+                guided,
+            } => {
+                let n = inner.decisions_seen;
+                inner.decisions_seen += 1;
                 if inner.cfg.events && !n.is_multiple_of(inner.cfg.decision_sample as u64) {
                     inner.counters[Counter::DroppedEvents] += 1;
                     return;
@@ -382,19 +375,14 @@ impl EventSink for Recorder {
                     guided,
                 }
             }
-            Event::Conflict { level, lbd } => {
-                inner.counters[Counter::Conflicts] += 1;
+            Event::Conflict { level, lbd, window } => {
                 inner.hists[Hist::ConflictLbd].observe(lbd as u64);
-                // Close this member's conflict window: observe each class's
-                // decision count since the previous conflict. Classes that
-                // made no decisions in the window are skipped — absence is
-                // not a distance of zero.
-                if let Some(window) = inner.conflict_window.remove(&self.member_string()) {
-                    for cls in VarClass::ALL {
-                        let n = window[cls.index()];
-                        if n > 0 {
-                            inner.hists.dec_to_conflict[cls.index()].observe(n);
-                        }
+                // Each class's decision count in the closed window. Classes
+                // that made no decisions in it are skipped: absence is not a
+                // distance of zero.
+                for (h, n) in inner.hists.dec_to_conflict.iter_mut().zip(window) {
+                    if n > 0 {
+                        h.observe(n);
                     }
                 }
                 EventKind::Conflict { level, lbd }
@@ -406,53 +394,19 @@ impl EventSink for Recorder {
                 EventKind::TheoryLemma { cycle_len }
             }
             Event::Restart { conflicts } => {
-                inner.counters[Counter::Restarts] += 1;
                 inner.hists[Hist::RestartInterval].observe(conflicts);
                 EventKind::Restart { conflicts }
             }
             Event::Reduction { removed } => {
-                inner.counters[Counter::Reductions] += 1;
                 inner.counters[Counter::ClausesRemoved] += removed;
                 EventKind::Reduction { removed }
             }
-            Event::CycleCheck {
-                visited,
-                promoted,
-                accepted_o1,
-            } => {
-                // Counter-only: fires once per asserted ordering atom, so it
-                // is never pushed onto the event stream.
-                inner.counters[Counter::CycleChecks] += 1;
-                if accepted_o1 {
-                    inner.counters[Counter::CycleAcceptedO1] += 1;
-                } else {
-                    inner.counters[Counter::CycleSearched] += 1;
-                    inner.hists[Hist::CycleVisited].observe(visited as u64);
-                }
-                inner.counters[Counter::CycleVisited] += visited as u64;
-                inner.counters[Counter::CyclePromoted] += promoted as u64;
+            Event::CycleCheck { visited } => {
+                inner.hists[Hist::CycleVisited].observe(visited as u64);
                 return;
             }
-            Event::Share {
-                exported,
-                exported_theory,
-                exported_rf,
-                imported,
-                dropped,
-                import_hits,
-            } => {
-                // Counter-only deltas batched per exchange point; the
-                // import-hit histogram observes the batch size so the
-                // distribution of hits-per-exchange survives aggregation.
-                inner.counters[Counter::ShExported] += exported;
-                inner.counters[Counter::ShExportedTheory] += exported_theory;
-                inner.counters[Counter::ShExportedRf] += exported_rf;
-                inner.counters[Counter::ShImported] += imported;
-                inner.counters[Counter::ShDropped] += dropped;
-                inner.counters[Counter::ShImportHits] += import_hits;
-                if import_hits > 0 {
-                    inner.hists[Hist::ShImportHits].observe(import_hits);
-                }
+            Event::Share { import_hits } => {
+                inner.hists[Hist::ShImportHits].observe(import_hits);
                 return;
             }
         };
@@ -537,23 +491,37 @@ mod tests {
         assert!(snap.spans[1].start_us <= snap.spans[2].start_us);
     }
 
+    fn decision(var: u32, class: VarClass, guided: bool) -> Event {
+        Event::Decision {
+            var,
+            class,
+            level: var + 1,
+            guided,
+        }
+    }
+
+    fn conflict(lbd: u32, window: [u64; VarClass::COUNT]) -> Event {
+        Event::Conflict {
+            level: 1,
+            lbd,
+            window,
+        }
+    }
+
     #[test]
-    fn decision_classes_resolved_from_table() {
+    fn decision_events_carry_their_class() {
         let rec = Recorder::default();
-        rec.set_var_classes(vec![
+        let classes = [
             VarClass::ExternalRf,
             VarClass::InternalRf,
             VarClass::Ws,
-        ]);
-        for var in 0..5u32 {
-            rec.emit(Event::Decision {
-                var,
-                level: var + 1,
-                guided: var < 3,
-            });
+            VarClass::Other,
+        ];
+        for (var, class) in (0u32..).zip(classes) {
+            rec.emit(decision(var, class, var < 3));
         }
         let snap = rec.snapshot();
-        let classes: Vec<VarClass> = snap
+        let streamed: Vec<VarClass> = snap
             .events
             .iter()
             .map(|e| match e.kind {
@@ -561,19 +529,15 @@ mod tests {
                 _ => panic!("expected decisions"),
             })
             .collect();
-        assert_eq!(
-            classes,
-            vec![
-                VarClass::ExternalRf,
-                VarClass::InternalRf,
-                VarClass::Ws,
-                VarClass::Other,
-                VarClass::Other,
-            ]
-        );
-        assert_eq!(snap.counters.total_decisions(), 5);
-        assert_eq!(snap.counters.interference_decisions(), 3);
-        assert_eq!(snap.counters.guided.iter().sum::<u64>(), 3);
+        assert_eq!(streamed, classes);
+        // Decision counts are the solver's: events add none.
+        assert_eq!(snap.counters.total_decisions(), 0);
+        rec.add_decisions(VarClass::ExternalRf, 5, 4);
+        rec.add_decisions(VarClass::Other, 2, 0);
+        let c = rec.counters();
+        assert_eq!(c.total_decisions(), 7);
+        assert_eq!(c.interference_decisions(), 5);
+        assert_eq!(c.guided.iter().sum::<u64>(), 4);
     }
 
     #[test]
@@ -583,15 +547,10 @@ mod tests {
             decision_sample: 10,
         });
         for var in 0..100u32 {
-            rec.emit(Event::Decision {
-                var,
-                level: 1,
-                guided: false,
-            });
+            rec.emit(decision(var, VarClass::Other, false));
         }
-        rec.emit(Event::Conflict { level: 3, lbd: 2 });
+        rec.emit(conflict(2, [0, 0, 0, 100]));
         let snap = rec.snapshot();
-        assert_eq!(snap.counters.total_decisions(), 100);
         assert_eq!(snap.counters[Counter::DroppedEvents], 90);
         let decisions = snap
             .events
@@ -600,7 +559,6 @@ mod tests {
             .count();
         assert_eq!(decisions, 10);
         // Non-decision events are never sampled out.
-        assert_eq!(snap.counters[Counter::Conflicts], 1);
         assert!(snap
             .events
             .iter()
@@ -618,7 +576,9 @@ mod tests {
         rec.emit(Event::TheoryLemma { cycle_len: 4 });
         let snap = rec.snapshot();
         assert!(snap.events.is_empty());
-        assert_eq!(snap.counters[Counter::Restarts], 1);
+        // Restarts are the solver's count; removed clauses and lemmas are
+        // counted here, from their one event each.
+        assert_eq!(snap.counters[Counter::Restarts], 0);
         assert_eq!(snap.counters[Counter::ClausesRemoved], 42);
         assert_eq!(snap.counters[Counter::TheoryLemmas], 1);
         assert_eq!(snap.counters[Counter::LemmaCycleEdges], 4);
@@ -631,37 +591,23 @@ mod tests {
     #[test]
     fn conflict_windows_are_per_member_and_per_class() {
         let rec = Recorder::default();
-        rec.set_var_classes(vec![VarClass::ExternalRf, VarClass::Ws]);
         let a = rec.member_labeled("a");
         let b = rec.member_labeled("b");
-        // Member a: 3 external-RF decisions, then a conflict.
-        for _ in 0..3 {
-            a.emit(Event::Decision {
-                var: 0,
-                level: 1,
-                guided: true,
-            });
-        }
-        // Member b decides too, but never conflicts: its window stays open
-        // and must not leak into the histograms.
-        b.emit(Event::Decision {
-            var: 1,
-            level: 1,
-            guided: false,
-        });
-        a.emit(Event::Conflict { level: 1, lbd: 2 });
+        // Each member's solver closes its own window: a's held three
+        // external-RF decisions, b's one Ws and two Other decisions.
+        a.emit(conflict(2, [3, 0, 0, 0]));
+        b.emit(conflict(1, [0, 0, 1, 2]));
         let snap = rec.snapshot();
-        let ext = &snap.hists.dec_to_conflict[VarClass::ExternalRf.index()];
-        assert_eq!(ext.count(), 1);
-        assert_eq!(ext.max(), 3);
-        // b's Ws decision is still in flight — no observation.
-        assert_eq!(snap.hists.dec_to_conflict[VarClass::Ws.index()].count(), 0);
-        // Classes with zero decisions in the window are skipped entirely.
-        assert_eq!(
-            snap.hists.dec_to_conflict[VarClass::Other.index()].count(),
-            0
-        );
-        assert_eq!(snap.hists[Hist::ConflictLbd].count(), 1);
+        let d2c = |c: VarClass| &snap.hists.dec_to_conflict[c.index()];
+        assert_eq!(d2c(VarClass::ExternalRf).count(), 1);
+        assert_eq!(d2c(VarClass::ExternalRf).max(), 3);
+        assert_eq!(d2c(VarClass::Ws).max(), 1);
+        assert_eq!(d2c(VarClass::Other).max(), 2);
+        // Classes with zero decisions in a window are skipped entirely.
+        assert_eq!(d2c(VarClass::InternalRf).count(), 0);
+        assert_eq!(d2c(VarClass::Other).count(), 1);
+        assert_eq!(snap.hists[Hist::ConflictLbd].count(), 2);
+        assert_eq!(snap.counters[Counter::Conflicts], 0);
     }
 
     #[test]
@@ -670,23 +616,16 @@ mod tests {
         // interleavings must yield identical per-member event subsequences.
         fn run() -> TraceSnapshot {
             let rec = Recorder::default();
-            rec.set_var_classes(vec![VarClass::ExternalRf, VarClass::Ws]);
             let names = ["zpre", "baseline", "zpre#2"];
             std::thread::scope(|s| {
                 for (i, name) in names.iter().enumerate() {
                     let member = rec.member_labeled(name);
                     s.spawn(move || {
                         for round in 0..50u32 {
-                            member.emit(Event::Decision {
-                                var: (round + i as u32) % 2,
-                                level: round,
-                                guided: true,
-                            });
+                            let class = VarClass::ALL[(round as usize + i) % 2];
+                            member.emit(decision(round, class, true));
                             if round % 10 == 0 {
-                                member.emit(Event::Conflict {
-                                    level: round,
-                                    lbd: i as u32 + 1,
-                                });
+                                member.emit(conflict(i as u32 + 1, [1, 1, 0, 0]));
                             }
                         }
                     });
@@ -698,8 +637,8 @@ mod tests {
         let a = run();
         let b = run();
         // Global interleaving may differ, but per-member streams and the
-        // aggregate counters are identical run to run.
-        assert_eq!(a.counters, b.counters);
+        // aggregate histograms are identical run to run.
+        assert_eq!(a.hists, b.hists);
         for name in ["zpre", "baseline", "zpre#2"] {
             let stream = |s: &TraceSnapshot| -> Vec<EventKind> {
                 s.events
@@ -717,66 +656,28 @@ mod tests {
     }
 
     #[test]
-    fn cycle_checks_fold_into_counters_only() {
+    fn cycle_checks_feed_only_the_visited_histogram() {
         let rec = Recorder::default();
-        rec.emit(Event::CycleCheck {
-            visited: 0,
-            promoted: 0,
-            accepted_o1: true,
-        });
-        rec.emit(Event::CycleCheck {
-            visited: 7,
-            promoted: 3,
-            accepted_o1: false,
-        });
-        rec.emit(Event::CycleCheck {
-            visited: 2,
-            promoted: 0,
-            accepted_o1: false,
-        });
+        rec.emit(Event::CycleCheck { visited: 7 });
+        rec.emit(Event::CycleCheck { visited: 2 });
         let snap = rec.snapshot();
-        // Counter-only: never in the event stream.
+        // Never in the event stream, and no counter moves: the cc_* counts
+        // are the solver's.
         assert!(snap.events.is_empty());
-        assert_eq!(snap.counters[Counter::CycleChecks], 3);
-        assert_eq!(snap.counters[Counter::CycleAcceptedO1], 1);
-        assert_eq!(snap.counters[Counter::CycleSearched], 2);
-        assert_eq!(
-            snap.counters[Counter::CycleAcceptedO1] + snap.counters[Counter::CycleSearched],
-            snap.counters[Counter::CycleChecks]
-        );
-        assert_eq!(snap.counters[Counter::CycleVisited], 9);
-        assert_eq!(snap.counters[Counter::CyclePromoted], 3);
+        assert_eq!(snap.counters, Counters::default());
+        assert_eq!(snap.hists[Hist::CycleVisited].count(), 2);
+        assert_eq!(snap.hists[Hist::CycleVisited].max(), 7);
     }
 
     #[test]
-    fn share_deltas_fold_into_counters_only() {
+    fn share_hits_feed_only_their_histogram() {
         let rec = Recorder::default();
-        rec.emit(Event::Share {
-            exported: 5,
-            exported_theory: 2,
-            exported_rf: 1,
-            imported: 3,
-            dropped: 4,
-            import_hits: 0,
-        });
-        rec.emit(Event::Share {
-            exported: 1,
-            exported_theory: 0,
-            exported_rf: 0,
-            imported: 2,
-            dropped: 0,
-            import_hits: 7,
-        });
+        rec.emit(Event::Share { import_hits: 7 });
+        rec.emit(Event::Share { import_hits: 2 });
         let snap = rec.snapshot();
         assert!(snap.events.is_empty());
-        assert_eq!(snap.counters[Counter::ShExported], 6);
-        assert_eq!(snap.counters[Counter::ShExportedTheory], 2);
-        assert_eq!(snap.counters[Counter::ShExportedRf], 1);
-        assert_eq!(snap.counters[Counter::ShImported], 5);
-        assert_eq!(snap.counters[Counter::ShDropped], 4);
-        assert_eq!(snap.counters[Counter::ShImportHits], 7);
-        // Zero-hit exchanges don't observe; the one hit batch does.
-        assert_eq!(snap.hists[Hist::ShImportHits].count(), 1);
+        assert_eq!(snap.counters, Counters::default());
+        assert_eq!(snap.hists[Hist::ShImportHits].count(), 2);
         assert_eq!(snap.hists[Hist::ShImportHits].max(), 7);
     }
 

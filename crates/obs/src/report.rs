@@ -263,7 +263,6 @@ mod tests {
     #[test]
     fn report_contains_all_sections() {
         let rec = Recorder::default();
-        rec.set_var_classes(vec![VarClass::ExternalRf, VarClass::Ws]);
         {
             let _s = rec.span_labeled(Phase::Encode, Some("tso"));
             let _b = rec.span(Phase::Blast);
@@ -273,26 +272,35 @@ mod tests {
         }
         rec.emit(Event::Decision {
             var: 0,
+            class: VarClass::ExternalRf,
             level: 1,
             guided: true,
         });
         rec.emit(Event::Decision {
             var: 1,
+            class: VarClass::Ws,
             level: 2,
             guided: true,
         });
-        rec.emit(Event::Conflict { level: 2, lbd: 1 });
+        rec.emit(Event::Conflict {
+            level: 2,
+            lbd: 1,
+            window: [1, 0, 1, 0],
+        });
         rec.emit(Event::TheoryLemma { cycle_len: 3 });
-        rec.emit(Event::CycleCheck {
-            visited: 4,
-            promoted: 1,
-            accepted_o1: false,
-        });
-        rec.emit(Event::CycleCheck {
-            visited: 0,
-            promoted: 0,
-            accepted_o1: true,
-        });
+        rec.emit(Event::CycleCheck { visited: 4 });
+        rec.add_decisions(VarClass::ExternalRf, 1, 1);
+        rec.add_decisions(VarClass::Ws, 1, 1);
+        for (counter, n) in [
+            (Counter::Conflicts, 1),
+            (Counter::CycleChecks, 2),
+            (Counter::CycleAcceptedO1, 1),
+            (Counter::CycleSearched, 1),
+            (Counter::CycleVisited, 4),
+            (Counter::CyclePromoted, 1),
+        ] {
+            rec.add(counter, n);
+        }
         rec.record_member(MemberRecord {
             name: "zpre".into(),
             strategy: "zpre".into(),

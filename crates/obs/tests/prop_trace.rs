@@ -20,44 +20,70 @@ use proptest::prelude::*;
 use zpre_obs::analyze::TraceStats;
 use zpre_obs::diff::{diff, direction_of, Direction};
 use zpre_obs::ndjson::{from_ndjson, to_ndjson, validate};
-use zpre_obs::{DiffOptions, Event, EventSink, Histogram, Recorder, TraceConfig, Verdict};
+use zpre_obs::{
+    Counter, DiffOptions, Event, EventSink, Histogram, Recorder, TraceConfig, VarClass, Verdict,
+};
 
 /// A solver-shaped event: decisions, conflicts, lemmas, restarts,
-/// reductions, and cycle checks in realistic value ranges.
+/// reductions, and searched cycle checks in realistic value ranges.
 fn arb_event() -> impl Strategy<Value = Event> {
     prop_oneof![
-        (0u32..64, 1u32..32, any::<bool>()).prop_map(|(var, level, guided)| Event::Decision {
-            var,
-            level,
-            guided
-        }),
-        (1u32..32, 1u32..24).prop_map(|(level, lbd)| Event::Conflict { level, lbd }),
+        (0u32..64, 0..VarClass::COUNT, 1u32..32, any::<bool>()).prop_map(
+            |(var, class, level, guided)| Event::Decision {
+                var,
+                class: VarClass::ALL[class],
+                level,
+                guided,
+            }
+        ),
+        (1u32..32, 1u32..24, (0u64..8, 0u64..8, 0u64..8, 0u64..8)).prop_map(
+            |(level, lbd, (a, b, c, d))| Event::Conflict {
+                level,
+                lbd,
+                window: [a, b, c, d],
+            }
+        ),
         (2u32..40).prop_map(|cycle_len| Event::TheoryLemma { cycle_len }),
         (0u64..5000).prop_map(|conflicts| Event::Restart { conflicts }),
         (0u64..2000).prop_map(|removed| Event::Reduction { removed }),
-        (0u32..500, 0u32..100, any::<bool>()).prop_map(|(visited, promoted, accepted_o1)| {
-            Event::CycleCheck {
-                visited,
-                promoted,
-                accepted_o1,
-            }
-        }),
+        (0u32..500).prop_map(|visited| Event::CycleCheck { visited }),
     ]
+}
+
+/// Copies the counters a solver would have counted for `events` (plus
+/// `o1_checks` cycle checks accepted without an event) into `rec`, the way
+/// the session copies a solve call's `Stats` delta.
+fn add_solver_counts(rec: &Recorder, events: &[Event], o1_checks: u64) {
+    let mut searched = 0;
+    for e in events {
+        match *e {
+            Event::Decision { class, guided, .. } => rec.add_decisions(class, 1, guided as u64),
+            Event::Conflict { .. } => rec.add(Counter::Conflicts, 1),
+            Event::Restart { .. } => rec.add(Counter::Restarts, 1),
+            Event::Reduction { .. } => rec.add(Counter::Reductions, 1),
+            Event::CycleCheck { visited } => {
+                searched += 1;
+                rec.add(Counter::CycleVisited, visited as u64);
+            }
+            Event::TheoryLemma { .. } | Event::Share { .. } => {}
+        }
+    }
+    rec.add(Counter::CycleChecks, searched + o1_checks);
+    rec.add(Counter::CycleAcceptedO1, o1_checks);
+    rec.add(Counter::CycleSearched, searched);
 }
 
 proptest! {
     #[test]
-    fn ndjson_round_trip_is_a_fixpoint(events in prop::collection::vec(arb_event(), 0..200)) {
+    fn ndjson_round_trip_is_a_fixpoint(
+        events in prop::collection::vec(arb_event(), 0..200),
+        o1_checks in 0u64..100,
+    ) {
         let rec = Recorder::new(TraceConfig { events: true, decision_sample: 1 });
-        rec.set_var_classes(vec![
-            zpre_obs::VarClass::ExternalRf,
-            zpre_obs::VarClass::InternalRf,
-            zpre_obs::VarClass::Ws,
-            zpre_obs::VarClass::Other,
-        ]);
         for &e in &events {
             rec.emit(e);
         }
+        add_solver_counts(&rec, &events, o1_checks);
         let snap = rec.snapshot();
         let text = to_ndjson(&snap);
         validate(&text).expect("recorder output validates");

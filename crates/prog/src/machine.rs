@@ -35,6 +35,7 @@
 use crate::ast::{BoolExpr, IntExpr};
 use crate::flat::{FlatProgram, Instr};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::rc::Rc;
 
 /// Memory model selector (shared with the encoder).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -414,17 +415,19 @@ impl<'a> Machine<'a> {
 /// verdict first appears are stable.
 pub fn check(fp: &FlatProgram, mm: MemoryModel, limits: Limits) -> Outcome {
     let m = Machine::new(fp, mm);
-    let init = m.initial();
-    let mut visited: HashSet<State> = HashSet::new();
-    let mut stack = vec![init.clone()];
-    visited.insert(init);
-    // Most successors were seen before: look them up before cloning.
-    let explore = |s: State, visited: &mut HashSet<State>, stack: &mut Vec<State>| {
+    // Each stored state is allocated once, shared by the visited set and,
+    // until it is popped, the depth-first stack. Most successors were seen
+    // before: look them up by value before allocating.
+    let mut visited: HashSet<Rc<State>> = HashSet::new();
+    let mut stack: Vec<Rc<State>> = Vec::new();
+    let explore = |s: State, visited: &mut HashSet<Rc<State>>, stack: &mut Vec<Rc<State>>| {
         if !visited.contains(&s) {
-            visited.insert(s.clone());
+            let s = Rc::new(s);
+            visited.insert(Rc::clone(&s));
             stack.push(s);
         }
     };
+    explore(m.initial(), &mut visited, &mut stack);
     while let Some(st) = stack.pop() {
         if visited.len() > limits.max_states {
             return Outcome::ResourceLimit;
@@ -436,7 +439,7 @@ pub fn check(fp: &FlatProgram, mm: MemoryModel, limits: Limits) -> Outcome {
             }
             for i in 0..st.buffer(t).len() {
                 if m.may_flush(st.buffer(t), i) {
-                    let mut s = st.clone();
+                    let mut s = State::clone(&st);
                     m.flush(&mut s, t, i);
                     explore(s, &mut visited, &mut stack);
                 }
@@ -458,7 +461,7 @@ pub fn check(fp: &FlatProgram, mm: MemoryModel, limits: Limits) -> Outcome {
                 return Outcome::ResourceLimit;
             }
             for v in 0..1u64 << width {
-                let mut s = st.clone();
+                let mut s = State::clone(&st);
                 match m.step(&mut s, t, v) {
                     Effect::Done => explore(s, &mut visited, &mut stack),
                     Effect::Violation => return Outcome::Unsafe,

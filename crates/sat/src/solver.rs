@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use zpre_obs::{Event, EventSink};
+use zpre_obs::{Event, EventSink, VarClass};
 
 use crate::clause::{CRef, ClauseDb};
 use crate::guide::{AssignView, DecisionGuide, NoGuide};
@@ -177,17 +177,21 @@ pub struct Solver<T: Theory = NoTheory, G: DecisionGuide = NoGuide> {
     /// Structured-event receiver; `None` (the default) keeps every emission
     /// site down to a single branch.
     sink: Option<Arc<dyn EventSink>>,
+    /// Interference class of each variable ([`VarClass::Other`] until
+    /// [`Self::set_var_class`] says otherwise): splits the decision counts,
+    /// and clauses touching an external-RF variable export under the
+    /// relaxed `lbd_max_hot` cap.
+    var_class: Vec<VarClass>,
+    /// Decisions per class since the last conflict, closed into each
+    /// [`Event::Conflict`].
+    conflict_window: [u64; VarClass::COUNT],
     /// Portfolio clause-sharing endpoint (`None` outside `--share` runs).
     share: Option<MemberEndpoint>,
-    /// Per-variable interference flag: clauses touching a hot variable
-    /// export under the relaxed `lbd_max_hot` cap.
-    share_hot_var: Vec<bool>,
     /// Set by the budget stride poll when the pool holds unread clauses;
     /// nudges the next restart forward so imports land promptly.
     share_pull_due: bool,
-    /// `sh_*` counter values at the last `Event::Share` emission, so each
-    /// emission carries deltas.
-    share_reported: Stats,
+    /// `stats.sh_import_hits` at the last [`Event::Share`] emission.
+    share_hits_reported: u64,
     /// Debug-mode RUP spot-check budget per solve call.
     #[cfg(debug_assertions)]
     share_probes: u32,
@@ -246,10 +250,11 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             logged_cnf: Vec::new(),
             assumption_core: Vec::new(),
             sink: None,
+            var_class: Vec::new(),
+            conflict_window: [0; VarClass::COUNT],
             share: None,
-            share_hot_var: Vec::new(),
             share_pull_due: false,
-            share_reported: Stats::default(),
+            share_hits_reported: 0,
             #[cfg(debug_assertions)]
             share_probes: 0,
         }
@@ -266,6 +271,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         self.activity.push(0.0);
         self.seen.push(0);
         self.lbd_stamp.push(0);
+        self.var_class.push(VarClass::Other);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.order.insert(v, &self.activity);
@@ -287,10 +293,15 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         self.budget = budget;
     }
 
+    /// Records `v`'s interference class (see [`Self::var_class`]).
+    pub fn set_var_class(&mut self, v: Var, class: VarClass) {
+        self.var_class[v.index()] = class;
+    }
+
     /// Installs (or removes) a structured-event sink. With a sink in place
-    /// the solver streams decisions, conflicts, restarts, and learnt-DB
-    /// reductions to it; without one, each emission site is a single
-    /// never-taken branch.
+    /// the solver streams decisions, conflicts, restarts, learnt-DB
+    /// reductions and share import hits to it; without one, each emission
+    /// site is a single never-taken branch. Counters stay in [`Stats`].
     pub fn set_event_sink(&mut self, sink: Option<Arc<dyn EventSink>>) {
         self.sink = sink;
     }
@@ -308,17 +319,6 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
     pub fn set_share(&mut self, spec: &ShareSpec) {
         self.share = Some(spec.endpoint());
         self.theory.enable_share_capture();
-    }
-
-    /// Flags interference-class (external-RF) variables: clauses touching
-    /// one export under the relaxed `lbd_max_hot` cap.
-    pub fn set_share_hot_vars(&mut self, hot: &[Var]) {
-        for &v in hot {
-            if self.share_hot_var.len() <= v.index() {
-                self.share_hot_var.resize(v.index() + 1, false);
-            }
-            self.share_hot_var[v.index()] = true;
-        }
     }
 
     /// The live share endpoint, when sharing is enabled.
@@ -352,12 +352,10 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         if self.proof.is_none() && !learnt.is_empty() {
             let class = if from_theory {
                 ShareClass::Theory
-            } else if learnt.iter().any(|l| {
-                self.share_hot_var
-                    .get(l.var().index())
-                    .copied()
-                    .unwrap_or(false)
-            }) {
+            } else if learnt
+                .iter()
+                .any(|l| self.var_class[l.var().index()] == VarClass::ExternalRf)
+            {
                 ShareClass::Interference
             } else {
                 ShareClass::Generic
@@ -415,7 +413,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                 break;
             }
         }
-        self.emit_share_deltas();
+        self.emit_import_hits();
         result
     }
 
@@ -527,37 +525,21 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         debug_assert_eq!(self.decision_level(), 0);
     }
 
-    /// Emits the `sh_*` counter movement since the last emission as one
-    /// counter-only [`Event::Share`].
-    fn emit_share_deltas(&mut self) {
-        if self.sink.is_none() {
-            return;
+    /// Emits the import hits since the last emission, if any, as one
+    /// [`Event::Share`].
+    fn emit_import_hits(&mut self) {
+        let hits = self.stats.sh_import_hits - self.share_hits_reported;
+        if hits > 0 {
+            self.share_hits_reported = self.stats.sh_import_hits;
+            self.emit(Event::Share { import_hits: hits });
         }
-        let s = self.stats;
-        let r = self.share_reported;
-        if s.sh_exported == r.sh_exported
-            && s.sh_imported == r.sh_imported
-            && s.sh_dropped == r.sh_dropped
-            && s.sh_import_hits == r.sh_import_hits
-        {
-            return;
-        }
-        self.emit(Event::Share {
-            exported: s.sh_exported - r.sh_exported,
-            exported_theory: s.sh_exported_theory - r.sh_exported_theory,
-            exported_rf: s.sh_exported_rf - r.sh_exported_rf,
-            imported: s.sh_imported - r.sh_imported,
-            dropped: s.sh_dropped - r.sh_dropped,
-            import_hits: s.sh_import_hits - r.sh_import_hits,
-        });
-        self.share_reported = s;
     }
 
     /// End-of-solve share housekeeping: drain any theory lemmas captured
     /// since the last conflict, publish the outbox (the winner's final
-    /// lemmas still reach slower members), and flush counter deltas so
-    /// `sh_import_hits` reaches the recorder even if this member never
-    /// restarted after its last import.
+    /// lemmas still reach slower members), and report the import hits
+    /// since the last exchange, which a member that never restarted after
+    /// its last import would otherwise never report.
     fn share_finish(&mut self) {
         if self.share.is_none() {
             return;
@@ -566,7 +548,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         if let Some(ep) = self.share.as_mut() {
             ep.flush();
         }
-        self.emit_share_deltas();
+        self.emit_import_hits();
     }
 
     /// Conflicts allowed before the next restart: the Luby sequence times
@@ -1314,70 +1296,69 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         }
     }
 
+    /// Closes the decision window at a conflict and reports both.
+    fn emit_conflict(&mut self, level: u32, lbd: u32) {
+        let window = std::mem::take(&mut self.conflict_window);
+        self.emit(Event::Conflict { level, lbd, window });
+    }
+
     /// Picks and enqueues the next decision. Returns `false` when every
     /// variable is assigned. Assumptions (if any) are asserted first, one
     /// decision level each; a falsified assumption aborts the search via
     /// [`Self::analyze_final`].
     fn decide(&mut self, assumptions: &[Lit]) -> DecideOutcome {
-        // 0. Pending assumptions take the next decision levels.
-        while (self.decision_level() as usize) < assumptions.len() {
-            let a = assumptions[self.decision_level() as usize];
-            match self.value(a) {
-                LBool::True => {
-                    // Already implied: open an empty level to keep the
-                    // level↔assumption correspondence.
-                    self.new_decision_level();
-                }
-                LBool::False => {
-                    self.analyze_final(!a);
-                    return DecideOutcome::AssumptionConflict;
-                }
-                LBool::Undef => {
-                    self.stats.decisions += 1;
-                    self.new_decision_level();
-                    let ok = self.enqueue(a, Reason::None);
-                    debug_assert!(ok);
-                    self.emit(Event::Decision {
-                        var: a.var().index() as u32,
-                        level: self.decision_level(),
-                        guided: false,
-                    });
-                    return DecideOutcome::Decided;
+        let (lit, guided) = 'pick: {
+            // 0. Pending assumptions take the next decision levels.
+            while (self.decision_level() as usize) < assumptions.len() {
+                let a = assumptions[self.decision_level() as usize];
+                match self.value(a) {
+                    LBool::True => {
+                        // Already implied: open an empty level to keep the
+                        // level↔assumption correspondence.
+                        self.new_decision_level();
+                    }
+                    LBool::False => {
+                        self.analyze_final(!a);
+                        return DecideOutcome::AssumptionConflict;
+                    }
+                    LBool::Undef => break 'pick (a, false),
                 }
             }
-        }
-        // 1. The guide (the paper's enhanced decide()).
-        let guided = self.guide.next_decision(AssignView::new(&self.lit_values));
-        if let Some(lit) = guided {
-            debug_assert!(self.value(lit).is_undef(), "guide returned an assigned var");
-            self.stats.decisions += 1;
+            // 1. The guide (the paper's enhanced decide()).
+            if let Some(lit) = self.guide.next_decision(AssignView::new(&self.lit_values)) {
+                debug_assert!(self.value(lit).is_undef(), "guide returned an assigned var");
+                break 'pick (lit, true);
+            }
+            // 2. VSIDS with phase saving.
+            loop {
+                match self.order.pop(&self.activity) {
+                    Some(v) if self.var_value(v).is_undef() => {
+                        break 'pick (v.lit(self.phase[v.index()]), false)
+                    }
+                    Some(_) => {}
+                    None => return DecideOutcome::AllAssigned,
+                }
+            }
+        };
+        let var = lit.var().index();
+        let class = self.var_class[var];
+        self.stats.decisions += 1;
+        self.stats.class_decisions[class.index()] += 1;
+        if guided {
             self.stats.guided_decisions += 1;
-            self.new_decision_level();
-            let ok = self.enqueue(lit, Reason::None);
-            debug_assert!(ok);
-            self.emit(Event::Decision {
-                var: lit.var().index() as u32,
-                level: self.decision_level(),
-                guided: true,
-            });
-            return DecideOutcome::Decided;
+            self.stats.class_guided[class.index()] += 1;
         }
-        // 2. VSIDS with phase saving.
-        while let Some(v) = self.order.pop(&self.activity) {
-            if self.var_value(v).is_undef() {
-                self.stats.decisions += 1;
-                self.new_decision_level();
-                let ok = self.enqueue(v.lit(self.phase[v.index()]), Reason::None);
-                debug_assert!(ok);
-                self.emit(Event::Decision {
-                    var: v.index() as u32,
-                    level: self.decision_level(),
-                    guided: false,
-                });
-                return DecideOutcome::Decided;
-            }
-        }
-        DecideOutcome::AllAssigned
+        self.conflict_window[class.index()] += 1;
+        self.new_decision_level();
+        let ok = self.enqueue(lit, Reason::None);
+        debug_assert!(ok);
+        self.emit(Event::Decision {
+            var: var as u32,
+            class,
+            level: self.decision_level(),
+            guided,
+        });
+        DecideOutcome::Decided
     }
 
     /// MiniSat's `analyzeFinal`: computes which assumptions imply the
@@ -1553,17 +1534,14 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                     conflicts_since_restart += 1;
                     let conflict_level = self.decision_level();
                     if conflict_level == 0 {
-                        self.emit(Event::Conflict { level: 0, lbd: 0 });
+                        self.emit_conflict(0, 0);
                         self.proof_add(&[]);
                         self.ok = false;
                         return SolveResult::Unsat;
                     }
                     let from_theory = confl.from_theory;
                     let (back_level, lbd) = self.analyze(confl);
-                    self.emit(Event::Conflict {
-                        level: conflict_level,
-                        lbd,
-                    });
+                    self.emit_conflict(conflict_level, lbd);
                     self.cancel_until(back_level);
                     let learnt = std::mem::take(&mut self.learnt);
                     if self.share.is_some() {
@@ -1646,38 +1624,83 @@ mod tests {
 
     #[test]
     fn event_sink_mirrors_stats() {
-        use zpre_obs::{EventKind, Recorder};
-        let rec = Recorder::default();
-        let mut s = Solver::new();
-        s.set_event_sink(Some(Arc::new(rec.clone())));
-        let v = vars(&mut s, 8);
-        // A small pigeonhole-ish instance that forces decisions + conflicts.
-        for i in 0..4 {
-            assert!(s.add_clause(&[v[i].positive(), v[i + 4].positive()]));
-            assert!(s.add_clause(&[v[i].negative(), v[i + 4].negative()]));
+        use std::sync::Mutex;
+        #[derive(Default)]
+        struct Collect(Mutex<Vec<Event>>);
+        impl EventSink for Collect {
+            fn emit(&self, ev: Event) {
+                self.0.lock().unwrap().push(ev);
+            }
         }
-        assert!(s.add_clause(&[v[0].negative(), v[1].positive()]));
-        assert_eq!(s.solve(), SolveResult::Sat);
-        let snap = rec.snapshot();
-        let stats = s.stats();
-        assert_eq!(snap.counters.total_decisions(), stats.decisions);
-        assert_eq!(snap.counters[zpre_obs::Counter::Conflicts], stats.conflicts);
-        assert_eq!(snap.counters[zpre_obs::Counter::Restarts], stats.restarts);
+        let sink = Arc::new(Collect::default());
+        // PHP(7,6) with the guide front-loading the first pigeon's holes:
+        // guided and VSIDS decisions, conflicts and restarts.
+        let guide = crate::PriorityListGuide::new((0..6).collect(), 0);
+        let mut s = Solver::with_parts(NoTheory, guide);
+        s.set_event_sink(Some(sink.clone()));
+        let (n_p, n_h) = (7, 6);
+        let x: Vec<Vec<Var>> = (0..n_p)
+            .map(|_| (0..n_h).map(|_| s.new_var()).collect())
+            .collect();
+        for (p, row) in x.iter().enumerate() {
+            let clause: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
+            s.add_clause(&clause);
+            // Pigeon p's holes get class p mod 4, so every class decides.
+            for &v in row {
+                s.set_var_class(v, VarClass::ALL[p % VarClass::COUNT]);
+            }
+        }
+        for h in 0..n_h {
+            for p1 in 0..n_p {
+                for p2 in p1 + 1..n_p {
+                    s.add_clause(&[x[p1][h].negative(), x[p2][h].negative()]);
+                }
+            }
+        }
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let stats = *s.stats();
+        assert!(stats.guided_decisions > 0 && stats.restarts > 0);
+        assert_eq!(stats.class_decisions.iter().sum::<u64>(), stats.decisions);
         assert_eq!(
-            snap.counters[zpre_obs::Counter::Reductions],
-            stats.reductions
+            stats.class_guided.iter().sum::<u64>(),
+            stats.guided_decisions
         );
-        assert!(snap
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Decision { .. })));
-        // Without a sink installed nothing is recorded.
-        let rec2 = Recorder::default();
-        let mut s2 = Solver::new();
-        let v2 = s2.new_var();
-        assert!(s2.add_clause(&[v2.positive()]));
-        assert_eq!(s2.solve(), SolveResult::Sat);
-        assert_eq!(rec2.snapshot().counters.total_decisions(), 0);
+
+        // Replay the stream: per-class decision and guided counts, and
+        // each conflict's window equals the decisions since the previous
+        // conflict.
+        let mut decisions = [0u64; VarClass::COUNT];
+        let mut guided = [0u64; VarClass::COUNT];
+        let mut open = [0u64; VarClass::COUNT];
+        let (mut conflicts, mut restarts, mut reductions) = (0, 0, 0);
+        for ev in sink.0.lock().unwrap().iter() {
+            match *ev {
+                Event::Decision {
+                    var,
+                    class,
+                    guided: g,
+                    ..
+                } => {
+                    assert_eq!(class, s.var_class[var as usize]);
+                    decisions[class.index()] += 1;
+                    guided[class.index()] += g as u64;
+                    open[class.index()] += 1;
+                }
+                Event::Conflict { window, .. } => {
+                    assert_eq!(window, std::mem::take(&mut open));
+                    conflicts += 1;
+                }
+                Event::Restart { .. } => restarts += 1,
+                Event::Reduction { .. } => reductions += 1,
+                _ => {}
+            }
+        }
+        assert_eq!(decisions, stats.class_decisions);
+        assert_eq!(guided, stats.class_guided);
+        assert_eq!(conflicts, stats.conflicts);
+        assert_eq!(restarts, stats.restarts);
+        assert_eq!(reductions, stats.reductions);
+        assert_eq!(open, s.conflict_window);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use zpre_obs::VarClass;
 
 /// Counters accumulated during search.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -18,6 +19,11 @@ pub struct Stats {
     pub decisions: u64,
     /// Decisions answered by the installed [`crate::DecisionGuide`].
     pub guided_decisions: u64,
+    /// `decisions` split by the decided variable's class (indexed by
+    /// [`VarClass::index`]; see [`crate::Solver::set_var_class`]).
+    pub class_decisions: [u64; VarClass::COUNT],
+    /// `guided_decisions` split by class.
+    pub class_guided: [u64; VarClass::COUNT],
     /// Implied assignments (Boolean unit propagation + theory propagation).
     pub propagations: u64,
     /// Conflicts encountered (Boolean + theory).
@@ -60,14 +66,30 @@ pub struct Stats {
 
 impl Stats {
     /// Component-wise sum, for aggregating across tasks.
+    pub fn accumulate(&mut self, other: &Stats) {
+        self.combine(other, |a, b| *a += b);
+    }
+
+    /// Component-wise difference from an `earlier` reading of the same
+    /// counters: the work done in between.
+    pub fn since(&self, earlier: &Stats) -> Stats {
+        let mut delta = *self;
+        delta.combine(earlier, |a, b| *a -= b);
+        delta
+    }
+
+    /// Applies `f` to every counter of `self` paired with the same counter
+    /// of `other`.
     ///
     /// The exhaustive destructuring (no `..` rest pattern) makes this fail to
-    /// compile when a counter is added to `Stats` without being aggregated
+    /// compile when a counter is added to `Stats` without being combined
     /// here — a field can never again be silently dropped from aggregation.
-    pub fn accumulate(&mut self, other: &Stats) {
+    fn combine(&mut self, other: &Stats, f: impl Fn(&mut u64, u64)) {
         let Stats {
             decisions,
             guided_decisions,
+            class_decisions,
+            class_guided,
             propagations,
             conflicts,
             theory_conflicts,
@@ -88,27 +110,38 @@ impl Stats {
             sh_dropped,
             sh_import_hits,
         } = *other;
-        self.decisions += decisions;
-        self.guided_decisions += guided_decisions;
-        self.propagations += propagations;
-        self.conflicts += conflicts;
-        self.theory_conflicts += theory_conflicts;
-        self.theory_propagations += theory_propagations;
-        self.restarts += restarts;
-        self.learnt_clauses += learnt_clauses;
-        self.learnt_literals += learnt_literals;
-        self.minimized_lits += minimized_lits;
-        self.reductions += reductions;
-        self.eog_checks += eog_checks;
-        self.eog_accepted_o1 += eog_accepted_o1;
-        self.eog_visited += eog_visited;
-        self.eog_promoted += eog_promoted;
-        self.sh_exported += sh_exported;
-        self.sh_exported_theory += sh_exported_theory;
-        self.sh_exported_rf += sh_exported_rf;
-        self.sh_imported += sh_imported;
-        self.sh_dropped += sh_dropped;
-        self.sh_import_hits += sh_import_hits;
+        for (a, b) in [
+            (&mut self.decisions, decisions),
+            (&mut self.guided_decisions, guided_decisions),
+            (&mut self.propagations, propagations),
+            (&mut self.conflicts, conflicts),
+            (&mut self.theory_conflicts, theory_conflicts),
+            (&mut self.theory_propagations, theory_propagations),
+            (&mut self.restarts, restarts),
+            (&mut self.learnt_clauses, learnt_clauses),
+            (&mut self.learnt_literals, learnt_literals),
+            (&mut self.minimized_lits, minimized_lits),
+            (&mut self.reductions, reductions),
+            (&mut self.eog_checks, eog_checks),
+            (&mut self.eog_accepted_o1, eog_accepted_o1),
+            (&mut self.eog_visited, eog_visited),
+            (&mut self.eog_promoted, eog_promoted),
+            (&mut self.sh_exported, sh_exported),
+            (&mut self.sh_exported_theory, sh_exported_theory),
+            (&mut self.sh_exported_rf, sh_exported_rf),
+            (&mut self.sh_imported, sh_imported),
+            (&mut self.sh_dropped, sh_dropped),
+            (&mut self.sh_import_hits, sh_import_hits),
+        ] {
+            f(a, b);
+        }
+        let mine = self
+            .class_decisions
+            .iter_mut()
+            .chain(&mut self.class_guided);
+        for (a, b) in mine.zip(class_decisions.into_iter().chain(class_guided)) {
+            f(a, b);
+        }
     }
 }
 
@@ -486,6 +519,8 @@ mod tests {
         let one = Stats {
             decisions: 1,
             guided_decisions: 1,
+            class_decisions: [1; VarClass::COUNT],
+            class_guided: [1; VarClass::COUNT],
             propagations: 1,
             conflicts: 1,
             theory_conflicts: 1,
@@ -512,6 +547,8 @@ mod tests {
         let Stats {
             decisions,
             guided_decisions,
+            class_decisions,
+            class_guided,
             propagations,
             conflicts,
             theory_conflicts,
@@ -557,5 +594,12 @@ mod tests {
         ] {
             assert_eq!(v, 2, "field {name} dropped from accumulate");
         }
+        for c in VarClass::ALL {
+            assert_eq!(class_decisions[c.index()], 2, "class_decisions {c:?}");
+            assert_eq!(class_guided[c.index()], 2, "class_guided {c:?}");
+        }
+        // `since` undoes `accumulate` field by field.
+        assert_eq!(acc.since(&one), one);
+        assert_eq!(acc.since(&acc), Stats::default());
     }
 }

@@ -11,6 +11,7 @@
 //! (`rf_<rt>_<ri>_<wt>_<wi>`, `ws_<t1>_<i1>_<t2>_<i2>`), mirroring how the
 //! modified CBMC communicates thread information to the modified Z3.
 
+use zpre_obs::VarClass;
 use zpre_sat::Var;
 
 /// The class of a Boolean variable in the verification condition.
@@ -42,6 +43,19 @@ impl VarKind {
     /// `true` for the interference classes `V_rf ∪ V_ws`.
     pub fn is_interference(self) -> bool {
         matches!(self, VarKind::Rf { .. } | VarKind::Ws)
+    }
+
+    /// The telemetry class: the one mapping from kinds to the classes the
+    /// solver splits its decision counts by.
+    pub fn class(self) -> VarClass {
+        match self {
+            VarKind::Rf { external: true, .. } => VarClass::ExternalRf,
+            VarKind::Rf {
+                external: false, ..
+            } => VarClass::InternalRf,
+            VarKind::Ws => VarClass::Ws,
+            VarKind::Ssa | VarKind::Guard | VarKind::Ord | VarKind::Aux => VarClass::Other,
+        }
     }
 }
 

@@ -152,13 +152,9 @@ pub struct OrderTheory {
     /// share-export hook. Bounded by [`SHARE_BUF_CAP`]; overflow drops the
     /// newest (sharing is best-effort, the conflict itself is unaffected).
     share_out: Vec<(Vec<Lit>, Vec<CycleEdgeRaw>)>,
-    /// Number of cycle checks performed (diagnostics).
-    pub cycle_checks: u64,
-    /// Number of cycles detected (theory conflicts raised).
-    pub cycles_found: u64,
     /// Structured-event receiver for lemma telemetry (EOG-cycle lengths and
-    /// per-check work counters); `None` keeps the emission sites down to a
-    /// single branch.
+    /// searched cycle checks' visited counts); `None` keeps the emission
+    /// sites down to a single branch.
     sink: Option<Arc<dyn EventSink>>,
 }
 
@@ -188,16 +184,16 @@ impl OrderTheory {
             journal_on: false,
             share_on: false,
             share_out: Vec::new(),
-            cycle_checks: 0,
-            cycles_found: 0,
             sink: None,
         }
     }
 
     /// Installs (or removes) a structured-event sink. The theory streams a
     /// [`Event::TheoryLemma`] with the justifying EOG-cycle length for every
-    /// cycle conflict and every reverse-propagation lemma, plus a
-    /// counter-only [`Event::CycleCheck`] per asserted ordering atom.
+    /// cycle conflict and every reverse-propagation lemma, plus an
+    /// [`Event::CycleCheck`] with the visited count of every asserted
+    /// ordering atom that ran the bounded search. The work counters stay in
+    /// [`Self::cycle_stats`].
     pub fn set_event_sink(&mut self, sink: Option<Arc<dyn EventSink>>) {
         self.sink = sink;
     }
@@ -270,17 +266,10 @@ impl OrderTheory {
             Some(p) => self.graph.insert_pair_edge(p, None),
             None => self.graph.insert_edge(a, b, None),
         };
-        match res {
-            Ok(_) => {
-                self.cycle_checks += 1;
-                true
-            }
-            Err(_) => {
-                self.cycle_checks += 1;
-                self.fixed_cycle = true;
-                false
-            }
+        if res.is_err() {
+            self.fixed_cycle = true;
         }
+        res.is_ok()
     }
 
     /// Registers a solver variable as the ordering atom for `(a, b)`:
@@ -496,21 +485,17 @@ impl Theory for OrderTheory {
         // edge from→to is a cycle. The engine answers via the level
         // comparison or the bounded two-way search; the witness path is
         // only materialized on rejection.
-        self.cycle_checks += 1;
-        let pre = self.graph.stats;
+        let visited_before = self.graph.stats.visited;
         let res = self.graph.insert_pair_edge(ep, Some(lit));
         if let Some(s) = &self.sink {
-            let d = self.graph.stats;
-            s.emit(Event::CycleCheck {
-                visited: (d.visited - pre.visited) as u32,
-                promoted: (d.promoted - pre.promoted) as u32,
-                accepted_o1: res == Ok(Inserted::AcceptedO1),
-            });
+            if res != Ok(Inserted::AcceptedO1) {
+                let visited = (self.graph.stats.visited - visited_before) as u32;
+                s.emit(Event::CycleCheck { visited });
+            }
         }
 
         let ins = match res {
             Err(path) => {
-                self.cycles_found += 1;
                 // The justifying cycle is the path to→…→from plus the new edge.
                 self.emit_lemma(path.len() as u32 + 1);
                 let mut path_lits: Vec<Lit> = path.iter().filter_map(|e| e.tag).collect();
@@ -737,7 +722,7 @@ mod tests {
         assert!(t.add_fixed_edge(a, b));
         assert_eq!(t.graph.num_edges(), 1, "parallel fixed edges deduplicated");
         // The duplicate calls don't re-run the cycle check either.
-        assert_eq!(t.cycle_checks, 1);
+        assert_eq!(t.cycle_stats().checks, 1);
     }
 
     #[test]
@@ -953,22 +938,43 @@ mod tests {
 
     #[test]
     fn cycle_stats_split_holds() {
+        use std::sync::Mutex;
+        #[derive(Default)]
+        struct Visits(Mutex<Vec<u32>>);
+        impl EventSink for Visits {
+            fn emit(&self, ev: Event) {
+                if let Event::CycleCheck { visited } = ev {
+                    self.0.lock().unwrap().push(visited);
+                }
+            }
+        }
         let mut t = OrderTheory::new();
         let n: Vec<NodeId> = (0..6).map(|_| t.add_node()).collect();
         for w in n.windows(2) {
             t.add_fixed_edge(w[0], w[1]);
         }
-        let v0 = Var::new(0);
-        let v1 = Var::new(1);
+        let fixed = t.cycle_stats();
+        let sink = Arc::new(Visits::default());
+        t.set_event_sink(Some(sink.clone()));
+        let (v0, v1, v2) = (Var::new(0), Var::new(1), Var::new(2));
         t.register_atom(v0, n[0], n[4]);
         t.register_atom(v1, n[5], n[0]);
+        t.register_atom(v2, n[3], n[1]);
         let mut out = TheoryOut::default();
         t.new_level();
         let _ = t.assert_lit(v0.positive(), &mut out);
         let _ = t.assert_lit(v1.positive(), &mut out);
+        let _ = t.assert_lit(v2.positive(), &mut out);
         let s = t.cycle_stats();
         assert_eq!(s.accepted_o1 + s.searched, s.checks);
-        assert_eq!(s.checks, t.cycle_checks);
+        assert_eq!(s.checks - fixed.checks, 3);
+        // One event per searched atom check, carrying its visited count;
+        // the O(1) acceptance emits nothing.
+        let visits = sink.0.lock().unwrap();
+        assert_eq!(s.accepted_o1 - fixed.accepted_o1, 1);
+        assert_eq!(visits.len() as u64, s.searched - fixed.searched);
+        let visited: u64 = visits.iter().map(|&v| v as u64).sum();
+        assert_eq!(visited, s.visited - fixed.visited);
     }
 
     #[test]
@@ -989,7 +995,7 @@ mod tests {
         let mut out = TheoryOut::default();
         t.new_level();
         assert!(t.assert_lit(Var::new(5).positive(), &mut out).is_ok());
-        assert_eq!(t.cycle_checks, 0, "a non-atom asserts nothing");
+        assert_eq!(t.cycle_stats().checks, 0, "a non-atom asserts nothing");
         assert!(t.assert_lit(v9.positive(), &mut out).is_ok());
         assert!(t.assert_lit(v4.positive(), &mut out).is_ok());
         let err = t.assert_lit(v1.positive(), &mut out).unwrap_err();

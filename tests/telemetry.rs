@@ -8,8 +8,9 @@
 //! postmortem profiling.
 
 use zpre::prelude::*;
-use zpre::{verify_portfolio, PortfolioOptions, Strategy, VerifyOptions};
-use zpre_obs::{ndjson, EventKind, Phase, Recorder, TraceConfig, VarClass};
+use zpre::{try_verify_sweep_full, verify_portfolio, PortfolioOptions, Strategy, VerifyOptions};
+use zpre_obs::analyze::TraceStats;
+use zpre_obs::{ndjson, Counter, EventKind, Phase, Recorder, TraceConfig, VarClass};
 
 fn racy_counter(workers: usize) -> Program {
     let inc = vec![assign("r", v("cnt")), assign("cnt", add(v("r"), c(1)))];
@@ -182,4 +183,112 @@ fn portfolio_trace_attributes_members() {
     let text = ndjson::to_ndjson(&snap);
     let report = ndjson::validate(&text).expect("portfolio trace validates");
     assert_eq!(report.members, snap.members.len());
+}
+
+/// Every example program, parsed from `examples/programs/*.zc`.
+fn examples() -> Vec<(String, Program)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/programs");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("examples directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "zc"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no examples under {}", dir.display());
+    files
+        .into_iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("readable example");
+            let prog =
+                zpre_prog::parse_program(&text).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
+            (p.file_stem().unwrap().to_string_lossy().into_owned(), prog)
+        })
+        .collect()
+}
+
+fn peterson() -> Program {
+    examples()
+        .into_iter()
+        .find(|(name, _)| name == "peterson")
+        .expect("peterson example")
+        .1
+}
+
+fn d2c(stats: &TraceStats) -> Vec<(&String, &u64)> {
+    stats
+        .metrics
+        .iter()
+        .filter(|(k, _)| k.starts_with("d2c_"))
+        .collect()
+}
+
+/// Each solver owns its decision-to-conflict window, so one recorder
+/// spanning three solvers (one per memory model) observes exactly what
+/// three separate recorders do: no window stays open from one solver into
+/// the next.
+#[test]
+fn one_recorder_across_solvers_keeps_windows_apart() {
+    let prog = peterson();
+    let run = |rec: &Recorder, mm: MemoryModel| {
+        let mut opts = VerifyOptions::new(mm, Strategy::Zpre);
+        opts.recorder = Some(rec.clone());
+        try_verify(&prog, &opts).expect("verifies");
+    };
+    let shared = Recorder::default();
+    let mut separate = Vec::new();
+    for mm in MemoryModel::ALL {
+        run(&shared, mm);
+        let own = Recorder::default();
+        run(&own, mm);
+        separate.push(own.snapshot());
+    }
+    let shared = TraceStats::from_snapshots([&shared.snapshot()]);
+    let separate = TraceStats::from_snapshots(&separate);
+    assert!(shared.get("d2c_rf_ext_count") > 0);
+    assert_eq!(d2c(&shared), d2c(&separate));
+}
+
+/// The trace's search counters are the solver's: for single-bound and
+/// sweep runs of every example, `decisions`, `conflicts`, `restarts` and
+/// `reductions` equal the outcome's `Stats`, the per-class split sums to
+/// the totals, and `validate` reconciles the events against them.
+#[test]
+fn trace_counters_equal_the_solver_stats() {
+    for (name, prog) in examples() {
+        for mm in MemoryModel::ALL {
+            for sweep in [false, true] {
+                let rec = Recorder::default();
+                let mut opts = VerifyOptions::new(mm, Strategy::Zpre);
+                opts.recorder = Some(rec.clone());
+                let out = if sweep {
+                    opts.max_bound = 4;
+                    try_verify_sweep_full(&prog, &opts)
+                } else {
+                    try_verify(&prog, &opts)
+                }
+                .unwrap_or_else(|e| panic!("{name} {mm}: {e}"));
+                let s = &out.stats;
+                let snap = rec.snapshot();
+                let c = &snap.counters;
+                let at = format!("{name} {mm} sweep={sweep}");
+                assert_eq!(c.total_decisions(), s.decisions, "{at}");
+                assert_eq!(c.decisions, s.class_decisions, "{at}");
+                assert_eq!(c.guided, s.class_guided, "{at}");
+                assert_eq!(s.class_decisions.iter().sum::<u64>(), s.decisions, "{at}");
+                assert_eq!(
+                    s.class_guided.iter().sum::<u64>(),
+                    s.guided_decisions,
+                    "{at}"
+                );
+                for (counter, stat) in [
+                    (Counter::Conflicts, s.conflicts),
+                    (Counter::Restarts, s.restarts),
+                    (Counter::Reductions, s.reductions),
+                ] {
+                    assert_eq!(c[counter], stat, "{at}: {}", counter.name());
+                }
+                ndjson::validate(&ndjson::to_ndjson(&snap)).unwrap_or_else(|e| panic!("{at}: {e}"));
+            }
+        }
+    }
 }
