@@ -405,7 +405,9 @@ impl Swap<'_> {
 ///   Φ_ssa conjuncts and assertions that mention one thread onto those
 ///   that mention the other; no other event's guard or value mentions a
 ///   swapped leaf, and no swapped term carries a sweep unwinding marker;
-/// - `locks` are the two threads' first `lock` events, both unconditional;
+/// - `anchors` are the two threads' first `lock` events, or their first
+///   writes when they have no lock, at the same position and both
+///   unconditional;
 /// - in `main`, each thread is spawned and joined exactly once,
 ///   unconditionally and by nobody else, with only spawns between the two
 ///   spawns and only joins between the two joins.
@@ -493,15 +495,27 @@ pub fn check_sym_pair(ssa: &SsaProgram, pair: &SymPair) -> Result<(), String> {
     sw.maps_items("conjunct", &ssa.constraints, |c| [c, c])?;
     sw.maps_items("assertion", &ssa.assertions, |(g, c)| [g, c])?;
 
-    // The first locks.
+    // The anchors: the first lock, or the first write of a lock-free
+    // thread, at the same position in both threads.
     let unconditional = |e: &Event| matches!(ts.kind(e.guard), TermKind::BoolConst(true));
-    for (events, lock) in [(&ea, pair.locks.0), (&eb, pair.locks.1)] {
-        let first = events
+    for (events, anchor) in [(&ea, pair.anchors.0), (&eb, pair.anchors.1)] {
+        let first_lock = events
             .iter()
             .find(|e| matches!(e.kind, EventKind::Lock { .. }));
-        if first.map(|e| e.id) != Some(lock) || !first.is_some_and(|e| unconditional(e)) {
-            return Err(format!("event {lock} is not an unconditional first lock"));
+        let first = first_lock.or_else(|| {
+            events
+                .iter()
+                .find(|e| matches!(e.kind, EventKind::Write { .. }))
+        });
+        if first.map(|e| e.id) != Some(anchor) || !first.is_some_and(|e| unconditional(e)) {
+            return Err(format!(
+                "event {anchor} is not an unconditional first lock, nor the unconditional \
+                 first write of a thread without locks"
+            ));
         }
+    }
+    if ssa.events[pair.anchors.0].pos != ssa.events[pair.anchors.1].pos {
+        return Err("the anchors sit at different positions".into());
     }
 
     // `main`'s spawns and joins.

@@ -25,7 +25,8 @@
 //!    interference variables at all.
 //!
 //! The pass also records adjacent symmetric threads ([`crate::symmetry`]),
-//! whose first critical sections the encoder orders by thread index.
+//! whose first critical sections (or, without locks, first writes) the
+//! encoder orders by thread index.
 //!
 //! Every removal carries a [`Justification`] that
 //! [`crate::check::check_report`] re-verifies independently; soundness of
@@ -164,8 +165,8 @@ pub struct PruneReport {
     pub local_vars: Vec<bool>,
     /// Same-variable write pairs that still need a real ws selector.
     pub ws_unsettled: u64,
-    /// Adjacent symmetric threads: the encoder orders each pair's first
-    /// critical sections by thread index.
+    /// Adjacent symmetric threads: the encoder orders each pair's anchors
+    /// (first critical sections, or first writes) by thread index.
     pub sym_pairs: Vec<SymPair>,
     /// Aggregate statistics.
     pub counters: PruneCounters,

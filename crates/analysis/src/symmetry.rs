@@ -12,11 +12,14 @@
 //!   holds nothing but spawns between the two spawns and nothing but joins
 //!   between the two joins.
 //!
-//! Each thread's first `lock` must also be unconditional. Any execution
-//! can then be relabelled so that a run of symmetric threads takes its
-//! first lock in index order, and the encoder adds one lex-leader clause
-//! per admitted pair over the section-serialization selector of the two
-//! first critical sections. The argument is in DESIGN.md §6k.
+//! Each thread's *anchor* must also be unconditional: its first `lock`,
+//! or its first write when it has no lock. Any execution can then be
+//! relabelled so that a run of symmetric threads takes its first locks in
+//! index order (or has its first writes in index order in coherence
+//! order), and the encoder adds one lex-leader clause per admitted pair
+//! over the existing selector of the two anchors: the section-serialization
+//! selector of the two first critical sections, or the ws selector of the
+//! two first writes. The argument is in DESIGN.md §6k.
 //!
 //! Detection compares per-thread canonical signatures: every term is
 //! hash-consed into one shared table in which a thread's value terms are
@@ -36,9 +39,11 @@ pub struct SymPair {
     pub first: usize,
     /// Its symmetric neighbour `T_{i+1}`.
     pub second: usize,
-    /// The first `lock` events of `first` and `second`; the lex-leader
-    /// clause puts the section opened by `locks.0` first.
-    pub locks: (usize, usize),
+    /// The anchors of `first` and `second`: their first `lock` events, or
+    /// their first writes when they have no lock. The lex-leader clause
+    /// puts the section opened by `anchors.0`, or the write `anchors.0`,
+    /// first.
+    pub anchors: (usize, usize),
     /// Event bijection: `(event of first, event of second)` in program
     /// order, covering every event of both threads.
     pub events: Vec<(usize, usize)>,
@@ -180,9 +185,9 @@ fn shape(e: &Event) -> Option<(u8, usize)> {
     })
 }
 
-/// Finds every adjacent pair of symmetric worker threads whose first lock
-/// is unconditional. Refuses threads whose terms carry sweep unwinding
-/// markers.
+/// Finds every adjacent pair of symmetric worker threads whose anchor
+/// (first lock, else first write) is unconditional. Refuses threads whose
+/// terms carry sweep unwinding markers.
 pub fn symmetric_pairs(ssa: &SsaProgram) -> Vec<SymPair> {
     let nt = ssa.num_threads();
     let ts = &ssa.store;
@@ -191,10 +196,16 @@ pub fn symmetric_pairs(ssa: &SsaProgram) -> Vec<SymPair> {
         threads[e.thread].push(e);
     }
     let unconditional = |e: &Event| matches!(ts.kind(e.guard), TermKind::BoolConst(true));
-    let first_lock = |t: usize| {
-        threads[t]
+    let anchor = |t: usize| {
+        let events = &threads[t];
+        events
             .iter()
             .find(|e| matches!(e.kind, EventKind::Lock { .. }))
+            .or_else(|| {
+                events
+                    .iter()
+                    .find(|e| matches!(e.kind, EventKind::Write { .. }))
+            })
             .filter(|e| unconditional(e))
             .map(|e| e.id)
     };
@@ -207,7 +218,7 @@ pub fn symmetric_pairs(ssa: &SsaProgram) -> Vec<SymPair> {
     };
     // Cheap filter first: most programs have no candidate at all.
     let candidates: Vec<usize> = (1..nt.saturating_sub(1))
-        .filter(|&t| same_shape(t, t + 1) && first_lock(t).is_some() && first_lock(t + 1).is_some())
+        .filter(|&t| same_shape(t, t + 1) && anchor(t).is_some() && anchor(t + 1).is_some())
         .collect();
     if candidates.is_empty() {
         return Vec::new();
@@ -318,9 +329,9 @@ pub fn symmetric_pairs(ssa: &SsaProgram) -> Vec<SymPair> {
         pairs.push(SymPair {
             first: t,
             second: t + 1,
-            locks: (
-                first_lock(t).expect("candidate"),
-                first_lock(t + 1).expect("candidate"),
+            anchors: (
+                anchor(t).expect("candidate"),
+                anchor(t + 1).expect("candidate"),
             ),
             events: a.iter().zip(b).map(|(x, y)| (x.id, y.id)).collect(),
             leaves: a
@@ -389,9 +400,24 @@ mod tests {
     }
 
     #[test]
-    fn workers_without_locks_are_not_paired() {
+    fn workers_without_locks_are_paired_on_their_first_writes() {
         let racy = vec![assign("r", v("cnt")), assign("cnt", add(v("r"), c(1)))];
         let p = workers("racy", vec![racy.clone(), racy], harness(2));
+        let ssa = to_ssa(&unroll_program(&p, 1));
+        let pairs = symmetric_pairs(&ssa);
+        assert_eq!(pairs.len(), 1);
+        let (a, b) = pairs[0].anchors;
+        for (anchor, thread) in [(a, 1), (b, 2)] {
+            let e = &ssa.events[anchor];
+            assert!(matches!(e.kind, EventKind::Write { .. }), "{e:?}");
+            assert_eq!(e.thread, thread);
+        }
+    }
+
+    #[test]
+    fn workers_without_locks_or_writes_are_not_paired() {
+        let reader = |l: &str| vec![assign(l, v("cnt"))];
+        let p = workers("readers", vec![reader("a"), reader("b")], harness(2));
         assert!(pairs_of(&p).is_empty());
     }
 

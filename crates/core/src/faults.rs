@@ -135,14 +135,14 @@ pub(crate) fn corrupt_proof(fault: Fault, proof: &mut Proof, journal: &mut Vec<T
 }
 
 /// [`Fault::ForgeSymmetry`]: pairs `main` with the last thread event by
-/// event, value term by value term, and their first events as the locks.
+/// event, value term by value term, and their first events as the anchors.
 pub(crate) fn forge_symmetry(ssa: &SsaProgram, report: &mut PruneReport) {
     let last = ssa.num_threads().saturating_sub(1);
     let events: Vec<(&Event, &Event)> = ssa.thread_events(0).zip(ssa.thread_events(last)).collect();
     report.sym_pairs.push(SymPair {
         first: 0,
         second: last,
-        locks: events.first().map_or((0, 0), |(a, b)| (a.id, b.id)),
+        anchors: events.first().map_or((0, 0), |(a, b)| (a.id, b.id)),
         events: events.iter().map(|(a, b)| (a.id, b.id)).collect(),
         leaves: events
             .iter()

@@ -230,8 +230,8 @@ pub fn try_encode_traced<G: DecisionGuide>(
 /// pairs get no selector, mutex-serialized ws pairs ride on plain
 /// ordering atoms (`V_ord`) instead of interference variables, and each
 /// symmetric thread pair gets one lex-leader clause over the existing
-/// selector of its first critical sections. The report must have been
-/// computed for the same `ssa` and `mm`.
+/// selector of its anchors (first critical sections, or first writes).
+/// The report must have been computed for the same `ssa` and `mm`.
 pub fn try_encode_opts<G: DecisionGuide>(
     ssa: &SsaProgram,
     mm: MemoryModel,
@@ -588,11 +588,18 @@ pub fn try_encode_opts<G: DecisionGuide>(
             }
         }
         // Symmetry breaking: of two symmetric threads, the lower-numbered
-        // one enters its first critical section first (DESIGN.md §6k).
+        // one enters its first critical section first or, without locks,
+        // its first write precedes its twin's in coherence order
+        // (DESIGN.md §6k). A statically fixed ws pair has no selector and
+        // gets no clause.
         for pair in prune.map_or(&[][..], |rep| &rep.sym_pairs) {
-            let (la, lb) = pair.locks;
-            if let Some(&first) = section_order.get(&(la, lb)) {
-                solver.add_clause(&[!guard_lits[la], !guard_lits[lb], first]);
+            let (a, b) = pair.anchors;
+            let order = match ssa.events[a].kind {
+                EventKind::Lock { .. } => section_order.get(&(a, b)),
+                _ => ws_lit.get(&(a, b)),
+            };
+            if let Some(&first) = order {
+                solver.add_clause(&[!guard_lits[a], !guard_lits[b], first]);
             }
         }
     }

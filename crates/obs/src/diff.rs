@@ -56,8 +56,10 @@ pub struct DiffOptions {
     /// small-count noise: going from 2 conflicts to 4 is not a 100%
     /// regression worth failing CI over. Default 16.
     pub min_base: u64,
-    /// Gate wall-clock metrics (`*_us`, `*_ms`) too. Off by default so the
-    /// gate stays deterministic across machines and CI load.
+    /// Gate wall-clock metrics (`*_us`, `*_ms`, and the percentiles and
+    /// maxima of `*_us` histograms such as `frame_solve_us_p90`) too. Off
+    /// by default so the gate stays deterministic across machines and CI
+    /// load.
     pub gate_time: bool,
 }
 
@@ -71,13 +73,24 @@ impl Default for DiffOptions {
     }
 }
 
+/// A wall-clock metric: its name, or for a histogram percentile or
+/// maximum (`frame_solve_us_p90`) its histogram's name, ends in `_us` or
+/// `_ms`.
+fn is_time(name: &str) -> bool {
+    let base = match name.rsplit_once('_') {
+        Some((base, "p50" | "p90" | "p99" | "max")) => base,
+        _ => name,
+    };
+    base.ends_with("_us") || base.ends_with("_ms")
+}
+
 /// Direction of a metric by its stable name (the [`TraceStats`] vocabulary).
 /// Counters and histogram percentiles/maxima take the direction their
 /// [`Counter`]/[`Hist`] row declares; time metrics return
 /// [`Direction::Info`] here, and [`diff`] upgrades them to
 /// [`Direction::LowerBetter`] under [`DiffOptions::gate_time`].
 pub fn direction_of(name: &str) -> Direction {
-    if name.ends_with("_us") || name.ends_with("_ms") {
+    if is_time(name) {
         return Direction::Info;
     }
     if let Some(counter) = Counter::from_name(name) {
@@ -211,10 +224,7 @@ pub fn diff(base: &TraceStats, new: &TraceStats, opts: &DiffOptions) -> DiffRepo
         let denom = b.max(opts.min_base) as f64;
         let rel = (n as f64 - b as f64) / denom;
         let mut dir = direction_of(name);
-        if dir == Direction::Info
-            && opts.gate_time
-            && (name.ends_with("_us") || name.ends_with("_ms"))
-        {
+        if dir == Direction::Info && opts.gate_time && is_time(name) {
             dir = Direction::LowerBetter;
         }
         let verdict = match dir {
@@ -321,6 +331,35 @@ mod tests {
         let report = diff(&base, &new, &timed);
         assert!(report.gate_failed());
         assert_eq!(report.regressed, vec!["phase_solve_us", "wall_us"]);
+    }
+
+    #[test]
+    fn time_histogram_percentiles_gate_only_when_asked() {
+        let keys = |v: [u64; 5]| {
+            let names =
+                ["p50", "p90", "p99", "max", "count"].map(|q| format!("frame_solve_us_{q}"));
+            let pairs: Vec<(&str, u64)> = names.iter().map(String::as_str).zip(v).collect();
+            stats(&pairs)
+        };
+        let base = keys([100, 200, 300, 400, 8]);
+        let new = keys([900, 1900, 2900, 3900, 8]);
+        let report = diff(&base, &new, &DiffOptions::default());
+        assert!(report.rows.iter().all(|r| r.verdict == Verdict::Info));
+        let timed = DiffOptions {
+            gate_time: true,
+            ..DiffOptions::default()
+        };
+        let report = diff(&base, &new, &timed);
+        assert_eq!(
+            report.regressed,
+            ["max", "p50", "p90", "p99"].map(|q| format!("frame_solve_us_{q}"))
+        );
+        // The observation count is not a time: it stays informational.
+        let count = report
+            .rows
+            .iter()
+            .find(|r| r.name == "frame_solve_us_count");
+        assert_eq!(count.map(|r| r.verdict), Some(Verdict::Info));
     }
 
     #[test]

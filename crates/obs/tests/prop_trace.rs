@@ -167,7 +167,8 @@ proptest! {
                     Just("conflicts"), Just("decisions"), Just("restarts"),
                     Just("h1_share_pm"), Just("cc_o1"), Just("conflict_lbd_p90"),
                     Just("cycle_visited_max"), Just("phase_solve_us"), Just("wall_us"),
-                    Just("dec_rf_ext"), Just("frames"),
+                    Just("dec_rf_ext"), Just("frames"), Just("frame_solve_us_p90"),
+                    Just("frame_solve_us_count"),
                 ],
                 0u64..10_000,
                 0u64..10_000,
@@ -198,10 +199,14 @@ proptest! {
             let n = new.get(&row.name);
             let rel = (n as f64 - b as f64) / b.max(opts.min_base) as f64;
             let mut dir = direction_of(&row.name);
-            if dir == Direction::Info
-                && gate_time
-                && (row.name.ends_with("_us") || row.name.ends_with("_ms"))
-            {
+            // Wall clock: a `_us`/`_ms` name, or a percentile or maximum
+            // of a `_us`/`_ms` histogram.
+            let timed = ["_us", "_ms"].iter().any(|u| {
+                ["", "_p50", "_p90", "_p99", "_max"]
+                    .iter()
+                    .any(|q| row.name.ends_with(&format!("{u}{q}")))
+            });
+            if dir == Direction::Info && gate_time && timed {
                 dir = Direction::LowerBetter;
             }
             let expected = match dir {

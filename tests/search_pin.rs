@@ -17,8 +17,10 @@
 //! propagation order) re-records the table and says so.
 //!
 //! The rows whose worker threads are identical (`counter-3x3-locked`,
-//! `twolocks-3x2`, `openclose-3-locked`) run with the symmetry-breaking
-//! clauses that pruning adds; the other rows have no symmetric threads.
+//! `twolocks-3x2`, `openclose-3-locked`, and the lock-free
+//! `ring-broken-4`, whose pairs are anchored on their first writes) run
+//! with the symmetry-breaking clauses that pruning adds; the other rows
+//! have no symmetric threads.
 
 use zpre::prelude::*;
 use zpre::try_verify_sweep_full;
@@ -71,7 +73,7 @@ const PINNED: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[
         "divine/ring-broken-4",
         MemoryModel::Pso,
         Verdict::Unsafe,
-        [4531, 85847, 537, 338, 148, 537, 7954, 5035, 12165, 6573],
+        [4048, 78303, 538, 266, 186, 538, 7028, 4386, 11726, 6651],
     ),
 ];
 
@@ -87,7 +89,7 @@ const PINNED_BASELINE: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[
         "divine/ring-broken-4",
         MemoryModel::Sc,
         Verdict::Unsafe,
-        [6971, 49421, 308, 162, 333, 308, 3892, 2531, 4905, 2347],
+        [6895, 62502, 317, 221, 233, 317, 3986, 2850, 5005, 2831],
     ),
 ];
 
@@ -106,7 +108,7 @@ const PINNED_FIXED_TRUE: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[(
     "divine/ring-broken-4",
     MemoryModel::Pso,
     Verdict::Unsafe,
-    [166, 3736, 48, 14, 2, 48, 622, 346, 398, 301],
+    [49, 1267, 5, 4, 2, 5, 434, 186, 303, 273],
 )];
 
 /// Horizon of the pinned sweep row (the `sweep-deep` workload's).

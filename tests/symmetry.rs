@@ -1,9 +1,12 @@
 //! Thread-symmetry breaking: which thread pairs the analysis admits, that
 //! the independent checker agrees, and that the lex-leader clause keeps
-//! every verdict while cutting the serializations of identical threads.
+//! every verdict while cutting the serializations (or, without locks, the
+//! coherence orders) of identical threads.
 
 use zpre::prelude::*;
-use zpre_analysis::{analyze, check_report, PruneReport};
+use zpre_analysis::{analyze, check_report, PruneReport, SymPair};
+use zpre_bench::contended_family;
+use zpre_prog::ssa::{EventKind, SsaProgram};
 use zpre_prog::{to_ssa, unroll_program};
 use zpre_workloads::{suite, Scale};
 
@@ -108,8 +111,106 @@ fn a_tampered_witness_is_rejected() {
     assert!(err.contains("symmetry pair"), "{err}");
 
     let mut rep = analyze(&ssa, MemoryModel::Sc);
-    rep.sym_pairs[0].locks = (rep.sym_pairs[0].locks.1, rep.sym_pairs[0].locks.0);
-    check_report(&ssa, &rep).expect_err("locks from the wrong threads must not check");
+    rep.sym_pairs[0].anchors = (rep.sym_pairs[0].anchors.1, rep.sym_pairs[0].anchors.0);
+    check_report(&ssa, &rep).expect_err("anchors from the wrong threads must not check");
+}
+
+/// A lock-free worker: `r = cnt; <cond>; cnt = r + 1; x = 1`, where
+/// `guarded` puts a conditional write of `x` first.
+fn lock_free(guarded: bool) -> Vec<Stmt> {
+    let mut body = vec![assign("r", v("cnt"))];
+    if guarded {
+        body.push(if_(eq(v("r"), c(0)), vec![assign("x", c(1))], vec![]));
+    }
+    body.extend([assign("cnt", add(v("r"), c(1))), assign("x", c(1))]);
+    body
+}
+
+/// A witness for threads 1 and 2 built position by position, the way the
+/// detector would, with the given anchors.
+fn witness(ssa: &SsaProgram, anchors: (usize, usize)) -> SymPair {
+    let pairs: Vec<_> = ssa.thread_events(1).zip(ssa.thread_events(2)).collect();
+    SymPair {
+        first: 1,
+        second: 2,
+        anchors,
+        events: pairs.iter().map(|(a, b)| (a.id, b.id)).collect(),
+        leaves: pairs
+            .iter()
+            .filter_map(|(a, b)| Some((a.kind.value()?, b.kind.value()?)))
+            .collect(),
+    }
+}
+
+/// The `k`-th write of thread `t`.
+fn write(ssa: &SsaProgram, t: usize, k: usize) -> usize {
+    ssa.thread_events(t)
+        .filter(|e| matches!(e.kind, EventKind::Write { .. }))
+        .nth(k)
+        .expect("write")
+        .id
+}
+
+#[test]
+fn a_tampered_write_anchor_is_rejected() {
+    let check = |p: &Program, anchors: fn(&SsaProgram) -> (usize, usize)| {
+        let ssa = to_ssa(&unroll_program(p, 1));
+        let mut rep = analyze(&ssa, MemoryModel::Sc);
+        rep.sym_pairs = vec![witness(&ssa, anchors(&ssa))];
+        check_report(&ssa, &rep)
+    };
+    let rejected = |p: &Program, anchors: fn(&SsaProgram) -> (usize, usize), what: &str| {
+        let err = check(p, anchors).expect_err(what);
+        assert!(
+            err.contains("not an unconditional first lock"),
+            "{what}: {err}"
+        );
+    };
+    let racy = workers(lock_free(false), lock_free(false), vec![]);
+    // The detector anchors the pair on the first writes, and an honest
+    // witness checks: the rejections below are not vacuous.
+    let ssa = to_ssa(&unroll_program(&racy, 1));
+    let rep = analyze(&ssa, MemoryModel::Sc);
+    assert_eq!(rep.sym_pairs.len(), 1);
+    assert_eq!(
+        rep.sym_pairs[0].anchors,
+        (write(&ssa, 1, 0), write(&ssa, 2, 0))
+    );
+    check(&racy, |s| (write(s, 1, 0), write(s, 2, 0))).expect("first writes check");
+
+    rejected(
+        &racy,
+        |s| (write(s, 1, 1), write(s, 2, 1)),
+        "a second write",
+    );
+    rejected(
+        &racy,
+        |s| (write(s, 1, 0), write(s, 1, 0)),
+        "a write of the wrong thread",
+    );
+    rejected(
+        &racy,
+        |s| (write(s, 2, 0), write(s, 1, 0)),
+        "swapped anchors",
+    );
+
+    // A conditional first write is not admitted, and a witness naming it
+    // does not check.
+    let guarded = workers(lock_free(true), lock_free(true), vec![]);
+    assert!(pairs(&guarded).is_empty());
+    rejected(
+        &guarded,
+        |s| (write(s, 1, 0), write(s, 2, 0)),
+        "a conditional write",
+    );
+
+    // A thread with a lock is anchored on its lock, never on a write.
+    let locked = workers(read_then_lock(1), read_then_lock(1), vec![]);
+    rejected(
+        &locked,
+        |s| (write(s, 1, 0), write(s, 2, 0)),
+        "a locked thread's write",
+    );
 }
 
 #[test]
@@ -128,4 +229,28 @@ fn counter_5x2_is_safe_within_5000_conflicts() {
     let out = try_verify(&task.program, &opts).expect("verifies");
     assert_eq!(out.verdict, Verdict::Safe, "{:?}", out.exhaustion);
     assert!(out.stats.conflicts <= 5_000);
+}
+
+#[test]
+fn contended_le3_is_safe_within_6000_conflicts() {
+    let task = contended_family(3)
+        .into_iter()
+        .find(|t| t.name == "contended/le3")
+        .expect("family row");
+    for mm in MemoryModel::ALL {
+        let rep = report(&task.program, mm);
+        assert_eq!(rep.counters.sym_pairs, 2, "{mm}");
+        let opts = VerifyOptions {
+            unroll_bound: task.unroll_bound,
+            max_conflicts: Some(6_000),
+            ..VerifyOptions::new(mm, Strategy::Zpre)
+        };
+        let out = try_verify(&task.program, &opts).expect("verifies");
+        assert_eq!(out.verdict, Verdict::Safe, "{mm}: {:?}", out.exhaustion);
+        assert!(
+            out.stats.conflicts <= 6_000,
+            "{mm}: {}",
+            out.stats.conflicts
+        );
+    }
 }
