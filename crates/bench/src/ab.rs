@@ -26,14 +26,15 @@
 //! | `prune` | `prune: false`         | `prune: true`           | tolerance, heavy vars removed |
 //! | `eog`   | `zpre-dfs-check`       | `zpre`                  | visited-nodes ratio (info) |
 
-use std::fmt::{Display, Write as _};
+use std::fmt::Write as _;
 use std::time::Instant;
 
 use zpre::{
     try_verify, try_verify_sweep, try_verify_sweep_full, verify_bmc, verify_portfolio,
     PortfolioOptions, ShareConfig, Strategy, Verdict, VerifyError, VerifyOptions, VerifyOutcome,
 };
-use zpre_obs::{ndjson, Counter, Counters};
+use zpre_obs::ndjson::{Dec, Obj};
+use zpre_obs::{Counter, Counters};
 use zpre_prog::{to_ssa, unroll_program, MemoryModel};
 use zpre_workloads::{subcategory, suite, Scale, Subcat, Task};
 
@@ -255,78 +256,65 @@ impl Report<'_> {
     pub fn ndjson(&self, tag: &str, checks: &[Check]) -> Vec<String> {
         let [a, b] = self.pair.sides.map(|s| s.0);
         let head = |kind: &str| {
-            Line(format!("{{\"tag\":{}", ndjson::quoted(tag)))
-                .str("pair", self.pair.name)
-                .str("kind", kind)
-                .str("a", a)
-                .str("b", b)
+            Obj::new()
+                .field("tag", tag)
+                .field("pair", self.pair.name)
+                .field("kind", kind)
+                .field("a", a)
+                .field("b", b)
         };
         let mut lines = Vec::new();
         for r in &self.rows {
             let mut l = head("row")
-                .str("family", r.family)
-                .str("task", &r.task.name)
-                .str("mm", r.mm.name())
-                .num("agree", r.agree)
-                .num("both_unknown", r.both_unknown());
+                .field("family", r.family)
+                .field("task", &r.task.name)
+                .field("mm", r.mm.name())
+                .field("agree", r.agree)
+                .field("both_unknown", r.both_unknown());
             for (p, s) in ["a", "b"].into_iter().zip(&r.sides) {
                 l = l
-                    .str(&format!("{p}_verdict"), &s.verdict.to_string())
-                    .num(&format!("{p}_bound"), s.bound)
-                    .num(&format!("{p}_frames"), s.frames)
-                    .num(&format!("{p}_ms"), format!("{:.3}", s.median_ms()))
-                    .work(p, &s.work);
+                    .field(&format!("{p}_verdict"), s.verdict.to_string())
+                    .field(&format!("{p}_bound"), s.bound)
+                    .field(&format!("{p}_frames"), s.frames)
+                    .field(&format!("{p}_ms"), Dec(s.median_ms()));
+                l = with_work(l, p, &s.work);
             }
-            lines.push(l.end());
+            lines.push(l.finish());
         }
         let sum = |family: &str, s: &Sum| {
-            head("family")
-                .str("family", family)
-                .num("rows", s.rows)
-                .num("excluded", s.excluded)
-                .num("a_ms", format!("{:.3}", s.ms[0]))
-                .num("b_ms", format!("{:.3}", s.ms[1]))
-                .num("speedup", format!("{:.3}", s.speedup()))
-                .work("a", &s.work[0])
-                .work("b", &s.work[1])
-                .end()
+            let l = head("family")
+                .field("family", family)
+                .field("rows", s.rows)
+                .field("excluded", s.excluded)
+                .field("a_ms", Dec(s.ms[0]))
+                .field("b_ms", Dec(s.ms[1]))
+                .field("speedup", Dec(s.speedup()));
+            with_work(with_work(l, "a", &s.work[0]), "b", &s.work[1]).finish()
         };
         lines.extend(self.families().iter().map(|(f, s)| sum(f, s)));
         lines.push(sum("all", &self.sum(|_| true)));
         for c in checks {
-            let ok = c.ok.map_or("null".to_string(), |ok| ok.to_string());
-            lines.push(head("check").str("check", &c.what).num("ok", ok).end());
+            lines.push(
+                head("check")
+                    .field("check", &c.what)
+                    .field("ok", c.ok)
+                    .finish(),
+            );
         }
         let aggregate = head("aggregate")
-            .num("rows", self.rows.len())
-            .num("reps", self.rows.first().map_or(0, |r| r.sides[0].ms.len()))
-            .num("disagreements", self.failures.len())
-            .num("accept", accept(checks));
-        lines.push(aggregate.end());
+            .field("rows", self.rows.len())
+            .field("reps", self.rows.first().map_or(0, |r| r.sides[0].ms.len()))
+            .field("disagreements", self.failures.len())
+            .field("accept", accept(checks));
+        lines.push(aggregate.finish());
         lines
     }
 }
 
-/// One flat NDJSON object under construction.
-struct Line(String);
-
-impl Line {
-    fn num(mut self, key: &str, v: impl Display) -> Line {
-        let _ = write!(self.0, ",\"{key}\":{v}");
-        self
-    }
-
-    fn str(self, key: &str, v: &str) -> Line {
-        self.num(key, ndjson::quoted(v))
-    }
-
-    fn work(self, prefix: &str, work: &Counters) -> Line {
-        columns(work).fold(self, |l, (k, v)| l.num(&format!("{prefix}_{k}"), v))
-    }
-
-    fn end(self) -> String {
-        self.0 + "}"
-    }
+/// `o` with every counter reported for `work`, its keys prefixed
+/// `{prefix}_`.
+fn with_work(o: Obj, prefix: &str, work: &Counters) -> Obj {
+    columns(work).fold(o, |o, (k, v)| o.field(&format!("{prefix}_{k}"), v))
 }
 
 /// `true` when no check failed.

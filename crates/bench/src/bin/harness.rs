@@ -39,7 +39,8 @@ use zpre_bench::{
     run_suite_portfolio_streaming, run_suite_streaming, table1, table2, table3, telemetry_summary,
     to_csv, to_json, RunConfig, TaskResult, CSV_HEADER,
 };
-use zpre_obs::{ndjson, Counter, Phase, VarClass};
+use zpre_obs::ndjson::{self, Obj};
+use zpre_obs::{Counter, Phase, VarClass};
 use zpre_prog::MemoryModel;
 use zpre_workloads::{suite, Scale};
 
@@ -282,11 +283,14 @@ fn telemetry_json_doc(results: &[TaskResult]) -> String {
     let groups = telemetry_summary(results)
         .into_iter()
         .map(|((mm, st), (rows, stats))| {
-            let (mm, st) = (ndjson::quoted(mm), ndjson::quoted(st));
-            let telemetry = stats.to_json();
-            format!("  {{\"mm\":{mm},\"strategy\":{st},\"rows\":{rows},\"telemetry\":{telemetry}}}")
+            Obj::new()
+                .field("mm", mm)
+                .field("strategy", st)
+                .field("rows", rows)
+                .field("telemetry", stats)
+                .finish()
         });
-    format!("[\n{}\n]", groups.collect::<Vec<_>>().join(",\n"))
+    ndjson::lines_array(groups, "  ")
 }
 
 /// The telemetry table's columns: phase times, decisions per class, the

@@ -6,7 +6,8 @@ use zpre::{
     VerifyOptions, VerifyOutcome,
 };
 use zpre_obs::analyze::TraceStats;
-use zpre_obs::{ndjson, Recorder, TraceConfig, TraceSnapshot};
+use zpre_obs::ndjson::{self, Dec, Obj};
+use zpre_obs::{Recorder, TraceConfig, TraceSnapshot};
 use zpre_prog::MemoryModel;
 use zpre_workloads::{Subcat, Task};
 
@@ -299,35 +300,30 @@ pub fn csv_row(r: &TaskResult) -> String {
 /// an interrupted run leaves a parseable prefix behind. `telemetry` is the
 /// snapshot's [`TraceStats`] object (`null` when telemetry was off).
 pub fn json_row(r: &TaskResult) -> String {
-    format!(
-        "{{\"task\":{},\"subcat\":{},\"mm\":{},\"strategy\":{},\
-         \"verdict\":{},\"solve_ms\":{:.3},\"encode_ms\":{:.3},\"decisions\":{},\
-         \"propagations\":{},\"conflicts\":{},\"guided_decisions\":{},\"expected_ok\":{},\
-         \"winner\":{},\"cancel_latency_ms\":{},\"certified\":{},\"quarantined\":{},\
-         \"telemetry\":{}}}",
-        ndjson::quoted(&r.task),
-        ndjson::quoted(&r.subcat),
-        ndjson::quoted(&r.mm),
-        ndjson::quoted(&r.strategy),
-        ndjson::quoted(&r.verdict),
-        r.solve_ms,
-        r.encode_ms,
-        r.decisions,
-        r.propagations,
-        r.conflicts,
-        r.guided_decisions,
-        r.expected_ok,
-        r.winner.as_deref().map_or("null".into(), ndjson::quoted),
-        r.cancel_latency_ms
-            .map_or("null".to_string(), |l| format!("{l:.3}")),
-        r.certified.as_deref().map_or("null".into(), ndjson::quoted),
-        r.quarantined
-            .as_deref()
-            .map_or("null".into(), ndjson::quoted),
-        r.telemetry.as_ref().map_or("null".into(), |snap| {
-            TraceStats::from_snapshots([snap]).to_json()
-        }),
-    )
+    Obj::new()
+        .field("task", &r.task)
+        .field("subcat", &r.subcat)
+        .field("mm", &r.mm)
+        .field("strategy", &r.strategy)
+        .field("verdict", &r.verdict)
+        .field("solve_ms", Dec(r.solve_ms))
+        .field("encode_ms", Dec(r.encode_ms))
+        .field("decisions", r.decisions)
+        .field("propagations", r.propagations)
+        .field("conflicts", r.conflicts)
+        .field("guided_decisions", r.guided_decisions)
+        .field("expected_ok", r.expected_ok)
+        .field("winner", &r.winner)
+        .field("cancel_latency_ms", r.cancel_latency_ms.map(Dec))
+        .field("certified", &r.certified)
+        .field("quarantined", &r.quarantined)
+        .field(
+            "telemetry",
+            r.telemetry
+                .as_ref()
+                .map(|snap| TraceStats::from_snapshots([snap])),
+        )
+        .finish()
 }
 
 /// Serializes results as CSV.
@@ -341,12 +337,9 @@ pub fn to_csv(results: &[TaskResult]) -> String {
     out
 }
 
-/// Serializes results as one JSON array, one [`json_row`] object per line
-/// (hand-rolled: the build environment has no registry access, so serde
-/// is not available).
+/// Serializes results as one JSON array, one [`json_row`] object per line.
 pub fn to_json(results: &[TaskResult]) -> String {
-    let rows: Vec<String> = results.iter().map(json_row).collect();
-    format!("[\n{}\n]", rows.join(",\n"))
+    ndjson::lines_array(results.iter().map(json_row), "")
 }
 
 /// Helper: the subcategory display order used by the figures.

@@ -120,7 +120,7 @@ use zpre::{
     verify_portfolio, BatchFault, BatchOptions, BatchTask, Certificate, PortfolioOptions,
     PortfolioOutcome, ShareConfig, Strategy, Verdict, VerifyError, VerifyOptions, VerifyOutcome,
 };
-use zpre_obs::ndjson::quoted;
+use zpre_obs::ndjson::{Dec, Obj};
 use zpre_obs::{profile_report, Counter, Recorder, TraceConfig};
 use zpre_prog::{check, Limits, Outcome};
 use zpre_prog::{flatten, parse_program_traced, pretty, unroll_program, MemoryModel, Program};
@@ -298,28 +298,6 @@ impl SharedFlags {
     }
 }
 
-/// A JSON string (escaped), or `null`.
-fn json_opt(s: Option<&str>) -> String {
-    s.map_or("null".to_string(), quoted)
-}
-
-/// JSON fragment describing a certificate (or its absence).
-fn certificate_json(cert: Option<&Certificate>) -> String {
-    match cert {
-        Some(Certificate::Safe {
-            lemmas_checked,
-            proof_steps,
-        }) => format!(
-            "{{\"kind\":\"safe\",\"lemmas_checked\":{lemmas_checked},\
-             \"proof_steps\":{proof_steps},\"rup\":\"ok\"}}"
-        ),
-        Some(Certificate::Unsafe { replayed_steps }) => format!(
-            "{{\"kind\":\"unsafe\",\"replayed_steps\":{replayed_steps},\"replay\":\"confirmed\"}}"
-        ),
-        None => "null".to_string(),
-    }
-}
-
 fn parse_strategy(name: &str) -> Option<Strategy> {
     Strategy::ALL.into_iter().find(|s| s.name() == name)
 }
@@ -455,51 +433,29 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     let out = run_batch(&tasks, &opts);
     for r in &out.reports {
         if shared.json {
-            let ladder: Vec<String> = r
+            let ladder: Vec<Obj> = r
                 .ladder
                 .iter()
                 .map(|rec| {
-                    let verdict = rec
-                        .verdict
-                        .map(|v| format!("\"{v}\""))
-                        .unwrap_or_else(|| "null".to_string());
-                    let exh = rec
-                        .exhaustion
-                        .map(|x| format!("\"{x}\""))
-                        .unwrap_or_else(|| "null".to_string());
-                    let error = json_opt(rec.error.as_deref());
-                    format!(
-                        "{{\"rung\":\"{}\",\"strategy\":\"{}\",\"bound\":{},\
-                         \"attempt\":{},\"verdict\":{},\"exhaustion\":{},\"error\":{}}}",
-                        rec.rung.name(),
-                        rec.strategy,
-                        rec.bound,
-                        rec.attempt,
-                        verdict,
-                        exh,
-                        error,
-                    )
+                    Obj::new()
+                        .field("rung", rec.rung.name())
+                        .field("strategy", rec.strategy.to_string())
+                        .field("bound", rec.bound)
+                        .field("attempt", rec.attempt)
+                        .field("verdict", rec.verdict.map(|v| v.to_string()))
+                        .field("exhaustion", rec.exhaustion.map(|x| x.name()))
+                        .field("error", rec.error.as_deref())
                 })
                 .collect();
-            let exh = r
-                .exhaustion
-                .map(|x| format!("\"{x}\""))
-                .unwrap_or_else(|| "null".to_string());
-            let resumed = r
-                .resumed_at
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "null".to_string());
-            println!(
-                "{{\"task\":{},\"verdict\":\"{}\",\"bound\":{},\
-                 \"from_journal\":{},\"resumed_at\":{},\"exhaustion\":{},\"ladder\":[{}]}}",
-                quoted(&r.key),
-                r.verdict,
-                r.bound,
-                r.from_journal,
-                resumed,
-                exh,
-                ladder.join(","),
-            );
+            let line = Obj::new()
+                .field("task", &r.key)
+                .field("verdict", r.verdict.to_string())
+                .field("bound", r.bound)
+                .field("from_journal", r.from_journal)
+                .field("resumed_at", r.resumed_at)
+                .field("exhaustion", r.exhaustion.map(|x| x.name()))
+                .field("ladder", ladder);
+            println!("{}", line.finish());
         } else {
             let mut notes = String::new();
             if r.from_journal {
@@ -993,14 +949,6 @@ fn report_json(
     o: &VerifyOutcome,
     race: Option<&PortfolioOutcome>,
 ) -> String {
-    let mut out = format!(
-        "{{\"program\":{},\"mm\":\"{}\"",
-        quoted(program),
-        opts.mm.name()
-    );
-    if race.is_none() {
-        out += &format!(",\"strategy\":\"{}\"", opts.strategy);
-    }
     let mode: Vec<&str> = [
         match bounds {
             Bounds::Single => None,
@@ -1012,55 +960,55 @@ fn report_json(
     .into_iter()
     .flatten()
     .collect();
-    if !mode.is_empty() {
-        out += &format!(",\"mode\":\"{}\"", mode.join("+"));
-    }
-    out += &format!(",\"verdict\":\"{}\"", o.verdict);
     let has_bounds = !matches!(bounds, Bounds::Single);
-    if has_bounds {
-        out += &format!(",\"bound\":{}", o.bound);
-    }
+    let mut out = Obj::new()
+        .field("program", program)
+        .field("mm", opts.mm.name())
+        .opt(
+            "strategy",
+            race.is_none().then(|| opts.strategy.to_string()),
+        )
+        .opt("mode", (!mode.is_empty()).then(|| mode.join("+")))
+        .field("verdict", o.verdict.to_string())
+        .opt("bound", has_bounds.then_some(o.bound));
     if let Some(race) = race {
-        let quarantined: Vec<String> = race.quarantined.iter().map(|q| quoted(q)).collect();
-        out += &format!(
-            ",\"winner\":{},\"quarantined\":[{}],\"unknown_reason\":{}",
-            json_opt(race.winner.as_deref()),
-            quarantined.join(","),
-            json_opt(race.unknown_reason.as_deref()),
-        );
+        out = out
+            .field("winner", race.winner.as_deref())
+            .field("quarantined", &race.quarantined)
+            .field("unknown_reason", race.unknown_reason.as_deref());
     }
-    out += &format!(
-        ",\"certificate\":{},\"events\":{},\"vars\":{},\"decisions\":{},\
-         \"conflicts\":{},\"solve_time_ms\":{:.3}",
-        certificate_json(o.certificate.as_ref()),
-        o.num_events,
-        o.num_solver_vars,
-        o.stats.decisions,
-        o.stats.conflicts,
-        o.solve_time.as_secs_f64() * 1e3,
-    );
-    if has_bounds {
-        let frames: Vec<String> = o
-            .frames
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"bound\":{},\"verdict\":\"{}\",\"conflicts\":{},\
-                     \"decisions\":{},\"reused_learnts\":{},\"reused_conflicts\":{},\
-                     \"solve_time_ms\":{:.3}}}",
-                    f.bound,
-                    f.verdict,
-                    f.conflicts,
-                    f.decisions,
-                    f.reused_learnts,
-                    f.reused_conflicts,
-                    f.solve_time.as_secs_f64() * 1e3,
-                )
-            })
-            .collect();
-        out += &format!(",\"frames\":[{}]", frames.join(","));
-    }
-    out + "}"
+    let certificate = o.certificate.as_ref().map(|c| match *c {
+        Certificate::Safe {
+            lemmas_checked,
+            proof_steps,
+        } => Obj::new()
+            .field("kind", "safe")
+            .field("lemmas_checked", lemmas_checked)
+            .field("proof_steps", proof_steps)
+            .field("rup", "ok"),
+        Certificate::Unsafe { replayed_steps } => Obj::new()
+            .field("kind", "unsafe")
+            .field("replayed_steps", replayed_steps)
+            .field("replay", "confirmed"),
+    });
+    let frames = o.frames.iter().map(|f| {
+        Obj::new()
+            .field("bound", f.bound)
+            .field("verdict", f.verdict.to_string())
+            .field("conflicts", f.conflicts)
+            .field("decisions", f.decisions)
+            .field("reused_learnts", f.reused_learnts)
+            .field("reused_conflicts", f.reused_conflicts)
+            .field("solve_time_ms", Dec(f.solve_time.as_secs_f64() * 1e3))
+    });
+    out.field("certificate", certificate)
+        .field("events", o.num_events)
+        .field("vars", o.num_solver_vars)
+        .field("decisions", o.stats.decisions)
+        .field("conflicts", o.stats.conflicts)
+        .field("solve_time_ms", Dec(o.solve_time.as_secs_f64() * 1e3))
+        .opt("frames", has_bounds.then(|| frames.collect::<Vec<_>>()))
+        .finish()
 }
 
 /// The human-readable report: the verdict line, then (with `--stats` for

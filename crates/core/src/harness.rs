@@ -55,7 +55,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use zpre_obs::analyze::TraceStats;
 use zpre_obs::metrics::rss_bytes;
-use zpre_obs::ndjson::{parse_line, quoted, JsonVal};
+use zpre_obs::ndjson::{parse_line, JsonVal, Obj};
 use zpre_obs::{Counter, Phase, Recorder};
 use zpre_prog::{MemoryModel, Program};
 use zpre_sat::{CancelToken, ExhaustionReason};
@@ -261,25 +261,23 @@ impl BatchOutcome {
 // ---------------------------------------------------------------------------
 
 fn frame_line(key: &str, bound: u32, verdict: Verdict) -> String {
-    format!(
-        "{{\"t\":\"frame\",\"task\":{},\"bound\":{bound},\"verdict\":\"{verdict}\"}}",
-        quoted(key),
-    )
+    Obj::tagged("frame")
+        .field("task", key)
+        .field("bound", bound)
+        .field("verdict", verdict.to_string())
+        .finish()
 }
 
 /// A finished task's line. `max_bound` is the horizon the verdict was
 /// reached under: a resume reuses the line only under that same horizon.
 fn task_line(report: &TaskReport, max_bound: u32) -> String {
-    let reason = report
-        .exhaustion
-        .map(|r| format!(",\"exhaustion\":\"{}\"", r.name()))
-        .unwrap_or_default();
-    format!(
-        "{{\"t\":\"task\",\"task\":{},\"verdict\":\"{}\",\"bound\":{},\"max_bound\":{max_bound}{reason}}}",
-        quoted(&report.key),
-        report.verdict,
-        report.bound,
-    )
+    Obj::tagged("task")
+        .field("task", &report.key)
+        .field("verdict", report.verdict.to_string())
+        .field("bound", report.bound)
+        .field("max_bound", max_bound)
+        .opt("exhaustion", report.exhaustion.map(ExhaustionReason::name))
+        .finish()
 }
 
 /// Append-only fsync'd NDJSON checkpoint writer with the deterministic

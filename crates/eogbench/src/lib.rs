@@ -23,6 +23,7 @@
 
 use std::time::Instant;
 
+use zpre_obs::ndjson::{Dec, Obj};
 use zpre_smt::{CycleStats, NodeId, OrderGraph};
 
 /// Deterministic 64-bit LCG (same constants as the solver's phase RNG).
@@ -163,24 +164,20 @@ impl ScenarioResult {
     /// One NDJSON line for `BENCH_EOG.json`.
     pub fn json_line(&self, tag: &str) -> String {
         let s = &self.stats;
-        format!(
-            "{{\"tag\": \"{}\", \"shape\": \"{}\", \"nodes\": {}, \"mode\": \"{}\", \
-             \"wall_ms\": {:.3}, \"edges_tried\": {}, \"rejected\": {}, \
-             \"checks\": {}, \"accepted_o1\": {}, \"searched\": {}, \
-             \"visited\": {}, \"promoted\": {}}}",
-            tag,
-            self.shape,
-            self.nodes,
-            self.mode,
-            self.wall_ms,
-            self.edges_tried,
-            self.rejected,
-            s.checks,
-            s.accepted_o1,
-            s.searched,
-            s.visited,
-            s.promoted
-        )
+        Obj::new()
+            .field("tag", tag)
+            .field("shape", self.shape)
+            .field("nodes", self.nodes)
+            .field("mode", self.mode)
+            .field("wall_ms", Dec(self.wall_ms))
+            .field("edges_tried", self.edges_tried)
+            .field("rejected", self.rejected)
+            .field("checks", s.checks)
+            .field("accepted_o1", s.accepted_o1)
+            .field("searched", s.searched)
+            .field("visited", s.visited)
+            .field("promoted", s.promoted)
+            .finish()
     }
 }
 
@@ -320,7 +317,19 @@ mod tests {
         let r = run_scenario(Shape::Grid, 100, 1, false);
         let line = r.json_line("test");
         assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"shape\": \"grid\""));
-        assert!(line.contains("\"mode\": \"incremental\""));
+        assert!(line.contains("\"shape\":\"grid\""));
+        assert!(line.contains("\"mode\":\"incremental\""));
+    }
+
+    /// A `--tag` value is free text: the line escapes it.
+    #[test]
+    fn json_line_escapes_the_tag() {
+        let r = run_scenario(Shape::Chain, 100, 1, false);
+        let tag = "ci\"x\\y";
+        let line = r.json_line(tag);
+        assert!(
+            line.starts_with(r#"{"tag":"ci\"x\\y","shape":"chain","nodes":100,"#),
+            "{line}"
+        );
     }
 }

@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 
 use crate::metrics::Hists;
-use crate::ndjson::{for_each_block, parse_line, quoted, JsonVal};
+use crate::ndjson::{for_each_block, parse_line, Json, JsonVal, Obj};
 use crate::recorder::{Counters, TraceSnapshot};
 use crate::vocab::{Counter, VarClass};
 
@@ -96,23 +96,20 @@ impl TraceStats {
     /// One flat NDJSON `metrics` line carrying every metric — the format of
     /// `trace stats --json` output and of checked-in CI baselines.
     pub fn to_metrics_line(&self) -> String {
-        self.object(Some("metrics"))
+        self.fields(Obj::tagged("metrics")).finish()
     }
 
-    /// Every metric as one flat JSON object, untagged: the `telemetry`
-    /// object of a bench row.
-    pub fn to_json(&self) -> String {
-        self.object(None)
+    /// `o` with every metric added, in name order.
+    fn fields(&self, o: Obj) -> Obj {
+        self.metrics.iter().fold(o, |o, (k, v)| o.field(k, *v))
     }
+}
 
-    fn object(&self, tag: Option<&str>) -> String {
-        let tag = tag.map(|t| format!("\"t\":{}", quoted(t)));
-        let metrics = self
-            .metrics
-            .iter()
-            .map(|(k, v)| format!("{}:{v}", quoted(k)));
-        let fields: Vec<String> = tag.into_iter().chain(metrics).collect();
-        format!("{{{}}}", fields.join(","))
+/// Every metric as one flat JSON object, untagged: the `telemetry` object
+/// of a bench row.
+impl Json for TraceStats {
+    fn write_json(&self, out: &mut String) {
+        self.fields(Obj::new()).write_json(out);
     }
 }
 

@@ -12,6 +12,7 @@
 use std::fmt::Write as _;
 
 use crate::analyze::TraceStats;
+use crate::ndjson::Obj;
 use crate::vocab::{Counter, Hist};
 
 /// Which way a metric is allowed to move without regressing.
@@ -186,29 +187,21 @@ impl DiffReport {
     /// Machine-readable NDJSON: one `diffrow` line per changed metric plus
     /// a final `diffgate` line with the overall outcome.
     pub fn to_ndjson(&self) -> String {
-        let mut out = String::new();
-        for r in self.rows.iter().filter(|r| r.base != r.new) {
-            // Signed permille keeps the line integer-only like every other
-            // trace line.
-            let rel_pm = (r.rel * 1000.0).round() as i64;
-            let _ = writeln!(
-                out,
-                "{{\"t\":\"diffrow\",\"name\":\"{}\",\"base\":{},\"new\":{},\"rel_pm\":{},\"verdict\":\"{}\"}}",
-                r.name,
-                r.base,
-                r.new,
-                rel_pm,
-                r.verdict.name()
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{{\"t\":\"diffgate\",\"failed\":{},\"regressed\":{},\"improved\":{}}}",
-            self.gate_failed(),
-            self.regressed.len(),
-            self.improved.len()
-        );
-        out
+        let rows = self.rows.iter().filter(|r| r.base != r.new).map(|r| {
+            Obj::tagged("diffrow")
+                .field("name", &r.name)
+                .field("base", r.base)
+                .field("new", r.new)
+                // Signed permille keeps the line integer-only like every
+                // other trace line.
+                .field("rel_pm", (r.rel * 1000.0).round() as i64)
+                .field("verdict", r.verdict.name())
+        });
+        let gate = Obj::tagged("diffgate")
+            .field("failed", self.gate_failed())
+            .field("regressed", self.regressed.len())
+            .field("improved", self.improved.len());
+        rows.chain([gate]).map(|o| o.finish() + "\n").collect()
     }
 }
 
@@ -387,5 +380,28 @@ mod tests {
         }
         assert!(text.contains("\"t\":\"diffgate\",\"failed\":true"));
         assert!(text.contains("\"rel_pm\":500"));
+
+        // A decrease writes a negative permille, which reads back signed.
+        let report = diff(&base, &stats(&[("conflicts", 50)]), &DiffOptions::default());
+        let text = report.to_ndjson();
+        let row = crate::ndjson::parse_line(text.lines().next().unwrap()).expect("flat JSON");
+        assert_eq!(row["rel_pm"], crate::ndjson::JsonVal::Neg(-500));
+        assert_eq!(row["verdict"].as_str(), Some("improved"));
+    }
+
+    /// A metric name is a key read back from an input file: the `diffrow`
+    /// line escapes it and round-trips through the line parser.
+    #[test]
+    fn ndjson_escapes_metric_names() {
+        let name = "odd\"name\\x";
+        let report = diff(
+            &stats(&[(name, 1)]),
+            &stats(&[(name, 2)]),
+            &DiffOptions::default(),
+        );
+        let text = report.to_ndjson();
+        let row = crate::ndjson::parse_line(text.lines().next().unwrap()).expect("flat JSON");
+        assert_eq!(row["name"].as_str(), Some(name));
+        assert_eq!(row["new"].as_u64(), Some(2));
     }
 }

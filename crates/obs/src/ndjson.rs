@@ -32,7 +32,10 @@ use crate::vocab::{Counter, Hist, Phase, Presence, VarClass};
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonVal {
     Str(String),
+    /// A non-negative integer.
     Num(u64),
+    /// A negative integer (a `diffrow`'s `rel_pm` when a metric fell).
+    Neg(i64),
     Bool(bool),
     Null,
 }
@@ -45,6 +48,8 @@ impl JsonVal {
         }
     }
 
+    /// The value of a non-negative integer: `None` for a negative one, so
+    /// no trace counter ever reads a negative.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonVal::Num(n) => Some(*n),
@@ -60,213 +65,277 @@ impl JsonVal {
     }
 }
 
-/// `s` as a JSON string literal, quotes included: every control character
-/// is escaped, so the result never breaks an NDJSON line.
-pub fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    esc(&mut out, s);
-    out
+// ---------------------------------------------------------------------------
+// The writer
+// ---------------------------------------------------------------------------
+
+/// A value [`Obj`] can write: a string (escaped), an integer, a boolean, a
+/// [`Dec`], a finished [`Obj`], a `Vec` (an array), or an
+/// `Option`, whose `None` writes `null`.
+pub trait Json {
+    /// Appends `self` as JSON text to `out`.
+    fn write_json(&self, out: &mut String);
 }
 
-fn esc(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+impl Json for str {
+    /// Every control character is escaped, so a string never breaks an
+    /// NDJSON line.
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
+        }
+        out.push('"');
+    }
+}
+
+impl Json for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+impl Json for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+macro_rules! json_int {
+    ($($t:ty),*) => {$(
+        impl Json for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+json_int!(u32, u64, usize, i64);
+
+impl<T: Json + ?Sized> Json for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: Json> Json for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
-    out.push('"');
 }
 
-struct Obj {
+impl<T: Json> Json for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// A decimal written with three places; a non-finite value, which JSON
+/// cannot spell, writes `null`.
+#[derive(Clone, Copy, Debug)]
+pub struct Dec(pub f64);
+
+impl Json for Dec {
+    fn write_json(&self, out: &mut String) {
+        if self.0.is_finite() {
+            let _ = write!(out, "{:.3}", self.0);
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+/// One JSON object under construction: the one writer of every line the
+/// workspace emits (traces, journals, reports, bench rows). Output is
+/// compact, with no space after `:` or `,`, and keys keep call order.
+/// [`Obj::field`] always writes its key, an absent `Option` as `null`
+/// (the rule of reports and bench rows); [`Obj::opt`] leaves an absent
+/// key out (the rule of trace and journal lines).
+#[derive(Debug)]
+pub struct Obj {
     buf: String,
-    first: bool,
+}
+
+impl Default for Obj {
+    fn default() -> Obj {
+        Obj::new()
+    }
 }
 
 impl Obj {
-    fn new(tag: &str) -> Obj {
-        let mut o = Obj {
-            buf: String::from("{\"t\":"),
-            first: false,
-        };
-        esc(&mut o.buf, tag);
-        o
+    /// An empty object.
+    pub fn new() -> Obj {
+        Obj {
+            buf: String::from("{"),
+        }
     }
 
-    fn sep(&mut self) {
-        if self.first {
-            self.first = false;
-        } else {
+    /// An object whose first key is the line tag `"t"`.
+    pub fn tagged(tag: &str) -> Obj {
+        Obj::new().field("t", tag)
+    }
+
+    /// Adds `key` with value `v`.
+    pub fn field(mut self, key: &str, v: impl Json) -> Obj {
+        if self.buf.len() > 1 {
             self.buf.push(',');
         }
-    }
-
-    fn str(&mut self, k: &str, v: &str) -> &mut Self {
-        self.sep();
-        esc(&mut self.buf, k);
+        key.write_json(&mut self.buf);
         self.buf.push(':');
-        esc(&mut self.buf, v);
+        v.write_json(&mut self.buf);
         self
     }
 
-    fn opt_str(&mut self, k: &str, v: Option<&str>) -> &mut Self {
-        if let Some(v) = v {
-            self.str(k, v);
+    /// Adds `key` when `v` is present; leaves it out otherwise.
+    pub fn opt(self, key: &str, v: Option<impl Json>) -> Obj {
+        match v {
+            Some(v) => self.field(key, v),
+            None => self,
         }
-        self
     }
 
-    fn num(&mut self, k: &str, v: u64) -> &mut Self {
-        self.sep();
-        esc(&mut self.buf, k);
-        let _ = write!(self.buf, ":{v}");
-        self
-    }
-
-    fn boolean(&mut self, k: &str, v: bool) -> &mut Self {
-        self.sep();
-        esc(&mut self.buf, k);
-        let _ = write!(self.buf, ":{v}");
-        self
-    }
-
-    fn finish(mut self) -> String {
+    /// The object's text.
+    pub fn finish(mut self) -> String {
         self.buf.push('}');
         self.buf
     }
 }
 
-fn span_line(s: &SpanRecord) -> String {
-    let mut o = Obj::new("span");
-    o.str("phase", s.phase.name())
-        .opt_str("label", s.label.as_deref())
-        .opt_str("member", s.member.as_deref())
-        .num("depth", s.depth as u64)
-        .num("start_us", s.start_us)
-        .num("dur_us", s.dur_us)
-        .boolean("closed", s.closed);
-    o.finish()
+impl Json for Obj {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.buf);
+        out.push('}');
+    }
 }
 
-fn event_line(e: &EventRecord) -> String {
-    let mut o = match e.kind {
+/// A JSON array document with one item per line, each indented by
+/// `indent`: the layout of the bench harness's whole-run files.
+pub fn lines_array(items: impl IntoIterator<Item = String>, indent: &str) -> String {
+    let items: Vec<String> = items.into_iter().map(|i| indent.to_owned() + &i).collect();
+    format!("[\n{}\n]", items.join(",\n"))
+}
+
+// ---------------------------------------------------------------------------
+// Trace lines
+// ---------------------------------------------------------------------------
+
+fn span_line(s: &SpanRecord) -> Obj {
+    Obj::tagged("span")
+        .field("phase", s.phase.name())
+        .opt("label", s.label.as_deref())
+        .opt("member", s.member.as_deref())
+        .field("depth", s.depth)
+        .field("start_us", s.start_us)
+        .field("dur_us", s.dur_us)
+        .field("closed", s.closed)
+}
+
+fn event_line(e: &EventRecord) -> Obj {
+    let o = match e.kind {
         EventKind::Decision {
             var,
             class,
             level,
             guided,
-        } => {
-            let mut o = Obj::new("decision");
-            o.num("seq", e.seq)
-                .num("var", var as u64)
-                .str("class", class.name())
-                .num("level", level as u64)
-                .boolean("guided", guided);
-            o
-        }
-        EventKind::Conflict { level, lbd } => {
-            let mut o = Obj::new("conflict");
-            o.num("seq", e.seq)
-                .num("level", level as u64)
-                .num("lbd", lbd as u64);
-            o
-        }
-        EventKind::TheoryLemma { cycle_len } => {
-            let mut o = Obj::new("lemma");
-            o.num("seq", e.seq).num("cycle_len", cycle_len as u64);
-            o
-        }
-        EventKind::Restart { conflicts } => {
-            let mut o = Obj::new("restart");
-            o.num("seq", e.seq).num("conflicts", conflicts);
-            o
-        }
-        EventKind::Reduction { removed } => {
-            let mut o = Obj::new("reduction");
-            o.num("seq", e.seq).num("removed", removed);
-            o
-        }
+        } => Obj::tagged("decision")
+            .field("seq", e.seq)
+            .field("var", var)
+            .field("class", class.name())
+            .field("level", level)
+            .field("guided", guided),
+        EventKind::Conflict { level, lbd } => Obj::tagged("conflict")
+            .field("seq", e.seq)
+            .field("level", level)
+            .field("lbd", lbd),
+        EventKind::TheoryLemma { cycle_len } => Obj::tagged("lemma")
+            .field("seq", e.seq)
+            .field("cycle_len", cycle_len),
+        EventKind::Restart { conflicts } => Obj::tagged("restart")
+            .field("seq", e.seq)
+            .field("conflicts", conflicts),
+        EventKind::Reduction { removed } => Obj::tagged("reduction")
+            .field("seq", e.seq)
+            .field("removed", removed),
     };
-    o.opt_str("member", e.member.as_deref());
-    o.finish()
+    o.opt("member", e.member.as_deref())
 }
 
-fn member_line(m: &MemberRecord) -> String {
-    let mut o = Obj::new("member");
-    o.str("name", &m.name)
-        .str("strategy", &m.strategy)
-        .str("verdict", &m.verdict)
-        .boolean("winner", m.winner)
-        .boolean("cancelled", m.cancelled)
-        .num("decisions", m.decisions)
-        .num("conflicts", m.conflicts)
-        .num("time_us", m.time_us)
-        .opt_str("error", m.error.as_deref());
-    o.finish()
+fn member_line(m: &MemberRecord) -> Obj {
+    Obj::tagged("member")
+        .field("name", &m.name)
+        .field("strategy", &m.strategy)
+        .field("verdict", &m.verdict)
+        .field("winner", m.winner)
+        .field("cancelled", m.cancelled)
+        .field("decisions", m.decisions)
+        .field("conflicts", m.conflicts)
+        .field("time_us", m.time_us)
+        .opt("error", m.error.as_deref())
 }
 
-fn hist_line(name: &str, h: &Histogram) -> String {
-    let mut o = Obj::new("hist");
-    o.str("name", name)
-        .num("count", h.count())
-        .num("sum", h.sum())
-        .num("min", h.min())
-        .num("max", h.max())
-        .str("buckets", &h.encode_buckets());
-    o.finish()
+fn hist_line(name: &str, h: &Histogram) -> Obj {
+    Obj::tagged("hist")
+        .field("name", name)
+        .field("count", h.count())
+        .field("sum", h.sum())
+        .field("min", h.min())
+        .field("max", h.max())
+        .field("buckets", h.encode_buckets())
 }
 
-fn summary_line(snap: &TraceSnapshot) -> String {
+fn summary_line(snap: &TraceSnapshot) -> Obj {
     let c = &snap.counters;
-    let mut o = Obj::new("summary");
-    o.num("sample", snap.decision_sample as u64);
+    let mut o = Obj::tagged("summary").field("sample", snap.decision_sample);
     for cls in VarClass::ALL {
-        o.num(&format!("dec_{}", cls.name()), c.decisions[cls.index()]);
-        o.num(&format!("gd_{}", cls.name()), c.guided[cls.index()]);
+        o = o
+            .field(&format!("dec_{}", cls.name()), c.decisions[cls.index()])
+            .field(&format!("gd_{}", cls.name()), c.guided[cls.index()]);
     }
     for counter in Counter::ALL {
-        o.num(counter.name(), c[counter]);
+        o = o.field(counter.name(), c[counter]);
     }
-    o.finish()
+    o
 }
 
 /// Serialize a snapshot as one NDJSON block (terminated by a `summary` line).
 pub fn to_ndjson(snap: &TraceSnapshot) -> String {
-    let mut out = String::new();
-    for s in &snap.spans {
-        out.push_str(&span_line(s));
-        out.push('\n');
-    }
-    for e in &snap.events {
-        out.push_str(&event_line(e));
-        out.push('\n');
-    }
-    for m in &snap.members {
-        out.push_str(&member_line(m));
-        out.push('\n');
-    }
     // Empty distributions are elided: a `hist` line asserts observations.
-    for (name, h) in snap.hists.named() {
-        if h.count() > 0 {
-            out.push_str(&hist_line(&name, h));
-            out.push('\n');
-        }
-    }
-    out.push_str(&summary_line(snap));
-    out.push('\n');
-    out
+    let hists = snap
+        .hists
+        .named()
+        .into_iter()
+        .filter(|(_, h)| h.count() > 0);
+    let lines = (snap.spans.iter().map(span_line))
+        .chain(snap.events.iter().map(event_line))
+        .chain(snap.members.iter().map(member_line))
+        .chain(hists.map(|(name, h)| hist_line(&name, h)))
+        .chain([summary_line(snap)]);
+    lines.map(|o| o.finish() + "\n").collect()
 }
 
-/// Parse one flat JSON object (strings, non-negative integers, booleans,
-/// null). Rejects nesting — trace lines are flat by construction.
+/// Parse one flat JSON object (strings, integers, booleans, null). Rejects
+/// nesting — trace lines are flat by construction.
 pub fn parse_line(line: &str) -> Result<BTreeMap<String, JsonVal>, String> {
     let b: Vec<char> = line.chars().collect();
     let mut i = 0usize;
@@ -366,13 +435,25 @@ pub fn parse_line(line: &str) -> Result<BTreeMap<String, JsonVal>, String> {
                     return Err("bad literal".into());
                 }
             }
-            Some(c) if c.is_ascii_digit() => {
+            Some(&c) if c.is_ascii_digit() || c == '-' => {
                 let start = i;
+                i += 1;
                 while i < b.len() && b[i].is_ascii_digit() {
                     i += 1;
                 }
                 let s: String = b[start..i].iter().collect();
-                JsonVal::Num(s.parse().map_err(|e| format!("bad number: {e}"))?)
+                let n = match s.starts_with('-') {
+                    // `-0` reads as zero.
+                    true => s.parse().map(|n: i64| {
+                        if n < 0 {
+                            JsonVal::Neg(n)
+                        } else {
+                            JsonVal::Num(0)
+                        }
+                    }),
+                    false => s.parse().map(JsonVal::Num),
+                };
+                n.map_err(|e| format!("bad number: {e}"))?
             }
             Some('{') | Some('[') => return Err("nested values not allowed in trace lines".into()),
             _ => return Err(format!("unexpected value for key {key:?}")),
@@ -440,132 +521,135 @@ pub fn from_ndjson_at(text: &str, first_line: usize) -> Result<TraceSnapshot, St
             return Err(format!("line {lineno}: content after summary"));
         }
         let map = parse_line(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        let tag = get_str(&map, "t").map_err(|e| format!("line {lineno}: {e}"))?;
-        let res: Result<(), String> = (|| {
-            match tag {
-                "span" => {
-                    let phase_name = get_str(&map, "phase")?;
-                    let phase = Phase::from_name(phase_name)
-                        .ok_or_else(|| format!("unknown phase {phase_name:?}"))?;
-                    snap.spans.push(SpanRecord {
-                        phase,
-                        label: opt_string(&map, "label"),
-                        member: opt_string(&map, "member"),
-                        depth: get_num(&map, "depth")? as u32,
-                        start_us: get_num(&map, "start_us")?,
-                        dur_us: get_num(&map, "dur_us")?,
-                        closed: get_bool(&map, "closed")?,
-                    });
-                }
-                "decision" => {
-                    let class_name = get_str(&map, "class")?;
-                    let class = VarClass::from_name(class_name)
-                        .ok_or_else(|| format!("unknown class {class_name:?}"))?;
-                    snap.events.push(EventRecord {
-                        seq: get_num(&map, "seq")?,
-                        member: opt_string(&map, "member"),
-                        kind: EventKind::Decision {
-                            var: get_num(&map, "var")? as u32,
-                            class,
-                            level: get_num(&map, "level")? as u32,
-                            guided: get_bool(&map, "guided")?,
-                        },
-                    });
-                }
-                "conflict" => {
-                    snap.events.push(EventRecord {
-                        seq: get_num(&map, "seq")?,
-                        member: opt_string(&map, "member"),
-                        kind: EventKind::Conflict {
-                            level: get_num(&map, "level")? as u32,
-                            lbd: get_num(&map, "lbd")? as u32,
-                        },
-                    });
-                }
-                "lemma" => {
-                    snap.events.push(EventRecord {
-                        seq: get_num(&map, "seq")?,
-                        member: opt_string(&map, "member"),
-                        kind: EventKind::TheoryLemma {
-                            cycle_len: get_num(&map, "cycle_len")? as u32,
-                        },
-                    });
-                }
-                "restart" => {
-                    snap.events.push(EventRecord {
-                        seq: get_num(&map, "seq")?,
-                        member: opt_string(&map, "member"),
-                        kind: EventKind::Restart {
-                            // The interval arrived after PR 3; absent in old
-                            // traces, so it parses leniently.
-                            conflicts: get_num(&map, "conflicts").unwrap_or(0),
-                        },
-                    });
-                }
-                "reduction" => {
-                    snap.events.push(EventRecord {
-                        seq: get_num(&map, "seq")?,
-                        member: opt_string(&map, "member"),
-                        kind: EventKind::Reduction {
-                            removed: get_num(&map, "removed")?,
-                        },
-                    });
-                }
-                "hist" => {
-                    let name = get_str(&map, "name")?;
-                    let h = Histogram::decode(
-                        get_num(&map, "count")?,
-                        get_num(&map, "sum")?,
-                        get_num(&map, "min")?,
-                        get_num(&map, "max")?,
-                        get_str(&map, "buckets")?,
-                    )
-                    .map_err(|e| format!("hist {name:?}: {e}"))?;
-                    *snap
-                        .hists
-                        .by_name_mut(name)
-                        .ok_or_else(|| format!("unknown hist name {name:?}"))? = h;
-                }
-                "member" => {
-                    snap.members.push(MemberRecord {
-                        name: get_str(&map, "name")?.to_owned(),
-                        strategy: get_str(&map, "strategy")?.to_owned(),
-                        verdict: get_str(&map, "verdict")?.to_owned(),
-                        winner: get_bool(&map, "winner")?,
-                        cancelled: get_bool(&map, "cancelled")?,
-                        decisions: get_num(&map, "decisions")?,
-                        conflicts: get_num(&map, "conflicts")?,
-                        time_us: get_num(&map, "time_us")?,
-                        error: opt_string(&map, "error"),
-                    });
-                }
-                "summary" => {
-                    snap.decision_sample = get_num(&map, "sample")? as u32;
-                    let mut c = Counters::default();
-                    for cls in VarClass::ALL {
-                        c.decisions[cls.index()] = get_num(&map, &format!("dec_{}", cls.name()))?;
-                        c.guided[cls.index()] = get_num(&map, &format!("gd_{}", cls.name()))?;
-                    }
-                    for counter in Counter::ALL {
-                        c[counter] = match get_num(&map, counter.name()) {
-                            Ok(n) => n,
-                            Err(_) if counter.presence() == Presence::Lenient => 0,
-                            Err(e) => return Err(e),
-                        };
-                    }
-                    snap.counters = c;
-                    saw_summary = true;
-                }
-                other => return Err(format!("unknown line tag {other:?}")),
-            }
-            Ok(())
-        })();
-        res.map_err(|e| format!("line {lineno}: {e}"))?;
+        saw_summary = apply_line(&mut snap, &map).map_err(|e| format!("line {lineno}: {e}"))?;
     }
     if !saw_summary {
         return Err("trace block has no summary line".into());
     }
     Ok(snap)
+}
+
+/// Adds one parsed trace line to `snap`; `true` when it was the block's
+/// `summary` line.
+fn apply_line(snap: &mut TraceSnapshot, map: &BTreeMap<String, JsonVal>) -> Result<bool, String> {
+    match get_str(map, "t")? {
+        "span" => {
+            let phase_name = get_str(map, "phase")?;
+            let phase = Phase::from_name(phase_name)
+                .ok_or_else(|| format!("unknown phase {phase_name:?}"))?;
+            snap.spans.push(SpanRecord {
+                phase,
+                label: opt_string(map, "label"),
+                member: opt_string(map, "member"),
+                depth: get_num(map, "depth")? as u32,
+                start_us: get_num(map, "start_us")?,
+                dur_us: get_num(map, "dur_us")?,
+                closed: get_bool(map, "closed")?,
+            });
+        }
+        "decision" => {
+            let class_name = get_str(map, "class")?;
+            let class = VarClass::from_name(class_name)
+                .ok_or_else(|| format!("unknown class {class_name:?}"))?;
+            snap.events.push(EventRecord {
+                seq: get_num(map, "seq")?,
+                member: opt_string(map, "member"),
+                kind: EventKind::Decision {
+                    var: get_num(map, "var")? as u32,
+                    class,
+                    level: get_num(map, "level")? as u32,
+                    guided: get_bool(map, "guided")?,
+                },
+            });
+        }
+        "conflict" => {
+            snap.events.push(EventRecord {
+                seq: get_num(map, "seq")?,
+                member: opt_string(map, "member"),
+                kind: EventKind::Conflict {
+                    level: get_num(map, "level")? as u32,
+                    lbd: get_num(map, "lbd")? as u32,
+                },
+            });
+        }
+        "lemma" => {
+            snap.events.push(EventRecord {
+                seq: get_num(map, "seq")?,
+                member: opt_string(map, "member"),
+                kind: EventKind::TheoryLemma {
+                    cycle_len: get_num(map, "cycle_len")? as u32,
+                },
+            });
+        }
+        "restart" => {
+            snap.events.push(EventRecord {
+                seq: get_num(map, "seq")?,
+                member: opt_string(map, "member"),
+                kind: EventKind::Restart {
+                    // The interval arrived after the first trace
+                    // format; absent in old traces, so it parses
+                    // leniently.
+                    conflicts: get_num(map, "conflicts").unwrap_or(0),
+                },
+            });
+        }
+        "reduction" => {
+            snap.events.push(EventRecord {
+                seq: get_num(map, "seq")?,
+                member: opt_string(map, "member"),
+                kind: EventKind::Reduction {
+                    removed: get_num(map, "removed")?,
+                },
+            });
+        }
+        "hist" => {
+            let name = get_str(map, "name")?;
+            let h = Histogram::decode(
+                get_num(map, "count")?,
+                get_num(map, "sum")?,
+                get_num(map, "min")?,
+                get_num(map, "max")?,
+                get_str(map, "buckets")?,
+            )
+            .map_err(|e| format!("hist {name:?}: {e}"))?;
+            *snap
+                .hists
+                .by_name_mut(name)
+                .ok_or_else(|| format!("unknown hist name {name:?}"))? = h;
+        }
+        "member" => {
+            snap.members.push(MemberRecord {
+                name: get_str(map, "name")?.to_owned(),
+                strategy: get_str(map, "strategy")?.to_owned(),
+                verdict: get_str(map, "verdict")?.to_owned(),
+                winner: get_bool(map, "winner")?,
+                cancelled: get_bool(map, "cancelled")?,
+                decisions: get_num(map, "decisions")?,
+                conflicts: get_num(map, "conflicts")?,
+                time_us: get_num(map, "time_us")?,
+                error: opt_string(map, "error"),
+            });
+        }
+        "summary" => {
+            snap.decision_sample = get_num(map, "sample")? as u32;
+            let mut c = Counters::default();
+            for cls in VarClass::ALL {
+                c.decisions[cls.index()] = get_num(map, &format!("dec_{}", cls.name()))?;
+                c.guided[cls.index()] = get_num(map, &format!("gd_{}", cls.name()))?;
+            }
+            for counter in Counter::ALL {
+                c[counter] = match get_num(map, counter.name()) {
+                    Ok(n) => n,
+                    Err(_) if counter.presence() == Presence::Lenient => 0,
+                    Err(e) => return Err(e),
+                };
+            }
+            snap.counters = c;
+            return Ok(true);
+        }
+        other => return Err(format!("unknown line tag {other:?}")),
+    }
+    Ok(false)
 }
 
 /// Aggregate report produced by [`validate`].
@@ -583,31 +667,37 @@ pub struct TraceReport {
 
 /// Splits a trace file into its `summary`-terminated blocks and parses
 /// each, handing `f` the block's first line number and snapshot in file
-/// order. Blank lines stay in their block, so parse errors carry absolute
-/// file line numbers. Returns the number of blocks; a file without one,
+/// order. Each line is parsed once, and errors carry absolute file line
+/// numbers. Returns the number of blocks; a file without one,
 /// or with lines after its last summary, is an error.
 pub fn for_each_block(
     text: &str,
     mut f: impl FnMut(usize, TraceSnapshot) -> Result<(), String>,
 ) -> Result<usize, String> {
     let mut blocks = 0;
-    let mut block = String::new();
+    // The current block's lines, each parsed once. A block is applied only
+    // when its summary arrives, so a malformed line anywhere in the block
+    // is reported before a schema error on an earlier line.
+    let mut block: Vec<(usize, BTreeMap<String, JsonVal>)> = Vec::new();
     let mut block_start = 1usize;
-    for (lineno, line) in text.lines().enumerate() {
-        block.push_str(line);
-        block.push('\n');
+    for (lineno, line) in (1..).zip(text.lines()) {
         if line.trim().is_empty() {
             continue;
         }
-        let map = parse_line(line.trim()).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        if map.get("t").and_then(JsonVal::as_str) == Some("summary") {
-            f(block_start, from_ndjson_at(&block, block_start)?)?;
+        let map = parse_line(line.trim()).map_err(|e| format!("line {lineno}: {e}"))?;
+        let summary = map.get("t").and_then(JsonVal::as_str) == Some("summary");
+        block.push((lineno, map));
+        if summary {
+            let mut snap = TraceSnapshot::default();
+            for (lineno, map) in block.drain(..) {
+                apply_line(&mut snap, &map).map_err(|e| format!("line {lineno}: {e}"))?;
+            }
+            f(block_start, snap)?;
             blocks += 1;
-            block.clear();
-            block_start = lineno + 2;
+            block_start = lineno + 1;
         }
     }
-    if !block.trim().is_empty() {
+    if !block.is_empty() {
         return Err(format!(
             "trailing lines from line {block_start} not terminated by a summary"
         ));
@@ -787,6 +877,32 @@ mod tests {
             error: None,
         });
         rec.snapshot()
+    }
+
+    /// The writer's rules: compact output in call order, `field` writes an
+    /// absent value as `null`, `opt` leaves its key out, decimals take three
+    /// places (`null` when not finite), and built objects and arrays nest.
+    #[test]
+    fn obj_writes_compact_json_with_null_and_absent_keys() {
+        let inner = Obj::new().field("k", 1u64);
+        let line = Obj::tagged("x")
+            .field("s", "a\"b\\c\n")
+            .field("none", None::<&str>)
+            .opt("absent", None::<u64>)
+            .opt("present", Some(-3i64))
+            .field("ok", true)
+            .field("ms", Dec(1.23456))
+            .field("inf", Dec(f64::INFINITY))
+            .field("inner", inner)
+            .field("list", vec!["p", "q"])
+            .finish();
+        assert_eq!(
+            line,
+            r#"{"t":"x","s":"a\"b\\c\n","none":null,"present":-3,"ok":true,"ms":1.235,"inf":null,"inner":{"k":1},"list":["p","q"]}"#
+        );
+        assert_eq!(Obj::new().finish(), "{}");
+        let doc = lines_array(["{}".to_string(), "[]".to_string()], "  ");
+        assert_eq!(doc, "[\n  {},\n  []\n]");
     }
 
     #[test]
@@ -1035,6 +1151,22 @@ mod tests {
         assert_eq!(map.get("label").unwrap().as_str().unwrap(), "a\"b\\c\n");
         assert!(parse_line(r#"{"t":"x","v":{"nested":1}}"#).is_err());
         assert!(parse_line(r#"{"t":"x"} trailing"#).is_err());
-        assert!(parse_line(r#"{"t":"x","v":-1}"#).is_err());
+    }
+
+    /// Integers of either sign parse, but no trace counter reads a
+    /// negative one.
+    #[test]
+    fn parse_line_reads_signed_integers_and_counters_refuse_them() {
+        let map = parse_line(r#"{"t":"x","v":-1,"z":-0,"big":18446744073709551615}"#).unwrap();
+        assert_eq!(map["v"], JsonVal::Neg(-1));
+        assert_eq!(map["v"].as_u64(), None);
+        assert_eq!(map["z"], JsonVal::Num(0));
+        assert_eq!(map["big"].as_u64(), Some(u64::MAX));
+        for bad in ["-", "--1", "-99999999999999999999"] {
+            assert!(parse_line(&format!("{{\"v\":{bad}}}")).is_err(), "{bad}");
+        }
+        let negative = PINNED_SUMMARY.replace("\"conflicts\":11", "\"conflicts\":-11");
+        let err = from_ndjson(&negative).unwrap_err();
+        assert!(err.contains("\"conflicts\""), "got: {err}");
     }
 }

@@ -293,7 +293,9 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         self.budget = budget;
     }
 
-    /// Records `v`'s interference class (see [`Self::var_class`]).
+    /// Records `v`'s interference class: it splits the decision counts, and
+    /// clauses touching an external-RF variable export under the relaxed
+    /// `lbd_max_hot` cap.
     pub fn set_var_class(&mut self, v: Var, class: VarClass) {
         self.var_class[v.index()] = class;
     }
