@@ -415,21 +415,6 @@ impl Blaster {
         sink.add_clause_sink(&[l]);
     }
 
-    /// Asserts `p₁ ∧ … ∧ pₖ → t` without building an implication gate:
-    /// emits the single clause `¬p₁ ∨ … ∨ ¬pₖ ∨ lit(t)`.
-    pub fn assert_implies(
-        &mut self,
-        ts: &TermStore,
-        premises: &[Lit],
-        t: TermId,
-        sink: &mut impl ClauseSink,
-    ) {
-        let l = self.blast_bool(ts, t, sink);
-        let mut clause: Vec<Lit> = premises.iter().map(|&p| !p).collect();
-        clause.push(l);
-        sink.add_clause_sink(&clause);
-    }
-
     /// Asserts `p₁ ∧ … ∧ pₖ → (a = b)` as `2·width` three-ish-literal
     /// clauses (no gate variables) — the compact form used for the
     /// read-from value constraints.

@@ -14,9 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod blast;
-pub mod smtlib;
 pub mod term;
 
 pub use blast::{lits_to_u64, Blaster, ClauseSink};
-pub use smtlib::{free_vars, quote, term_to_smtlib};
 pub use term::{sign_extend, truncate, Sort, TermId, TermKind, TermStore, Value};

@@ -344,24 +344,6 @@ impl TermStore {
         }
     }
 
-    /// N-ary conjunction.
-    pub fn and_all(&mut self, terms: &[TermId]) -> TermId {
-        let mut acc = self.tru();
-        for &t in terms {
-            acc = self.and(acc, t);
-        }
-        acc
-    }
-
-    /// N-ary disjunction.
-    pub fn or_all(&mut self, terms: &[TermId]) -> TermId {
-        let mut acc = self.fls();
-        for &t in terms {
-            acc = self.or(acc, t);
-        }
-        acc
-    }
-
     // ---- Bit-vector constructors ----
 
     /// Constant of the given width (value truncated).

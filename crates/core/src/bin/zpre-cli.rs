@@ -64,9 +64,11 @@
 //! fails closed (exit 7). The one usage error left is `--share` without
 //! `--portfolio`. `oracle` runs the explicit-state store-buffer machine's
 //! exhaustive check (for small programs) and exits by the same table, a
-//! hit state or havoc limit counting as unknown; `dump` emits the
-//! verification condition as SMT-LIB 2; `pretty` parses and re-prints the
-//! program.
+//! hit state or havoc limit counting as unknown; `dump` prints the
+//! instance `verify` solves (pruning and symmetry clauses included) as an
+//! SMT-LIB 2 `QF_IDL` script: the bit-blasted clauses over Booleans named
+//! `rf_*`/`ws_*` after the paper, and the event order as integer clocks;
+//! `pretty` parses and re-prints the program.
 //!
 //! Observability: `--profile` prints a hierarchical per-phase timing report
 //! (parse → unroll → SSA → analysis → encode per memory model → bit-blast →
@@ -116,9 +118,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 use zpre::{
-    run_batch, try_verify, try_verify_portfolio_sweep, try_verify_sweep, verify_bmc_with,
-    verify_portfolio, BatchFault, BatchOptions, BatchTask, Certificate, PortfolioOptions,
-    PortfolioOutcome, ShareConfig, Strategy, Verdict, VerifyError, VerifyOptions, VerifyOutcome,
+    dump_smtlib, run_batch, try_verify, try_verify_portfolio_sweep, try_verify_sweep,
+    verify_bmc_with, verify_portfolio, BatchFault, BatchOptions, BatchTask, Certificate,
+    PortfolioOptions, PortfolioOutcome, ShareConfig, Strategy, Verdict, VerifyError, VerifyOptions,
+    VerifyOutcome,
 };
 use zpre_obs::ndjson::{Dec, Obj};
 use zpre_obs::{profile_report, Counter, Recorder, TraceConfig};
@@ -825,15 +828,25 @@ fn cmd_dump(args: &[String]) -> ExitCode {
         }
         i += 1;
     }
-    match load(path) {
-        Ok(p) => {
-            let ssa = zpre_prog::to_ssa(&unroll_program(&p, unroll));
-            print!("{}", zpre_encoder::dump_smtlib(&ssa, mm));
+    let program = match load(path) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(4);
+        }
+    };
+    let opts = VerifyOptions {
+        unroll_bound: unroll,
+        ..VerifyOptions::new(mm, Strategy::Zpre)
+    };
+    match dump_smtlib(&program, &opts) {
+        Ok(text) => {
+            print!("{text}");
             ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("{e}");
-            ExitCode::from(4)
+            exit_for_error(&e)
         }
     }
 }

@@ -24,9 +24,8 @@
 
 use crate::errors::VerifyError;
 use crate::faults::{self, Fault};
-use crate::trace::Trace;
+use crate::trace::{ModelView, Trace};
 use std::collections::{HashMap, HashSet};
-use zpre_bv::lits_to_u64;
 use zpre_encoder::Encoded;
 use zpre_obs::{Phase, Recorder};
 use zpre_prog::{replay, FlatProgram, MemoryModel, ReplayOp, ScheduleStep, SsaProgram};
@@ -215,22 +214,16 @@ pub(crate) fn certify_unsafe(
     // Concrete nondeterministic inputs, read off the model. SSA names a
     // nondet `nd!{name}` / `ndb!{name}`; the flat lowering binds the same
     // occurrence to the local `%nd_{name}` / `%nb_{name}`.
-    let bv_val = |name: &str| -> u64 {
-        enc.blaster
-            .bv_inputs
-            .get(name)
-            .map(|bits| lits_to_u64(bits, |l| solver.model_value(l).is_true()))
-            .unwrap_or(0)
-    };
+    let model = ModelView::new(ssa, enc, solver);
     let mut nondet_ints: HashMap<String, u64> = HashMap::new();
     for full in &ssa.nondet_names {
         let name = full.strip_prefix("nd!").unwrap_or(full);
-        nondet_ints.insert(format!("%nd_{name}"), bv_val(full));
+        nondet_ints.insert(format!("%nd_{name}"), model.bv_val(full));
     }
     let mut nondet_bools: HashMap<String, bool> = HashMap::new();
-    for (full, &l) in &enc.blaster.bool_inputs {
+    for full in enc.blaster.bool_inputs.keys() {
         if let Some(name) = full.strip_prefix("ndb!") {
-            nondet_bools.insert(format!("%nb_{name}"), solver.model_value(l).is_true());
+            nondet_bools.insert(format!("%nb_{name}"), model.bool_val(full));
         }
     }
 

@@ -24,7 +24,9 @@
 //! - [`portfolio`] — one race whose members run single-bound verifies or
 //!   whole sweeps, and [`bmc`] — one bound loop around any
 //!   single-bound step, so every mode composes with every other. Every
-//!   one of them returns a [`VerifyOutcome`] with one frame per bound.
+//!   one of them returns a [`VerifyOutcome`] with one frame per bound;
+//! - [`smtlib`] — the solved instance printed as SMT-LIB 2, with the
+//!   paper's `rf_*`/`ws_*` names and integer clocks.
 //!
 //! ## Quickstart
 //!
@@ -59,6 +61,7 @@ pub mod harness;
 pub mod incremental;
 pub mod portfolio;
 mod session;
+pub mod smtlib;
 pub mod strategy;
 pub mod trace;
 pub mod verifier;
@@ -76,6 +79,7 @@ pub use portfolio::{
     try_verify_portfolio_sweep, verify_portfolio, MemberResult, PortfolioMember, PortfolioOptions,
     PortfolioOutcome,
 };
+pub use smtlib::dump_smtlib;
 pub use strategy::Strategy;
 pub use trace::{Trace, TraceStep};
 pub use verifier::{

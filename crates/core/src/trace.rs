@@ -10,8 +10,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use zpre_analysis::po_pairs;
 use zpre_bv::{lits_to_u64, TermKind};
-use zpre_encoder::{po_pairs, Encoded};
+use zpre_encoder::Encoded;
 use zpre_prog::ssa::{EventKind, SsaProgram};
 use zpre_prog::{MemoryModel, ReplayOp};
 use zpre_sat::{PriorityListGuide, Solver};

@@ -12,9 +12,14 @@
 //! So are `zpre-cli batch`'s `--json` keys and its exit codes over the
 //! examples, for a clean run and for a killed run resumed from its journal,
 //! and a batch trace records the parse phase as a verify trace does.
+//! `zpre-cli dump` prints, for every example and model, an instance that
+//! reads back into a fresh solver with `verify`'s verdict.
+
+mod smtlib_reader;
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use zpre_sat::SolveResult;
 
 const BOUNDS: [&[&str]; 3] = [
     &["--unroll", "2"],
@@ -178,6 +183,46 @@ fn share_without_portfolio_is_the_only_usage_error() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("require --portfolio"), "{args:?}: {stderr}");
     }
+}
+
+fn dump(file: &std::path::Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_zpre-cli"))
+        .arg("dump")
+        .arg(file)
+        .args(args)
+        .output()
+        .expect("zpre-cli runs")
+}
+
+/// Every example's dump under every model exits 0, and the printed
+/// instance, solved by a fresh solver, gives `verify`'s verdict.
+#[test]
+fn dump_reads_back_with_the_verify_verdict() {
+    for file in examples() {
+        let verdicts = verdicts(&verify(&file, &["--unroll", "2"]));
+        for (mm, verdict) in ["sc", "tso", "pso"].into_iter().zip(verdicts) {
+            let out = dump(&file, &["--mm", mm, "--unroll", "2"]);
+            let what = format!("{} --mm {mm}", file.display());
+            assert_eq!(out.status.code(), Some(0), "{what}");
+            let read_back = match smtlib_reader::solve_dump(&String::from_utf8_lossy(&out.stdout)) {
+                SolveResult::Sat => "unsafe",
+                SolveResult::Unsat => "safe",
+                SolveResult::Unknown => "unknown",
+            };
+            assert_eq!(read_back, verdict, "{what}");
+            if file.ends_with("locked_counter.zc") {
+                assert_eq!(read_back, "safe", "{what}: the lost update is excluded");
+            }
+        }
+    }
+}
+
+#[test]
+fn dump_exit_codes() {
+    let file = &examples()[0];
+    assert_eq!(dump(file, &["--mm", "all"]).status.code(), Some(2));
+    let missing = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("no_such_program.zc");
+    assert_eq!(dump(&missing, &[]).status.code(), Some(4));
 }
 
 fn oracle(file: &std::path::Path) -> Output {

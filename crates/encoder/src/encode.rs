@@ -648,8 +648,8 @@ pub fn try_encode_opts<G: DecisionGuide>(
 }
 
 /// Read/write inventory and read-from candidate sets, shared between the
-/// solver-level encoding and the SMT-LIB dump.
-pub struct AccessAnalysis {
+/// solver-level encoding and the CNF size estimate.
+pub(crate) struct AccessAnalysis {
     /// Write event ids per shared variable.
     pub writes_of: Vec<Vec<usize>>,
     /// Read event ids per shared variable.
@@ -662,7 +662,7 @@ pub struct AccessAnalysis {
 
 /// Computes the access inventory of `ssa` with respect to the program-order
 /// closure.
-pub fn access_analysis(ssa: &SsaProgram, closure: &PoClosure) -> AccessAnalysis {
+pub(crate) fn access_analysis(ssa: &SsaProgram, closure: &PoClosure) -> AccessAnalysis {
     let ts = &ssa.store;
     let num_vars = ssa.shared_names.len();
     let mut writes_of: Vec<Vec<usize>> = vec![Vec::new(); num_vars];

@@ -18,16 +18,10 @@
 #![warn(missing_docs)]
 
 pub mod encode;
-pub mod smtlib;
 pub mod sweep;
 
 pub use encode::{
-    access_analysis, encode, estimate_cnf, try_encode, try_encode_opts, try_encode_traced,
-    AccessAnalysis, CnfEstimate, EncodeError, Encoded, ResolvedRead, RfVar, WsVar,
+    encode, estimate_cnf, try_encode, try_encode_opts, try_encode_traced, CnfEstimate, EncodeError,
+    Encoded, ResolvedRead, RfVar, WsVar,
 };
-// The program-order machinery moved to `zpre-analysis` (it is a static
-// analysis, not an encoding concern); re-exported here so downstream
-// `zpre_encoder::po_pairs` call sites keep compiling.
-pub use smtlib::dump_smtlib;
 pub use sweep::SweepFrames;
-pub use zpre_analysis::{po_pairs, preserved, PoClosure};

@@ -28,12 +28,6 @@ impl<'a> AssignView<'a> {
         self.lit_values[Var::new(var_index as u32).positive().code()]
     }
 
-    /// Value of a literal.
-    #[inline]
-    pub fn lit_value(&self, lit: Lit) -> LBool {
-        self.lit_values[lit.code()]
-    }
-
     /// Number of variables in the solver.
     #[inline]
     pub fn num_vars(&self) -> usize {
@@ -109,24 +103,6 @@ impl PriorityListGuide {
     pub fn with_fixed_polarity(mut self, polarity: bool) -> PriorityListGuide {
         self.fixed_polarity = Some(polarity);
         self
-    }
-
-    /// The priority list (for inspection/tests).
-    pub fn order(&self) -> &[u32] {
-        &self.order
-    }
-
-    /// Appends variables at the tail of the priority list (lowest
-    /// priority), preserving the relative order of everything already
-    /// there — frame-k interference variables keep the H1–H4 ranking of
-    /// earlier frames ahead of them. Call between solves (root level): the
-    /// cursor rewinds so the next scan sees the whole list.
-    pub fn extend_order(&mut self, vars: impl IntoIterator<Item = u32>) {
-        self.order.extend(vars);
-        self.cursor = 0;
-        for s in &mut self.saved {
-            *s = 0;
-        }
     }
 
     fn next_bool(&mut self) -> bool {
@@ -259,28 +235,6 @@ mod tests {
         assert_eq!(
             g.next_decision(view(&lit_table(&assigns))),
             Some(Var::new(0).positive())
-        );
-    }
-
-    #[test]
-    fn extend_order_appends_at_lowest_priority_and_rescans() {
-        let mut assigns = vec![LBool::Undef; 4];
-        let mut g = PriorityListGuide::new(vec![1], 7).with_fixed_polarity(true);
-        assigns[1] = LBool::True;
-        assert_eq!(g.next_decision(view(&lit_table(&assigns))), None);
-        // New frame registers vars 3 and 0 behind the existing order.
-        g.extend_order([3, 0]);
-        assert_eq!(g.order(), &[1, 3, 0]);
-        assert_eq!(
-            g.next_decision(view(&lit_table(&assigns))),
-            Some(Var::new(3).positive())
-        );
-        // Earlier-frame vars regain priority once unassigned again.
-        assigns[1] = LBool::Undef;
-        g.extend_order([2]);
-        assert_eq!(
-            g.next_decision(view(&lit_table(&assigns))),
-            Some(Var::new(1).positive())
         );
     }
 

@@ -15,8 +15,7 @@
 //!   theory integration (used by the event-order theory in `zpre-smt`);
 //! - a decision-guide interface ([`DecisionGuide`]) consulted *before* the
 //!   built-in VSIDS heuristic — the integration point for the paper's
-//!   interference-relation decision order ([`PriorityListGuide`]);
-//! - [`dimacs`] reading/writing for interoperability and testing.
+//!   interference-relation decision order ([`PriorityListGuide`]).
 //!
 //! ## Example
 //!
@@ -35,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod clause;
-pub mod dimacs;
 pub mod guide;
 pub mod heap;
 pub mod lit;

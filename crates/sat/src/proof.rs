@@ -4,8 +4,7 @@
 //! (learnt clauses, root-level strengthenings of input clauses, and the
 //! final empty clause on unsatisfiability) plus learnt-clause deletions.
 //! The resulting sequence is a standard DRAT proof and can be validated by
-//! [`check`] — an independent forward reverse-unit-propagation checker —
-//! or exported in the textual DRAT format consumed by external tools.
+//! [`check`] — an independent forward reverse-unit-propagation checker.
 //!
 //! Scope: pure [`check`] is sound for *propositional* solving. Clauses
 //! learnt from background-theory conflicts are theory-valid but not
@@ -17,7 +16,6 @@
 //! for the remaining RUP derivation.
 
 use crate::lit::{LBool, Lit};
-use std::fmt::Write as _;
 
 /// One proof step.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,45 +53,11 @@ impl Proof {
         self.steps.push(ProofStep::Lemma(lits.to_vec()));
     }
 
-    /// The clauses of all [`ProofStep::Lemma`] steps, in order.
-    pub fn lemma_clauses(&self) -> Vec<&[Lit]> {
-        self.steps
-            .iter()
-            .filter_map(|s| match s {
-                ProofStep::Lemma(c) => Some(c.as_slice()),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// `true` once the proof derives the empty clause.
     pub fn derives_empty(&self) -> bool {
         self.steps
             .iter()
             .any(|s| matches!(s, ProofStep::Add(c) if c.is_empty()))
-    }
-
-    /// Serializes to the textual DRAT format (`d` lines for deletions).
-    /// Theory lemmas become plain additions preceded by a `c lemma`
-    /// comment — external propositional checkers will reject such proofs,
-    /// which is the correct fail-closed behaviour (the lemmas need the
-    /// theory-side re-justification that only [`check_with_lemmas`] does).
-    pub fn to_drat(&self) -> String {
-        let mut out = String::new();
-        for step in &self.steps {
-            let (prefix, lits) = match step {
-                ProofStep::Add(c) => ("", c),
-                ProofStep::Delete(c) => ("d ", c),
-                ProofStep::Lemma(c) => ("c lemma\n", c),
-            };
-            out.push_str(prefix);
-            for &l in lits {
-                let n = l.var().index() as i64 + 1;
-                let _ = write!(out, "{} ", if l.sign() { n } else { -n });
-            }
-            out.push_str("0\n");
-        }
-        out
     }
 }
 
@@ -304,16 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn drat_text_format() {
-        let mut proof = Proof::default();
-        proof.add(&cl(&[1, -2]));
-        proof.delete(&cl(&[3]));
-        proof.add(&[]);
-        let text = proof.to_drat();
-        assert_eq!(text, "1 -2 0\nd 3 0\n0\n");
-    }
-
-    #[test]
     fn plain_check_rejects_lemmas() {
         // The lemma (¬a) would make the proof go through, but `check` must
         // fail closed on theory lemmas it cannot justify propositionally.
@@ -339,7 +293,6 @@ mod tests {
         });
         assert_eq!(result, Ok(()));
         assert_eq!(seen, vec![cl(&[-1])]);
-        assert_eq!(proof.lemma_clauses(), vec![cl(&[-1]).as_slice()]);
     }
 
     #[test]
@@ -350,12 +303,5 @@ mod tests {
         proof.lemma(&cl(&[-1]));
         proof.add(&[]);
         assert_eq!(check_with_lemmas(&cnf, &proof, |_| false), Err(1));
-    }
-
-    #[test]
-    fn lemma_drat_text_is_commented() {
-        let mut proof = Proof::default();
-        proof.lemma(&cl(&[-1]));
-        assert_eq!(proof.to_drat(), "c lemma\n-1 0\n");
     }
 }

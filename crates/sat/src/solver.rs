@@ -323,11 +323,6 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         self.theory.enable_share_capture();
     }
 
-    /// The live share endpoint, when sharing is enabled.
-    pub fn share_endpoint(&self) -> Option<&MemberEndpoint> {
-        self.share.as_ref()
-    }
-
     /// Offers the freshly learnt clause and any captured theory lemmas to
     /// the share outbox. Called at conflict time; never touches the pool
     /// lock (the outbox publishes at the next exchange).

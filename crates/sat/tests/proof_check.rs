@@ -113,12 +113,3 @@ fn sat_instances_never_derive_empty() {
     assert_eq!(result, SolveResult::Sat);
     assert!(!pr.derives_empty());
 }
-
-#[test]
-fn drat_text_is_parseable_shape() {
-    let (clauses, nv) = php(3, 2);
-    let (_, pr) = solve_with_proof(&clauses, nv);
-    let text = pr.to_drat();
-    assert!(text.lines().all(|l| l.ends_with(" 0") || l == "0"));
-    assert!(text.lines().last().unwrap().trim_end().ends_with('0'));
-}

@@ -1,7 +1,7 @@
 //! Property tests: the CDCL solver against brute-force enumeration.
 
 use proptest::prelude::*;
-use zpre_sat::{dimacs, Lit, SolveResult, Solver, Var};
+use zpre_sat::{Lit, SolveResult, Solver, Var};
 
 /// Brute-force satisfiability by enumerating all 2^n assignments.
 fn brute_force_sat(num_vars: usize, clauses: &[Vec<Lit>]) -> bool {
@@ -77,13 +77,5 @@ proptest! {
             let r2 = s.solve();
             prop_assert_eq!(r1, r2);
         }
-    }
-
-    #[test]
-    fn dimacs_roundtrip((n, clauses) in arb_formula()) {
-        let cnf = dimacs::Cnf { num_vars: n, clauses };
-        let text = dimacs::write(&cnf);
-        let parsed = dimacs::parse(&text).unwrap();
-        prop_assert_eq!(cnf, parsed);
     }
 }

@@ -137,8 +137,6 @@ pub struct OrderTheory {
     prop_trail: Vec<Lit>,
     /// `prop_trail` length at each open decision level.
     levels: Vec<usize>,
-    /// Whether the fixed edges already contain a cycle.
-    fixed_cycle: bool,
     /// Enable one-step reverse propagation (ablation toggle).
     propagate_reverse: bool,
     /// Append-only journal of emitted lemmas with their justifying cycles
@@ -178,7 +176,6 @@ impl OrderTheory {
             expl_buf: Vec::new(),
             prop_trail: Vec::new(),
             levels: Vec::new(),
-            fixed_cycle: false,
             propagate_reverse: true,
             journal: Vec::new(),
             journal_on: false,
@@ -262,14 +259,11 @@ impl OrderTheory {
         }
         // An edge over an atom's pair goes through its pair id, so a later
         // assertion of that atom sees the fixed copy as a parallel duplicate.
-        let res = match self.pair_of(a, b) {
+        match self.pair_of(a, b) {
             Some(p) => self.graph.insert_pair_edge(p, None),
             None => self.graph.insert_edge(a, b, None),
-        };
-        if res.is_err() {
-            self.fixed_cycle = true;
         }
-        res.is_ok()
+        .is_ok()
     }
 
     /// Registers a solver variable as the ordering atom for `(a, b)`:
@@ -315,11 +309,6 @@ impl OrderTheory {
         }
     }
 
-    /// `true` if the fixed edges alone are cyclic.
-    pub fn has_fixed_cycle(&self) -> bool {
-        self.fixed_cycle
-    }
-
     /// `true` if `to` is currently reachable from `from`. A `&self` query:
     /// the DFS scratch lives inside the engine behind interior mutability,
     /// so certification re-checks don't need mutable access.
@@ -339,42 +328,18 @@ impl OrderTheory {
                 .any(|e| e.to == b && e.tag.is_none())
     }
 
-    /// Current topological order of all nodes, if the graph is acyclic.
-    /// Used for model extraction (concrete clock values).
-    pub fn topological_order(&self) -> Option<Vec<NodeId>> {
-        let n = self.graph.num_nodes();
-        let mut indeg = vec![0usize; n];
-        for u in 0..n as u32 {
-            for e in self.graph.out_edges(NodeId(u)) {
-                indeg[e.to.index()] += 1;
-            }
-        }
-        let mut queue: Vec<NodeId> = (0..n as u32)
+    /// Every fixed (program-order) edge `(a, b)` — the graph's untagged
+    /// edges — by source node.
+    pub fn fixed_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        (0..self.graph.num_nodes() as u32)
             .map(NodeId)
-            .filter(|x| indeg[x.index()] == 0)
-            .collect();
-        let mut out = Vec::with_capacity(n);
-        while let Some(x) = queue.pop() {
-            out.push(x);
-            for e in self.graph.out_edges(x) {
-                indeg[e.to.index()] -= 1;
-                if indeg[e.to.index()] == 0 {
-                    queue.push(e.to);
-                }
-            }
-        }
-        (out.len() == n).then_some(out)
-    }
-
-    /// Clock value per node derived from [`Self::topological_order`]:
-    /// `clock[v]` is the position of node `v`. `None` if cyclic.
-    pub fn clock_values(&self) -> Option<Vec<u32>> {
-        let order = self.topological_order()?;
-        let mut clock = vec![0u32; self.graph.num_nodes()];
-        for (i, n) in order.iter().enumerate() {
-            clock[n.index()] = i as u32;
-        }
-        Some(clock)
+            .flat_map(move |a| {
+                self.graph
+                    .out_edges(a)
+                    .iter()
+                    .filter(|e| e.tag.is_none())
+                    .map(move |e| (a, e.to))
+            })
     }
 
     /// Records the implication `expl ⊨ q` if `q` has no explanation yet:
@@ -656,7 +621,7 @@ mod tests {
         assert!(t.add_fixed_edge(a, b));
         assert!(t.add_fixed_edge(b, c));
         assert!(!t.add_fixed_edge(c, a));
-        assert!(t.has_fixed_cycle());
+        assert_eq!(t.fixed_edges().count(), 2, "the refused edge is not kept");
     }
 
     #[test]
@@ -906,20 +871,20 @@ mod tests {
     }
 
     #[test]
-    fn topological_order_and_clocks() {
+    fn fixed_edges_lists_each_fixed_edge_once() {
         let mut t = OrderTheory::new();
         let n: Vec<NodeId> = (0..4).map(|_| t.add_node()).collect();
-        t.add_fixed_edge(n[0], n[1]);
-        t.add_fixed_edge(n[1], n[2]);
-        t.add_fixed_edge(n[0], n[3]);
-        let clock = t.clock_values().expect("acyclic");
-        assert!(clock[n[0].index()] < clock[n[1].index()]);
-        assert!(clock[n[1].index()] < clock[n[2].index()]);
-        assert!(clock[n[0].index()] < clock[n[3].index()]);
+        t.register_atom(Var::new(0), n[2], n[3]);
+        assert!(t.add_fixed_edge(n[0], n[1]));
+        assert!(t.add_fixed_edge(n[1], n[2]));
+        assert!(t.add_fixed_edge(n[0], n[1]), "a duplicate is accepted");
+        assert!(t.add_fixed_edge(n[2], n[3]), "an edge over an atom's pair");
+        let edges: Vec<(NodeId, NodeId)> = t.fixed_edges().collect();
+        assert_eq!(edges, vec![(n[0], n[1]), (n[1], n[2]), (n[2], n[3])]);
     }
 
     #[test]
-    fn topological_order_none_when_cyclic() {
+    fn atom_closing_a_fixed_cycle_is_refused() {
         let mut t = OrderTheory::new();
         let a = t.add_node();
         let b = t.add_node();
@@ -932,8 +897,8 @@ mod tests {
         t.new_level();
         // b→a would close the cycle — the theory refuses it.
         assert!(t.assert_lit(v0.positive(), &mut out).is_err());
-        // Graph stays acyclic, topological order exists.
-        assert!(t.topological_order().is_some());
+        // The refused edge is not in the graph.
+        assert!(!t.reachable(b, a));
     }
 
     #[test]

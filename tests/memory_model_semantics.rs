@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 use zpre::{verify, Strategy, Verdict, VerifyOptions};
-use zpre_encoder::po_pairs;
+use zpre_analysis::po_pairs;
 use zpre_prog::{to_ssa, unroll_program, MemoryModel};
 use zpre_workloads::{suite, Scale};
 
