@@ -1,4 +1,4 @@
-.PHONY: build test bench-eog bench-eog-quick bench-sweep bench-sweep-quick bench-share bench-share-quick bench-prune bench-prune-quick trace-baselines trace-gate
+.PHONY: build test bench-sweep bench-sweep-quick bench-share bench-share-quick bench-prune bench-prune-quick trace-baselines trace-gate
 
 build:
 	cargo build --release
@@ -6,25 +6,13 @@ build:
 test:
 	cargo test -q
 
-# Full EOG microbenchmark sweep (all shapes at 10^2..10^4), appended to
-# BENCH_EOG.json, plus the end-to-end stress/wmm comparison under
-# zpre-dfs-check vs zpre (ab-bench eog).
-bench-eog: build
-	./target/release/eog-bench --tag "$${TAG:-local}"
-	./target/release/ab-bench eog --tag "$${TAG:-local}" --out target/ab/eog.ndjson
-
-# Quick smoke variant for CI: small sizes, quick-scale suite, results to
-# scratch files instead of the tracked BENCH_EOG.json.
-bench-eog-quick: build
-	./target/release/eog-bench --quick --tag ci-smoke --out /tmp/eog-smoke.json
-	./target/release/ab-bench eog --quick --tag ci-smoke --out /tmp/ab-eog-smoke.ndjson
-
 # The A/B pairs below run through one loop (ab-bench): every row is
 # solved --reps times per side, alternating which side goes first, both
 # sides must agree on every verdict, and rows unknown on both sides are
 # left out of the gated time (the paper's both-solved convention). Full
 # runs append NDJSON to target/ab/PAIR.ndjson; BENCH_{SWEEP,SHARE,PRUNE,
-# EOG}.json are frozen history of the single-run drivers.
+# EOG}.json are frozen history of the single-run drivers and of the
+# removed EOG microbenchmark.
 
 # Scratch at every bound vs the incremental sweep on the stress + wmm
 # families (plus loopy marker-frame tasks); fails unless the stress+wmm

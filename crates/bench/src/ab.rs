@@ -24,14 +24,13 @@
 //! | `bmc`   | `verify_bmc`           | `try_verify_sweep`      | bug-at-bound-1 split (info) |
 //! | `share` | isolated portfolio     | shared portfolio        | tolerance, `sh_import_hits > 0` |
 //! | `prune` | `prune: false`         | `prune: true`           | tolerance, heavy vars removed |
-//! | `eog`   | `zpre-dfs-check`       | `zpre`                  | visited-nodes ratio (info) |
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use zpre::{
     try_verify, try_verify_sweep, try_verify_sweep_full, verify_bmc, verify_portfolio,
-    PortfolioOptions, ShareConfig, Strategy, Verdict, VerifyError, VerifyOptions, VerifyOutcome,
+    PortfolioOptions, ShareConfig, Verdict, VerifyError, VerifyOptions, VerifyOutcome,
 };
 use zpre_obs::ndjson::{Dec, Obj};
 use zpre_obs::{Counter, Counters};
@@ -432,7 +431,7 @@ pub fn table(title: &str, sides: [&str; 2], families: &[(&str, Sum)]) -> String 
 }
 
 /// The pair names [`pair`] knows.
-pub const PAIRS: [&str; 5] = ["sweep", "bmc", "share", "prune", "eog"];
+pub const PAIRS: [&str; 4] = ["sweep", "bmc", "share", "prune"];
 
 /// The pair called `name`, its families at quick or full scale.
 pub fn pair(name: &str, quick: bool) -> Option<Pair> {
@@ -467,21 +466,6 @@ pub fn pair(name: &str, quick: bool) -> Option<Pair> {
             [("unpruned", prune::<false>), ("pruned", prune::<true>)],
             prune_gate,
         ),
-        "eog" => {
-            // The tail of the stress ladder (seeds 200+), where cycle checks
-            // are the largest share of the solve.
-            let large = stress.1.iter().filter(|t| t.name.starts_with("stress/s2"));
-            let large = ("stress-large", large.cloned().collect());
-            (
-                "EOG cycle checks: full DFS vs incremental",
-                vec![stress, wmm, large],
-                [
-                    ("zpre-dfs-check", full_dfs::<true>),
-                    ("zpre", full_dfs::<false>),
-                ],
-                eog_ratios,
-            )
-        }
         _ => return None,
     };
     let name = PAIRS.into_iter().find(|p| *p == name)?;
@@ -548,17 +532,6 @@ fn prune<const ON: bool>(t: &Task, o: &VerifyOptions) -> Outcome {
     try_verify(&t.program, &o)
 }
 
-/// `zpre-dfs-check` (the full-DFS cycle check) when `ON`, else `zpre`.
-fn full_dfs<const ON: bool>(t: &Task, o: &VerifyOptions) -> Outcome {
-    let mut o = o.clone();
-    o.strategy = if ON {
-        Strategy::ZpreDfsCheck
-    } else {
-        Strategy::Zpre
-    };
-    try_verify(&t.program, &o)
-}
-
 /// The stress+wmm sweep is at least 1.5x faster than scratch.
 fn sweep_gate(r: &Report, _: &AbOptions) -> Vec<Check> {
     let s = r.sum(|f| f == "stress" || f == "wmm");
@@ -588,17 +561,6 @@ fn prune_gate(r: &Report, opts: &AbOptions) -> Vec<Check> {
     let removed = full.saturating_sub(left);
     let what = format!("lock/join-heavy vars {full} -> {left}, removed {removed} (bar > 0)");
     vec![within_tolerance(r, opts), Check::gate(what, removed > 0)]
-}
-
-/// The visited-nodes ratio (full DFS over incremental) per family.
-fn eog_ratios(r: &Report, _: &AbOptions) -> Vec<Check> {
-    let check = |(family, s): (&str, Sum)| {
-        let [a, b] = s.work.map(|w| w[Counter::CycleVisited]);
-        let x = a.max(1) as f64 / b.max(1) as f64;
-        let what = format!("{family}: visited nodes {a} vs {b}, full-dfs / incremental {x:.1}x");
-        Check::info(what)
-    };
-    r.families().into_iter().map(check).collect()
 }
 
 /// B's both-solved time within `tolerance_pct` of A's.

@@ -1,7 +1,7 @@
 //! `ab-bench` — one two-sided comparison through the `zpre_bench::ab` loop.
 //!
 //! ```text
-//! ab-bench {sweep|bmc|share|prune|eog} [--quick] [--tag NAME] [--out PATH]
+//! ab-bench {sweep|bmc|share|prune} [--quick] [--tag NAME] [--out PATH]
 //!          [--budget N] [--seed N] [--max-bound K] [--tolerance PCT] [--reps N]
 //! ```
 //!

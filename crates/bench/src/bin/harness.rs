@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! harness [--scale quick|full] [--budget CONFLICTS] [--seed N] [--out DIR]
-//!         [--telemetry] <experiment>
+//!         [--telemetry] <experiment>...
 //!
 //! experiments:
 //!   table1     accumulated both-solved time, Sat/Unsat/All × SC/TSO/PSO
@@ -10,11 +10,15 @@
 //!   table3     baseline vs ZPRE⁻ vs ZPRE summary
 //!   fig6 fig7 fig8      per-task scatter (SC, TSO, PSO)
 //!   fig9 fig10 fig11    per-subcategory totals (SC, TSO, PSO)
-//!   ablation   heuristic stack + polarity + propagation ablations
+//!   ablation   every strategy: heuristic stack, polarity, branch conditions
 //!   portfolio  strategy race: win counts, cancellation latency, agreement
 //!   validate   verdict consistency against generator ground truth
 //!   all        everything above
+//!   probe      the 40 slowest baseline rows next to ZPRE (not in `all`)
 //! ```
+//!
+//! Any other argument, a misspelt flag included, is a usage error: the
+//! harness exits 2 with the list of experiments before running anything.
 //!
 //! Raw measurements are written as CSV/JSON under `--out`
 //! (default `target/experiments`). With `--telemetry`, every measurement
@@ -45,6 +49,22 @@ use zpre_prog::MemoryModel;
 use zpre_workloads::{suite, Scale};
 
 const MMS: [&str; 3] = ["sc", "tso", "pso"];
+
+/// The experiments `all` runs, in order.
+const EXPERIMENTS: [&str; 12] = [
+    "validate",
+    "table1",
+    "table2",
+    "table3",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "ablation",
+    "portfolio",
+];
 
 /// Streams finished rows to `raw.csv` + `BENCH_ROWS.json`, flushing after
 /// every append. A write failure downgrades the sink to a warning (printed
@@ -148,29 +168,18 @@ fn main() {
         }
         i += 1;
     }
-    if experiments.is_empty() {
+    let known = |e: &String| EXPERIMENTS.contains(&e.as_str()) || e == "probe" || e == "all";
+    let unknown: Vec<&String> = experiments.iter().filter(|e| !known(e)).collect();
+    if experiments.is_empty() || !unknown.is_empty() {
+        if !unknown.is_empty() {
+            eprintln!("unknown experiment or flag: {unknown:?}");
+        }
         eprintln!("usage: harness [--scale quick|full] [--budget N] [--seed N] [--out DIR] [--telemetry] <experiment>...");
-        eprintln!("experiments: table1 table2 table3 fig6..fig11 ablation portfolio validate all");
+        eprintln!("experiments: {} probe all", EXPERIMENTS.join(" "));
         std::process::exit(2);
     }
     if experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "validate",
-            "table1",
-            "table2",
-            "table3",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "ablation",
-            "portfolio",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        experiments = EXPERIMENTS.map(String::from).to_vec();
     }
 
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
@@ -180,21 +189,14 @@ fn main() {
 
     // Which strategies are needed?
     let needs_ablation = experiments.iter().any(|e| e == "ablation");
-    let needs_minus = needs_ablation || experiments.iter().any(|e| e == "table3");
-    let mut strategies = vec![Strategy::Baseline, Strategy::Zpre];
-    if needs_minus {
-        strategies.push(Strategy::ZpreMinus);
-    }
-    if needs_ablation {
-        strategies.extend([
-            Strategy::ZpreH2,
-            Strategy::ZpreH3,
-            Strategy::ZpreFixedTrue,
-            Strategy::ZpreNoReverseProp,
-            Strategy::ZpreDfsCheck,
-            Strategy::BranchCond,
-        ]);
-    }
+    // The ablation runs, and its table prints, every strategy.
+    let strategies = if needs_ablation {
+        Strategy::ALL.to_vec()
+    } else if experiments.iter().any(|e| e == "table3") {
+        vec![Strategy::Baseline, Strategy::Zpre, Strategy::ZpreMinus]
+    } else {
+        vec![Strategy::Baseline, Strategy::Zpre]
+    };
 
     let tasks = suite(scale);
     eprintln!(
@@ -271,7 +273,7 @@ fn main() {
             "ablation" => print_ablation(&results),
             "portfolio" => print_portfolio(&results),
             "probe" => print_probe(&results),
-            other => eprintln!("unknown experiment {other:?}"),
+            other => unreachable!("experiment {other:?} passed the name check"),
         }
     }
 }
@@ -521,17 +523,7 @@ fn print_portfolio(results: &[TaskResult]) {
 }
 
 fn print_ablation(results: &[TaskResult]) {
-    let strategies = [
-        "baseline",
-        "branch-cond",
-        "zpre-",
-        "zpre-h2",
-        "zpre-h3",
-        "zpre",
-        "zpre-fixed-true",
-        "zpre-no-revprop",
-        "zpre-dfs-check",
-    ];
+    let strategies = Strategy::ALL.map(Strategy::name);
     for mm in MMS {
         println!("Ablation under {}:", mm.to_uppercase());
         println!(

@@ -2,12 +2,12 @@
 //! every driver shares.
 //!
 //! [`Session::new`] turns an SSA program and its [`VerifyOptions`] into a
-//! ready CDCL(T) instance: the order theory with the strategy's engine
-//! toggles, the solver (proof logging and the lemma journal under
-//! `certify`), the memory pre-check, static pruning and symmetry
-//! breaking, the encoding, the
-//! solver's variable classes, the recorder's event sinks, the portfolio
-//! share endpoint, and the strategy's decision order and polarity guide.
+//! ready CDCL(T) instance: the order theory and the solver (proof logging
+//! and the lemma journal under `certify`), the memory pre-check, static
+//! pruning and symmetry breaking, the encoding, the solver's variable
+//! classes, the recorder's event sinks, the portfolio share endpoint, and
+//! the strategy's decision order and polarity guide — the only part of
+//! the set-up a strategy chooses.
 //! [`Session::solve`] then answers one assumption frame: single-bound
 //! verification solves the empty frame, the bound sweep one frame per
 //! bound (DESIGN.md §6j). It copies each solve call's search counters
@@ -41,12 +41,6 @@ impl<'a> Session<'a> {
     /// Builds the solver for `ssa` under `opts` and encodes it.
     pub fn new(ssa: &'a SsaProgram, opts: &'a VerifyOptions) -> Result<Session<'a>, VerifyError> {
         let mut theory = OrderTheory::new();
-        if opts.strategy == Strategy::ZpreNoReverseProp {
-            theory.set_propagate_reverse(false);
-        }
-        if opts.strategy == Strategy::ZpreDfsCheck {
-            theory.set_full_dfs_check(true);
-        }
         if opts.certify {
             theory.enable_lemma_journal();
         }

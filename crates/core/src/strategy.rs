@@ -1,4 +1,6 @@
 //! Solving strategies: the baseline, `ZPRE⁻`, `ZPRE`, and the ablations.
+//! A strategy is a decision heuristic and nothing else: theory propagation
+//! and the cycle check run the same way under every one.
 
 use crate::decision_order::Refinements;
 
@@ -20,13 +22,6 @@ pub enum Strategy {
     /// Ablation: full ZPRE but deciding interference variables always true
     /// instead of with a random polarity.
     ZpreFixedTrue,
-    /// Ablation: full ZPRE with the order theory's one-step reverse
-    /// propagation disabled.
-    ZpreNoReverseProp,
-    /// Ablation: full ZPRE with the order theory's incremental cycle
-    /// detection replaced by the old per-assertion full DFS (the
-    /// before/after reference for the EOG engine's telemetry counters).
-    ZpreDfsCheck,
     /// The control-flow ("branching") heuristic of §5.2's *Other Attempts*:
     /// prioritize event-guard variables instead of interference variables.
     BranchCond,
@@ -37,15 +32,13 @@ impl Strategy {
     pub const MAIN: [Strategy; 3] = [Strategy::Baseline, Strategy::ZpreMinus, Strategy::Zpre];
 
     /// All strategies, including ablations.
-    pub const ALL: [Strategy; 9] = [
+    pub const ALL: [Strategy; 7] = [
         Strategy::Baseline,
         Strategy::ZpreMinus,
         Strategy::Zpre,
         Strategy::ZpreH2,
         Strategy::ZpreH3,
         Strategy::ZpreFixedTrue,
-        Strategy::ZpreNoReverseProp,
-        Strategy::ZpreDfsCheck,
         Strategy::BranchCond,
     ];
 
@@ -58,8 +51,6 @@ impl Strategy {
             Strategy::ZpreH2 => "zpre-h2",
             Strategy::ZpreH3 => "zpre-h3",
             Strategy::ZpreFixedTrue => "zpre-fixed-true",
-            Strategy::ZpreNoReverseProp => "zpre-no-revprop",
-            Strategy::ZpreDfsCheck => "zpre-dfs-check",
             Strategy::BranchCond => "branch-cond",
         }
     }
@@ -83,10 +74,7 @@ impl Strategy {
                 external_first: true,
                 more_writes_first: false,
             },
-            Strategy::Zpre
-            | Strategy::ZpreFixedTrue
-            | Strategy::ZpreNoReverseProp
-            | Strategy::ZpreDfsCheck => Refinements::all(),
+            Strategy::Zpre | Strategy::ZpreFixedTrue => Refinements::all(),
             Strategy::Baseline | Strategy::BranchCond => Refinements::none(),
         }
     }

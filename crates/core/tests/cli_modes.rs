@@ -13,12 +13,15 @@
 //! examples, for a clean run and for a killed run resumed from its journal,
 //! and a batch trace records the parse phase as a verify trace does.
 //! `zpre-cli dump` prints, for every example and model, an instance that
-//! reads back into a fresh solver with `verify`'s verdict.
+//! reads back into a fresh solver with `verify`'s verdict. The usage text
+//! lists exactly the strategies `--strategy` accepts, and a name outside
+//! that list (such as a removed strategy) is a usage error.
 
 mod smtlib_reader;
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use zpre::Strategy;
 use zpre_sat::SolveResult;
 
 const BOUNDS: [&[&str]; 3] = [
@@ -183,6 +186,35 @@ fn share_without_portfolio_is_the_only_usage_error() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("require --portfolio"), "{args:?}: {stderr}");
     }
+}
+
+/// The `strategies:` line of the usage text names `Strategy::ALL`, in order.
+#[test]
+fn usage_lists_exactly_the_strategies() {
+    let out = Command::new(env!("CARGO_BIN_EXE_zpre-cli"))
+        .output()
+        .expect("zpre-cli runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let listed = stderr
+        .lines()
+        .find_map(|line| line.strip_prefix("strategies: "))
+        .unwrap_or_else(|| panic!("no strategies line in {stderr}"));
+    let names: Vec<&str> = Strategy::ALL.iter().map(|s| s.name()).collect();
+    assert_eq!(listed.split(' ').collect::<Vec<_>>(), names);
+}
+
+/// A removed strategy fails loudly instead of falling back to a default.
+#[test]
+fn removed_strategy_is_a_usage_error() {
+    let out = verify(&examples()[0], &["--strategy", "zpre-dfs-check"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing was verified");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(r#"--strategy: invalid value "zpre-dfs-check""#),
+        "{stderr}"
+    );
 }
 
 fn dump(file: &std::path::Path, args: &[&str]) -> Output {

@@ -38,9 +38,8 @@
 //! hashing on assert or backtrack.
 //!
 //! Under `debug_assertions` every insertion is double-checked against the
-//! retained full-DFS oracle ([`OrderGraph::dfs_path`]), which is also the
-//! reference implementation the microbenchmarks and the ablation strategy
-//! (`force_full_dfs`) measure against.
+//! retained full-DFS oracle ([`OrderGraph::dfs_path`]), which the property
+//! tests also replay every operation against.
 
 use std::cell::RefCell;
 
@@ -74,14 +73,14 @@ pub type PairId = u32;
 pub(crate) const NO_PAIR: PairId = PairId::MAX;
 
 /// Work counters for cycle checking. `accepted_o1 + searched == checks`
-/// always holds (in forced-full-DFS mode every check counts as searched).
+/// always holds.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CycleStats {
     /// Edge insertions checked.
     pub checks: u64,
     /// Insertions accepted in O(1) by the level invariant.
     pub accepted_o1: u64,
-    /// Insertions that ran a search (two-way bounded, or full DFS).
+    /// Insertions that ran the two-way bounded search.
     pub searched: u64,
     /// Nodes visited by all searches.
     pub visited: u64,
@@ -157,9 +156,6 @@ pub struct OrderGraph {
     /// to drive implied-atom propagation without extra traversals.
     frontier: Vec<NodeId>,
     query: RefCell<QueryScratch>,
-    /// Ablation/benchmark mode: check every insertion with a full DFS
-    /// (the pre-incremental algorithm) instead of the two-way search.
-    force_full_dfs: bool,
     /// Work counters.
     pub stats: CycleStats,
 }
@@ -189,7 +185,6 @@ impl OrderGraph {
             pair_count: Vec::new(),
             frontier: Vec::new(),
             query: RefCell::new(QueryScratch::default()),
-            force_full_dfs: false,
             stats: CycleStats::default(),
         }
     }
@@ -271,12 +266,6 @@ impl OrderGraph {
         let trail = self.trail.capacity() * size_of::<GraphOp>();
         let pairs = self.pairs.len() * (size_of::<(NodeId, NodeId)>() + size_of::<u32>());
         (edges + nodes + trail + pairs) as u64
-    }
-
-    /// Forces every insertion through the retained full-DFS check instead of
-    /// the incremental two-way search (ablation / before-after benchmarks).
-    pub fn set_force_full_dfs(&mut self, on: bool) {
-        self.force_full_dfs = on;
     }
 
     /// The backward-visited set of the most recent [`Inserted::Searched`]
@@ -381,19 +370,6 @@ impl OrderGraph {
             self.frontier.clear();
             return Err(Vec::new());
         }
-        if self.force_full_dfs {
-            self.stats.searched += 1;
-            self.frontier.clear();
-            let (path, visited) = self.dfs_search(to, from);
-            self.stats.visited += visited;
-            if let Some(path) = path {
-                return Err(path);
-            }
-            self.push_edge(from, to, tag, pair);
-            self.compact_root_trail();
-            return Ok(Inserted::Searched);
-        }
-
         if self.level[from.index()] < self.level[to.index()]
             // A parallel duplicate (distinct atoms over the same event
             // pair, or an atom duplicating a fixed program-order edge)
@@ -625,10 +601,6 @@ impl OrderGraph {
     /// Full-DFS path search `from ⇝ to` (the retained oracle). Returns the
     /// path's edges in forward order, or `None`. Does not touch `stats`.
     pub fn dfs_path(&self, from: NodeId, to: NodeId) -> Option<Vec<CycleEdge>> {
-        self.dfs_search(from, to).0
-    }
-
-    fn dfs_search(&self, from: NodeId, to: NodeId) -> (Option<Vec<CycleEdge>>, u64) {
         let mut q = self.query.borrow_mut();
         let n = self.out.len();
         if q.stamp.len() < n {
@@ -645,7 +617,6 @@ impl OrderGraph {
         q.stack.clear();
         q.stack.push(from);
         q.stamp[from.index()] = gen;
-        let mut visited = 1u64;
         while let Some(u) = q.stack.pop() {
             for e in &self.out[u.index()] {
                 if q.stamp[e.to.index()] == gen {
@@ -653,7 +624,6 @@ impl OrderGraph {
                 }
                 q.stamp[e.to.index()] = gen;
                 q.parent[e.to.index()] = (u, e.tag);
-                visited += 1;
                 if e.to == to {
                     let mut edges = Vec::new();
                     let mut cur = to;
@@ -667,12 +637,12 @@ impl OrderGraph {
                         cur = pred;
                     }
                     edges.reverse();
-                    return (Some(edges), visited);
+                    return Some(edges);
                 }
                 q.stack.push(e.to);
             }
         }
-        (None, visited)
+        None
     }
 
     /// Parks both visit generations at `gen` (wrap-around tests).
@@ -870,15 +840,21 @@ mod tests {
     }
 
     #[test]
-    fn full_dfs_mode_agrees_and_counts_as_searched() {
-        let (mut g, n) = graph(5);
-        g.set_force_full_dfs(true);
-        for w in n.windows(2) {
-            assert!(g.insert_edge(w[0], w[1], None).is_ok());
+    fn reverse_chain_insertions_visit_constant_nodes_each() {
+        // A chain inserted back to front is a full DFS's worst case: it
+        // re-walks the whole existing suffix on every insertion, ~n²/2
+        // nodes in all. The backward pass instead starts at a node with no
+        // in-edges and accepts after constant work.
+        let n = 2000;
+        let (mut g, nodes) = graph(n);
+        for i in (0..n - 1).rev() {
+            g.insert_edge(nodes[i], nodes[i + 1], None).unwrap();
         }
-        assert!(g.insert_edge(n[4], n[0], None).is_err());
-        assert_eq!(g.stats.accepted_o1, 0);
-        assert_eq!(g.stats.searched, g.stats.checks);
+        let per_insert = g.stats.visited as f64 / (n - 1) as f64;
+        assert!(
+            per_insert <= 2.0,
+            "{per_insert} nodes visited per insertion"
+        );
     }
 
     #[test]

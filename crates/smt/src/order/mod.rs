@@ -25,7 +25,7 @@
 //!   backward search, the frontier it computed — every node known to reach
 //!   `a` — drives the same propagation one hop further for free: for each
 //!   frontier node `u`, `¬atom(b,u)` is implied with the recorded path as
-//!   its explanation. Both can be disabled for ablation.
+//!   its explanation.
 
 pub mod graph;
 
@@ -137,8 +137,6 @@ pub struct OrderTheory {
     prop_trail: Vec<Lit>,
     /// `prop_trail` length at each open decision level.
     levels: Vec<usize>,
-    /// Enable one-step reverse propagation (ablation toggle).
-    propagate_reverse: bool,
     /// Append-only journal of emitted lemmas with their justifying cycles
     /// (only filled when [`Self::enable_lemma_journal`] was called).
     journal: Vec<TheoryLemma>,
@@ -176,7 +174,6 @@ impl OrderTheory {
             expl_buf: Vec::new(),
             prop_trail: Vec::new(),
             levels: Vec::new(),
-            propagate_reverse: true,
             journal: Vec::new(),
             journal_on: false,
             share_on: false,
@@ -214,18 +211,6 @@ impl OrderTheory {
     /// Takes the recorded lemma journal, leaving journaling enabled.
     pub fn take_lemmas(&mut self) -> Vec<TheoryLemma> {
         std::mem::take(&mut self.journal)
-    }
-
-    /// Disables one-step reverse propagation (for the ablation study).
-    pub fn set_propagate_reverse(&mut self, on: bool) {
-        self.propagate_reverse = on;
-    }
-
-    /// Forces every cycle check through the retained full-DFS oracle
-    /// instead of the incremental two-way search (the pre-incremental
-    /// algorithm; ablation / before-after benchmarks).
-    pub fn set_full_dfs_check(&mut self, on: bool) {
-        self.graph.set_force_full_dfs(on);
     }
 
     /// The engine's work counters (checks / O(1) accepts / searches /
@@ -487,48 +472,46 @@ impl Theory for OrderTheory {
             Ok(ins) => ins,
         };
 
-        if self.propagate_reverse {
-            // One-step: other atoms over the same pair are implied true, and
-            // the reverse edge is now impossible (one-step transitivity;
-            // longer cycles are left to the cycle check). The explanation
-            // clause q ∨ ¬lit is justified by the 2-cycle its negation
-            // (¬q ∧ lit) would create.
-            let two_cycle = move |q: Lit| {
-                move |_: &OrderGraph| {
-                    vec![
-                        CycleEdge {
-                            from,
-                            to,
-                            tag: Some(lit),
-                        },
-                        CycleEdge {
-                            from: to,
-                            to: from,
-                            tag: Some(!q),
-                        },
-                    ]
-                }
-            };
-            for i in 0..self.pair_lits[ep as usize].len() {
-                let q = self.pair_lits[ep as usize][i];
-                if q != lit {
-                    self.push_propagation(q, &[lit], two_cycle(q), 2, out);
-                }
+        // One-step: other atoms over the same pair are implied true, and
+        // the reverse edge is now impossible (one-step transitivity;
+        // longer cycles are left to the cycle check). The explanation
+        // clause q ∨ ¬lit is justified by the 2-cycle its negation
+        // (¬q ∧ lit) would create.
+        let two_cycle = move |q: Lit| {
+            move |_: &OrderGraph| {
+                vec![
+                    CycleEdge {
+                        from,
+                        to,
+                        tag: Some(lit),
+                    },
+                    CycleEdge {
+                        from: to,
+                        to: from,
+                        tag: Some(!q),
+                    },
+                ]
             }
-            let rp = (ep ^ 1) as usize;
-            for i in 0..self.pair_lits[rp].len() {
-                let q = !self.pair_lits[rp][i];
-                if q != lit {
-                    self.push_propagation(q, &[lit], two_cycle(q), 2, out);
-                }
+        };
+        for i in 0..self.pair_lits[ep as usize].len() {
+            let q = self.pair_lits[ep as usize][i];
+            if q != lit {
+                self.push_propagation(q, &[lit], two_cycle(q), 2, out);
             }
+        }
+        let rp = (ep ^ 1) as usize;
+        for i in 0..self.pair_lits[rp].len() {
+            let q = !self.pair_lits[rp][i];
+            if q != lit {
+                self.push_propagation(q, &[lit], two_cycle(q), 2, out);
+            }
+        }
 
-            // Frontier-driven: the backward pass already proved u ⇝ from for
-            // every frontier node u, so an edge to→u would close the cycle
-            // to→u ⇝ from→to. Negate any atom that would assert one.
-            if ins == Inserted::Searched && !self.pair_adj[to.index()].is_empty() {
-                self.propagate_frontier(lit, from, to, out);
-            }
+        // Frontier-driven: the backward pass already proved u ⇝ from for
+        // every frontier node u, so an edge to→u would close the cycle
+        // to→u ⇝ from→to. Negate any atom that would assert one.
+        if ins == Inserted::Searched && !self.pair_adj[to.index()].is_empty() {
+            self.propagate_frontier(lit, from, to, out);
         }
         Ok(())
     }
@@ -816,22 +799,6 @@ mod tests {
                 lemma.cycle.last().unwrap().to
             );
         }
-    }
-
-    #[test]
-    fn no_reverse_propagation_when_disabled() {
-        let mut t = OrderTheory::new();
-        t.set_propagate_reverse(false);
-        let a = t.add_node();
-        let b = t.add_node();
-        let v0 = Var::new(0);
-        let v1 = Var::new(1);
-        t.register_atom(v0, a, b);
-        t.register_atom(v1, b, a);
-        let mut out = TheoryOut::default();
-        t.new_level();
-        assert!(t.assert_lit(v0.positive(), &mut out).is_ok());
-        assert!(out.propagations.is_empty());
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Property tests pitting the incremental cycle-detection engine against
-//! the retained full-DFS reference on random interleavings of edge
-//! insertion, decision levels, backtracking, and reachability queries.
+//! an offline oracle on random interleavings of edge insertion, decision
+//! levels, backtracking, and reachability queries.
 //!
-//! Two `OrderGraph` instances replay the same operation sequence — one in
-//! normal (incremental two-way search) mode, one with `force_full_dfs` —
-//! and must agree exactly on every accept/reject decision and every
-//! reachability answer. A third, trivial mirror (a plain edge list with a
-//! BFS) anchors both against an offline oracle. Rejections additionally
-//! return a witness path whose every edge must exist in the graph at the
-//! current trail level and chain `to ⇝ from`.
+//! One `OrderGraph` replays each operation sequence next to a trivial
+//! mirror (a plain edge list with a search of its own) and must agree with
+//! it on every accept/reject decision and every reachability answer.
+//! Rejections additionally return a witness path whose every edge must
+//! exist in the graph at the current trail level and chain `to ⇝ from`.
 
 use proptest::prelude::*;
 use zpre_sat::Var;
@@ -24,7 +22,7 @@ enum Op {
     Level,
     /// Backtrack to a fraction of the currently open levels.
     Backtrack { keep_pct: u8 },
-    /// Compare reachability `a ⇝ b` across engines and the mirror.
+    /// Compare reachability `a ⇝ b` between the engine and the mirror.
     Query { a: usize, b: usize },
 }
 
@@ -100,19 +98,16 @@ fn check_witness(g: &OrderGraph, from: NodeId, to: NodeId, path: &[CycleEdge]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Exact agreement between the incremental engine and the full-DFS
-    /// reference over random insert/undo/query interleavings, with every
+    /// Exact agreement between the incremental engine and the offline
+    /// mirror over random insert/undo/query interleavings, with every
     /// rejection's witness validated against the live graph.
     #[test]
     fn engines_agree_on_random_scenarios(
         n in 2usize..12,
         ops in prop::collection::vec(op_strategy(12), 1..60),
     ) {
-        let mut inc = OrderGraph::new();
-        let mut dfs = OrderGraph::new();
-        let inodes: Vec<NodeId> = (0..n).map(|_| inc.add_node()).collect();
-        let dnodes: Vec<NodeId> = (0..n).map(|_| dfs.add_node()).collect();
-        dfs.set_force_full_dfs(true);
+        let mut g = OrderGraph::new();
+        let nodes: Vec<NodeId> = (0..n).map(|_| g.add_node()).collect();
 
         // Mirror state: current edges plus a mark stack for undo.
         let mut edges: Vec<(usize, usize)> = Vec::new();
@@ -127,26 +122,16 @@ proptest! {
                         next_var += 1;
                         Var::new(next_var).positive()
                     });
-                    let ri = inc.insert_edge(inodes[a], inodes[b], tag);
-                    let rd = dfs.insert_edge(dnodes[a], dnodes[b], tag);
-                    prop_assert_eq!(
-                        ri.is_ok(),
-                        rd.is_ok(),
-                        "engines disagree on {}->{}", a, b
-                    );
+                    let res = g.insert_edge(nodes[a], nodes[b], tag);
                     let cyclic = a == b || mirror_reaches(n, &edges, b, a);
-                    prop_assert_eq!(ri.is_ok(), !cyclic, "offline oracle disagrees");
-                    match ri {
+                    prop_assert_eq!(res.is_ok(), !cyclic, "mirror disagrees on {}->{}", a, b);
+                    match res {
                         Ok(_) => edges.push((a, b)),
-                        Err(path) => check_witness(&inc, inodes[a], inodes[b], &path),
-                    }
-                    if let Err(path) = rd {
-                        check_witness(&dfs, dnodes[a], dnodes[b], &path);
+                        Err(path) => check_witness(&g, nodes[a], nodes[b], &path),
                     }
                 }
                 Op::Level => {
-                    inc.new_level();
-                    dfs.new_level();
+                    g.new_level();
                     marks.push(edges.len());
                 }
                 Op::Backtrack { keep_pct } => {
@@ -154,40 +139,33 @@ proptest! {
                         continue;
                     }
                     let keep = (marks.len() * keep_pct as usize) / 100;
-                    inc.backtrack_to(keep as u32);
-                    dfs.backtrack_to(keep as u32);
+                    g.backtrack_to(keep as u32);
                     edges.truncate(marks[keep]);
                     marks.truncate(keep);
                 }
                 Op::Query { a, b } => {
                     let (a, b) = (a % n, b % n);
-                    let want = mirror_reaches(n, &edges, a, b);
                     prop_assert_eq!(
-                        inc.reaches(inodes[a], inodes[b]), want,
-                        "incremental reachability {} -> {}", a, b
-                    );
-                    prop_assert_eq!(
-                        dfs.reaches(dnodes[a], dnodes[b]), want,
-                        "full-dfs reachability {} -> {}", a, b
+                        g.reaches(nodes[a], nodes[b]),
+                        mirror_reaches(n, &edges, a, b),
+                        "reachability {} -> {}", a, b
                     );
                 }
             }
-            prop_assert_eq!(inc.num_edges(), edges.len());
-            inc.check_level_invariant().map_err(TestCaseError::Fail)?;
+            prop_assert_eq!(g.num_edges(), edges.len());
+            g.check_level_invariant().map_err(TestCaseError::Fail)?;
         }
     }
 
     /// The work-counter split `accepted_o1 + searched == checks` holds on
-    /// every prefix of every random scenario, in both modes.
+    /// every prefix of every random scenario.
     #[test]
     fn counter_split_invariant_holds(
         n in 2usize..10,
         ops in prop::collection::vec(op_strategy(10), 1..40),
-        full_dfs in any::<bool>(),
     ) {
         let mut g = OrderGraph::new();
         let nodes: Vec<NodeId> = (0..n).map(|_| g.add_node()).collect();
-        g.set_force_full_dfs(full_dfs);
         let mut levels = 0u32;
         for op in ops {
             match op {
@@ -210,9 +188,6 @@ proptest! {
             }
             let s = g.stats;
             prop_assert_eq!(s.accepted_o1 + s.searched, s.checks);
-            if full_dfs {
-                prop_assert_eq!(s.accepted_o1, 0);
-            }
         }
     }
 }
