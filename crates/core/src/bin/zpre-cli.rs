@@ -7,7 +7,7 @@
 //!                      [--incremental] [--max-bound K]
 //!                      [--budget CONFLICTS] [--seed N] [--stats] [--trace]
 //!                      [--profile] [--trace-out FILE] [--trace-sample N]
-//!                      [--certify] [--replay-witness] [--prune] [--no-prune]
+//!                      [--certify] [--prune] [--no-prune]
 //!                      [--json]
 //! zpre-cli batch  FILE... [--mm sc|tso|pso|all] [--strategy NAME]
 //!                      [--max-bound K] [--budget CONFLICTS] [--seed N]
@@ -96,10 +96,10 @@
 //! cadence — a killed batch leaves an inspectable trail, and `--resume`
 //! continues appending to it.
 //!
-//! `--certify` (and its witness-focused alias `--replay-witness`) asks the
-//! pipeline to certify definitive verdicts: Safe verdicts carry a
-//! RUP-checked proof with every theory lemma independently re-justified,
-//! Unsafe verdicts replay their witness through the concrete interpreter.
+//! `--certify` asks the pipeline to certify definitive verdicts: Safe
+//! verdicts carry a RUP-checked proof with every theory lemma's cycle
+//! independently re-derived from its clause, and Unsafe verdicts replay
+//! their witness through the concrete interpreter.
 //! A verdict whose evidence fails certification is reported on stderr and
 //! the process exits with failure. `--json` prints one JSON object per
 //! memory model instead of the human-readable lines.
@@ -136,7 +136,7 @@ fn usage() -> ExitCode {
          [--unroll N] [--bmc MAXBOUND] [--incremental] [--max-bound K] \
          [--budget CONFLICTS] [--seed N] [--stats] [--trace] \
          [--profile] [--trace-out FILE] [--trace-sample N] \
-         [--certify] [--replay-witness] [--prune] [--no-prune] [--json]\n  \
+         [--certify] [--prune] [--no-prune] [--json]\n  \
          zpre-cli batch FILE... [--mm sc|tso|pso|all] [--strategy NAME] [--max-bound K] \
          [--budget CONFLICTS] [--seed N] [--timeout-ms N] [--max-memory-mib N] \
          [--journal FILE] [--resume] [--retries N] [--backoff-ms N] \
@@ -564,7 +564,7 @@ fn cmd_trace_check(args: &[String]) -> ExitCode {
                 d[2],
                 d[3],
                 c[Counter::Conflicts],
-                c[Counter::TheoryLemmas]
+                c[Counter::Lemmas]
             );
             ExitCode::SUCCESS
         }
@@ -1141,7 +1141,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             "--portfolio" => portfolio = true,
             "--share" => share = true,
             "--share-lbd-max" => share_lbd_max = Some(flag_positive(args, i, flag)?),
-            "--certify" | "--replay-witness" => vo.certify = true,
+            "--certify" => vo.certify = true,
             _ => return Ok(false),
         }
         Ok(true)

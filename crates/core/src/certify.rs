@@ -7,11 +7,12 @@
 //!
 //! - **Safe** — the solver's DRAT proof is re-checked by forward RUP over
 //!   the logged input CNF. Theory lemmas (clauses the order theory asserted
-//!   from event-order-graph cycles) are not trusted: each one must carry a
-//!   journaled justification — the cycle itself — that the standalone
-//!   re-walker in `zpre_smt::certcheck` confirms edge by edge. Once every
-//!   lemma is re-justified, `CNF ∧ lemmas ⊢ ⊥` propositionally, which is
-//!   exactly unsatisfiability of the verification condition.
+//!   from event-order-graph cycles, locally or in a portfolio peer) are not
+//!   trusted: the standalone checker in `zpre_smt::certcheck` re-derives
+//!   each one's cycle from the clause alone — the edges its negation
+//!   asserts, plus the fixed program-order edges, must contain a cycle.
+//!   Once every lemma is re-derived, `CNF ∧ lemmas ⊢ ⊥` propositionally,
+//!   which is exactly unsatisfiability of the verification condition.
 //! - **Unsafe** — the extracted witness is replayed through the concrete
 //!   buffered-store machine in `zpre_prog::replay`: the model's event order
 //!   becomes a schedule, its nondeterministic inputs become concrete
@@ -30,14 +31,14 @@ use zpre_encoder::Encoded;
 use zpre_obs::{Phase, Recorder};
 use zpre_prog::{replay, FlatProgram, MemoryModel, ReplayOp, ScheduleStep, SsaProgram};
 use zpre_sat::{Lit, PriorityListGuide, ProofStep, Solver};
-use zpre_smt::{check_lemma_against, OrderTheory, TheoryLemma};
+use zpre_smt::{check_lemma, FixedEdges, OrderTheory};
 
 /// Independent evidence that a verdict is correct.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Certificate {
     /// The Safe verdict's proof was RUP-checked end to end.
     Safe {
-        /// Distinct theory lemmas whose justifying cycles were re-walked.
+        /// Distinct theory lemmas whose cycles were re-derived.
         lemmas_checked: usize,
         /// Total steps of the checked proof.
         proof_steps: usize,
@@ -57,7 +58,7 @@ impl Certificate {
                 lemmas_checked,
                 proof_steps,
             } => format!(
-                "proof RUP-checked ({proof_steps} steps, {lemmas_checked} theory lemmas re-justified)"
+                "proof RUP-checked ({proof_steps} steps, {lemmas_checked} theory lemmas re-derived)"
             ),
             Certificate::Unsafe { replayed_steps } => {
                 format!("witness replayed concretely ({replayed_steps} scheduled events)")
@@ -66,16 +67,10 @@ impl Certificate {
     }
 }
 
-fn norm(clause: &[Lit]) -> Vec<Lit> {
-    let mut c = clause.to_vec();
-    c.sort_unstable();
-    c.dedup();
-    c
-}
-
-/// Certifies a Safe verdict: re-justifies every theory lemma via the
-/// standalone cycle checker, then forward-RUP-checks the full proof
-/// against the logged CNF with the validated lemmas as axioms.
+/// Certifies a Safe verdict: re-derives the EOG cycle of every distinct
+/// theory lemma from its clause with the standalone checker, then
+/// forward-RUP-checks the full proof against the logged CNF with the
+/// checked lemmas as axioms.
 pub(crate) fn certify_safe(
     solver: &mut Solver<OrderTheory, PriorityListGuide>,
     fault: Option<Fault>,
@@ -86,65 +81,29 @@ pub(crate) fn certify_safe(
     let mut proof = solver
         .take_proof()
         .ok_or_else(|| reject("proof", "proof logging was not enabled".to_string()))?;
-    let mut journal = solver.theory.take_lemmas();
     if let Some(f) = fault {
-        faults::corrupt_proof(f, &mut proof, &mut journal);
+        faults::corrupt_proof(f, &mut proof);
     }
 
-    // Index the journal by normalized clause: certification matches lemma
-    // proof steps to justifications by content, so stale journal entries
-    // (from branches the solver later backtracked) are harmless extras.
-    let mut by_clause: HashMap<Vec<Lit>, Vec<&TheoryLemma>> = HashMap::new();
-    for lemma in &journal {
-        by_clause
-            .entry(norm(&lemma.clause))
-            .or_default()
-            .push(lemma);
-    }
-
-    // Re-justify every lemma step. The theory has backtracked to the root
-    // by now, so only atom registrations and fixed program-order edges
-    // remain — exactly the ground truth the re-walker needs.
-    let mut valid: HashSet<Vec<Lit>> = HashSet::new();
-    let mut lemmas_checked = 0usize;
+    // The theory has backtracked to the root by now, so only atom
+    // registrations and fixed program-order edges remain — exactly the
+    // ground truth the checker needs.
+    let theory = &solver.theory;
+    let fixed = FixedEdges::of(theory);
+    let mut checked: HashSet<&[Lit]> = HashSet::new();
     for step in &proof.steps {
         let ProofStep::Lemma(clause) = step else {
             continue;
         };
-        let key = norm(clause);
-        if valid.contains(&key) {
-            continue;
+        if checked.insert(clause) {
+            check_lemma(clause, |v| theory.atom_nodes(v), &fixed)
+                .map_err(|e| reject("lemma", format!("theory lemma {clause:?} rejected: {e}")))?;
         }
-        let entries = by_clause.get(&key).map(Vec::as_slice).unwrap_or(&[]);
-        if entries.is_empty() {
-            return Err(reject(
-                "lemma",
-                format!("theory lemma {clause:?} has no journaled justification"),
-            ));
-        }
-        let mut last_reason = String::new();
-        let ok = entries
-            .iter()
-            .any(|l| match check_lemma_against(&solver.theory, l) {
-                Ok(()) => true,
-                Err(e) => {
-                    last_reason = e;
-                    false
-                }
-            });
-        if !ok {
-            return Err(reject(
-                "lemma",
-                format!("theory lemma {clause:?} rejected: {last_reason}"),
-            ));
-        }
-        valid.insert(key);
-        lemmas_checked += 1;
     }
 
     let proof_steps = proof.steps.len();
     zpre_sat::proof::check_with_lemmas(solver.logged_cnf(), &proof, |clause| {
-        valid.contains(&norm(clause))
+        checked.contains(clause)
     })
     .map_err(|i| {
         let reason = if i == proof_steps {
@@ -156,7 +115,7 @@ pub(crate) fn certify_safe(
     })?;
 
     Ok(Certificate::Safe {
-        lemmas_checked,
+        lemmas_checked: checked.len(),
         proof_steps,
     })
 }

@@ -18,7 +18,6 @@
 use zpre_analysis::{PruneReport, SymPair};
 use zpre_prog::ssa::{Event, SsaProgram};
 use zpre_sat::{Lit, Proof, ProofStep, Var};
-use zpre_smt::TheoryLemma;
 
 /// One injectable fault.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -26,11 +25,12 @@ pub enum Fault {
     /// Reverse the interference decision order before solving. Benign:
     /// the verdict and its certificate must be unaffected.
     ShuffleGuideOrder,
-    /// Drop every recorded theory-lemma justification, as if the theory
-    /// had emitted lemmas without being able to explain them.
+    /// Empty every theory-lemma clause of the proof, as if the solver had
+    /// logged its lemmas without their literals. An empty clause asserts no
+    /// edge, and the fixed edges are acyclic, so no cycle justifies it.
     DropLemmas,
-    /// Forge an unjustified theory lemma into the proof (a unit clause
-    /// whose journal entry has an empty cycle).
+    /// Forge an unjustified theory lemma into the proof: a unit clause over
+    /// variable 0, an SSA bit and not an ordering atom.
     ForgeLemma,
     /// Drop the last `n` proof steps, as if the proof log was cut short.
     TruncateProof(usize),
@@ -114,18 +114,19 @@ impl BatchFault {
     }
 }
 
-/// Applies a proof-side fault to the artifacts of a Safe certification.
-pub(crate) fn corrupt_proof(fault: Fault, proof: &mut Proof, journal: &mut Vec<TheoryLemma>) {
+/// Applies a proof-side fault to the proof of a Safe certification.
+pub(crate) fn corrupt_proof(fault: Fault, proof: &mut Proof) {
     match fault {
-        Fault::DropLemmas => journal.clear(),
-        Fault::ForgeLemma => {
-            let clause = vec![Lit::new(Var::new(0), true)];
-            journal.push(TheoryLemma {
-                clause: clause.clone(),
-                cycle: Vec::new(),
-            });
-            proof.steps.push(ProofStep::Lemma(clause));
+        Fault::DropLemmas => {
+            for step in &mut proof.steps {
+                if let ProofStep::Lemma(clause) = step {
+                    clause.clear();
+                }
+            }
         }
+        Fault::ForgeLemma => proof
+            .steps
+            .push(ProofStep::Lemma(vec![Lit::new(Var::new(0), true)])),
         Fault::TruncateProof(n) => {
             let keep = proof.steps.len().saturating_sub(n);
             proof.steps.truncate(keep);

@@ -676,21 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_certified_portfolio_still_certifies() {
-        // Imported theory lemmas join each member's journal; a certified
-        // Safe verdict must replay with shared lemmas in the proof.
-        let mut base = VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre);
-        base.certify = true;
-        let folio = verify_portfolio(
-            &locked(),
-            &PortfolioOptions::new(base).with_share(ShareConfig::default()),
-        );
-        assert_eq!(folio.verdict(), Verdict::Safe, "{:?}", folio.unknown_reason);
-        assert!(folio.quarantined.is_empty(), "{:?}", folio.quarantined);
-        assert!(folio.outcome.certificate.is_some());
-    }
-
-    #[test]
     fn faulty_members_are_quarantined_not_crashed() {
         // Inject a certification fault into every member: each one fails
         // with a typed error, the race must degrade to Unknown with a

@@ -3,7 +3,7 @@
 //!
 //! [`Session::new`] turns an SSA program and its [`VerifyOptions`] into a
 //! ready CDCL(T) instance: the order theory and the solver (proof logging
-//! and the lemma journal under `certify`), the memory pre-check, static
+//! under `certify`), the memory pre-check, static
 //! pruning and symmetry breaking, the encoding, the solver's variable
 //! classes, the recorder's event sinks, the portfolio share endpoint, and
 //! the strategy's decision order and polarity guide — the only part of
@@ -40,12 +40,9 @@ pub(crate) struct Session<'a> {
 impl<'a> Session<'a> {
     /// Builds the solver for `ssa` under `opts` and encodes it.
     pub fn new(ssa: &'a SsaProgram, opts: &'a VerifyOptions) -> Result<Session<'a>, VerifyError> {
-        let mut theory = OrderTheory::new();
-        if opts.certify {
-            theory.enable_lemma_journal();
-        }
         let guide = PriorityListGuide::new(Vec::new(), opts.seed);
-        let mut solver: Solver<OrderTheory, PriorityListGuide> = Solver::with_parts(theory, guide);
+        let mut solver: Solver<OrderTheory, PriorityListGuide> =
+            Solver::with_parts(OrderTheory::new(), guide);
         if opts.certify {
             solver.enable_proof_logging();
         }

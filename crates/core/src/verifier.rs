@@ -88,7 +88,7 @@ pub struct VerifyOptions {
     /// how [`crate::portfolio`] stops losing strategies.
     pub cancel: Option<CancelToken>,
     /// Certify definitive verdicts: RUP-check the proof (with every theory
-    /// lemma independently re-justified) on `Safe`, replay the witness
+    /// lemma's cycle independently re-derived from its clause) on `Safe`, replay the witness
     /// through the concrete interpreter on `Unsafe`. The outcome then
     /// carries a [`Certificate`]; a verdict whose evidence does not check
     /// out becomes a [`VerifyError::Certification`].

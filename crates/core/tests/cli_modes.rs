@@ -188,6 +188,14 @@ fn share_without_portfolio_is_the_only_usage_error() {
     }
 }
 
+/// `--certify` has one name: the removed alias is an unknown flag.
+#[test]
+fn replay_witness_alias_is_a_usage_error() {
+    let out = verify(&examples()[0], &["--replay-witness"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing was verified");
+}
+
 /// The `strategies:` line of the usage text names `Strategy::ALL`, in order.
 #[test]
 fn usage_lists_exactly_the_strategies() {

@@ -375,13 +375,11 @@ pub fn try_encode_opts<G: DecisionGuide>(
 
     // --- Reads, writes per shared variable ----------------------------------
     let analysis = access_analysis(ssa, &closure);
-    let num_vars = ssa.shared_names.len();
     let writes_of = &analysis.writes_of;
 
     // --- Φ_rf and Φ_rf_some ---------------------------------------------------
     let mut rf_vars: Vec<RfVar> = Vec::new();
     let mut rf_of_read: Vec<Vec<usize>> = vec![Vec::new(); ssa.events.len()];
-    let _ = num_vars;
     for reads in &analysis.reads_of {
         for &r in reads {
             // With a prune report: resolved reads were handled in Φ_ssa

@@ -31,7 +31,7 @@ pub enum Event {
         window: [u64; VarClass::COUNT],
     },
     /// An order-theory lemma blocking an EOG cycle of `cycle_len` edges.
-    TheoryLemma { cycle_len: u32 },
+    Lemma { cycle_len: u32 },
     /// A solver restart. `conflicts` is the restart interval: conflicts
     /// resolved since the previous restart (or since solving began), the
     /// raw observation behind the restart-interval histogram.

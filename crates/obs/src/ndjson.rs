@@ -268,7 +268,7 @@ fn event_line(e: &EventRecord) -> Obj {
             .field("seq", e.seq)
             .field("level", level)
             .field("lbd", lbd),
-        EventKind::TheoryLemma { cycle_len } => Obj::tagged("lemma")
+        EventKind::Lemma { cycle_len } => Obj::tagged("lemma")
             .field("seq", e.seq)
             .field("cycle_len", cycle_len),
         EventKind::Restart { conflicts } => Obj::tagged("restart")
@@ -576,7 +576,7 @@ fn apply_line(snap: &mut TraceSnapshot, map: &BTreeMap<String, JsonVal>) -> Resu
             snap.events.push(EventRecord {
                 seq: get_num(map, "seq")?,
                 member: opt_string(map, "member"),
-                kind: EventKind::TheoryLemma {
+                kind: EventKind::Lemma {
                     cycle_len: get_num(map, "cycle_len")? as u32,
                 },
             });
@@ -844,7 +844,7 @@ mod tests {
             lbd: 2,
             window: [1; VarClass::COUNT],
         });
-        solver.emit(Event::TheoryLemma { cycle_len: 5 });
+        solver.emit(Event::Lemma { cycle_len: 5 });
         solver.emit(Event::Restart { conflicts: 1 });
         solver.emit(Event::Reduction { removed: 7 });
         solver.emit(Event::CycleCheck { visited: 6 });

@@ -77,7 +77,7 @@ pub enum EventKind {
         level: u32,
         lbd: u32,
     },
-    TheoryLemma {
+    Lemma {
         cycle_len: u32,
     },
     Restart {
@@ -387,11 +387,11 @@ impl EventSink for Recorder {
                 }
                 EventKind::Conflict { level, lbd }
             }
-            Event::TheoryLemma { cycle_len } => {
-                inner.counters[Counter::TheoryLemmas] += 1;
+            Event::Lemma { cycle_len } => {
+                inner.counters[Counter::Lemmas] += 1;
                 inner.counters[Counter::LemmaCycleEdges] += cycle_len as u64;
                 inner.hists[Hist::LemmaCycleLen].observe(cycle_len as u64);
-                EventKind::TheoryLemma { cycle_len }
+                EventKind::Lemma { cycle_len }
             }
             Event::Restart { conflicts } => {
                 inner.hists[Hist::RestartInterval].observe(conflicts);
@@ -573,14 +573,14 @@ mod tests {
         });
         rec.emit(Event::Restart { conflicts: 17 });
         rec.emit(Event::Reduction { removed: 42 });
-        rec.emit(Event::TheoryLemma { cycle_len: 4 });
+        rec.emit(Event::Lemma { cycle_len: 4 });
         let snap = rec.snapshot();
         assert!(snap.events.is_empty());
         // Restarts are the solver's count; removed clauses and lemmas are
         // counted here, from their one event each.
         assert_eq!(snap.counters[Counter::Restarts], 0);
         assert_eq!(snap.counters[Counter::ClausesRemoved], 42);
-        assert_eq!(snap.counters[Counter::TheoryLemmas], 1);
+        assert_eq!(snap.counters[Counter::Lemmas], 1);
         assert_eq!(snap.counters[Counter::LemmaCycleEdges], 4);
         // Histograms are fed even when event storage is off.
         assert_eq!(snap.hists[Hist::RestartInterval].count(), 1);

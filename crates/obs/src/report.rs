@@ -139,7 +139,7 @@ pub fn profile_report(snap: &TraceSnapshot) -> String {
 
     // ---- solver events ---------------------------------------------------
     out.push_str("\nsolver events\n");
-    let lemmas = c[Counter::TheoryLemmas];
+    let lemmas = c[Counter::Lemmas];
     let mean_cycle = if lemmas > 0 {
         c[Counter::LemmaCycleEdges] as f64 / lemmas as f64
     } else {
@@ -287,7 +287,7 @@ mod tests {
             lbd: 1,
             window: [1, 0, 1, 0],
         });
-        rec.emit(Event::TheoryLemma { cycle_len: 3 });
+        rec.emit(Event::Lemma { cycle_len: 3 });
         rec.emit(Event::CycleCheck { visited: 4 });
         rec.add_decisions(VarClass::ExternalRf, 1, 1);
         rec.add_decisions(VarClass::Ws, 1, 1);

@@ -121,7 +121,7 @@ vocabulary! {
         /// Conflicts analysed by the solver.
         Conflicts = "conflicts" => (Required, LowerBetter);
         /// Order-theory lemmas, each blocking one EOG cycle.
-        TheoryLemmas = "lemmas" => (Required, LowerBetter);
+        Lemmas = "lemmas" => (Required, LowerBetter);
         /// Sum of EOG cycle lengths over all theory lemmas (for the mean).
         LemmaCycleEdges = "lemma_cycle_edges" => (Required, Info);
         /// Solver restarts.
@@ -213,7 +213,7 @@ vocabulary! {
         /// LBD of each learnt conflict clause.
         ConflictLbd = "conflict_lbd" => (Some(Counter::Conflicts), LowerBetter);
         /// Edge count of each EOG cycle blocked by a theory lemma.
-        LemmaCycleLen = "lemma_cycle_len" => (Some(Counter::TheoryLemmas), LowerBetter);
+        LemmaCycleLen = "lemma_cycle_len" => (Some(Counter::Lemmas), LowerBetter);
         /// Nodes visited by each cycle check that ran the bounded search
         /// (O(1)-accepted checks are not observed: they visit nothing).
         CycleVisited = "cycle_visited" => (Some(Counter::CycleSearched), LowerBetter);

@@ -43,7 +43,7 @@ fn arb_event() -> impl Strategy<Value = Event> {
                 window: [a, b, c, d],
             }
         ),
-        (2u32..40).prop_map(|cycle_len| Event::TheoryLemma { cycle_len }),
+        (2u32..40).prop_map(|cycle_len| Event::Lemma { cycle_len }),
         (0u64..5000).prop_map(|conflicts| Event::Restart { conflicts }),
         (0u64..2000).prop_map(|removed| Event::Reduction { removed }),
         (0u32..500).prop_map(|visited| Event::CycleCheck { visited }),
@@ -65,7 +65,7 @@ fn add_solver_counts(rec: &Recorder, events: &[Event], o1_checks: u64) {
                 searched += 1;
                 rec.add(Counter::CycleVisited, visited as u64);
             }
-            Event::TheoryLemma { .. } | Event::Share { .. } => {}
+            Event::Lemma { .. } | Event::Share { .. } => {}
         }
     }
     rec.add(Counter::CycleChecks, searched + o1_checks);

@@ -47,9 +47,7 @@ pub use clause::{CRef, ClauseDb};
 pub use guide::{AssignView, DecisionGuide, NoGuide, PriorityListGuide};
 pub use lit::{LBool, Lit, Var};
 pub use proof::{Proof, ProofStep};
-pub use share::{
-    CycleEdgeRaw, MemberEndpoint, ShareClass, ShareConfig, ShareSpec, SharedClause, SharedPool,
-};
+pub use share::{MemberEndpoint, ShareClass, ShareConfig, ShareSpec, SharedClause, SharedPool};
 pub use solver::{SolveResult, Solver};
 pub use stats::{Budget, CancelToken, ExhaustionReason, Stats};
 pub use theory::{NoTheory, Theory, TheoryConflict, TheoryOut};

@@ -11,9 +11,9 @@
 //! RUP-derivable from the CNF alone, so the solver records them as
 //! [`ProofStep::Lemma`] steps: `check` rejects them (fail closed), while
 //! [`check_with_lemmas`] accepts a lemma exactly when a caller-supplied
-//! validator — e.g. the standalone EOG cycle re-walker in `zpre-smt` —
-//! re-justifies the clause independently, and then treats it as an axiom
-//! for the remaining RUP derivation.
+//! validator — e.g. the standalone EOG cycle checker in `zpre-smt`, which
+//! re-derives a cycle from the clause — vouches for it independently, and
+//! then treats it as an axiom for the remaining RUP derivation.
 
 use crate::lit::{LBool, Lit};
 
@@ -26,7 +26,7 @@ pub enum ProofStep {
     Delete(Vec<Lit>),
     /// A theory lemma: valid in the background theory but, in general, not
     /// RUP-derivable from the CNF. Only [`check_with_lemmas`] accepts these,
-    /// and only after external re-justification.
+    /// and only after an external check of its theory validity.
     Lemma(Vec<Lit>),
 }
 

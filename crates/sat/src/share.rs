@@ -15,10 +15,11 @@
 //! which the solver calls at restart-to-root boundaries.
 //!
 //! Export is filtered by an interference-aware policy ([`ShareClass`]):
-//! order-theory EOG-cycle lemmas always ship (they carry their cycle
-//! justification so certification replays), clauses over external-RF
-//! interference variables ship up to `lbd_max_hot`, and generic learnt
-//! clauses only up to the stricter `lbd_max`.
+//! order-theory EOG-cycle lemmas always ship (a certifying importer logs
+//! one as a theory lemma, and the certifier re-derives its cycle from the
+//! clause), clauses over external-RF interference variables ship up to
+//! `lbd_max_hot`, and generic learnt clauses only up to the stricter
+//! `lbd_max`.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,14 +27,11 @@ use std::sync::{Arc, Mutex};
 
 use crate::lit::Lit;
 
-/// Sentinel `tag_code` in [`CycleEdgeRaw`] for an untagged (fixed) edge.
-pub const NO_TAG: u32 = u32::MAX;
-
 /// Interference class of a shared clause — decides its export LBD cap.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ShareClass {
-    /// An order-theory EOG-cycle lemma; carries a cycle justification and
-    /// always ships (cycle lemmas are the expensive-to-rediscover ones).
+    /// An order-theory EOG-cycle lemma, or a clause learnt from one; always
+    /// ships (cycle lemmas are the expensive-to-rediscover ones).
     Theory,
     /// A learnt clause mentioning at least one external-RF interference
     /// variable; ships up to the hot LBD cap.
@@ -53,22 +51,8 @@ impl ShareClass {
     }
 }
 
-/// One EOG-cycle edge in transport form: raw node indices plus the packed
-/// code of the tagging literal ([`NO_TAG`] when the edge is fixed). Keeps
-/// `zpre-sat` free of any dependency on the theory's node types.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct CycleEdgeRaw {
-    /// Source node index of the edge.
-    pub from: u32,
-    /// Destination node index of the edge.
-    pub to: u32,
-    /// Packed [`Lit::code`] of the literal that asserted the edge, or
-    /// [`NO_TAG`] for a fixed (program-order) edge.
-    pub tag_code: u32,
-}
-
 /// A clause published to the pool, with enough metadata for the importer to
-/// filter, attach, and (for theory lemmas) re-justify it.
+/// filter and attach it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SharedClause {
     /// Index of the exporting member (importers skip their own exports).
@@ -80,8 +64,11 @@ pub struct SharedClause {
     pub lbd: u32,
     /// The clause literals, as learnt (unsorted).
     pub lits: Vec<Lit>,
-    /// EOG-cycle justification for [`ShareClass::Theory`] lemmas.
-    pub cycle: Option<Vec<CycleEdgeRaw>>,
+    /// `true` for a theory lemma (a [`ShareClass::Theory`] clause offered
+    /// with LBD 0): valid in the theory on its own, so a proof-logging
+    /// importer may log it as a lemma step. A learnt clause is RUP only
+    /// against its exporter's clause database.
+    pub lemma: bool,
 }
 
 /// Export/import policy knobs; `--share-lbd-max N` maps to
@@ -155,11 +142,7 @@ pub fn fingerprint(lits: &[Lit]) -> u64 {
 }
 
 fn clause_bytes(c: &SharedClause) -> u64 {
-    let cycle = c
-        .cycle
-        .as_ref()
-        .map_or(0, |cy| cy.len() * std::mem::size_of::<CycleEdgeRaw>());
-    (std::mem::size_of::<SharedClause>() + c.lits.len() * std::mem::size_of::<Lit>() + cycle) as u64
+    (std::mem::size_of::<SharedClause>() + c.lits.len() * std::mem::size_of::<Lit>()) as u64
 }
 
 struct PoolInner {
@@ -321,16 +304,13 @@ impl MemberEndpoint {
     }
 
     /// Offer a clause for export. Applies the interference-aware filter
-    /// (theory lemmas: length cap only; interference: `lbd_max_hot`;
+    /// (theory class: length cap only; interference: `lbd_max_hot`;
     /// generic: `lbd_max`) and skips clauses already seen in either
-    /// direction. Returns `true` if the clause entered the outbox.
-    pub fn offer(
-        &mut self,
-        class: ShareClass,
-        lbd: u32,
-        lits: &[Lit],
-        cycle: Option<Vec<CycleEdgeRaw>>,
-    ) -> bool {
+    /// direction. A theory lemma is offered as [`ShareClass::Theory`] with
+    /// LBD 0, since conflict analysis never learnt it, and is published
+    /// marked [`SharedClause::lemma`]. Returns `true` if the clause entered
+    /// the outbox.
+    pub fn offer(&mut self, class: ShareClass, lbd: u32, lits: &[Lit]) -> bool {
         if lits.is_empty() || lits.len() > self.cfg.max_clause_len {
             return false;
         }
@@ -353,7 +333,7 @@ impl MemberEndpoint {
             class,
             lbd,
             lits: lits.to_vec(),
-            cycle,
+            lemma: class == ShareClass::Theory && lbd == 0,
         });
         true
     }
@@ -440,9 +420,9 @@ mod tests {
         let mut alice = spec(&pool, 0).endpoint();
         let mut bob = spec(&pool, 1).endpoint();
 
-        assert!(alice.offer(ShareClass::Generic, 2, &lits(&[2, 5]), None));
+        assert!(alice.offer(ShareClass::Generic, 2, &lits(&[2, 5])));
         // Same clause, different literal order: deduplicated at offer time.
-        assert!(!alice.offer(ShareClass::Generic, 2, &lits(&[5, 2]), None));
+        assert!(!alice.offer(ShareClass::Generic, 2, &lits(&[5, 2])));
         alice.flush();
         assert!(bob.pending());
 
@@ -460,7 +440,7 @@ mod tests {
         assert_eq!(dropped, 1);
 
         // Bob re-offering the imported clause does not echo it back.
-        assert!(!bob.offer(ShareClass::Generic, 2, &lits(&[2, 5]), None));
+        assert!(!bob.offer(ShareClass::Generic, 2, &lits(&[2, 5])));
     }
 
     #[test]
@@ -468,14 +448,28 @@ mod tests {
         let pool = SharedPool::new(64);
         let mut e = spec(&pool, 0).endpoint();
         // Generic capped at lbd_max = 2.
-        assert!(!e.offer(ShareClass::Generic, 3, &lits(&[2, 4]), None));
+        assert!(!e.offer(ShareClass::Generic, 3, &lits(&[2, 4])));
         // Interference ships at the hot cap (4).
-        assert!(e.offer(ShareClass::Interference, 3, &lits(&[2, 4]), None));
+        assert!(e.offer(ShareClass::Interference, 3, &lits(&[2, 4])));
         // Theory lemmas ignore LBD entirely.
-        assert!(e.offer(ShareClass::Theory, 99, &lits(&[6, 8]), None));
+        assert!(e.offer(ShareClass::Theory, 99, &lits(&[6, 8])));
         // Length cap applies to everything.
         let long: Vec<Lit> = (0..65).map(|i| Var::new(i).positive()).collect();
-        assert!(!e.offer(ShareClass::Theory, 0, &long, None));
+        assert!(!e.offer(ShareClass::Theory, 0, &long));
+    }
+
+    #[test]
+    fn only_theory_offers_at_lbd_zero_are_lemmas() {
+        let pool = SharedPool::new(64);
+        let mut e = spec(&pool, 0).endpoint();
+        assert!(e.offer(ShareClass::Theory, 0, &lits(&[2, 4])));
+        assert!(e.offer(ShareClass::Theory, 3, &lits(&[2, 6])));
+        assert!(e.offer(ShareClass::Interference, 0, &lits(&[2, 8])));
+        e.flush();
+        let mut got = Vec::new();
+        spec(&pool, 1).endpoint().drain_imports(&mut got);
+        let marks: Vec<bool> = got.iter().map(|c| c.lemma).collect();
+        assert_eq!(marks, vec![true, false, false]);
     }
 
     #[test]
@@ -484,7 +478,7 @@ mod tests {
         let mut w = spec(&pool, 0).endpoint();
         let mut r = spec(&pool, 1).endpoint();
         for i in 0..10u32 {
-            assert!(w.offer(ShareClass::Theory, 0, &lits(&[2 * i, 2 * i + 1]), None));
+            assert!(w.offer(ShareClass::Theory, 0, &lits(&[2 * i, 2 * i + 1])));
         }
         w.flush();
         assert_eq!(pool.published(), 10);
@@ -509,7 +503,7 @@ mod tests {
         }
         .endpoint();
         for i in 0..5u32 {
-            e.offer(ShareClass::Theory, 0, &lits(&[2 * i, 2 * i + 1]), None);
+            e.offer(ShareClass::Theory, 0, &lits(&[2 * i, 2 * i + 1]));
         }
         assert_eq!(e.outbox.len(), 2);
         e.flush();
@@ -521,7 +515,7 @@ mod tests {
         let pool = SharedPool::new(4);
         assert_eq!(pool.memory_bytes(), 0);
         let mut w = spec(&pool, 0).endpoint();
-        w.offer(ShareClass::Generic, 1, &lits(&[2, 4, 6]), None);
+        w.offer(ShareClass::Generic, 1, &lits(&[2, 4, 6]));
         w.flush();
         let one = pool.memory_bytes();
         assert!(one > 0);
@@ -530,7 +524,6 @@ mod tests {
                 ShareClass::Generic,
                 1,
                 &lits(&[2 * i, 2 * i + 2, 2 * i + 4]),
-                None,
             );
         }
         w.flush();
@@ -553,7 +546,7 @@ mod tests {
         }
         .endpoint();
         for i in 0..8u32 {
-            assert!(w.offer(ShareClass::Theory, 0, &lits(&[2 * i, 2 * i + 1]), None));
+            assert!(w.offer(ShareClass::Theory, 0, &lits(&[2 * i, 2 * i + 1])));
         }
         w.flush();
         // Three drains of at most 3: the cursor resumes where it parked,

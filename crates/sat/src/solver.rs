@@ -192,9 +192,6 @@ pub struct Solver<T: Theory = NoTheory, G: DecisionGuide = NoGuide> {
     share_pull_due: bool,
     /// `stats.sh_import_hits` at the last [`Event::Share`] emission.
     share_hits_reported: u64,
-    /// Debug-mode RUP spot-check budget per solve call.
-    #[cfg(debug_assertions)]
-    share_probes: u32,
 }
 
 impl Solver<NoTheory, NoGuide> {
@@ -255,8 +252,6 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             share: None,
             share_pull_due: false,
             share_hits_reported: 0,
-            #[cfg(debug_assertions)]
-            share_probes: 0,
         }
     }
 
@@ -315,60 +310,52 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         }
     }
 
-    /// Joins a portfolio share pool: learnt clauses and theory cycle lemmas
-    /// export at conflict time, foreign clauses import at restart-to-root
-    /// boundaries. Also asks the theory to start capturing shareable lemmas.
+    /// Joins a portfolio share pool: theory cycle lemmas export as they are
+    /// raised and learnt clauses at conflict time, foreign clauses import at
+    /// restart-to-root boundaries.
     pub fn set_share(&mut self, spec: &ShareSpec) {
         self.share = Some(spec.endpoint());
-        self.theory.enable_share_capture();
     }
 
-    /// Offers the freshly learnt clause and any captured theory lemmas to
-    /// the share outbox. Called at conflict time; never touches the pool
-    /// lock (the outbox publishes at the next exchange).
-    fn share_export(&mut self, learnt: &[Lit], lbd: u32, from_theory: bool) {
-        let Some(mut ep) = self.share.take() else {
+    /// Offers a clause to the share outbox and counts the outcome. Never
+    /// touches the pool lock (the outbox publishes at the next exchange).
+    fn share_offer(&mut self, class: ShareClass, lbd: u32, lits: &[Lit]) {
+        let Some(ep) = self.share.as_mut() else {
             return;
         };
-        // Theory cycle lemmas carry their cycle justification, so they stay
-        // certifiable on the importing side and bypass the LBD caps.
-        let mut lemmas = Vec::new();
-        self.theory.drain_shared_lemmas(&mut lemmas);
-        for (clause, cycle) in lemmas {
-            if ep.offer(ShareClass::Theory, 0, &clause, Some(cycle)) {
-                self.stats.sh_exported += 1;
-                self.stats.sh_exported_theory += 1;
-            } else {
-                self.stats.sh_dropped += 1;
+        if ep.offer(class, lbd, lits) {
+            self.stats.sh_exported += 1;
+            match class {
+                ShareClass::Theory => self.stats.sh_exported_theory += 1,
+                ShareClass::Interference => self.stats.sh_exported_rf += 1,
+                ShareClass::Generic => {}
             }
+        } else {
+            self.stats.sh_dropped += 1;
         }
-        // Learnt clauses are RUP only against *this* member's clause DB, so
-        // under proof logging (--certify) they are not exportable: importers
-        // could not justify them in a replayable proof. Cycle lemmas above
-        // still ship — they re-justify from the journal.
-        if self.proof.is_none() && !learnt.is_empty() {
-            let class = if from_theory {
-                ShareClass::Theory
-            } else if learnt
-                .iter()
-                .any(|l| self.var_class[l.var().index()] == VarClass::ExternalRf)
-            {
-                ShareClass::Interference
-            } else {
-                ShareClass::Generic
-            };
-            if ep.offer(class, lbd, learnt, None) {
-                self.stats.sh_exported += 1;
-                match class {
-                    ShareClass::Theory => self.stats.sh_exported_theory += 1,
-                    ShareClass::Interference => self.stats.sh_exported_rf += 1,
-                    ShareClass::Generic => {}
-                }
-            } else {
-                self.stats.sh_dropped += 1;
-            }
+    }
+
+    /// Offers the freshly learnt clause to the share outbox. Learnt clauses
+    /// are RUP only against *this* member's clause DB, so under proof
+    /// logging (--certify) they are not exportable: importers could not
+    /// justify them in a replayable proof. The theory lemmas
+    /// [`Self::theory_conflict`] offers still ship, since a certifier
+    /// re-derives each one from its clause.
+    fn share_export(&mut self, learnt: &[Lit], lbd: u32, from_theory: bool) {
+        if self.proof.is_some() || learnt.is_empty() {
+            return;
         }
-        self.share = Some(ep);
+        let class = if from_theory {
+            ShareClass::Theory
+        } else if learnt
+            .iter()
+            .any(|l| self.var_class[l.var().index()] == VarClass::ExternalRf)
+        {
+            ShareClass::Interference
+        } else {
+            ShareClass::Generic
+        };
+        self.share_offer(class, lbd, learnt);
     }
 
     /// Publishes the outbox and attaches every unseen foreign clause. Must
@@ -394,9 +381,9 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                 self.stats.sh_dropped += 1;
                 continue;
             }
-            // Under proof logging only journal-justified cycle lemmas can
-            // enter: anything else would leave a hole in the replayed proof.
-            if self.proof.is_some() && c.cycle.is_none() {
+            // Under proof logging only theory lemmas can enter: a peer's
+            // learnt clause would leave a hole in the replayed proof.
+            if self.proof.is_some() && !c.lemma {
                 self.stats.sh_dropped += 1;
                 continue;
             }
@@ -419,14 +406,9 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
     /// if the clause was dropped (tautology or already satisfied at root).
     /// Sets `ok = false` when the import empties at the root.
     fn import_clause(&mut self, shared: &SharedClause) -> bool {
-        if self.proof.is_some() {
-            // Log the lemma verbatim and hand its justification to the
-            // theory journal: `certify_safe` then replays the shared lemma
-            // exactly like a locally derived one.
-            self.proof_lemma(&shared.lits);
-            let cycle = shared.cycle.as_ref().expect("gated by share_exchange");
-            self.theory.absorb_shared_lemma(&shared.lits, cycle);
-        }
+        // Log the lemma verbatim: a certifier checks it exactly like a
+        // locally derived one (`proof_lemma` is a no-op without a proof).
+        self.proof_lemma(&shared.lits);
         let mut c = shared.lits.clone();
         c.sort_unstable();
         c.dedup();
@@ -450,8 +432,6 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             // Root-level strengthening: RUP from the logged lemma + units.
             self.proof_add(&c.clone());
         }
-        #[cfg(debug_assertions)]
-        self.rup_spot_check(&c);
         match c.len() {
             0 => {
                 if shared.lits.is_empty() {
@@ -469,7 +449,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                 let cr = self.db.add(&c, true);
                 // Theory lemmas arrive without an LBD; length is the
                 // conservative stand-in (avoids glue-keeping them all).
-                let lbd = if shared.lbd == 0 {
+                let lbd = if shared.lemma {
                     c.len() as u32
                 } else {
                     shared.lbd
@@ -483,45 +463,6 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         }
     }
 
-    /// Debug-only soundness probe: asserts the negation of an imported
-    /// clause on a throwaway decision level and propagates once. A conflict
-    /// confirms the clause is RUP against this member's database; no
-    /// conflict is inconclusive (the clause is still a consequence of the
-    /// shared instance, just not unit-derivable locally). Either way the
-    /// probe must leave no trace on the search state.
-    #[cfg(debug_assertions)]
-    fn rup_spot_check(&mut self, clause: &[Lit]) {
-        const MAX_PROBES: u32 = 8;
-        if self.proof.is_some() || self.share_probes >= MAX_PROBES {
-            return; // a probe would interleave steps into the DRAT log
-        }
-        // Probing with unpropagated root units pending could swallow a real
-        // root conflict inside the probe's propagate; skip in that case.
-        if self.qhead != self.trail.len() || clause.is_empty() {
-            return;
-        }
-        if clause.iter().any(|&l| self.value(l).is_true()) {
-            return; // root-satisfied: trivially consistent
-        }
-        self.share_probes += 1;
-        let saved_stats = self.stats;
-        self.new_decision_level();
-        let mut conflict = false;
-        for &l in clause {
-            if self.value(l).is_undef() && !self.enqueue(!l, Reason::None) {
-                conflict = true;
-                break;
-            }
-        }
-        if !conflict {
-            conflict = self.propagate().is_some();
-        }
-        let _ = conflict;
-        self.cancel_until(0);
-        self.stats = saved_stats;
-        debug_assert_eq!(self.decision_level(), 0);
-    }
-
     /// Emits the import hits since the last emission, if any, as one
     /// [`Event::Share`].
     fn emit_import_hits(&mut self) {
@@ -532,19 +473,15 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         }
     }
 
-    /// End-of-solve share housekeeping: drain any theory lemmas captured
-    /// since the last conflict, publish the outbox (the winner's final
-    /// lemmas still reach slower members), and report the import hits
+    /// End-of-solve share housekeeping: publish the outbox (the winner's
+    /// final lemmas still reach slower members), and report the import hits
     /// since the last exchange, which a member that never restarted after
     /// its last import would otherwise never report.
     fn share_finish(&mut self) {
-        if self.share.is_none() {
+        let Some(ep) = self.share.as_mut() else {
             return;
-        }
-        self.share_export(&[], 0, false);
-        if let Some(ep) = self.share.as_mut() {
-            ep.flush();
-        }
+        };
+        ep.flush();
         self.emit_import_hits();
     }
 
@@ -902,13 +839,16 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
     }
 
     /// Turns a theory conflict (true literals) into the falsified clause of
-    /// their negations, built in the reusable conflict buffer.
+    /// their negations, built in the reusable conflict buffer. The clause is
+    /// a theory lemma: it is logged, and offered to portfolio peers before
+    /// the clause conflict analysis learns from it.
     fn theory_conflict(&mut self, tc: TheoryConflict) -> Conflict {
         self.stats.theory_conflicts += 1;
         let mut lits = std::mem::take(&mut self.conflict_buf);
         lits.clear();
         lits.extend(tc.lits.iter().map(|&l| !l));
         self.proof_lemma(&lits);
+        self.share_offer(ShareClass::Theory, 0, &lits);
         Conflict {
             lits,
             from_theory: true,
@@ -1435,10 +1375,6 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
     fn solve_with_assumptions_inner(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.assumption_core.clear();
         self.exhaustion = None;
-        #[cfg(debug_assertions)]
-        {
-            self.share_probes = 0;
-        }
         if !self.ok {
             return SolveResult::Unsat;
         }
@@ -2028,8 +1964,7 @@ mod share_tests {
         assert!(exporter.offer(
             ShareClass::Generic,
             2,
-            &[v[0].positive(), v[1].positive(), v[2].positive()],
-            None,
+            &[v[0].positive(), v[1].positive(), v[2].positive()]
         ));
         exporter.flush();
         s.set_share(&spec(&pool, 1));
@@ -2068,12 +2003,7 @@ mod share_tests {
         assert!(s.add_clause(&[v[0].negative(), v[1].negative()]));
         // Import (v0 ∨ v1): whichever variable is decided false first makes
         // the imported clause propagate the other — an import hit.
-        assert!(exporter.offer(
-            ShareClass::Theory,
-            0,
-            &[v[0].positive(), v[1].positive()],
-            None,
-        ));
+        assert!(exporter.offer(ShareClass::Theory, 0, &[v[0].positive(), v[1].positive()]));
         exporter.flush();
         s.set_share(&spec(&pool, 1));
         assert_eq!(s.solve(), SolveResult::Sat);
@@ -2128,12 +2058,7 @@ mod share_tests {
         let mut ahead = Solver::new();
         let w = vars(&mut ahead, 4);
         let mut exporter = spec(&pool, 0).endpoint();
-        assert!(exporter.offer(
-            ShareClass::Generic,
-            1,
-            &[w[0].positive(), w[3].negative()],
-            None,
-        ));
+        assert!(exporter.offer(ShareClass::Generic, 1, &[w[0].positive(), w[3].negative()]));
         exporter.flush();
         let mut s = Solver::new();
         let v = vars(&mut s, 2);
@@ -2145,6 +2070,32 @@ mod share_tests {
     }
 
     #[test]
+    fn proof_logging_importer_admits_only_theory_lemmas() {
+        // A peer's learnt clause is RUP only against the peer's database,
+        // so a proof-logging member drops it; a theory lemma enters and is
+        // logged as a lemma step.
+        let pool = SharedPool::new(16);
+        let mut exporter = spec(&pool, 0).endpoint();
+        let mut s = Solver::new();
+        let v = vars(&mut s, 4);
+        let learnt = [v[0].positive(), v[1].positive()];
+        let lemma = [v[2].positive(), v[3].positive()];
+        assert!(exporter.offer(ShareClass::Theory, 2, &learnt));
+        assert!(exporter.offer(ShareClass::Theory, 0, &lemma));
+        exporter.flush();
+        s.enable_proof_logging();
+        s.set_share(&spec(&pool, 1));
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.stats().sh_imported, 1);
+        assert_eq!(s.stats().sh_dropped, 1);
+        let proof = s.take_proof().expect("proof logging on");
+        assert_eq!(
+            proof.steps,
+            vec![crate::proof::ProofStep::Lemma(lemma.to_vec())]
+        );
+    }
+
+    #[test]
     fn unit_import_strengthens_at_root() {
         let pool = SharedPool::new(16);
         let mut exporter = spec(&pool, 0).endpoint();
@@ -2152,12 +2103,7 @@ mod share_tests {
         let v = vars(&mut s, 2);
         assert!(s.add_clause(&[v[0].negative()]));
         // (v0 ∨ v1) strengthens to the unit (v1) against the root trail.
-        assert!(exporter.offer(
-            ShareClass::Generic,
-            1,
-            &[v[0].positive(), v[1].positive()],
-            None,
-        ));
+        assert!(exporter.offer(ShareClass::Generic, 1, &[v[0].positive(), v[1].positive()]));
         exporter.flush();
         s.set_share(&spec(&pool, 1));
         assert_eq!(s.solve(), SolveResult::Sat);

@@ -16,9 +16,14 @@
 //! - [`Theory::explain`] must return, for any literal the theory propagated
 //!   and that is still on the trail, the antecedent literals (all true,
 //!   asserted before it) that imply it.
+//!
+//! A theory lemma is just its clause: the solver logs each conflict and
+//! explanation clause as a [`crate::ProofStep::Lemma`] and ships conflict
+//! clauses to portfolio peers as they are, and the theory keeps no record
+//! of them. Whoever needs a lemma's justification re-derives it from the
+//! clause (for the order theory, `zpre_smt::certcheck`).
 
 use crate::lit::Lit;
-use crate::share::CycleEdgeRaw;
 
 /// A theory conflict: `lits` are all currently assigned true and jointly
 /// inconsistent in the theory.
@@ -76,24 +81,6 @@ pub trait Theory {
     fn final_check(&mut self, out: &mut TheoryOut) -> Result<(), TheoryConflict> {
         let _ = out;
         Ok(())
-    }
-
-    /// Asks the theory to start buffering shareable lemmas (conflict-cycle
-    /// lemmas, for the order theory) for the solver's share-export hook.
-    /// Theories with nothing worth sharing keep the default no-op.
-    fn enable_share_capture(&mut self) {}
-
-    /// Drains lemmas buffered since the last drain into `out` as
-    /// `(clause, cycle-justification)` pairs in transport form.
-    fn drain_shared_lemmas(&mut self, out: &mut Vec<(Vec<Lit>, Vec<CycleEdgeRaw>)>) {
-        let _ = out;
-    }
-
-    /// Absorbs a lemma imported from another member: the theory records the
-    /// justification (e.g. in its certification journal) so downstream
-    /// proof replay treats the clause like a locally derived lemma.
-    fn absorb_shared_lemma(&mut self, clause: &[Lit], cycle: &[CycleEdgeRaw]) {
-        let _ = (clause, cycle);
     }
 }
 

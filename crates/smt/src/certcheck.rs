@@ -1,298 +1,228 @@
 //! Standalone re-checker for order-theory lemmas.
 //!
 //! Certification must not trust the solver's conflict analysis or the
-//! theory's incremental DFS: a [`TheoryLemma`] is accepted only if this
-//! module can re-derive its validity from first principles. The argument
-//! is elementary: assume the negation of the lemma clause. Then every tag
-//! literal of the recorded cycle is true, so (by the atom semantics) every
-//! tagged edge is present in the event order graph; fixed program-order
-//! edges are always present. If those edges form a closed directed cycle,
-//! the assignment admits no total order of the events — contradiction — so
-//! the clause holds in the theory.
+//! theory's incremental cycle search: a theory lemma is accepted only if
+//! this module re-derives its validity from the clause alone. The argument
+//! is elementary: assume the negation of the clause. Then every negated
+//! literal is true, and by the atom semantics (`v ↦ (a, b)`: true ⇒ `a→b`,
+//! false ⇒ `b→a`) each one asserts an edge of the event order graph; the
+//! fixed program-order edges are always present. If those edges contain a
+//! directed cycle, the assignment admits no total order of the events —
+//! contradiction — so the clause holds in the theory.
 //!
-//! The checker therefore verifies, for each lemma:
+//! [`check_lemma`] therefore accepts a clause exactly when
 //!
-//! 1. the cycle is non-empty, chained, and closed;
-//! 2. every tagged edge is exactly the edge its literal asserts under the
-//!    registered atom semantics (`v ↦ (a, b)`: true ⇒ `a→b`, false ⇒
-//!    `b→a`), and every untagged edge is a fixed program-order edge;
-//! 3. the lemma clause is exactly the set of negated tags — i.e. the
-//!    clause rules out precisely the assignment that closes the cycle.
+//! 1. the negation of every literal is an ordering-atom literal, and
+//! 2. the edges those literals assert, plus the fixed edges, contain a
+//!    directed cycle.
 //!
-//! Inputs are supplied as closures so the checker shares no code with
-//! [`OrderTheory`]'s DFS; [`check_lemma_against`] wires a (post-solve,
-//! fully backtracked) theory instance in as the source of atom
-//! registrations and fixed edges.
+//! The fixed edges are acyclic (`OrderTheory::add_fixed_edge` refuses a
+//! cycle), so every cycle uses an asserted edge `a→b` and closes through a
+//! path `b ⇝ a`; the checker searches for such a path from each asserted
+//! edge. It walks [`FixedEdges`], its own adjacency list built once per
+//! certificate from [`OrderTheory::fixed_edges`], and shares no code with
+//! the theory's [`crate::OrderGraph`].
 
-use crate::order::{NodeId, OrderTheory, TheoryLemma};
+use crate::order::{NodeId, OrderTheory};
 use zpre_sat::{Lit, Var};
 
-/// Re-checks a single lemma against caller-supplied atom semantics.
-///
-/// `atom_of` maps a solver variable to its registered ordered pair (`None`
-/// when the variable is not an ordering atom); `is_fixed` answers whether a
-/// fixed program-order edge exists. Returns a human-readable reason on
-/// rejection.
-pub fn check_lemma(
-    lemma: &TheoryLemma,
-    atom_of: impl Fn(Var) -> Option<(NodeId, NodeId)>,
-    is_fixed: impl Fn(NodeId, NodeId) -> bool,
-) -> Result<(), String> {
-    let cycle = &lemma.cycle;
-    if cycle.is_empty() {
-        return Err("lemma has an empty justifying cycle".to_string());
-    }
-    // 1. Chained and closed.
-    for (i, e) in cycle.iter().enumerate() {
-        let next = &cycle[(i + 1) % cycle.len()];
-        if e.to != next.from {
-            return Err(format!(
-                "cycle is not chained: edge {i} ends at node {} but edge {} starts at node {}",
-                e.to.0,
-                (i + 1) % cycle.len(),
-                next.from.0
-            ));
-        }
-    }
-    // 2. Every edge is justified.
-    for (i, e) in cycle.iter().enumerate() {
-        match e.tag {
-            Some(l) => {
-                let Some((a, b)) = atom_of(l.var()) else {
-                    return Err(format!(
-                        "edge {i} is tagged by a literal of non-atom variable {}",
-                        l.var().index()
-                    ));
-                };
-                let asserted = if l.sign() { (a, b) } else { (b, a) };
-                if asserted != (e.from, e.to) {
-                    return Err(format!(
-                        "edge {i} claims {}→{} but its tag asserts {}→{}",
-                        e.from.0, e.to.0, asserted.0 .0, asserted.1 .0
-                    ));
-                }
-            }
-            None => {
-                if !is_fixed(e.from, e.to) {
-                    return Err(format!(
-                        "edge {i} ({}→{}) is not a fixed program-order edge",
-                        e.from.0, e.to.0
-                    ));
-                }
-            }
-        }
-    }
-    // 3. The clause is exactly the negated tags.
-    let mut want: Vec<Lit> = cycle.iter().filter_map(|e| e.tag).map(|l| !l).collect();
-    want.sort_unstable();
-    want.dedup();
-    let mut have = lemma.clause.clone();
-    have.sort_unstable();
-    have.dedup();
-    if want != have {
-        return Err(
-            "lemma clause is not the negation of the cycle's asserting literals".to_string(),
-        );
-    }
-    Ok(())
+/// The fixed program-order edges as successor lists, indexed by node.
+#[derive(Clone, Debug, Default)]
+pub struct FixedEdges {
+    succ: Vec<Vec<NodeId>>,
 }
 
-/// Re-checks a lemma against a theory instance (typically the post-solve
-/// theory, which has backtracked to the root so that only fixed edges
-/// remain asserted).
-pub fn check_lemma_against(theory: &OrderTheory, lemma: &TheoryLemma) -> Result<(), String> {
-    check_lemma(
-        lemma,
-        |v| theory.atom_nodes(v),
-        |a, b| theory.is_fixed_edge(a, b),
-    )
+impl FixedEdges {
+    /// The fixed edges of `theory`. Post-solve the theory has backtracked
+    /// to the root, so these are the program-order edges alone.
+    pub fn of(theory: &OrderTheory) -> FixedEdges {
+        let mut succ: Vec<Vec<NodeId>> = vec![Vec::new(); theory.num_nodes()];
+        for (a, b) in theory.fixed_edges() {
+            succ[a.0 as usize].push(b);
+        }
+        FixedEdges { succ }
+    }
+
+    fn successors(&self, u: NodeId) -> &[NodeId] {
+        self.succ.get(u.0 as usize).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// Re-checks one lemma clause against caller-supplied atom semantics.
+///
+/// `atom_of` maps a solver variable to its registered ordered pair (`None`
+/// when the variable is not an ordering atom). Returns a human-readable
+/// reason on rejection.
+pub fn check_lemma(
+    clause: &[Lit],
+    atom_of: impl Fn(Var) -> Option<(NodeId, NodeId)>,
+    fixed: &FixedEdges,
+) -> Result<(), String> {
+    // The edges the clause's negation asserts: ¬l holds, so a positive `l`
+    // over `(a, b)` asserts `b→a` and a negative one `a→b`.
+    let mut asserted = Vec::with_capacity(clause.len());
+    for &l in clause {
+        let Some((a, b)) = atom_of(l.var()) else {
+            return Err(format!(
+                "literal {l:?} is over variable {}, which is not an ordering atom",
+                l.var().index()
+            ));
+        };
+        asserted.push(if l.sign() { (b, a) } else { (a, b) });
+    }
+    let nodes = asserted
+        .iter()
+        .map(|&(a, b)| a.0.max(b.0) as usize + 1)
+        .fold(fixed.succ.len(), usize::max);
+    let mut seen = vec![false; nodes];
+    let mut stack = Vec::new();
+    for &(a, b) in &asserted {
+        // Does b reach a? Then a→b closes a cycle.
+        seen.fill(false);
+        stack.clear();
+        stack.push(b);
+        while let Some(u) = stack.pop() {
+            if u == a {
+                return Ok(());
+            }
+            if std::mem::replace(&mut seen[u.0 as usize], true) {
+                continue;
+            }
+            stack.extend_from_slice(fixed.successors(u));
+            stack.extend(asserted.iter().filter(|e| e.0 == u).map(|e| e.1));
+        }
+    }
+    Err(format!(
+        "the {} edges the negated clause asserts close no cycle with the fixed edges",
+        asserted.len()
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::order::CycleEdge;
-    use zpre_sat::Var;
 
-    fn two_node_theory() -> (OrderTheory, NodeId, NodeId, Var) {
+    /// A theory over `n` nodes with the given fixed edges and atoms
+    /// `Var(i) ↦ atoms[i]`, checked the way certification does.
+    fn check(
+        n: u32,
+        fixed: &[(u32, u32)],
+        atoms: &[(u32, u32)],
+        clause: &[Lit],
+    ) -> Result<(), String> {
         let mut t = OrderTheory::new();
-        let a = t.add_node();
-        let b = t.add_node();
-        let v = Var::new(0);
-        t.register_atom(v, a, b);
-        (t, a, b, v)
+        for _ in 0..n {
+            t.add_node();
+        }
+        for &(a, b) in fixed {
+            assert!(t.add_fixed_edge(NodeId(a), NodeId(b)));
+        }
+        for (i, &(a, b)) in atoms.iter().enumerate() {
+            t.register_atom(Var::new(i as u32), NodeId(a), NodeId(b));
+        }
+        check_lemma(clause, |v| t.atom_nodes(v), &FixedEdges::of(&t))
+    }
+
+    fn v(i: u32) -> Var {
+        Var::new(i)
     }
 
     #[test]
     fn valid_two_cycle_is_accepted() {
-        let (t, a, b, v) = two_node_theory();
-        let mut t2 = t;
-        let w = Var::new(1);
-        t2.register_atom(w, b, a);
-        // Clause: ¬v ∨ ¬w — cycle a→b (v true) then b→a (w true).
-        let lemma = TheoryLemma {
-            clause: vec![v.negative(), w.negative()],
-            cycle: vec![
-                CycleEdge {
-                    from: a,
-                    to: b,
-                    tag: Some(v.positive()),
-                },
-                CycleEdge {
-                    from: b,
-                    to: a,
-                    tag: Some(w.positive()),
-                },
-            ],
-        };
-        assert_eq!(check_lemma_against(&t2, &lemma), Ok(()));
+        // A cycle of atoms alone: ¬v0 ∨ ¬v1 with v0 ↦ a→b and v1 ↦ b→a.
+        let clause = [v(0).negative(), v(1).negative()];
+        assert_eq!(check(2, &[], &[(0, 1), (1, 0)], &clause), Ok(()));
+        // Either polarity works: ¬v0 ∨ v1 with v1 ↦ a→b asserts b→a.
+        let clause = [v(0).negative(), v(1).positive()];
+        assert_eq!(check(2, &[], &[(0, 1), (0, 1)], &clause), Ok(()));
     }
 
     #[test]
     fn fixed_edge_closes_the_cycle() {
-        let (mut t, a, b, v) = two_node_theory();
-        assert!(t.add_fixed_edge(b, a));
-        let lemma = TheoryLemma {
-            clause: vec![v.negative()],
-            cycle: vec![
-                CycleEdge {
-                    from: a,
-                    to: b,
-                    tag: Some(v.positive()),
-                },
-                CycleEdge {
-                    from: b,
-                    to: a,
-                    tag: None,
-                },
-            ],
-        };
-        assert_eq!(check_lemma_against(&t, &lemma), Ok(()));
-    }
-
-    #[test]
-    fn unchained_cycle_is_rejected() {
-        let (mut t, a, b, v) = two_node_theory();
-        let c = t.add_node();
-        let lemma = TheoryLemma {
-            clause: vec![v.negative()],
-            cycle: vec![
-                CycleEdge {
-                    from: a,
-                    to: b,
-                    tag: Some(v.positive()),
-                },
-                CycleEdge {
-                    from: c,
-                    to: a,
-                    tag: None,
-                },
-            ],
-        };
-        assert!(check_lemma_against(&t, &lemma).is_err());
+        // a→b (v0) then fixed b→c→a: the clause ¬v0 alone is valid.
+        let clause = [v(0).negative()];
+        assert_eq!(check(3, &[(1, 2), (2, 0)], &[(0, 1)], &clause), Ok(()));
     }
 
     #[test]
     fn forged_fixed_edge_is_rejected() {
-        let (t, a, b, v) = two_node_theory();
-        // Claims b→a is fixed, but no such edge was ever added.
-        let lemma = TheoryLemma {
-            clause: vec![v.negative()],
-            cycle: vec![
-                CycleEdge {
-                    from: a,
-                    to: b,
-                    tag: Some(v.positive()),
-                },
-                CycleEdge {
-                    from: b,
-                    to: a,
-                    tag: None,
-                },
-            ],
-        };
-        assert!(check_lemma_against(&t, &lemma).is_err());
+        // a→b (v0) would need b→a, which is neither asserted nor fixed.
+        let clause = [v(0).negative()];
+        assert!(check(2, &[], &[(0, 1)], &clause).is_err());
     }
 
     #[test]
     fn misoriented_tag_is_rejected() {
-        let (mut t, a, b, v) = two_node_theory();
-        assert!(t.add_fixed_edge(b, a));
-        // The tag ¬v asserts b→a, not a→b as the edge claims.
-        let lemma = TheoryLemma {
-            clause: vec![v.positive()],
-            cycle: vec![
-                CycleEdge {
-                    from: a,
-                    to: b,
-                    tag: Some(v.negative()),
-                },
-                CycleEdge {
-                    from: b,
-                    to: a,
-                    tag: None,
-                },
-            ],
-        };
-        assert!(check_lemma_against(&t, &lemma).is_err());
+        // With fixed b→a, ¬v0 closes a cycle but v0 asserts b→a, a parallel
+        // copy of the fixed edge: no cycle.
+        assert_eq!(check(2, &[(1, 0)], &[(0, 1)], &[v(0).negative()]), Ok(()));
+        assert!(check(2, &[(1, 0)], &[(0, 1)], &[v(0).positive()]).is_err());
     }
 
     #[test]
     fn clause_tag_mismatch_is_rejected() {
-        let (mut t, a, b, v) = two_node_theory();
-        assert!(t.add_fixed_edge(b, a));
-        let w = Var::new(7); // unrelated literal smuggled into the clause
-        let lemma = TheoryLemma {
-            clause: vec![v.negative(), w.positive()],
-            cycle: vec![
-                CycleEdge {
-                    from: a,
-                    to: b,
-                    tag: Some(v.positive()),
-                },
-                CycleEdge {
-                    from: b,
-                    to: a,
-                    tag: None,
-                },
-            ],
-        };
-        assert!(check_lemma_against(&t, &lemma).is_err());
+        // ¬v0 is valid on its own, but an unrelated literal over a variable
+        // that is not an atom smuggled into the clause is refused.
+        let clause = [v(0).negative(), v(7).positive()];
+        let err = check(2, &[(1, 0)], &[(0, 1)], &clause).unwrap_err();
+        assert!(err.contains("not an ordering atom"), "{err}");
+    }
+
+    #[test]
+    fn unchained_cycle_is_rejected() {
+        // The asserted a→b and b→c chain with fixed c→d, but nothing leads
+        // back to a: a path, not a cycle.
+        let clause = [v(0).negative(), v(1).negative()];
+        assert!(check(4, &[(2, 3)], &[(0, 1), (1, 2)], &clause).is_err());
     }
 
     #[test]
     fn empty_cycle_is_rejected() {
-        let (t, _a, _b, v) = two_node_theory();
-        let lemma = TheoryLemma {
-            clause: vec![v.negative()],
-            cycle: vec![],
-        };
-        assert!(check_lemma_against(&t, &lemma).is_err());
+        // The empty clause asserts no edge, and the fixed edges are acyclic.
+        assert!(check(2, &[(0, 1)], &[(0, 1)], &[]).is_err());
     }
 
-    /// The journal a real solve produces passes the checker.
+    /// Every lemma a proof-logging solve records passes the checker.
     #[test]
-    fn journaled_lemmas_from_a_conflict_check_out() {
-        use zpre_sat::{Theory, TheoryOut};
+    fn logged_lemmas_from_a_solve_check_out() {
+        use zpre_sat::{NoGuide, ProofStep, SolveResult, Solver};
+        // Fixed a→b→c, and atoms placing a fourth event d that the clauses
+        // force onto a cycle, so the solver must refute them with theory
+        // conflicts and propagations.
         let mut t = OrderTheory::new();
-        let a = t.add_node();
-        let b = t.add_node();
-        let c = t.add_node();
-        t.add_fixed_edge(a, b);
-        let v0 = Var::new(0);
-        let v1 = Var::new(1);
-        t.register_atom(v0, b, c);
-        t.register_atom(v1, c, a);
-        t.enable_lemma_journal();
-        let mut out = TheoryOut::default();
-        t.new_level();
-        assert!(t.assert_lit(v0.positive(), &mut out).is_ok());
-        assert!(t.assert_lit(v1.positive(), &mut out).is_err());
-        t.backtrack_to(0);
-        let lemmas = t.take_lemmas();
-        assert!(!lemmas.is_empty());
-        for lemma in &lemmas {
-            assert_eq!(check_lemma_against(&t, lemma), Ok(()), "{lemma:?}");
+        let n: Vec<NodeId> = (0..4).map(|_| t.add_node()).collect();
+        t.add_fixed_edge(n[0], n[1]);
+        t.add_fixed_edge(n[1], n[2]);
+        let mut s: Solver<OrderTheory> = Solver::with_parts(t, NoGuide);
+        s.enable_proof_logging();
+        let atom = |s: &mut Solver<OrderTheory>, a: usize, b: usize| {
+            let x = s.new_var();
+            s.theory.register_atom(x, n[a], n[b]);
+            s.mark_theory_var(x);
+            x
+        };
+        let cd = atom(&mut s, 2, 3);
+        let da = atom(&mut s, 3, 0);
+        let db = atom(&mut s, 3, 1);
+        // The reverse atom of `db`, left free for the theory to propagate.
+        atom(&mut s, 1, 3);
+        // d after c, and d before a or before b: every choice cycles.
+        s.add_clause(&[cd.positive()]);
+        s.add_clause(&[da.positive(), db.positive()]);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let proof = s.take_proof().expect("proof logging on");
+        let fixed = FixedEdges::of(&s.theory);
+        let mut lemmas = 0;
+        for step in &proof.steps {
+            if let ProofStep::Lemma(clause) = step {
+                lemmas += 1;
+                assert_eq!(
+                    check_lemma(clause, |v| s.theory.atom_nodes(v), &fixed),
+                    Ok(()),
+                    "{clause:?}"
+                );
+            }
         }
+        assert!(lemmas > 0, "the refutation logged no theory lemma");
     }
 }

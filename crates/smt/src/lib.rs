@@ -19,7 +19,7 @@ pub mod certcheck;
 pub mod kinds;
 pub mod order;
 
-pub use certcheck::{check_lemma, check_lemma_against};
+pub use certcheck::{check_lemma, FixedEdges};
 pub use kinds::{rf_name, ws_name, ClassCounts, VarInfo, VarKind, VarRegistry};
 pub use order::graph::{CycleStats, OrderGraph};
-pub use order::{CycleEdge, NodeId, OrderTheory, TheoryLemma};
+pub use order::{CycleEdge, NodeId, OrderTheory};

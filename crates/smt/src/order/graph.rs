@@ -25,7 +25,7 @@
 //! symmetric push/pop; and levels are restored exactly on backtracking via a
 //! trail of `Level` ops instead of being kept as a monotone approximation.
 //! Exact restoration keeps runs reproducible regardless of the search path
-//! that led to a state, which the certification layer relies on.
+//! that led to a state.
 //!
 //! A cycle's edge path is materialized lazily, only when an insertion is
 //! rejected, from the parent pointers the two searches already left behind —
@@ -113,7 +113,7 @@ enum GraphOp {
 }
 
 /// Scratch for `&self` reachability queries (interior mutability so
-/// post-solve certification re-checks don't need a mutable theory).
+/// post-solve checks don't need a mutable theory).
 #[derive(Default)]
 struct QueryScratch {
     stamp: Vec<u32>,
@@ -593,7 +593,7 @@ impl OrderGraph {
 
     /// `true` if a (possibly empty) path `from ⇝ to` exists. A `&self`
     /// query — the DFS scratch lives behind interior mutability, so
-    /// certification re-checks run without a mutable theory.
+    /// post-solve checks run without a mutable theory.
     pub fn reaches(&self, from: NodeId, to: NodeId) -> bool {
         from == to || self.dfs_path(from, to).is_some()
     }

@@ -26,21 +26,19 @@
 //!   `a` — drives the same propagation one hop further for free: for each
 //!   frontier node `u`, `¬atom(b,u)` is implied with the recorded path as
 //!   its explanation.
+//!
+//! The theory keeps no record of the lemmas it emits. A lemma is just its
+//! clause: the negation asserts the edges of a cycle, and certification
+//! re-derives that cycle from the clause alone (see [`crate::certcheck`]).
 
 pub mod graph;
 
 use std::sync::Arc;
 
 use zpre_obs::{Event, EventSink};
-use zpre_sat::share::NO_TAG;
-use zpre_sat::{CycleEdgeRaw, Lit, Theory, TheoryConflict, TheoryOut, Var};
+use zpre_sat::{Lit, Theory, TheoryConflict, TheoryOut, Var};
 
 use graph::{CycleStats, Inserted, OrderGraph, PairId, NO_PAIR};
-
-/// Cap on lemmas buffered for sharing between solver drains. Conflicts can
-/// outpace the drain cadence (the solver drains on learn, not per-assert),
-/// so the buffer is bounded and overflow is dropped silently.
-const SHARE_BUF_CAP: usize = 256;
 
 /// A node of the event order graph (an event, or a virtual fence /
 /// spawn / join node).
@@ -54,12 +52,10 @@ impl NodeId {
     }
 }
 
-/// One edge of a justifying EOG cycle, as recorded in a [`TheoryLemma`].
+/// One edge of an EOG path, as the engine reports a cycle witness.
 ///
 /// `tag` is the literal whose truth asserts the edge (`None` for fixed
-/// program-order edges). Under the negation of the lemma clause every tag
-/// is true, so the tagged edges — plus the always-present fixed edges —
-/// close the cycle that makes the assignment theory-inconsistent.
+/// program-order edges); a conflict's explanation is the tags of its cycle.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CycleEdge {
     /// Source node.
@@ -68,36 +64,6 @@ pub struct CycleEdge {
     pub to: NodeId,
     /// The asserting literal, or `None` for a fixed edge.
     pub tag: Option<Lit>,
-}
-
-/// Converts a cycle edge to the node-type-agnostic transport form used by
-/// the `zpre-sat` share pool.
-fn raw_edge(e: &CycleEdge) -> CycleEdgeRaw {
-    CycleEdgeRaw {
-        from: e.from.0,
-        to: e.to.0,
-        tag_code: e.tag.map_or(NO_TAG, |l| l.code() as u32),
-    }
-}
-
-/// Reconstructs a cycle edge from transport form.
-fn cooked_edge(e: &CycleEdgeRaw) -> CycleEdge {
-    CycleEdge {
-        from: NodeId(e.from),
-        to: NodeId(e.to),
-        tag: (e.tag_code != NO_TAG).then(|| Lit::from_code(e.tag_code)),
-    }
-}
-
-/// A theory lemma together with its justification: the clause is valid in
-/// the order theory because the edges of `cycle` form a directed cycle in
-/// the EOG whenever the clause's negation holds.
-#[derive(Clone, Debug)]
-pub struct TheoryLemma {
-    /// The lemma clause (as emitted to the solver's proof log).
-    pub clause: Vec<Lit>,
-    /// The closed EOG cycle justifying it, in forward edge order.
-    pub cycle: Vec<CycleEdge>,
 }
 
 /// The order theory. Implements [`zpre_sat::Theory`]; the graph state lives
@@ -137,17 +103,6 @@ pub struct OrderTheory {
     prop_trail: Vec<Lit>,
     /// `prop_trail` length at each open decision level.
     levels: Vec<usize>,
-    /// Append-only journal of emitted lemmas with their justifying cycles
-    /// (only filled when [`Self::enable_lemma_journal`] was called).
-    journal: Vec<TheoryLemma>,
-    /// Whether the lemma journal is recording.
-    journal_on: bool,
-    /// Whether conflict-cycle lemmas are buffered for portfolio sharing.
-    share_on: bool,
-    /// Buffered shareable lemmas in transport form, drained by the solver's
-    /// share-export hook. Bounded by [`SHARE_BUF_CAP`]; overflow drops the
-    /// newest (sharing is best-effort, the conflict itself is unaffected).
-    share_out: Vec<(Vec<Lit>, Vec<CycleEdgeRaw>)>,
     /// Structured-event receiver for lemma telemetry (EOG-cycle lengths and
     /// searched cycle checks' visited counts); `None` keeps the emission
     /// sites down to a single branch.
@@ -174,16 +129,12 @@ impl OrderTheory {
             expl_buf: Vec::new(),
             prop_trail: Vec::new(),
             levels: Vec::new(),
-            journal: Vec::new(),
-            journal_on: false,
-            share_on: false,
-            share_out: Vec::new(),
             sink: None,
         }
     }
 
     /// Installs (or removes) a structured-event sink. The theory streams a
-    /// [`Event::TheoryLemma`] with the justifying EOG-cycle length for every
+    /// [`Event::Lemma`] with the justifying EOG-cycle length for every
     /// cycle conflict and every reverse-propagation lemma, plus an
     /// [`Event::CycleCheck`] with the visited count of every asserted
     /// ordering atom that ran the bounded search. The work counters stay in
@@ -195,22 +146,8 @@ impl OrderTheory {
     #[inline]
     fn emit_lemma(&self, cycle_len: u32) {
         if let Some(s) = &self.sink {
-            s.emit(Event::TheoryLemma { cycle_len });
+            s.emit(Event::Lemma { cycle_len });
         }
-    }
-
-    /// Starts journaling every emitted lemma with its justifying cycle.
-    /// The journal is append-only and survives backtracking: certification
-    /// matches proof steps against it by clause, so stale entries from
-    /// abandoned branches are harmless.
-    pub fn enable_lemma_journal(&mut self) {
-        self.journal_on = true;
-        self.journal.clear();
-    }
-
-    /// Takes the recorded lemma journal, leaving journaling enabled.
-    pub fn take_lemmas(&mut self) -> Vec<TheoryLemma> {
-        std::mem::take(&mut self.journal)
     }
 
     /// The engine's work counters (checks / O(1) accepts / searches /
@@ -296,15 +233,14 @@ impl OrderTheory {
 
     /// `true` if `to` is currently reachable from `from`. A `&self` query:
     /// the DFS scratch lives inside the engine behind interior mutability,
-    /// so certification re-checks don't need mutable access.
+    /// so post-solve checks don't need mutable access.
     pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
         self.graph.reaches(from, to)
     }
 
-    /// `true` if the fixed (program-order) edge `a→b` exists. Post-solve
-    /// the solver has backtracked to the root, so only fixed and root-level
-    /// edges remain — this is the predicate certification re-checks.
-    pub fn is_fixed_edge(&self, a: NodeId, b: NodeId) -> bool {
+    /// `true` if the fixed (program-order) edge `a→b` exists: the duplicate
+    /// test of [`Self::add_fixed_edge`].
+    fn is_fixed_edge(&self, a: NodeId, b: NodeId) -> bool {
         a.index() < self.graph.num_nodes()
             && self
                 .graph
@@ -328,17 +264,9 @@ impl OrderTheory {
     }
 
     /// Records the implication `expl ⊨ q` if `q` has no explanation yet:
-    /// stores the explanation, journals the lemma (clause `q ∨ ¬expl`
-    /// justified by `cycle`, built from the graph only when journaling), and
-    /// queues the propagation.
-    fn push_propagation(
-        &mut self,
-        q: Lit,
-        expl: &[Lit],
-        cycle: impl FnOnce(&OrderGraph) -> Vec<CycleEdge>,
-        cycle_len: u32,
-        out: &mut TheoryOut,
-    ) {
+    /// stores the explanation and queues the propagation. Its lemma, the
+    /// clause `q ∨ ¬expl`, closes a cycle of `cycle_len` edges.
+    fn push_propagation(&mut self, q: Lit, expl: &[Lit], cycle_len: u32, out: &mut TheoryOut) {
         let slot = &mut self.expl_at[q.code()];
         if slot.1 != 0 {
             return;
@@ -347,14 +275,6 @@ impl OrderTheory {
         self.expl_lits.extend_from_slice(expl);
         self.prop_trail.push(q);
         self.emit_lemma(cycle_len);
-        if self.journal_on {
-            let mut clause = vec![q];
-            clause.extend(expl.iter().map(|&l| !l));
-            self.journal.push(TheoryLemma {
-                clause,
-                cycle: cycle(&self.graph),
-            });
-        }
         out.propagations.push(q);
     }
 
@@ -390,28 +310,8 @@ impl OrderTheory {
                 if q == lit || q == !lit {
                     continue;
                 }
-                self.push_propagation(
-                    q,
-                    &expl,
-                    |g| {
-                        // Closed cycle to→u ⇝ from→to, justifying clause
-                        // q ∨ ¬expl.
-                        let mut cycle = vec![CycleEdge {
-                            from: to,
-                            to: u,
-                            tag: Some(!q),
-                        }];
-                        cycle.extend(g.backward_path(u, from));
-                        cycle.push(CycleEdge {
-                            from,
-                            to,
-                            tag: Some(lit),
-                        });
-                        cycle
-                    },
-                    path_len + 2,
-                    out,
-                );
+                // The cycle to→u ⇝ from→to.
+                self.push_propagation(q, &expl, path_len + 2, out);
             }
         }
         self.expl_buf = expl;
@@ -450,22 +350,6 @@ impl Theory for OrderTheory {
                 self.emit_lemma(path.len() as u32 + 1);
                 let mut path_lits: Vec<Lit> = path.iter().filter_map(|e| e.tag).collect();
                 path_lits.push(lit);
-                if self.journal_on || self.share_on {
-                    let mut cycle = vec![CycleEdge {
-                        from,
-                        to,
-                        tag: Some(lit),
-                    }];
-                    cycle.extend(path);
-                    let clause: Vec<Lit> = path_lits.iter().map(|&l| !l).collect();
-                    if self.share_on && self.share_out.len() < SHARE_BUF_CAP {
-                        self.share_out
-                            .push((clause.clone(), cycle.iter().map(raw_edge).collect()));
-                    }
-                    if self.journal_on {
-                        self.journal.push(TheoryLemma { clause, cycle });
-                    }
-                }
                 // All literals are true; their conjunction is inconsistent.
                 return Err(TheoryConflict { lits: path_lits });
             }
@@ -475,35 +359,19 @@ impl Theory for OrderTheory {
         // One-step: other atoms over the same pair are implied true, and
         // the reverse edge is now impossible (one-step transitivity;
         // longer cycles are left to the cycle check). The explanation
-        // clause q ∨ ¬lit is justified by the 2-cycle its negation
-        // (¬q ∧ lit) would create.
-        let two_cycle = move |q: Lit| {
-            move |_: &OrderGraph| {
-                vec![
-                    CycleEdge {
-                        from,
-                        to,
-                        tag: Some(lit),
-                    },
-                    CycleEdge {
-                        from: to,
-                        to: from,
-                        tag: Some(!q),
-                    },
-                ]
-            }
-        };
+        // clause q ∨ ¬lit is valid because its negation (¬q ∧ lit) would
+        // create a 2-cycle.
         for i in 0..self.pair_lits[ep as usize].len() {
             let q = self.pair_lits[ep as usize][i];
             if q != lit {
-                self.push_propagation(q, &[lit], two_cycle(q), 2, out);
+                self.push_propagation(q, &[lit], 2, out);
             }
         }
         let rp = (ep ^ 1) as usize;
         for i in 0..self.pair_lits[rp].len() {
             let q = !self.pair_lits[rp][i];
             if q != lit {
-                self.push_propagation(q, &[lit], two_cycle(q), 2, out);
+                self.push_propagation(q, &[lit], 2, out);
             }
         }
 
@@ -565,29 +433,6 @@ impl Theory for OrderTheory {
             + (per_var + stacks + self.pair_lits.len() * per_pair + self.pair_adj.len() * per_node)
                 as u64
     }
-
-    fn enable_share_capture(&mut self) {
-        self.share_on = true;
-        self.share_out.clear();
-    }
-
-    fn drain_shared_lemmas(&mut self, out: &mut Vec<(Vec<Lit>, Vec<CycleEdgeRaw>)>) {
-        out.append(&mut self.share_out);
-    }
-
-    fn absorb_shared_lemma(&mut self, clause: &[Lit], cycle: &[CycleEdgeRaw]) {
-        // An imported cycle lemma joins the journal so certification can
-        // match the clause like a locally derived one. All portfolio
-        // members encode the same SSA instance, so the node indices and
-        // atom registrations line up; the certifier re-checks the cycle
-        // against this member's registry, never trusting the exporter.
-        if self.journal_on {
-            self.journal.push(TheoryLemma {
-                clause: clause.to_vec(),
-                cycle: cycle.iter().map(cooked_edge).collect(),
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -608,49 +453,65 @@ mod tests {
     }
 
     #[test]
-    fn share_capture_round_trips_through_transport_form() {
-        use crate::certcheck::check_lemma_against;
-        // Exporter: a 3-node cycle (one fixed edge, two atoms) raises a
-        // conflict whose lemma lands in the share buffer.
-        let mut t = OrderTheory::new();
-        let a = t.add_node();
-        let b = t.add_node();
-        let c = t.add_node();
-        t.add_fixed_edge(a, b);
-        let v0 = Var::new(0);
-        let v1 = Var::new(1);
-        t.register_atom(v0, b, c);
-        t.register_atom(v1, c, a);
-        t.enable_share_capture();
-        let mut out = TheoryOut::default();
-        t.new_level();
-        assert!(t.assert_lit(v0.positive(), &mut out).is_ok());
-        assert!(t.assert_lit(v1.positive(), &mut out).is_err());
-        t.backtrack_to(0);
-        let mut drained = Vec::new();
-        t.drain_shared_lemmas(&mut drained);
-        assert_eq!(drained.len(), 1);
-        // A second drain yields nothing (buffer was taken).
-        let mut again = Vec::new();
-        t.drain_shared_lemmas(&mut again);
-        assert!(again.is_empty());
+    fn shared_conflict_lemma_checks_out_on_the_importer() {
+        use crate::certcheck::{check_lemma, FixedEdges};
+        use zpre_sat::{ProofStep, ShareConfig, ShareSpec, SharedPool};
+        // Two identically encoded members: fixed a→b, atoms b→c and c→a,
+        // both forced true, so the first member's cycle conflict is the
+        // lemma ¬v0 ∨ ¬v1, offered to the pool as it is raised. The fixed
+        // chain e→d→c lifts c above b, so b→c is accepted without the
+        // backward search whose frontier would propagate ¬v1 instead.
+        let pool = SharedPool::new(16);
+        let member = |m: u32, certify: bool| {
+            let mut t = OrderTheory::new();
+            let n: Vec<NodeId> = (0..5).map(|_| t.add_node()).collect();
+            t.add_fixed_edge(n[0], n[1]);
+            t.add_fixed_edge(n[4], n[3]);
+            t.add_fixed_edge(n[3], n[2]);
+            let mut s: Solver<OrderTheory> = Solver::with_parts(t, zpre_sat::NoGuide);
+            if certify {
+                s.enable_proof_logging();
+            }
+            let (v0, v1) = (s.new_var(), s.new_var());
+            s.theory.register_atom(v0, n[1], n[2]);
+            s.theory.register_atom(v1, n[2], n[0]);
+            for v in [v0, v1] {
+                s.mark_theory_var(v);
+                s.add_clause(&[v.positive()]);
+            }
+            s.set_share(&ShareSpec {
+                pool: Arc::clone(&pool),
+                member: m,
+                cfg: ShareConfig::default(),
+            });
+            s
+        };
+        let mut exporter = member(0, false);
+        assert_eq!(exporter.solve(), SolveResult::Unsat);
+        assert_eq!(exporter.stats().sh_exported_theory, 1);
 
-        // Importer: an identically encoded theory absorbs the lemma into
-        // its journal, and the certifier re-checks it from first principles.
-        let mut imp = OrderTheory::new();
-        let ia = imp.add_node();
-        let ib = imp.add_node();
-        let _ic = imp.add_node();
-        imp.add_fixed_edge(ia, ib);
-        imp.register_atom(v0, NodeId(1), NodeId(2));
-        imp.register_atom(v1, NodeId(2), NodeId(0));
-        imp.enable_lemma_journal();
-        let (clause, cycle) = &drained[0];
-        imp.absorb_shared_lemma(clause, cycle);
-        let lemmas = imp.take_lemmas();
-        assert_eq!(lemmas.len(), 1);
-        assert_eq!(lemmas[0].clause, *clause);
-        assert_eq!(check_lemma_against(&imp, &lemmas[0]), Ok(()));
+        // The certifying importer logs the clause as a lemma step, and the
+        // checker re-derives its cycle from the clause alone.
+        let mut importer = member(1, true);
+        assert_eq!(importer.solve(), SolveResult::Unsat);
+        assert_eq!(importer.stats().sh_imported, 1);
+        let proof = importer.take_proof().expect("proof logging on");
+        let lemma = proof
+            .steps
+            .iter()
+            .find_map(|s| match s {
+                ProofStep::Lemma(c) => Some(c),
+                _ => None,
+            })
+            .expect("the imported lemma is logged");
+        let mut sorted = lemma.clone();
+        sorted.sort();
+        assert_eq!(sorted, vec![Var::new(0).negative(), Var::new(1).negative()]);
+        let fixed = FixedEdges::of(&importer.theory);
+        assert_eq!(
+            check_lemma(lemma, |v| importer.theory.atom_nodes(v), &fixed),
+            Ok(())
+        );
     }
 
     #[test]
@@ -687,8 +548,8 @@ mod tests {
 
     #[test]
     fn reachable_is_a_shared_query() {
-        // `reachable` takes &self: usable through a shared reference, as the
-        // certification re-checks do post-solve.
+        // `reachable` takes &self: usable through a shared reference, as
+        // post-solve checks are.
         let mut t = OrderTheory::new();
         let a = t.add_node();
         let b = t.add_node();
@@ -771,9 +632,9 @@ mod tests {
     }
 
     #[test]
-    fn frontier_propagation_journals_valid_cycles() {
+    fn frontier_propagation_lemmas_close_cycles() {
+        use crate::certcheck::{check_lemma, FixedEdges};
         let mut t = OrderTheory::new();
-        t.enable_lemma_journal();
         let a = t.add_node();
         let b = t.add_node();
         let c = t.add_node();
@@ -787,16 +648,16 @@ mod tests {
         t.new_level();
         t.assert_lit(vab.positive(), &mut out).unwrap();
         t.assert_lit(vbc.positive(), &mut out).unwrap();
-        let lemmas = t.take_lemmas();
-        assert!(!lemmas.is_empty());
-        for lemma in &lemmas {
-            // Chained and closed.
-            for w in lemma.cycle.windows(2) {
-                assert_eq!(w[0].to, w[1].from);
-            }
+        assert!(!out.propagations.is_empty());
+        // Each propagation's lemma q ∨ ¬expl passes the clause-only checker.
+        let fixed = FixedEdges::of(&t);
+        for q in out.propagations.clone() {
+            let mut clause = vec![q];
+            clause.extend(t.explain(q).iter().map(|&l| !l));
             assert_eq!(
-                lemma.cycle.first().unwrap().from,
-                lemma.cycle.last().unwrap().to
+                check_lemma(&clause, |v| t.atom_nodes(v), &fixed),
+                Ok(()),
+                "{clause:?}"
             );
         }
     }

@@ -36,11 +36,11 @@ proptest! {
     #[test]
     fn incremental_cycle_detection_matches_offline(
         n in 2usize..10,
-        raw_edges in prop::collection::vec((0usize..10, 0usize..10), 1..25),
+        edge_pairs in prop::collection::vec((0usize..10, 0usize..10), 1..25),
     ) {
         let mut theory = OrderTheory::new();
         let nodes: Vec<NodeId> = (0..n).map(|_| theory.add_node()).collect();
-        let edges: Vec<(usize, usize)> = raw_edges
+        let edges: Vec<(usize, usize)> = edge_pairs
             .into_iter()
             .map(|(a, b)| (a % n, b % n))
             .filter(|(a, b)| a != b)

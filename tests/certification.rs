@@ -5,13 +5,14 @@
 
 use proptest::prelude::*;
 use zpre::{
-    try_verify, try_verify_ssa, Certificate, Fault, Strategy as SolveStrategy, Verdict,
-    VerifyError, VerifyOptions,
+    try_verify, try_verify_ssa, verify_portfolio, Certificate, Fault, PortfolioOptions,
+    ShareConfig, ShareSpec, Strategy as SolveStrategy, Verdict, VerifyError, VerifyOptions,
 };
 use zpre_prog::build::*;
 use zpre_prog::{
     check, flatten, to_ssa, unroll_program, Limits, MemoryModel, Outcome, Program, Stmt,
 };
+use zpre_sat::SharedPool;
 
 fn racy() -> Program {
     let inc = vec![assign("r", v("cnt")), assign("cnt", add(v("r"), c(1)))];
@@ -57,8 +58,8 @@ fn certified_opts(mm: MemoryModel, strategy: SolveStrategy) -> VerifyOptions {
     opts
 }
 
-/// Safe verdicts carry a RUP-checked proof whose theory lemmas were all
-/// re-justified by the standalone cycle checker — under every memory model
+/// Safe verdicts carry a RUP-checked proof whose theory lemmas all had
+/// their cycles re-derived by the standalone checker — under every memory model
 /// and every main strategy.
 #[test]
 fn certified_safe_proofs_check_out() {
@@ -154,12 +155,15 @@ fn fault_matrix_fails_closed() {
                     fault.name()
                 );
                 // A forged symmetry pair is caught by the analysis checker,
-                // before any clause of it reaches the solver.
-                if fault == Fault::ForgeSymmetry {
-                    assert!(
-                        matches!(err, VerifyError::Certification { stage: "prune", .. }),
-                        "{err}"
-                    );
+                // before any clause of it reaches the solver; a corrupted
+                // lemma by the lemma checker, before the RUP check.
+                let stage = match fault {
+                    Fault::ForgeSymmetry => Some("prune"),
+                    Fault::DropLemmas | Fault::ForgeLemma => Some("lemma"),
+                    _ => None,
+                };
+                if let (Some(want), VerifyError::Certification { stage, .. }) = (stage, &err) {
+                    assert_eq!(*stage, want, "{}: {err}", fault.name());
                 }
             } else {
                 let out = result.unwrap_or_else(|e| {
@@ -173,8 +177,9 @@ fn fault_matrix_fails_closed() {
 }
 
 /// `DropLemmas` specifically: the control run must contain theory lemmas
-/// (otherwise the fault has nothing to drop and the matrix entry is
-/// vacuous), and dropping their justifications must be detected.
+/// (otherwise the fault has nothing to empty and the matrix entry is
+/// vacuous), and emptying their clauses must be detected: an empty clause
+/// asserts no edge, so the checker finds no cycle to justify it.
 #[test]
 fn dropped_lemma_justifications_are_detected() {
     let opts = certified_opts(MemoryModel::Sc, SolveStrategy::Zpre);
@@ -191,6 +196,71 @@ fn dropped_lemma_justifications_are_detected() {
         matches!(err, VerifyError::Certification { stage: "lemma", .. }),
         "{err}"
     );
+}
+
+/// Certification with clause sharing. A certified portfolio race with
+/// sharing still certifies its Safe verdict. The race decides when a member
+/// imports, so the import path itself is pinned with the two members run
+/// one after the other over one pool: a plain member publishes everything
+/// it exports, learnt clauses included, and the certified member after it
+/// admits only the theory lemmas among them. Its Safe proof then holds
+/// imported lemmas, each re-derived by the certifier.
+#[test]
+fn shared_certified_portfolio_still_certifies() {
+    let tasks = zpre_workloads::suite(zpre_workloads::Scale::Full);
+    let task = tasks
+        .iter()
+        .find(|t| t.name == "pthread/counter-3x2-locked")
+        .expect("task in the Full suite");
+    let safe_certificate = |c: &Option<Certificate>| matches!(c, Some(Certificate::Safe { .. }));
+    for mm in MemoryModel::ALL {
+        let mut base = certified_opts(mm, SolveStrategy::Zpre);
+        base.unroll_bound = task.unroll_bound;
+
+        let race = PortfolioOptions::new(base.clone()).with_share(ShareConfig::default());
+        let folio = verify_portfolio(&task.program, &race);
+        assert_eq!(
+            folio.verdict(),
+            Verdict::Safe,
+            "{mm}: {:?}",
+            folio.unknown_reason
+        );
+        assert!(
+            folio.quarantined.is_empty(),
+            "{mm}: {:?}",
+            folio.quarantined
+        );
+        assert!(safe_certificate(&folio.outcome.certificate), "{mm}");
+
+        let pool = SharedPool::new(ShareConfig::default().pool_cap);
+        let member = |member: u32, certify: bool| {
+            let mut opts = base.clone();
+            opts.certify = certify;
+            opts.seed += u64::from(member);
+            opts.share = Some(ShareSpec {
+                pool: pool.clone(),
+                member,
+                cfg: ShareConfig::default(),
+            });
+            try_verify(&task.program, &opts).unwrap_or_else(|e| panic!("{mm}: {e}"))
+        };
+        let plain = member(0, false);
+        assert!(
+            plain.stats.sh_exported > plain.stats.sh_exported_theory,
+            "{mm}"
+        );
+        let certified = member(1, true);
+        assert_eq!(certified.verdict, Verdict::Safe, "{mm}");
+        assert!(safe_certificate(&certified.certificate), "{mm}");
+        assert!(
+            certified.stats.sh_imported > 0,
+            "{mm}: no theory lemma imported"
+        );
+        assert!(
+            certified.stats.sh_dropped > 0,
+            "{mm}: no learnt clause refused"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
