@@ -79,10 +79,7 @@ pub struct AbOptions {
 impl Default for AbOptions {
     fn default() -> AbOptions {
         AbOptions {
-            base: VerifyOptions {
-                validate_models: false,
-                ..RunConfig::default().base
-            },
+            base: RunConfig::default().base,
             reps: 3,
             tolerance_pct: 15.0,
         }

@@ -16,9 +16,10 @@ use zpre_workloads::{Subcat, Task};
 pub struct RunConfig {
     /// Options every row starts from: the conflict budget (standing in for
     /// the paper's 1800 s per-task timeout, reported as `TO`), wall-clock
-    /// cap, seed, model validation, certification and pruning. A row sets
-    /// its own memory model, strategy, unroll bound and recorder. With
-    /// `certify`, rejected verdicts are reported as `"rejected"` instead of
+    /// cap, seed, certification and pruning. A row sets
+    /// its own memory model, strategy, unroll bound and recorder. Rejected
+    /// verdicts (a witness that does not replay or, with `certify`, a
+    /// proof that does not check) are reported as `"rejected"` instead of
     /// crashing the suite; `prune: false` measures the historic unpruned
     /// encoding.
     pub base: VerifyOptions,

@@ -48,8 +48,8 @@
 //! | 3    | some verdict Unknown (budgets/ladder exhausted) |
 //! | 4    | invalid program or I/O failure                  |
 //! | 5    | encoding refused                                |
-//! | 6    | model validation failed                         |
-//! | 7    | certification failed                            |
+//! | 6    | unused (was: model validation failed)           |
+//! | 7    | certification failed or witness did not replay  |
 //! | 8    | portfolio member panicked                       |
 //!
 //! `verify` runs the interference-guided SMT pipeline, and its modes
@@ -98,10 +98,11 @@
 //!
 //! `--certify` asks the pipeline to certify definitive verdicts: Safe
 //! verdicts carry a RUP-checked proof with every theory lemma's cycle
-//! independently re-derived from its clause, and Unsafe verdicts replay
-//! their witness through the concrete interpreter.
+//! independently re-derived from its clause, and Unsafe verdicts report the
+//! replay of their witness through the concrete interpreter, which every
+//! Unsafe answer goes through with or without `--certify`.
 //! A verdict whose evidence fails certification is reported on stderr and
-//! the process exits with failure. `--json` prints one JSON object per
+//! the process exits with failure (7). `--json` prints one JSON object per
 //! memory model instead of the human-readable lines.
 //!
 //! Static interference pruning (`zpre-analysis`) runs before encoding by
@@ -165,7 +166,6 @@ fn exit_for_error(e: &VerifyError) -> ExitCode {
         VerifyError::Exhausted(_) => 3,
         VerifyError::InvalidProgram(_) => 4,
         VerifyError::Encode(_) => 5,
-        VerifyError::ModelValidation(_) => 6,
         VerifyError::Certification { .. } => 7,
         VerifyError::MemberPanic { .. } => 8,
     })

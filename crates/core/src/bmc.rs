@@ -17,7 +17,7 @@ use zpre_prog::Program;
 /// Runs BMC with bounds `1..=max_bound`, one [`try_verify`] per bound
 /// (skipping redundant re-encodings for loop-free programs, where every
 /// bound yields the same instance — the deduplication the paper applies to
-/// its SMT files). A bound that fails (model validation, certification)
+/// its SMT files). A bound that fails (witness replay, certification)
 /// ends the loop with its typed error.
 pub fn verify_bmc(
     prog: &Program,

@@ -1,9 +1,10 @@
 //! Verdict certification: independent evidence checking for both verdicts.
 //!
-//! A verifier bug should never silently become a wrong verdict. With
-//! [`crate::VerifyOptions::certify`] enabled, each definitive verdict is
-//! re-established from first principles by machinery that shares as little
-//! code as possible with the solving pipeline:
+//! A verifier bug should never silently become a wrong verdict. Each
+//! definitive verdict is re-established from first principles by machinery
+//! that shares as little code as possible with the solving pipeline — the
+//! `Unsafe` half on every satisfiable frame of every driver, the `Safe`
+//! half with [`crate::VerifyOptions::certify`] enabled:
 //!
 //! - **Safe** — the solver's DRAT proof is re-checked by forward RUP over
 //!   the logged input CNF. Theory lemmas (clauses the order theory asserted
@@ -15,9 +16,13 @@
 //!   which is exactly unsatisfiability of the verification condition.
 //! - **Unsafe** — the extracted witness is replayed through the concrete
 //!   buffered-store machine in `zpre_prog::replay`: the model's event order
-//!   becomes a schedule, its nondeterministic inputs become concrete
-//!   values, and the replay must drive the flat program into an assertion
-//!   that concretely fires.
+//!   (which must be acyclic) becomes a schedule, its nondeterministic
+//!   inputs become concrete values, and the replay must drive the flat
+//!   program into an assertion that concretely fires. A bound sweep replays
+//!   against its marker-instrumented program at the horizon: the unwinding
+//!   markers are nondeterministic Booleans like any other, and the model of
+//!   frame `k` sets the markers of deeper iterations false. Under `certify`
+//!   the verdict's [`Certificate::Unsafe`] reports this replay.
 //!
 //! Both checks fail closed: any divergence is a typed
 //! [`VerifyError::Certification`], and the fault-injection matrix in
@@ -25,7 +30,7 @@
 
 use crate::errors::VerifyError;
 use crate::faults::{self, Fault};
-use crate::trace::{ModelView, Trace};
+use crate::trace::{extract_trace, ModelView, Trace};
 use std::collections::{HashMap, HashSet};
 use zpre_encoder::Encoded;
 use zpre_obs::{Phase, Recorder};
@@ -43,7 +48,8 @@ pub enum Certificate {
         /// Total steps of the checked proof.
         proof_steps: usize,
     },
-    /// The Unsafe verdict's witness was replayed concretely.
+    /// The Unsafe verdict's witness was replayed concretely (the replay
+    /// every `Unsafe` answer goes through).
     Unsafe {
         /// Scheduled global events the replay confirmed.
         replayed_steps: usize,
@@ -120,21 +126,28 @@ pub(crate) fn certify_safe(
     })
 }
 
-/// Certifies an Unsafe verdict: turns the extracted trace into a schedule
-/// plus concrete nondeterministic inputs and replays it through the
-/// buffered-store machine; the replay must end in a fired assertion.
-#[allow(clippy::too_many_arguments)]
+/// An `Unsafe` frame's execution, confirmed by replay.
+pub(crate) struct Witness {
+    /// The model's execution in clock order.
+    pub trace: Trace,
+    /// Scheduled global events the replay confirmed.
+    pub replayed_steps: usize,
+}
+
+/// Checks the model of an `Unsafe` answer: extracts its execution, turns
+/// it into a schedule plus concrete nondeterministic inputs and replays it
+/// through the buffered-store machine; the replay must end in a fired
+/// assertion. `flat` is the unrolled program the SSA came from, lowered.
 pub(crate) fn certify_unsafe(
     ssa: &SsaProgram,
     enc: &Encoded,
     solver: &Solver<OrderTheory, PriorityListGuide>,
     mm: MemoryModel,
     flat: &FlatProgram,
-    trace: &Trace,
     fault: Option<Fault>,
     rec: Option<&Recorder>,
-) -> Result<Certificate, VerifyError> {
-    let _certify_span = rec.map(|r| r.span(Phase::Certify));
+) -> Result<Witness, VerifyError> {
+    let _replay_span = rec.map(|r| r.span(Phase::Replay));
     let reject = |reason: String| VerifyError::Certification {
         stage: "replay",
         reason,
@@ -144,6 +157,8 @@ pub(crate) fn certify_unsafe(
             "flat program and SSA program disagree on shared variables".to_string(),
         ));
     }
+    let trace = extract_trace(ssa, enc, solver, mm)
+        .ok_or_else(|| reject("event order graph of the model is cyclic".to_string()))?;
 
     // The schedule: the model's executed events in clock order, minus the
     // initializer writes (the flat program has no initializer instructions;
@@ -186,9 +201,9 @@ pub(crate) fn certify_unsafe(
         }
     }
 
-    let _replay_span = rec.map(|r| r.span(Phase::Replay));
     match replay(flat, mm, &schedule, &nondet_ints, &nondet_bools) {
-        Ok(_violation) => Ok(Certificate::Unsafe {
+        Ok(_violation) => Ok(Witness {
+            trace,
             replayed_steps: schedule.len(),
         }),
         Err(e) => Err(reject(e.to_string())),

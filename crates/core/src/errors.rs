@@ -21,14 +21,15 @@ pub enum VerifyError {
     InvalidProgram(String),
     /// The encoder rejected the SSA program.
     Encode(EncodeError),
-    /// A `Sat` model failed the deep validation pass — the solver, theory,
-    /// blaster, and encoder disagree about what the model means.
-    ModelValidation(String),
     /// Verdict certification failed: the proof, a theory lemma, or the
-    /// witness replay could not be independently confirmed.
+    /// witness replay could not be independently confirmed. Stage
+    /// `"replay"` is a `Sat` model that is no execution of the program —
+    /// the solver, theory, blaster, and encoder disagree about what it
+    /// means — and can end any run, certified or not.
     Certification {
-        /// Which certification stage rejected the verdict
-        /// (`"proof"`, `"lemma"`, or `"replay"`).
+        /// Which certification stage rejected the verdict (`"proof"`,
+        /// `"lemma"` or `"replay"`; `"prune"` for a pruning justification
+        /// or symmetry witness, `"sweep"` for a certified sweep).
         stage: &'static str,
         /// Human-readable rejection reason.
         reason: String,
@@ -52,9 +53,6 @@ impl fmt::Display for VerifyError {
         match self {
             VerifyError::InvalidProgram(msg) => write!(f, "invalid program: {msg}"),
             VerifyError::Encode(e) => write!(f, "encoding failed: {e}"),
-            VerifyError::ModelValidation(msg) => {
-                write!(f, "extracted execution failed validation: {msg}")
-            }
             VerifyError::Certification { stage, reason } => {
                 write!(f, "certification failed at {stage} stage: {reason}")
             }

@@ -186,7 +186,7 @@ pub struct RungRecord {
     /// Why the rung gave up, when it did.
     pub exhaustion: Option<ExhaustionReason>,
     /// Error text for non-exhaustion failures (encoding refusal, panic
-    /// payload, validation failure).
+    /// payload, witness replay or certification failure).
     pub error: Option<String>,
 }
 

@@ -11,6 +11,10 @@
 //!
 //! Loop-free programs collapse to a single frame — every bound yields the
 //! same instance, the same deduplication [`crate::verify_bmc`] applies.
+//!
+//! Every `Unsafe` frame replays its witness through the marker-instrumented
+//! program at the horizon (`crate::certify`): the frame's model sets the
+//! markers of deeper iterations false, so the replay leaves them unrun.
 
 use crate::errors::VerifyError;
 use crate::session::Session;
@@ -43,9 +47,8 @@ pub fn try_verify_sweep(
 /// (`Unknown`) frame are still skipped: their budgets would exhaust the
 /// same way.
 ///
-/// A counterexample trace, when requested, is extracted from the *last*
-/// solved frame's model, which may witness a deeper unrolling than the
-/// reported bound.
+/// A counterexample trace, when requested, is the *last* `Unsafe` frame's
+/// witness, which may be a deeper unrolling than the reported bound.
 pub fn try_verify_sweep_full(
     prog: &Program,
     opts: &VerifyOptions,
@@ -113,7 +116,7 @@ fn sweep_impl(
     // justifications rest on fixed program-order edges and guard
     // implications, which frames never weaken, and the H1–H4 order covers
     // every frame's interference variables (DESIGN.md §6d).
-    let mut session = Session::new(&ssa, opts)?;
+    let mut session = Session::new(&sw.program, &ssa, opts)?;
     let mut sweep = SweepFrames::new(&session.enc, max_bound);
 
     let encode_time = t0.elapsed();
@@ -128,6 +131,7 @@ fn sweep_impl(
     let mut verdict = Verdict::Safe;
     let mut decided = last_bound;
     let mut solve_time = Duration::ZERO;
+    let mut trace = None;
 
     // Frames must exist in order 1..=K for the assumption prefixes; on a
     // resume, the already-decided bounds are encoded without being solved.
@@ -144,9 +148,12 @@ fn sweep_impl(
             r.add(Counter::FrameReusedConflicts, reused.conflicts);
         }
         let label = format!("k={k}");
-        let (frame_verdict, frame_time, delta) =
+        let (frame_verdict, frame_time, delta, witness) =
             session.solve(&sweep.assumptions(k), Some(&label))?;
         solve_time += frame_time;
+        if let Some(w) = witness.filter(|_| opts.want_trace) {
+            trace = Some(w.trace);
+        }
         if let Some(r) = rec {
             r.observe(Hist::FrameSolveUs, frame_time.as_micros() as u64);
         }
@@ -174,9 +181,6 @@ fn sweep_impl(
     }
     // A loop-free sweep's single frame answers for the whole horizon; the
     // reported bound stays 1, matching `verify_bmc`'s deduplicated loop.
-
-    let trace = (verdict == Verdict::Unsafe && opts.want_trace)
-        .then(|| crate::trace::extract_trace(&ssa, &session.enc, &session.solver, opts.mm));
 
     Ok(VerifyOutcome {
         verdict,

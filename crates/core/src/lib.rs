@@ -15,8 +15,10 @@
 //!   decision order (`prior_to` of §4.1);
 //! - [`strategy`] — baseline / `ZPRE⁻` / `ZPRE` / ablation strategies;
 //! - [`verifier`] — the end-to-end pipeline with the enhanced `decide()`
-//!   installed into the CDCL(T) loop (Fig. 5), plus deep validation of
-//!   extracted counterexample executions;
+//!   installed into the CDCL(T) loop (Fig. 5);
+//! - [`certify`] — independent evidence for verdicts: the replay of every
+//!   extracted counterexample execution through the concrete machine, and
+//!   under `certify` the RUP check of every Safe proof;
 //! - `session` (crate-private) — the one solver set-up (theory, encoding,
 //!   observers, share endpoint, decision order and guide) and the one
 //!   solve step over an assumption frame, shared by [`verifier`],
@@ -82,9 +84,7 @@ pub use portfolio::{
 pub use smtlib::dump_smtlib;
 pub use strategy::Strategy;
 pub use trace::{Trace, TraceStep};
-pub use verifier::{
-    try_verify, try_verify_ssa, verify, FrameOutcome, Verdict, VerifyOptions, VerifyOutcome,
-};
+pub use verifier::{try_verify, verify, FrameOutcome, Verdict, VerifyOptions, VerifyOutcome};
 pub use zpre_sat::{ExhaustionReason, ShareConfig, ShareSpec};
 
 /// Convenient glob-import surface for examples and downstream users.

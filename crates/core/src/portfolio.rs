@@ -33,7 +33,7 @@ use crate::errors::VerifyError;
 use crate::incremental::{refuse_certified, try_verify_sweep};
 use crate::strategy::Strategy;
 use crate::verifier::{
-    front_end, verify_ssa_inner, FrameOutcome, Verdict, VerifyOptions, VerifyOutcome,
+    front_end, verify_unrolled, FrameOutcome, Verdict, VerifyOptions, VerifyOutcome,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -68,7 +68,7 @@ impl PortfolioMember {
 #[derive(Clone, Debug)]
 pub struct PortfolioOptions {
     /// Shared per-member options: memory model, unroll bound, budgets,
-    /// validation. The `strategy` / `seed` fields are overridden per
+    /// certification. The `strategy` / `seed` fields are overridden per
     /// member, and `cancel` is replaced by the portfolio's internal token —
     /// though when set, an external trip still stops the whole portfolio.
     pub base: VerifyOptions,
@@ -176,15 +176,12 @@ type Body<'a> = dyn Fn(&VerifyOptions) -> Result<VerifyOutcome, VerifyError> + S
 /// Unrolls + SSA-converts `prog` once, then races the members' single-bound
 /// verifies over it.
 ///
-/// When `base.certify` is set, the flat lowering is shared with every
-/// member so certified `Unsafe` verdicts can replay their witness.
-///
 /// # Panics
 ///
 /// Panics on a program that fails [`Program::validate`].
 pub fn verify_portfolio(prog: &Program, opts: &PortfolioOptions) -> PortfolioOutcome {
-    let (ssa, flat) = front_end(prog, &opts.base).unwrap_or_else(|e| panic!("{e}"));
-    let body = |o: &VerifyOptions| verify_ssa_inner(&ssa, o, Instant::now(), flat.as_ref());
+    let (unrolled, ssa) = front_end(prog, &opts.base).unwrap_or_else(|e| panic!("{e}"));
+    let body = |o: &VerifyOptions| verify_unrolled(&unrolled, &ssa, o, Instant::now());
     race(
         opts,
         &body,
@@ -716,7 +713,12 @@ mod tests {
     #[test]
     fn quarantined_sweep_race_reports_why_it_is_unknown() {
         let opts = PortfolioOptions::new(VerifyOptions::new(MemoryModel::Sc, Strategy::Zpre));
-        let body = |_: &VerifyOptions| Err(VerifyError::ModelValidation("injected".to_string()));
+        let body = |_: &VerifyOptions| {
+            Err(VerifyError::Certification {
+                stage: "replay",
+                reason: "injected".to_string(),
+            })
+        };
         let folio = race(&opts, &body, quarantined(1, 0));
         assert_eq!(folio.verdict(), Verdict::Unknown);
         assert_eq!(folio.quarantined.len(), 5, "{:?}", folio.quarantined);

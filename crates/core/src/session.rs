@@ -11,24 +11,32 @@
 //! [`Session::solve`] then answers one assumption frame: single-bound
 //! verification solves the empty frame, the bound sweep one frame per
 //! bound (DESIGN.md §6j). It copies each solve call's search counters
-//! into the recorder, their one way in (DESIGN.md §6b).
+//! into the recorder, their one way in (DESIGN.md §6b), and replays the
+//! model of every `Unsafe` frame through the machine
+//! ([`certify_unsafe`]), the one check of a satisfiable answer.
 
+use crate::certify::{certify_unsafe, Witness};
 use crate::decision_order::decision_order;
 use crate::errors::VerifyError;
 use crate::faults::Fault;
 use crate::strategy::Strategy;
-use crate::verifier::{validate_model, Verdict, VerifyOptions};
+use crate::verifier::{Verdict, VerifyOptions};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zpre_encoder::{estimate_cnf, try_encode_opts, EncodeError, Encoded};
 use zpre_obs::{Counter, Phase, Recorder, VarClass};
-use zpre_prog::SsaProgram;
+use zpre_prog::{flatten, FlatProgram, Program, SsaProgram};
 use zpre_sat::{Budget, Lit, PriorityListGuide, SolveResult, Solver, Stats};
 use zpre_smt::OrderTheory;
 
 /// One encoded instance and the solver that answers its frames.
 pub(crate) struct Session<'a> {
+    /// The unrolled program `ssa` came from.
+    program: &'a Program,
+    /// `program` lowered for the witness replay, on the first `Unsafe`
+    /// frame.
+    flat: Option<FlatProgram>,
     ssa: &'a SsaProgram,
     opts: &'a VerifyOptions,
     /// The solver, with the theory, guide and observers installed.
@@ -38,8 +46,13 @@ pub(crate) struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
-    /// Builds the solver for `ssa` under `opts` and encodes it.
-    pub fn new(ssa: &'a SsaProgram, opts: &'a VerifyOptions) -> Result<Session<'a>, VerifyError> {
+    /// Builds the solver for `ssa`, the SSA form of the unrolled
+    /// `program`, under `opts` and encodes it.
+    pub fn new(
+        program: &'a Program,
+        ssa: &'a SsaProgram,
+        opts: &'a VerifyOptions,
+    ) -> Result<Session<'a>, VerifyError> {
         let guide = PriorityListGuide::new(Vec::new(), opts.seed);
         let mut solver: Solver<OrderTheory, PriorityListGuide> =
             Solver::with_parts(OrderTheory::new(), guide);
@@ -138,6 +151,8 @@ impl<'a> Session<'a> {
         }
         solver.guide = guide;
         Ok(Session {
+            program,
+            flat: None,
             ssa,
             opts,
             solver,
@@ -148,13 +163,15 @@ impl<'a> Session<'a> {
     /// Solves one frame under `assumptions` with a fresh budget (so the
     /// conflict cap and the deadline are per frame), inside a `Solve` span
     /// labelled `label`, and copies the call's [`Stats`] delta into the
-    /// recorder. Re-validates an `Unsafe` model when the options ask for
-    /// it. Returns the verdict, the time spent in the solver and the delta.
+    /// recorder. Returns the verdict, the time spent in the solver, the
+    /// delta and, on `Unsafe`, the model's execution, which must replay
+    /// through the machine: a model that does not is
+    /// [`VerifyError::Certification`] at stage `"replay"`.
     pub fn solve(
         &mut self,
         assumptions: &[Lit],
         label: Option<&str>,
-    ) -> Result<(Verdict, Duration, Stats), VerifyError> {
+    ) -> Result<(Verdict, Duration, Stats, Option<Witness>), VerifyError> {
         let opts = self.opts;
         let rec = opts.recorder.as_ref();
         let mut budget = Budget::with_limits(opts.max_conflicts, opts.timeout);
@@ -189,12 +206,21 @@ impl<'a> Session<'a> {
             SolveResult::Unsat => Verdict::Safe,
             SolveResult::Unknown => Verdict::Unknown,
         };
-        if verdict == Verdict::Unsafe && opts.validate_models {
-            let _validate_span = rec.map(|r| r.span(Phase::Validate));
-            validate_model(self.ssa, &self.enc, &self.solver, opts.mm)
-                .map_err(VerifyError::ModelValidation)?;
-        }
-        Ok((verdict, solve_time, delta))
+        let witness = if verdict == Verdict::Unsafe {
+            let flat = self.flat.get_or_insert_with(|| flatten(self.program));
+            Some(certify_unsafe(
+                self.ssa,
+                &self.enc,
+                &self.solver,
+                opts.mm,
+                flat,
+                opts.fault,
+                rec,
+            )?)
+        } else {
+            None
+        };
+        Ok((verdict, solve_time, delta, witness))
     }
 
     /// The solver's cumulative statistics, with the order theory's

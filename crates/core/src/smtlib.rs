@@ -33,14 +33,14 @@ use zpre_sat::{Lit, Var};
 /// ending in `(check-sat)`. Fails as `try_verify` fails before its first
 /// solve: on an invalid program or a refused encoding.
 pub fn dump_smtlib(prog: &Program, opts: &VerifyOptions) -> Result<String, VerifyError> {
-    let (ssa, _) = front_end(prog, opts)?;
+    let (unrolled, ssa) = front_end(prog, opts)?;
     // Proof logging, which certification turns on, keeps a verbatim copy
     // of every clause the encoding adds.
     let logged = VerifyOptions {
         certify: true,
         ..opts.clone()
     };
-    let session = Session::new(&ssa, &logged)?;
+    let session = Session::new(&unrolled, &ssa, &logged)?;
     let solver = &session.solver;
     let theory = &solver.theory;
 

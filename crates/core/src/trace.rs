@@ -4,8 +4,8 @@
 //! A model fixes every interference variable, hence a total order over the
 //! executed events (§3.3's "concrete concurrent execution"). This module
 //! extracts that execution — events sorted by their derived clock values,
-//! with concrete data — for diagnostics, the CLI's `--trace` output, and
-//! the deep validation pass.
+//! with concrete data — for the witness replay every `Unsafe` answer goes
+//! through (`crate::certify`) and the CLI's `--trace` output.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -65,7 +65,7 @@ impl fmt::Display for Trace {
 
 /// The model of the last `Sat` answer read as a concrete execution: input
 /// and event values, event guards, and the clocks of the event order graph
-/// the model fixes. Trace extraction and model validation both read the
+/// the model fixes. Trace extraction and the witness replay read the
 /// model through it.
 pub(crate) struct ModelView<'a> {
     ssa: &'a SsaProgram,
@@ -169,7 +169,8 @@ impl<'a> ModelView<'a> {
     }
 }
 
-/// Extracts the concrete execution from the model of the last `Sat` answer.
+/// Extracts the concrete execution from the model of the last `Sat` answer;
+/// `None` when the model's event order is cyclic, so no execution has it.
 ///
 /// Must only be called right after a `Sat` result, before further solving.
 pub(crate) fn extract_trace(
@@ -177,12 +178,11 @@ pub(crate) fn extract_trace(
     enc: &Encoded,
     solver: &Solver<OrderTheory, PriorityListGuide>,
     mm: MemoryModel,
-) -> Trace {
+) -> Option<Trace> {
     let model = ModelView::new(ssa, enc, solver);
     let event_value = |eid: usize| model.event_value(eid).unwrap_or(0);
     let guard_of = |eid: usize| model.guard(eid);
-    let n = ssa.events.len();
-    let clocks = model.clocks(mm).unwrap_or_else(|| (0..n as u32).collect());
+    let clocks = model.clocks(mm)?;
 
     let mut steps: Vec<TraceStep> = ssa
         .events
@@ -254,7 +254,7 @@ pub(crate) fn extract_trace(
         })
         .collect();
     steps.sort_by_key(|s| s.clock);
-    Trace { steps }
+    Some(Trace { steps })
 }
 
 #[cfg(test)]

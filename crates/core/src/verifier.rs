@@ -3,25 +3,20 @@
 //!
 //! This is the `ZPRE` pipeline of the paper with the strategy pluggable
 //! (baseline VSIDS / `ZPRE⁻` / `ZPRE` / ablations). On a `Sat` answer the
-//! extracted concurrent execution is optionally re-validated against the
-//! axioms (EOG acyclicity, read-from/from-read consistency, mutual
-//! exclusion, atomicity, and the violated assertion) — a deep end-to-end
-//! check that the solver, theory, blaster, and encoder agree.
+//! extracted concurrent execution is replayed through the concrete machine
+//! (`crate::certify`) and must fire an assertion — a deep end-to-end check
+//! that the solver, theory, blaster, and encoder agree.
 
-use crate::certify::{certify_safe, certify_unsafe, Certificate};
+use crate::certify::{certify_safe, Certificate};
 use crate::errors::VerifyError;
 use crate::faults::Fault;
 use crate::session::Session;
 use crate::strategy::Strategy;
-use crate::trace::ModelView;
 use std::time::{Duration, Instant};
-use zpre_encoder::Encoded;
 use zpre_obs::Recorder;
-use zpre_prog::{
-    flatten, to_ssa_traced, unroll_program_traced, FlatProgram, MemoryModel, Program, SsaProgram,
-};
-use zpre_sat::{CancelToken, ExhaustionReason, PriorityListGuide, ShareSpec, Solver, Stats};
-use zpre_smt::{ClassCounts, OrderTheory};
+use zpre_prog::{to_ssa_traced, unroll_program_traced, MemoryModel, Program, SsaProgram};
+use zpre_sat::{CancelToken, ExhaustionReason, ShareSpec, Stats};
+use zpre_smt::ClassCounts;
 
 /// Verification verdict.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -79,8 +74,6 @@ pub struct VerifyOptions {
     /// Default on; `false` (`--no-prune`) reproduces the historic unpruned
     /// encoding.
     pub prune: bool,
-    /// Re-validate extracted executions on `Unsafe` answers.
-    pub validate_models: bool,
     /// Extract a readable counterexample trace on `Unsafe` answers.
     pub want_trace: bool,
     /// Shared cooperative-cancellation token: tripping it makes the solve
@@ -88,17 +81,18 @@ pub struct VerifyOptions {
     /// how [`crate::portfolio`] stops losing strategies.
     pub cancel: Option<CancelToken>,
     /// Certify definitive verdicts: RUP-check the proof (with every theory
-    /// lemma's cycle independently re-derived from its clause) on `Safe`, replay the witness
-    /// through the concrete interpreter on `Unsafe`. The outcome then
-    /// carries a [`Certificate`]; a verdict whose evidence does not check
-    /// out becomes a [`VerifyError::Certification`].
+    /// lemma's cycle independently re-derived from its clause) on `Safe`.
+    /// The outcome then carries a [`Certificate`]; a proof that does not
+    /// check out becomes a [`VerifyError::Certification`]. On `Unsafe` the
+    /// certificate reports the witness replay every `Unsafe` answer goes
+    /// through with or without this option.
     pub certify: bool,
     /// Fault-injection hook for the certification test harness: corrupts
     /// one pipeline artifact before certification (see [`Fault`]). `None`
     /// in production use.
     pub fault: Option<Fault>,
     /// Trace recorder: with one installed, the pipeline records phase spans
-    /// (unroll, SSA, encode, blast, solve, validate, certify, replay) and the
+    /// (unroll, SSA, encode, blast, solve, replay, certify) and the
     /// solver/theory stream structured events into it. `None` (the default)
     /// disables all instrumentation at the cost of one branch per site.
     pub recorder: Option<Recorder>,
@@ -124,7 +118,6 @@ impl Default for VerifyOptions {
             max_memory: None,
             seed: 0xC0FFEE,
             prune: true,
-            validate_models: true,
             want_trace: false,
             cancel: None,
             certify: false,
@@ -241,78 +234,47 @@ pub fn verify(prog: &Program, opts: &VerifyOptions) -> VerifyOutcome {
 /// Verifies `prog` under `opts`, reporting failures as typed errors.
 pub fn try_verify(prog: &Program, opts: &VerifyOptions) -> Result<VerifyOutcome, VerifyError> {
     let t0 = Instant::now();
-    let (ssa, flat) = front_end(prog, opts)?;
-    verify_ssa_inner(&ssa, opts, t0, flat.as_ref())
+    let (unrolled, ssa) = front_end(prog, opts)?;
+    verify_unrolled(&unrolled, &ssa, opts, t0)
 }
 
-/// Unrolls `prog` to `opts.unroll_bound` and converts it to SSA. Under
-/// `certify` it also lowers the same unrolled program to the flat form a
-/// certified `Unsafe` verdict replays its witness through. A program that
-/// fails validation is [`VerifyError::InvalidProgram`].
+/// Unrolls `prog` to `opts.unroll_bound` and converts it to SSA, returning
+/// both: an `Unsafe` answer replays its witness through the unrolled
+/// program. A program that fails validation is
+/// [`VerifyError::InvalidProgram`].
 pub(crate) fn front_end(
     prog: &Program,
     opts: &VerifyOptions,
-) -> Result<(SsaProgram, Option<FlatProgram>), VerifyError> {
+) -> Result<(Program, SsaProgram), VerifyError> {
     let rec = opts.recorder.as_ref();
     let unrolled = unroll_program_traced(prog, opts.unroll_bound, rec);
     let ssa = to_ssa_traced(&unrolled, rec)?;
-    let flat = opts.certify.then(|| flatten(&unrolled));
-    Ok((ssa, flat))
+    Ok((unrolled, ssa))
 }
 
-/// Verifies an already-converted SSA program, reporting failures as typed
-/// errors.
-///
-/// Without the original [`Program`] there is no flat lowering to replay
-/// against, so a certified `Unsafe` verdict fails closed here; use
-/// [`try_verify`] (or [`crate::verify_portfolio`]) for certified runs.
-pub fn try_verify_ssa(
-    ssa: &SsaProgram,
-    opts: &VerifyOptions,
-) -> Result<VerifyOutcome, VerifyError> {
-    verify_ssa_inner(ssa, opts, Instant::now(), None)
-}
-
-/// One session solving the empty frame, then trace extraction and
-/// certification of its verdict.
-pub(crate) fn verify_ssa_inner(
+/// One session solving the empty frame of `ssa`, the SSA form of
+/// `unrolled`, then certification of its verdict.
+pub(crate) fn verify_unrolled(
+    unrolled: &Program,
     ssa: &SsaProgram,
     opts: &VerifyOptions,
     t0: Instant,
-    flat: Option<&FlatProgram>,
 ) -> Result<VerifyOutcome, VerifyError> {
-    let mut session = Session::new(ssa, opts)?;
+    let mut session = Session::new(unrolled, ssa, opts)?;
     let encode_time = t0.elapsed();
-    let (verdict, solve_time, _) = session.solve(&[], None)?;
-    let rec = opts.recorder.as_ref();
-    let trace = (verdict == Verdict::Unsafe && (opts.want_trace || opts.certify))
-        .then(|| crate::trace::extract_trace(ssa, &session.enc, &session.solver, opts.mm));
+    let (verdict, solve_time, _, witness) = session.solve(&[], None)?;
 
     let certificate = if opts.certify {
-        match verdict {
-            Verdict::Safe => Some(certify_safe(&mut session.solver, opts.fault, rec)?),
-            Verdict::Unsafe => {
-                let Some(flat) = flat else {
-                    return Err(VerifyError::Certification {
-                        stage: "replay",
-                        reason: "no flat program available for witness replay \
-                                 (certified Unsafe verdicts need the original program)"
-                            .to_string(),
-                    });
-                };
-                let trace = trace.as_ref().expect("trace extracted for certification");
-                Some(certify_unsafe(
-                    ssa,
-                    &session.enc,
-                    &session.solver,
-                    opts.mm,
-                    flat,
-                    trace,
-                    opts.fault,
-                    rec,
-                )?)
-            }
-            Verdict::Unknown => None,
+        match &witness {
+            Some(w) => Some(Certificate::Unsafe {
+                replayed_steps: w.replayed_steps,
+            }),
+            None if verdict == Verdict::Safe => Some(certify_safe(
+                &mut session.solver,
+                opts.fault,
+                opts.recorder.as_ref(),
+            )?),
+            None => None,
         }
     } else {
         None
@@ -336,7 +298,7 @@ pub(crate) fn verify_ssa_inner(
         oracle.certify = false;
         oracle.want_trace = false;
         oracle.recorder = None;
-        let unpruned = verify_ssa_inner(ssa, &oracle, Instant::now(), None)?;
+        let unpruned = verify_unrolled(unrolled, ssa, &oracle, Instant::now())?;
         if unpruned.verdict != Verdict::Unknown {
             assert_eq!(
                 verdict, unpruned.verdict,
@@ -367,147 +329,10 @@ pub(crate) fn verify_ssa_inner(
         num_events: ssa.events.len(),
         class_counts: session.enc.registry.class_counts(),
         num_solver_vars: session.solver.num_vars(),
-        trace: trace.filter(|_| opts.want_trace),
+        trace: witness.map(|w| w.trace).filter(|_| opts.want_trace),
         certificate,
         exhaustion,
     })
-}
-
-/// Re-validates the satisfying model as a concrete concurrent execution.
-pub(crate) fn validate_model(
-    ssa: &SsaProgram,
-    enc: &Encoded,
-    solver: &Solver<OrderTheory, PriorityListGuide>,
-    mm: MemoryModel,
-) -> Result<(), String> {
-    let model = ModelView::new(ssa, enc, solver);
-    let event_value = |eid: usize| -> u64 {
-        model
-            .event_value(eid)
-            .unwrap_or_else(|| panic!("event {eid} carries no value variable"))
-    };
-    let guard_of = |eid: usize| model.guard(eid);
-
-    // 1. Rebuild the event order graph from the model and compute clocks.
-    let clocks = model
-        .clocks(mm)
-        .ok_or_else(|| "event order graph of the model is cyclic".to_string())?;
-
-    // 2. Read-from consistency.
-    for e in &ssa.events {
-        if !e.kind.is_read() || !guard_of(e.id) {
-            continue;
-        }
-        let var = e.kind.var().expect("read has a variable");
-        let chosen: Vec<usize> = enc
-            .rf_vars
-            .iter()
-            .filter(|rf| rf.read == e.id && solver.model_var_value(rf.var).is_true())
-            .map(|rf| rf.write)
-            .collect();
-        let sources: Vec<usize> = if chosen.is_empty() {
-            // A read the pruning pass resolved has no rf selectors; its
-            // source is the last executed write of its static chain, and
-            // the same read-from/from-read axioms must hold for it.
-            let Some(rr) = enc.resolved_reads.iter().find(|rr| rr.read == e.id) else {
-                return Err(format!("executed read {} has no read-from edge", e.id));
-            };
-            let Some(&w) = rr.chain.iter().rev().find(|&&w| guard_of(w)) else {
-                return Err(format!(
-                    "resolved read {} has no executed chain write",
-                    e.id
-                ));
-            };
-            vec![w]
-        } else {
-            chosen
-        };
-        for w in sources {
-            if !guard_of(w) {
-                return Err(format!("read {} reads from unexecuted write {w}", e.id));
-            }
-            if event_value(e.id) != event_value(w) {
-                return Err(format!(
-                    "read {} value {} != write {w} value {}",
-                    e.id,
-                    event_value(e.id),
-                    event_value(w)
-                ));
-            }
-            if clocks[w] >= clocks[e.id] {
-                return Err(format!(
-                    "read-from order violated: write {w} after read {}",
-                    e.id
-                ));
-            }
-            // From-read: no other executed write to the same variable
-            // between the write and the read.
-            for other in &ssa.events {
-                if other.kind.is_write()
-                    && other.kind.var() == Some(var)
-                    && other.id != w
-                    && guard_of(other.id)
-                    && clocks[w] < clocks[other.id]
-                    && clocks[other.id] < clocks[e.id]
-                {
-                    return Err(format!(
-                        "write {} intervenes between write {w} and read {}",
-                        other.id, e.id
-                    ));
-                }
-            }
-        }
-    }
-
-    // 3. Mutual exclusion: critical sections on one mutex do not overlap.
-    for (i, &(t1, m1, l1, u1)) in enc.critical_sections.iter().enumerate() {
-        for &(t2, m2, l2, u2) in &enc.critical_sections[i + 1..] {
-            if m1 != m2 || t1 == t2 || !guard_of(l1) || !guard_of(l2) {
-                continue;
-            }
-            let disjoint = clocks[u1] < clocks[l2] || clocks[u2] < clocks[l1];
-            if !disjoint {
-                return Err(format!(
-                    "critical sections {l1}..{u1} and {l2}..{u2} on mutex {m1} overlap"
-                ));
-            }
-        }
-    }
-
-    // 4. Atomicity: no external same-variable access inside a block.
-    for blk in &ssa.atomic_blocks {
-        if !guard_of(blk.begin) {
-            continue;
-        }
-        for e in &ssa.events {
-            if e.thread == blk.thread || !guard_of(e.id) {
-                continue;
-            }
-            let Some(v) = e.kind.var() else { continue };
-            if !blk.vars.contains(&v) {
-                continue;
-            }
-            if clocks[e.id] > clocks[blk.begin] && clocks[e.id] < clocks[blk.end] {
-                return Err(format!(
-                    "event {} intrudes into atomic block {}..{}",
-                    e.id, blk.begin, blk.end
-                ));
-            }
-        }
-    }
-
-    // 5. The error condition really fires: some assertion has a true guard
-    //    and a false condition under the extracted values.
-    let ts = &ssa.store;
-    let bv_val = |name: &str| model.bv_val(name);
-    let bool_val = |name: &str| model.bool_val(name);
-    let violated = ssa.assertions.iter().any(|&(g, cond)| {
-        ts.eval(g, &bv_val, &bool_val).as_bool() && !ts.eval(cond, &bv_val, &bool_val).as_bool()
-    });
-    if !violated {
-        return Err("model does not violate any assertion".to_string());
-    }
-    Ok(())
 }
 
 #[cfg(test)]

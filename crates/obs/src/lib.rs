@@ -5,7 +5,8 @@
 //! 1. **Phase spans** ([`Recorder::span`], [`Span`]): hierarchical wall-clock
 //!    profile over parse → unroll → SSA → analysis → encode (per memory
 //!    model) →
-//!    bit-blast → solve → validate → certify → replay.
+//!    bit-blast → solve → certify (a `Safe` proof) or replay (an `Unsafe`
+//!    witness).
 //! 2. **Solver/theory events** ([`EventSink`], [`Event`]): decisions tagged by
 //!    interference class (external-RF / internal-RF / WS / other), conflicts
 //!    with LBD, order-theory lemmas with EOG-cycle length, restarts, and

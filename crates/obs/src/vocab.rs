@@ -104,8 +104,10 @@ vocabulary! {
         Encode = "encode";
         Blast = "blast";
         Solve = "solve";
-        Validate = "validate";
+        /// The RUP check of a certified `Safe` proof.
         Certify = "certify";
+        /// The replay of an `Unsafe` frame's witness through the concrete
+        /// machine, which every satisfiable answer goes through.
         Replay = "replay";
         /// One task of a resilient batch run (`zpre-cli batch`); the span
         /// label carries the task key (program × memory model × mode).

@@ -19,9 +19,10 @@
 //! must be the buffer head under TSO (W→W order) and the oldest store to
 //! its variable under PSO. Loads forward from the newest same-variable
 //! buffered store. A step the machine reports blocked is a mismatch, except
-//! for another thread's atomic section: atomic boundaries are replayed as
-//! ordering events only — the encoder serializes conflicting accesses
-//! around them, and replay checks exactly what the model claims, not a
+//! for another thread's atomic section: it excludes exactly what the
+//! encoder keeps out of it, a read or write of a variable its block
+//! accesses, and nothing else. Atomic boundaries are otherwise replayed as
+//! ordering events — replay checks exactly what the model claims, not a
 //! stronger global-exclusivity property. A false assumption or an unlock by
 //! a non-holder, which the oracle silently discards, is a mismatch here.
 //!
@@ -33,7 +34,7 @@
 
 use crate::flat::{FlatProgram, Instr};
 use crate::machine::{truncate, Blocked, Effect, Machine, MemoryModel, State};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// One global event of the schedule, as the model ordered it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -155,6 +156,29 @@ struct Replayer<'a> {
     fuel: usize,
     /// Current schedule-step index, for error reporting.
     step: Option<usize>,
+    /// Per thread: the nesting depth of its open atomic sections and the
+    /// shared variables of the outermost one ([`block_vars`]).
+    atomic: Vec<(u32, BTreeSet<usize>)>,
+}
+
+/// The shared variables read or written between the `AtomicBegin` at
+/// `begin` and its matching `AtomicEnd`: the accesses the encoder keeps
+/// other threads out of while the section is open.
+fn block_vars(code: &[Instr], begin: usize) -> BTreeSet<usize> {
+    let mut depth = 0u32;
+    let mut vars = BTreeSet::new();
+    for instr in &code[begin..] {
+        match instr {
+            Instr::AtomicBegin => depth += 1,
+            Instr::AtomicEnd if depth == 1 => break,
+            Instr::AtomicEnd => depth -= 1,
+            Instr::LoadShared { var, .. } | Instr::StoreShared { var, .. } => {
+                vars.insert(*var);
+            }
+            _ => {}
+        }
+    }
+    vars
 }
 
 impl<'a> Replayer<'a> {
@@ -221,6 +245,20 @@ impl<'a> Replayer<'a> {
             return self.mismatch(t, "event scheduled on a thread that was never spawned");
         }
         let fp = self.m.fp;
+        if let ReplayOp::Write { var, .. } | ReplayOp::Read { var, .. } = *op {
+            let holder = self
+                .atomic
+                .iter()
+                .enumerate()
+                .position(|(u, (depth, vars))| u != t && *depth > 0 && vars.contains(&var));
+            if let Some(u) = holder {
+                let name = &fp.shared_names[var];
+                return self.mismatch(
+                    t,
+                    format!("{op:?} of {name} inside thread {u}'s atomic section"),
+                );
+            }
+        }
         let store = match *op {
             ReplayOp::Write { var, .. } => Some(var),
             _ => None,
@@ -297,8 +335,19 @@ impl<'a> Replayer<'a> {
                     );
                 }
             }
+            let pc = self.st.pcs[t];
             if self.m.step(&mut self.st, t, 0) == Effect::Infeasible {
                 return self.mismatch(t, format!("{op:?} of a mutex this thread does not hold"));
+            }
+            let (depth, vars) = &mut self.atomic[t];
+            match instr {
+                Instr::AtomicBegin if *depth == 0 => {
+                    *depth = 1;
+                    *vars = block_vars(&fp.threads[t].code, pc);
+                }
+                Instr::AtomicBegin => *depth += 1,
+                Instr::AtomicEnd => *depth = depth.saturating_sub(1),
+                _ => {}
             }
         }
         if let ReplayOp::Write { var, value } = *op {
@@ -345,6 +394,7 @@ pub fn replay(
         nondet_bools,
         fuel: total_code * 4 + schedule.len() * 4 + 1024,
         step: None,
+        atomic: vec![(0, BTreeSet::new()); nt],
     };
     for (i, s) in schedule.iter().enumerate() {
         r.step = Some(i);
@@ -732,6 +782,75 @@ mod tests {
         ];
         for mm in [MemoryModel::Tso, MemoryModel::Pso] {
             mismatch_at(run(&two_lockers(), mm, &sched), 3);
+        }
+    }
+
+    /// `t1: atomic { r := x; x := r + 1 }` while `t2` stores 5 to `var`;
+    /// main asserts `x == 5`.
+    fn atomic_increment_and_store_to(var: &str) -> crate::ast::Program {
+        ProgramBuilder::new("atomic")
+            .shared("x", 0)
+            .shared("y", 0)
+            .thread(
+                "t1",
+                atomic(vec![assign("r", v("x")), assign("x", add(v("r"), c(1)))]),
+            )
+            .thread("t2", vec![assign(var, c(5))])
+            .main(vec![
+                spawn(1),
+                spawn(2),
+                join(1),
+                join(2),
+                assert_(eq(v("x"), c(5))),
+            ])
+            .build()
+    }
+
+    /// The schedule runs `t2`'s store to shared variable `var` between
+    /// `t1`'s `AtomicBegin` and `AtomicEnd`.
+    fn store_inside_atomic(var: usize) -> [(usize, ReplayOp); 10] {
+        [
+            (0, ReplayOp::Spawn { child: 1 }),
+            (0, ReplayOp::Spawn { child: 2 }),
+            (1, ReplayOp::AtomicBegin),
+            (1, ReplayOp::Read { var: 0, value: 0 }),
+            (2, ReplayOp::Write { var, value: 5 }),
+            (1, ReplayOp::Write { var: 0, value: 1 }),
+            (1, ReplayOp::AtomicEnd),
+            (0, ReplayOp::Join { child: 1 }),
+            (0, ReplayOp::Join { child: 2 }),
+            (0, ReplayOp::Read { var: 0, value: 1 }),
+        ]
+    }
+
+    /// Another thread's write of a variable the atomic block accesses,
+    /// scheduled inside the block, breaks the block's exclusion.
+    #[test]
+    fn write_of_a_block_variable_inside_an_atomic_section_is_a_mismatch() {
+        for mm in MemoryModel::ALL {
+            let r = run(
+                &atomic_increment_and_store_to("x"),
+                mm,
+                &store_inside_atomic(0),
+            );
+            mismatch_at(r, 4);
+        }
+    }
+
+    /// An atomic section excludes only its block's variables: a write of
+    /// another variable at the same point replays.
+    #[test]
+    fn write_of_another_variable_inside_an_atomic_section_replays() {
+        for mm in MemoryModel::ALL {
+            let r = run(
+                &atomic_increment_and_store_to("y"),
+                mm,
+                &store_inside_atomic(1),
+            );
+            assert!(
+                matches!(r, Ok(ReplayViolation { thread: 0, .. })),
+                "{mm}: {r:?}"
+            );
         }
     }
 

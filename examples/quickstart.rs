@@ -62,8 +62,9 @@ fn main() {
                 out.stats.propagations,
                 out.stats.conflicts,
             );
-            // Counterexample executions are re-validated internally: an
-            // `unsafe` verdict here is a checked concurrent execution.
+            // Counterexample executions are replayed through the concrete
+            // machine internally: an `unsafe` verdict here is a checked
+            // concurrent execution.
         }
     }
 

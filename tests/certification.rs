@@ -5,13 +5,13 @@
 
 use proptest::prelude::*;
 use zpre::{
-    try_verify, try_verify_ssa, verify_portfolio, Certificate, Fault, PortfolioOptions,
+    try_verify, try_verify_portfolio_sweep, try_verify_sweep, try_verify_sweep_full, verify_bmc,
+    verify_portfolio, Certificate, Fault, MemberResult, PortfolioOptions, PortfolioOutcome,
     ShareConfig, ShareSpec, Strategy as SolveStrategy, Verdict, VerifyError, VerifyOptions,
+    VerifyOutcome,
 };
 use zpre_prog::build::*;
-use zpre_prog::{
-    check, flatten, to_ssa, unroll_program, Limits, MemoryModel, Outcome, Program, Stmt,
-};
+use zpre_prog::{check, flatten, unroll_program, Limits, MemoryModel, Outcome, Program, Stmt};
 use zpre_sat::SharedPool;
 
 fn racy() -> Program {
@@ -103,25 +103,6 @@ fn certified_unsafe_witnesses_replay() {
     }
 }
 
-/// A certified Unsafe verdict without the original program (SSA-only entry
-/// point) fails closed instead of fabricating a certificate.
-#[test]
-fn ssa_only_certified_unsafe_fails_closed() {
-    let ssa = to_ssa(&unroll_program(&racy(), 2));
-    let err = try_verify_ssa(&ssa, &certified_opts(MemoryModel::Sc, SolveStrategy::Zpre))
-        .expect_err("certified Unsafe without a flat program must fail");
-    assert!(
-        matches!(
-            err,
-            VerifyError::Certification {
-                stage: "replay",
-                ..
-            }
-        ),
-        "{err}"
-    );
-}
-
 /// The fault matrix: every injected fault is either rejected fail-closed
 /// by the certifier (when it corrupts that verdict's evidence) or provably
 /// harmless (verdict and certificate unchanged). Nothing ever panics.
@@ -174,6 +155,86 @@ fn fault_matrix_fails_closed() {
             }
         }
     }
+}
+
+/// A loop whose bug needs three iterations: a sweep's or a `--bmc` loop's
+/// witness replays through unwinding markers.
+fn kstar3() -> Program {
+    ProgramBuilder::new("kstar3")
+        .width(8)
+        .shared("x", 0)
+        .main(vec![
+            while_(lt(v("x"), c(3)), vec![assign("x", add(v("x"), c(1)))]),
+            assert_(ne(v("x"), c(3))),
+        ])
+        .build()
+}
+
+/// Every driver replays every `Unsafe` frame, certified or not: a witness
+/// with a flipped access value fails each of them with a replay rejection
+/// (a race quarantines every member on it), and the same run without the
+/// fault is `Unsafe`.
+#[test]
+fn flipped_witness_is_rejected_by_every_driver() {
+    type Driver = fn(&Program, &VerifyOptions) -> Result<VerifyOutcome, VerifyError>;
+    let drivers: [(&str, Driver); 6] = [
+        ("try_verify", try_verify),
+        ("try_verify_sweep", try_verify_sweep),
+        ("try_verify_sweep_full", try_verify_sweep_full),
+        ("verify_bmc", |p, o| verify_bmc(p, o.max_bound, o)),
+        ("verify_portfolio", |p, o| {
+            race_result(verify_portfolio(p, &PortfolioOptions::new(o.clone())))
+        }),
+        ("try_verify_portfolio_sweep", |p, o| {
+            race_result(try_verify_portfolio_sweep(
+                p,
+                &PortfolioOptions::new(o.clone()),
+            )?)
+        }),
+    ];
+    for mm in MemoryModel::ALL {
+        for program in [racy(), kstar3()] {
+            for (name, run) in drivers {
+                let mut opts = VerifyOptions::new(mm, SolveStrategy::Zpre);
+                opts.unroll_bound = 3;
+                opts.max_bound = 4;
+                let clean = run(&program, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(
+                    clean.verdict,
+                    Verdict::Unsafe,
+                    "{name} {mm} {}",
+                    program.name
+                );
+                opts.fault = Some(Fault::FlipModelBit);
+                match run(&program, &opts) {
+                    Err(VerifyError::Certification {
+                        stage: "replay", ..
+                    }) => {}
+                    other => panic!(
+                        "{name} {mm} {}: expected a replay rejection, got {other:?}",
+                        program.name
+                    ),
+                }
+            }
+        }
+    }
+}
+
+/// A race as one run: it fails with a replay rejection when every member,
+/// the bounded retry included, was quarantined with one.
+fn race_result(folio: PortfolioOutcome) -> Result<VerifyOutcome, VerifyError> {
+    let rejected = |m: &MemberResult| {
+        m.error
+            .as_deref()
+            .is_some_and(|e| e.starts_with("certification failed at replay stage"))
+    };
+    if folio.winner.is_none() && folio.members.iter().all(rejected) {
+        return Err(VerifyError::Certification {
+            stage: "replay",
+            reason: folio.unknown_reason.unwrap_or_default(),
+        });
+    }
+    Ok(folio.outcome)
 }
 
 /// `DropLemmas` specifically: the control run must contain theory lemmas

@@ -107,20 +107,27 @@ fn baseline_decision_stream_is_not_interference_first() {
 }
 
 /// Every pipeline stage must land in the NDJSON export: unroll, SSA,
-/// encode, bit-blast and solve spans (parse is absent because the program
-/// comes from the builder, not the text frontend).
+/// encode, bit-blast, solve and, for this Unsafe program, the witness
+/// replay (parse is absent because the program comes from the builder, not
+/// the text frontend). The replay is the one check of the model: no
+/// `validate` span is left.
 #[test]
 fn ndjson_export_carries_all_pipeline_phases() {
     let rec = traced_verify(&racy_counter(2), MemoryModel::Tso, Strategy::Zpre);
     let text = ndjson::to_ndjson(&rec.snapshot());
     let report = ndjson::validate(&text).expect("emitted trace validates");
-    for phase in ["unroll", "ssa", "encode", "blast", "solve"] {
+    for phase in ["unroll", "ssa", "encode", "blast", "solve", "replay"] {
         assert!(
             report.phases_seen.iter().any(|p| p == phase),
             "phase {phase} missing from trace (saw {:?})",
             report.phases_seen
         );
     }
+    assert!(
+        report.phases_seen.iter().all(|p| p != "validate"),
+        "{:?}",
+        report.phases_seen
+    );
     // Encode spans carry the memory model as their label.
     let parsed = ndjson::from_ndjson(&text).expect("round-trip");
     assert!(parsed
