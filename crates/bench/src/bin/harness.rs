@@ -385,51 +385,66 @@ fn print_validate(results: &[TaskResult]) {
     }
 }
 
+/// The whole suite, then the seeded `stress` family alone and every other
+/// family, each labelled by the suffix its table rows carry.
+fn stress_split(results: &[TaskResult]) -> [(&'static str, Vec<TaskResult>); 3] {
+    let (stress, other) = results.iter().cloned().partition(|r| r.subcat == "stress");
+    [
+        ("", results.to_vec()),
+        ("/stress", stress),
+        ("/other", other),
+    ]
+}
+
 fn print_table1(results: &[TaskResult]) {
     println!("Table 1. Overall results: baseline vs ZPRE (both-solved accumulated time)");
     println!(
-        "{:<5} {:>22} {:>22} {:>22}",
+        "{:<10} {:>22} {:>22} {:>22}",
         "MM", "Sat (base/zpre, x)", "Unsat (base/zpre, x)", "All (base/zpre, x)"
     );
-    for row in table1(results, &MMS) {
-        let (s, u, a) = row.speedups();
-        println!(
-            "{:<5} {:>9.2}/{:<6.2} {:>4.2}x {:>9.2}/{:<6.2} {:>4.2}x {:>9.2}/{:<6.2} {:>4.2}x",
-            row.mm.to_uppercase(),
-            row.sat_base_s,
-            row.sat_zpre_s,
-            s,
-            row.unsat_base_s,
-            row.unsat_zpre_s,
-            u,
-            row.all_base_s,
-            row.all_zpre_s,
-            a
-        );
+    for (suffix, part) in stress_split(results) {
+        for row in table1(&part, &MMS) {
+            let (s, u, a) = row.speedups();
+            println!(
+                "{:<10} {:>9.2}/{:<6.2} {:>4.2}x {:>9.2}/{:<6.2} {:>4.2}x {:>9.2}/{:<6.2} {:>4.2}x",
+                format!("{}{suffix}", row.mm.to_uppercase()),
+                row.sat_base_s,
+                row.sat_zpre_s,
+                s,
+                row.unsat_base_s,
+                row.unsat_zpre_s,
+                u,
+                row.all_base_s,
+                row.all_zpre_s,
+                a
+            );
+        }
     }
 }
 
 fn print_table2(results: &[TaskResult]) {
     println!("Table 2. Decisions / propagations / conflicts: baseline vs ZPRE");
     println!(
-        "{:<5} {:>26} {:>26} {:>26}",
+        "{:<10} {:>26} {:>26} {:>26}",
         "MM", "Decisions (b/z, x)", "Propagations (b/z, x)", "Conflicts (b/z, x)"
     );
-    for row in table2(results, &MMS) {
-        let (d, p, c) = row.ratios();
-        println!(
-            "{:<5} {:>10}/{:<10} {:>4.2}x {:>10}/{:<10} {:>4.2}x {:>9}/{:<9} {:>4.2}x",
-            row.mm.to_uppercase(),
-            row.decisions_base,
-            row.decisions_zpre,
-            d,
-            row.propagations_base,
-            row.propagations_zpre,
-            p,
-            row.conflicts_base,
-            row.conflicts_zpre,
-            c
-        );
+    for (suffix, part) in stress_split(results) {
+        for row in table2(&part, &MMS) {
+            let (d, p, c) = row.ratios();
+            println!(
+                "{:<10} {:>10}/{:<10} {:>4.2}x {:>10}/{:<10} {:>4.2}x {:>9}/{:<9} {:>4.2}x",
+                format!("{}{suffix}", row.mm.to_uppercase()),
+                row.decisions_base,
+                row.decisions_zpre,
+                d,
+                row.propagations_base,
+                row.propagations_zpre,
+                p,
+                row.conflicts_base,
+                row.conflicts_zpre,
+                c
+            );
+        }
     }
 }
 

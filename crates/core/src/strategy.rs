@@ -20,7 +20,7 @@ pub enum Strategy {
     /// Ablation: H1 + H2 + H3 (adds external-before-internal).
     ZpreH3,
     /// Ablation: full ZPRE but deciding interference variables always true
-    /// instead of with a random polarity.
+    /// instead of with a random first polarity and the saved phase after.
     ZpreFixedTrue,
     /// The control-flow ("branching") heuristic of §5.2's *Other Attempts*:
     /// prioritize event-guard variables instead of interference variables.

@@ -66,7 +66,8 @@ pub struct VerifyOptions {
     /// `Unknown` / [`ExhaustionReason::Memory`] instead of letting the
     /// allocator kill the process.
     pub max_memory: Option<u64>,
-    /// Seed for the random decision polarity of interference variables.
+    /// Seed for the random polarity of each interference variable's first
+    /// guided decision (later decisions on it reuse its saved phase).
     pub seed: u64,
     /// Run the static interference-pruning pass (`zpre-analysis`) before
     /// encoding: must-happen-before, lockset and thread-locality analyses

@@ -7,6 +7,13 @@
 //! interference variable under the generated decision order; once all
 //! interference variables are assigned it answers `None` and the default
 //! heuristics take over — exactly the paper's enhanced DPLL(T) loop.
+//!
+//! One divergence from the paper: it gives each interference variable "a
+//! random Boolean value" at every decision. [`PriorityListGuide`] flips the
+//! coin only for a variable's first decision; every later decision on it
+//! (after a backjump or restart) reuses its saved phase, the value the
+//! solver last assigned it. Re-drawing discarded the rf/ws choice the search
+//! last found consistent and multiplied conflicts on unstructured programs.
 
 use crate::lit::{LBool, Lit, Var};
 
@@ -15,17 +22,26 @@ use crate::lit::{LBool, Lit, Var};
 pub struct AssignView<'a> {
     /// The value of every literal, indexed by [`Lit::code`].
     lit_values: &'a [LBool],
+    /// The saved phase of every variable: the polarity it was last
+    /// assigned, by decision or propagation (`false` if never assigned).
+    phase: &'a [bool],
 }
 
 impl<'a> AssignView<'a> {
-    pub(crate) fn new(lit_values: &'a [LBool]) -> AssignView<'a> {
-        AssignView { lit_values }
+    pub(crate) fn new(lit_values: &'a [LBool], phase: &'a [bool]) -> AssignView<'a> {
+        AssignView { lit_values, phase }
     }
 
     /// Value of variable with dense index `var_index`.
     #[inline]
     pub fn var_value(&self, var_index: usize) -> LBool {
         self.lit_values[Var::new(var_index as u32).positive().code()]
+    }
+
+    /// Saved phase of variable with dense index `var_index`.
+    #[inline]
+    pub fn saved_phase(&self, var_index: usize) -> bool {
+        self.phase[var_index]
     }
 
     /// Number of variables in the solver.
@@ -67,10 +83,11 @@ impl DecisionGuide for NoGuide {
 
 /// A guide driven by an explicit priority list of variables.
 ///
-/// `next_decision` returns the first unassigned variable of the list, with a
-/// polarity chosen by a seeded xorshift RNG (the paper assigns interference
-/// variables "a random Boolean value"). A cursor with per-level snapshots
-/// makes the scan amortized O(1) per decision.
+/// `next_decision` returns the first unassigned variable of the list. Its
+/// first decision on a list position draws the polarity from a seeded
+/// xorshift RNG (the paper assigns interference variables "a random Boolean
+/// value"); every later one reuses the variable's saved phase. A cursor with
+/// per-level snapshots makes the scan amortized O(1) per decision.
 #[derive(Debug, Clone)]
 pub struct PriorityListGuide {
     /// Variable indices in decision-priority order (highest priority first).
@@ -79,17 +96,21 @@ pub struct PriorityListGuide {
     cursor: usize,
     /// Cursor snapshots, one per open decision level.
     saved: Vec<usize>,
+    /// Per list position: has its first decision drawn a polarity yet?
+    /// Restarts, backtracking and sweep frames leave it alone.
+    drawn: Vec<bool>,
     /// xorshift64* state for polarity choice.
     rng_state: u64,
-    /// If `Some(p)`, always use polarity `p` instead of random (ablation).
+    /// If `Some(p)`, always use polarity `p` (the `zpre-fixed-true` ablation).
     fixed_polarity: Option<bool>,
 }
 
 impl PriorityListGuide {
-    /// Creates a guide deciding `order` (highest priority first) with random
-    /// polarities drawn from `seed`.
+    /// Creates a guide deciding `order` (highest priority first), drawing
+    /// first-decision polarities from `seed`.
     pub fn new(order: Vec<u32>, seed: u64) -> PriorityListGuide {
         PriorityListGuide {
+            drawn: vec![false; order.len()],
             order,
             cursor: 0,
             saved: Vec::new(),
@@ -99,7 +120,7 @@ impl PriorityListGuide {
         }
     }
 
-    /// Forces a fixed decision polarity instead of a random one.
+    /// Forces a fixed decision polarity instead of a drawn or saved one.
     pub fn with_fixed_polarity(mut self, polarity: bool) -> PriorityListGuide {
         self.fixed_polarity = Some(polarity);
         self
@@ -121,7 +142,14 @@ impl DecisionGuide for PriorityListGuide {
         while self.cursor < self.order.len() {
             let v = self.order[self.cursor] as usize;
             if view.var_value(v).is_undef() {
-                let polarity = self.fixed_polarity.unwrap_or_else(|| self.next_bool());
+                let polarity = match self.fixed_polarity {
+                    Some(p) => p,
+                    None if self.drawn[self.cursor] => view.saved_phase(v),
+                    None => {
+                        self.drawn[self.cursor] = true;
+                        self.next_bool()
+                    }
+                };
                 return Some(crate::lit::Var::new(v as u32).lit(polarity));
             }
             self.cursor += 1;
@@ -162,8 +190,11 @@ mod tests {
         assigns.iter().flat_map(|&a| [a.negate(), a]).collect()
     }
 
+    /// All-false saved phases, enough for every test's variables.
+    static NO_PHASE: [bool; 16] = [false; 16];
+
     fn view(lit_values: &[LBool]) -> AssignView<'_> {
-        AssignView::new(lit_values)
+        AssignView::new(lit_values, &NO_PHASE[..lit_values.len() / 2])
     }
 
     #[test]
@@ -284,6 +315,77 @@ mod tests {
             g1.next_decision(view(&lit_table(&assigns))),
             g2.next_decision(view(&lit_table(&assigns)))
         );
+    }
+
+    #[test]
+    fn first_decision_draws_from_the_rng() {
+        let assigns = lit_table(&[LBool::Undef; 2]);
+        for seed in [1, 7, 42, 0xDECADE] {
+            let mut g = PriorityListGuide::new(vec![1, 0], seed);
+            let drawn = g.clone().next_bool();
+            // The saved phase disagrees with the draw; the draw wins.
+            let phase = [!drawn; 2];
+            assert_eq!(
+                g.next_decision(AssignView::new(&assigns, &phase)),
+                Some(Var::new(1).lit(drawn))
+            );
+        }
+    }
+
+    #[test]
+    fn redecision_after_backtrack_reuses_saved_phase() {
+        let mut assigns = vec![LBool::Undef; 2];
+        let mut g = PriorityListGuide::new(vec![0, 1], 7);
+        let first = g.next_decision(view(&lit_table(&assigns))).unwrap();
+        assert_eq!(first.var(), Var::new(0));
+        g.on_new_level();
+        assigns[0] = LBool::from_bool(first.sign());
+        g.on_backtrack(0);
+        assigns[0] = LBool::Undef;
+        let rng_before = g.rng_state;
+        for polarity in [true, false] {
+            let phase = [polarity, false];
+            let mut probe = g.clone();
+            assert_eq!(
+                probe.next_decision(AssignView::new(&lit_table(&assigns), &phase)),
+                Some(Var::new(0).lit(polarity))
+            );
+            assert_eq!(probe.rng_state, rng_before, "a re-decision draws nothing");
+        }
+    }
+
+    #[test]
+    fn drawn_survives_restart() {
+        let mut assigns = vec![LBool::Undef; 1];
+        let mut g = PriorityListGuide::new(vec![0], 7);
+        let first = g.next_decision(view(&lit_table(&assigns))).unwrap();
+        g.on_new_level();
+        assigns[0] = LBool::from_bool(first.sign());
+        g.on_backtrack(0);
+        g.on_restart();
+        assigns[0] = LBool::Undef;
+        assert!(g.drawn[0]);
+        let phase = [!first.sign()];
+        assert_eq!(
+            g.next_decision(AssignView::new(&lit_table(&assigns), &phase)),
+            Some(Var::new(0).lit(!first.sign()))
+        );
+    }
+
+    #[test]
+    fn fixed_polarity_ignores_saved_phase() {
+        let assigns = lit_table(&[LBool::Undef; 1]);
+        let mut g = PriorityListGuide::new(vec![0], 7).with_fixed_polarity(true);
+        let phase = [false];
+        for _ in 0..3 {
+            assert_eq!(
+                g.next_decision(AssignView::new(&assigns, &phase)),
+                Some(Var::new(0).positive())
+            );
+            g.on_new_level();
+            g.on_backtrack(0);
+            g.on_restart();
+        }
     }
 
     /// Property: after any interleaving of decisions, propagations,

@@ -1262,7 +1262,10 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                 }
             }
             // 1. The guide (the paper's enhanced decide()).
-            if let Some(lit) = self.guide.next_decision(AssignView::new(&self.lit_values)) {
+            if let Some(lit) = self
+                .guide
+                .next_decision(AssignView::new(&self.lit_values, &self.phase))
+            {
                 debug_assert!(self.value(lit).is_undef(), "guide returned an assigned var");
                 break 'pick (lit, true);
             }

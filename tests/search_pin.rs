@@ -47,33 +47,31 @@ const PINNED: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[
         "pthread/counter-3x3-locked",
         MemoryModel::Sc,
         Verdict::Safe,
-        [1391, 71325, 504, 226, 101, 503, 11772, 9429, 10222, 5605],
+        [2441, 77615, 470, 204, 65, 469, 14244, 11713, 11396, 6265],
     ),
     (
         "pthread/counter-3x3-locked",
         MemoryModel::Tso,
         Verdict::Safe,
-        [1487, 72684, 533, 269, 90, 532, 12990, 10464, 11861, 6853],
+        [2598, 81077, 484, 215, 112, 483, 14988, 12350, 12290, 6831],
     ),
     (
         "pthread/twolocks-3x2",
         MemoryModel::Sc,
         Verdict::Safe,
-        [1220, 46254, 339, 184, 96, 338, 6326, 4633, 7825, 4425],
+        [2043, 49338, 323, 183, 41, 322, 7341, 5661, 8026, 4837],
     ),
     (
         "stress/s203-4x14",
         MemoryModel::Sc,
         Verdict::Unsafe,
-        [
-            7839, 89246, 1058, 789, 699, 1058, 29380, 22507, 33287, 16021,
-        ],
+        [6656, 19097, 158, 123, 149, 158, 8646, 7178, 6741, 2698],
     ),
     (
         "divine/ring-broken-4",
         MemoryModel::Pso,
         Verdict::Unsafe,
-        [4048, 78303, 538, 266, 186, 538, 7028, 4386, 11726, 6651],
+        [5331, 48906, 241, 143, 68, 241, 3773, 2369, 5831, 3196],
     ),
 ];
 
@@ -103,7 +101,7 @@ const PINNED_BRANCH_COND: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[(
 )];
 
 /// Rows under [`Strategy::ZpreFixedTrue`], whose guide decides every
-/// interference variable true instead of with a seeded random polarity.
+/// interference variable true instead of with a drawn or saved polarity.
 const PINNED_FIXED_TRUE: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[(
     "divine/ring-broken-4",
     MemoryModel::Pso,
@@ -120,7 +118,7 @@ const PINNED_SWEEP: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[(
     "lit/peterson-w3",
     MemoryModel::Tso,
     Verdict::Unsafe,
-    [4780, 48450, 211, 194, 7, 211, 5030, 3367, 5679, 3555],
+    [3886, 15027, 44, 42, 38, 44, 2274, 1391, 1580, 1103],
 )];
 
 /// A [`try_verify_sweep_full`] row under [`Strategy::BranchCond`], with the
@@ -129,7 +127,7 @@ const PINNED_SWEEP_BRANCH_COND: &[(&str, MemoryModel, Verdict, [u64; 10])] = &[(
     "lit/peterson-w3",
     MemoryModel::Tso,
     Verdict::Unsafe,
-    [17398, 41103, 192, 128, 11, 192, 4769, 3274, 5444, 3233],
+    [15092, 35806, 163, 107, 12, 163, 4239, 2878, 5026, 3151],
 )];
 
 fn counters(s: &Stats) -> [u64; 10] {

@@ -2,15 +2,15 @@
 //! the paper's hypotheses *visible*, not just implemented.
 //!
 //! H1 says interference variables (`V_rf ∪ V_ws`) are decided before
-//! everything else; here the traced decision stream itself is checked to
-//! lead with interference classes. The NDJSON export must carry phase
+//! everything else; here the traced decision stream itself is checked: no
+//! descent decides an interference variable after any other. The NDJSON export must carry phase
 //! spans for every pipeline stage so `--trace-out` files are useful for
 //! postmortem profiling.
 
 use zpre::prelude::*;
 use zpre::{try_verify_sweep_full, verify_portfolio, PortfolioOptions, Strategy, VerifyOptions};
 use zpre_obs::analyze::TraceStats;
-use zpre_obs::{ndjson, Counter, EventKind, Phase, Recorder, TraceConfig, VarClass};
+use zpre_obs::{ndjson, Counter, EventKind, Phase, Recorder, TraceConfig};
 
 fn racy_counter(workers: usize) -> Program {
     let inc = vec![assign("r", v("cnt")), assign("cnt", add(v("r"), c(1)))];
@@ -52,43 +52,63 @@ fn traced_verify(program: &Program, mm: MemoryModel, strategy: Strategy) -> Reco
     rec
 }
 
-/// H1 in the telemetry: with the ZPRE guide, the decision stream leads
-/// with interference-class variables. Formally: if the run made `k`
-/// interference decisions in total, at least 90% of the *first* `k`
-/// decision events must be interference-class.
+/// H1 violations in a traced run's decision stream, and the number of
+/// descents checked. A descent is a run of decision events with rising
+/// `level` (a backjump or restart starts the next one); within one descent,
+/// H1 forbids an interference-class decision after a non-interference one.
+fn h1_violations(rec: &Recorder) -> (usize, usize) {
+    let (mut violations, mut descents) = (0, 0);
+    let mut last_level = 0;
+    let mut left_interference = false;
+    for e in &rec.snapshot().events {
+        let EventKind::Decision { class, level, .. } = e.kind else {
+            continue;
+        };
+        if level <= last_level || descents == 0 {
+            descents += 1;
+            left_interference = false;
+        }
+        last_level = level;
+        if !class.is_interference() {
+            left_interference = true;
+        } else if left_interference {
+            violations += 1;
+        }
+    }
+    (violations, descents)
+}
+
+/// H1 in the telemetry, exactly: with the ZPRE guide, no descent decides an
+/// interference variable after a non-interference one. The same check must
+/// flag the unguided baseline and the guard-first guide, so it is not
+/// vacuous.
 #[test]
 fn zpre_decision_stream_is_interference_first() {
+    let mut flagged = [0; 2];
     for mm in MemoryModel::ALL {
         for program in [racy_counter(3), locked_counter(2)] {
             let rec = traced_verify(&program, mm, Strategy::Zpre);
-            let snap = rec.snapshot();
-            let classes: Vec<VarClass> = snap
-                .events
-                .iter()
-                .filter_map(|e| match e.kind {
-                    EventKind::Decision { class, .. } => Some(class),
-                    _ => None,
-                })
-                .collect();
-            let k = classes.iter().filter(|c| c.is_interference()).count();
-            if k == 0 {
-                continue; // solved by propagation alone; nothing to rank
-            }
-            let leading = classes[..k].iter().filter(|c| c.is_interference()).count();
-            let share = leading as f64 / k as f64;
-            assert!(
-                share >= 0.9,
-                "{} under {}: only {:.0}% of the first {} decisions were \
-                 interference-class ({} of {})",
+            let (violations, descents) = h1_violations(&rec);
+            assert_eq!(
+                violations,
+                0,
+                "{} under {}: {violations} interference decisions followed a \
+                 non-interference one within a descent ({descents} descents)",
                 program.name,
-                mm.name(),
-                share * 100.0,
-                k,
-                leading,
-                k
+                mm.name()
             );
+            for (n, strategy) in flagged
+                .iter_mut()
+                .zip([Strategy::Baseline, Strategy::BranchCond])
+            {
+                *n += h1_violations(&traced_verify(&program, mm, strategy)).0;
+            }
         }
     }
+    assert!(
+        flagged.iter().all(|&n| n > 0),
+        "the H1 check flagged no baseline or branch-cond descent: {flagged:?}"
+    );
 }
 
 /// The unguided baseline must NOT show the interference-first pattern on a
