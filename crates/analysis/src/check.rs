@@ -40,6 +40,7 @@ pub fn check_report(ssa: &SsaProgram, report: &PruneReport) -> Result<usize, Str
     let edges: HashSet<(usize, usize)> = po_pairs(ssa, report.mm).into_iter().collect();
     let ts = &ssa.store;
     let n = ssa.events.len();
+    check_program_order(report, &edges, n)?;
     let always_true =
         |eid: usize| matches!(ts.kind(ssa.events[eid].guard), TermKind::BoolConst(true));
     let written_var = |eid: usize| match ssa.events[eid].kind {
@@ -554,4 +555,89 @@ pub fn check_sym_pair(ssa: &SsaProgram, pair: &SymPair) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The encoder takes Φ_po and its closure filters from `report.po`: its
+/// edges must be the program's, and its closure exactly their
+/// reachability, re-derived here by a search from every event.
+fn check_program_order(
+    report: &PruneReport,
+    edges: &HashSet<(usize, usize)>,
+    n: usize,
+) -> Result<(), String> {
+    let reported: HashSet<(usize, usize)> = report.po.pairs.iter().copied().collect();
+    if reported != *edges {
+        return Err("reported program-order edges differ from the program's".into());
+    }
+    let closure = &report.po.closure;
+    if closure.len() != n {
+        return Err(format!(
+            "program-order closure over {} events, program has {n}",
+            closure.len()
+        ));
+    }
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for &(a, b) in edges {
+        succ[a].push(b);
+    }
+    let mut seen = vec![false; n];
+    let mut stack = Vec::new();
+    for from in 0..n {
+        seen.fill(false);
+        stack.clear();
+        stack.extend_from_slice(&succ[from]);
+        while let Some(x) = stack.pop() {
+            if !std::mem::replace(&mut seen[x], true) {
+                stack.extend_from_slice(&succ[x]);
+            }
+        }
+        if let Some(to) = (0..n).find(|&to| seen[to] != closure.reaches(from, to)) {
+            return Err(format!(
+                "program-order closure wrong on {from} -> {to}: reachable is {}",
+                seen[to]
+            ));
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::memory_model::ProgramOrder;
+    use crate::prune::analyze;
+    use zpre_prog::build::*;
+    use zpre_prog::{to_ssa, MemoryModel};
+
+    /// Store buffering: W x; R y against W y; R x, whose TSO order drops
+    /// each thread's write→read edge.
+    fn store_buffering() -> SsaProgram {
+        let p = ProgramBuilder::new("sb")
+            .shared("x", 0)
+            .shared("y", 0)
+            .thread("t1", vec![assign("x", c(1)), assign("a", v("y"))])
+            .thread("t2", vec![assign("y", c(1)), assign("b", v("x"))])
+            .main(vec![spawn(1), spawn(2), join(1), join(2)])
+            .build();
+        to_ssa(&p)
+    }
+
+    #[test]
+    fn report_program_order_is_rechecked() {
+        let ssa = store_buffering();
+        let rep = analyze(&ssa, MemoryModel::Tso);
+        assert!(check_report(&ssa, &rep).is_ok());
+
+        let mut dropped = rep.clone();
+        dropped.po.pairs.pop();
+        let err = check_report(&ssa, &dropped).unwrap_err();
+        assert!(err.contains("edges differ"), "{err}");
+
+        // SC's closure orders each thread's write before its read, which
+        // TSO's edges do not.
+        let mut forged = rep.clone();
+        forged.po.closure = ProgramOrder::new(&ssa, MemoryModel::Sc).closure;
+        let err = check_report(&ssa, &forged).unwrap_err();
+        assert!(err.contains("closure wrong"), "{err}");
+    }
 }

@@ -31,6 +31,6 @@ pub mod prune;
 pub mod symmetry;
 
 pub use check::check_report;
-pub use memory_model::{po_pairs, preserved, PoClosure};
+pub use memory_model::{po_pairs, preserved, PoClosure, ProgramOrder};
 pub use prune::{analyze, guard_implies, Justification, PruneCounters, PruneReport};
 pub use symmetry::{symmetric_pairs, SymPair};

@@ -103,7 +103,64 @@ pub fn po_pairs(ssa: &SsaProgram, mm: MemoryModel) -> Vec<(usize, usize)> {
     pairs
 }
 
+/// The fixed program order of a program under one memory model: its
+/// direct edges ([`po_pairs`]) and their transitive closure. Static
+/// pruning builds it once and the encoder reuses it through the
+/// [`crate::PruneReport`].
+#[derive(Clone, Debug)]
+pub struct ProgramOrder {
+    /// The direct edges, as [`po_pairs`] lists them.
+    pub pairs: Vec<(usize, usize)>,
+    /// Their transitive closure.
+    pub closure: PoClosure,
+}
+
+impl ProgramOrder {
+    /// The program order of `ssa` under `mm`. Panics when it is cyclic.
+    pub fn new(ssa: &SsaProgram, mm: MemoryModel) -> ProgramOrder {
+        let pairs = po_pairs(ssa, mm);
+        let closure = PoClosure::new(ssa.events.len(), &pairs);
+        ProgramOrder { pairs, closure }
+    }
+}
+
+/// The fixed edges as adjacency lists in one buffer: the successors of
+/// event `a` are `targets[start[a]..start[a + 1]]`, in edge-list order.
+pub(crate) struct Successors {
+    start: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Successors {
+    /// Groups `pairs` over `n` events by source.
+    pub fn new(n: usize, pairs: &[(usize, usize)]) -> Successors {
+        let mut start = vec![0usize; n + 1];
+        for &(a, _) in pairs {
+            start[a + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut targets = vec![0usize; pairs.len()];
+        // Fill each group from its back, walking the pairs backwards, so
+        // every group keeps the pairs' order.
+        let mut end = start[1..].to_vec();
+        for &(a, b) in pairs.iter().rev() {
+            end[a] -= 1;
+            targets[end[a]] = b;
+        }
+        Successors { start, targets }
+    }
+
+    /// The successors of `a`.
+    #[inline]
+    pub fn of(&self, a: usize) -> &[usize] {
+        &self.targets[self.start[a]..self.start[a + 1]]
+    }
+}
+
 /// Reachability over the fixed program-order edges (dense bitset closure).
+#[derive(Clone, Debug)]
 pub struct PoClosure {
     n: usize,
     words: usize,
@@ -114,10 +171,9 @@ impl PoClosure {
     /// Builds the closure of `pairs` over `n` events.
     pub fn new(n: usize, pairs: &[(usize, usize)]) -> PoClosure {
         let words = n.div_ceil(64);
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let succ = Successors::new(n, pairs);
         let mut indeg = vec![0usize; n];
-        for &(a, b) in pairs {
-            adj[a].push(b);
+        for &(_, b) in pairs {
             indeg[b] += 1;
         }
         // Kahn topological order (the po graph is a DAG by construction).
@@ -125,7 +181,7 @@ impl PoClosure {
         let mut topo = Vec::with_capacity(n);
         while let Some(x) = queue.pop() {
             topo.push(x);
-            for &y in &adj[x] {
+            for &y in succ.of(x) {
                 indeg[y] -= 1;
                 if indeg[y] == 0 {
                     queue.push(y);
@@ -136,7 +192,7 @@ impl PoClosure {
         // Propagate reachability in reverse topological order.
         let mut bits = vec![0u64; n * words];
         for &x in topo.iter().rev() {
-            for &y in &adj[x] {
+            for &y in succ.of(x) {
                 bits[x * words + y / 64] |= 1 << (y % 64);
                 // reach(x) |= reach(y)
                 let (xs, ys) = (x * words, y * words);
@@ -147,6 +203,16 @@ impl PoClosure {
             }
         }
         PoClosure { n, words, bits }
+    }
+
+    /// Number of events the closure ranges over.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// `true` for a closure over no events.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
     }
 
     /// `true` if a fixed-edge path `a →⁺ b` exists.

@@ -32,7 +32,7 @@
 //! [`crate::check::check_report`] re-verifies independently; soundness of
 //! each rule is argued in DESIGN.md §6h.
 
-use crate::memory_model::{po_pairs, PoClosure};
+use crate::memory_model::{ProgramOrder, Successors};
 use crate::symmetry::{symmetric_pairs, SymPair};
 use std::collections::{HashMap, HashSet};
 use zpre_bv::{TermId, TermKind, TermStore};
@@ -145,6 +145,9 @@ pub struct PruneCounters {
 pub struct PruneReport {
     /// Memory model the analysis ran under (MHB depends on it).
     pub mm: MemoryModel,
+    /// The program order the analysis ran on; the encoder emits its edges
+    /// as Φ_po and filters with its closure instead of rebuilding both.
+    pub po: ProgramOrder,
     /// Surviving rf candidate writes per read event id (empty vectors for
     /// non-read events).
     pub candidates: Vec<Vec<usize>>,
@@ -257,15 +260,8 @@ fn inside(ssa: &SsaProgram, s: &Section, e: usize) -> bool {
 /// Runs the pruning pass on `ssa` under `mm`.
 pub fn analyze(ssa: &SsaProgram, mm: MemoryModel) -> PruneReport {
     let n = ssa.events.len();
-    let pairs = po_pairs(ssa, mm);
-    let closure = PoClosure::new(n, &pairs);
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(a, b) in &pairs {
-        adj[a].push(b);
-    }
-    let path = |from: usize, to: usize| -> Vec<usize> {
-        bfs_path(&adj, from, to).expect("closure-confirmed path must exist over fixed edges")
-    };
+    let po = ProgramOrder::new(ssa, mm);
+    let mut paths = PathFinder::new(n, &po.pairs);
     let ts = &ssa.store;
     let always_true =
         |eid: usize| matches!(ts.kind(ssa.events[eid].guard), TermKind::BoolConst(true));
@@ -303,6 +299,7 @@ pub fn analyze(ssa: &SsaProgram, mm: MemoryModel) -> PruneReport {
 
     let mut report = PruneReport {
         mm,
+        po,
         candidates: vec![Vec::new(); n],
         resolved: vec![None; n],
         ws_fixed: HashMap::new(),
@@ -318,6 +315,7 @@ pub fn analyze(ssa: &SsaProgram, mm: MemoryModel) -> PruneReport {
         sym_pairs: symmetric_pairs(ssa),
     };
     report.counters.sym_pairs = report.sym_pairs.len() as u64;
+    let closure = &report.po.closure;
 
     // --- rf pruning -------------------------------------------------------
     for (v, reads) in reads_of.iter().enumerate() {
@@ -329,7 +327,9 @@ pub fn analyze(ssa: &SsaProgram, mm: MemoryModel) -> PruneReport {
                     report.pruned_rf.push((
                         r,
                         w,
-                        Justification::WriteAfterRead { path: path(r, w) },
+                        Justification::WriteAfterRead {
+                            path: paths.find(r, w),
+                        },
                     ));
                     continue;
                 }
@@ -342,8 +342,8 @@ pub fn analyze(ssa: &SsaProgram, mm: MemoryModel) -> PruneReport {
                         w,
                         Justification::Shadowed {
                             killer,
-                            path_to_killer: path(w, killer),
-                            path_to_read: path(killer, r),
+                            path_to_killer: paths.find(w, killer),
+                            path_to_read: paths.find(killer, r),
                         },
                     ));
                     continue;
@@ -384,7 +384,7 @@ pub fn analyze(ssa: &SsaProgram, mm: MemoryModel) -> PruneReport {
                                         mutex: ws.mutex,
                                         write_section: (ws.lock, ws.unlock),
                                         read_section: (rs.lock, rs.unlock),
-                                        path_to_killer: path(w, w2),
+                                        path_to_killer: paths.find(w, w2),
                                     },
                                 ));
                                 continue 'cand;
@@ -443,7 +443,7 @@ pub fn analyze(ssa: &SsaProgram, mm: MemoryModel) -> PruneReport {
                         w2,
                         Justification::MhbOrdered {
                             first_before_second: first,
-                            path: path(from, to),
+                            path: paths.find(from, to),
                         },
                     ));
                     report.counters.ws_pruned += 1;
@@ -478,30 +478,54 @@ pub fn analyze(ssa: &SsaProgram, mm: MemoryModel) -> PruneReport {
     report
 }
 
-/// Shortest fixed-edge path `from →⁺ to` by BFS, inclusive of endpoints.
-fn bfs_path(adj: &[Vec<usize>], from: usize, to: usize) -> Option<Vec<usize>> {
-    let mut prev: Vec<Option<usize>> = vec![None; adj.len()];
-    let mut queue = std::collections::VecDeque::from([from]);
-    let mut seen = vec![false; adj.len()];
-    seen[from] = true;
-    while let Some(x) = queue.pop_front() {
-        if x == to {
-            let mut p = vec![to];
-            let mut cur = to;
-            while let Some(q) = prev[cur] {
-                p.push(q);
-                cur = q;
-            }
-            p.reverse();
-            return Some(p);
-        }
-        for &y in &adj[x] {
-            if !seen[y] {
-                seen[y] = true;
-                prev[y] = Some(x);
-                queue.push_back(y);
-            }
+/// Shortest fixed-edge paths by BFS, the search buffers reused from one
+/// path to the next.
+struct PathFinder {
+    succ: Successors,
+    /// BFS predecessor of each event reached so far.
+    prev: Vec<Option<usize>>,
+    seen: Vec<bool>,
+    queue: std::collections::VecDeque<usize>,
+}
+
+impl PathFinder {
+    fn new(n: usize, pairs: &[(usize, usize)]) -> PathFinder {
+        PathFinder {
+            succ: Successors::new(n, pairs),
+            prev: vec![None; n],
+            seen: vec![false; n],
+            queue: std::collections::VecDeque::new(),
         }
     }
-    None
+
+    /// The shortest fixed-edge path `from →⁺ to`, inclusive of endpoints.
+    /// Panics when there is none: callers ask only for closure-confirmed
+    /// pairs.
+    fn find(&mut self, from: usize, to: usize) -> Vec<usize> {
+        self.prev.fill(None);
+        self.seen.fill(false);
+        self.queue.clear();
+        self.queue.push_back(from);
+        self.seen[from] = true;
+        while let Some(x) = self.queue.pop_front() {
+            if x == to {
+                let mut p = vec![to];
+                let mut cur = to;
+                while let Some(q) = self.prev[cur] {
+                    p.push(q);
+                    cur = q;
+                }
+                p.reverse();
+                return p;
+            }
+            for &y in self.succ.of(x) {
+                if !self.seen[y] {
+                    self.seen[y] = true;
+                    self.prev[y] = Some(x);
+                    self.queue.push_back(y);
+                }
+            }
+        }
+        panic!("closure-confirmed path must exist over fixed edges")
+    }
 }

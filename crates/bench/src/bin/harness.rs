@@ -178,9 +178,7 @@ fn main() {
         eprintln!("experiments: {} probe all", EXPERIMENTS.join(" "));
         std::process::exit(2);
     }
-    if experiments.iter().any(|e| e == "all") {
-        experiments = EXPERIMENTS.map(String::from).to_vec();
-    }
+    let experiments = expand_all(&experiments);
 
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         eprintln!("cannot create output dir {}: {e}", out_dir.display());
@@ -549,5 +547,50 @@ fn print_ablation(results: &[TaskResult]) {
             println!("{s:<18} {total:>12.3} {to:>5} {solved:>7}");
         }
         println!();
+    }
+}
+
+/// Expands each `all` in place into every experiment it names and drops
+/// repeats, keeping first occurrences: `all probe` runs the whole set and
+/// then `probe`, which `all` does not include.
+fn expand_all(experiments: &[String]) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for e in experiments {
+        let names = if e == "all" {
+            EXPERIMENTS.to_vec()
+        } else {
+            vec![e.as_str()]
+        };
+        for name in names {
+            if !out.iter().any(|o| o == name) {
+                out.push(name.to_string());
+            }
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(args: &[&str]) -> Vec<String> {
+        expand_all(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn all_probe_keeps_probe() {
+        let got = names(&["all", "probe"]);
+        assert_eq!(got.len(), EXPERIMENTS.len() + 1);
+        assert_eq!(got[..EXPERIMENTS.len()], EXPERIMENTS.map(String::from));
+        assert_eq!(got.last().map(String::as_str), Some("probe"));
+    }
+
+    #[test]
+    fn repeats_run_once_in_first_order() {
+        let got = names(&["probe", EXPERIMENTS[1], "all", "probe"]);
+        assert_eq!(got[0], "probe");
+        assert_eq!(got[1], EXPERIMENTS[1]);
+        assert_eq!(got.len(), EXPERIMENTS.len() + 1);
     }
 }

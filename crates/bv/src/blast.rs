@@ -15,15 +15,8 @@ use zpre_sat::{Lit, Var};
 
 /// Receiver of fresh variables and clauses (usually the solver).
 pub trait ClauseSink {
-    /// Fresh auxiliary (gate) variable.
+    /// Fresh variable: a gate output or an input bit.
     fn new_aux_var(&mut self) -> Var;
-
-    /// Fresh *input* variable with a model-level name (a program variable
-    /// bit or a nondeterministic Boolean). Defaults to an auxiliary.
-    fn new_input_var(&mut self, name: &str) -> Var {
-        let _ = name;
-        self.new_aux_var()
-    }
 
     /// Adds a clause. Returns `false` when the formula became trivially
     /// unsatisfiable.
@@ -39,16 +32,41 @@ impl<T: zpre_sat::Theory, G: zpre_sat::DecisionGuide> ClauseSink for zpre_sat::S
     }
 }
 
+/// A blasted bit-vector: a run of [`Blaster`]'s bit buffer, LSB first.
+#[derive(Copy, Clone)]
+struct Bits {
+    start: u32,
+    len: u32,
+}
+
 /// The bit-blaster. Little-endian bit order: index 0 is the LSB.
+///
+/// Blasted terms are memoized by [`TermId`] in dense tables, and the bits
+/// of every blasted bit-vector live in one buffer, so neither a memo hit
+/// nor a gate allocates. One blaster serves a store and any clone of it
+/// that only adds terms (ids stay valid across the two).
 #[derive(Default)]
 pub struct Blaster {
-    bool_memo: HashMap<TermId, Lit>,
-    bv_memo: HashMap<TermId, Vec<Lit>>,
+    bool_memo: Vec<Option<Lit>>,
+    bv_memo: Vec<Option<Bits>>,
+    /// The bits of every blasted bit-vector term.
+    bits: Vec<Lit>,
+    /// Clause under construction in [`Self::assert_implies_eq`].
+    clause: Vec<Lit>,
     true_lit: Option<Lit>,
     /// Bits of every blasted bit-vector variable, by name (model extraction).
     pub bv_inputs: HashMap<String, Vec<Lit>>,
     /// Literal of every blasted Boolean variable, by name.
     pub bool_inputs: HashMap<String, Lit>,
+}
+
+/// Writes `value` at `t`'s slot of a memo table, growing it as needed.
+fn memoize<T: Copy>(memo: &mut Vec<Option<T>>, t: TermId, value: T) {
+    let i = t.0 as usize;
+    if memo.len() <= i {
+        memo.resize(i + 1, None);
+    }
+    memo[i] = Some(value);
 }
 
 impl Blaster {
@@ -71,6 +89,36 @@ impl Blaster {
     /// The constant-false literal.
     pub fn lit_false(&mut self, sink: &mut impl ClauseSink) -> Lit {
         !self.lit_true(sink)
+    }
+
+    /// Bit `i` of `b`.
+    #[inline]
+    fn bit(&self, b: Bits, i: usize) -> Lit {
+        self.bits[b.start as usize + i]
+    }
+
+    /// The bits of `b`.
+    fn slice(&self, b: Bits) -> &[Lit] {
+        &self.bits[b.start as usize..(b.start + b.len) as usize]
+    }
+
+    /// Appends a bit-vector of `width` bits to the bit buffer, bit `i`
+    /// computed by `f`, which may add gates but must not blast terms.
+    fn push_bits<S: ClauseSink>(
+        &mut self,
+        width: usize,
+        sink: &mut S,
+        mut f: impl FnMut(&mut Self, usize, &mut S) -> Lit,
+    ) -> Bits {
+        let start = self.bits.len();
+        for i in 0..width {
+            let l = f(self, i, sink);
+            self.bits.push(l);
+        }
+        Bits {
+            start: start as u32,
+            len: width as u32,
+        }
     }
 
     // ---- gates ----
@@ -157,14 +205,6 @@ impl Blaster {
         g
     }
 
-    fn gate_and_all(&mut self, lits: &[Lit], sink: &mut impl ClauseSink) -> Lit {
-        let mut acc = self.lit_true(sink);
-        for &l in lits {
-            acc = self.gate_and(acc, l, sink);
-        }
-        acc
-    }
-
     // ---- adders ----
 
     fn full_adder(&mut self, a: Lit, b: Lit, cin: Lit, sink: &mut impl ClauseSink) -> (Lit, Lit) {
@@ -176,29 +216,37 @@ impl Blaster {
         (sum, cout)
     }
 
-    fn ripple_add(
+    /// `a + b + carry` over `width` bits, operand bits read through `a`
+    /// and `b`.
+    fn ripple_add<S: ClauseSink>(
         &mut self,
-        a: &[Lit],
-        b: &[Lit],
+        width: usize,
+        a: impl Fn(&Self, usize) -> Lit,
+        b: impl Fn(&Self, usize) -> Lit,
         mut carry: Lit,
-        sink: &mut impl ClauseSink,
-    ) -> Vec<Lit> {
-        debug_assert_eq!(a.len(), b.len());
-        let mut out = Vec::with_capacity(a.len());
-        for i in 0..a.len() {
-            let (s, c) = self.full_adder(a[i], b[i], carry, sink);
-            out.push(s);
+        sink: &mut S,
+    ) -> Bits {
+        self.push_bits(width, sink, |s, i, sink| {
+            let (sum, c) = s.full_adder(a(s, i), b(s, i), carry, sink);
             carry = c;
-        }
-        out
+            sum
+        })
     }
 
-    fn compare_ult(&mut self, a: &[Lit], b: &[Lit], sink: &mut impl ClauseSink) -> Lit {
+    /// `a <ᵤ b` over `width` bits, operand bits read through `a` and `b`.
+    fn compare_ult(
+        &mut self,
+        width: usize,
+        a: impl Fn(&Self, usize) -> Lit,
+        b: impl Fn(&Self, usize) -> Lit,
+        sink: &mut impl ClauseSink,
+    ) -> Lit {
         // Scan LSB→MSB so the most significant difference decides last.
         let mut res = self.lit_false(sink);
-        for i in 0..a.len() {
-            let lt = self.gate_and(!a[i], b[i], sink);
-            let eq = self.gate_iff(a[i], b[i], sink);
+        for i in 0..width {
+            let (ai, bi) = (a(self, i), b(self, i));
+            let lt = self.gate_and(!ai, bi, sink);
+            let eq = self.gate_iff(ai, bi, sink);
             res = self.gate_ite(eq, res, lt, sink);
         }
         res
@@ -208,204 +256,257 @@ impl Blaster {
 
     /// Blasts a Boolean-sorted term to a literal.
     pub fn blast_bool(&mut self, ts: &TermStore, t: TermId, sink: &mut impl ClauseSink) -> Lit {
-        if let Some(&l) = self.bool_memo.get(&t) {
+        if let Some(&Some(l)) = self.bool_memo.get(t.0 as usize) {
             return l;
         }
         use TermKind::*;
-        let l = match ts.kind(t).clone() {
+        let l = match ts.kind(t) {
             BoolConst(true) => self.lit_true(sink),
             BoolConst(false) => self.lit_false(sink),
             BoolVar(name) => {
-                let v = sink.new_input_var(&name).positive();
-                self.bool_inputs.insert(name, v);
+                let v = sink.new_aux_var().positive();
+                self.bool_inputs.insert(name.clone(), v);
                 v
             }
-            Not(a) => {
+            &Not(a) => {
                 let la = self.blast_bool(ts, a, sink);
                 !la
             }
-            And(a, b) => {
+            &And(a, b) => {
                 let la = self.blast_bool(ts, a, sink);
                 let lb = self.blast_bool(ts, b, sink);
                 self.gate_and(la, lb, sink)
             }
-            Or(a, b) => {
+            &Or(a, b) => {
                 let la = self.blast_bool(ts, a, sink);
                 let lb = self.blast_bool(ts, b, sink);
                 self.gate_or(la, lb, sink)
             }
-            Xor(a, b) => {
+            &Xor(a, b) => {
                 let la = self.blast_bool(ts, a, sink);
                 let lb = self.blast_bool(ts, b, sink);
                 self.gate_xor(la, lb, sink)
             }
-            Implies(a, b) => {
+            &Implies(a, b) => {
                 let la = self.blast_bool(ts, a, sink);
                 let lb = self.blast_bool(ts, b, sink);
                 self.gate_or(!la, lb, sink)
             }
-            Iff(a, b) => {
+            &Iff(a, b) => {
                 let la = self.blast_bool(ts, a, sink);
                 let lb = self.blast_bool(ts, b, sink);
                 self.gate_iff(la, lb, sink)
             }
-            BoolIte(c, a, b) => {
+            &BoolIte(c, a, b) => {
                 let lc = self.blast_bool(ts, c, sink);
                 let la = self.blast_bool(ts, a, sink);
                 let lb = self.blast_bool(ts, b, sink);
                 self.gate_ite(lc, la, lb, sink)
             }
-            Eq(a, b) => {
-                let ba = self.blast_bv(ts, a, sink);
-                let bb = self.blast_bv(ts, b, sink);
-                let iffs: Vec<Lit> = (0..ba.len())
-                    .map(|i| self.gate_iff(ba[i], bb[i], sink))
-                    .collect();
-                self.gate_and_all(&iffs, sink)
+            &Eq(a, b) => {
+                let ba = self.bv(ts, a, sink);
+                let bb = self.bv(ts, b, sink);
+                // All bitwise equivalences first, then their conjunction;
+                // the equivalences only borrow the buffer's tail.
+                let iffs = self.push_bits(ba.len as usize, sink, |s, i, sink| {
+                    s.gate_iff(s.bit(ba, i), s.bit(bb, i), sink)
+                });
+                let mut acc = self.lit_true(sink);
+                for i in 0..iffs.len as usize {
+                    acc = self.gate_and(acc, self.bit(iffs, i), sink);
+                }
+                self.bits.truncate(iffs.start as usize);
+                acc
             }
-            Ult(a, b) => {
-                let ba = self.blast_bv(ts, a, sink);
-                let bb = self.blast_bv(ts, b, sink);
-                self.compare_ult(&ba, &bb, sink)
+            &Ult(a, b) => {
+                let ba = self.bv(ts, a, sink);
+                let bb = self.bv(ts, b, sink);
+                let w = ba.len as usize;
+                self.compare_ult(w, |s, i| s.bit(ba, i), |s, i| s.bit(bb, i), sink)
             }
-            Ule(a, b) => {
-                let ba = self.blast_bv(ts, a, sink);
-                let bb = self.blast_bv(ts, b, sink);
-                !self.compare_ult(&bb, &ba, sink)
+            &Ule(a, b) => {
+                let ba = self.bv(ts, a, sink);
+                let bb = self.bv(ts, b, sink);
+                let w = ba.len as usize;
+                !self.compare_ult(w, |s, i| s.bit(bb, i), |s, i| s.bit(ba, i), sink)
             }
-            Slt(a, b) => {
-                let mut ba = self.blast_bv(ts, a, sink);
-                let mut bb = self.blast_bv(ts, b, sink);
+            &Slt(a, b) | &Sle(a, b) => {
+                let ba = self.bv(ts, a, sink);
+                let bb = self.bv(ts, b, sink);
+                let w = ba.len as usize;
                 // Flip sign bits: slt(a,b) = ult(a ⊕ MSB, b ⊕ MSB).
-                let msb = ba.len() - 1;
-                ba[msb] = !ba[msb];
-                bb[msb] = !bb[msb];
-                self.compare_ult(&ba, &bb, sink)
-            }
-            Sle(a, b) => {
-                let mut ba = self.blast_bv(ts, a, sink);
-                let mut bb = self.blast_bv(ts, b, sink);
-                let msb = ba.len() - 1;
-                ba[msb] = !ba[msb];
-                bb[msb] = !bb[msb];
-                !self.compare_ult(&bb, &ba, sink)
+                let flipped = |x: Bits| {
+                    move |s: &Self, i: usize| {
+                        let l = s.bit(x, i);
+                        if i + 1 == w {
+                            !l
+                        } else {
+                            l
+                        }
+                    }
+                };
+                if matches!(ts.kind(t), Slt(..)) {
+                    self.compare_ult(w, flipped(ba), flipped(bb), sink)
+                } else {
+                    !self.compare_ult(w, flipped(bb), flipped(ba), sink)
+                }
             }
             k => panic!("blast_bool on non-Boolean term {k:?}"),
         };
-        self.bool_memo.insert(t, l);
+        memoize(&mut self.bool_memo, t, l);
         l
     }
 
     /// Blasts a bit-vector-sorted term to its bits (LSB first).
     pub fn blast_bv(&mut self, ts: &TermStore, t: TermId, sink: &mut impl ClauseSink) -> Vec<Lit> {
-        if let Some(bits) = self.bv_memo.get(&t) {
-            return bits.clone();
+        let b = self.bv(ts, t, sink);
+        self.slice(b).to_vec()
+    }
+
+    /// [`Self::blast_bv`] into the bit buffer.
+    fn bv<S: ClauseSink>(&mut self, ts: &TermStore, t: TermId, sink: &mut S) -> Bits {
+        if let Some(&Some(b)) = self.bv_memo.get(t.0 as usize) {
+            return b;
         }
         use TermKind::*;
-        let bits = match ts.kind(t).clone() {
-            BvConst { value, width } => {
+        let w = ts.width(t) as usize;
+        let bits = match ts.kind(t) {
+            &BvConst { value, .. } => {
                 let tl = self.lit_true(sink);
-                (0..width)
-                    .map(|i| if (value >> i) & 1 == 1 { tl } else { !tl })
-                    .collect()
+                self.push_bits(
+                    w,
+                    sink,
+                    |_, i, _| {
+                        if (value >> i) & 1 == 1 {
+                            tl
+                        } else {
+                            !tl
+                        }
+                    },
+                )
             }
-            BvVar { name, width } => {
-                let bits: Vec<Lit> = (0..width)
-                    .map(|i| sink.new_input_var(&format!("{name}[{i}]")).positive())
-                    .collect();
-                self.bv_inputs.insert(name, bits.clone());
+            BvVar { name, .. } => {
+                let bits = self.push_bits(w, sink, |_, _, sink| sink.new_aux_var().positive());
+                self.bv_inputs
+                    .insert(name.clone(), self.slice(bits).to_vec());
                 bits
             }
-            BvAdd(a, b) => {
-                let ba = self.blast_bv(ts, a, sink);
-                let bb = self.blast_bv(ts, b, sink);
+            &BvAdd(a, b) => {
+                let ba = self.bv(ts, a, sink);
+                let bb = self.bv(ts, b, sink);
                 let zero = self.lit_false(sink);
-                self.ripple_add(&ba, &bb, zero, sink)
+                self.ripple_add(w, |s, i| s.bit(ba, i), |s, i| s.bit(bb, i), zero, sink)
             }
-            BvSub(a, b) => {
-                let ba = self.blast_bv(ts, a, sink);
-                let bb: Vec<Lit> = self.blast_bv(ts, b, sink).iter().map(|&l| !l).collect();
+            &BvSub(a, b) => {
+                let ba = self.bv(ts, a, sink);
+                let bb = self.bv(ts, b, sink);
                 let one = self.lit_true(sink);
-                self.ripple_add(&ba, &bb, one, sink)
+                self.ripple_add(w, |s, i| s.bit(ba, i), |s, i| !s.bit(bb, i), one, sink)
             }
-            BvNeg(a) => {
-                let ba: Vec<Lit> = self.blast_bv(ts, a, sink).iter().map(|&l| !l).collect();
+            &BvNeg(a) => {
+                let ba = self.bv(ts, a, sink);
                 let zero = self.lit_false(sink);
-                let zeros = vec![zero; ba.len()];
                 let one = self.lit_true(sink);
-                self.ripple_add(&ba, &zeros, one, sink)
+                self.ripple_add(w, |s, i| !s.bit(ba, i), |_, _| zero, one, sink)
             }
-            BvNot(a) => self.blast_bv(ts, a, sink).iter().map(|&l| !l).collect(),
-            BvAnd(a, b) => {
-                let ba = self.blast_bv(ts, a, sink);
-                let bb = self.blast_bv(ts, b, sink);
-                (0..ba.len())
-                    .map(|i| self.gate_and(ba[i], bb[i], sink))
-                    .collect()
+            &BvNot(a) => {
+                let ba = self.bv(ts, a, sink);
+                self.push_bits(w, sink, |s, i, _| !s.bit(ba, i))
             }
-            BvOr(a, b) => {
-                let ba = self.blast_bv(ts, a, sink);
-                let bb = self.blast_bv(ts, b, sink);
-                (0..ba.len())
-                    .map(|i| self.gate_or(ba[i], bb[i], sink))
-                    .collect()
+            &BvAnd(a, b) => {
+                let ba = self.bv(ts, a, sink);
+                let bb = self.bv(ts, b, sink);
+                self.push_bits(w, sink, |s, i, sink| {
+                    s.gate_and(s.bit(ba, i), s.bit(bb, i), sink)
+                })
             }
-            BvXor(a, b) => {
-                let ba = self.blast_bv(ts, a, sink);
-                let bb = self.blast_bv(ts, b, sink);
-                (0..ba.len())
-                    .map(|i| self.gate_xor(ba[i], bb[i], sink))
-                    .collect()
+            &BvOr(a, b) => {
+                let ba = self.bv(ts, a, sink);
+                let bb = self.bv(ts, b, sink);
+                self.push_bits(w, sink, |s, i, sink| {
+                    s.gate_or(s.bit(ba, i), s.bit(bb, i), sink)
+                })
             }
-            BvShlConst(a, by) => {
-                let ba = self.blast_bv(ts, a, sink);
+            &BvXor(a, b) => {
+                let ba = self.bv(ts, a, sink);
+                let bb = self.bv(ts, b, sink);
+                self.push_bits(w, sink, |s, i, sink| {
+                    s.gate_xor(s.bit(ba, i), s.bit(bb, i), sink)
+                })
+            }
+            &BvShlConst(a, by) => {
+                let ba = self.bv(ts, a, sink);
                 let zero = self.lit_false(sink);
                 let by = by as usize;
-                let mut out = vec![zero; by];
-                out.extend_from_slice(&ba[..ba.len() - by]);
-                out
+                self.push_bits(
+                    w,
+                    sink,
+                    |s, i, _| {
+                        if i < by {
+                            zero
+                        } else {
+                            s.bit(ba, i - by)
+                        }
+                    },
+                )
             }
-            BvLshrConst(a, by) => {
-                let ba = self.blast_bv(ts, a, sink);
+            &BvLshrConst(a, by) => {
+                let ba = self.bv(ts, a, sink);
                 let zero = self.lit_false(sink);
                 let by = by as usize;
-                let mut out = ba[by..].to_vec();
-                out.extend(std::iter::repeat_n(zero, by));
-                out
+                self.push_bits(
+                    w,
+                    sink,
+                    |s, i, _| {
+                        if i + by < w {
+                            s.bit(ba, i + by)
+                        } else {
+                            zero
+                        }
+                    },
+                )
             }
-            BvMul(a, b) => {
-                let ba = self.blast_bv(ts, a, sink);
-                let bb = self.blast_bv(ts, b, sink);
-                let w = ba.len();
+            &BvMul(a, b) => {
+                let ba = self.bv(ts, a, sink);
+                let bb = self.bv(ts, b, sink);
                 let zero = self.lit_false(sink);
-                // Shift-add: start with a & replicate(b[0]).
-                let mut acc: Vec<Lit> = (0..w).map(|j| self.gate_and(ba[j], bb[0], sink)).collect();
+                // Shift-add: start with a & replicate(b[0]). The partial
+                // products and sums sit in the buffer's tail until the
+                // final sum moves down over them.
+                let start = self.bits.len();
+                let mut acc = self.push_bits(w, sink, |s, j, sink| {
+                    s.gate_and(s.bit(ba, j), s.bit(bb, 0), sink)
+                });
                 for i in 1..w {
-                    let row: Vec<Lit> = (0..w)
-                        .map(|j| {
-                            if j < i {
-                                zero
-                            } else {
-                                self.gate_and(ba[j - i], bb[i], sink)
-                            }
-                        })
-                        .collect();
-                    acc = self.ripple_add(&acc, &row, zero, sink);
+                    let row = self.push_bits(w, sink, |s, j, sink| {
+                        if j < i {
+                            zero
+                        } else {
+                            s.gate_and(s.bit(ba, j - i), s.bit(bb, i), sink)
+                        }
+                    });
+                    acc =
+                        self.ripple_add(w, |s, j| s.bit(acc, j), |s, j| s.bit(row, j), zero, sink);
                 }
-                acc
+                self.bits.copy_within(acc.start as usize.., start);
+                self.bits.truncate(start + w);
+                Bits {
+                    start: start as u32,
+                    len: w as u32,
+                }
             }
-            BvIte(c, a, b) => {
+            &BvIte(c, a, b) => {
                 let lc = self.blast_bool(ts, c, sink);
-                let ba = self.blast_bv(ts, a, sink);
-                let bb = self.blast_bv(ts, b, sink);
-                (0..ba.len())
-                    .map(|i| self.gate_ite(lc, ba[i], bb[i], sink))
-                    .collect()
+                let ba = self.bv(ts, a, sink);
+                let bb = self.bv(ts, b, sink);
+                self.push_bits(w, sink, |s, i, sink| {
+                    s.gate_ite(lc, s.bit(ba, i), s.bit(bb, i), sink)
+                })
             }
             k => panic!("blast_bv on non-bit-vector term {k:?}"),
         };
-        debug_assert_eq!(bits.len() as u32, ts.width(t));
-        self.bv_memo.insert(t, bits.clone());
+        debug_assert_eq!(bits.len as usize, w);
+        memoize(&mut self.bv_memo, t, bits);
         bits
     }
 
@@ -426,20 +527,20 @@ impl Blaster {
         b: TermId,
         sink: &mut impl ClauseSink,
     ) {
-        let ba = self.blast_bv(ts, a, sink);
-        let bb = self.blast_bv(ts, b, sink);
-        debug_assert_eq!(ba.len(), bb.len());
-        let neg: Vec<Lit> = premises.iter().map(|&p| !p).collect();
-        for i in 0..ba.len() {
-            let mut c1 = neg.clone();
-            c1.push(!ba[i]);
-            c1.push(bb[i]);
-            sink.add_clause_sink(&c1);
-            let mut c2 = neg.clone();
-            c2.push(ba[i]);
-            c2.push(!bb[i]);
-            sink.add_clause_sink(&c2);
+        let ba = self.bv(ts, a, sink);
+        let bb = self.bv(ts, b, sink);
+        debug_assert_eq!(ba.len, bb.len);
+        let mut clause = std::mem::take(&mut self.clause);
+        for i in 0..ba.len as usize {
+            let (ai, bi) = (self.bit(ba, i), self.bit(bb, i));
+            for (x, y) in [(!ai, bi), (ai, !bi)] {
+                clause.clear();
+                clause.extend(premises.iter().map(|&p| !p));
+                clause.extend([x, y]);
+                sink.add_clause_sink(&clause);
+            }
         }
+        self.clause = clause;
     }
 }
 

@@ -14,7 +14,9 @@
 #![warn(missing_docs)]
 
 pub mod blast;
+pub mod hash;
 pub mod term;
 
 pub use blast::{lits_to_u64, Blaster, ClauseSink};
+pub use hash::FastMap;
 pub use term::{sign_extend, truncate, Sort, TermId, TermKind, TermStore, Value};

@@ -6,7 +6,7 @@
 //! `1 ≤ width ≤ 64` (evaluation uses `u64` semantics, wrapping arithmetic,
 //! like machine integers in the encoded programs).
 
-use std::collections::HashMap;
+use crate::hash::FastMap;
 
 /// Handle to a term in a [`TermStore`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -182,7 +182,7 @@ impl TermKind {
 pub struct TermStore {
     kinds: Vec<TermKind>,
     sorts: Vec<Sort>,
-    cons: HashMap<TermKind, TermId>,
+    cons: FastMap<TermKind, TermId>,
 }
 
 impl TermStore {

@@ -89,10 +89,7 @@ pub fn prior_to(k1: VarKind, k2: VarKind, refinements: Refinements) -> bool {
 /// yields exactly the `ZPRE⁻` list). Returns raw variable indices for a
 /// [`zpre_sat::PriorityListGuide`].
 pub fn decision_order(registry: &VarRegistry, refinements: Refinements) -> Vec<u32> {
-    let mut vars: Vec<(Var, VarKind)> = registry
-        .interference_vars()
-        .map(|(v, info)| (v, info.kind))
-        .collect();
+    let mut vars: Vec<(Var, VarKind)> = registry.interference_vars().collect();
     // `prior_to` is a strict *partial* order, so comparing incomparable
     // pairs by index does not give `sort_by` the total order it requires
     // (e.g. under H4-only, rf(w=5, idx 100) < rf(w=2, idx 1) < ws(idx 50)
@@ -123,6 +120,16 @@ pub fn decision_order(registry: &VarRegistry, refinements: Refinements) -> Vec<u
 mod tests {
     use super::*;
     use zpre_smt::VarRegistry;
+
+    /// Registers `var` under `kind`, with `name` when `kind` is an
+    /// interference class (the only variables the registry names).
+    fn register(reg: &mut VarRegistry, var: Var, kind: VarKind, name: impl Into<String>) {
+        if kind.is_interference() {
+            reg.register_interference(var, kind, name.into());
+        } else {
+            reg.register(var, kind);
+        }
+    }
 
     fn rf(external: bool, writes: u32) -> VarKind {
         VarKind::Rf { external, writes }
@@ -181,10 +188,10 @@ mod tests {
     #[test]
     fn no_refinements_keeps_registration_order() {
         let mut reg = VarRegistry::new();
-        reg.register(Var::new(0), VarKind::Ws, "ws_0");
-        reg.register(Var::new(1), rf(true, 2), "rf_1");
-        reg.register(Var::new(2), VarKind::Ssa, "ssa");
-        reg.register(Var::new(3), rf(false, 1), "rf_3");
+        register(&mut reg, Var::new(0), VarKind::Ws, "ws_0");
+        register(&mut reg, Var::new(1), rf(true, 2), "rf_1");
+        register(&mut reg, Var::new(2), VarKind::Ssa, "ssa");
+        register(&mut reg, Var::new(3), rf(false, 1), "rf_3");
         let order = decision_order(&reg, Refinements::none());
         assert_eq!(order, vec![0, 1, 3]); // interference only, as registered
     }
@@ -192,11 +199,11 @@ mod tests {
     #[test]
     fn full_order_sorts_by_heuristics() {
         let mut reg = VarRegistry::new();
-        reg.register(Var::new(0), VarKind::Ws, "ws_a");
-        reg.register(Var::new(1), rf(false, 4), "rf_int");
-        reg.register(Var::new(2), rf(true, 1), "rf_ext_small");
-        reg.register(Var::new(3), rf(true, 7), "rf_ext_big");
-        reg.register(Var::new(4), VarKind::Ssa, "ssa");
+        register(&mut reg, Var::new(0), VarKind::Ws, "ws_a");
+        register(&mut reg, Var::new(1), rf(false, 4), "rf_int");
+        register(&mut reg, Var::new(2), rf(true, 1), "rf_ext_small");
+        register(&mut reg, Var::new(3), rf(true, 7), "rf_ext_big");
+        register(&mut reg, Var::new(4), VarKind::Ssa, "ssa");
         let order = decision_order(&reg, Refinements::all());
         // external big, external small, internal, ws.
         assert_eq!(order, vec![3, 2, 1, 0]);
@@ -232,7 +239,7 @@ mod tests {
                     1 => VarKind::Ssa,
                     _ => rf(next() % 2 == 0, (next() % 6) as u32),
                 };
-                reg.register(Var::new(i), kind, format!("v{i}"));
+                register(&mut reg, Var::new(i), kind, format!("v{i}"));
                 kinds.push(if kind.is_interference() {
                     Some(kind)
                 } else {
@@ -276,9 +283,9 @@ mod tests {
             more_writes_first: true,
         };
         let mut reg = VarRegistry::new();
-        reg.register(Var::new(1), rf(false, 2), "rf_small");
-        reg.register(Var::new(50), VarKind::Ws, "ws");
-        reg.register(Var::new(100), rf(false, 5), "rf_big");
+        register(&mut reg, Var::new(1), rf(false, 2), "rf_small");
+        register(&mut reg, Var::new(50), VarKind::Ws, "ws");
+        register(&mut reg, Var::new(100), rf(false, 5), "rf_big");
         let order = decision_order(&reg, refinements);
         let pos = |v: u32| order.iter().position(|&x| x == v).unwrap();
         assert!(
@@ -290,8 +297,8 @@ mod tests {
     #[test]
     fn h4_only_orders_by_writes_ignoring_locality() {
         let mut reg = VarRegistry::new();
-        reg.register(Var::new(0), rf(false, 9), "rf_int_big");
-        reg.register(Var::new(1), rf(true, 2), "rf_ext_small");
+        register(&mut reg, Var::new(0), rf(false, 9), "rf_int_big");
+        register(&mut reg, Var::new(1), rf(true, 2), "rf_ext_small");
         let refinements = Refinements {
             rf_before_ws: true,
             external_first: false,

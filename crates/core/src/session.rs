@@ -112,8 +112,8 @@ impl<'a> Session<'a> {
 
         // The solver's class table splits its decision counts and gives
         // external-RF clauses the relaxed share-export cap.
-        for (v, info) in enc.registry.iter() {
-            solver.set_var_class(v, info.kind.class());
+        for (v, kind) in enc.registry.iter() {
+            solver.set_var_class(v, kind.class());
         }
         if let Some(r) = rec {
             let sink: Arc<dyn zpre_obs::EventSink> = Arc::new(r.clone());

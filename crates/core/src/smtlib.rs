@@ -45,9 +45,9 @@ pub fn dump_smtlib(prog: &Program, opts: &VerifyOptions) -> Result<String, Verif
     let theory = &solver.theory;
 
     let names: Vec<String> = (0..solver.num_vars())
-        .map(|i| match session.enc.registry.info(Var::new(i as u32)) {
-            Some(info) if info.kind.is_interference() => quote(&info.name),
-            _ => format!("v{i}"),
+        .map(|i| match session.enc.registry.name(Var::new(i as u32)) {
+            Some(name) => quote(name),
+            None => format!("v{i}"),
         })
         .collect();
     let lit = |l: Lit| {

@@ -136,8 +136,8 @@ impl<'a> ModelView<'a> {
         for (a, b) in po_pairs(self.ssa, mm) {
             add(a, b);
         }
-        for (v, info) in self.enc.registry.iter() {
-            if !matches!(info.kind, VarKind::Ord | VarKind::Ws) {
+        for (v, kind) in self.enc.registry.iter() {
+            if !matches!(kind, VarKind::Ord | VarKind::Ws) {
                 continue;
             }
             // cs/atomic selectors are not atoms themselves.

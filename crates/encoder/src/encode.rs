@@ -23,10 +23,9 @@
 //! (`rf_<rt>_<ri>_<wt>_<wi>`), which is how the frontend communicates
 //! thread information to the solver-side decision-order generator.
 
-use std::collections::HashMap;
 use zpre_analysis::prune::PruneReport;
 use zpre_analysis::{po_pairs, PoClosure};
-use zpre_bv::{Blaster, ClauseSink, Sort, TermId, TermKind, TermStore};
+use zpre_bv::{Blaster, ClauseSink, FastMap, Sort, TermId, TermKind, TermStore};
 use zpre_obs::{Phase, Recorder};
 use zpre_prog::ssa::{EventKind, SsaProgram};
 use zpre_prog::MemoryModel;
@@ -98,7 +97,7 @@ pub struct Encoded {
     pub resolved_reads: Vec<ResolvedRead>,
     /// Write pairs whose serialization polarity was fixed statically, in
     /// both key orders: `(a, b) → true` means `a` definitely before `b`.
-    pub ws_fixed: HashMap<(usize, usize), bool>,
+    pub ws_fixed: FastMap<(usize, usize), bool>,
 }
 
 /// A structural problem with the encoding input, reported instead of a
@@ -163,7 +162,8 @@ impl std::fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-/// Sink wrapper that classifies every blaster-created variable as `V_ssa`.
+/// Sink wrapper that classifies every blaster-created variable (gate
+/// outputs and input bits alike) as `V_ssa`.
 struct RegSink<'a, G: DecisionGuide> {
     solver: &'a mut Solver<OrderTheory, G>,
     registry: &'a mut VarRegistry,
@@ -172,13 +172,7 @@ struct RegSink<'a, G: DecisionGuide> {
 impl<G: DecisionGuide> ClauseSink for RegSink<'_, G> {
     fn new_aux_var(&mut self) -> Var {
         let v = self.solver.new_var();
-        self.registry
-            .register(v, VarKind::Ssa, format!("aux{}", v.index()));
-        v
-    }
-    fn new_input_var(&mut self, name: &str) -> Var {
-        let v = self.solver.new_var();
-        self.registry.register(v, VarKind::Ssa, name);
+        self.registry.register(v, VarKind::Ssa);
         v
     }
     fn add_clause_sink(&mut self, lits: &[Lit]) -> bool {
@@ -259,14 +253,29 @@ pub fn try_encode_opts<G: DecisionGuide>(
         .iter()
         .map(|_| solver.theory.add_node())
         .collect();
-    let pairs = po_pairs(ssa, mm);
-    for &(a, b) in &pairs {
+    // A prune report carries the program order it was computed on.
+    let own_pairs;
+    let pairs: &[(usize, usize)] = match prune {
+        Some(rep) => &rep.po.pairs,
+        None => {
+            own_pairs = po_pairs(ssa, mm);
+            &own_pairs
+        }
+    };
+    for &(a, b) in pairs {
         let ok = solver.theory.add_fixed_edge(event_nodes[a], event_nodes[b]);
         if !ok {
             return Err(EncodeError::CyclicProgramOrder);
         }
     }
-    let closure = PoClosure::new(ssa.events.len(), &pairs);
+    let own_closure;
+    let closure: &PoClosure = match prune {
+        Some(rep) => &rep.po.closure,
+        None => {
+            own_closure = PoClosure::new(ssa.events.len(), pairs);
+            &own_closure
+        }
+    };
 
     // --- Φ_ssa -------------------------------------------------------------
     let blast_span = rec.map(|r| r.span(Phase::Blast));
@@ -353,7 +362,7 @@ pub fn try_encode_opts<G: DecisionGuide>(
 
     // --- Ordering-atom cache (V_ord) ----------------------------------------
     // One two-sided atom per unordered node pair; `lit` means a→b.
-    let mut ord_cache: HashMap<(usize, usize), Lit> = HashMap::new();
+    let mut ord_cache: FastMap<(usize, usize), Lit> = FastMap::default();
     let mut get_ord = |a: usize,
                        b: usize,
                        solver: &mut Solver<OrderTheory, G>,
@@ -363,7 +372,7 @@ pub fn try_encode_opts<G: DecisionGuide>(
             return l;
         }
         let v = solver.new_var();
-        registry.register(v, VarKind::Ord, format!("ord_{a}_{b}"));
+        registry.register(v, VarKind::Ord);
         solver
             .theory
             .register_atom(v, NodeId(a as u32), NodeId(b as u32));
@@ -374,12 +383,22 @@ pub fn try_encode_opts<G: DecisionGuide>(
     };
 
     // --- Reads, writes per shared variable ----------------------------------
-    let analysis = access_analysis(ssa, &closure);
+    let analysis = access_analysis(ssa);
     let writes_of = &analysis.writes_of;
+    // Without a prune report the candidates are the plain MHB filtering.
+    let own_candidates;
+    let candidates_of: &[Vec<usize>] = match prune {
+        Some(rep) => &rep.candidates,
+        None => {
+            own_candidates = rf_candidates(ssa, closure, &analysis);
+            &own_candidates
+        }
+    };
 
     // --- Φ_rf and Φ_rf_some ---------------------------------------------------
     let mut rf_vars: Vec<RfVar> = Vec::new();
-    let mut rf_of_read: Vec<Vec<usize>> = vec![Vec::new(); ssa.events.len()];
+    // One buffer for every Φ_rf_some and Φ_fr clause.
+    let mut clause: Vec<Lit> = Vec::new();
     for reads in &analysis.reads_of {
         for &r in reads {
             // With a prune report: resolved reads were handled in Φ_ssa
@@ -388,17 +407,15 @@ pub fn try_encode_opts<G: DecisionGuide>(
             if prune.is_some_and(|rep| rep.resolved[r].is_some()) {
                 continue;
             }
-            let candidates: &[usize] = match prune {
-                Some(rep) => &rep.candidates[r],
-                None => &analysis.candidates[r],
-            };
+            let candidates: &[usize] = &candidates_of[r];
             let writes = candidates.len() as u32;
             let rev = &ssa.events[r];
-            let mut some_clause: Vec<Lit> = vec![!guard_lits[r]];
+            clause.clear();
+            clause.push(!guard_lits[r]);
             for &w in candidates {
                 let wev = &ssa.events[w];
                 let var = solver.new_var();
-                registry.register(
+                registry.register_interference(
                     var,
                     VarKind::Rf {
                         external: wev.thread != rev.thread,
@@ -423,23 +440,22 @@ pub fn try_encode_opts<G: DecisionGuide>(
                 }
                 // rf → guard(w)
                 solver.add_clause(&[!f, guard_lits[w]]);
-                rf_of_read[r].push(rf_vars.len());
                 rf_vars.push(RfVar {
                     var,
                     read: r,
                     write: w,
                 });
-                some_clause.push(f);
+                clause.push(f);
             }
             // Φ_rf_some: an executed read takes its value from some write.
-            solver.add_clause(&some_clause);
+            solver.add_clause(&clause);
         }
     }
 
     // --- Φ_ws ------------------------------------------------------------------
     let mut ws_vars: Vec<WsVar> = Vec::new();
-    let mut ws_lit: HashMap<(usize, usize), Lit> = HashMap::new();
-    let mut ws_fixed: HashMap<(usize, usize), bool> = HashMap::new();
+    let mut ws_lit: FastMap<(usize, usize), Lit> = FastMap::default();
+    let mut ws_fixed: FastMap<(usize, usize), bool> = FastMap::default();
     for ws in writes_of.iter() {
         for i in 0..ws.len() {
             for j in i + 1..ws.len() {
@@ -465,7 +481,7 @@ pub fn try_encode_opts<G: DecisionGuide>(
                 }
                 let var = solver.new_var();
                 let (e1, e2) = (&ssa.events[w1], &ssa.events[w2]);
-                registry.register(
+                registry.register_interference(
                     var,
                     VarKind::Ws,
                     ws_name(e1.thread, e1.pos, e2.thread, e2.pos),
@@ -512,7 +528,8 @@ pub fn try_encode_opts<G: DecisionGuide>(
             if closure.reaches(rf.read, k) {
                 continue; // order already guaranteed by po
             }
-            let mut clause = vec![!f, !guard_lits[k]];
+            clause.clear();
+            clause.extend([!f, !guard_lits[k]]);
             if let Some(before) = before {
                 clause.push(!before);
             }
@@ -536,9 +553,9 @@ pub fn try_encode_opts<G: DecisionGuide>(
         }
         let mut sections: Vec<Cs> = Vec::new();
         // `(lock a, lock b) → s`: true ⇔ the section opened by `a` first.
-        let mut section_order: HashMap<(usize, usize), Lit> = HashMap::new();
+        let mut section_order: FastMap<(usize, usize), Lit> = FastMap::default();
         for t in 0..ssa.num_threads() {
-            let mut stacks: HashMap<usize, Vec<usize>> = HashMap::new();
+            let mut stacks: FastMap<usize, Vec<usize>> = FastMap::default();
             for e in ssa.thread_events(t) {
                 match e.kind {
                     EventKind::Lock { mutex } => stacks.entry(mutex).or_default().push(e.id),
@@ -568,7 +585,7 @@ pub fn try_encode_opts<G: DecisionGuide>(
                     continue;
                 }
                 let var = solver.new_var();
-                registry.register(
+                registry.register_interference(
                     var,
                     VarKind::Ws,
                     format!("ws_cs_{}_{}_{}_{}", a.thread, a.lock, b.thread, b.lock),
@@ -613,7 +630,7 @@ pub fn try_encode_opts<G: DecisionGuide>(
                 continue;
             }
             let var = solver.new_var();
-            registry.register(
+            registry.register_interference(
                 var,
                 VarKind::Ws,
                 format!("ws_at_{}_{}_{}", bi, e.thread, e.pos),
@@ -645,23 +662,17 @@ pub fn try_encode_opts<G: DecisionGuide>(
     })
 }
 
-/// Read/write inventory and read-from candidate sets, shared between the
-/// solver-level encoding and the CNF size estimate.
+/// Read/write inventory, shared between the solver-level encoding and the
+/// CNF size estimate.
 pub(crate) struct AccessAnalysis {
     /// Write event ids per shared variable.
     pub writes_of: Vec<Vec<usize>>,
     /// Read event ids per shared variable.
     pub reads_of: Vec<Vec<usize>>,
-    /// Read-from candidate writes per *read event id* (empty for
-    /// non-reads): writes not program-order after the read and not provably
-    /// shadowed by an always-executed intermediate write.
-    pub candidates: Vec<Vec<usize>>,
 }
 
-/// Computes the access inventory of `ssa` with respect to the program-order
-/// closure.
-pub(crate) fn access_analysis(ssa: &SsaProgram, closure: &PoClosure) -> AccessAnalysis {
-    let ts = &ssa.store;
+/// Computes the access inventory of `ssa`.
+pub(crate) fn access_analysis(ssa: &SsaProgram) -> AccessAnalysis {
     let num_vars = ssa.shared_names.len();
     let mut writes_of: Vec<Vec<usize>> = vec![Vec::new(); num_vars];
     let mut reads_of: Vec<Vec<usize>> = vec![Vec::new(); num_vars];
@@ -672,10 +683,26 @@ pub(crate) fn access_analysis(ssa: &SsaProgram, closure: &PoClosure) -> AccessAn
             _ => {}
         }
     }
+    AccessAnalysis {
+        writes_of,
+        reads_of,
+    }
+}
+
+/// Read-from candidate writes per *read event id* (empty for non-reads):
+/// writes not program-order after the read and not provably shadowed by
+/// an always-executed intermediate write.
+pub(crate) fn rf_candidates(
+    ssa: &SsaProgram,
+    closure: &PoClosure,
+    analysis: &AccessAnalysis,
+) -> Vec<Vec<usize>> {
+    let ts = &ssa.store;
+    let writes_of = &analysis.writes_of;
     let always_true_guard =
         |eid: usize| matches!(ts.kind(ssa.events[eid].guard), TermKind::BoolConst(true));
     let mut candidates: Vec<Vec<usize>> = vec![Vec::new(); ssa.events.len()];
-    for (v, reads) in reads_of.iter().enumerate() {
+    for (v, reads) in analysis.reads_of.iter().enumerate() {
         for &r in reads {
             candidates[r] = writes_of[v]
                 .iter()
@@ -692,11 +719,7 @@ pub(crate) fn access_analysis(ssa: &SsaProgram, closure: &PoClosure) -> AccessAn
                 .collect();
         }
     }
-    AccessAnalysis {
-        writes_of,
-        reads_of,
-        candidates,
-    }
+    candidates
 }
 
 /// A coarse pre-blast size estimate of the verification condition.
@@ -773,7 +796,8 @@ pub fn estimate_cnf(ssa: &SsaProgram, mm: MemoryModel) -> Result<CnfEstimate, En
         }
     }
     let closure = PoClosure::new(ssa.events.len(), &pairs);
-    let analysis = access_analysis(ssa, &closure);
+    let analysis = access_analysis(ssa);
+    let candidates = rf_candidates(ssa, &closure, &analysis);
 
     // Data path: price every hash-consed term once (the blaster memoizes).
     let mut vars: u64 = 0;
@@ -804,7 +828,7 @@ pub fn estimate_cnf(ssa: &SsaProgram, mm: MemoryModel) -> Result<CnfEstimate, En
         }
     };
     let mut rf_selectors: u64 = 0;
-    for (r, cands) in analysis.candidates.iter().enumerate() {
+    for (r, cands) in candidates.iter().enumerate() {
         if cands.is_empty() {
             continue;
         }
@@ -917,7 +941,7 @@ mod tests {
             Solver::with_parts(OrderTheory::new(), NoGuide);
         let enc = encode(&ssa, MemoryModel::Sc, &mut solver);
         let rf = enc.rf_vars[0];
-        let name = &enc.registry.info(rf.var).unwrap().name;
+        let name = enc.registry.name(rf.var).unwrap();
         assert!(name.starts_with("rf_"), "{name}");
         assert_eq!(name.split('_').count(), 5, "{name}");
     }

@@ -102,8 +102,7 @@ impl SweepFrames {
             "frames must be encoded in order"
         );
         let v = solver.new_var();
-        base.registry
-            .register(v, VarKind::Ssa, format!("frame!g{k}"));
+        base.registry.register(v, VarKind::Ssa);
         let g = v.positive();
         let cutoff = self.max_bound - k;
         for &(r, m) in &self.markers {

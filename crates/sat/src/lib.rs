@@ -36,6 +36,7 @@
 pub mod clause;
 pub mod guide;
 pub mod heap;
+pub mod lists;
 pub mod lit;
 pub mod proof;
 pub mod share;
@@ -45,6 +46,7 @@ pub mod theory;
 
 pub use clause::{CRef, ClauseDb};
 pub use guide::{AssignView, DecisionGuide, NoGuide, PriorityListGuide};
+pub use lists::Lists;
 pub use lit::{LBool, Lit, Var};
 pub use proof::{Proof, ProofStep};
 pub use share::{MemberEndpoint, ShareClass, ShareConfig, ShareSpec, SharedClause, SharedPool};

@@ -19,6 +19,7 @@ use zpre_obs::{Event, EventSink, VarClass};
 
 use crate::clause::{CRef, ClauseDb};
 use crate::guide::{AssignView, DecisionGuide, NoGuide};
+use crate::lists::Lists;
 use crate::lit::{LBool, Lit, Var};
 use crate::proof::Proof;
 use crate::share::{MemberEndpoint, ShareClass, ShareSpec, SharedClause};
@@ -123,7 +124,10 @@ pub struct Solver<T: Theory = NoTheory, G: DecisionGuide = NoGuide> {
     pub guide: G,
 
     db: ClauseDb,
-    watches: Vec<Vec<Watcher>>,
+    /// Watch lists by literal code, in one [`Lists`] family.
+    watches: Lists<Watcher>,
+    /// Normalization buffer of [`Self::add_clause`], reused across calls.
+    intake: Vec<Lit>,
 
     /// The value of each literal, by literal code (both literals of a
     /// variable are written together), so a literal's value is one load.
@@ -214,7 +218,8 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             theory,
             guide,
             db: ClauseDb::new(),
-            watches: Vec::new(),
+            watches: Lists::new(),
+            intake: Vec::new(),
             lit_values: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -267,8 +272,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         self.seen.push(0);
         self.lbd_stamp.push(0);
         self.var_class.push(VarClass::Other);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        self.watches.add_lists(2);
         self.order.insert(v, &self.activity);
         v
     }
@@ -608,8 +612,20 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         if self.proof.is_some() {
             self.logged_cnf.push(lits.to_vec());
         }
-        // Normalize: sort, dedup, drop false lits, detect tautology/sat.
-        let mut c: Vec<Lit> = lits.to_vec();
+        // Normalize in the reusable intake buffer.
+        let mut c = std::mem::take(&mut self.intake);
+        c.clear();
+        c.extend_from_slice(lits);
+        let ok = self.add_normalized(&mut c, lits.len());
+        self.intake = c;
+        ok
+    }
+
+    /// Sorts and dedups the copy `c` of an input clause of `input_len`
+    /// literals, drops its root-false literals, and adds what remains:
+    /// nothing for a tautology or a root-satisfied clause, a root unit, or
+    /// an arena clause.
+    fn add_normalized(&mut self, c: &mut Vec<Lit>, input_len: usize) -> bool {
         c.sort_unstable();
         c.dedup();
         let mut w = 0;
@@ -630,12 +646,12 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         c.truncate(w);
         // Record root-level strengthenings (dropped false/duplicate
         // literals yield a RUP-derivable subset of the input clause).
-        if c.len() < lits.len() {
-            self.proof_add(&c.clone());
+        if c.len() < input_len {
+            self.proof_add(c);
         }
         match c.len() {
             0 => {
-                if lits.is_empty() {
+                if input_len == 0 {
                     // Not covered by the strengthening emission above.
                     self.proof_add(&[]);
                 }
@@ -647,7 +663,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                 true
             }
             _ => {
-                let cr = self.db.add(&c, false);
+                let cr = self.db.add(c, false);
                 self.attach(cr);
                 true
             }
@@ -657,8 +673,10 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
     fn attach(&mut self, cr: CRef) {
         let lits = self.db.lits(cr);
         let (w0, w1, binary) = (lits[0], lits[1], lits.len() == 2);
-        self.watches[(!w0).code()].push(Watcher::new(cr, w1, binary));
-        self.watches[(!w1).code()].push(Watcher::new(cr, w0, binary));
+        self.watches
+            .push((!w0).code(), Watcher::new(cr, w1, binary));
+        self.watches
+            .push((!w1).code(), Watcher::new(cr, w0, binary));
     }
 
     /// Assigns `lit` true. Returns `false` if it is already false.
@@ -702,23 +720,26 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         None
     }
 
-    /// Processes the Boolean watch list of the newly-true literal `p`.
+    /// Processes the Boolean watch list of the newly-true literal `p`. The
+    /// scan indexes the list's buffer slots directly: pushes onto other
+    /// lists never move this one.
     fn propagate_bool(&mut self, p: Lit) -> Option<Conflict> {
-        let mut ws = std::mem::take(&mut self.watches[p.code()]);
+        let list = p.code();
+        let slots = self.watches.slots(list);
         let false_lit = !p;
         // Only a share endpoint imports clauses, so without one no clause
         // carries the imported flag and the header read is skipped.
         let count_hits = self.share.is_some();
-        let mut kept = 0usize;
+        let mut kept = slots.start;
         let mut conflict = None;
-        let mut i = 0usize;
-        'watchers: while i < ws.len() {
-            let w = ws[i];
+        let mut i = slots.start;
+        'watchers: while i < slots.end {
+            let w = self.watches[i];
             i += 1;
             // Fast path: blocker already true.
             let blocker_value = self.lit_values[w.blocker.code()];
             if blocker_value.is_true() {
-                ws[kept] = w;
+                self.watches[kept] = w;
                 kept += 1;
                 continue;
             }
@@ -726,7 +747,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             let (first, first_value) = if w.is_binary() {
                 // The blocker is the other literal: the clause is unit or
                 // conflicting without a look at the arena.
-                ws[kept] = w;
+                self.watches[kept] = w;
                 kept += 1;
                 (w.blocker, blocker_value)
             } else {
@@ -740,7 +761,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                 let first_value = self.lit_values[first.code()];
                 if first != w.blocker && first_value.is_true() {
                     // Satisfied; re-watch with the true literal as blocker.
-                    ws[kept] = Watcher::new(cr, first, false);
+                    self.watches[kept] = Watcher::new(cr, first, false);
                     kept += 1;
                     continue;
                 }
@@ -749,12 +770,13 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                     let lk = lits[k];
                     if !self.lit_values[lk.code()].is_false() {
                         lits.swap(1, k);
-                        self.watches[(!lk).code()].push(Watcher::new(cr, first, false));
+                        self.watches
+                            .push((!lk).code(), Watcher::new(cr, first, false));
                         continue 'watchers;
                     }
                 }
                 // No replacement: clause is unit or conflicting.
-                ws[kept] = Watcher::new(cr, first, false);
+                self.watches[kept] = Watcher::new(cr, first, false);
                 kept += 1;
                 (first, first_value)
             };
@@ -780,9 +802,7 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
             debug_assert!(ok);
         }
         // Retain unprocessed watchers (after a conflict) and survivors.
-        ws.copy_within(i.., kept);
-        ws.truncate(kept + ws.len() - i);
-        self.watches[p.code()] = ws;
+        self.watches.finish_scan(list, kept, i);
         conflict
     }
 
@@ -1193,12 +1213,14 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
         let lits = self.db.lits(cr);
         let (w0, w1) = (lits[0], lits[1]);
         for w in [w0, w1] {
-            let list = &mut self.watches[(!w).code()];
-            let pos = list
+            let list = (!w).code();
+            let pos = self
+                .watches
+                .list(list)
                 .iter()
                 .position(|x| x.cref() == cr)
                 .expect("watched clause present in watch list");
-            list.swap_remove(pos);
+            self.watches.swap_remove(list, pos);
         }
     }
 
@@ -1214,12 +1236,13 @@ impl<T: Theory, G: DecisionGuide> Solver<T, G> {
                 .ok()
                 .map(|i| moves[i].1)
         };
-        for list in &mut self.watches {
-            for w in list.iter_mut() {
+        for list in 0..self.watches.num_lists() {
+            for w in self.watches.list_mut(list) {
                 let cr = reloc(w.cref()).expect("watched clause survives collection");
                 *w = Watcher::new(cr, w.blocker, w.is_binary());
             }
         }
+        self.watches.compact();
         for r in &mut self.reason {
             if let Reason::Clause(cr) = r {
                 if let Some(n) = reloc(*cr) {
@@ -1933,9 +1956,9 @@ mod share_tests {
     /// Every watcher must reference a live clause that actually watches the
     /// literal whose list it sits on — the dangling-watcher invariant.
     fn check_watches(s: &Solver) {
-        for code in 0..s.watches.len() {
+        for code in 0..s.watches.num_lists() {
             let watched = !Lit::from_code(code as u32);
-            for w in &s.watches[code] {
+            for w in s.watches.list(code) {
                 assert!(!s.db.is_deleted(w.cref()), "watcher on deleted clause");
                 let lits = s.db.lits(w.cref());
                 assert!(

@@ -59,19 +59,16 @@ impl VarKind {
     }
 }
 
-/// Metadata for one solver variable.
-#[derive(Clone, Debug)]
-pub struct VarInfo {
-    /// The class.
-    pub kind: VarKind,
-    /// Human-readable name (paper-style for interference variables).
-    pub name: String,
-}
-
-/// Registry mapping solver variables to their classes.
+/// Registry mapping solver variables to their classes. Only interference
+/// variables carry a name: they are the only ones a reader of the
+/// instance (the SMT-LIB dump) looks up by name, so registering any other
+/// variable stores no string.
 #[derive(Default, Clone, Debug)]
 pub struct VarRegistry {
-    infos: Vec<Option<VarInfo>>,
+    kinds: Vec<Option<VarKind>>,
+    /// `(variable index, name)` of every interference variable, sorted by
+    /// index.
+    names: Vec<(u32, String)>,
 }
 
 impl VarRegistry {
@@ -80,47 +77,71 @@ impl VarRegistry {
         VarRegistry::default()
     }
 
-    /// Records `var`'s class and name.
-    pub fn register(&mut self, var: Var, kind: VarKind, name: impl Into<String>) {
-        let i = var.index();
-        if self.infos.len() <= i {
-            self.infos.resize_with(i + 1, || None);
-        }
-        debug_assert!(self.infos[i].is_none(), "variable registered twice");
-        self.infos[i] = Some(VarInfo {
-            kind,
-            name: name.into(),
-        });
+    /// Records the class of `var`, which must not be an interference
+    /// class (those take a name: [`Self::register_interference`]).
+    pub fn register(&mut self, var: Var, kind: VarKind) {
+        debug_assert!(
+            !kind.is_interference(),
+            "interference variable without a name"
+        );
+        self.record(var, kind);
     }
 
-    /// Metadata for `var`, if registered.
-    pub fn info(&self, var: Var) -> Option<&VarInfo> {
-        self.infos.get(var.index()).and_then(|o| o.as_ref())
+    /// Records an interference variable (`V_rf ∪ V_ws`) and its name.
+    pub fn register_interference(&mut self, var: Var, kind: VarKind, name: String) {
+        debug_assert!(
+            kind.is_interference(),
+            "{kind:?} is not an interference class"
+        );
+        self.record(var, kind);
+        let at = self.names.partition_point(|&(i, _)| i < var.index() as u32);
+        self.names.insert(at, (var.index() as u32, name));
+    }
+
+    fn record(&mut self, var: Var, kind: VarKind) {
+        let i = var.index();
+        if self.kinds.len() <= i {
+            self.kinds.resize(i + 1, None);
+        }
+        debug_assert!(self.kinds[i].is_none(), "variable registered twice");
+        self.kinds[i] = Some(kind);
     }
 
     /// The class of `var` ([`VarKind::Aux`] if unregistered).
     pub fn kind(&self, var: Var) -> VarKind {
-        self.info(var).map_or(VarKind::Aux, |i| i.kind)
+        self.kinds
+            .get(var.index())
+            .copied()
+            .flatten()
+            .unwrap_or(VarKind::Aux)
     }
 
-    /// Iterates over `(var, info)` for all registered variables.
-    pub fn iter(&self) -> impl Iterator<Item = (Var, &VarInfo)> {
-        self.infos
+    /// The paper-style name of an interference variable; `None` for every
+    /// other variable.
+    pub fn name(&self, var: Var) -> Option<&str> {
+        let i = var.index() as u32;
+        let at = self.names.binary_search_by_key(&i, |&(j, _)| j).ok()?;
+        Some(&self.names[at].1)
+    }
+
+    /// Iterates over `(var, kind)` for all registered variables.
+    pub fn iter(&self) -> impl Iterator<Item = (Var, VarKind)> + '_ {
+        self.kinds
             .iter()
             .enumerate()
-            .filter_map(|(i, o)| o.as_ref().map(|info| (Var::new(i as u32), info)))
+            .filter_map(|(i, k)| k.map(|k| (Var::new(i as u32), k)))
     }
 
-    /// All interference variables (`V_rf ∪ V_ws`), in registration order.
-    pub fn interference_vars(&self) -> impl Iterator<Item = (Var, &VarInfo)> {
-        self.iter().filter(|(_, info)| info.kind.is_interference())
+    /// All interference variables (`V_rf ∪ V_ws`), in variable order.
+    pub fn interference_vars(&self) -> impl Iterator<Item = (Var, VarKind)> + '_ {
+        self.iter().filter(|(_, kind)| kind.is_interference())
     }
 
     /// Count of registered variables per class: `(ssa, guard, ord, rf, ws, aux)`.
     pub fn class_counts(&self) -> ClassCounts {
         let mut c = ClassCounts::default();
-        for (_, info) in self.iter() {
-            match info.kind {
+        for (_, kind) in self.iter() {
+            match kind {
                 VarKind::Ssa => c.ssa += 1,
                 VarKind::Guard => c.guard += 1,
                 VarKind::Ord => c.ord += 1,
@@ -175,8 +196,8 @@ mod tests {
         let mut r = VarRegistry::new();
         let v0 = Var::new(0);
         let v2 = Var::new(2);
-        r.register(v0, VarKind::Ssa, "x_1[0]");
-        r.register(
+        r.register(v0, VarKind::Ssa);
+        r.register_interference(
             v2,
             VarKind::Rf {
                 external: true,
@@ -193,15 +214,46 @@ mod tests {
                 writes: 3
             }
         );
-        assert_eq!(r.info(v2).unwrap().name, "rf_1_2_2_0");
+        assert_eq!(r.name(v2), Some("rf_1_2_2_0"));
+    }
+
+    /// Interference names follow the paper's recipe; every other variable
+    /// is registered without a string.
+    #[test]
+    fn only_interference_variables_are_named() {
+        let mut r = VarRegistry::new();
+        for (i, kind) in [VarKind::Ssa, VarKind::Guard, VarKind::Ord, VarKind::Aux]
+            .into_iter()
+            .enumerate()
+        {
+            r.register(Var::new(i as u32), kind);
+        }
+        assert!(
+            r.names.is_empty(),
+            "a non-interference variable stored a name"
+        );
+        assert!((0..4).all(|i| r.name(Var::new(i)).is_none()));
+
+        // Registered out of variable order: lookups still find each name.
+        let rf = VarKind::Rf {
+            external: false,
+            writes: 2,
+        };
+        r.register_interference(Var::new(7), VarKind::Ws, ws_name(1, 4, 2, 3));
+        r.register_interference(Var::new(5), rf, rf_name(2, 5, 1, 0));
+        assert_eq!(r.name(Var::new(5)), Some("rf_2_5_1_0"));
+        assert_eq!(r.name(Var::new(7)), Some("ws_1_4_2_3"));
+        assert_eq!(r.name(Var::new(6)), None);
+        let itf: Vec<usize> = r.interference_vars().map(|(v, _)| v.index()).collect();
+        assert_eq!(itf, vec![5, 7]);
     }
 
     #[test]
     fn interference_filter() {
         let mut r = VarRegistry::new();
-        r.register(Var::new(0), VarKind::Ord, "ord0");
-        r.register(Var::new(1), VarKind::Ws, ws_name(0, 0, 1, 1));
-        r.register(
+        r.register(Var::new(0), VarKind::Ord);
+        r.register_interference(Var::new(1), VarKind::Ws, ws_name(0, 0, 1, 1));
+        r.register_interference(
             Var::new(2),
             VarKind::Rf {
                 external: false,
@@ -216,10 +268,10 @@ mod tests {
     #[test]
     fn class_counts() {
         let mut r = VarRegistry::new();
-        r.register(Var::new(0), VarKind::Ssa, "a");
-        r.register(Var::new(1), VarKind::Ssa, "b");
-        r.register(Var::new(2), VarKind::Guard, "g");
-        r.register(Var::new(3), VarKind::Ws, "w");
+        r.register(Var::new(0), VarKind::Ssa);
+        r.register(Var::new(1), VarKind::Ssa);
+        r.register(Var::new(2), VarKind::Guard);
+        r.register_interference(Var::new(3), VarKind::Ws, ws_name(0, 1, 1, 1));
         let c = r.class_counts();
         assert_eq!(
             c,

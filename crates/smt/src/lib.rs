@@ -20,6 +20,6 @@ pub mod kinds;
 pub mod order;
 
 pub use certcheck::{check_lemma, FixedEdges};
-pub use kinds::{rf_name, ws_name, ClassCounts, VarInfo, VarKind, VarRegistry};
+pub use kinds::{rf_name, ws_name, ClassCounts, VarKind, VarRegistry};
 pub use order::graph::{CycleStats, OrderGraph};
 pub use order::{CycleEdge, NodeId, OrderTheory};

@@ -43,7 +43,7 @@
 
 use std::cell::RefCell;
 
-use zpre_sat::Lit;
+use zpre_sat::{Lists, Lit};
 
 use super::{CycleEdge, NodeId};
 
@@ -126,8 +126,9 @@ struct QueryScratch {
 /// levels and an undo trail; the [`OrderTheory`](super::OrderTheory) drives
 /// it from the DPLL(T) callbacks.
 pub struct OrderGraph {
-    out: Vec<Vec<OutEdge>>,
-    inn: Vec<Vec<InEdge>>,
+    /// Out- and in-edge lists by node, each family in one buffer.
+    out: Lists<OutEdge>,
+    inn: Lists<InEdge>,
     /// Pseudo-topological level per node (`k(u) ≤ k(v)` along every edge).
     level: Vec<u32>,
     /// Undo trail of edge pushes and level promotions.
@@ -170,8 +171,8 @@ impl OrderGraph {
     /// Creates an empty graph.
     pub fn new() -> OrderGraph {
         OrderGraph {
-            out: Vec::new(),
-            inn: Vec::new(),
+            out: Lists::new(),
+            inn: Lists::new(),
             level: Vec::new(),
             trail: Vec::new(),
             marks: Vec::new(),
@@ -191,9 +192,9 @@ impl OrderGraph {
 
     /// Allocates a fresh node at level 0.
     pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.out.len() as u32);
-        self.out.push(Vec::new());
-        self.inn.push(Vec::new());
+        let id = NodeId(self.out.num_lists() as u32);
+        self.out.add_lists(1);
+        self.inn.add_lists(1);
         self.level.push(0);
         self.bstamp.push(0);
         self.bparent.push((id, None));
@@ -203,7 +204,7 @@ impl OrderGraph {
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.out.len()
+        self.out.num_lists()
     }
 
     /// Number of edges currently present.
@@ -218,7 +219,7 @@ impl OrderGraph {
 
     /// Out-edges of a node.
     pub fn out_edges(&self, n: NodeId) -> &[OutEdge] {
-        &self.out[n.index()]
+        self.out.list(n.index())
     }
 
     /// Interns the ordered pair `(a, b)` together with its reverse and
@@ -230,7 +231,12 @@ impl OrderGraph {
         let id = self.pairs.len() as PairId;
         assert!(id < NO_PAIR - 1, "pair id space exhausted");
         for (p, (x, y)) in [(id, (a, b)), (id + 1, (b, a))] {
-            let present = self.out[x.index()].iter().filter(|e| e.to == y).count();
+            let present = self
+                .out
+                .list(x.index())
+                .iter()
+                .filter(|e| e.to == y)
+                .count();
             self.pairs.push((x, y));
             self.pair_count.push(present as u32);
             // Counted edges inserted at an open level sit on the undo trail
@@ -262,7 +268,7 @@ impl OrderGraph {
         let per_node = 2 * size_of::<Vec<OutEdge>>()
             + 2 * size_of::<u32>()
             + 2 * size_of::<(NodeId, Option<Lit>)>();
-        let nodes = self.out.len() * per_node;
+        let nodes = self.out.num_lists() * per_node;
         let trail = self.trail.capacity() * size_of::<GraphOp>();
         let pairs = self.pairs.len() * (size_of::<(NodeId, NodeId)>() + size_of::<u32>());
         (edges + nodes + trail + pairs) as u64
@@ -409,14 +415,14 @@ impl OrderGraph {
             let mut arcs = 0usize;
             let mut bounded = false;
             'backward: while let Some(u) = self.stack.pop() {
-                for i in 0..self.inn[u.index()].len() {
+                for i in self.inn.slots(u.index()) {
                     if arcs >= delta {
                         bounded = true;
                         self.stack.clear();
                         break 'backward;
                     }
                     arcs += 1;
-                    let InEdge { from: x, tag: etag } = self.inn[u.index()][i];
+                    let InEdge { from: x, tag: etag } = self.inn[i];
                     if self.level[x.index()] != la || self.bstamp[x.index()] == bgen {
                         continue;
                     }
@@ -450,8 +456,8 @@ impl OrderGraph {
         self.stack.push(to);
         self.stats.visited += 1;
         while let Some(x) = self.stack.pop() {
-            for i in 0..self.out[x.index()].len() {
-                let OutEdge { to: y, tag: etag } = self.out[x.index()][i];
+            for i in self.out.slots(x.index()) {
+                let OutEdge { to: y, tag: etag } = self.out[i];
                 if y == from || self.bstamp[y.index()] == bgen {
                     // to ⇝ x → y (⇝ from): cycle. Build the witness, then
                     // roll back this insertion's promotions so the level
@@ -478,7 +484,7 @@ impl OrderGraph {
     #[inline]
     fn has_parallel(&self, from: NodeId, to: NodeId, pair: PairId) -> bool {
         if pair == NO_PAIR {
-            self.out[from.index()].iter().any(|e| e.to == to)
+            self.out.list(from.index()).iter().any(|e| e.to == to)
         } else {
             self.pair_count[pair as usize] > 0
         }
@@ -531,8 +537,8 @@ impl OrderGraph {
     }
 
     fn push_edge(&mut self, from: NodeId, to: NodeId, tag: Option<Lit>, pair: PairId) {
-        self.out[from.index()].push(OutEdge { to, tag });
-        self.inn[to.index()].push(InEdge { from, tag });
+        self.out.push(from.index(), OutEdge { to, tag });
+        self.inn.push(to.index(), InEdge { from, tag });
         self.num_edges += 1;
         if pair != NO_PAIR {
             self.pair_count[pair as usize] += 1;
@@ -561,8 +567,8 @@ impl OrderGraph {
         while self.trail.len() > mark {
             match self.trail.pop().expect("trail length checked") {
                 GraphOp::Edge { from, to, pair } => {
-                    self.out[from.index()].pop();
-                    self.inn[to.index()].pop();
+                    self.out.pop(from.index());
+                    self.inn.pop(to.index());
                     self.num_edges -= 1;
                     if pair != NO_PAIR {
                         self.pair_count[pair as usize] -= 1;
@@ -602,7 +608,7 @@ impl OrderGraph {
     /// path's edges in forward order, or `None`. Does not touch `stats`.
     pub fn dfs_path(&self, from: NodeId, to: NodeId) -> Option<Vec<CycleEdge>> {
         let mut q = self.query.borrow_mut();
-        let n = self.out.len();
+        let n = self.out.num_lists();
         if q.stamp.len() < n {
             q.stamp.resize(n, 0);
             q.parent.resize(n, (NodeId(0), None));
@@ -618,7 +624,7 @@ impl OrderGraph {
         q.stack.push(from);
         q.stamp[from.index()] = gen;
         while let Some(u) = q.stack.pop() {
-            for e in &self.out[u.index()] {
+            for e in self.out.list(u.index()) {
                 if q.stamp[e.to.index()] == gen {
                     continue;
                 }
@@ -655,8 +661,8 @@ impl OrderGraph {
     /// Checks the level invariant `k(u) ≤ k(v)` over every edge. Test/debug
     /// aid; O(V + E).
     pub fn check_level_invariant(&self) -> Result<(), String> {
-        for (u, edges) in self.out.iter().enumerate() {
-            for e in edges {
+        for u in 0..self.out.num_lists() {
+            for e in self.out.list(u) {
                 if self.level[u] > self.level[e.to.index()] {
                     return Err(format!(
                         "edge {u}->{} violates level invariant ({} > {})",

@@ -36,7 +36,7 @@ pub mod graph;
 use std::sync::Arc;
 
 use zpre_obs::{Event, EventSink};
-use zpre_sat::{Lit, Theory, TheoryConflict, TheoryOut, Var};
+use zpre_sat::{Lists, Lit, Theory, TheoryConflict, TheoryOut, Var};
 
 use graph::{CycleStats, Inserted, OrderGraph, PairId, NO_PAIR};
 
@@ -79,11 +79,11 @@ pub struct OrderTheory {
     /// For each interned pair, indexed by [`PairId`], every literal that
     /// means that pair's edge. (Usually one, but duplicate atoms over the
     /// same pair stay linked.)
-    pair_lits: Vec<Vec<Lit>>,
+    pair_lits: Lists<Lit>,
     /// Per node `a`: `(b, id of (a, b))` for every interned pair with `a`
     /// as an endpoint. Interning scans it once per atom; the frontier pass
     /// reads it once per searched check.
-    pair_adj: Vec<Vec<(NodeId, PairId)>>,
+    pair_adj: Lists<(NodeId, PairId)>,
     /// Per node scratch of the frontier pass: the pair id of `(to, u)` for
     /// every atom partner `u` of the edge head `to`, [`NO_PAIR`] otherwise.
     /// Marking the partners once beats scanning `pair_adj[to]` per frontier
@@ -121,8 +121,8 @@ impl OrderTheory {
         OrderTheory {
             graph: OrderGraph::new(),
             atom_pair: Vec::new(),
-            pair_lits: Vec::new(),
-            pair_adj: Vec::new(),
+            pair_lits: Lists::new(),
+            pair_adj: Lists::new(),
             partner: Vec::new(),
             expl_at: Vec::new(),
             expl_lits: Vec::new(),
@@ -158,7 +158,7 @@ impl OrderTheory {
 
     /// Allocates a fresh EOG node.
     pub fn add_node(&mut self) -> NodeId {
-        self.pair_adj.push(Vec::new());
+        self.pair_adj.add_lists(1);
         self.partner.push(NO_PAIR);
         self.graph.add_node()
     }
@@ -199,9 +199,9 @@ impl OrderTheory {
             Some(p) => p,
             None => {
                 let p = self.graph.add_pair(a, b);
-                self.pair_adj[a.index()].push((b, p));
-                self.pair_adj[b.index()].push((a, p ^ 1));
-                self.pair_lits.extend([Vec::new(), Vec::new()]);
+                self.pair_adj.push(a.index(), (b, p));
+                self.pair_adj.push(b.index(), (a, p ^ 1));
+                self.pair_lits.add_lists(2);
                 p
             }
         };
@@ -211,13 +211,14 @@ impl OrderTheory {
             self.expl_at.resize(2 * (v + 1), (0, 0));
         }
         self.atom_pair[v] = p;
-        self.pair_lits[p as usize].push(var.positive());
-        self.pair_lits[(p ^ 1) as usize].push(var.negative());
+        self.pair_lits.push(p as usize, var.positive());
+        self.pair_lits.push((p ^ 1) as usize, var.negative());
     }
 
     /// The interned pair `(a, b)`, if an atom ranges over it.
     fn pair_of(&self, a: NodeId, b: NodeId) -> Option<PairId> {
-        self.pair_adj[a.index()]
+        self.pair_adj
+            .list(a.index())
             .iter()
             .find(|&&(u, _)| u == b)
             .map(|&(_, p)| p)
@@ -285,7 +286,7 @@ impl OrderTheory {
     fn propagate_frontier(&mut self, lit: Lit, from: NodeId, to: NodeId, out: &mut TheoryOut) {
         // Mark the atom partners of `to` with their pair ids, so the lookup
         // per frontier node is one array read.
-        for &(u, p) in &self.pair_adj[to.index()] {
+        for &(u, p) in self.pair_adj.list(to.index()) {
             self.partner[u.index()] = p;
         }
         let mut expl = std::mem::take(&mut self.expl_buf);
@@ -298,15 +299,15 @@ impl OrderTheory {
             if tp == NO_PAIR {
                 continue;
             }
-            let lits = &self.pair_lits[tp as usize];
+            let lits = self.pair_lits.list(tp as usize);
             if !lits.iter().any(|&l| l != lit && l != !lit) {
                 continue;
             }
             expl.clear();
             let path_len = self.graph.backward_tags(u, from, &mut expl);
             expl.push(lit);
-            for k in 0..self.pair_lits[tp as usize].len() {
-                let q = !self.pair_lits[tp as usize][k];
+            for k in self.pair_lits.slots(tp as usize) {
+                let q = !self.pair_lits[k];
                 if q == lit || q == !lit {
                     continue;
                 }
@@ -315,7 +316,7 @@ impl OrderTheory {
             }
         }
         self.expl_buf = expl;
-        for &(u, _) in &self.pair_adj[to.index()] {
+        for &(u, _) in self.pair_adj.list(to.index()) {
             self.partner[u.index()] = NO_PAIR;
         }
     }
@@ -361,15 +362,15 @@ impl Theory for OrderTheory {
         // longer cycles are left to the cycle check). The explanation
         // clause q ∨ ¬lit is valid because its negation (¬q ∧ lit) would
         // create a 2-cycle.
-        for i in 0..self.pair_lits[ep as usize].len() {
-            let q = self.pair_lits[ep as usize][i];
+        for i in self.pair_lits.slots(ep as usize) {
+            let q = self.pair_lits[i];
             if q != lit {
                 self.push_propagation(q, &[lit], 2, out);
             }
         }
         let rp = (ep ^ 1) as usize;
-        for i in 0..self.pair_lits[rp].len() {
-            let q = !self.pair_lits[rp][i];
+        for i in self.pair_lits.slots(rp) {
+            let q = !self.pair_lits[i];
             if q != lit {
                 self.push_propagation(q, &[lit], 2, out);
             }
@@ -378,7 +379,7 @@ impl Theory for OrderTheory {
         // Frontier-driven: the backward pass already proved u ⇝ from for
         // every frontier node u, so an edge to→u would close the cycle
         // to→u ⇝ from→to. Negate any atom that would assert one.
-        if ins == Inserted::Searched && !self.pair_adj[to.index()].is_empty() {
+        if ins == Inserted::Searched && !self.pair_adj.list(to.index()).is_empty() {
             self.propagate_frontier(lit, from, to, out);
         }
         Ok(())
@@ -430,8 +431,10 @@ impl Theory for OrderTheory {
         let per_pair = size_of::<Vec<Lit>>() + size_of::<Lit>() + size_of::<(NodeId, PairId)>();
         let per_node = size_of::<Vec<(NodeId, PairId)>>() + size_of::<PairId>();
         self.graph.memory_bytes()
-            + (per_var + stacks + self.pair_lits.len() * per_pair + self.pair_adj.len() * per_node)
-                as u64
+            + (per_var
+                + stacks
+                + self.pair_lits.num_lists() * per_pair
+                + self.pair_adj.num_lists() * per_node) as u64
     }
 }
 

@@ -60,8 +60,8 @@ fn main() {
     println!("  V_ws  (write-serial.)  : {}", counts.ws);
 
     println!("\ninterference variables (paper naming: rf_<rt>_<ri>_<wt>_<wi>):");
-    for (var, info) in enc.registry.interference_vars() {
-        let detail = match info.kind {
+    for (var, kind) in enc.registry.interference_vars() {
+        let detail = match kind {
             VarKind::Rf { external, writes } => format!(
                 "rf, {}, #write = {writes}",
                 if external { "external" } else { "internal" }
@@ -72,15 +72,17 @@ fn main() {
         println!(
             "  {:>5}  {:<24} ({detail})",
             format!("v{}", var.index()),
-            info.name
+            enc.registry
+                .name(var)
+                .expect("interference variables are named")
         );
     }
 
     println!("\ndecision order (H1–H4):");
     let order = decision_order(&enc.registry, Refinements::all());
     for (rank, vi) in order.iter().take(12).enumerate() {
-        let info = enc.registry.info(zpre_sat::Var::new(*vi)).unwrap();
-        println!("  {:>3}. {}", rank + 1, info.name);
+        let name = enc.registry.name(zpre_sat::Var::new(*vi)).unwrap();
+        println!("  {:>3}. {}", rank + 1, name);
     }
     if order.len() > 12 {
         println!("  ... ({} more)", order.len() - 12);
